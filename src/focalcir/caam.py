@@ -75,7 +75,6 @@ class CaamParams:
     wc: Tensor  # (d_model, 1) scalar form or (d_model, m) vector form
     bc: Tensor
     output_form: str = "scalar"
-    fusion: FusionParams | None = None  # private encoder copy when not shared
 
     @property
     def k_probes(self) -> int:
@@ -111,18 +110,17 @@ def predict_beta(
 
     The probe pass itself runs with no mask and beta = 0; the box location is
     deliberately invisible here, only image content and text are."""
-    encoder = caam.fusion if caam.fusion is not None else fusion
     enc = multimodal_encode(
         patches,
         text,
-        encoder,
+        fusion,
         mask=None,
         beta=0.0,
         cls_token=caam.cls,
         extra_tokens=caam.probes,
     )
     tokens = concat_rows([enc.cls_out, enc.extra_out])
-    context = crm_forward(tokens, caam.crm, n_heads=encoder.n_heads)
+    context = crm_forward(tokens, caam.crm, n_heads=fusion.n_heads)
     out = add_bias(matmul(context, caam.wc), caam.bc)
     if caam.output_form == "scalar" and out.data.shape != (1, 1):
         raise DimensionError(f"scalar modulation head produced shape {out.data.shape}")
@@ -184,7 +182,6 @@ def init_caam_params(
     weight_init: float = 0.1,
     ffn_mult: int = 2,
     zero_head: bool = True,
-    private_fusion: FusionParams | None = None,
 ) -> CaamParams:
     if output_form not in OUTPUT_FORMS:
         raise ContractError(f"unknown modulation form {output_form!r}, expected {OUTPUT_FORMS}")
@@ -205,5 +202,4 @@ def init_caam_params(
         wc=Tensor(wc, requires_grad=True),
         bc=Tensor(bc, requires_grad=True),
         output_form=output_form,
-        fusion=private_fusion,
     )

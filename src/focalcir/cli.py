@@ -219,7 +219,7 @@ def cmd_eval(cfg: RunConfig, subsets: tuple[str, ...] | None, ckpt: str | None) 
     _check_subsets(subsets, bench)
     report = evaluate_model(
         params, bench, subsets=list(subsets) if subsets else None,
-        n_jobs=cfg.eval.n_jobs, config_hash=digest, seed=cfg.seed,
+        config_hash=digest, seed=cfg.seed,
     )
     out = Path(cfg.out)
     _write_json(out / "metrics.json", report.to_dict())
@@ -247,8 +247,7 @@ def cmd_ablate(cfg: RunConfig, kind: str, betas: tuple[float, ...] | None,
     if kind == "beta":
         params, _ = _load_ckpt(_ckpt_path(cfg, ckpt))
         units = betas if betas is not None else tuple(cfg.eval.betas)
-        table = beta_sweep(params, bench, units=units, n_jobs=cfg.eval.n_jobs,
-                           config_hash=digest, seed=cfg.seed)
+        table = beta_sweep(params, bench, units=units, config_hash=digest, seed=cfg.seed)
         _write_json(out / "ablate_beta.json", {
             "config_hash": digest, "seed": cfg.seed, "grid_units": list(units),
             "rows": _metrics_rows(table.rows, ("label", "beta_units", "beta_value")),
@@ -261,8 +260,7 @@ def cmd_ablate(cfg: RunConfig, kind: str, betas: tuple[float, ...] | None,
     if kind == "caam":
         variants = expand_variant_grid(forms=("scalar", "vector"))
         rows = caam_ablation(bench, cfg.model, train_cfg, variants,
-                             model_seed=cfg.seed, n_jobs=cfg.eval.n_jobs,
-                             config_hash=digest)
+                             model_seed=cfg.seed, config_hash=digest)
         _write_json(out / "ablate_caam.json", {
             "config_hash": digest, "seed": cfg.seed,
             "rows": _metrics_rows(rows, ("label", "variant", "caam_param_count")),
@@ -274,8 +272,7 @@ def cmd_ablate(cfg: RunConfig, kind: str, betas: tuple[float, ...] | None,
 
     if kind == "robustness":
         params, _ = _load_ckpt(_ckpt_path(cfg, ckpt))
-        rows = robustness_eval(params, bench, seed=cfg.seed,
-                               n_jobs=cfg.eval.n_jobs, config_hash=digest)
+        rows = robustness_eval(params, bench, seed=cfg.seed, config_hash=digest)
         _write_json(out / "ablate_robustness.json", {
             "config_hash": digest, "seed": cfg.seed,
             "rows": _metrics_rows(
@@ -292,12 +289,10 @@ def cmd_ablate(cfg: RunConfig, kind: str, betas: tuple[float, ...] | None,
     baseline = ModelParams(cfg.model, bench.encoders, seed=cfg.seed)
     train(baseline, train_examples(bench, bench.train_quads),
           dataclasses.replace(train_cfg, fixed_beta=0.0))
-    baseline_report = evaluate_model(baseline, bench, n_jobs=cfg.eval.n_jobs,
-                                     config_hash=digest, seed=cfg.seed)
+    baseline_report = evaluate_model(baseline, bench, config_hash=digest, seed=cfg.seed)
 
     _, roi_report = roi_crop_baseline(bench, cfg.model, train_cfg,
-                                      model_seed=cfg.seed, n_jobs=cfg.eval.n_jobs,
-                                      config_hash=digest)
+                                      model_seed=cfg.seed, config_hash=digest)
 
     ckpt_path = _ckpt_path(cfg, ckpt)
     if ckpt_path.is_file():
@@ -305,8 +300,7 @@ def cmd_ablate(cfg: RunConfig, kind: str, betas: tuple[float, ...] | None,
     else:
         adaptive = ModelParams(cfg.model, bench.encoders, seed=cfg.seed)
         train(adaptive, train_examples(bench, bench.train_quads), train_cfg)
-    adaptive_report = evaluate_model(adaptive, bench, n_jobs=cfg.eval.n_jobs,
-                                     config_hash=digest, seed=cfg.seed)
+    adaptive_report = evaluate_model(adaptive, bench, config_hash=digest, seed=cfg.seed)
 
     named = [("baseline-beta0", baseline_report), ("roi-crop", roi_report),
              ("adaptive", adaptive_report)]

@@ -38,12 +38,9 @@ class BenchSettings:
 
 @dataclass
 class EvalSettings:
-    n_jobs: int = 1
     betas: tuple[float, ...] = DEFAULT_SWEEP_UNITS  # sweep grid, units of sqrt(d_k)
 
     def validate(self) -> None:
-        if self.n_jobs < 1:
-            raise ConfigError("n_jobs must be >= 1")
         if not self.betas or any(b < 0 for b in self.betas):
             raise ConfigError("beta sweep grid must be non-empty and non-negative")
 
@@ -106,7 +103,7 @@ class RunConfig:
                 for k, v in dataclasses.asdict(self.train).items()
             },
             "bench": dataclasses.asdict(self.bench),
-            "eval": {"n_jobs": self.eval.n_jobs, "betas": list(self.eval.betas)},
+            "eval": {"betas": list(self.eval.betas)},
         }
 
     def digest(self) -> str:

@@ -4,15 +4,13 @@ rank_gallery orders candidates by descending cosine with a deterministic
 tie-break (ascending gallery index). R@K asks whether the exact target image
 landed in the top K; R_ID@K asks whether any top-K candidate shows the
 anchored instance. Evaluation shares one immutable gallery embedding matrix
-per subset; queries are independent, so they may run on a thread pool, and
-results merge by query index, making parallel and serial runs identical.
+per subset and ranks each query against it in turn.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -218,13 +216,11 @@ def evaluate_model(
     use_bbox: bool = True,
     roi_crop: bool = False,
     bbox_transform: Callable[[Quadruple, int], BBox | None] | None = None,
-    n_jobs: int = 1,
     config_hash: str = "",
     seed: int = 0,
     gallery_cache: dict[str, np.ndarray] | None = None,
-    return_rankings: bool = False,
-):
-    """MetricsReport over the eval split (optionally with per-query rankings).
+) -> MetricsReport:
+    """MetricsReport over the eval split.
 
     bbox_transform maps (quadruple, query index) to a replacement box (None
     drops the box for that query); gallery_cache holds per-subset embedding
@@ -235,7 +231,6 @@ def evaluate_model(
     if unknown:
         raise ContractError(f"no gallery for subsets {unknown}")
     per_subset: dict[str, SubsetMetrics] = {}
-    all_rankings: dict[str, list[RankingResult]] = {}
     for subset in chosen:
         quads = bench.eval_quads_of(subset)
         if not quads:
@@ -249,43 +244,28 @@ def evaluate_model(
                 gallery_cache[subset] = gal
         gallery_ids = manifest.image_ids
         gallery_instances = [e.instance_id for e in manifest.entries]
-
-        def one(job) -> list[int]:
-            idx, quad = job
+        results = []
+        for idx, quad in enumerate(quads):
             box = bbox_transform(quad, idx) if bbox_transform is not None else quad.bbox
             sample = query_sample_of(bench, quad, bbox=box)
             f_q, _ = query_representation(
                 sample, params, beta_override=beta_override,
                 use_bbox=use_bbox, roi_crop=roi_crop,
             )
-            return rank_gallery(f_q.data[0], gal)
-
-        jobs = list(enumerate(quads))
-        if n_jobs > 1:
-            with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-                orders = list(pool.map(one, jobs))
-        else:
-            orders = [one(job) for job in jobs]
-        results = [
-            RankingResult(
-                order=order, instance_id=quad.instance_id,
+            results.append(RankingResult(
+                order=rank_gallery(f_q.data[0], gal), instance_id=quad.instance_id,
                 target_image_id=quad.target_image_id,
                 gallery_image_ids=gallery_ids, gallery_instance_ids=gallery_instances,
-            )
-            for (idx, quad), order in zip(jobs, orders)
-        ]
+            ))
         per_subset[subset] = SubsetMetrics(
             r_at_1=recall_at_k(results, 1),
             r_at_5=recall_at_k(results, 5),
             rid_at_1=instance_recall_at_k(results, 1),
             n_queries=len(results),
         )
-        all_rankings[subset] = results
     report = MetricsReport(
         per_subset=per_subset, macro=_macro(per_subset),
         config_hash=config_hash, seed=seed,
     )
     report.validate()
-    if return_rankings:
-        return report, all_rankings
     return report

@@ -129,7 +129,6 @@ class FusionParams:
     queries: Tensor  # (m, d_model)
     blocks: list[FusionBlockParams]
     n_heads: int = 1
-    bias_in_all_blocks: bool = True
 
     @property
     def m_queries(self) -> int:
@@ -295,7 +294,6 @@ def multimodal_encode(
         if not scalar_zero:
             raise ContractError("multimodal_encode without a mask requires beta == 0")
         mask_values = None
-        beta = 0.0
     else:
         if patch_grid is not None and mask.grid != tuple(patch_grid):
             raise AlignmentError(f"mask grid {mask.grid} != patch grid {tuple(patch_grid)}")
@@ -319,16 +317,9 @@ def multimodal_encode(
         parts.append(constant(text.tokens))
     tokens = concat_rows(parts) if len(parts) > 1 else parts[0]
 
-    for i, block in enumerate(fusion.blocks):
-        use_bias = mask_values is not None and (fusion.bias_in_all_blocks or i == 0)
+    for block in fusion.blocks:
         tokens = _block_forward(
-            tokens,
-            kv,
-            block,
-            fusion.n_heads,
-            mask_values if use_bias else None,
-            beta if use_bias else None,
-            (fq_start, fq_stop),
+            tokens, kv, block, fusion.n_heads, mask_values, beta, (fq_start, fq_stop)
         )
 
     fused = slice_rows(tokens, fq_start, fq_stop)
@@ -398,15 +389,10 @@ def init_fusion_params(
     ffn_mult: int = 2,
     token_init: float = 0.02,
     weight_init: float = 0.1,
-    bias_in_all_blocks: bool = True,
-    queries_trainable: bool = False,
 ) -> FusionParams:
+    """Fusion queries are frozen; the blocks train."""
     return FusionParams(
-        queries=Tensor(
-            rng.normal(0.0, token_init, size=(m_queries, d_model)),
-            requires_grad=queries_trainable,
-        ),
+        queries=Tensor(rng.normal(0.0, token_init, size=(m_queries, d_model))),
         blocks=[init_fusion_block(rng, d_model, ffn_mult, weight_init) for _ in range(n_blocks)],
         n_heads=n_heads,
-        bias_in_all_blocks=bias_in_all_blocks,
     )

@@ -58,7 +58,6 @@ def beta_sweep(
     bench: Benchmark,
     units: tuple[float, ...] = DEFAULT_SWEEP_UNITS,
     subsets: list[str] | None = None,
-    n_jobs: int = 1,
     config_hash: str = "",
     seed: int = 0,
 ) -> SweepTable:
@@ -69,7 +68,7 @@ def beta_sweep(
     for u in units:
         report = evaluate_model(
             params, bench, subsets=subsets, beta_override=u * scale,
-            n_jobs=n_jobs, config_hash=config_hash, seed=seed, gallery_cache=cache,
+            config_hash=config_hash, seed=seed, gallery_cache=cache,
         )
         table.rows.append(
             SweepRow(label=f"{u:g}*sqrt(dk)", beta_units=u, beta_value=u * scale,
@@ -77,7 +76,7 @@ def beta_sweep(
         )
     adaptive = evaluate_model(
         params, bench, subsets=subsets, beta_override=None,
-        n_jobs=n_jobs, config_hash=config_hash, seed=seed, gallery_cache=cache,
+        config_hash=config_hash, seed=seed, gallery_cache=cache,
     )
     table.rows.append(SweepRow(label="adaptive", beta_units=None, beta_value=None,
                                metrics=adaptive))
@@ -140,7 +139,6 @@ def caam_ablation(
     train_cfg: TrainConfig,
     variants: list[dict],
     model_seed: int = 0,
-    n_jobs: int = 1,
     config_hash: str = "",
 ) -> list[AblationRow]:
     """Trains each variant from the same seed and evaluates it."""
@@ -157,9 +155,7 @@ def caam_ablation(
                 quads = [q for q in quads if q.subset in train_cfg.subsets]
             examples = train_examples(bench, quads)
         train(params, examples, train_cfg)
-        report = evaluate_model(
-            params, bench, n_jobs=n_jobs, config_hash=config_hash, seed=train_cfg.seed
-        )
+        report = evaluate_model(params, bench, config_hash=config_hash, seed=train_cfg.seed)
         rows.append(
             AblationRow(
                 label=variant_label(v), variant=dict(v),
@@ -204,7 +200,6 @@ def robustness_eval(
     perturbations: tuple[tuple[float, str], ...] = ((1.0, "scale"), (0.8, "scale"), (0.5, "scale_shift")),
     include_no_bbox: bool = True,
     seed: int = 0,
-    n_jobs: int = 1,
     config_hash: str = "",
 ) -> list[RobustnessRow]:
     """Evaluates under box perturbations of decreasing fidelity."""
@@ -219,7 +214,7 @@ def robustness_eval(
             return box
 
         report = evaluate_model(
-            params, bench, bbox_transform=transform, n_jobs=n_jobs,
+            params, bench, bbox_transform=transform,
             config_hash=config_hash, seed=seed, gallery_cache=cache,
         )
         mean_iou = float(np.mean([achieved[k] for k in sorted(achieved)]))
@@ -231,7 +226,7 @@ def robustness_eval(
         )
     if include_no_bbox:
         report = evaluate_model(
-            params, bench, use_bbox=False, n_jobs=n_jobs,
+            params, bench, use_bbox=False,
             config_hash=config_hash, seed=seed, gallery_cache=cache,
         )
         rows.append(
@@ -270,7 +265,6 @@ def roi_crop_baseline(
     config: ModelConfig,
     train_cfg: TrainConfig,
     model_seed: int = 0,
-    n_jobs: int = 1,
     config_hash: str = "",
 ) -> tuple[ModelParams, MetricsReport]:
     """Trains and evaluates the crop-to-box variant (no mask, no modulation)."""
@@ -290,7 +284,7 @@ def roi_crop_baseline(
         bench, eval_quads=usable_eval
     )
     report = evaluate_model(
-        params, eval_bench, roi_crop=True, n_jobs=n_jobs,
+        params, eval_bench, roi_crop=True,
         config_hash=config_hash, seed=train_cfg.seed,
     )
     return params, report

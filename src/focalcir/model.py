@@ -15,15 +15,14 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from focalcir.caam import CaamParams, init_caam_params, predict_beta
+from focalcir.caam import init_caam_params, predict_beta
 from focalcir.encoders import EncoderParams, TextEmbedding
 from focalcir.errors import CheckpointError, ConfigError, ContractError, DimensionError
 from focalcir.fusion import (
-    FusionParams,
     encode_target,
     init_fusion_params,
     multimodal_encode,
@@ -67,9 +66,6 @@ class ModelConfig:
     crm_layers: int = 2
     modulation: str = "scalar"  # "scalar" | "vector"
     probes_learnable: bool = True
-    fusion_queries_trainable: bool = False
-    caam_shares_encoder: bool = True
-    bias_in_all_blocks: bool = True
     token_init: float = 0.02
     weight_init: float = 0.1
     tau: float = 0.07  # fixed contrastive temperature
@@ -166,23 +162,7 @@ class ModelParams:
             ffn_mult=config.ffn_mult,
             token_init=config.token_init,
             weight_init=config.weight_init,
-            bias_in_all_blocks=config.bias_in_all_blocks,
-            queries_trainable=config.fusion_queries_trainable,
         )
-        private = None
-        if not config.caam_shares_encoder:
-            private = init_fusion_params(
-                rng,
-                config.d_model,
-                config.m_queries,
-                config.n_blocks,
-                n_heads=config.n_heads,
-                ffn_mult=config.ffn_mult,
-                token_init=config.token_init,
-                weight_init=config.weight_init,
-                bias_in_all_blocks=config.bias_in_all_blocks,
-                queries_trainable=config.fusion_queries_trainable,
-            )
         self.caam = init_caam_params(
             rng,
             config.d_model,
@@ -196,7 +176,6 @@ class ModelParams:
             weight_init=config.weight_init,
             ffn_mult=config.ffn_mult,
             zero_head=zero_modulation_head,
-            private_fusion=private,
         )
         self.rep_cls = Tensor(
             rng.normal(0.0, config.token_init, size=(1, config.d_model)), requires_grad=True
@@ -226,13 +205,12 @@ class ModelParams:
             out += [(f"{prefix}.wo", a.wo), (f"{prefix}.bo", a.bo)]
         return out
 
-    @classmethod
-    def _fusion_named(cls, prefix: str, fusion: FusionParams) -> list[tuple[str, Tensor]]:
-        out = [(f"{prefix}.queries", fusion.queries)]
-        for i, b in enumerate(fusion.blocks):
-            p = f"{prefix}.block{i}"
-            out += cls._attention_named(f"{p}.self", b.self_attn)
-            out += cls._attention_named(f"{p}.cross", b.cross_attn)
+    def _fusion_named(self) -> list[tuple[str, Tensor]]:
+        out = [("fusion.queries", self.fusion.queries)]
+        for i, b in enumerate(self.fusion.blocks):
+            p = f"fusion.block{i}"
+            out += self._attention_named(f"{p}.self", b.self_attn)
+            out += self._attention_named(f"{p}.cross", b.cross_attn)
             out += [
                 (f"{p}.ln_self.gain", b.ln_self.gain), (f"{p}.ln_self.shift", b.ln_self.shift),
                 (f"{p}.ln_cross.gain", b.ln_cross.gain), (f"{p}.ln_cross.shift", b.ln_cross.shift),
@@ -264,13 +242,11 @@ class ModelParams:
                     (f"{p}.ln_ffn.shift", layer.ln_ffn.shift),
                 ]
         out += [("caam.wc", c.wc), ("caam.bc", c.bc)]
-        if c.fusion is not None:
-            out += self._fusion_named("caam.fusion", c.fusion)
         return out
 
     def named_params(self) -> list[tuple[str, Tensor]]:
         """Every weight tensor in a stable order (frozen ones included)."""
-        out = self._fusion_named("fusion", self.fusion)
+        out = self._fusion_named()
         out += self._caam_named()
         out += [
             ("rep_cls", self.rep_cls),
@@ -470,7 +446,15 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
             seed=enc_info["seed"], d_latent=enc_info["d_latent"],
             d_model=enc_info["d_model"], l_text=enc_info["l_text"],
         )
-        config = ModelConfig(**header["model_config"])
+        stored = header["model_config"]
+        known = {f.name for f in fields(ModelConfig)}
+        unknown, missing = sorted(set(stored) - known), sorted(known - set(stored))
+        if unknown or missing:
+            raise CheckpointError(
+                f"checkpoint model_config does not match this model: "
+                f"unknown keys {unknown}, missing keys {missing}"
+            )
+        config = ModelConfig(**stored)
         params = ModelParams(config, encoders, seed=header["seed"])
         named = dict(params.named_params())
         if set(named) != {p["name"] for p in header["params"]}:

@@ -61,8 +61,3 @@ def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray | None], stat
             v *= b2
             v += (1.0 - b2) * g * g
         p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
-
-
-def grads_of(params: Sequence[Tensor]) -> list[np.ndarray | None]:
-    """Collect .grad buffers in parameter order (None = zero)."""
-    return [p.grad for p in params]

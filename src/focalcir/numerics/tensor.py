@@ -187,15 +187,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "sub")
-    out = Tensor(a.data - b.data)
-    tape = _should_record(a, b)
-    if tape is not None:
-        tape._record((a, b), out, lambda g: (g, -g))
-    return out
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "mul")
     out = Tensor(a.data * b.data)
@@ -203,14 +194,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     if tape is not None:
         ad, bd = a.data, b.data
         tape._record((a, b), out, lambda g: (g * bd, g * ad))
-    return out
-
-
-def neg(a: Tensor) -> Tensor:
-    out = Tensor(-a.data)
-    tape = _should_record(a)
-    if tape is not None:
-        tape._record((a,), out, lambda g: (-g,))
     return out
 
 

@@ -99,8 +99,8 @@ def trained_baseline(default_bench):
 @pytest.fixture(scope="session")
 def default_reports(default_bench, trained_adaptive, trained_baseline):
     with _timed("eval_both"):
-        adaptive = evaluate_model(trained_adaptive, default_bench, n_jobs=4, seed=0)
-        baseline = evaluate_model(trained_baseline, default_bench, n_jobs=4,
+        adaptive = evaluate_model(trained_adaptive, default_bench, seed=0)
+        baseline = evaluate_model(trained_baseline, default_bench,
                                   beta_override=0.0, seed=0)
     return adaptive, baseline
 
@@ -308,7 +308,7 @@ def test_criterion_06_adaptive_beats_baseline(default_bench, default_reports):
 
 
 def test_criterion_07_beta_sweep_shape(default_bench, trained_adaptive):
-    table = beta_sweep(trained_adaptive, default_bench, n_jobs=4, seed=0)
+    table = beta_sweep(trained_adaptive, default_bench, seed=0)
     fixed = table.rows[:-1]
     assert [r.beta_units for r in fixed] == [0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0]
     rid = [r.metrics.macro.rid_at_1 for r in fixed]
@@ -413,7 +413,7 @@ def test_criterion_09_gallery_invariants(default_bench, tmp_path):
 
 
 def test_criterion_10_robustness_ordering(default_bench, trained_adaptive):
-    rows = robustness_eval(trained_adaptive, default_bench, seed=0, n_jobs=4)
+    rows = robustness_eval(trained_adaptive, default_bench, seed=0)
     by_label = {r.label: r.metrics.macro.rid_at_1 for r in rows}
     assert "iou=0.5 scale_shift" in by_label
     full = by_label["iou=1 scale"]
@@ -451,7 +451,7 @@ def test_criterion_11_commands_are_deterministic(tmp_path, capsys):
                   "l_text": 2, "n_blocks": 1, "crm_layers": 1},
         "train": {"epochs": 2, "batch_size": 8},
         "bench": {"train_cap": 3, "eval_cap": 5, "n_distractors": 6},
-        "eval": {"n_jobs": 2, "betas": [0, 2]},
+        "eval": {"betas": [0, 2]},
     }
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(cfg))

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from focalcir.caam import (
-    CaamParams,
     crm_forward,
     init_caam_params,
     init_crm_params,
@@ -151,22 +150,3 @@ def test_frozen_probes_receive_no_grad():
     assert caam.probes.grad is None
     assert caam.cls.grad is not None
 
-
-def test_private_encoder_changes_prediction():
-    rng = np.random.default_rng(12)
-    shared = init_fusion_params(rng, D, m_queries=4, n_blocks=1)
-    private = init_fusion_params(np.random.default_rng(99), D, m_queries=4, n_blocks=1)
-    caam_shared = init_caam_params(np.random.default_rng(13), D, 3, 4, zero_head=False)
-    caam_private = CaamParams(
-        probes=caam_shared.probes,
-        cls=caam_shared.cls,
-        crm=caam_shared.crm,
-        wc=caam_shared.wc,
-        bc=caam_shared.bc,
-        output_form="scalar",
-        fusion=private,
-    )
-    patches, text = make_inputs()
-    b_shared = predict_beta(patches, text, shared, caam_shared).data
-    b_private = predict_beta(patches, text, shared, caam_private).data
-    assert b_shared[0, 0] != b_private[0, 0]

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import struct
 from pathlib import Path
 
 import pytest
@@ -34,7 +35,7 @@ def run_dict(out, two_subsets=False):
                   "l_text": 2, "n_blocks": 1, "crm_layers": 1},
         "train": {"epochs": 2, "batch_size": 8},
         "bench": {"train_cap": 3, "eval_cap": 5, "n_distractors": 6},
-        "eval": {"n_jobs": 1, "betas": [0, 2]},
+        "eval": {"betas": [0, 2]},
     }
 
 
@@ -172,6 +173,19 @@ def test_eval_missing_inputs_exit_2(tmp_path, run_dir, capsys):
     assert main(["eval", "--config", str(cfg_path), "--checkpoint",
                  str(tmp_path / "nope.bin")]) == 2
     assert "checkpoint" in capsys.readouterr().err
+
+
+def test_eval_checkpoint_with_removed_model_key_exits_2(tmp_path, run_dir, capsys):
+    cfg_path, out = run_dir
+    raw = (out / "checkpoint.bin").read_bytes()
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16 : 16 + hlen])
+    header["model_config"]["caam_shares_encoder"] = True
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    old = tmp_path / "old.bin"
+    old.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen :])
+    assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(old)]) == 2
+    assert "caam_shares_encoder" in capsys.readouterr().err
 
 
 def test_eval_unknown_subset_exits_1(run_dir, capsys):

@@ -30,7 +30,7 @@ def tiny_run_dict(**overrides):
                   "l_text": 2, "n_blocks": 1, "crm_layers": 1},
         "train": {"epochs": 2, "batch_size": 8},
         "bench": {"train_cap": 3, "eval_cap": 5, "n_distractors": 6},
-        "eval": {"n_jobs": 2, "betas": [0, 1, 4]},
+        "eval": {"betas": [0, 1, 4]},
     }
     base.update(overrides)
     return base
@@ -74,6 +74,8 @@ def test_tuple_fields_coerced_from_lists():
         (lambda d: d["world"][0].update(gird=[2, 2]), "'world.gird'"),
         (lambda d: d["train"].update(lr=0.1), "'train.lr'"),
         (lambda d: d["eval"].update(jobs=2), "'eval.jobs'"),
+        (lambda d: d["eval"].update(n_jobs=2), "'eval.n_jobs'"),
+        (lambda d: d["model"].update(caam_shares_encoder=False), "'model.caam_shares_encoder'"),
         (lambda d: d["thresholds"]["fashion"].update(tau_max=1), "'thresholds.fashion.tau_max'"),
     ],
 )
@@ -117,8 +119,6 @@ def test_duplicate_subset_and_latent_mismatch_rejected():
 def test_settings_validation():
     with pytest.raises(ConfigError):
         BenchSettings(train_cap=0).validate()
-    with pytest.raises(ConfigError):
-        EvalSettings(n_jobs=0).validate()
     with pytest.raises(ConfigError):
         EvalSettings(betas=()).validate()
     with pytest.raises(ConfigError):

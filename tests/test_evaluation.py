@@ -195,12 +195,6 @@ def test_evaluate_model_report_shape(tiny_bench, tiny_model):
     assert report.macro.r_at_1 == m.r_at_1
 
 
-def test_parallel_equals_serial(tiny_bench, tiny_model):
-    serial = evaluate_model(tiny_model, tiny_bench, n_jobs=1)
-    parallel = evaluate_model(tiny_model, tiny_bench, n_jobs=4)
-    assert serial.to_dict() == parallel.to_dict()
-
-
 def test_gallery_cache_reuse(tiny_bench, tiny_model):
     cache: dict[str, np.ndarray] = {}
     first = evaluate_model(tiny_model, tiny_bench, gallery_cache=cache)
@@ -232,8 +226,8 @@ def test_roi_crop_path_runs(tiny_bench, tiny_model):
 
 
 def test_evaluation_deterministic(tiny_bench, tiny_model):
-    a = evaluate_model(tiny_model, tiny_bench, n_jobs=2)
-    b = evaluate_model(tiny_model, tiny_bench, n_jobs=2)
+    a = evaluate_model(tiny_model, tiny_bench)
+    b = evaluate_model(tiny_model, tiny_bench)
     assert a.to_dict() == b.to_dict()
 
 

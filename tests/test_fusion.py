@@ -298,19 +298,6 @@ def test_beta_changes_fused_output():
     assert np.max(np.abs(a - b)) > 1e-6
 
 
-def test_bias_only_in_first_block_differs_from_all_blocks():
-    enc, patches, text = make_world_inputs()
-    rng_init = np.random.default_rng(1)
-    fusion_all = init_fusion_params(rng_init, 16, m_queries=4, n_blocks=2, bias_in_all_blocks=True)
-    fusion_first = init_fusion_params(
-        np.random.default_rng(1), 16, m_queries=4, n_blocks=2, bias_in_all_blocks=False
-    )
-    mask = region_mask_from_bbox((0.0, 0.0, 0.5, 0.5), (4, 4))
-    a = multimodal_encode(patches, text, fusion_all, mask=mask, beta=4.0).fused.data
-    b = multimodal_encode(patches, text, fusion_first, mask=mask, beta=4.0).fused.data
-    assert not np.allclose(a, b)
-
-
 def test_multi_head_runs_and_differs_from_single_head():
     enc, patches, text = make_world_inputs()
     fusion1 = init_fusion_params(np.random.default_rng(1), 16, m_queries=4, n_blocks=1, n_heads=1)

@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -202,11 +204,8 @@ def test_param_groups_split_and_respect_flags():
     assert names["caam.wc"] in groups["caam"]
     assert names["head.query.w"] in groups["encoder"]
     assert all(t.requires_grad for g in groups.values() for t in g)
-    # frozen fusion queries stay out of both groups by default
+    # frozen fusion queries stay out of both groups
     assert names["fusion.queries"] not in groups["encoder"]
-    _, _, trainable = tiny_setup(fusion_queries_trainable=True)
-    g2 = trainable.param_groups()
-    assert dict(trainable.named_params())["fusion.queries"] in g2["encoder"]
 
 
 # -- training ----------------------------------------------------------------
@@ -346,3 +345,30 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
     path.write_bytes(b"not a checkpoint at all")
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+def _rewrite_model_config(path, edit):
+    """Rewrites the header's model_config in place, keeping the weights."""
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16 : 16 + hlen])
+    edit(header["model_config"])
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen :])
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda c: c.update(caam_shares_encoder=True), "unknown keys ['caam_shares_encoder']"),
+        (lambda c: c.pop("tau"), "missing keys ['tau']"),
+    ],
+)
+def test_checkpoint_with_mismatched_model_keys_names_them(tmp_path, edit, message):
+    _, _, params = tiny_setup(seed=91)
+    path = tmp_path / "old.ckpt"
+    save_checkpoint(path, params)
+    _rewrite_model_config(path, edit)
+    with pytest.raises(CheckpointError) as info:
+        load_checkpoint(path)
+    assert message in str(info.value)
