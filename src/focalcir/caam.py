@@ -29,11 +29,10 @@ from focalcir.fusion import (
 from focalcir.numerics.tensor import (
     Tensor,
     add,
-    add_bias,
     concat_rows,
     gelu,
     layer_norm_rows,
-    matmul,
+    linear,
     mean_over_rows,
     slice_rows,
 )
@@ -82,34 +81,39 @@ class CaamParams:
 
 
 def crm_forward(tokens: Tensor, crm: CrmParams, n_heads: int = 1) -> Tensor:
-    """Condense a (k+1) x d token set (cls at row 0) into a 1 x d context."""
-    if tokens.data.shape[0] < 2:
+    """Condense a (k+1) x d token set (cls at row 0) into a 1 x d context,
+    per sample when tokens are a (B, k+1, d) batch."""
+    if tokens.data.shape[-2] < 2:
         raise DimensionError(f"CRM needs cls plus at least one probe, got {tokens.data.shape}")
     if crm.variant == "avg":
         return mean_over_rows(tokens)
     if crm.variant == "mlp":
         pooled = mean_over_rows(tokens)
-        hidden = gelu(add_bias(matmul(pooled, crm.mlp_w1), crm.mlp_b1))
-        return add_bias(matmul(hidden, crm.mlp_w2), crm.mlp_b2)
+        hidden = gelu(linear(pooled, crm.mlp_w1, crm.mlp_b1))
+        return linear(hidden, crm.mlp_w2, crm.mlp_b2)
     for layer in crm.layers:
         attn = _attention(tokens, tokens, layer.self_attn, n_heads)
         tokens = layer_norm_rows(add(tokens, attn), layer.ln_attn.gain, layer.ln_attn.shift)
-        hidden = gelu(add_bias(matmul(tokens, layer.ffn_w1), layer.ffn_b1))
-        ff = add_bias(matmul(hidden, layer.ffn_w2), layer.ffn_b2)
+        hidden = gelu(linear(tokens, layer.ffn_w1, layer.ffn_b1))
+        ff = linear(hidden, layer.ffn_w2, layer.ffn_b2)
         tokens = layer_norm_rows(add(tokens, ff), layer.ln_ffn.gain, layer.ln_ffn.shift)
     return slice_rows(tokens, 0, 1)
 
 
 def predict_beta(
     patches: np.ndarray,
-    text: TextEmbedding | None,
+    text: TextEmbedding | np.ndarray | None,
     fusion: FusionParams,
     caam: CaamParams,
+    key_mask: np.ndarray | None = None,
 ) -> Tensor:
-    """Modulation output for one query: 1x1 (scalar) or 1xM (vector).
+    """Modulation output for one query: 1x1 (scalar) or 1xM (vector); for a
+    batch of queries (patches (B, n, d), text (B, l, d)), (B, 1, 1) or
+    (B, 1, M).
 
     The probe pass itself runs with no mask and beta = 0; the box location is
-    deliberately invisible here, only image content and text are."""
+    deliberately invisible here, only image content and text are. key_mask
+    is the padding mask of `fusion.stack_patches`."""
     enc = multimodal_encode(
         patches,
         text,
@@ -118,11 +122,12 @@ def predict_beta(
         beta=0.0,
         cls_token=caam.cls,
         extra_tokens=caam.probes,
+        key_mask=key_mask,
     )
     tokens = concat_rows([enc.cls_out, enc.extra_out])
     context = crm_forward(tokens, caam.crm, n_heads=fusion.n_heads)
-    out = add_bias(matmul(context, caam.wc), caam.bc)
-    if caam.output_form == "scalar" and out.data.shape != (1, 1):
+    out = linear(context, caam.wc, caam.bc)
+    if caam.output_form == "scalar" and out.data.shape[-2:] != (1, 1):
         raise DimensionError(f"scalar modulation head produced shape {out.data.shape}")
     return out
 

@@ -24,15 +24,18 @@ def validate_bbox(bbox: BBox) -> None:
         raise ContractError(f"bbox must satisfy 0 <= x0 < x1 <= 1 and likewise for y, got {bbox}")
 
 
-def patch_center(row: int, col: int, grid: tuple[int, int]) -> tuple[float, float]:
-    """Center of grid cell (row, col) for an h x w patch grid."""
+def patch_center(row, col, grid: tuple[int, int]):
+    """Center of grid cell (row, col) for an h x w patch grid.
+
+    row and col may be ints or numpy index arrays; arrays give arrays."""
     h, w = grid
     return ((col + 0.5) / w, (row + 0.5) / h)
 
 
-def center_inside(bbox: BBox, cx: float, cy: float) -> bool:
+def center_inside(bbox: BBox, cx, cy):
+    """The half-open containment rule, elementwise when cx, cy are arrays."""
     x0, y0, x1, y1 = bbox
-    return (x0 <= cx < x1) and (y0 <= cy < y1)
+    return (x0 <= cx) & (cx < x1) & (y0 <= cy) & (cy < y1)
 
 
 def iou(a: BBox, b: BBox) -> float:

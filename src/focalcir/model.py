@@ -4,6 +4,8 @@ The query branch encodes (reference patches, box, text) with the modulated
 fusion encoder and reads the representation off a dedicated cls token; the
 target branch encodes target patches alone and mean-pools the fusion-query
 outputs. Both project into the shared embedding space and l2-normalize.
+Both branches take one sample or a batch and run a batch as one forward
+pass, so a training step records one tape over its whole batch.
 Training minimizes a one-directional in-batch contrastive loss (query ->
 target) at fixed temperature, with two AdamW groups: the modulation
 predictor trains 10x faster than the encoder stack, mirroring the reference
@@ -16,33 +18,41 @@ import hashlib
 import json
 import struct
 from dataclasses import asdict, dataclass, field, fields
+from typing import Sequence
 
 import numpy as np
 
 from focalcir.caam import init_caam_params, predict_beta
 from focalcir.encoders import EncoderParams, TextEmbedding
-from focalcir.errors import CheckpointError, ConfigError, ContractError, DimensionError
+from focalcir.errors import (
+    AlignmentError,
+    CheckpointError,
+    ConfigError,
+    ContractError,
+    DimensionError,
+)
 from focalcir.fusion import (
     encode_target,
     init_fusion_params,
     multimodal_encode,
     region_mask_from_bbox,
+    stack_patches,
 )
 from focalcir.geometry import BBox
 from focalcir.numerics.optim import AdamState, adam_step
 from focalcir.numerics.tensor import (
     Tape,
     Tensor,
-    add_bias,
     backward,
-    concat_rows,
     diag_col,
     l2_normalize_rows,
+    linear,
     log,
     matmul,
     mean_over_rows,
     scale,
     softmax_rows,
+    squeeze_rows,
     sum_all,
     transpose,
 )
@@ -270,62 +280,91 @@ class ModelParams:
 
 
 def query_representation(
-    sample: QuerySample,
+    samples: QuerySample | Sequence[QuerySample],
     params: ModelParams,
     beta_override: float | None = None,
     use_bbox: bool = True,
     roi_crop: bool = False,
 ):
-    """f_q plus the modulation actually applied (float, or array in vector form).
+    """f_q plus the modulation actually applied, for one query or a batch.
 
+    One QuerySample gives a 1 x d_embed tensor and its applied modulation (a
+    float, or a 1 x M array in vector form). A sequence is encoded as one
+    batch and gives B x d_embed rows and a list of per-sample applied values.
     beta_override bypasses the predictor entirely and applies the given
-    constant; use_bbox=False drops the box (and the mask) altogether.
+    constant; use_bbox=False drops the box (and the mask) altogether. A
+    box-less sample gets a zero mask row, so its applied modulation is 0.
     """
-    if roi_crop and use_bbox and sample.bbox is not None:
-        mask = region_mask_from_bbox(sample.bbox, sample.grid)
-        visible = sample.patches[mask.values == 1.0]
-        enc = multimodal_encode(
-            visible, sample.text, params.fusion, mask=None, beta=0.0, cls_token=params.rep_cls
-        )
-        applied = 0.0
-    elif not use_bbox or sample.bbox is None:
-        enc = multimodal_encode(
-            sample.patches, sample.text, params.fusion, mask=None, beta=0.0,
-            cls_token=params.rep_cls,
-        )
-        applied = 0.0
+    single = isinstance(samples, QuerySample)
+    batch = [samples] if single else list(samples)
+    if not batch:
+        raise ContractError("no query samples")
+    masks = [
+        region_mask_from_bbox(s.bbox, s.grid) if use_bbox and s.bbox is not None else None
+        for s in batch
+    ]
+    for s, m in zip(batch, masks):
+        if m is not None and m.values.shape[0] != s.patches.shape[0]:
+            raise AlignmentError(
+                f"mask covers {m.values.shape[0]} patches but image has {s.patches.shape[0]}"
+            )
+    text = np.stack([s.text.tokens for s in batch])
+    if roi_crop:
+        patch_sets = [
+            s.patches if m is None else s.patches[m.values == 1.0] for s, m in zip(batch, masks)
+        ]
     else:
-        mask = region_mask_from_bbox(sample.bbox, sample.grid)
+        patch_sets = [s.patches for s in batch]
+    patches, key_mask = stack_patches(patch_sets)
+    applied: list = [0.0] * len(batch)
+    mask_rows, beta = None, 0.0
+    if not roi_crop and any(m is not None for m in masks):
+        mask_rows = np.zeros((len(batch), 1, patches.shape[1]))
+        for i, m in enumerate(masks):
+            if m is not None:
+                mask_rows[i, 0, : m.values.shape[0]] = m.values
         if beta_override is not None:
             beta = float(beta_override)
-            applied = beta
+            applied = [0.0 if m is None else beta for m in masks]
         else:
-            beta = predict_beta(sample.patches, sample.text, params.fusion, params.caam)
-            applied = float(beta.data[0, 0]) if beta.data.shape == (1, 1) else beta.data.copy()
-        enc = multimodal_encode(
-            sample.patches, sample.text, params.fusion, mask=mask, beta=beta,
-            cls_token=params.rep_cls, patch_grid=sample.grid,
-        )
-    f_q = l2_normalize_rows(add_bias(matmul(enc.cls_out, params.w_query), params.b_query))
-    return f_q, applied
+            beta = predict_beta(patches, text, params.fusion, params.caam, key_mask=key_mask)
+            applied = [
+                0.0 if m is None else (float(b[0, 0]) if b.shape == (1, 1) else b.copy())
+                for m, b in zip(masks, beta.data)
+            ]
+    enc = multimodal_encode(
+        patches, text, params.fusion, mask=mask_rows, beta=beta, key_mask=key_mask,
+        cls_token=params.rep_cls,
+    )
+    # project per sample, then drop the row axis: one (B*1)-row GEMM would
+    # round differently from the 1-row GEMM a single query gets
+    f_q = l2_normalize_rows(squeeze_rows(linear(enc.cls_out, params.w_query, params.b_query)))
+    return (f_q, applied[0]) if single else (f_q, applied)
 
 
-def target_representation(patches: np.ndarray, params: ModelParams) -> Tensor:
-    """f_t: mean-pooled fusion-query outputs, projected and normalized."""
-    fused = encode_target(patches, params.fusion)
-    pooled = mean_over_rows(fused)
-    return l2_normalize_rows(add_bias(matmul(pooled, params.w_target), params.b_target))
+def target_representation(
+    patches: np.ndarray | Sequence[np.ndarray], params: ModelParams
+) -> Tensor:
+    """f_t: mean-pooled fusion-query outputs, projected and normalized.
+
+    One image's (n, d) patches give a 1 x d_embed tensor; a sequence of them
+    is encoded as one batch and gives B x d_embed rows."""
+    single = isinstance(patches, np.ndarray) and patches.ndim == 2
+    stacked, key_mask = stack_patches([patches] if single else list(patches))
+    pooled = mean_over_rows(encode_target(stacked, params.fusion, key_mask=key_mask))
+    return l2_normalize_rows(squeeze_rows(linear(pooled, params.w_target, params.b_target)))
 
 
 def contrastive_loss(f_q: Tensor, f_t: Tensor, tau: float) -> Tensor:
     """One-directional InfoNCE: -(1/B) sum_i log softmax_j(sim(q_i, t_j)/tau)_ii."""
-    if f_q.data.shape != f_t.data.shape:
+    if f_q.data.ndim != 2 or f_q.data.shape != f_t.data.shape:
         raise DimensionError(f"query/target batches disagree: {f_q.data.shape} vs {f_t.data.shape}")
     for name, t in (("query", f_q), ("target", f_t)):
-        norms = np.linalg.norm(t.data, axis=1)
-        if np.max(np.abs(norms - 1.0)) > _UNIT_ROW_TOL:
-            raise ContractError(f"{name} rows must be unit-norm, worst |1-norm| = "
-                                f"{np.max(np.abs(norms - 1.0)):.2e}")
+        gap = np.abs(np.linalg.norm(t.data, axis=1) - 1.0)
+        # written so that a NaN norm fails too
+        if not np.all(gap <= _UNIT_ROW_TOL):
+            raise ContractError(f"{name} rows must be unit-norm and finite, worst |1-norm| = "
+                                f"{np.max(gap):.2e}")
     b = f_q.data.shape[0]
     sims = matmul(f_q, transpose(f_t))
     probs = softmax_rows(scale(sims, 1.0 / float(tau)))
@@ -377,19 +416,16 @@ def train(params: ModelParams, examples: list[TrainExample], cfg: TrainConfig) -
             idx = order[at : at + cfg.batch_size]
             if len(idx) < 2:
                 continue  # a singleton batch has no in-batch negatives
+            batch = [examples[int(i)] for i in idx]
             tape = Tape()
             with tape:
-                fq_rows, ft_rows = [], []
-                for i in idx:
-                    ex = examples[int(i)]
-                    f_q, applied = query_representation(
-                        ex.query, params,
-                        beta_override=cfg.fixed_beta, roi_crop=cfg.roi_crop,
-                    )
-                    fq_rows.append(f_q)
-                    ft_rows.append(target_representation(ex.target_patches, params))
-                    epoch_betas.append(_beta_scalar(applied))
-                loss = contrastive_loss(concat_rows(fq_rows), concat_rows(ft_rows), params.tau)
+                f_q, applied = query_representation(
+                    [ex.query for ex in batch], params,
+                    beta_override=cfg.fixed_beta, roi_crop=cfg.roi_crop,
+                )
+                f_t = target_representation([ex.target_patches for ex in batch], params)
+                loss = contrastive_loss(f_q, f_t, params.tau)
+            epoch_betas.extend(_beta_scalar(a) for a in applied)
             backward(loss, tape)
             if adaptive and groups["caam"]:
                 adam_step(groups["caam"], [p.grad for p in groups["caam"]], states["caam"])

@@ -102,6 +102,7 @@ def test_per_op_gradients_match_finite_differences():
         "add": (lambda: nm.sum_all(nm.mul(nm.add(nm.matmul(a, b), c), c)), [a, b, c]),
         "scale": (lambda: nm.sum_all(nm.mul(nm.scale(c, 2.5), c)), [c]),
         "add_bias": (lambda: nm.sum_all(nm.mul(nm.add_bias(c, row), c)), [c, row]),
+        "linear": (lambda: nm.sum_all(nm.mul(nm.linear(a, b, row), c)), [a, b, row]),
         "scalar_times_const": (
             lambda: nm.sum_all(nm.mul(nm.add_bias(c, nm.scalar_times_const(s, const)), c)),
             [s, c],
@@ -129,6 +130,69 @@ def test_per_op_gradients_match_finite_differences():
         ),
         "slice_rows": (lambda: nm.sum_all(nm.mul(nm.slice_rows(c, 1, 3), nm.slice_rows(c, 0, 2))), [c]),
         "slice_cols": (lambda: nm.sum_all(nm.mul(nm.slice_cols(c, 1, 4), nm.slice_cols(c, 2, 5))), [c]),
+    }
+    for name, (build, params) in cases.items():
+        err = fd_check(build, params, tol=5e-6)
+        assert err < 5e-6, name
+
+
+def test_batched_op_gradients_match_finite_differences():
+    # a (2, 3, 4) batch meets unbatched weights and tokens; each backward
+    # rule must sum a shared operand's gradient over the batch
+    rng = np.random.default_rng(17)
+    xb = nm.parameter(rng.normal(size=(2, 3, 4)) * 0.7)
+    w = nm.parameter(rng.normal(size=(4, 5)) * 0.7)
+    row = nm.parameter(rng.normal(size=(1, 5)) * 0.7)
+    tok = nm.parameter(rng.normal(size=(2, 4)) * 0.7)
+    per_sample_row = nm.parameter(rng.normal(size=(2, 1, 5)) * 0.7)
+    sb = nm.parameter(rng.normal(size=(2, 1, 1)))
+    s = nm.parameter([[0.37]])
+    gain = nm.parameter(np.ones((1, 4)) + 0.1 * rng.normal(size=(1, 4)))
+    shift = nm.parameter(rng.normal(size=(1, 4)) * 0.3)
+    mask = rng.normal(size=(2, 1, 3))
+    weights = nm.constant(rng.normal(size=(2, 3, 5)))
+
+    def lin():
+        return nm.linear(xb, w, row)
+
+    def gram():
+        return nm.matmul(xb, nm.transpose(xb))
+
+    def shared_left():
+        return nm.matmul(tok, nm.transpose(xb))
+
+    def square(t):
+        return nm.sum_all(nm.mul(t, t))
+
+    cases = {
+        "linear": (lambda: nm.sum_all(nm.mul(lin(), weights)), [xb, w, row]),
+        "matmul_batched": (lambda: square(gram()), [xb]),
+        "matmul_shared_left": (lambda: square(shared_left()), [tok, xb]),
+        "add_shared": (
+            lambda: nm.sum_all(nm.mul(nm.add(xb, nm.concat_rows([tok, nm.slice_rows(tok, 0, 1)])), xb)),
+            [xb, tok],
+        ),
+        "add_bias_per_sample": (
+            lambda: nm.sum_all(nm.mul(nm.add_bias(lin(), per_sample_row), weights)),
+            [xb, w, per_sample_row],
+        ),
+        "scalar_times_const": (
+            lambda: square(nm.add_bias(gram(), nm.scalar_times_const(sb, mask))),
+            [sb, xb],
+        ),
+        "scalar_times_const_shared": (lambda: square(nm.scalar_times_const(s, mask)), [s]),
+        "concat_rows_broadcast": (lambda: square(nm.concat_rows([tok, xb])), [tok, xb]),
+        "layer_norm": (
+            lambda: nm.sum_all(nm.mul(nm.layer_norm_rows(xb, gain, shift), xb)),
+            [xb, gain, shift],
+        ),
+        "softmax_gelu": (lambda: nm.sum_all(nm.mul(nm.softmax_rows(nm.gelu(xb)), xb)), [xb]),
+        "mean_squeeze": (lambda: square(nm.squeeze_rows(nm.mean_over_rows(lin()))), [xb, w, row]),
+        "slice_cols_rows": (
+            lambda: nm.sum_all(nm.mul(nm.slice_cols(nm.slice_rows(xb, 1, 3), 0, 2),
+                                      nm.slice_cols(nm.slice_rows(xb, 0, 2), 2, 4))),
+            [xb],
+        ),
     }
     for name, (build, params) in cases.items():
         err = fd_check(build, params, tol=5e-6)

@@ -66,6 +66,8 @@ def test_rank_rejects_empty_and_non_unit():
         rank_gallery(np.ones(3), unit_rows(np.random.default_rng(2), 4, 3))
     with pytest.raises(ContractError):
         rank_gallery(np.ones(3) / np.sqrt(3), 2.0 * unit_rows(np.random.default_rng(3), 4, 3))
+    with pytest.raises(ContractError):
+        rank_gallery(np.array([np.nan, 0.0, 1.0]), unit_rows(np.random.default_rng(5), 3, 3))
 
 
 def test_rank_is_a_permutation():

@@ -64,6 +64,42 @@ def test_tiny_corner_bbox_is_empty():
         region_mask_from_bbox((0.9, 0.9, 0.95, 0.95), (2, 2))
 
 
+def mask_loop_oracle(bbox, grid):
+    """The patch-center rule, one patch at a time."""
+    h, w = grid
+    values = np.zeros(h * w)
+    for r in range(h):
+        for c in range(w):
+            cx, cy = (c + 0.5) / w, (r + 0.5) / h
+            x0, y0, x1, y1 = bbox
+            if x0 <= cx < x1 and y0 <= cy < y1:
+                values[r * w + c] = 1.0
+    return values
+
+
+def test_mask_matches_loop_oracle_on_random_boxes():
+    rng = np.random.default_rng(12)
+    empty = 0
+    for trial in range(3000):
+        grid = (int(rng.integers(1, 11)), int(rng.integers(1, 11)))
+        x0, x1 = np.sort(rng.uniform(0.0, 1.0, size=2))
+        y0, y1 = np.sort(rng.uniform(0.0, 1.0, size=2))
+        if trial % 7 == 0:  # land edges exactly on patch centers
+            x0, y0 = 0.5 / grid[1], 0.5 / grid[0]
+        bbox = (float(x0), float(y0), float(x1), float(y1))
+        if not (x0 < x1 and y0 < y1):
+            continue
+        want = mask_loop_oracle(bbox, grid)
+        if not want.any():
+            empty += 1
+            with pytest.raises(EmptyMaskError):
+                region_mask_from_bbox(bbox, grid)
+            continue
+        got = region_mask_from_bbox(bbox, grid).values
+        assert got.tobytes() == want.tobytes(), (bbox, grid)
+    assert empty > 0  # the empty-mask path was exercised
+
+
 def test_mask_values_are_binary_and_nonempty():
     with pytest.raises(ContractError):
         RegionMask(values=np.full(4, 0.5), grid=(2, 2))

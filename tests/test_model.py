@@ -21,7 +21,7 @@ from focalcir.model import (
     train,
 )
 from focalcir.numerics.gradcheck import finite_diff_grad, max_rel_error
-from focalcir.numerics.tensor import Tape, Tensor, backward
+from focalcir.numerics.tensor import Tape, Tensor, add, backward, constant, mul, sum_all
 
 
 def tiny_config(**overrides):
@@ -94,6 +94,10 @@ def test_loss_rejects_non_unit_rows():
     g = Tensor(np.eye(2, 4) * 2.0)
     with pytest.raises(ContractError):
         contrastive_loss(f, g, tau=0.07)
+    nan_row = np.eye(2, 4)
+    nan_row[1, 0] = np.nan
+    with pytest.raises(ContractError):
+        contrastive_loss(Tensor(nan_row), Tensor(np.eye(2, 4)), tau=0.07)
 
 
 def test_loss_matches_straight_line_oracle():
@@ -181,6 +185,117 @@ def test_vector_modulation_form_runs():
     f_q, applied = query_representation(sample, params)
     assert isinstance(applied, np.ndarray) and applied.shape == (1, params.config.m_queries)
     assert abs(np.linalg.norm(f_q.data) - 1.0) < 1e-12
+
+
+# -- batched branches --------------------------------------------------------
+
+
+def mixed_batch(enc, seed):
+    """Queries with boxes of different sizes, one on a larger grid, one box-less."""
+    rng = np.random.default_rng(seed)
+    return [
+        random_sample(rng, enc, bbox=(0.1, 0.1, 0.6, 0.6)),
+        random_sample(rng, enc, bbox=(0.0, 0.0, 1.0, 1.0)),
+        random_sample(rng, enc, grid=(3, 3), bbox=(0.3, 0.0, 1.0, 0.7)),
+        random_sample(rng, enc, bbox=None),
+        random_sample(rng, enc, grid=(3, 3), bbox=(0.0, 0.4, 0.5, 1.0)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "overrides, kwargs",
+    [
+        ({}, {}),
+        ({}, {"beta_override": 2.5}),
+        ({}, {"use_bbox": False}),
+        ({}, {"roi_crop": True}),
+        ({"modulation": "vector"}, {}),
+        ({"n_heads": 2}, {}),
+    ],
+    ids=["adaptive", "fixed-beta", "no-bbox", "roi-crop", "vector", "two-heads"],
+)
+def test_batched_query_rows_equal_per_sample(overrides, kwargs):
+    _, enc, params = tiny_setup(seed=81, **overrides)
+    params = ModelParams(params.config, enc, seed=81, zero_modulation_head=False)
+    samples = mixed_batch(enc, 81)
+    batched, applied = query_representation(samples, params, **kwargs)
+    assert batched.data.shape == (len(samples), params.config.d_embed)
+    assert len(applied) == len(samples)
+    for i, sample in enumerate(samples):
+        row, one = query_representation(sample, params, **kwargs)
+        assert np.max(np.abs(batched.data[i] - row.data[0])) <= 1e-12, i
+        assert np.max(np.abs(np.asarray(applied[i]) - np.asarray(one))) <= 1e-12, i
+        assert type(applied[i]) is type(one)
+    boxless = 3
+    assert applied[boxless] == 0.0
+
+
+def test_batched_target_rows_equal_per_sample():
+    _, enc, params = tiny_setup(seed=82)
+    rng = np.random.default_rng(82)
+    images = [
+        encode_image(rng.normal(size=(h, w, enc.d_latent)), enc)
+        for h, w in ((2, 2), (3, 3), (2, 2), (1, 3))
+    ]
+    batched = target_representation(images, params)
+    assert batched.data.shape == (4, params.config.d_embed)
+    for i, patches in enumerate(images):
+        row = target_representation(patches, params)
+        assert np.max(np.abs(batched.data[i] - row.data[0])) <= 1e-12, i
+
+
+def _row_loss(f_q, f_t, weights_q, weights_t):
+    """A loss that is a sum over samples, so per-sample gradients add up."""
+    return add(sum_all(mul(f_q, constant(weights_q))), sum_all(mul(f_t, constant(weights_t))))
+
+
+def test_batch_gradients_equal_sum_of_per_sample_gradients():
+    _, enc, params = tiny_setup(seed=83)
+    params = ModelParams(params.config, enc, seed=83, zero_modulation_head=False)
+    examples = random_examples(np.random.default_rng(83), enc, 4)
+    rng = np.random.default_rng(84)
+    wq = rng.normal(size=(4, params.config.d_embed))
+    wt = rng.normal(size=(4, params.config.d_embed))
+    trainable = [(n, t) for n, t in params.named_params() if t.requires_grad]
+
+    def grads(batch, rows):
+        tape = Tape()
+        with tape:
+            f_q, _ = query_representation([ex.query for ex in batch], params)
+            f_t = target_representation([ex.target_patches for ex in batch], params)
+            loss = _row_loss(f_q, f_t, wq[rows], wt[rows])
+        backward(loss, tape)
+        out = {n: np.zeros_like(t.data) if t.grad is None else t.grad.copy() for n, t in trainable}
+        tape.clear()
+        return out
+
+    whole = grads(examples, slice(0, 4))
+    summed = {n: np.zeros_like(t.data) for n, t in trainable}
+    for i in range(4):
+        for n, g in grads(examples[i : i + 1], slice(i, i + 1)).items():
+            summed[n] += g
+    for n, _ in trainable:
+        scale = max(1.0, float(np.max(np.abs(summed[n]))))
+        assert np.max(np.abs(whole[n] - summed[n])) <= 1e-12 * scale, n
+    assert np.any(whole["caam.wc"] != 0.0)  # the modulation path took part
+
+
+def test_step_tape_length_does_not_grow_with_batch():
+    _, enc, params = tiny_setup(seed=85)
+    params = ModelParams(params.config, enc, seed=85, zero_modulation_head=False)
+    examples = random_examples(np.random.default_rng(85), enc, 8)
+
+    def entries(batch):
+        tape = Tape()
+        with tape:
+            f_q, _ = query_representation([ex.query for ex in batch], params)
+            f_t = target_representation([ex.target_patches for ex in batch], params)
+            contrastive_loss(f_q, f_t, params.tau)
+        n = len(tape)
+        tape.clear()
+        return n
+
+    assert entries(examples[:2]) == entries(examples)
 
 
 # -- config validation -------------------------------------------------------

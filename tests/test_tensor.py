@@ -59,9 +59,23 @@ def test_matmul_shape_error_names_both_shapes():
     assert "(2, 3)" in str(ei.value) and "(4, 2)" in str(ei.value)
 
 
-def test_tensor_rejects_3d():
+def test_tensor_rejects_rank_4():
+    # rank 3 is the batch form (batch, rows, cols); nothing is deeper
+    assert nm.Tensor(np.zeros((2, 2, 2))).shape == (2, 2, 2)
     with pytest.raises(DimensionError):
-        nm.Tensor(np.zeros((2, 2, 2)))
+        nm.Tensor(np.zeros((2, 2, 2, 2)))
+
+
+def test_batch_axis_broadcasts_and_sizes_must_agree():
+    rng = np.random.default_rng(8)
+    xb = rng.normal(size=(3, 2, 4))
+    w = rng.normal(size=(2, 4))
+    got = nm.add(nm.constant(xb), nm.constant(w)).data
+    assert np.array_equal(got, xb + w[None])
+    with pytest.raises(DimensionError):
+        nm.add(nm.constant(xb), nm.constant(rng.normal(size=(2, 2, 4))))
+    with pytest.raises(DimensionError):
+        nm.matmul(nm.constant(xb), nm.constant(rng.normal(size=(2, 4, 5))))
 
 
 def test_vectors_become_rows():
