@@ -17,28 +17,3 @@ from focalcir.benchgen.pipeline import (
 )
 from focalcir.benchgen.quadruples import Quadruple, make_quadruples
 from focalcir.benchgen.world import SyntheticWorld, WorldConfig, generate_world
-from focalcir.geometry import perturb_bbox
-
-__all__ = [
-    "PRESETS",
-    "FilterThresholds",
-    "filter_pairs",
-    "GalleryEntry",
-    "GalleryManifest",
-    "build_gallery",
-    "load_world",
-    "read_jsonl",
-    "save_world",
-    "write_jsonl",
-    "Benchmark",
-    "build_benchmark",
-    "default_world_configs",
-    "load_benchmark",
-    "save_benchmark",
-    "Quadruple",
-    "make_quadruples",
-    "SyntheticWorld",
-    "WorldConfig",
-    "generate_world",
-    "perturb_bbox",
-]

@@ -2,27 +2,40 @@
 
 Every file opens with provenance (format version, generator seed, config
 hash) and every byte is determined by its inputs: JSON is emitted with
-sorted keys and repr floats, arrays as raw little-endian float64.
+sorted keys and repr floats, arrays as raw little-endian float64. The
+container layout and the record reader live in focalcir.records.
 """
 
 from __future__ import annotations
 
-import json
-import struct
-from dataclasses import asdict
+import itertools
+from dataclasses import asdict, dataclass
 from typing import Iterable
-
-import numpy as np
 
 from focalcir.benchgen.world import SyntheticWorld, WorldConfig
 from focalcir.encoders import ContextDescriptor, SyntheticImage
 from focalcir.errors import DataError
+from focalcir.records import (
+    canonical_json,
+    from_record,
+    open_file,
+    parse_json,
+    read_block,
+    read_header,
+    write_container,
+)
 
 _WORLD_MAGIC = b"FCWORLD1\n"
 
 
-def _canon(payload: dict) -> bytes:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+@dataclass
+class JsonlHeader:
+    """First line of every .jsonl artifact."""
+
+    kind: str
+    version: int
+    seed: int
+    config_hash: str
 
 
 def save_world(path, world: SyntheticWorld, config_hash: str = "") -> None:
@@ -50,54 +63,31 @@ def save_world(path, world: SyntheticWorld, config_hash: str = "") -> None:
             for i, im in enumerate(images)
         ],
     }
-    blob = _canon(header)
-    with open(path, "wb") as fh:
-        fh.write(_WORLD_MAGIC)
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        for cid in header["context_ids"]:
-            fh.write(np.ascontiguousarray(world.contexts[cid].latent, dtype="<f8").tobytes())
-        for iid in header["identity_ids"]:
-            fh.write(np.ascontiguousarray(world.identities[iid], dtype="<f8").tobytes())
-        for cat in header["category_ids"]:
-            fh.write(np.ascontiguousarray(world.categories[cat], dtype="<f8").tobytes())
-        for im in images:
-            fh.write(np.ascontiguousarray(im.grid, dtype="<f8").tobytes())
-
-
-def _read_block(fh, shape) -> np.ndarray:
-    count = int(np.prod(shape))
-    raw = fh.read(8 * count)
-    if len(raw) != 8 * count:
-        raise DataError("world file truncated")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    write_container(path, _WORLD_MAGIC, header, itertools.chain(
+        (world.contexts[cid].latent for cid in header["context_ids"]),
+        (world.identities[iid] for iid in header["identity_ids"]),
+        (world.categories[cat] for cat in header["category_ids"]),
+        (im.grid for im in images),
+    ))
 
 
 def load_world(path) -> tuple[SyntheticWorld, str]:
     """Returns (world, stored config hash)."""
-    with open(path, "rb") as fh:
-        if fh.read(len(_WORLD_MAGIC)) != _WORLD_MAGIC:
-            raise DataError(f"{path} is not a world file")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode())
-        if header.get("version") != 1:
-            raise DataError(f"unsupported world file version {header.get('version')}")
-        configs = {
-            name: WorldConfig(**{**raw, "grid": tuple(raw["grid"]),
-                                 "bbox_size_range": tuple(raw["bbox_size_range"])})
-            for name, raw in header["configs"].items()
-        }
+    with open_file(path, DataError) as fh:
+        header = read_header(fh, _WORLD_MAGIC, DataError, path, "world file")
+        configs = from_record(dict[str, WorldConfig], header["configs"], DataError,
+                              f"{path}.configs", complete=True)
         world = SyntheticWorld(seed=header["seed"], configs=configs)
         d_of = {name: cfg.d_latent for name, cfg in configs.items()}
         for cid in header["context_ids"]:
-            latent = _read_block(fh, (d_of[cid.split("/")[0]],))
+            latent = read_block(fh, (d_of[cid.split("/")[0]],), DataError, path)
             world.contexts[cid] = ContextDescriptor(context_id=cid, latent=latent)
         for iid in header["identity_ids"]:
-            world.identities[iid] = _read_block(fh, (d_of[iid.split("/")[0]],))
+            world.identities[iid] = read_block(fh, (d_of[iid.split("/")[0]],), DataError, path)
         for cat in header["category_ids"]:
-            world.categories[cat] = _read_block(fh, (d_of[cat.split("/")[0]],))
+            world.categories[cat] = read_block(fh, (d_of[cat.split("/")[0]],), DataError, path)
         for rec in header["images"]:
-            grid = _read_block(fh, tuple(rec["grid_shape"]))
+            grid = read_block(fh, tuple(rec["grid_shape"]), DataError, path)
             image = SyntheticImage(
                 image_id=rec["image_id"],
                 instance_id=rec["instance_id"],
@@ -112,21 +102,20 @@ def load_world(path) -> tuple[SyntheticWorld, str]:
 
 
 def write_jsonl(path, kind: str, records: Iterable[dict], seed: int, config_hash: str = "") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        head = {"kind": kind, "version": 1, "seed": int(seed), "config_hash": config_hash}
-        fh.write(json.dumps(head, sort_keys=True, separators=(",", ":")) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(canonical_json(asdict(JsonlHeader(kind, 1, int(seed), config_hash))) + b"\n")
         for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+            fh.write(canonical_json(rec) + b"\n")
 
 
-def read_jsonl(path, expect_kind: str | None = None) -> tuple[dict, list[dict]]:
-    with open(path, encoding="utf-8") as fh:
+def read_jsonl(path, expect_kind: str | None = None) -> tuple[JsonlHeader, list[dict]]:
+    with open_file(path, DataError) as fh:
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     if not lines:
         raise DataError(f"{path} is empty")
-    header = json.loads(lines[0])
-    if "kind" not in header:
-        raise DataError(f"{path} has no header line")
-    if expect_kind is not None and header["kind"] != expect_kind:
-        raise DataError(f"{path} holds {header['kind']!r} records, expected {expect_kind!r}")
-    return header, [json.loads(ln) for ln in lines[1:]]
+    header = from_record(JsonlHeader, parse_json(lines[0], DataError, f"{path} line 1"),
+                         DataError, f"{path}:header", complete=True)
+    if expect_kind is not None and header.kind != expect_kind:
+        raise DataError(f"{path} holds {header.kind!r} records, expected {expect_kind!r}")
+    return header, [parse_json(ln, DataError, f"{path} line {n}")
+                    for n, ln in enumerate(lines[1:], 2)]

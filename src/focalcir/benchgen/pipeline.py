@@ -8,15 +8,14 @@ save/load round-trip the same structure through the artifact files.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from focalcir.benchgen.filtering import PRESETS, FilterThresholds, filter_pairs
 from focalcir.benchgen.gallery import GalleryManifest, GalleryEntry, build_gallery
-from focalcir.benchgen.io import load_world, read_jsonl, save_world, write_jsonl
+from focalcir.benchgen.io import JsonlHeader, load_world, read_jsonl, save_world, write_jsonl
 from focalcir.benchgen.quadruples import Quadruple, make_quadruples
 from focalcir.benchgen.world import SyntheticWorld, WorldConfig, generate_world
 from focalcir.encoders import (
@@ -28,6 +27,7 @@ from focalcir.encoders import (
     pooled_image_embedding,
 )
 from focalcir.errors import ConfigError, DataError
+from focalcir.records import from_record, open_file, parse_json, write_json
 
 
 def default_world_configs() -> list[WorldConfig]:
@@ -46,6 +46,18 @@ def default_world_configs() -> list[WorldConfig]:
 
 
 @dataclass
+class BenchmarkSettings:
+    """The build_benchmark arguments a saved benchmark records."""
+
+    seed: int
+    d_model: int
+    l_text: int
+    train_cap: int
+    eval_cap: int
+    n_distractors: int
+
+
+@dataclass
 class Benchmark:
     """A fully assembled benchmark plus lazy feature caches."""
 
@@ -55,8 +67,8 @@ class Benchmark:
     train_quads: list[Quadruple]
     eval_quads: list[Quadruple]
     galleries: dict[str, GalleryManifest]
-    settings: dict
-    stats: dict
+    settings: BenchmarkSettings
+    stats: dict[str, dict[str, int]]
     _by_id: dict[str, SyntheticImage] = field(default_factory=dict, repr=False)
     _patches: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
     _texts: dict[str, TextEmbedding] = field(default_factory=dict, repr=False)
@@ -146,10 +158,10 @@ def build_benchmark(
         for cfg in configs
     }
 
-    settings = {
-        "seed": int(seed), "d_model": d_model, "l_text": l_text,
-        "train_cap": train_cap, "eval_cap": eval_cap, "n_distractors": n_distractors,
-    }
+    settings = BenchmarkSettings(
+        seed=int(seed), d_model=d_model, l_text=l_text,
+        train_cap=train_cap, eval_cap=eval_cap, n_distractors=n_distractors,
+    )
     stats = {}
     for cfg in configs:
         s = cfg.subset
@@ -174,93 +186,62 @@ def build_benchmark(
 # on-disk layout
 
 
-def _quad_record(q: Quadruple) -> dict:
-    return {
-        "ref_image_id": q.ref_image_id,
-        "bbox": [float(v) for v in q.bbox],
-        "text_context_id": q.text_context_id,
-        "target_image_id": q.target_image_id,
-        "instance_id": q.instance_id,
-        "category_id": q.category_id,
-        "subset": q.subset,
-    }
+@dataclass
+class _Summary:
+    """stats.json: provenance, build settings, thresholds and per-subset counts."""
 
-
-def _quad_from_record(rec: dict) -> Quadruple:
-    return Quadruple(
-        ref_image_id=rec["ref_image_id"],
-        bbox=tuple(rec["bbox"]),
-        text_context_id=rec["text_context_id"],
-        target_image_id=rec["target_image_id"],
-        instance_id=rec["instance_id"],
-        category_id=rec["category_id"],
-        subset=rec["subset"],
-    )
+    config_hash: str
+    settings: BenchmarkSettings
+    thresholds: dict[str, FilterThresholds]
+    stats: dict[str, dict[str, int]]
 
 
 def save_benchmark(out_dir, bench: Benchmark, config_hash: str = "") -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    seed = bench.settings["seed"]
+    seed = bench.settings.seed
     save_world(out / "world.bin", bench.world, config_hash=config_hash)
+    # vars() is asdict() for these flat records, at a thirtieth of its cost
+    # on the ~4.6k records of the default benchmark
     write_jsonl(out / "quadruples_train.jsonl", "quadruples",
-                [_quad_record(q) for q in bench.train_quads], seed, config_hash)
+                map(vars, bench.train_quads), seed, config_hash)
     write_jsonl(out / "quadruples_eval.jsonl", "quadruples",
-                [_quad_record(q) for q in bench.eval_quads], seed, config_hash)
+                map(vars, bench.eval_quads), seed, config_hash)
     for subset, manifest in sorted(bench.galleries.items()):
-        write_jsonl(
-            out / f"gallery_{subset}.jsonl", "gallery",
-            [
-                {"image_id": e.image_id, "instance_id": e.instance_id,
-                 "category_id": e.category_id, "is_target": e.is_target}
-                for e in manifest.entries
-            ],
-            seed, config_hash,
-        )
-    summary = {
-        "config_hash": config_hash,
-        "settings": bench.settings,
-        "thresholds": {
-            s: {"tau_valid": t.tau_valid, "tau_high": t.tau_high,
-                "tau_centric": t.tau_centric, "tau_count": t.tau_count}
-            for s, t in sorted(bench.thresholds.items())
-        },
-        "stats": bench.stats,
-    }
-    (out / "stats.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+        write_jsonl(out / f"gallery_{subset}.jsonl", "gallery",
+                    map(vars, manifest.entries), seed, config_hash)
+    summary = _Summary(config_hash, bench.settings, bench.thresholds, bench.stats)
+    write_json(out / "stats.json", asdict(summary))
 
 
 def load_benchmark(in_dir) -> Benchmark:
     src = Path(in_dir)
-    if not (src / "stats.json").exists():
+    stats_path = src / "stats.json"
+    if not stats_path.exists():
         raise DataError(f"{src} does not contain a benchmark (missing stats.json)")
-    summary = json.loads((src / "stats.json").read_text(encoding="utf-8"))
-    settings = summary["settings"]
+    with open_file(stats_path, DataError) as fh:
+        raw = parse_json(fh.read(), DataError, stats_path)
+    summary = from_record(_Summary, raw, DataError, str(stats_path), complete=True)
     world, _ = load_world(src / "world.bin")
     enc = EncoderParams(
         seed=world.encoder_seed,
         d_latent=next(iter(world.configs.values())).d_latent,
-        d_model=settings["d_model"], l_text=settings["l_text"],
+        d_model=summary.settings.d_model, l_text=summary.settings.l_text,
     )
-    _, train_recs = read_jsonl(src / "quadruples_train.jsonl", expect_kind="quadruples")
-    _, eval_recs = read_jsonl(src / "quadruples_eval.jsonl", expect_kind="quadruples")
+
+    def records(name: str, kind: str, cls) -> tuple[JsonlHeader, list]:
+        where = str(src / name)
+        header, recs = read_jsonl(where, expect_kind=kind)
+        return header, [from_record(cls, r, DataError, f"{where}[{i}]", complete=True)
+                        for i, r in enumerate(recs)]
+
     galleries = {}
     for subset in sorted(world.configs):
-        header, entries = read_jsonl(src / f"gallery_{subset}.jsonl", expect_kind="gallery")
-        galleries[subset] = GalleryManifest(
-            subset=subset, seed=header["seed"],
-            entries=[
-                GalleryEntry(r["image_id"], r["instance_id"], r["category_id"],
-                             bool(r["is_target"]))
-                for r in entries
-            ],
-        )
-    thresholds = {s: FilterThresholds(**raw) for s, raw in summary["thresholds"].items()}
+        header, entries = records(f"gallery_{subset}.jsonl", "gallery", GalleryEntry)
+        galleries[subset] = GalleryManifest(subset=subset, seed=header.seed, entries=entries)
     return Benchmark(
-        world=world, encoders=enc, thresholds=thresholds,
-        train_quads=[_quad_from_record(r) for r in train_recs],
-        eval_quads=[_quad_from_record(r) for r in eval_recs],
-        galleries=galleries, settings=settings, stats=summary["stats"],
+        world=world, encoders=enc, thresholds=summary.thresholds,
+        train_quads=records("quadruples_train.jsonl", "quadruples", Quadruple)[1],
+        eval_quads=records("quadruples_eval.jsonl", "quadruples", Quadruple)[1],
+        galleries=galleries, settings=summary.settings, stats=summary.stats,
     )

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -45,6 +44,7 @@ from focalcir.model import (
 )
 from focalcir.numerics.gradcheck import finite_diff_grad, max_rel_error
 from focalcir.numerics.tensor import Tape, backward, concat_rows
+from focalcir.records import write_json
 
 
 class _Parser(argparse.ArgumentParser):
@@ -145,10 +145,6 @@ def _load_ckpt(path: Path):
     return load_checkpoint(path)
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
 def _provenance_line(digest: str, seed: int) -> str:
     return f"# config_hash={digest} seed={seed}\n"
 
@@ -222,19 +218,10 @@ def cmd_eval(cfg: RunConfig, subsets: tuple[str, ...] | None, ckpt: str | None) 
         config_hash=digest, seed=cfg.seed,
     )
     out = Path(cfg.out)
-    _write_json(out / "metrics.json", report.to_dict())
+    write_json(out / "metrics.json", report.to_dict())
     (out / "metrics.txt").write_text(report.to_text(), encoding="utf-8")
     print(report.to_text(), end="")
     return 0
-
-
-def _metrics_rows(rows, fields) -> list[dict]:
-    out = []
-    for row in rows:
-        rec = {name: getattr(row, name) for name in fields}
-        rec["metrics"] = row.metrics.to_dict()
-        out.append(rec)
-    return out
 
 
 def cmd_ablate(cfg: RunConfig, kind: str, betas: tuple[float, ...] | None,
@@ -248,9 +235,9 @@ def cmd_ablate(cfg: RunConfig, kind: str, betas: tuple[float, ...] | None,
         params, _ = _load_ckpt(_ckpt_path(cfg, ckpt))
         units = betas if betas is not None else tuple(cfg.eval.betas)
         table = beta_sweep(params, bench, units=units, config_hash=digest, seed=cfg.seed)
-        _write_json(out / "ablate_beta.json", {
+        write_json(out / "ablate_beta.json", {
             "config_hash": digest, "seed": cfg.seed, "grid_units": list(units),
-            "rows": _metrics_rows(table.rows, ("label", "beta_units", "beta_value")),
+            "rows": [dataclasses.asdict(r) for r in table.rows],
         })
         text = _provenance_line(digest, cfg.seed) + table.to_text()
         (out / "ablate_beta.txt").write_text(text, encoding="utf-8")
@@ -261,9 +248,9 @@ def cmd_ablate(cfg: RunConfig, kind: str, betas: tuple[float, ...] | None,
         variants = expand_variant_grid(forms=("scalar", "vector"))
         rows = caam_ablation(bench, cfg.model, train_cfg, variants,
                              model_seed=cfg.seed, config_hash=digest)
-        _write_json(out / "ablate_caam.json", {
+        write_json(out / "ablate_caam.json", {
             "config_hash": digest, "seed": cfg.seed,
-            "rows": _metrics_rows(rows, ("label", "variant", "caam_param_count")),
+            "rows": [dataclasses.asdict(r) for r in rows],
         })
         text = _provenance_line(digest, cfg.seed) + ablation_table_text(rows)
         (out / "ablate_caam.txt").write_text(text, encoding="utf-8")
@@ -273,11 +260,9 @@ def cmd_ablate(cfg: RunConfig, kind: str, betas: tuple[float, ...] | None,
     if kind == "robustness":
         params, _ = _load_ckpt(_ckpt_path(cfg, ckpt))
         rows = robustness_eval(params, bench, seed=cfg.seed, config_hash=digest)
-        _write_json(out / "ablate_robustness.json", {
+        write_json(out / "ablate_robustness.json", {
             "config_hash": digest, "seed": cfg.seed,
-            "rows": _metrics_rows(
-                rows, ("label", "target_iou", "mode", "achieved_mean_iou")
-            ),
+            "rows": [dataclasses.asdict(r) for r in rows],
         })
         text = _provenance_line(digest, cfg.seed) + robustness_table_text(rows)
         (out / "ablate_robustness.txt").write_text(text, encoding="utf-8")
@@ -304,7 +289,7 @@ def cmd_ablate(cfg: RunConfig, kind: str, betas: tuple[float, ...] | None,
 
     named = [("baseline-beta0", baseline_report), ("roi-crop", roi_report),
              ("adaptive", adaptive_report)]
-    _write_json(out / "ablate_roicrop.json", {
+    write_json(out / "ablate_roicrop.json", {
         "config_hash": digest, "seed": cfg.seed,
         "rows": [{"label": label, "metrics": rep.to_dict()} for label, rep in named],
     })

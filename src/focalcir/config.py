@@ -2,14 +2,14 @@
 
 A RunConfig covers every knob a run can turn (world generation, model dims,
 training, thresholds, sweep grids) plus the single seed and the output
-directory. Loading is strict: unknown keys are rejected by name so a typoed
-override fails loudly instead of silently using a default.
+directory. Loading is strict: unknown keys and wrongly typed values are
+rejected by dotted path, so a typoed override fails loudly instead of
+silently using a default.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,6 +19,7 @@ from focalcir.benchgen.world import WorldConfig
 from focalcir.errors import ConfigError
 from focalcir.harness import DEFAULT_SWEEP_UNITS
 from focalcir.model import ModelConfig, TrainConfig, config_digest
+from focalcir.records import from_record, parse_json, write_json
 
 
 @dataclass
@@ -90,21 +91,7 @@ class RunConfig:
             raise ConfigError(f"subsets disagree on d_latent: {sorted(latents)}")
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "out": self.out,
-            "world": [dataclasses.asdict(c) for c in self.world],
-            "thresholds": None
-            if self.thresholds is None
-            else {s: dataclasses.asdict(t) for s, t in sorted(self.thresholds.items())},
-            "model": dataclasses.asdict(self.model),
-            "train": {
-                k: (list(v) if isinstance(v, tuple) else v)
-                for k, v in dataclasses.asdict(self.train).items()
-            },
-            "bench": dataclasses.asdict(self.bench),
-            "eval": {"betas": list(self.eval.betas)},
-        }
+        return dataclasses.asdict(self)
 
     def digest(self) -> str:
         # the output directory is where a run lands, not what it computes,
@@ -114,65 +101,10 @@ class RunConfig:
         return config_digest(payload)
 
 
-_TUPLE_FIELDS = {"grid", "bbox_size_range", "betas", "subsets"}
-
-
-def _build(cls, data, path: str):
-    if not isinstance(data, dict):
-        raise ConfigError(f"config section {path or 'top level'} must be a mapping")
-    known = {f.name: f for f in dataclasses.fields(cls)}
-    kwargs = {}
-    for key, value in data.items():
-        if key not in known:
-            raise ConfigError(f"unknown config key {path + key!r}")
-        if key in _TUPLE_FIELDS and isinstance(value, list):
-            value = tuple(value)
-        kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad value in config section {path or 'top level'}: {exc}") from exc
-
-
 def run_config_from_dict(data: dict) -> RunConfig:
-    """Strict load: unknown keys anywhere raise ConfigError naming the key."""
-    if not isinstance(data, dict):
-        raise ConfigError("run config must be a JSON object")
-    top = {"seed", "out", "world", "thresholds", "model", "train", "bench", "eval"}
-    for key in data:
-        if key not in top:
-            raise ConfigError(f"unknown config key {key!r}")
-
-    kwargs = {}
-    if "seed" in data:
-        kwargs["seed"] = int(data["seed"])
-    if "out" in data:
-        kwargs["out"] = str(data["out"])
-    if "world" in data:
-        worlds = data["world"]
-        if not isinstance(worlds, list):
-            raise ConfigError("config key 'world' must be a list of subset configs")
-        kwargs["world"] = tuple(_build(WorldConfig, w, "world.") for w in worlds)
-    if "thresholds" in data and data["thresholds"] is not None:
-        raw = data["thresholds"]
-        if not isinstance(raw, dict):
-            raise ConfigError("config key 'thresholds' must map subset -> thresholds")
-        kwargs["thresholds"] = {
-            s: _build(FilterThresholds, t, f"thresholds.{s}.") for s, t in raw.items()
-        }
-    if "model" in data:
-        kwargs["model"] = _build(ModelConfig, data["model"], "model.")
-    if "train" in data:
-        section = dict(data["train"])
-        if isinstance(section.get("subsets"), list):
-            section["subsets"] = tuple(section["subsets"])
-        kwargs["train"] = _build(TrainConfig, section, "train.")
-    if "bench" in data:
-        kwargs["bench"] = _build(BenchSettings, data["bench"], "bench.")
-    if "eval" in data:
-        kwargs["eval"] = _build(EvalSettings, data["eval"], "eval.")
-
-    cfg = RunConfig(**kwargs)
+    """Strict load: unknown keys and wrongly typed values anywhere raise
+    ConfigError naming the dotted key."""
+    cfg = from_record(RunConfig, data, ConfigError)
     cfg.validate()
     return cfg
 
@@ -187,11 +119,7 @@ def load_run_config(path: str | Path | None, seed: int | None = None,
         p = Path(path)
         if not p.is_file():
             raise ConfigError(f"config file not found: {p}")
-        try:
-            data = json.loads(p.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {p} is not valid JSON: {exc}") from exc
-        cfg = run_config_from_dict(data)
+        cfg = run_config_from_dict(parse_json(p.read_bytes(), ConfigError, f"config file {p}"))
     if seed is not None or out is not None:
         cfg = dataclasses.replace(
             cfg,
@@ -204,12 +132,8 @@ def load_run_config(path: str | Path | None, seed: int | None = None,
 
 def write_resolved_config(out_dir: str | Path, cfg: RunConfig) -> str:
     """Writes resolved_config.json and returns the config digest."""
-    payload = cfg.to_dict()
     digest = cfg.digest()
-    path = Path(out_dir) / "resolved_config.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps({"config_hash": digest, "config": payload},
-                   indent=2, sort_keys=True) + "\n"
-    )
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    write_json(Path(out_dir) / "resolved_config.json",
+               {"config_hash": digest, "config": cfg.to_dict()})
     return digest

@@ -10,8 +10,7 @@ per subset, and ranks each query's row against it.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -124,17 +123,7 @@ class MetricsReport:
         self.macro.validate()
 
     def to_dict(self) -> dict:
-        return {
-            "per_subset": {
-                s: {"r_at_1": m.r_at_1, "r_at_5": m.r_at_5,
-                    "rid_at_1": m.rid_at_1, "n_queries": m.n_queries}
-                for s, m in sorted(self.per_subset.items())
-            },
-            "macro": {"r_at_1": self.macro.r_at_1, "r_at_5": self.macro.r_at_5,
-                      "rid_at_1": self.macro.rid_at_1, "n_queries": self.macro.n_queries},
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     def to_text(self) -> str:
         lines = []
@@ -151,21 +140,6 @@ class MetricsReport:
         lines.append(f"config_hash: {self.config_hash}")
         lines.append(f"seed: {self.seed}")
         return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_dict(payload: dict) -> "MetricsReport":
-        per = {
-            s: SubsetMetrics(**m) for s, m in payload["per_subset"].items()
-        }
-        return MetricsReport(
-            per_subset=per, macro=SubsetMetrics(**payload["macro"]),
-            config_hash=payload.get("config_hash", ""), seed=payload.get("seed", 0),
-        )
-
-    def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
 
 
 def _macro(per_subset: dict[str, SubsetMetrics]) -> SubsetMetrics:

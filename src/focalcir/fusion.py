@@ -307,7 +307,6 @@ def multimodal_encode(
     beta=0.0,
     cls_token: Tensor | None = None,
     extra_tokens: Tensor | None = None,
-    patch_grid: tuple[int, int] | None = None,
     key_mask: np.ndarray | None = None,
 ) -> EncodeResult:
     """Run the fusion encoder over [cls?, queries, extras?, text?] x patches.
@@ -333,8 +332,6 @@ def multimodal_encode(
         mask_values = None
     else:
         if isinstance(mask, RegionMask):
-            if patch_grid is not None and mask.grid != tuple(patch_grid):
-                raise AlignmentError(f"mask grid {mask.grid} != patch grid {tuple(patch_grid)}")
             mask_values = mask.values.reshape(1, -1)
         else:
             mask_values = np.asarray(mask, dtype=np.float64)
@@ -383,43 +380,39 @@ def encode_target(
 
 
 def init_attention_params(
-    rng: np.random.Generator,
-    d_model: int,
-    weight_init: float,
-    with_output: bool = True,
-    trainable: bool = True,
+    rng: np.random.Generator, d_model: int, weight_init: float
 ) -> AttentionParams:
     def w() -> Tensor:
-        return Tensor(rng.normal(0.0, weight_init, size=(d_model, d_model)), requires_grad=trainable)
+        return Tensor(rng.normal(0.0, weight_init, size=(d_model, d_model)), requires_grad=True)
 
     def b() -> Tensor:
-        return Tensor(np.zeros((1, d_model)), requires_grad=trainable)
+        return Tensor(np.zeros((1, d_model)), requires_grad=True)
 
-    wo, bo = (w(), b()) if with_output else (None, None)
+    wo, bo = w(), b()  # drawn first: the rng order fixes every seeded model
     return AttentionParams(wq=w(), bq=b(), wk=w(), bk=b(), wv=w(), bv=b(), wo=wo, bo=bo)
 
 
-def init_layer_norm(d_model: int, trainable: bool = True) -> LayerNormParams:
+def init_layer_norm(d_model: int) -> LayerNormParams:
     return LayerNormParams(
-        gain=Tensor(np.ones((1, d_model)), requires_grad=trainable),
-        shift=Tensor(np.zeros((1, d_model)), requires_grad=trainable),
+        gain=Tensor(np.ones((1, d_model)), requires_grad=True),
+        shift=Tensor(np.zeros((1, d_model)), requires_grad=True),
     )
 
 
 def init_fusion_block(
-    rng: np.random.Generator, d_model: int, ffn_mult: int, weight_init: float, trainable: bool = True
+    rng: np.random.Generator, d_model: int, ffn_mult: int, weight_init: float
 ) -> FusionBlockParams:
     hidden = d_model * ffn_mult
     return FusionBlockParams(
-        self_attn=init_attention_params(rng, d_model, weight_init, trainable=trainable),
-        cross_attn=init_attention_params(rng, d_model, weight_init, trainable=trainable),
-        ln_self=init_layer_norm(d_model, trainable),
-        ln_cross=init_layer_norm(d_model, trainable),
-        ln_ffn=init_layer_norm(d_model, trainable),
-        ffn_w1=Tensor(rng.normal(0.0, weight_init, size=(d_model, hidden)), requires_grad=trainable),
-        ffn_b1=Tensor(np.zeros((1, hidden)), requires_grad=trainable),
-        ffn_w2=Tensor(rng.normal(0.0, weight_init, size=(hidden, d_model)), requires_grad=trainable),
-        ffn_b2=Tensor(np.zeros((1, d_model)), requires_grad=trainable),
+        self_attn=init_attention_params(rng, d_model, weight_init),
+        cross_attn=init_attention_params(rng, d_model, weight_init),
+        ln_self=init_layer_norm(d_model),
+        ln_cross=init_layer_norm(d_model),
+        ln_ffn=init_layer_norm(d_model),
+        ffn_w1=Tensor(rng.normal(0.0, weight_init, size=(d_model, hidden)), requires_grad=True),
+        ffn_b1=Tensor(np.zeros((1, hidden)), requires_grad=True),
+        ffn_w2=Tensor(rng.normal(0.0, weight_init, size=(hidden, d_model)), requires_grad=True),
+        ffn_b2=Tensor(np.zeros((1, d_model)), requires_grad=True),
     )
 
 

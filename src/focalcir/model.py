@@ -15,9 +15,7 @@ setting's differential rates.
 from __future__ import annotations
 
 import hashlib
-import json
-import struct
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -40,6 +38,14 @@ from focalcir.fusion import (
 )
 from focalcir.geometry import BBox
 from focalcir.numerics.optim import AdamState, adam_step
+from focalcir.records import (
+    canonical_json,
+    from_record,
+    open_file,
+    read_block,
+    read_header,
+    write_container,
+)
 from focalcir.numerics.tensor import (
     Tape,
     Tensor,
@@ -114,7 +120,7 @@ class TrainConfig:
     adam_eps: float = 1e-8
     seed: int = 7
     fixed_beta: float | None = None  # None trains the adaptive model
-    subsets: list[str] | None = None  # restrict training data, e.g. leave-one-out
+    subsets: tuple[str, ...] | None = None  # restrict training data, e.g. leave-one-out
     roi_crop: bool = False  # crop-to-box ablation branch
 
     def validate(self) -> None:
@@ -206,14 +212,12 @@ class ModelParams:
 
     @staticmethod
     def _attention_named(prefix: str, a) -> list[tuple[str, Tensor]]:
-        out = [
+        return [
             (f"{prefix}.wq", a.wq), (f"{prefix}.bq", a.bq),
             (f"{prefix}.wk", a.wk), (f"{prefix}.bk", a.bk),
             (f"{prefix}.wv", a.wv), (f"{prefix}.bv", a.bv),
+            (f"{prefix}.wo", a.wo), (f"{prefix}.bo", a.bo),
         ]
-        if a.wo is not None:
-            out += [(f"{prefix}.wo", a.wo), (f"{prefix}.bo", a.bo)]
-        return out
 
     def _fusion_named(self) -> list[tuple[str, Tensor]]:
         out = [("fusion.queries", self.fusion.queries)]
@@ -460,54 +464,35 @@ def save_checkpoint(path, params: ModelParams, meta: dict | None = None) -> None
         },
         "params": [{"name": n, "shape": list(t.data.shape)} for n, t in named],
     }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        for _, t in named:
-            fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+    write_container(path, _CKPT_MAGIC, header, (t.data for _, t in named))
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
-    with open(path, "rb") as fh:
-        if fh.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
-            raise CheckpointError(f"{path} is not a model checkpoint")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode())
-        if header.get("version") != 1:
-            raise CheckpointError(f"unsupported checkpoint version {header.get('version')}")
+    with open_file(path, CheckpointError) as fh:
+        header = read_header(fh, _CKPT_MAGIC, CheckpointError, path, "model checkpoint")
         enc_info = header["encoder"]
         encoders = EncoderParams(
             seed=enc_info["seed"], d_latent=enc_info["d_latent"],
             d_model=enc_info["d_model"], l_text=enc_info["l_text"],
         )
-        stored = header["model_config"]
-        known = {f.name for f in fields(ModelConfig)}
-        unknown, missing = sorted(set(stored) - known), sorted(known - set(stored))
-        if unknown or missing:
-            raise CheckpointError(
-                f"checkpoint model_config does not match this model: "
-                f"unknown keys {unknown}, missing keys {missing}"
-            )
-        config = ModelConfig(**stored)
+        config = from_record(ModelConfig, header["model_config"], CheckpointError, complete=True)
         params = ModelParams(config, encoders, seed=header["seed"])
         named = dict(params.named_params())
         if set(named) != {p["name"] for p in header["params"]}:
             raise CheckpointError("checkpoint parameter set does not match the rebuilt model")
         for entry in header["params"]:
-            shape = tuple(entry["shape"])
-            want = named[entry["name"]]
+            name, shape = entry["name"], tuple(entry["shape"])
+            want = named[name]
             if tuple(want.data.shape) != shape:
                 raise CheckpointError(
-                    f"parameter {entry['name']} has shape {want.data.shape}, file says {shape}"
+                    f"parameter {name} has shape {want.data.shape}, file says {shape}"
                 )
-            raw = fh.read(8 * int(np.prod(shape)))
-            want.data = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            want.data = read_block(fh, shape, CheckpointError, f"parameter {name} in {path}")
+            if not np.all(np.isfinite(want.data)):
+                raise CheckpointError(f"parameter {name} in {path} has non-finite values")
     return params, header["meta"]
 
 
 def config_digest(payload: dict) -> str:
     """Stable short hash of a resolved configuration dict."""
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()[:16]
+    return hashlib.sha256(canonical_json(payload)).hexdigest()[:16]

@@ -37,39 +37,3 @@ from focalcir.numerics.similarity import (
     cosine_sim_matrix,
     l2_normalize,
 )
-
-__all__ = [
-    "AdamState",
-    "Tape",
-    "Tensor",
-    "adam_step",
-    "add",
-    "add_bias",
-    "backward",
-    "concat_cols",
-    "concat_rows",
-    "constant",
-    "cosine_sim",
-    "cosine_sim_matrix",
-    "diag_col",
-    "finite_diff_grad",
-    "gelu",
-    "l2_normalize",
-    "l2_normalize_rows",
-    "layer_norm_rows",
-    "linear",
-    "log",
-    "matmul",
-    "max_rel_error",
-    "mean_over_rows",
-    "mul",
-    "parameter",
-    "scale",
-    "scalar_times_const",
-    "slice_cols",
-    "slice_rows",
-    "softmax_rows",
-    "squeeze_rows",
-    "sum_all",
-    "transpose",
-]

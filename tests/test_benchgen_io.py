@@ -79,7 +79,7 @@ def test_jsonl_round_trip(tmp_path):
     records = [{"a": 1, "b": [0.5, 0.25]}, {"a": 2, "b": []}]
     write_jsonl(path, "quadruples", records, seed=9, config_hash="cafe")
     header, got = read_jsonl(path, expect_kind="quadruples")
-    assert header["seed"] == 9 and header["config_hash"] == "cafe"
+    assert header.seed == 9 and header.config_hash == "cafe"
     assert got == records
     with pytest.raises(DataError):
         read_jsonl(path, expect_kind="gallery")

@@ -92,6 +92,29 @@ def test_bad_config_key_exits_1_naming_it(tmp_path, capsys):
     assert "d_modle" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "mutate, key",
+    [
+        (lambda d: d["train"].update(epochs="10"), "'train.epochs'"),
+        (lambda d: d["model"].update(d_model="32"), "'model.d_model'"),
+        (lambda d: d.update(seed="x"), "'seed'"),
+        (lambda d: d.update(train=["x"]), "'train'"),
+        (lambda d: d["world"][0].update(grid=8), "'world.grid'"),
+        (lambda d: d["eval"].update(betas="0,1"), "'eval.betas'"),
+        (lambda d: d["train"].update(subsets="car"), "'train.subsets'"),
+        (lambda d: d["model"].update(n_blocks=True), "'model.n_blocks'"),
+        (lambda d: d["train"].update(fixed_beta="0"), "'train.fixed_beta'"),
+    ],
+)
+def test_wrongly_typed_config_value_exits_1_naming_it(tmp_path, capsys, mutate, key):
+    data = run_dict(tmp_path / "o")
+    mutate(data)
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(data))
+    assert main(["gen", "--config", str(p)]) == 1
+    assert key in capsys.readouterr().err
+
+
 def test_unknown_flag_exits_1(capsys):
     assert main(["gen", "--wat"]) == 1
     capsys.readouterr()
@@ -123,6 +146,50 @@ def test_train_subsets_filter_recorded_in_manifest(tmp_path, capsys):
 
     assert main(["train", "--config", str(cfg_path), "--subsets", "boat"]) == 1
     assert "boat" in capsys.readouterr().err
+
+
+def _edit_json(path, edit):
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+
+
+def _edit_first_record(path, edit):
+    head, first, *rest = path.read_text().splitlines()
+    rec = json.loads(first)
+    edit(rec)
+    path.write_text("\n".join([head, json.dumps(rec), *rest]) + "\n")
+
+
+def _truncate(path, size):
+    path.write_bytes(path.read_bytes()[:size])
+
+
+@pytest.mark.parametrize(
+    "name, damage",
+    [
+        ("stats.json", lambda p: p.write_text("{not json")),
+        ("stats.json", lambda p: _edit_json(p, lambda d: d.pop("settings"))),
+        ("stats.json", lambda p: _edit_json(p, lambda d: d["settings"].pop("d_model"))),
+        ("stats.json", lambda p: _edit_json(p, lambda d: d["thresholds"]["fashion"].update(x=1))),
+        ("stats.json", lambda p: _edit_json(p, lambda d: d["thresholds"].update(fashion="0.9"))),
+        ("quadruples_train.jsonl", lambda p: p.write_text(p.read_text() + "{oops\n")),
+        ("quadruples_eval.jsonl", lambda p: _edit_first_record(p, lambda r: r.pop("bbox"))),
+        ("gallery_fashion.jsonl", lambda p: _edit_first_record(p, lambda r: r.pop("is_target"))),
+        ("gallery_fashion.jsonl", lambda p: p.unlink()),
+        ("world.bin", lambda p: _truncate(p, 40)),
+    ],
+)
+def test_train_on_damaged_artifact_exits_2_naming_the_file(run_dir, tmp_path, capsys,
+                                                           name, damage):
+    cfg_path, out = run_dir
+    copy = tmp_path / "copy"
+    copy.mkdir()
+    for f in out.iterdir():
+        (copy / f.name).write_bytes(f.read_bytes())
+    damage(copy / name)
+    assert main(["train", "--config", str(cfg_path), "--out", str(copy)]) == 2
+    assert name in capsys.readouterr().err
 
 
 def test_train_rerun_checkpoint_is_byte_identical(run_dir, capsys):

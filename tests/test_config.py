@@ -44,6 +44,12 @@ def test_defaults_validate_and_cover_presets():
     assert cfg.eval.betas == (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
 
 
+def test_default_digest_is_pinned():
+    # every artifact embeds this hash, so a change to the defaults or to
+    # the serialized form of the config shows up here first
+    assert RunConfig().digest() == "47e02849d303799f"
+
+
 def test_from_dict_round_trip_preserves_digest():
     cfg = run_config_from_dict(tiny_run_dict())
     again = run_config_from_dict(cfg.to_dict())

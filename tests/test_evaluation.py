@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from focalcir.benchgen import FilterThresholds, WorldConfig, build_benchmark
-from focalcir.errors import ContractError
+from focalcir.errors import ContractError, DataError
 from focalcir.evaluation import (
     MetricsReport,
     RankingResult,
@@ -19,6 +19,7 @@ from focalcir.evaluation import (
     train_examples,
 )
 from focalcir.model import ModelConfig, ModelParams
+from focalcir.records import from_record
 
 FIXTURE = Path(__file__).parent / "fixtures" / "metric_fixture.json"
 
@@ -157,7 +158,7 @@ def test_metrics_report_round_trip_and_text():
         config_hash="abc", seed=3,
     )
     report.validate()
-    again = MetricsReport.from_dict(report.to_dict())
+    again = from_record(MetricsReport, report.to_dict(), DataError, complete=True)
     assert again.to_dict() == report.to_dict()
     text = report.to_text()
     assert "subset car" in text and "macro:" in text and "abc" in text

@@ -313,7 +313,7 @@ def test_mask_grid_mismatch_raises():
     fusion = init_fusion_params(np.random.default_rng(1), 16, m_queries=4, n_blocks=1)
     mask = region_mask_from_bbox((0.0, 0.0, 1.0, 1.0), (2, 2))
     with pytest.raises(AlignmentError):
-        multimodal_encode(patches, text, fusion, mask=mask, beta=1.0, patch_grid=(4, 4))
+        multimodal_encode(patches, text, fusion, mask=mask, beta=1.0)
 
 
 def test_beta_zero_encode_equals_no_mask_encode():

@@ -487,3 +487,33 @@ def test_checkpoint_with_mismatched_model_keys_names_them(tmp_path, edit, messag
     with pytest.raises(CheckpointError) as info:
         load_checkpoint(path)
     assert message in str(info.value)
+
+
+def _cut_header(raw):
+    return raw[:40]
+
+
+def _cut_weights(raw):
+    return raw[:-4]
+
+
+def _nan_weight(raw):
+    return raw[:-8] + struct.pack("<d", float("nan"))
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (_cut_header, "is not valid JSON"),
+        (_cut_weights, "parameter head.target.b in"),
+        (_nan_weight, "parameter head.target.b in"),
+    ],
+)
+def test_checkpoint_damage_fails_by_name(tmp_path, damage, message):
+    # head.target.b is the last block in the file
+    _, _, params = tiny_setup(seed=93)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params)
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
