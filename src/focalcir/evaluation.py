@@ -4,8 +4,12 @@ rank_gallery orders candidates by descending cosine with a deterministic
 tie-break (ascending gallery index). R@K asks whether the exact target image
 landed in the top K; R_ID@K asks whether any top-K candidate shows the
 anchored instance. Evaluation encodes the gallery and the queries in
-batches of EVAL_CHUNK samples, shares one immutable gallery embedding matrix
-per subset, and ranks each query's row against it.
+batches of EVAL_CHUNK samples and shares one immutable gallery embedding
+matrix per subset. Each chunk of queries is ranked with one (B, d) @ (d, G)
+product, and the ranks of its targets and same-instance candidates are
+counted from those similarities, not sorted: R@K and R_ID@K are the shares
+of ranks <= K. RankingResult and the recall functions read the same metrics
+off a full gallery order; the metric oracle uses them.
 """
 
 from __future__ import annotations
@@ -50,19 +54,46 @@ class RankingResult:
         return self.order.index(wanted) + 1
 
 
-def rank_gallery(f_q: np.ndarray, gallery: np.ndarray) -> list[int]:
-    """Indices by descending cosine; ties broken by ascending index."""
+def rank_gallery(f_q: np.ndarray, gallery: np.ndarray, positives: np.ndarray | None = None):
+    """Ranks the gallery by descending cosine, ties broken by ascending index.
+
+    f_q is one query (d,) or a batch (B, d); one (B, d) @ (d, G) product gives
+    every similarity. positives is a (B, G) boolean array marking each query's
+    correct candidates, or a (P, B, G) stack of such arrays; the result is the
+    (B,) or (P, B) 1-based rank of each query's best-ranked positive. Ranks are
+    counted, not sorted: candidate j with similarity s ranks
+    #{sims > s} + #{sims == s and index < j} + 1. Without positives, a single
+    query gets its full order as a list of gallery indices, read off the
+    counted rank of every candidate (O(G^2) work, for small galleries).
+    """
     if gallery.size == 0 or gallery.shape[0] == 0:
         raise ContractError("cannot rank an empty gallery")
-    q = np.asarray(f_q, dtype=np.float64).reshape(-1)
-    if q.shape[0] != gallery.shape[1]:
-        raise ContractError(f"query dim {q.shape[0]} vs gallery dim {gallery.shape[1]}")
-    for name, arr in (("query", q[None, :]), ("gallery", gallery)):
+    q = np.atleast_2d(np.asarray(f_q, dtype=np.float64))
+    if q.shape[1] != gallery.shape[1]:
+        raise ContractError(f"query dim {q.shape[1]} vs gallery dim {gallery.shape[1]}")
+    for name, arr in (("query", q), ("gallery", gallery)):
         # written so that a NaN norm fails too
         if not np.all(np.abs(np.linalg.norm(arr, axis=1) - 1.0) <= _UNIT_TOL):
             raise ContractError(f"{name} embeddings must be unit-normalized and finite")
-    sims = gallery @ q
-    return np.argsort(-sims, kind="stable").tolist()
+    sims = q @ gallery.T
+    n = gallery.shape[0]
+    full_order = positives is None
+    if full_order:
+        if q.shape[0] != 1:
+            raise ContractError(f"a full order needs one query, got {q.shape[0]}")
+        positives = np.eye(n, dtype=bool)  # row j: candidate j alone
+    elif positives.shape[-2:] != sims.shape:
+        raise ContractError(f"positives of shape {positives.shape} for {sims.shape} similarities")
+    if not np.all(positives.any(axis=-1)):
+        raise ContractError("every query needs at least one positive candidate")
+    best = np.where(positives, sims, -np.inf).max(axis=-1, keepdims=True)
+    first = np.argmax(positives & (sims == best), axis=-1)[..., None]
+    ranks = (sims > best).sum(axis=-1) + ((sims == best) & (np.arange(n) < first)).sum(axis=-1) + 1
+    if not full_order:
+        return ranks
+    order = np.empty(n, dtype=np.intp)
+    order[ranks - 1] = np.arange(n)
+    return order.tolist()
 
 
 def recall_at_k(results: list[RankingResult], k: int) -> float:
@@ -221,9 +252,24 @@ def evaluate_model(
             gal = gallery_embeddings(params, bench, subset)
             if gallery_cache is not None:
                 gallery_cache[subset] = gal
-        gallery_ids = manifest.image_ids
-        gallery_instances = [e.instance_id for e in manifest.entries]
-        results = []
+        n_gallery = gal.shape[0]
+        if n_gallery < 5:
+            raise ContractError(f"R@5 needs 5 gallery images, subset {subset} has {n_gallery}")
+        index = {image_id: j for j, image_id in enumerate(manifest.image_ids)}
+        missing = [q.target_image_id for q in quads if q.target_image_id not in index]
+        if missing:
+            raise ContractError(f"targets {missing[:3]} are not in the {subset} gallery")
+        targets = np.array([index[q.target_image_id] for q in quads])
+        # instance ids as small ints: comparing Q x G strings cost 3 ms a subset
+        code: dict[str, int] = {}
+        instances = np.array([code.setdefault(e.instance_id, len(code)) for e in manifest.entries])
+        wanted = np.array([code.get(q.instance_id, -1) for q in quads])
+        # (2, Q, G): the exact target, then every candidate showing the instance
+        positives = np.stack([
+            targets[:, None] == np.arange(n_gallery),
+            wanted[:, None] == instances,
+        ])
+        ranks = []
         for at in range(0, len(quads), EVAL_CHUNK):
             chunk = quads[at : at + EVAL_CHUNK]
             samples = [
@@ -237,17 +283,13 @@ def evaluate_model(
                 samples, params, beta_override=beta_override,
                 use_bbox=use_bbox, roi_crop=roi_crop,
             )
-            for quad, row in zip(chunk, f_q.data):
-                results.append(RankingResult(
-                    order=rank_gallery(row, gal), instance_id=quad.instance_id,
-                    target_image_id=quad.target_image_id,
-                    gallery_image_ids=gallery_ids, gallery_instance_ids=gallery_instances,
-                ))
+            ranks.append(rank_gallery(f_q.data, gal, positives[:, at : at + EVAL_CHUNK]))
+        target_ranks, instance_ranks = np.concatenate(ranks, axis=1)
         per_subset[subset] = SubsetMetrics(
-            r_at_1=recall_at_k(results, 1),
-            r_at_5=recall_at_k(results, 5),
-            rid_at_1=instance_recall_at_k(results, 1),
-            n_queries=len(results),
+            r_at_1=float(np.mean(target_ranks <= 1)),
+            r_at_5=float(np.mean(target_ranks <= 5)),
+            rid_at_1=float(np.mean(instance_ranks <= 1)),
+            n_queries=len(quads),
         )
     report = MetricsReport(
         per_subset=per_subset, macro=_macro(per_subset),

@@ -60,39 +60,27 @@ from focalcir.numerics.tensor import (
 )
 
 
-@dataclass
-class RegionMask:
-    """Binary membership of each patch (raster order) in the anchored box."""
+def region_mask_from_bbox(bbox: BBox | Sequence[BBox], grid: tuple[int, int]) -> np.ndarray:
+    """Binary membership of each patch (raster order) in a box: 1.0 iff the
+    patch center lies inside it (half-open).
 
-    values: np.ndarray  # (n,) float64 of exactly {0.0, 1.0}
-    grid: tuple[int, int]
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64).reshape(-1)
-        h, w = self.grid
-        if self.values.shape[0] != h * w:
-            raise AlignmentError(
-                f"mask has {self.values.shape[0]} entries for a {h}x{w} grid"
-            )
-        if not np.all((self.values == 0.0) | (self.values == 1.0)):
-            raise ContractError("region mask entries must be exactly 0 or 1")
-        if not np.any(self.values == 1.0):
-            raise EmptyMaskError("region mask selects no patches")
-
-    @property
-    def count(self) -> int:
-        return int(self.values.sum())
-
-
-def region_mask_from_bbox(bbox: BBox, grid: tuple[int, int]) -> RegionMask:
-    """Mask entry is 1 iff the patch center lies inside bbox (half-open)."""
-    validate_bbox(bbox)
+    One box gives an (n,) row; a sequence of B boxes on the same grid gives
+    a (B, n) array from one vectorised test. Every box is validated, and the
+    first box that covers no patch center raises EmptyMaskError naming it."""
+    single = np.ndim(bbox) == 1
+    boxes = [bbox] if single else list(bbox)
+    for b in boxes:
+        validate_bbox(b)
     h, w = grid
     cx, cy = patch_center(np.arange(h)[:, None], np.arange(w)[None, :], grid)
-    values = center_inside(bbox, cx, cy).reshape(-1).astype(np.float64)
-    if not np.any(values == 1.0):
-        raise EmptyMaskError(f"bbox {bbox} covers no patch center on a {h}x{w} grid")
-    return RegionMask(values=values, grid=grid)
+    corners = np.asarray(boxes, dtype=np.float64).T[:, :, None, None]  # (4, B, 1, 1)
+    values = center_inside(corners, cx, cy).reshape(len(boxes), h * w).astype(np.float64)
+    empty = np.flatnonzero(~values.any(axis=1))
+    if empty.size:
+        raise EmptyMaskError(
+            f"bbox {boxes[empty[0]]} covers no patch center on a {h}x{w} grid"
+        )
+    return values[0] if single else values
 
 
 def stack_patches(patch_sets: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray | None]:
@@ -254,7 +242,7 @@ def modulated_cross_attention(
     queries: Tensor,
     kv: Tensor,
     params: AttentionParams,
-    mask: RegionMask | np.ndarray | None,
+    mask: np.ndarray | None,
     beta,
     n_heads: int = 1,
 ) -> Tensor:
@@ -263,13 +251,12 @@ def modulated_cross_attention(
     The mask covers key columns and is broadcast across every query row.
     Pass mask=None with beta=0 for plain cross-attention.
     """
-    mask_values = mask.values if isinstance(mask, RegionMask) else mask
-    if mask_values is None:
+    if mask is None:
         scalar_zero = isinstance(beta, (int, float)) and float(beta) == 0.0
         if not scalar_zero:
             raise ContractError("a non-zero beta requires a region mask")
         return _attention(queries, kv, params, n_heads)
-    mask_values = np.asarray(mask_values, dtype=np.float64).reshape(1, -1)
+    mask_values = np.asarray(mask, dtype=np.float64).reshape(1, -1)
     if mask_values.shape[1] != kv.data.shape[-2]:
         raise AlignmentError(
             f"mask covers {mask_values.shape[1]} keys but kv has {kv.data.shape[-2]} rows"
@@ -303,7 +290,7 @@ def multimodal_encode(
     patches: np.ndarray | Tensor,
     text: TextEmbedding | np.ndarray | None,
     fusion: FusionParams,
-    mask: RegionMask | np.ndarray | None = None,
+    mask: np.ndarray | None = None,
     beta=0.0,
     cls_token: Tensor | None = None,
     extra_tokens: Tensor | None = None,
@@ -311,12 +298,12 @@ def multimodal_encode(
 ) -> EncodeResult:
     """Run the fusion encoder over [cls?, queries, extras?, text?] x patches.
 
-    For a batch, patches are (B, n, d), text is a (B, l, d) token array,
-    mask is a (B, 1, n) array of per-sample mask rows (an all-zero row
-    leaves its sample unmodulated), and key_mask is the additive padding
-    mask from `stack_patches`. Without a mask, beta must be exactly 0
-    (target branch and the modulation predictor's own pass both run
-    unmodulated)."""
+    For one image, mask is an (n,) row. For a batch, patches are (B, n, d),
+    text is a (B, l, d) token array, mask is a (B, 1, n) array of per-sample
+    mask rows (an all-zero row leaves its sample unmodulated), and key_mask
+    is the additive padding mask from `stack_patches`. Without a mask, beta
+    must be exactly 0 (target branch and the modulation predictor's own pass
+    both run unmodulated)."""
     kv = patches if isinstance(patches, Tensor) else constant(np.asarray(patches, dtype=np.float64))
     n_keys = kv.data.shape[-2]
     if kv.data.shape[-1] != fusion.d_model:
@@ -331,12 +318,11 @@ def multimodal_encode(
             raise ContractError("multimodal_encode without a mask requires beta == 0")
         mask_values = None
     else:
-        if isinstance(mask, RegionMask):
-            mask_values = mask.values.reshape(1, -1)
-        else:
-            mask_values = np.asarray(mask, dtype=np.float64)
-            if not np.all((mask_values == 0.0) | (mask_values == 1.0)):
-                raise ContractError("region mask entries must be exactly 0 or 1")
+        mask_values = np.asarray(mask, dtype=np.float64)
+        if mask_values.ndim == 1:
+            mask_values = mask_values[None, :]
+        if not np.all((mask_values == 0.0) | (mask_values == 1.0)):
+            raise ContractError("region mask entries must be exactly 0 or 1")
         if mask_values.shape[-1] != n_keys:
             raise AlignmentError(
                 f"mask covers {mask_values.shape[-1]} patches but image has {n_keys}"

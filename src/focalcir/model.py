@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import asdict, dataclass, field
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -303,19 +303,25 @@ def query_representation(
     batch = [samples] if single else list(samples)
     if not batch:
         raise ContractError("no query samples")
-    masks = [
-        region_mask_from_bbox(s.bbox, s.grid) if use_bbox and s.bbox is not None else None
-        for s in batch
-    ]
+    masks: list[np.ndarray | None] = [None] * len(batch)
+    if use_bbox:
+        by_grid: dict[tuple[int, int], list[int]] = {}
+        for i, s in enumerate(batch):
+            if s.bbox is not None:
+                by_grid.setdefault(tuple(s.grid), []).append(i)
+        for grid, rows in by_grid.items():
+            # one vectorised call per distinct grid
+            for i, m in zip(rows, region_mask_from_bbox([batch[i].bbox for i in rows], grid)):
+                masks[i] = m
     for s, m in zip(batch, masks):
-        if m is not None and m.values.shape[0] != s.patches.shape[0]:
+        if m is not None and m.shape[0] != s.patches.shape[0]:
             raise AlignmentError(
-                f"mask covers {m.values.shape[0]} patches but image has {s.patches.shape[0]}"
+                f"mask covers {m.shape[0]} patches but image has {s.patches.shape[0]}"
             )
     text = np.stack([s.text.tokens for s in batch])
     if roi_crop:
         patch_sets = [
-            s.patches if m is None else s.patches[m.values == 1.0] for s, m in zip(batch, masks)
+            s.patches if m is None else s.patches[m == 1.0] for s, m in zip(batch, masks)
         ]
     else:
         patch_sets = [s.patches for s in batch]
@@ -326,7 +332,7 @@ def query_representation(
         mask_rows = np.zeros((len(batch), 1, patches.shape[1]))
         for i, m in enumerate(masks):
             if m is not None:
-                mask_rows[i, 0, : m.values.shape[0]] = m.values
+                mask_rows[i, 0, : m.shape[0]] = m
         if beta_override is not None:
             beta = float(beta_override)
             applied = [0.0 if m is None else beta for m in masks]
@@ -467,30 +473,54 @@ def save_checkpoint(path, params: ModelParams, meta: dict | None = None) -> None
     write_container(path, _CKPT_MAGIC, header, (t.data for _, t in named))
 
 
+@dataclass
+class EncoderRecord:
+    seed: int
+    d_latent: int
+    d_model: int
+    l_text: int
+
+
+@dataclass
+class ParamRecord:
+    name: str
+    shape: tuple[int, ...]
+
+
+@dataclass
+class CheckpointHeader:
+    version: int
+    meta: dict[str, Any]
+    seed: int
+    model_config: dict[str, Any]  # read as a ModelConfig below: errors name its own keys
+    encoder: EncoderRecord
+    params: tuple[ParamRecord, ...]
+
+
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
     with open_file(path, CheckpointError) as fh:
-        header = read_header(fh, _CKPT_MAGIC, CheckpointError, path, "model checkpoint")
-        enc_info = header["encoder"]
-        encoders = EncoderParams(
-            seed=enc_info["seed"], d_latent=enc_info["d_latent"],
-            d_model=enc_info["d_model"], l_text=enc_info["l_text"],
+        header = from_record(
+            CheckpointHeader,
+            read_header(fh, _CKPT_MAGIC, CheckpointError, path, "model checkpoint"),
+            CheckpointError, complete=True,
         )
-        config = from_record(ModelConfig, header["model_config"], CheckpointError, complete=True)
-        params = ModelParams(config, encoders, seed=header["seed"])
+        config = from_record(ModelConfig, header.model_config, CheckpointError, complete=True)
+        params = ModelParams(config, EncoderParams(**asdict(header.encoder)), seed=header.seed)
         named = dict(params.named_params())
-        if set(named) != {p["name"] for p in header["params"]}:
+        if set(named) != {p.name for p in header.params}:
             raise CheckpointError("checkpoint parameter set does not match the rebuilt model")
-        for entry in header["params"]:
-            name, shape = entry["name"], tuple(entry["shape"])
-            want = named[name]
-            if tuple(want.data.shape) != shape:
+        for entry in header.params:
+            want = named[entry.name]
+            if want.data.shape != entry.shape:
                 raise CheckpointError(
-                    f"parameter {name} has shape {want.data.shape}, file says {shape}"
+                    f"parameter {entry.name} has shape {want.data.shape}, file says {entry.shape}"
                 )
-            want.data = read_block(fh, shape, CheckpointError, f"parameter {name} in {path}")
+            want.data = read_block(
+                fh, entry.shape, CheckpointError, f"parameter {entry.name} in {path}"
+            )
             if not np.all(np.isfinite(want.data)):
-                raise CheckpointError(f"parameter {name} in {path} has non-finite values")
-    return params, header["meta"]
+                raise CheckpointError(f"parameter {entry.name} in {path} has non-finite values")
+    return params, header.meta
 
 
 def config_digest(payload: dict) -> str:

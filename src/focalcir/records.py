@@ -61,11 +61,12 @@ def from_record(cls, data, error: type[Exception], path: str = "", complete: boo
     from JSON data; `path` is the data's dotted location for error messages.
 
     int, str and bool values must have exactly that JSON type (true is not an
-    int); a float field also takes an int and stores it as a float. `X | None`,
-    tuples, `list[X]`, `dict[str, X]` and nested dataclasses are checked
-    element by element. A missing key is an error unless the field has a
-    default and complete is False: artifacts are always written whole, config
-    sections may leave fields at their defaults."""
+    int); a float field also takes an int and stores it as a float; `Any`
+    takes any JSON value as it is. `X | None`, tuples, `list[X]`,
+    `dict[str, X]` and nested dataclasses are checked element by element. A
+    missing key is an error unless the field has a default and complete is
+    False: artifacts are always written whole, config sections may leave
+    fields at their defaults."""
     return _convert(cls, data, error, path, complete)
 
 
@@ -96,6 +97,8 @@ def _convert(tp, value, error, path: str, complete: bool):
         if tp is float and type(value) is int:
             return float(value)
         raise error(f"{path!r} must be {tp.__name__}, got {_show(value)}")
+    if tp is typing.Any:
+        return value
     if dataclasses.is_dataclass(tp):
         return _record(tp, value, error, path, complete)
     origin, args = typing.get_origin(tp), typing.get_args(tp)

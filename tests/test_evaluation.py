@@ -7,6 +7,7 @@ import pytest
 from focalcir.benchgen import FilterThresholds, WorldConfig, build_benchmark
 from focalcir.errors import ContractError, DataError
 from focalcir.evaluation import (
+    EVAL_CHUNK,
     MetricsReport,
     RankingResult,
     SubsetMetrics,
@@ -18,7 +19,8 @@ from focalcir.evaluation import (
     recall_at_k,
     train_examples,
 )
-from focalcir.model import ModelConfig, ModelParams
+from focalcir.harness import beta_sweep
+from focalcir.model import ModelConfig, ModelParams, TrainConfig, query_representation, train
 from focalcir.records import from_record
 
 FIXTURE = Path(__file__).parent / "fixtures" / "metric_fixture.json"
@@ -61,14 +63,115 @@ def test_rank_matches_sort_oracle():
 
 
 def test_rank_rejects_empty_and_non_unit():
-    with pytest.raises(ContractError):
-        rank_gallery(np.ones(3) / np.sqrt(3), np.zeros((0, 3)))
-    with pytest.raises(ContractError):
-        rank_gallery(np.ones(3), unit_rows(np.random.default_rng(2), 4, 3))
-    with pytest.raises(ContractError):
-        rank_gallery(np.ones(3) / np.sqrt(3), 2.0 * unit_rows(np.random.default_rng(3), 4, 3))
-    with pytest.raises(ContractError):
-        rank_gallery(np.array([np.nan, 0.0, 1.0]), unit_rows(np.random.default_rng(5), 3, 3))
+    rng = np.random.default_rng(2)
+    for positives in (None, np.ones((1, 4), dtype=bool)):
+        with pytest.raises(ContractError):
+            rank_gallery(np.ones(3) / np.sqrt(3), np.zeros((0, 3)), positives)
+        with pytest.raises(ContractError):
+            rank_gallery(np.ones(3), unit_rows(rng, 4, 3), positives)
+        with pytest.raises(ContractError):
+            rank_gallery(np.ones(3) / np.sqrt(3), 2.0 * unit_rows(rng, 4, 3), positives)
+        with pytest.raises(ContractError):
+            rank_gallery(np.array([np.nan, 0.0, 1.0]), unit_rows(rng, 4, 3), positives)
+    good = unit_rows(rng, 2, 3)
+    with pytest.raises(ContractError):  # a batch row that is not unit
+        rank_gallery(np.stack([good[0], 2.0 * good[1]]), unit_rows(rng, 4, 3),
+                     np.ones((2, 4), dtype=bool))
+    with pytest.raises(ContractError):  # a query with no positive
+        rank_gallery(good, unit_rows(rng, 4, 3), np.array([[True, False, False, False],
+                                                           [False] * 4]))
+
+
+# -- counted ranks of positives ----------------------------------------------------
+
+
+def exact_unit_rows(rng, n, d):
+    """Unit rows (to 1e-7) on a 2**-24 grid: every dot product of two of them is
+    exact, so the oracle's gallery @ q and the ranker's GEMM agree bit for bit."""
+    return np.round(unit_rows(rng, n, d) * 2.0**24) / 2.0**24
+
+
+def oracle_best_rank(gallery, q, positive):
+    """1-based position of the first positive in the stable descending sort."""
+    order = np.argsort(-(gallery @ q), kind="stable")
+    return int(np.flatnonzero(positive[order])[0]) + 1
+
+
+def assert_ranks_match_oracle(queries, gallery, positives):
+    got = rank_gallery(queries, gallery, positives)
+    want = [oracle_best_rank(gallery, q, pos) for q, pos in zip(queries, positives)]
+    assert got.tolist() == want
+
+
+def test_counted_ranks_match_argsort_oracle_on_random_galleries():
+    rng = np.random.default_rng(21)
+    for _ in range(40):
+        b, g, d = int(rng.integers(1, 7)), int(rng.integers(1, 30)), int(rng.integers(2, 8))
+        gallery, queries = exact_unit_rows(rng, g, d), exact_unit_rows(rng, b, d)
+        positives = rng.random((b, g)) < 0.2
+        positives[np.arange(b), rng.integers(0, g, size=b)] = True
+        assert_ranks_match_oracle(queries, gallery, positives)
+
+
+def test_counted_ranks_break_planted_ties_by_index():
+    rng = np.random.default_rng(22)
+    base = exact_unit_rows(rng, 6, 5)
+    twin = base[2]
+    # rows 1, 3 and 5 are exact copies of row 2's vector: four-way ties
+    gallery = np.stack([base[0], twin, base[1], twin, base[3], twin, base[4]])
+    queries = np.stack([twin, twin, twin, base[5], twin])
+    for j in range(len(gallery)):  # the positive before, between and after its twins
+        positives = np.zeros((len(queries), len(gallery)), dtype=bool)
+        positives[:, j] = True
+        assert_ranks_match_oracle(queries, gallery, positives)
+    # each twin alone, as a (3, 1, G) stack for one query
+    got = rank_gallery(twin, gallery, np.eye(len(gallery), dtype=bool)[[1, 3, 5], None])
+    assert got.ravel().tolist() == [1, 2, 3]  # the tied twins rank by ascending index
+    # a weaker positive first, then the last twin: its two tied elders rank above it
+    positives = np.zeros((len(queries), len(gallery)), dtype=bool)
+    positives[:, [0, 5]] = True
+    assert_ranks_match_oracle(queries, gallery, positives)
+    assert rank_gallery(twin, gallery, positives[:1]).tolist() == [3]
+
+
+def test_counted_rank_of_several_positives_is_the_best_one():
+    rng = np.random.default_rng(23)
+    gallery, queries = exact_unit_rows(rng, 25, 6), exact_unit_rows(rng, 4, 6)
+    positives = np.zeros((4, 25), dtype=bool)
+    positives[:, [3, 11, 17, 24]] = True
+    got = rank_gallery(queries, gallery, positives)
+    singles = rank_gallery(queries, gallery, np.stack([np.eye(25, dtype=bool)[[j] * 4]
+                                                       for j in (3, 11, 17, 24)]))
+    assert got.tolist() == singles.min(axis=0).tolist()
+    assert_ranks_match_oracle(queries, gallery, positives)
+
+
+def test_counted_ranks_at_first_and_last_index_and_stacked():
+    rng = np.random.default_rng(24)
+    gallery, queries = exact_unit_rows(rng, 17, 4), exact_unit_rows(rng, 3, 4)
+    first = np.zeros((3, 17), dtype=bool)
+    first[:, 0] = True
+    last = np.zeros((3, 17), dtype=bool)
+    last[:, -1] = True
+    assert_ranks_match_oracle(queries, gallery, first)
+    assert_ranks_match_oracle(queries, gallery, last)
+    stacked = rank_gallery(queries, gallery, np.stack([first, last]))
+    assert stacked.shape == (2, 3)
+    assert stacked[0].tolist() == rank_gallery(queries, gallery, first).tolist()
+    assert stacked[1].tolist() == rank_gallery(queries, gallery, last).tolist()
+
+
+def test_counted_ranks_for_a_batch_of_one():
+    rng = np.random.default_rng(25)
+    gallery, q = exact_unit_rows(rng, 9, 5), exact_unit_rows(rng, 1, 5)
+    positive = np.zeros((1, 9), dtype=bool)
+    positive[0, 4] = True
+    assert_ranks_match_oracle(q, gallery, positive)
+    # a 1-D query is a batch of one
+    assert rank_gallery(q[0], gallery, positive).tolist() == rank_gallery(q, gallery, positive).tolist()
+    # and its full order puts each candidate at its counted rank
+    order = rank_gallery(q[0], gallery)
+    assert order == np.argsort(-(gallery @ q[0]), kind="stable").tolist()
 
 
 def test_rank_is_a_permutation():
@@ -104,6 +207,23 @@ def test_committed_fixture_matches_hand_enumeration():
     for r, q in zip(results, fixture["queries"]):
         assert r.target_rank() == q["expected_target_rank"]
     want = fixture["expected"]
+    # counted ranks of the whole batch give the same ranks and recalls
+    gallery = np.array([e["embedding"] for e in fixture["gallery"]])
+    ids = np.array([e["image_id"] for e in fixture["gallery"]])
+    insts = np.array([e["instance_id"] for e in fixture["gallery"]])
+    queries = fixture["queries"]
+    target_ranks, instance_ranks = rank_gallery(
+        np.array([q["embedding"] for q in queries]), gallery,
+        np.stack([
+            np.array([q["target_image_id"] for q in queries])[:, None] == ids,
+            np.array([q["instance_id"] for q in queries])[:, None] == insts,
+        ]),
+    )
+    assert target_ranks.tolist() == [q["expected_target_rank"] for q in queries]
+    assert np.mean(target_ranks <= 1) == want["r_at_1"]
+    assert np.mean(target_ranks <= 5) == want["r_at_5"]
+    assert np.mean(instance_ranks <= 1) == want["rid_at_1"]
+    assert np.mean(instance_ranks <= 5) == want["rid_at_5"]
     assert recall_at_k(results, 1) == want["r_at_1"]
     assert recall_at_k(results, 5) == want["r_at_5"]
     assert instance_recall_at_k(results, 1) == want["rid_at_1"]
@@ -249,3 +369,57 @@ def test_resolution_helpers(tiny_bench):
 def test_unknown_subset_rejected(tiny_bench, tiny_model):
     with pytest.raises(ContractError):
         evaluate_model(tiny_model, tiny_bench, subsets=["car"])
+
+
+def reference_report(params, bench, beta_override):
+    """Per-query ranks by the stable-argsort rule over query_representation
+    rows, reduced to the three recalls evaluate_model reports."""
+    per_subset = {}
+    for subset in bench.subsets:
+        quads = bench.eval_quads_of(subset)
+        gal = gallery_embeddings(params, bench, subset)
+        ids = bench.galleries[subset].image_ids
+        insts = [e.instance_id for e in bench.galleries[subset].entries]
+        target_hits, target_top5, instance_hits = 0, 0, 0
+        for at in range(0, len(quads), EVAL_CHUNK):
+            chunk = quads[at : at + EVAL_CHUNK]
+            rows, _ = query_representation(
+                [query_sample_of(bench, q, bbox=q.bbox) for q in chunk], params,
+                beta_override=beta_override,
+            )
+            for quad, row in zip(chunk, rows.data):
+                order = np.argsort(-(gal @ row), kind="stable")
+                rank = [ids[i] for i in order].index(quad.target_image_id) + 1
+                target_hits += rank <= 1
+                target_top5 += rank <= 5
+                instance_hits += insts[order[0]] == quad.instance_id
+        n = len(quads)
+        per_subset[subset] = SubsetMetrics(target_hits / n, target_top5 / n,
+                                           instance_hits / n, n)
+    return per_subset
+
+
+def test_reports_equal_per_query_argsort_reference():
+    # two subsets on different grids, and a briefly trained live head, so
+    # targets, hard negatives and misses all occur
+    subsets = (("fashion", (4, 4)), ("car", (3, 4)))
+    bench = build_benchmark(
+        configs=[WorldConfig(subset=s, n_categories=2, instances_per_category=5,
+                             images_per_instance=6, n_contexts=6, grid=grid, d_latent=8,
+                             bbox_size_range=(0.4, 0.7), reserve_instances_per_category=3,
+                             reserve_images_per_instance=3) for s, grid in subsets],
+        seed=17, d_model=16, l_text=2, train_cap=4, eval_cap=8, n_distractors=6,
+        thresholds={s: FilterThresholds(4, 0.95, 0.9, 3) for s, _ in subsets},
+    )
+    cfg = ModelConfig(d_model=16, d_embed=16, m_queries=2, k_probes=2, l_text=2,
+                      n_blocks=1, crm_layers=1)
+    params = ModelParams(cfg, bench.encoders, seed=5, zero_modulation_head=False)
+    train(params, train_examples(bench, bench.train_quads),
+          TrainConfig(epochs=3, batch_size=8, seed=3))
+    live = evaluate_model(params, bench)
+    assert live.per_subset == reference_report(params, bench, None)
+    assert 0.0 < live.macro.r_at_1 < live.macro.rid_at_1 < 1.0
+    table = beta_sweep(params, bench, units=(0.0, 1.0, 4.0))
+    assert len(table.rows) == 4
+    for row in table.rows:
+        assert row.metrics.per_subset == reference_report(params, bench, row.beta_value)

@@ -1,15 +1,17 @@
 """Region masks and modulated cross-attention against straight-line oracles."""
 
+import re
+
 import numpy as np
 import pytest
 
+from focalcir import model
 from focalcir.encoders import ContextDescriptor, EncoderParams, embed_text
 from focalcir.errors import AlignmentError, ContractError, EmptyMaskError
 from focalcir import numerics as nm
 from focalcir.numerics.tensor import Tape, Tensor, backward, constant, parameter
 from focalcir.fusion import (
     AttentionParams,
-    RegionMask,
     encode_target,
     init_fusion_params,
     modulated_cross_attention,
@@ -45,8 +47,8 @@ def make_attn_params(rng, d):
 
 def test_full_cover_bbox_masks_everything():
     m = region_mask_from_bbox((0.0, 0.0, 1.0, 1.0), (4, 4))
-    assert m.count == 16
-    assert np.array_equal(m.values, np.ones(16))
+    assert m.sum() == 16
+    assert np.array_equal(m, np.ones(16))
 
 
 def test_half_box_on_4x4_grid():
@@ -55,7 +57,7 @@ def test_half_box_on_4x4_grid():
     m = region_mask_from_bbox((0.0, 0.0, 0.5, 0.5), (4, 4))
     expected = np.zeros(16)
     expected[[0, 1, 4, 5]] = 1.0
-    assert np.array_equal(m.values, expected)
+    assert np.array_equal(m, expected)
 
 
 def test_tiny_corner_bbox_is_empty():
@@ -80,6 +82,7 @@ def mask_loop_oracle(bbox, grid):
 def test_mask_matches_loop_oracle_on_random_boxes():
     rng = np.random.default_rng(12)
     empty = 0
+    by_grid: dict[tuple[int, int], list] = {}
     for trial in range(3000):
         grid = (int(rng.integers(1, 11)), int(rng.integers(1, 11)))
         x0, x1 = np.sort(rng.uniform(0.0, 1.0, size=2))
@@ -95,18 +98,88 @@ def test_mask_matches_loop_oracle_on_random_boxes():
             with pytest.raises(EmptyMaskError):
                 region_mask_from_bbox(bbox, grid)
             continue
-        got = region_mask_from_bbox(bbox, grid).values
+        got = region_mask_from_bbox(bbox, grid)
         assert got.tobytes() == want.tobytes(), (bbox, grid)
+        by_grid.setdefault(grid, []).append((bbox, want))
     assert empty > 0  # the empty-mask path was exercised
+    # one call per grid on every box of that grid equals the per-box loop
+    for grid, cases in by_grid.items():
+        got = region_mask_from_bbox([bbox for bbox, _ in cases], grid)
+        assert got.shape == (len(cases), grid[0] * grid[1])
+        assert got.tobytes() == np.stack([want for _, want in cases]).tobytes(), grid
+
+
+def _query_batch(rng, enc, cases):
+    """QuerySamples for (grid, bbox) pairs; bbox None makes a box-less query."""
+    out = []
+    for grid, bbox in cases:
+        latents = rng.normal(size=(grid[0] * grid[1], enc.d_latent))
+        text = embed_text(ContextDescriptor("c", rng.normal(size=enc.d_latent)), enc)
+        out.append(model.QuerySample(patches=latents @ enc.image_proj, grid=grid,
+                                     bbox=bbox, text=text))
+    return out
+
+
+def test_query_batch_masks_match_loop_oracle_across_grids(monkeypatch):
+    enc = EncoderParams(seed=3, d_latent=8, d_model=16, l_text=2)
+    params = model.ModelParams(
+        model.ModelConfig(d_model=16, d_embed=16, m_queries=2, k_probes=2, l_text=2,
+                          n_blocks=1, crm_layers=1), enc, seed=4)
+    cases = [((2, 2), (0.1, 0.1, 0.6, 0.6)), ((3, 4), (0.0, 0.2, 0.7, 0.9)),
+             ((2, 2), None), ((3, 4), (0.5, 0.5, 1.0, 1.0)), ((2, 2), (0.3, 0.0, 1.0, 0.8)),
+             ((3, 4), None)]
+    batch = _query_batch(np.random.default_rng(5), enc, cases)
+    seen = {"mask_calls": 0}
+    real_mask, real_encode = model.region_mask_from_bbox, model.multimodal_encode
+
+    def counting_mask(bboxes, grid):
+        seen["mask_calls"] += 1
+        return real_mask(bboxes, grid)
+
+    def capturing_encode(*args, **kwargs):
+        seen["rows"] = kwargs["mask"]
+        return real_encode(*args, **kwargs)
+
+    monkeypatch.setattr(model, "region_mask_from_bbox", counting_mask)
+    monkeypatch.setattr(model, "multimodal_encode", capturing_encode)
+    model.query_representation(batch, params, beta_override=2.0)
+    assert seen["mask_calls"] == 2  # one per distinct grid
+    rows = seen["rows"]
+    assert rows.shape == (len(cases), 1, 12)  # padded to the larger grid
+    for i, (grid, bbox) in enumerate(cases):
+        n = grid[0] * grid[1]
+        want = np.zeros(12)
+        if bbox is not None:
+            want[:n] = mask_loop_oracle(bbox, grid)
+        assert rows[i, 0].tobytes() == want.tobytes(), i
+
+
+def test_bad_box_inside_a_batch_is_named():
+    empty_box = (0.9, 0.9, 0.95, 0.95)  # no patch center on a 2x2 grid
+    boxes = [(0.0, 0.0, 1.0, 1.0), empty_box, (0.1, 0.1, 0.6, 0.6)]
+    with pytest.raises(EmptyMaskError, match=re.escape(str(empty_box))):
+        region_mask_from_bbox(boxes, (2, 2))
+    outside = (-0.2, 0.0, 0.6, 0.6)  # covers patch centers, but is not a valid box
+    with pytest.raises(ContractError, match=re.escape(str(outside))):
+        region_mask_from_bbox([boxes[0], outside, boxes[2]], (2, 2))
+    enc = EncoderParams(seed=3, d_latent=8, d_model=16, l_text=2)
+    params = model.ModelParams(
+        model.ModelConfig(d_model=16, d_embed=16, m_queries=2, k_probes=2, l_text=2,
+                          n_blocks=1, crm_layers=1), enc, seed=4)
+    batch = _query_batch(np.random.default_rng(6), enc, [((2, 2), b) for b in boxes])
+    with pytest.raises(EmptyMaskError, match=re.escape(str(empty_box))):
+        model.query_representation(batch, params)
 
 
 def test_mask_values_are_binary_and_nonempty():
+    enc, patches, text = make_world_inputs(grid=(2, 2))
+    fusion = init_fusion_params(np.random.default_rng(1), 16, m_queries=4, n_blocks=1)
     with pytest.raises(ContractError):
-        RegionMask(values=np.full(4, 0.5), grid=(2, 2))
+        multimodal_encode(patches, text, fusion, mask=np.full(4, 0.5), beta=1.0)
     with pytest.raises(EmptyMaskError):
-        RegionMask(values=np.zeros(4), grid=(2, 2))
+        region_mask_from_bbox((0.9, 0.9, 0.95, 0.95), (2, 2))
     with pytest.raises(AlignmentError):
-        RegionMask(values=np.ones(5), grid=(2, 2))
+        multimodal_encode(patches, text, fusion, mask=np.ones(5), beta=1.0)
 
 
 # --- modulated cross-attention ---------------------------------------------

@@ -462,12 +462,12 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
         load_checkpoint(path)
 
 
-def _rewrite_model_config(path, edit):
-    """Rewrites the header's model_config in place, keeping the weights."""
+def _rewrite_header(path, edit):
+    """Rewrites the checkpoint header in place, keeping the weights."""
     raw = path.read_bytes()
     (hlen,) = struct.unpack("<Q", raw[8:16])
     header = json.loads(raw[16 : 16 + hlen])
-    edit(header["model_config"])
+    edit(header)
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen :])
 
@@ -475,15 +475,46 @@ def _rewrite_model_config(path, edit):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda c: c.update(caam_shares_encoder=True), "unknown keys ['caam_shares_encoder']"),
-        (lambda c: c.pop("tau"), "missing keys ['tau']"),
+        (lambda h: h["model_config"].update(caam_shares_encoder=True),
+         "unknown keys ['caam_shares_encoder']"),
+        (lambda h: h["model_config"].pop("tau"), "missing keys ['tau']"),
     ],
 )
 def test_checkpoint_with_mismatched_model_keys_names_them(tmp_path, edit, message):
     _, _, params = tiny_setup(seed=91)
     path = tmp_path / "old.ckpt"
     save_checkpoint(path, params)
-    _rewrite_model_config(path, edit)
+    _rewrite_header(path, edit)
+    with pytest.raises(CheckpointError) as info:
+        load_checkpoint(path)
+    assert message in str(info.value)
+
+
+def _drop_encoder(header):
+    del header["encoder"]
+
+
+def _seed_as_string(header):
+    header["seed"] = str(header["seed"])
+
+
+def _drop_first_shape(header):
+    del header["params"][0]["shape"]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_drop_encoder, "missing keys ['encoder'] in CheckpointHeader"),
+        (_seed_as_string, "'seed' must be int, got str"),
+        (_drop_first_shape, "missing keys ['params.shape'] in ParamRecord"),
+    ],
+)
+def test_checkpoint_header_damage_names_the_key(tmp_path, edit, message):
+    _, _, params = tiny_setup(seed=95)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params)
+    _rewrite_header(path, edit)
     with pytest.raises(CheckpointError) as info:
         load_checkpoint(path)
     assert message in str(info.value)

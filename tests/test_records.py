@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 import pytest
 
@@ -22,6 +23,7 @@ class Outer:
     cap: int | None = None
     items: list[Inner] = field(default_factory=list)
     by_key: dict[str, Inner] = field(default_factory=dict)
+    extra: dict[str, Any] = field(default_factory=dict)
 
 
 def test_bool_is_not_an_int():
@@ -76,3 +78,10 @@ def test_complete_names_every_missing_key():
         from_record(Inner, {"size": 1}, DataError, complete=True)
     with pytest.raises(DataError, match=r"missing keys \['r\.name'\] in Outer"):
         from_record(Outer, {}, DataError, "r")
+
+
+def test_any_takes_a_value_as_it_is():
+    raw = {"k": [1, "x", {"y": None}], "n": 2}
+    assert from_record(Outer, {"name": "a", "extra": raw}, DataError).extra == raw
+    with pytest.raises(DataError, match="'extra' must be a JSON object, got list"):
+        from_record(Outer, {"name": "a", "extra": [1]}, DataError)
