@@ -39,7 +39,7 @@ from focalcir.errors import (
     EmptyMaskError,
 )
 from focalcir.encoders import TextEmbedding
-from focalcir.geometry import BBox, center_inside, patch_center, validate_bbox
+from focalcir.geometry import BBox, patch_membership, validate_bbox
 from focalcir.numerics.tensor import (
     Tensor,
     add,
@@ -71,12 +71,10 @@ def region_mask_from_bbox(bbox: BBox | Sequence[BBox], grid: tuple[int, int]) ->
     boxes = [bbox] if single else list(bbox)
     for b in boxes:
         validate_bbox(b)
-    h, w = grid
-    cx, cy = patch_center(np.arange(h)[:, None], np.arange(w)[None, :], grid)
-    corners = np.asarray(boxes, dtype=np.float64).T[:, :, None, None]  # (4, B, 1, 1)
-    values = center_inside(corners, cx, cy).reshape(len(boxes), h * w).astype(np.float64)
+    values = patch_membership(boxes, grid).astype(np.float64)
     empty = np.flatnonzero(~values.any(axis=1))
     if empty.size:
+        h, w = grid
         raise EmptyMaskError(
             f"bbox {boxes[empty[0]]} covers no patch center on a {h}x{w} grid"
         )

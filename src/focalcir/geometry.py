@@ -2,9 +2,12 @@
 
 Boxes are (x0, y0, x1, y1) in normalized [0, 1] image coordinates with
 x0 < x1 and y0 < y1. A patch "belongs" to a box iff its center lies inside
-under the half-open rule x0 <= cx < x1, y0 <= cy < y1; this is the single
-containment rule shared by mask construction and the synthetic generator,
-so a planted region and its mask can never disagree.
+under the half-open rule x0 <= cx < x1, y0 <= cy < y1. `patch_membership`
+is the one place that rule is applied to a patch grid. Its three callers are
+the synthetic generator (`benchgen.world._render_grid`), mask construction
+(`fusion.region_mask_from_bbox`) and the ROI-crop filter
+(`harness._roi_viable`), so a planted region, its mask and the crop can
+never disagree.
 """
 
 from __future__ import annotations
@@ -36,6 +39,18 @@ def center_inside(bbox: BBox, cx, cy):
     """The half-open containment rule, elementwise when cx, cy are arrays."""
     x0, y0, x1, y1 = bbox
     return (x0 <= cx) & (cx < x1) & (y0 <= cy) & (cy < y1)
+
+
+def patch_membership(boxes, grid: tuple[int, int]) -> np.ndarray:
+    """(B, h*w) bool: patch k (raster order) of an h x w grid belongs to box b.
+
+    `boxes` is a sequence of B boxes (or a (B, 4) array). One vectorised
+    `center_inside` test covers every box; nothing is validated and nothing
+    raises, so a box that covers no center gives an all-False row."""
+    h, w = grid
+    cx, cy = patch_center(np.arange(h)[:, None], np.arange(w)[None, :], grid)
+    corners = np.asarray(boxes, dtype=np.float64).reshape(-1, 4).T[:, :, None, None]
+    return center_inside(corners, cx, cy).reshape(-1, h * w)
 
 
 def iou(a: BBox, b: BBox) -> float:

@@ -16,10 +16,9 @@ import numpy as np
 
 from focalcir.benchgen.pipeline import Benchmark
 from focalcir.benchgen.quadruples import Quadruple
-from focalcir.errors import ConfigError, EmptyMaskError
+from focalcir.errors import ConfigError
 from focalcir.evaluation import MetricsReport, evaluate_model, train_examples
-from focalcir.fusion import region_mask_from_bbox
-from focalcir.geometry import BBox, iou, perturb_bbox
+from focalcir.geometry import BBox, iou, patch_membership, perturb_bbox, validate_bbox
 from focalcir.model import ModelConfig, ModelParams, TrainConfig, train
 
 DEFAULT_SWEEP_UNITS = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
@@ -251,13 +250,17 @@ def robustness_table_text(rows: list[RobustnessRow]) -> str:
 # ROI-crop baseline
 
 
-def _roi_viable(bench: Benchmark, quad: Quadruple) -> bool:
-    grid = bench.world.configs[quad.subset].grid
-    try:
-        region_mask_from_bbox(quad.bbox, grid)
-    except EmptyMaskError:
-        return False
-    return True
+def _roi_viable(bench: Benchmark, quads: list[Quadruple]) -> list[Quadruple]:
+    """The quadruples whose box covers at least one patch center of their
+    subset's grid, in order: one membership test per grid over all boxes."""
+    by_grid: dict[tuple[int, int], list[int]] = {}
+    for i, q in enumerate(quads):
+        validate_bbox(q.bbox)
+        by_grid.setdefault(tuple(bench.world.configs[q.subset].grid), []).append(i)
+    viable = np.zeros(len(quads), dtype=bool)
+    for grid, rows in by_grid.items():
+        viable[rows] = patch_membership([quads[i].bbox for i in rows], grid).any(axis=1)
+    return [q for q, ok in zip(quads, viable) if ok]
 
 
 def roi_crop_baseline(
@@ -274,8 +277,8 @@ def roi_crop_baseline(
     train_quads = bench.train_quads
     if roi_train_cfg.subsets is not None:
         train_quads = [q for q in train_quads if q.subset in roi_train_cfg.subsets]
-    usable_train = [q for q in train_quads if _roi_viable(bench, q)]
-    usable_eval = [q for q in bench.eval_quads if _roi_viable(bench, q)]
+    usable_train = _roi_viable(bench, train_quads)
+    usable_eval = _roi_viable(bench, bench.eval_quads)
     dropped = (len(train_quads) - len(usable_train)) + (len(bench.eval_quads) - len(usable_eval))
     if dropped:
         warnings.warn(f"roi-crop: skipped {dropped} quadruples whose box covers no patch")

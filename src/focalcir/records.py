@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import struct
 import types
 import typing
@@ -82,6 +83,17 @@ def _fields(cls) -> tuple[dict[str, object], frozenset[str]]:
     return {f.name: hints[f.name] for f in fields}, required
 
 
+_RECORD = object()
+
+
+@functools.cache
+def _form(tp) -> tuple[object, tuple]:
+    """(origin, args) of an annotation, with origin _RECORD for a dataclass."""
+    if dataclasses.is_dataclass(tp):
+        return _RECORD, ()
+    return typing.get_origin(tp), typing.get_args(tp)
+
+
 def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
@@ -99,9 +111,9 @@ def _convert(tp, value, error, path: str, complete: bool):
         raise error(f"{path!r} must be {tp.__name__}, got {_show(value)}")
     if tp is typing.Any:
         return value
-    if dataclasses.is_dataclass(tp):
+    origin, args = _form(tp)
+    if origin is _RECORD:
         return _record(tp, value, error, path, complete)
-    origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is types.UnionType or origin is typing.Union:
         if value is None and type(None) in args:
             return None
@@ -178,7 +190,7 @@ def read_header(fh, magic: bytes, error: type[Exception], path, kind: str) -> di
 
 
 def read_block(fh, shape: tuple[int, ...], error: type[Exception], what) -> np.ndarray:
-    count = int(np.prod(shape))
+    count = math.prod(shape)
     raw = fh.read(8 * count)
     if len(raw) != 8 * count:
         raise error(f"{what} is truncated")

@@ -12,9 +12,11 @@ from focalcir.benchgen import (
     make_quadruples,
 )
 from focalcir.benchgen.quadruples import largest_remainder
+from focalcir.benchgen.world import _render_grid
 from focalcir.encoders import EncoderParams, SyntheticImage, pooled_image_embedding
 from focalcir.errors import ConfigError, ContractError, GalleryError
 from focalcir.fusion import region_mask_from_bbox
+from focalcir.geometry import center_inside, patch_center
 
 
 def small_configs(**overrides):
@@ -87,6 +89,45 @@ def test_every_bbox_covers_at_least_one_patch(small_world):
     for im in small_world.images:
         mask = region_mask_from_bbox(im.bbox, im.grid.shape[:2])
         assert mask.sum() >= 1
+
+
+def render_loop(rng, cfg, identity, context, bbox):
+    """The per-patch render the vectorised one replaced, kept as its reference."""
+    h, w = cfg.grid
+    grid = np.empty((h, w, cfg.d_latent))
+    for r in range(h):
+        for c in range(w):
+            cx, cy = patch_center(r, c, cfg.grid)
+            base = identity if center_inside(bbox, cx, cy) else context
+            grid[r, c] = base + cfg.noise_sigma * rng.normal(size=cfg.d_latent)
+    return grid
+
+
+@pytest.mark.parametrize(
+    "grid, bbox",
+    [
+        ((3, 5), (0.15, 0.2, 0.7, 0.95)),  # non-square
+        ((3, 5), (0.0, 0.0, 1.0, 1.0)),  # full cover
+        ((4, 4), (0.375, 0.375, 0.625, 0.625)),  # edges on centers: half-open
+        ((4, 4), (0.125, 0.625, 0.875, 1.0)),
+        ((8, 8), (0.3, 0.1, 0.55, 0.6)),
+    ],
+)
+def test_render_equals_per_patch_loop(grid, bbox):
+    for sigma in (0.1, 0.0):
+        cfg = WorldConfig(subset="x", grid=grid, d_latent=6, noise_sigma=sigma)
+        latents = np.random.default_rng(1).normal(size=(2, cfg.d_latent))
+        fast, slow = np.random.default_rng(9), np.random.default_rng(9)
+        got = _render_grid(fast, cfg, latents[0], latents[1], bbox)
+        want = render_loop(slow, cfg, latents[0], latents[1], bbox)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        # both consumed the same stretch of the stream
+        assert fast.normal() == slow.normal()
+    # without noise the planted patches are the identity itself
+    inside = np.all(got == latents[0], axis=-1)
+    assert inside.any() and inside.sum() + np.all(got == latents[1], axis=-1).sum() == inside.size
+    if bbox == (0.375, 0.375, 0.625, 0.625):
+        assert np.flatnonzero(inside).tolist() == [5]
 
 
 def test_identities_are_unit_and_clustered_by_category(small_world):

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -72,6 +75,49 @@ def test_world_rejects_foreign_and_truncated_files(tmp_path):
     clipped.write_bytes(path.read_bytes()[:-16])
     with pytest.raises(DataError):
         load_world(clipped)
+
+
+def rewrite_world_header(path, edit):
+    """Edits the JSON header of a world file in place, keeping its blocks."""
+    raw = path.read_bytes()
+    start = raw.index(b"\n") + 1  # after the magic line
+    (hlen,) = struct.unpack("<Q", raw[start : start + 8])
+    header = json.loads(raw[start + 8 : start + 8 + hlen])
+    edit(header)
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(raw[:start] + struct.pack("<Q", len(blob)) + blob + raw[start + 8 + hlen :])
+
+
+def _set_first_image(key, value):
+    return lambda h: h["images"][0].update({key: value})
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda h: h["images"][0].pop("grid_shape"), "world.bin.images.grid_shape'] in ImageRecord"),
+        (lambda h: h.update(seed=str(h["seed"])), "world.bin.seed' must be int, got str"),
+        (lambda h: h.update(n_images=5), "world.bin.n_images'] in WorldHeader"),
+        (lambda h: h["images"][0].update(bbox=[0.1, 0.2]), "world.bin.images.bbox' must hold 4"),
+        (_set_first_image("reserve", 1), "world.bin.images.reserve' must be bool, got int"),
+        (lambda h: h["configs"]["fashion"].pop("grid"), "world.bin.configs.fashion.grid"),
+        (lambda h: h.update(n_reserve=h["n_reserve"] + 1), "declares n_reserve 19 but marks 18"),
+        (_set_first_image("reserve", True), "declares n_reserve 18 but marks 19"),
+        (_set_first_image("grid_shape", [4, 4, 9]), "grid_shape [4, 4, 9], its subset [4, 4, 8]"),
+        (_set_first_image("subset", "boat"), "'boat' belongs to no subset"),
+        (lambda h: h["context_ids"].__setitem__(0, "boat/ctx00"), "'boat/ctx00' belongs to no"),
+    ],
+)
+def test_world_header_damage_names_the_key(tmp_path, edit, message):
+    world = generate_world(small_configs(), seed=5)
+    path = tmp_path / "world.bin"
+    save_world(path, world)
+    rewrite_world_header(path, lambda h: None)
+    assert load_world(path)[0].seed == 5  # the rewrite alone changes nothing
+    rewrite_world_header(path, edit)
+    with pytest.raises(DataError) as info:
+        load_world(path)
+    assert message in str(info.value)
 
 
 def test_jsonl_round_trip(tmp_path):

@@ -192,6 +192,38 @@ def test_train_on_damaged_artifact_exits_2_naming_the_file(run_dir, tmp_path, ca
     assert name in capsys.readouterr().err
 
 
+def _rewrite_world_header(path, edit):
+    raw = path.read_bytes()
+    start = raw.index(b"\n") + 1  # after the magic line
+    (hlen,) = struct.unpack("<Q", raw[start : start + 8])
+    header = json.loads(raw[start + 8 : start + 8 + hlen])
+    edit(header)
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(raw[:start] + struct.pack("<Q", len(blob)) + blob + raw[start + 8 + hlen :])
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (lambda h: h["images"][0].pop("grid_shape"), "images.grid_shape"),
+        (lambda h: h.update(seed=str(h["seed"])), "world.bin.seed"),
+        (lambda h: h.update(n_images=5), "world.bin.n_images"),
+        (lambda h: h.update(n_reserve=h["n_reserve"] - 1), "n_reserve"),
+    ],
+)
+def test_train_on_world_with_damaged_header_exits_2_naming_the_key(run_dir, tmp_path, capsys,
+                                                                   edit, key):
+    cfg_path, out = run_dir
+    copy = tmp_path / "copy"
+    copy.mkdir()
+    for f in out.iterdir():
+        (copy / f.name).write_bytes(f.read_bytes())
+    _rewrite_world_header(copy / "world.bin", edit)
+    assert main(["train", "--config", str(cfg_path), "--out", str(copy)]) == 2
+    err = capsys.readouterr().err
+    assert "world.bin" in err and key in err
+
+
 def test_train_rerun_checkpoint_is_byte_identical(run_dir, capsys):
     cfg_path, out = run_dir
     before = (out / "checkpoint.bin").read_bytes()

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from focalcir.errors import ContractError, PerturbationError
-from focalcir.geometry import center_inside, iou, patch_center, perturb_bbox, validate_bbox
+from focalcir.geometry import (
+    center_inside,
+    iou,
+    patch_center,
+    patch_membership,
+    perturb_bbox,
+    validate_bbox,
+)
 
 
 def iou_oracle(a, b):
@@ -97,3 +104,33 @@ def test_patch_center_rule_is_half_open():
     assert center_inside((0.0, 0.0, 0.5, 0.5), 0.375, 0.375)
     assert not center_inside((0.0, 0.0, 0.5, 0.5), 0.5, 0.375)  # boundary excluded
     assert center_inside((0.5, 0.0, 1.0, 0.5), 0.5, 0.375)  # but included on the right side
+
+
+def membership_loop(boxes, grid):
+    """Scalar reference: one center_inside call per box and patch."""
+    h, w = grid
+    return np.array([[bool(center_inside(b, *patch_center(r, c, grid)))
+                      for r in range(h) for c in range(w)] for b in boxes], dtype=bool)
+
+
+def test_patch_membership_matches_scalar_loop_on_random_boxes():
+    rng = np.random.default_rng(4)
+    for grid in ((4, 4), (3, 5), (8, 8), (1, 6)):
+        boxes = []
+        for _ in range(60):
+            x0, y0 = rng.uniform(0, 0.9, size=2)
+            boxes.append((x0, y0, x0 + rng.uniform(0.01, 1.0 - x0), y0 + rng.uniform(0.01, 1.0 - y0)))
+        # edges exactly on centers, a full cover, and a box between centers
+        boxes += [(0.375, 0.375, 0.625, 0.625), (0.0, 0.0, 1.0, 1.0), (0.0, 0.0, 0.01, 0.01)]
+        got = patch_membership(boxes, grid)
+        assert got.dtype == bool and got.shape == (len(boxes), grid[0] * grid[1])
+        assert np.array_equal(got, membership_loop(boxes, grid))
+    # a 4x4 box from center 0.375 to center 0.625 holds exactly patch (1, 1)
+    assert np.flatnonzero(patch_membership([(0.375, 0.375, 0.625, 0.625)], (4, 4))).tolist() == [5]
+
+
+def test_patch_membership_never_raises():
+    # empty and reversed boxes give all-False rows; validation is the caller's
+    got = patch_membership([(0.9, 0.9, 0.95, 0.95), (0.6, 0.2, 0.4, 0.8)], (4, 4))
+    assert got.shape == (2, 16) and not got.any()
+    assert patch_membership(np.empty((0, 4)), (3, 5)).shape == (0, 15)
