@@ -104,6 +104,15 @@ class Benchmark:
     def eval_quads_of(self, subset: str) -> list[Quadruple]:
         return [q for q in self.eval_quads if q.subset == subset]
 
+    def train_quads_of(self, subsets: tuple[str, ...] | None) -> list[Quadruple]:
+        """The train quadruples of `subsets` (every subset when None), in file order."""
+        quads = self.train_quads
+        if subsets is not None:
+            quads = [q for q in quads if q.subset in subsets]
+        if not quads:
+            raise DataError("no training quadruples after the subset filter")
+        return quads
+
 
 def build_benchmark(
     configs: list[WorldConfig] | None = None,

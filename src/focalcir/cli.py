@@ -21,13 +21,13 @@ from focalcir.encoders import ContextDescriptor, EncoderParams, embed_text, enco
 from focalcir.errors import CheckpointError, ConfigError, DataError, FocalCirError
 from focalcir.evaluation import evaluate_model, train_examples
 from focalcir.harness import (
+    ablation_table_text,
     beta_sweep,
     caam_ablation,
-    comparison_table_text,
     expand_variant_grid,
+    metrics_table_text,
     robustness_eval,
     robustness_table_text,
-    ablation_table_text,
     roi_crop_baseline,
 )
 from focalcir.model import (
@@ -131,10 +131,6 @@ def _check_subsets(names: tuple[str, ...] | None, bench) -> None:
                           f"benchmark has {sorted(bench.world.configs)}")
 
 
-def _load_bench(cfg: RunConfig):
-    return load_benchmark(cfg.out)
-
-
 def _ckpt_path(cfg: RunConfig, arg: str | None) -> Path:
     return Path(arg) if arg is not None else Path(cfg.out) / "checkpoint.bin"
 
@@ -147,6 +143,16 @@ def _load_ckpt(path: Path):
 
 def _provenance_line(digest: str, seed: int) -> str:
     return f"# config_hash={digest} seed={seed}\n"
+
+
+def _write_ablation(out: Path, kind: str, digest: str, seed: int, rows: list[dict],
+                    table: str, **extra) -> None:
+    """ablate_<kind>.json and .txt, each stamped with the config hash and seed."""
+    write_json(out / f"ablate_{kind}.json",
+               {"config_hash": digest, "seed": seed, "rows": rows, **extra})
+    text = _provenance_line(digest, seed) + table
+    (out / f"ablate_{kind}.txt").write_text(text, encoding="utf-8")
+    print(text, end="")
 
 
 # ---------------------------------------------------------------------------
@@ -171,19 +177,14 @@ def cmd_gen(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig, subsets: tuple[str, ...] | None, ckpt: str | None) -> int:
-    bench = _load_bench(cfg)
+    bench = load_benchmark(cfg.out)
     digest = write_resolved_config(cfg.out, cfg)
     chosen = subsets if subsets is not None else cfg.train.subsets
     _check_subsets(chosen, bench)
     train_cfg = dataclasses.replace(cfg.train, seed=cfg.seed, subsets=chosen)
-
-    quads = bench.train_quads
-    if chosen is not None:
-        quads = [q for q in quads if q.subset in chosen]
-    if not quads:
-        raise DataError("no training quadruples after the subset filter")
+    examples = train_examples(bench, bench.train_quads_of(chosen))
     params = ModelParams(cfg.model, bench.encoders, seed=cfg.seed)
-    result = train(params, train_examples(bench, quads), train_cfg)
+    result = train(params, examples, train_cfg)
 
     ckpt_path = _ckpt_path(cfg, ckpt)
     ckpt_path.parent.mkdir(parents=True, exist_ok=True)
@@ -209,7 +210,7 @@ def cmd_train(cfg: RunConfig, subsets: tuple[str, ...] | None, ckpt: str | None)
 
 
 def cmd_eval(cfg: RunConfig, subsets: tuple[str, ...] | None, ckpt: str | None) -> int:
-    bench = _load_bench(cfg)
+    bench = load_benchmark(cfg.out)
     digest = write_resolved_config(cfg.out, cfg)
     params, _meta = _load_ckpt(_ckpt_path(cfg, ckpt))
     _check_subsets(subsets, bench)
@@ -226,8 +227,9 @@ def cmd_eval(cfg: RunConfig, subsets: tuple[str, ...] | None, ckpt: str | None) 
 
 def cmd_ablate(cfg: RunConfig, kind: str, betas: tuple[float, ...] | None,
                ckpt: str | None) -> int:
-    bench = _load_bench(cfg)
+    bench = load_benchmark(cfg.out)
     digest = write_resolved_config(cfg.out, cfg)
+    _check_subsets(cfg.train.subsets, bench)
     out = Path(cfg.out)
     train_cfg = dataclasses.replace(cfg.train, seed=cfg.seed)
 
@@ -235,67 +237,42 @@ def cmd_ablate(cfg: RunConfig, kind: str, betas: tuple[float, ...] | None,
         params, _ = _load_ckpt(_ckpt_path(cfg, ckpt))
         units = betas if betas is not None else tuple(cfg.eval.betas)
         table = beta_sweep(params, bench, units=units, config_hash=digest, seed=cfg.seed)
-        write_json(out / "ablate_beta.json", {
-            "config_hash": digest, "seed": cfg.seed, "grid_units": list(units),
-            "rows": [dataclasses.asdict(r) for r in table.rows],
-        })
-        text = _provenance_line(digest, cfg.seed) + table.to_text()
-        (out / "ablate_beta.txt").write_text(text, encoding="utf-8")
-        print(text, end="")
-        return 0
-
-    if kind == "caam":
+        _write_ablation(out, kind, digest, cfg.seed, [dataclasses.asdict(r) for r in table.rows],
+                        table.to_text(), grid_units=list(units))
+    elif kind == "caam":
         variants = expand_variant_grid(forms=("scalar", "vector"))
         rows = caam_ablation(bench, cfg.model, train_cfg, variants,
                              model_seed=cfg.seed, config_hash=digest)
-        write_json(out / "ablate_caam.json", {
-            "config_hash": digest, "seed": cfg.seed,
-            "rows": [dataclasses.asdict(r) for r in rows],
-        })
-        text = _provenance_line(digest, cfg.seed) + ablation_table_text(rows)
-        (out / "ablate_caam.txt").write_text(text, encoding="utf-8")
-        print(text, end="")
-        return 0
-
-    if kind == "robustness":
+        _write_ablation(out, kind, digest, cfg.seed, [dataclasses.asdict(r) for r in rows],
+                        ablation_table_text(rows))
+    elif kind == "robustness":
         params, _ = _load_ckpt(_ckpt_path(cfg, ckpt))
         rows = robustness_eval(params, bench, seed=cfg.seed, config_hash=digest)
-        write_json(out / "ablate_robustness.json", {
-            "config_hash": digest, "seed": cfg.seed,
-            "rows": [dataclasses.asdict(r) for r in rows],
-        })
-        text = _provenance_line(digest, cfg.seed) + robustness_table_text(rows)
-        (out / "ablate_robustness.txt").write_text(text, encoding="utf-8")
-        print(text, end="")
-        return 0
-
-    # roicrop: train the fixed-beta baseline and the crop variant, then compare
-    # against the adaptive checkpoint (trained here if none exists yet)
-    baseline = ModelParams(cfg.model, bench.encoders, seed=cfg.seed)
-    train(baseline, train_examples(bench, bench.train_quads),
-          dataclasses.replace(train_cfg, fixed_beta=0.0))
-    baseline_report = evaluate_model(baseline, bench, config_hash=digest, seed=cfg.seed)
-
-    _, roi_report = roi_crop_baseline(bench, cfg.model, train_cfg,
-                                      model_seed=cfg.seed, config_hash=digest)
-
-    ckpt_path = _ckpt_path(cfg, ckpt)
-    if ckpt_path.is_file():
-        adaptive, _ = load_checkpoint(ckpt_path)
+        _write_ablation(out, kind, digest, cfg.seed, [dataclasses.asdict(r) for r in rows],
+                        robustness_table_text(rows))
     else:
-        adaptive = ModelParams(cfg.model, bench.encoders, seed=cfg.seed)
-        train(adaptive, train_examples(bench, bench.train_quads), train_cfg)
-    adaptive_report = evaluate_model(adaptive, bench, config_hash=digest, seed=cfg.seed)
-
-    named = [("baseline-beta0", baseline_report), ("roi-crop", roi_report),
-             ("adaptive", adaptive_report)]
-    write_json(out / "ablate_roicrop.json", {
-        "config_hash": digest, "seed": cfg.seed,
-        "rows": [{"label": label, "metrics": rep.to_dict()} for label, rep in named],
-    })
-    text = _provenance_line(digest, cfg.seed) + comparison_table_text(named)
-    (out / "ablate_roicrop.txt").write_text(text, encoding="utf-8")
-    print(text, end="")
+        # roicrop: train the fixed-beta baseline and the crop variant, then compare
+        # against the adaptive checkpoint (trained here if none exists yet), all
+        # on the train.subsets quadruples
+        examples = train_examples(bench, bench.train_quads_of(train_cfg.subsets))
+        baseline = ModelParams(cfg.model, bench.encoders, seed=cfg.seed)
+        train(baseline, examples, dataclasses.replace(train_cfg, fixed_beta=0.0))
+        _, roi_report = roi_crop_baseline(bench, cfg.model, train_cfg,
+                                          model_seed=cfg.seed, config_hash=digest)
+        ckpt_path = _ckpt_path(cfg, ckpt)
+        if ckpt_path.is_file():
+            adaptive, _ = load_checkpoint(ckpt_path)
+        else:
+            adaptive = ModelParams(cfg.model, bench.encoders, seed=cfg.seed)
+            train(adaptive, examples, train_cfg)
+        named = [
+            ("baseline-beta0", evaluate_model(baseline, bench, config_hash=digest, seed=cfg.seed)),
+            ("roi-crop", roi_report),
+            ("adaptive", evaluate_model(adaptive, bench, config_hash=digest, seed=cfg.seed)),
+        ]
+        _write_ablation(out, kind, digest, cfg.seed,
+                        [{"label": label, "metrics": rep.to_dict()} for label, rep in named],
+                        metrics_table_text(("model",), [((label,), rep) for label, rep in named]))
     return 0
 
 

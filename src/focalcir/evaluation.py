@@ -8,21 +8,22 @@ batches of EVAL_CHUNK samples and shares one immutable gallery embedding
 matrix per subset. Each chunk of queries is ranked with one (B, d) @ (d, G)
 product, and the ranks of its targets and same-instance candidates are
 counted from those similarities, not sorted: R@K and R_ID@K are the shares
-of ranks <= K. RankingResult and the recall functions read the same metrics
-off a full gallery order; the metric oracle uses them.
+of ranks <= K. Every query is anchored on its own quadruple's box, so an
+evaluation setting is (beta_override, use_bbox, roi_crop) plus a benchmark
+view: perturbed boxes or a filtered query list are a dataclasses.replace of
+the Benchmark, not a callback. RankingResult and the recall functions read
+the same metrics off a full gallery order; the metric oracle uses them.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Callable
 
 import numpy as np
 
 from focalcir.benchgen.pipeline import Benchmark
 from focalcir.benchgen.quadruples import Quadruple
 from focalcir.errors import ContractError
-from focalcir.geometry import BBox
 from focalcir.model import (
     ModelParams,
     QuerySample,
@@ -187,13 +188,12 @@ def _macro(per_subset: dict[str, SubsetMetrics]) -> SubsetMetrics:
 # resolving benchmark records into model inputs
 
 
-def query_sample_of(bench: Benchmark, quad: Quadruple, bbox: BBox | None | str = "ref") -> QuerySample:
-    """Model input for one quadruple; bbox="ref" uses the planted box, None drops it."""
-    resolved = bench.image(quad.ref_image_id).bbox if bbox == "ref" else bbox
+def query_sample_of(bench: Benchmark, quad: Quadruple) -> QuerySample:
+    """Model input for one quadruple, anchored on the quadruple's own box."""
     return QuerySample(
         patches=bench.patches(quad.ref_image_id),
         grid=bench.world.configs[quad.subset].grid,
-        bbox=resolved,
+        bbox=quad.bbox,
         text=bench.text(quad.text_context_id),
     )
 
@@ -225,16 +225,14 @@ def evaluate_model(
     beta_override: float | None = None,
     use_bbox: bool = True,
     roi_crop: bool = False,
-    bbox_transform: Callable[[Quadruple, int], BBox | None] | None = None,
     config_hash: str = "",
     seed: int = 0,
     gallery_cache: dict[str, np.ndarray] | None = None,
 ) -> MetricsReport:
     """MetricsReport over the eval split.
 
-    bbox_transform maps (quadruple, query index) to a replacement box (None
-    drops the box for that query); gallery_cache holds per-subset embedding
-    matrices for THESE params and is filled on miss.
+    gallery_cache holds per-subset embedding matrices for THESE params and is
+    filled on miss.
     """
     chosen = subsets if subsets is not None else bench.subsets
     unknown = [s for s in chosen if s not in bench.galleries]
@@ -271,14 +269,7 @@ def evaluate_model(
         ])
         ranks = []
         for at in range(0, len(quads), EVAL_CHUNK):
-            chunk = quads[at : at + EVAL_CHUNK]
-            samples = [
-                query_sample_of(
-                    bench, quad,
-                    bbox=bbox_transform(quad, at + k) if bbox_transform is not None else quad.bbox,
-                )
-                for k, quad in enumerate(chunk)
-            ]
+            samples = [query_sample_of(bench, quad) for quad in quads[at : at + EVAL_CHUNK]]
             f_q, _ = query_representation(
                 samples, params, beta_override=beta_override,
                 use_bbox=use_bbox, roi_crop=roi_crop,

@@ -1,8 +1,13 @@
 """Experiment harnesses: β sweep, CAAM ablation, bbox robustness, ROI crop.
 
-Each harness reuses one gallery-embedding cache per trained model (target
-embeddings do not depend on the modulation applied to queries) and emits a
-delimited table alongside the structured per-row metrics.
+Every row is one plain evaluate_model call: a setting (beta_override,
+use_bbox, roi_crop) on a benchmark view. Perturbed boxes and the ROI-crop
+filter are views made with dataclasses.replace on eval_quads. The harnesses
+that train read their quadruples through Benchmark.train_quads_of, so
+train.subsets holds for every trained row. Each harness reuses one
+gallery-embedding cache per trained model (target embeddings do not depend
+on the modulation applied to queries), and every table is written by
+metrics_table_text alongside the structured per-row metrics.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from focalcir.benchgen.pipeline import Benchmark
 from focalcir.benchgen.quadruples import Quadruple
 from focalcir.errors import ConfigError
 from focalcir.evaluation import MetricsReport, evaluate_model, train_examples
-from focalcir.geometry import BBox, iou, patch_membership, perturb_bbox, validate_bbox
+from focalcir.geometry import iou, patch_membership, perturb_bbox, validate_bbox
 from focalcir.model import ModelConfig, ModelParams, TrainConfig, train
 
 DEFAULT_SWEEP_UNITS = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
@@ -27,6 +32,16 @@ DEFAULT_SWEEP_UNITS = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
 def sqrt_dk(config: ModelConfig) -> float:
     """Scale of one attention head; sweep betas are expressed in these units."""
     return math.sqrt(config.d_model / config.n_heads)
+
+
+def metrics_table_text(header: tuple[str, ...],
+                       rows: list[tuple[tuple[str, ...], MetricsReport]]) -> str:
+    """Tab-separated table: each row's leading cells, then its macro recalls."""
+    lines = ["\t".join((*header, "r_at_1", "r_at_5", "rid_at_1"))]
+    for cells, report in rows:
+        m = report.macro
+        lines.append("\t".join((*cells, f"{m.r_at_1:.4f}", f"{m.r_at_5:.4f}", f"{m.rid_at_1:.4f}")))
+    return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -42,14 +57,9 @@ class SweepTable:
     rows: list[SweepRow] = field(default_factory=list)
 
     def to_text(self) -> str:
-        lines = ["label\tbeta\tr_at_1\tr_at_5\trid_at_1"]
-        for row in self.rows:
-            beta = "adaptive" if row.beta_value is None else f"{row.beta_value:.6g}"
-            m = row.metrics.macro
-            lines.append(
-                f"{row.label}\t{beta}\t{m.r_at_1:.4f}\t{m.r_at_5:.4f}\t{m.rid_at_1:.4f}"
-            )
-        return "\n".join(lines) + "\n"
+        return metrics_table_text(("label", "beta"), [
+            ((r.label, "adaptive" if r.beta_value is None else f"{r.beta_value:.6g}"), r.metrics)
+            for r in self.rows])
 
 
 def beta_sweep(
@@ -143,16 +153,10 @@ def caam_ablation(
     """Trains each variant from the same seed and evaluates it."""
     if not variants:
         raise ConfigError("no ablation variants requested")
-    examples = None
+    examples = train_examples(bench, bench.train_quads_of(train_cfg.subsets))
     rows = []
     for v in variants:
-        config = replace(base_config, **v)
-        params = ModelParams(config, bench.encoders, seed=model_seed)
-        if examples is None:
-            quads = bench.train_quads
-            if train_cfg.subsets is not None:
-                quads = [q for q in quads if q.subset in train_cfg.subsets]
-            examples = train_examples(bench, quads)
+        params = ModelParams(replace(base_config, **v), bench.encoders, seed=model_seed)
         train(params, examples, train_cfg)
         report = evaluate_model(params, bench, config_hash=config_hash, seed=train_cfg.seed)
         rows.append(
@@ -165,14 +169,8 @@ def caam_ablation(
 
 
 def ablation_table_text(rows: list[AblationRow]) -> str:
-    lines = ["variant\tcaam_params\tr_at_1\tr_at_5\trid_at_1"]
-    for row in rows:
-        m = row.metrics.macro
-        lines.append(
-            f"{row.label}\t{row.caam_param_count}\t"
-            f"{m.r_at_1:.4f}\t{m.r_at_5:.4f}\t{m.rid_at_1:.4f}"
-        )
-    return "\n".join(lines) + "\n"
+    return metrics_table_text(("variant", "caam_params"),
+                              [((r.label, str(r.caam_param_count)), r.metrics) for r in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -201,22 +199,22 @@ def robustness_eval(
     seed: int = 0,
     config_hash: str = "",
 ) -> list[RobustnessRow]:
-    """Evaluates under box perturbations of decreasing fidelity."""
+    """Evaluates under box perturbations of decreasing fidelity.
+
+    Each row evaluates a view whose eval quadruples carry perturbed boxes;
+    the achieved IoU is averaged in evaluation order (subsets sorted, then
+    file order), which a stable sort on the subset gives."""
     cache: dict[str, np.ndarray] = {}
+    quads = sorted(bench.eval_quads, key=lambda q: q.subset)
     rows = []
     for target, mode in perturbations:
-        achieved: dict[tuple[str, int], float] = {}
-
-        def transform(quad: Quadruple, idx: int, _target=target, _mode=mode, _log=achieved) -> BBox:
-            box = perturb_bbox(quad.bbox, _mode, _target, _query_rng(seed, quad))
-            _log[(quad.subset, idx)] = iou(quad.bbox, box)
-            return box
-
+        moved = [replace(q, bbox=perturb_bbox(q.bbox, mode, target, _query_rng(seed, q)))
+                 for q in quads]
         report = evaluate_model(
-            params, bench, bbox_transform=transform,
+            params, replace(bench, eval_quads=moved),
             config_hash=config_hash, seed=seed, gallery_cache=cache,
         )
-        mean_iou = float(np.mean([achieved[k] for k in sorted(achieved)]))
+        mean_iou = float(np.mean([iou(q.bbox, m.bbox) for q, m in zip(quads, moved)]))
         rows.append(
             RobustnessRow(
                 label=f"iou={target:g} {mode}", target_iou=target, mode=mode,
@@ -236,14 +234,9 @@ def robustness_eval(
 
 
 def robustness_table_text(rows: list[RobustnessRow]) -> str:
-    lines = ["row\tachieved_iou\tr_at_1\tr_at_5\trid_at_1"]
-    for row in rows:
-        m = row.metrics.macro
-        achieved = "-" if row.achieved_mean_iou is None else f"{row.achieved_mean_iou:.4f}"
-        lines.append(
-            f"{row.label}\t{achieved}\t{m.r_at_1:.4f}\t{m.r_at_5:.4f}\t{m.rid_at_1:.4f}"
-        )
-    return "\n".join(lines) + "\n"
+    return metrics_table_text(("row", "achieved_iou"), [
+        ((r.label, "-" if r.achieved_mean_iou is None else f"{r.achieved_mean_iou:.4f}"), r.metrics)
+        for r in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -274,28 +267,15 @@ def roi_crop_baseline(
     roi_train_cfg = replace(train_cfg, roi_crop=True, fixed_beta=0.0)
     params = ModelParams(config, bench.encoders, seed=model_seed)
 
-    train_quads = bench.train_quads
-    if roi_train_cfg.subsets is not None:
-        train_quads = [q for q in train_quads if q.subset in roi_train_cfg.subsets]
+    train_quads = bench.train_quads_of(train_cfg.subsets)
     usable_train = _roi_viable(bench, train_quads)
     usable_eval = _roi_viable(bench, bench.eval_quads)
     dropped = (len(train_quads) - len(usable_train)) + (len(bench.eval_quads) - len(usable_eval))
     if dropped:
         warnings.warn(f"roi-crop: skipped {dropped} quadruples whose box covers no patch")
     train(params, train_examples(bench, usable_train), roi_train_cfg)
-    eval_bench = bench if len(usable_eval) == len(bench.eval_quads) else replace(
-        bench, eval_quads=usable_eval
-    )
     report = evaluate_model(
-        params, eval_bench, roi_crop=True,
+        params, replace(bench, eval_quads=usable_eval), roi_crop=True,
         config_hash=config_hash, seed=train_cfg.seed,
     )
     return params, report
-
-
-def comparison_table_text(rows: list[tuple[str, MetricsReport]]) -> str:
-    lines = ["model\tr_at_1\tr_at_5\trid_at_1"]
-    for label, report in rows:
-        m = report.macro
-        lines.append(f"{label}\t{m.r_at_1:.4f}\t{m.r_at_5:.4f}\t{m.rid_at_1:.4f}")
-    return "\n".join(lines) + "\n"

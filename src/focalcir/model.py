@@ -50,14 +50,12 @@ from focalcir.numerics.tensor import (
     Tape,
     Tensor,
     backward,
-    diag_col,
     l2_normalize_rows,
     linear,
-    log,
+    log_softmax_diag,
     matmul,
     mean_over_rows,
     scale,
-    softmax_rows,
     squeeze_rows,
     sum_all,
     transpose,
@@ -366,7 +364,8 @@ def target_representation(
 
 
 def contrastive_loss(f_q: Tensor, f_t: Tensor, tau: float) -> Tensor:
-    """One-directional InfoNCE: -(1/B) sum_i log softmax_j(sim(q_i, t_j)/tau)_ii."""
+    """One-directional InfoNCE: -(1/B) sum_i log softmax_j(sim(q_i, t_j)/tau)_ii,
+    taken as one log-sum-exp per row, so a small tau cannot underflow it."""
     if f_q.data.ndim != 2 or f_q.data.shape != f_t.data.shape:
         raise DimensionError(f"query/target batches disagree: {f_q.data.shape} vs {f_t.data.shape}")
     for name, t in (("query", f_q), ("target", f_t)):
@@ -377,9 +376,7 @@ def contrastive_loss(f_q: Tensor, f_t: Tensor, tau: float) -> Tensor:
                                 f"{np.max(gap):.2e}")
     b = f_q.data.shape[0]
     sims = matmul(f_q, transpose(f_t))
-    probs = softmax_rows(scale(sims, 1.0 / float(tau)))
-    picked = diag_col(probs)
-    return scale(sum_all(log(picked)), -1.0 / b)
+    return scale(sum_all(log_softmax_diag(scale(sims, 1.0 / float(tau)))), -1.0 / b)
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,10 @@ from focalcir.numerics.tensor import (
     concat_cols,
     concat_rows,
     constant,
-    diag_col,
     gelu,
     layer_norm_rows,
     linear,
-    log,
+    log_softmax_diag,
     l2_normalize_rows,
     matmul,
     mean_over_rows,
@@ -32,8 +31,4 @@ from focalcir.numerics.tensor import (
 )
 from focalcir.numerics.optim import AdamState, adam_step
 from focalcir.numerics.gradcheck import finite_diff_grad, max_rel_error
-from focalcir.numerics.similarity import (
-    cosine_sim,
-    cosine_sim_matrix,
-    l2_normalize,
-)
+from focalcir.numerics.similarity import cosine_sim, cosine_sim_matrix

@@ -1,4 +1,5 @@
-"""Tape-free cosine utilities used by filtering and evaluation."""
+"""Tape-free cosine utilities: cosine_sim_matrix scores the pair filter, and
+cosine_sim is the one-pair reference it is tested against."""
 
 from __future__ import annotations
 
@@ -7,15 +8,6 @@ import numpy as np
 from focalcir.errors import DegenerateInputError, DimensionError
 
 _NORM_EPS = 1e-12
-
-
-def l2_normalize(v: np.ndarray) -> np.ndarray:
-    """Unit-norm copy of a 1-D vector."""
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
-    n = float(np.linalg.norm(v))
-    if n < _NORM_EPS:
-        raise DegenerateInputError("cannot l2-normalize a zero-norm vector")
-    return v / n
 
 
 def cosine_sim(a: np.ndarray, b: np.ndarray) -> float:

@@ -327,17 +327,6 @@ def scalar_times_const(s: Tensor, const: np.ndarray) -> Tensor:
     return out
 
 
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0.0):
-        raise DegenerateInputError("log needs strictly positive entries")
-    out = Tensor(np.log(a.data))
-    tape = _should_record(a)
-    if tape is not None:
-        ad = a.data
-        tape._record((a,), out, lambda g: (g / ad,))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # reductions and reshaping
 
@@ -379,24 +368,6 @@ def transpose(a: Tensor) -> Tensor:
     tape = _should_record(a)
     if tape is not None:
         tape._record((a,), out, lambda g: (_swap(g),))
-    return out
-
-
-def diag_col(a: Tensor) -> Tensor:
-    """Main diagonal of a square matrix as a b x 1 column."""
-    if a.data.ndim != 2 or a.data.shape[0] != a.data.shape[1]:
-        raise DimensionError(f"diag_col needs a square matrix, got {a.data.shape}")
-    r, c = a.data.shape
-    out = Tensor(np.diag(a.data).reshape(-1, 1).copy())
-    tape = _should_record(a)
-    if tape is not None:
-
-        def bwd(g: np.ndarray):
-            gx = np.zeros((r, c))
-            np.fill_diagonal(gx, g[:, 0])
-            return (gx,)
-
-        tape._record((a,), out, bwd)
     return out
 
 
@@ -497,6 +468,28 @@ def softmax_rows(x: Tensor) -> Tensor:
         def bwd(g: np.ndarray):
             dot = (g * y).sum(axis=-1, keepdims=True)
             return (y * (g - dot),)
+
+        tape._record((x,), out, bwd)
+    return out
+
+
+def log_softmax_diag(x: Tensor) -> Tensor:
+    """log softmax_j(x)_ii of a square matrix as a b x 1 column, computed as
+    x_ii - max_i - log sum_j exp(x_ij - max_i), so it stays finite however
+    peaked a row is; the backward is g_i (delta_ij - p_ij)."""
+    if x.data.ndim != 2 or x.data.shape[0] != x.data.shape[1]:
+        raise DimensionError(f"log_softmax_diag needs a square matrix, got {x.data.shape}")
+    z = x.data - x.data.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    total = e.sum(axis=-1, keepdims=True)
+    out = Tensor(np.diag(z).reshape(-1, 1) - np.log(total))
+    tape = _should_record(x)
+    if tape is not None:
+
+        def bwd(g: np.ndarray):
+            gx = -g * (e / total)
+            gx[np.diag_indices_from(gx)] += g[:, 0]
+            return (gx,)
 
         tape._record((x,), out, bwd)
     return out

@@ -127,8 +127,8 @@ def _convert(tp, value, error, path: str, complete: bool):
                 raise error(f"{path!r} must hold {len(args)} values, got {len(value)}")
         else:
             args = (args[0],) * len(value)
-        items = [v if type(v) is a else _convert(a, v, error, path, complete)
-                 for a, v in zip(args, value)]
+        items = [v if type(v) is a else _convert(a, v, error, f"{path}[{i}]", complete)
+                 for i, (a, v) in enumerate(zip(args, value))]
         return tuple(items) if origin is tuple else items
     if origin is dict:
         if not isinstance(value, dict):

@@ -95,11 +95,11 @@ def _set_first_image(key, value):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda h: h["images"][0].pop("grid_shape"), "world.bin.images.grid_shape'] in ImageRecord"),
+        (lambda h: h["images"][0].pop("grid_shape"), "world.bin.images[0].grid_shape'] in ImageRecord"),
         (lambda h: h.update(seed=str(h["seed"])), "world.bin.seed' must be int, got str"),
         (lambda h: h.update(n_images=5), "world.bin.n_images'] in WorldHeader"),
-        (lambda h: h["images"][0].update(bbox=[0.1, 0.2]), "world.bin.images.bbox' must hold 4"),
-        (_set_first_image("reserve", 1), "world.bin.images.reserve' must be bool, got int"),
+        (lambda h: h["images"][0].update(bbox=[0.1, 0.2]), "world.bin.images[0].bbox' must hold 4"),
+        (_set_first_image("reserve", 1), "world.bin.images[0].reserve' must be bool, got int"),
         (lambda h: h["configs"]["fashion"].pop("grid"), "world.bin.configs.fashion.grid"),
         (lambda h: h.update(n_reserve=h["n_reserve"] + 1), "declares n_reserve 19 but marks 18"),
         (_set_first_image("reserve", True), "declares n_reserve 18 but marks 19"),

@@ -99,7 +99,7 @@ def test_bad_config_key_exits_1_naming_it(tmp_path, capsys):
         (lambda d: d["model"].update(d_model="32"), "'model.d_model'"),
         (lambda d: d.update(seed="x"), "'seed'"),
         (lambda d: d.update(train=["x"]), "'train'"),
-        (lambda d: d["world"][0].update(grid=8), "'world.grid'"),
+        (lambda d: d["world"][0].update(grid=8), "'world[0].grid'"),
         (lambda d: d["eval"].update(betas="0,1"), "'eval.betas'"),
         (lambda d: d["train"].update(subsets="car"), "'train.subsets'"),
         (lambda d: d["model"].update(n_blocks=True), "'model.n_blocks'"),
@@ -205,7 +205,7 @@ def _rewrite_world_header(path, edit):
 @pytest.mark.parametrize(
     "edit, key",
     [
-        (lambda h: h["images"][0].pop("grid_shape"), "images.grid_shape"),
+        (lambda h: h["images"][0].pop("grid_shape"), "images[0].grid_shape"),
         (lambda h: h.update(seed=str(h["seed"])), "world.bin.seed"),
         (lambda h: h.update(n_images=5), "world.bin.n_images"),
         (lambda h: h.update(n_reserve=h["n_reserve"] - 1), "n_reserve"),
@@ -338,6 +338,31 @@ def test_ablate_roicrop_comparison_rows(tmp_path, capsys):
     capsys.readouterr()
     saved = json.loads((out / "ablate_roicrop.json").read_text())
     assert [r["label"] for r in saved["rows"]] == ["baseline-beta0", "roi-crop", "adaptive"]
+
+
+def test_ablate_roicrop_trains_every_row_on_train_subsets(tmp_path, capsys, monkeypatch):
+    import focalcir.cli as cli
+    import focalcir.harness as harness
+
+    cfg_path = tmp_path / "run.json"
+    out = tmp_path / "out"
+    data = run_dict(out, two_subsets=True)
+    # a car query is told apart from a fashion one by its grid
+    data["world"][1].update(grid=[3, 4], bbox_size_range=[0.4, 0.6])
+    data["train"].update(epochs=1, subsets=["fashion"])
+    cfg_path.write_text(json.dumps(data))
+    assert main(["gen", "--config", str(cfg_path)]) == 0
+    grids = []
+
+    def spy(params, examples, cfg, _train=cli.train):
+        grids.append({tuple(ex.query.grid) for ex in examples})
+        return _train(params, examples, cfg)
+
+    monkeypatch.setattr(cli, "train", spy)
+    monkeypatch.setattr(harness, "train", spy)
+    assert main(["ablate", "roicrop", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    assert grids == [{(4, 4)}] * 3  # baseline-beta0, roi-crop, adaptive
 
 
 def test_ablate_kind_is_validated(run_dir, capsys):

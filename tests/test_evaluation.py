@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -338,9 +339,13 @@ def test_beta_override_zero_equals_zero_head_adaptive(tiny_bench):
 
 
 def test_no_bbox_matches_none_transform(tiny_bench, tiny_model):
-    without = evaluate_model(tiny_model, tiny_bench, use_bbox=False)
-    dropped = evaluate_model(tiny_model, tiny_bench, bbox_transform=lambda q, i: None)
-    assert without.to_dict() == dropped.to_dict()
+    # use_bbox=False encodes a query exactly as a sample whose box is None
+    samples = [query_sample_of(tiny_bench, q) for q in tiny_bench.eval_quads[:8]]
+    without, applied = query_representation(samples, tiny_model, use_bbox=False)
+    box_less = [dataclasses.replace(s, bbox=None) for s in samples]
+    dropped, dropped_applied = query_representation(box_less, tiny_model)
+    assert np.array_equal(without.data, dropped.data)
+    assert applied == dropped_applied == [0.0] * len(samples)
 
 
 def test_roi_crop_path_runs(tiny_bench, tiny_model):
@@ -384,7 +389,7 @@ def reference_report(params, bench, beta_override):
         for at in range(0, len(quads), EVAL_CHUNK):
             chunk = quads[at : at + EVAL_CHUNK]
             rows, _ = query_representation(
-                [query_sample_of(bench, q, bbox=q.bbox) for q in chunk], params,
+                [query_sample_of(bench, q) for q in chunk], params,
                 beta_override=beta_override,
             )
             for quad, row in zip(chunk, rows.data):

@@ -8,16 +8,17 @@ from focalcir.benchgen import FilterThresholds, WorldConfig, build_benchmark
 from focalcir.errors import ConfigError, ContractError, EmptyMaskError
 from focalcir.evaluation import evaluate_model
 from focalcir.fusion import region_mask_from_bbox
-from focalcir.geometry import iou
+from focalcir.geometry import iou, perturb_bbox
 from focalcir.harness import (
     DEFAULT_SWEEP_UNITS,
+    _query_rng,
     _roi_viable,
     ablation_table_text,
     beta_sweep,
     caam_ablation,
     caam_param_count,
-    comparison_table_text,
     expand_variant_grid,
+    metrics_table_text,
     robustness_eval,
     robustness_table_text,
     roi_crop_baseline,
@@ -178,16 +179,17 @@ def test_robustness_deterministic(tiny_bench, tiny_model):
 
 
 def test_robustness_perturbation_preserves_target(tiny_bench, tiny_model):
-    # achieved IoU bookkeeping reflects per-query perturbation, not the mean of one
-    rows = robustness_eval(tiny_model, tiny_bench,
-                           perturbations=((0.8, "scale"),), include_no_bbox=False)
-    row = rows[0]
-    quad = tiny_bench.eval_quads[0]
-    from focalcir.harness import _query_rng
-    from focalcir.geometry import perturb_bbox
-    box = perturb_bbox(quad.bbox, "scale", 0.8, _query_rng(0, quad))
-    assert abs(iou(quad.bbox, box) - 0.8) < 1e-12
-    assert 0.0 < row.metrics.macro.rid_at_1 <= 1.0 or row.metrics.macro.rid_at_1 == 0.0
+    # each query gets its own perturbed box, and the row's report is exactly a
+    # plain evaluation of a benchmark whose quadruples carry those boxes
+    rows = robustness_eval(tiny_model, tiny_bench, perturbations=((0.5, "scale_shift"),),
+                           include_no_bbox=False, seed=6)
+    moved = [dataclasses.replace(q, bbox=perturb_bbox(q.bbox, "scale_shift", 0.5, _query_rng(6, q)))
+             for q in tiny_bench.eval_quads]
+    assert len({m.bbox for m in moved}) == len(moved)
+    view = dataclasses.replace(tiny_bench, eval_quads=moved)
+    assert rows[0].metrics.to_dict() == evaluate_model(tiny_model, view, seed=6).to_dict()
+    ious = [iou(q.bbox, m.bbox) for q, m in zip(tiny_bench.eval_quads, moved)]
+    assert rows[0].achieved_mean_iou == float(np.mean(ious))
 
 
 # -- roi crop -----------------------------------------------------------------------
@@ -263,7 +265,9 @@ def test_roi_viability_matches_per_quadruple_mask_oracle():
 
 def test_comparison_table_text(tiny_bench, tiny_model):
     report = evaluate_model(tiny_model, tiny_bench)
-    text = comparison_table_text([("baseline", report), ("adaptive", report)])
+    text = metrics_table_text(("model",), [(("baseline",), report), (("adaptive",), report)])
     lines = text.strip().split("\n")
     assert len(lines) == 3
-    assert lines[1].startswith("baseline\t")
+    assert lines[0] == "model\tr_at_1\tr_at_5\trid_at_1"
+    m = report.macro
+    assert lines[1] == f"baseline\t{m.r_at_1:.4f}\t{m.r_at_5:.4f}\t{m.rid_at_1:.4f}"

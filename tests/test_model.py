@@ -71,6 +71,20 @@ def test_loss_single_pair_is_exactly_zero():
     assert loss.item() == 0.0
 
 
+def test_loss_stays_finite_at_a_small_tau():
+    # log(softmax) underflowed to log(0) here; the log-sum-exp form cannot
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        f_q = Tensor(unit_rows(rng, 32, 16), requires_grad=True)
+        f_t = Tensor(unit_rows(rng, 32, 16))
+        tape = Tape()
+        with tape:
+            loss = contrastive_loss(f_q, f_t, tau=1e-3)
+        backward(loss, tape)
+        assert np.isfinite(loss.item()) and loss.item() >= 0.0
+        assert np.all(np.isfinite(f_q.grad))
+
+
 def test_loss_two_orthonormal_pairs_closed_form():
     f = Tensor(np.eye(2))
     loss = contrastive_loss(f, Tensor(np.eye(2)), tau=0.07)
@@ -507,7 +521,7 @@ def _drop_first_shape(header):
     [
         (_drop_encoder, "missing keys ['encoder'] in CheckpointHeader"),
         (_seed_as_string, "'seed' must be int, got str"),
-        (_drop_first_shape, "missing keys ['params.shape'] in ParamRecord"),
+        (_drop_first_shape, "missing keys ['params[0].shape'] in ParamRecord"),
     ],
 )
 def test_checkpoint_header_damage_names_the_key(tmp_path, edit, message):

@@ -64,9 +64,10 @@ def test_optional_takes_none_or_its_type():
 def test_errors_name_the_nested_dotted_path():
     with pytest.raises(DataError, match=r"'run\.by_key\.x\.size' must be int"):
         from_record(Outer, {"name": "a", "by_key": {"x": {"size": "1"}}}, DataError, "run")
-    with pytest.raises(DataError, match=r"unknown keys \['run\.items\.sise'\] in Inner"):
-        from_record(Outer, {"name": "a", "items": [{"sise": 1}]}, DataError, "run")
-    with pytest.raises(DataError, match="Inner 'run.items' must be a JSON object"):
+    # a list element is named by its index
+    with pytest.raises(DataError, match=r"unknown keys \['run\.items\[1\]\.sise'\] in Inner"):
+        from_record(Outer, {"name": "a", "items": [{"size": 1}, {"sise": 1}]}, DataError, "run")
+    with pytest.raises(DataError, match=r"Inner 'run\.items\[0\]' must be a JSON object"):
         from_record(Outer, {"name": "a", "items": ["x"]}, DataError, "run")
 
 

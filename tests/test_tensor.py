@@ -198,9 +198,3 @@ def test_cosine_sim_matrix_matches_scalar_loop():
             assert abs(mat[i, j] - nm.cosine_sim(a[i], b[j])) < 1e-12
     assert np.all(mat <= 1.0) and np.all(mat >= -1.0)
 
-
-def test_l2_normalize_vector():
-    v = nm.l2_normalize(np.array([3.0, 4.0]))
-    assert np.allclose(v, [0.6, 0.8])
-    with pytest.raises(DegenerateInputError):
-        nm.l2_normalize(np.zeros(3))
