@@ -1,4 +1,5 @@
-"""Pins the bytes of every generated benchmark artifact.
+"""Pins the bytes of every generated benchmark artifact, and what an
+untrained model computes on it.
 
 A tiny two-subset benchmark (grids 4x4 and 3x4) is built and saved at two
 seeds, and the sha256 of each file is compared with the committed fixture.
@@ -7,14 +8,23 @@ entry changes a hash here. The pair filter runs a cosine GEMM, so a BLAS on
 another CPU could move a near-threshold pair; the fixture records the host
 it was made on, and a failure names both hosts.
 
+On the same benchmark, an untrained model with a live modulation head
+(`zero_modulation_head=False`) is pinned too: the integer target and
+same-instance rank of every eval query under `evaluate_model` and under
+every `beta_sweep` row, the MetricsReport values (ratios of those counts,
+so exact), the predicted betas, and the per-step losses of one training
+epoch. Summation order moves the last bits of the betas and the losses, so
+those two are compared to a relative 1e-12; the ranks are the primary check.
+
 Regenerate the fixture only for a change that means to alter the artifacts
-(and say which and why):
+or the computed numbers (and say which and why):
 
     PYTHONPATH=src python tests/test_fingerprint.py --write
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import platform
@@ -24,12 +34,27 @@ from pathlib import Path
 
 import numpy as np
 
+from focalcir import model
 from focalcir.benchgen import FilterThresholds, WorldConfig, build_benchmark
-from focalcir.benchgen.pipeline import save_benchmark
+from focalcir.benchgen.pipeline import Benchmark, save_benchmark
+from focalcir.evaluation import (
+    EVAL_CHUNK,
+    evaluate_model,
+    gallery_embeddings,
+    query_sample_of,
+    rank_gallery,
+    train_examples,
+)
+from focalcir.harness import beta_sweep
+from focalcir.model import ModelConfig, ModelParams, TrainConfig, query_representation
 
 FIXTURE = Path(__file__).parent / "fixtures" / "fingerprint.json"
 SEEDS = (17, 29)
 SUBSETS = (("fashion", (4, 4)), ("car", (3, 4)))
+MODEL = ModelConfig(d_model=16, d_embed=16, m_queries=2, k_probes=2, l_text=2,
+                    n_blocks=2, crm_layers=2)
+MODEL_SEED = 5
+REL_TOL = 1e-12
 
 
 def host_line() -> str:
@@ -38,8 +63,8 @@ def host_line() -> str:
             f"{blas.get('name')} {blas.get('version')}")
 
 
-def artifact_hashes(out_dir: Path, seed: int) -> dict[str, str]:
-    bench = build_benchmark(
+def tiny_benchmark(seed: int) -> Benchmark:
+    return build_benchmark(
         configs=[WorldConfig(subset=s, n_categories=2, instances_per_category=5,
                              images_per_instance=6, n_contexts=6, grid=grid, d_latent=8,
                              bbox_size_range=(0.4, 0.7), reserve_instances_per_category=3,
@@ -47,9 +72,71 @@ def artifact_hashes(out_dir: Path, seed: int) -> dict[str, str]:
         seed=seed, d_model=16, l_text=2, train_cap=4, eval_cap=8, n_distractors=6,
         thresholds={s: FilterThresholds(4, 0.95, 0.9, 3) for s, _ in SUBSETS},
     )
-    save_benchmark(out_dir, bench, config_hash="fingerprint")
+
+
+def artifact_hashes(out_dir: Path, seed: int) -> dict[str, str]:
+    save_benchmark(out_dir, tiny_benchmark(seed), config_hash="fingerprint")
     return {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
             for f in sorted(out_dir.iterdir())}
+
+
+def query_ranks(params: ModelParams, bench: Benchmark, beta_override: float | None):
+    """Per subset, each eval query's target and same-instance rank (as
+    evaluate_model counts them) and the modulation it was given."""
+    ranks, applied = {}, {}
+    for subset in bench.subsets:
+        quads = bench.eval_quads_of(subset)
+        gal = gallery_embeddings(params, bench, subset)
+        manifest = bench.galleries[subset]
+        ids = np.array(manifest.image_ids)
+        instances = np.array([e.instance_id for e in manifest.entries])
+        positives = np.stack([
+            np.array([q.target_image_id for q in quads])[:, None] == ids,
+            np.array([q.instance_id for q in quads])[:, None] == instances,
+        ])
+        chunks, betas = [], []
+        for at in range(0, len(quads), EVAL_CHUNK):
+            samples = [query_sample_of(bench, q) for q in quads[at : at + EVAL_CHUNK]]
+            f_q, given = query_representation(samples, params, beta_override=beta_override)
+            chunks.append(rank_gallery(f_q.data, gal, positives[:, at : at + EVAL_CHUNK]))
+            betas.extend(float(b) for b in given)
+        target, instance = np.concatenate(chunks, axis=1)
+        ranks[subset] = {"target": target.tolist(), "instance": instance.tolist()}
+        applied[subset] = betas
+    return ranks, applied
+
+
+def one_epoch_losses(bench: Benchmark) -> list[float]:
+    """The loss of every step of one training epoch, in step order."""
+    params = ModelParams(MODEL, bench.encoders, seed=MODEL_SEED, zero_modulation_head=False)
+    losses = []
+    real = model.contrastive_loss
+
+    def recording(*args):
+        loss = real(*args)
+        losses.append(loss.item())
+        return loss
+
+    model.contrastive_loss = recording
+    try:
+        model.train(params, train_examples(bench, bench.train_quads),
+                    TrainConfig(epochs=1, batch_size=8, seed=3))
+    finally:
+        model.contrastive_loss = real
+    return losses
+
+
+def model_fingerprint(seed: int) -> dict:
+    bench = tiny_benchmark(seed)
+    params = ModelParams(MODEL, bench.encoders, seed=MODEL_SEED, zero_modulation_head=False)
+    live_ranks, betas = query_ranks(params, bench, None)
+    ranks = {"live": live_ranks}
+    reports = {"live": dataclasses.asdict(evaluate_model(params, bench))}
+    for row in beta_sweep(params, bench).rows:
+        ranks[row.label] = query_ranks(params, bench, row.beta_value)[0]
+        reports[row.label] = dataclasses.asdict(row.metrics)
+    return {"ranks": ranks, "reports": reports, "betas": betas,
+            "losses": one_epoch_losses(bench)}
 
 
 def test_artifacts_match_fingerprint(tmp_path):
@@ -62,10 +149,30 @@ def test_artifacts_match_fingerprint(tmp_path):
         )
 
 
+def _close(got: list[float], want: list[float]) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and bool(np.all(np.abs(got - want) <= REL_TOL * np.abs(want)))
+
+
+def test_untrained_model_matches_fingerprint():
+    fixture = json.loads(FIXTURE.read_text())
+    hosts = f"fixture made on {fixture['host']!r}; this host is {host_line()!r}"
+    for seed in SEEDS:
+        got, want = model_fingerprint(seed), fixture["model"][str(seed)]
+        assert sorted(got["ranks"]) == sorted(want["ranks"]), seed
+        for setting, ranks in want["ranks"].items():
+            assert got["ranks"][setting] == ranks, f"seed {seed} {setting}: ranks moved; {hosts}"
+            assert got["reports"][setting] == want["reports"][setting], (seed, setting)
+        for subset, betas in want["betas"].items():
+            assert _close(got["betas"][subset], betas), f"seed {seed} {subset}: betas; {hosts}"
+        assert _close(got["losses"], want["losses"]), f"seed {seed}: losses; {hosts}"
+
+
 def write_fixture(tmp_dir: Path) -> None:
     payload = {"host": host_line(),
                "sha256": {str(seed): artifact_hashes(tmp_dir / str(seed), seed)
-                          for seed in SEEDS}}
+                          for seed in SEEDS},
+               "model": {str(seed): model_fingerprint(seed) for seed in SEEDS}}
     FIXTURE.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
