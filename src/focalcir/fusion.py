@@ -15,6 +15,15 @@ rows individually; with the vector form, cls/text/extra rows get no bias.
 There are no positional embeddings: tokens interact as a set, and spatial
 selection enters only through the mask.
 
+Every attention runs in merged form, through the QK and OV circuits of
+Elhage et al. 2021: per head, logits = (X W_Q W_K^T + b_Q W_K^T) P^T and
+output = (A P)(W_V W_O) + (b_V W_O + b_O), where P are the keys/values
+(patches, or the tokens themselves in self-attention). The d x d products
+are built on the tape once per call, so no attention projects P. b_V moves
+out because attention rows sum to 1; b_K cancels exactly (q . b_K is the
+same for every key of a row), so it gets no gradient and stays zero. It is
+kept only for the checkpoint layout and AttentionParams.
+
 Batches: patches may be one image (n, d) or a batch (B, n, d), with one
 region-mask row (B, 1, n) and one beta (B, 1, 1) or (B, 1, M) per sample.
 The fusion queries, cls token and extra tokens are shared by the batch.
@@ -213,26 +222,30 @@ def _attention(
     if d_model % n_heads != 0:
         raise DimensionError(f"d_model {d_model} not divisible by {n_heads} heads")
     d_head = d_model // n_heads
-    q = linear(tokens, params.wq, params.bq)
-    k = linear(kv, params.wk, params.bk)
-    v = linear(kv, params.wv, params.bv)
-    head_outs = []
+    kv_t = transpose(kv)  # keys and values are kv itself: never projected
+    outs, w_vo = [], []
     for h in range(n_heads):
         lo, hi = h * d_head, (h + 1) * d_head
-        qh = slice_cols(q, lo, hi) if n_heads > 1 else q
-        kh = slice_cols(k, lo, hi) if n_heads > 1 else k
-        vh = slice_cols(v, lo, hi) if n_heads > 1 else v
-        logits = matmul(qh, transpose(kh))
+        wq, bq, wk, wv = (slice_cols(t, lo, hi) if n_heads > 1 else t
+                          for t in (params.wq, params.bq, params.wk, params.wv))
+        wk_t = transpose(wk)
+        logits = matmul(linear(tokens, matmul(wq, wk_t), matmul(bq, wk_t)), kv_t)
         if bias is not None:
             # the bias lands on raw logits, before 1/sqrt(d_k) scaling,
             # and the same bias is applied in every head
             one_row = bias.data.shape[-2] == 1
             logits = add_bias(logits, bias) if one_row else add(logits, bias)
-        attn = softmax_rows(scale(logits, 1.0 / math.sqrt(d_head)))
-        head_outs.append(matmul(attn, vh))
-    out = head_outs[0] if n_heads == 1 else concat_cols(head_outs)
+        mixed = matmul(softmax_rows(scale(logits, 1.0 / math.sqrt(d_head))), kv)
+        if params.wo is None:
+            bv = slice_cols(params.bv, lo, hi) if n_heads > 1 else params.bv
+            outs.append(linear(mixed, wv, bv))
+        else:
+            outs.append(mixed)
+            w_vo.append(matmul(wv, slice_rows(params.wo, lo, hi) if n_heads > 1 else params.wo))
+    out = outs[0] if n_heads == 1 else concat_cols(outs)
     if params.wo is not None:
-        out = linear(out, params.wo, params.bo)
+        w = w_vo[0] if n_heads == 1 else concat_rows(w_vo)
+        out = linear(out, w, linear(params.bv, params.wo, params.bo))
     return out
 
 
@@ -244,7 +257,9 @@ def modulated_cross_attention(
     beta,
     n_heads: int = 1,
 ) -> Tensor:
-    """softmax((Q K^T + beta * mask) / sqrt(d_k)) V with projected Q, K, V.
+    """softmax((Q K^T + beta * mask) / sqrt(d_k)) V with projected Q, K, V,
+    computed in the merged form of the module docstring: the keys and values
+    are never projected, and b_K, which cancels, is not read.
 
     The mask covers key columns and is broadcast across every query row.
     Pass mask=None with beta=0 for plain cross-attention.

@@ -12,34 +12,51 @@ from focalcir import numerics as nm
 from focalcir.numerics.tensor import Tape, Tensor, backward, constant, parameter
 from focalcir.fusion import (
     AttentionParams,
+    _attention,
     encode_target,
     init_fusion_params,
     modulated_cross_attention,
     multimodal_encode,
     region_mask_from_bbox,
+    stack_patches,
 )
 
 
-def plain_attention_oracle(queries, kv, p, d_head):
-    """Unmodulated single-head attention, written independently in numpy."""
+def plain_attention_oracle(queries, kv, p, n_heads=1, bias=None):
+    """Attention written independently in numpy, unmerged: K and V are
+    projected explicitly, each head takes softmax((q k^T + bias) / sqrt(d_head))
+    v, and the heads are concatenated and projected by wo when present.
+
+    Queries and kv may carry a leading batch axis; bias broadcasts onto the
+    logits and may hold -inf on padded keys."""
+    d_head = p.wq.data.shape[1] // n_heads
     q = queries @ p.wq.data + p.bq.data
     k = kv @ p.wk.data + p.bk.data
     v = kv @ p.wv.data + p.bv.data
-    logits = (q @ k.T) / np.sqrt(d_head)
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    attn = e / e.sum(axis=1, keepdims=True)
-    return attn @ v
+    heads = []
+    for h in range(n_heads):
+        cols = slice(h * d_head, (h + 1) * d_head)
+        logits = q[..., cols] @ np.swapaxes(k[..., cols], -1, -2)
+        if bias is not None:
+            logits = logits + bias
+        logits = logits / np.sqrt(d_head)
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        heads.append(e / e.sum(axis=-1, keepdims=True) @ v[..., cols])
+    out = np.concatenate(heads, axis=-1)
+    return out if p.wo is None else out @ p.wo.data + p.bo.data
 
 
-def make_attn_params(rng, d):
+def make_attn_params(rng, d, with_output=False):
     def w():
         return parameter(rng.normal(0.0, 0.3, size=(d, d)))
 
     def b():
         return parameter(rng.normal(0.0, 0.1, size=(1, d)))
 
-    return AttentionParams(wq=w(), bq=b(), wk=w(), bk=b(), wv=w(), bv=b())
+    p = AttentionParams(wq=w(), bq=b(), wk=w(), bk=b(), wv=w(), bv=b())
+    if with_output:
+        p.wo, p.bo = w(), b()
+    return p
 
 
 # --- region masks ----------------------------------------------------------
@@ -197,8 +214,82 @@ def test_beta_zero_equals_unmodulated_oracle():
         mask = np.zeros(n_k)
         mask[rng.integers(0, n_k)] = 1.0
         got = modulated_cross_attention(constant(queries), constant(kv), p, mask, 0.0).data
-        want = plain_attention_oracle(queries, kv, p, d)
+        want = plain_attention_oracle(queries, kv, p)
         assert np.max(np.abs(got - want)) <= 1e-15, trial
+
+
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+@pytest.mark.parametrize("kind", ["self", "cross"])
+def test_attention_equals_unmerged_oracle(kind, n_heads):
+    # _attention attends through W_Q W_K^T and W_V W_O and never projects
+    # its keys or values; the oracle projects both, with non-zero b_K and
+    # b_V, so any term the merged form drops shows up here
+    rng = np.random.default_rng(20 + n_heads)
+    d, batch, n_q, n_k = 8, 3, 5, 7
+    for trial in range(12):
+        p = make_attn_params(rng, d, with_output=trial % 2 == 0)
+        shared = kind == "cross" and trial % 3 == 0  # one token set for the batch
+        queries = rng.normal(size=(n_q, d) if shared else (batch, n_q, d))
+        kv = queries if kind == "self" else rng.normal(size=(batch, n_k, d))
+        n = kv.shape[-2]
+        region = (rng.random((batch, 1, n)) < 0.5) * rng.uniform(0.5, 8.0)
+        key_mask = np.zeros((batch, 1, n))
+        key_mask[1, 0, n - 2 :] = -np.inf
+        per_row = rng.normal(size=(batch, n_q, n))  # vector beta: one bias per query row
+        for bias in (None, region, region + key_mask, per_row + key_mask):
+            got = _attention(constant(queries), constant(kv), p, n_heads,
+                             None if bias is None else constant(bias)).data
+            want = plain_attention_oracle(queries, kv, p, n_heads, bias)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12, trial
+
+
+@pytest.mark.parametrize("n_heads", [1, 2])
+@pytest.mark.parametrize("beta_form", ["scalar", "vector", "padding-only"])
+def test_encode_gradients_match_finite_differences(beta_form, n_heads):
+    # a batched fusion pass over a ragged pair of images, so a -inf key mask
+    # rides on every cross-attention, plus a region bias from a scalar or
+    # vector beta
+    rng = np.random.default_rng(30 + n_heads)
+    d, m = 4, 2
+    fusion = init_fusion_params(rng, d, m_queries=m, n_blocks=1, n_heads=n_heads,
+                                weight_init=0.5)
+    block = fusion.blocks[0]
+    attns = (block.self_attn, block.cross_attn)
+    for a in attns:
+        for b in (a.bq, a.bk, a.bv, a.bo):
+            b.data = rng.normal(0.0, 0.2, size=b.data.shape)
+    patches, key_mask = stack_patches([rng.normal(size=(4, d)), rng.normal(size=(3, d))])
+    assert key_mask is not None
+    text = rng.normal(size=(2, 2, d))
+    region = np.array([[[1.0, 1.0, 0.0, 0.0]], [[0.0, 1.0, 1.0, 0.0]]])
+    beta = {"scalar": parameter(rng.uniform(0.5, 2.0, size=(2, 1, 1))),
+            "vector": parameter(rng.uniform(0.5, 2.0, size=(2, 1, m))),
+            "padding-only": 0.0}[beta_form]
+    weights = constant(rng.normal(size=(2, m, d)))
+    checked = [getattr(a, name) for a in attns
+               for name in ("wq", "bq", "wk", "wv", "bv", "wo", "bo")]
+    if isinstance(beta, Tensor):
+        checked.append(beta)
+
+    def build():
+        res = multimodal_encode(patches, text, fusion,
+                                mask=None if beta_form == "padding-only" else region,
+                                beta=beta, key_mask=key_mask)
+        return nm.sum_all(nm.mul(res.fused, weights))
+
+    tape = Tape()
+    with tape:
+        loss = build()
+    backward(loss, tape)
+    analytic = [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in checked]
+    assert all(a.bk.grad is None for a in attns)  # b_K cancels in the softmax
+    tape.clear()
+    for i, (t, a) in enumerate(zip(checked, analytic)):
+        numeric = nm.finite_diff_grad(lambda _t: build().item(), t)
+        assert nm.max_rel_error(a, numeric) < 1e-5, i
+    for a in attns:
+        assert np.max(np.abs(nm.finite_diff_grad(lambda _t: build().item(), a.bk))) < 1e-9
 
 
 def test_single_key_output_is_value_row():

@@ -408,6 +408,65 @@ def test_train_rejects_empty_dataset():
         train(params, [], TrainConfig())
 
 
+def _ragged_examples(enc, seed):
+    """Four examples on two grids, so every step pads its keys."""
+    rng = np.random.default_rng(seed)
+    return random_examples(rng, enc, 2) + random_examples(rng, enc, 2, grid=(3, 3))
+
+
+def test_key_biases_get_no_gradient_and_stay_exactly_zero():
+    # q.b_K is the same for every key of a row and cancels in the softmax, so
+    # attention never reads b_K: it gets no gradient and AdamW leaves it at 0
+    _, enc, params = tiny_setup(seed=91, crm_layers=2)
+    params = ModelParams(params.config, enc, seed=91, zero_modulation_head=False)
+    examples = _ragged_examples(enc, 91)
+    named = dict(params.named_params())
+    key_biases = {n: t for n, t in named.items() if n.endswith(".bk")}
+    assert len(key_biases) == 4  # self and cross of one block, two CRM layers
+    tape = Tape()
+    with tape:
+        f_q, _ = query_representation([ex.query for ex in examples], params)
+        f_t = target_representation([ex.target_patches for ex in examples], params)
+        loss = contrastive_loss(f_q, f_t, params.tau)
+    backward(loss, tape)
+    assert all(t.grad is None for t in key_biases.values())
+    assert all(named[n[: -len("bk")] + "bq"].grad is not None for n in key_biases)
+    tape.clear()
+    train(params, examples, TrainConfig(epochs=3, batch_size=2, seed=4))
+    for name, t in key_biases.items():
+        assert t.grad is None, name
+        assert np.all(t.data == 0.0), name
+
+
+def test_no_linear_in_a_training_step_takes_the_patches(monkeypatch):
+    # attention reads the patches only through the merged W_Q W_K^T and
+    # W_V W_O products, so no linear ever projects a patch tensor
+    import focalcir.fusion as fusion
+
+    _, enc, params = tiny_setup(seed=92)
+    examples = _ragged_examples(enc, 92)
+    patches, inputs = [], []
+    real_block, real_linear = fusion._block_forward, fusion.linear
+
+    def block_spy(tokens, kv, *args):
+        patches.append(kv)
+        return real_block(tokens, kv, *args)
+
+    def linear_spy(x, w, b):
+        inputs.append(x)
+        return real_linear(x, w, b)
+
+    monkeypatch.setattr(fusion, "_block_forward", block_spy)
+    monkeypatch.setattr(fusion, "linear", linear_spy)
+    assert train(params, examples, TrainConfig(epochs=1, batch_size=4, seed=1)).steps == 1
+    assert len(patches) == 3  # the query, probe and target passes of one block
+    assert inputs
+    for x in inputs:
+        for kv in patches:
+            assert x is not kv
+            assert x.data.shape != kv.data.shape or not np.array_equal(x.data, kv.data)
+
+
 # -- gradients through the full pipeline -------------------------------------
 
 
