@@ -255,14 +255,20 @@ def cmd_ablate(cfg: RunConfig, kind: str, betas: tuple[float, ...] | None,
         # against the adaptive checkpoint (trained here if none exists yet), all
         # on the train.subsets quadruples
         examples = train_examples(bench, bench.train_quads_of(train_cfg.subsets))
+        ckpt_path = _ckpt_path(cfg, ckpt)
+        adaptive, provenance = None, None
+        if ckpt_path.is_file():
+            adaptive, meta = load_checkpoint(ckpt_path)
+            provenance = {k: meta.get(k) for k in ("config_hash", "train_subsets")}
+            subsets = sorted(train_cfg.subsets or bench.subsets)
+            if provenance["train_subsets"] != subsets:
+                raise DataError(f"{ckpt_path} was trained on subsets "
+                                f"{provenance['train_subsets']}, this run trains on {subsets}")
         baseline = ModelParams(cfg.model, bench.encoders, seed=cfg.seed)
         train(baseline, examples, dataclasses.replace(train_cfg, fixed_beta=0.0))
         _, roi_report = roi_crop_baseline(bench, cfg.model, train_cfg,
                                           model_seed=cfg.seed, config_hash=digest)
-        ckpt_path = _ckpt_path(cfg, ckpt)
-        if ckpt_path.is_file():
-            adaptive, _ = load_checkpoint(ckpt_path)
-        else:
+        if adaptive is None:
             adaptive = ModelParams(cfg.model, bench.encoders, seed=cfg.seed)
             train(adaptive, examples, train_cfg)
         named = [
@@ -272,7 +278,8 @@ def cmd_ablate(cfg: RunConfig, kind: str, betas: tuple[float, ...] | None,
         ]
         _write_ablation(out, kind, digest, cfg.seed,
                         [{"label": label, "metrics": rep.to_dict()} for label, rep in named],
-                        metrics_table_text(("model",), [((label,), rep) for label, rep in named]))
+                        metrics_table_text(("model",), [((label,), rep) for label, rep in named]),
+                        checkpoint=provenance)
     return 0
 
 

@@ -338,6 +338,7 @@ def test_ablate_roicrop_comparison_rows(tmp_path, capsys):
     capsys.readouterr()
     saved = json.loads((out / "ablate_roicrop.json").read_text())
     assert [r["label"] for r in saved["rows"]] == ["baseline-beta0", "roi-crop", "adaptive"]
+    assert saved["checkpoint"] is None  # no checkpoint yet: the adaptive row trained here
 
 
 def test_ablate_roicrop_trains_every_row_on_train_subsets(tmp_path, capsys, monkeypatch):
@@ -363,6 +364,29 @@ def test_ablate_roicrop_trains_every_row_on_train_subsets(tmp_path, capsys, monk
     assert main(["ablate", "roicrop", "--config", str(cfg_path)]) == 0
     capsys.readouterr()
     assert grids == [{(4, 4)}] * 3  # baseline-beta0, roi-crop, adaptive
+
+
+def test_ablate_roicrop_rejects_a_checkpoint_trained_on_other_subsets(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    out = tmp_path / "out"
+    data = run_dict(out, two_subsets=True)
+    data["train"]["epochs"] = 1
+    cfg_path.write_text(json.dumps(data))
+    assert main(["gen", "--config", str(cfg_path)]) == 0
+    assert main(["train", "--config", str(cfg_path), "--subsets", "fashion"]) == 0
+    capsys.readouterr()
+    assert main(["ablate", "roicrop", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "['fashion']" in err and "['car', 'fashion']" in err
+    assert not (out / "ablate_roicrop.json").exists()
+
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    assert main(["ablate", "roicrop", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    saved = json.loads((out / "ablate_roicrop.json").read_text())
+    _, meta = load_checkpoint(out / "checkpoint.bin")
+    assert saved["checkpoint"] == {"config_hash": meta["config_hash"],
+                                   "train_subsets": ["car", "fashion"]}
 
 
 def test_ablate_kind_is_validated(run_dir, capsys):
