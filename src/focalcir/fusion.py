@@ -257,7 +257,7 @@ def modulated_cross_attention(
     beta,
     n_heads: int = 1,
 ) -> Tensor:
-    """softmax((Q K^T + beta * mask) / sqrt(d_k)) V with projected Q, K, V,
+    """softmax((Q K^T + beta * mask) / sqrt(d_k)) V of projected Q, K and V,
     computed in the merged form of the module docstring: the keys and values
     are never projected, and b_K, which cancels, is not read.
 
