@@ -29,7 +29,6 @@ from focalcir.fusion import (
 from focalcir.numerics.tensor import (
     Tensor,
     add,
-    concat_rows,
     gelu,
     layer_norm_rows,
     linear,
@@ -82,7 +81,10 @@ class CaamParams:
 
 def crm_forward(tokens: Tensor, crm: CrmParams, n_heads: int = 1) -> Tensor:
     """Condense a (k+1) x d token set (cls at row 0) into a 1 x d context,
-    per sample when tokens are a (B, k+1, d) batch."""
+    per sample when tokens are a (B, k+1, d) batch.
+
+    The transformer's last layer computes row 0 alone, the only row that is
+    read; every row stays a key and value of its self-attention."""
     if tokens.data.shape[-2] < 2:
         raise DimensionError(f"CRM needs cls plus at least one probe, got {tokens.data.shape}")
     if crm.variant == "avg":
@@ -91,13 +93,14 @@ def crm_forward(tokens: Tensor, crm: CrmParams, n_heads: int = 1) -> Tensor:
         pooled = mean_over_rows(tokens)
         hidden = gelu(linear(pooled, crm.mlp_w1, crm.mlp_b1))
         return linear(hidden, crm.mlp_w2, crm.mlp_b2)
-    for layer in crm.layers:
-        attn = _attention(tokens, tokens, layer.self_attn, n_heads)
-        tokens = layer_norm_rows(add(tokens, attn), layer.ln_attn.gain, layer.ln_attn.shift)
+    for i, layer in enumerate(crm.layers):
+        rows = slice_rows(tokens, 0, 1) if i == len(crm.layers) - 1 else tokens
+        attn = _attention(rows, tokens, layer.self_attn, n_heads)
+        tokens = layer_norm_rows(add(rows, attn), layer.ln_attn.gain, layer.ln_attn.shift)
         hidden = gelu(linear(tokens, layer.ffn_w1, layer.ffn_b1))
         ff = linear(hidden, layer.ffn_w2, layer.ffn_b2)
         tokens = layer_norm_rows(add(tokens, ff), layer.ln_ffn.gain, layer.ln_ffn.shift)
-    return slice_rows(tokens, 0, 1)
+    return tokens if crm.layers else slice_rows(tokens, 0, 1)
 
 
 def predict_beta(
@@ -123,9 +126,9 @@ def predict_beta(
         cls_token=caam.cls,
         extra_tokens=caam.probes,
         key_mask=key_mask,
+        read=("cls", "extra"),
     )
-    tokens = concat_rows([enc.cls_out, enc.extra_out])
-    context = crm_forward(tokens, caam.crm, n_heads=fusion.n_heads)
+    context = crm_forward(enc.rows, caam.crm, n_heads=fusion.n_heads)  # [cls, probes]
     out = linear(context, caam.wc, caam.bc)
     if caam.output_form == "scalar" and out.data.shape[-2:] != (1, 1):
         raise DimensionError(f"scalar modulation head produced shape {out.data.shape}")

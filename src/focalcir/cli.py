@@ -141,6 +141,11 @@ def _load_ckpt(path: Path):
     return load_checkpoint(path)
 
 
+def _checkpoint_provenance(meta: dict) -> dict:
+    """The config hash and train subsets a checkpoint's meta records."""
+    return {k: meta.get(k) for k in ("config_hash", "train_subsets")}
+
+
 def _provenance_line(digest: str, seed: int) -> str:
     return f"# config_hash={digest} seed={seed}\n"
 
@@ -234,11 +239,12 @@ def cmd_ablate(cfg: RunConfig, kind: str, betas: tuple[float, ...] | None,
     train_cfg = dataclasses.replace(cfg.train, seed=cfg.seed)
 
     if kind == "beta":
-        params, _ = _load_ckpt(_ckpt_path(cfg, ckpt))
+        params, meta = _load_ckpt(_ckpt_path(cfg, ckpt))
         units = betas if betas is not None else tuple(cfg.eval.betas)
         table = beta_sweep(params, bench, units=units, config_hash=digest, seed=cfg.seed)
         _write_ablation(out, kind, digest, cfg.seed, [dataclasses.asdict(r) for r in table.rows],
-                        table.to_text(), grid_units=list(units))
+                        table.to_text(), grid_units=list(units),
+                        checkpoint=_checkpoint_provenance(meta))
     elif kind == "caam":
         variants = expand_variant_grid(forms=("scalar", "vector"))
         rows = caam_ablation(bench, cfg.model, train_cfg, variants,
@@ -246,10 +252,10 @@ def cmd_ablate(cfg: RunConfig, kind: str, betas: tuple[float, ...] | None,
         _write_ablation(out, kind, digest, cfg.seed, [dataclasses.asdict(r) for r in rows],
                         ablation_table_text(rows))
     elif kind == "robustness":
-        params, _ = _load_ckpt(_ckpt_path(cfg, ckpt))
+        params, meta = _load_ckpt(_ckpt_path(cfg, ckpt))
         rows = robustness_eval(params, bench, seed=cfg.seed, config_hash=digest)
         _write_ablation(out, kind, digest, cfg.seed, [dataclasses.asdict(r) for r in rows],
-                        robustness_table_text(rows))
+                        robustness_table_text(rows), checkpoint=_checkpoint_provenance(meta))
     else:
         # roicrop: train the fixed-beta baseline and the crop variant, then compare
         # against the adaptive checkpoint (trained here if none exists yet), all
@@ -259,7 +265,7 @@ def cmd_ablate(cfg: RunConfig, kind: str, betas: tuple[float, ...] | None,
         adaptive, provenance = None, None
         if ckpt_path.is_file():
             adaptive, meta = load_checkpoint(ckpt_path)
-            provenance = {k: meta.get(k) for k in ("config_hash", "train_subsets")}
+            provenance = _checkpoint_provenance(meta)
             subsets = sorted(train_cfg.subsets or bench.subsets)
             if provenance["train_subsets"] != subsets:
                 raise DataError(f"{ckpt_path} was trained on subsets "

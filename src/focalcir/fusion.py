@@ -15,6 +15,11 @@ rows individually; with the vector form, cls/text/extra rows get no bias.
 There are no positional embeddings: tokens interact as a set, and spatial
 selection enters only through the mask.
 
+The last block computes only the rows its caller reads (`read`): they are
+its self-attention queries, and every token stays a key and value, so the
+read rows are exactly those of a full pass. The query branch reads the cls
+row alone, the modulation predictor [cls, probes].
+
 Every attention runs in merged form, through the QK and OV circuits of
 Elhage et al. 2021: per head, logits = (X W_Q W_K^T + b_Q W_K^T) P^T and
 output = (A P)(W_V W_O) + (b_V W_O + b_O), where P are the keys/values
@@ -166,9 +171,12 @@ class FusionParams:
 
 @dataclass
 class EncodeResult:
-    fused: Tensor  # (m, d) fusion-query outputs, (B, m, d) for a batch
+    """The read groups of the last block; a group that is not read is None."""
+
+    fused: Tensor | None  # (m, d) fusion-query outputs, (B, m, d) for a batch
     cls_out: Tensor | None
     extra_out: Tensor | None
+    rows: Tensor  # every read row, in token order [cls?, fused?, extras?]
 
 
 def _logit_bias(
@@ -284,19 +292,31 @@ def _ffn(tokens: Tensor, block: FusionBlockParams) -> Tensor:
     return linear(hidden, block.ffn_w2, block.ffn_b2)
 
 
+def _take_rows(t: Tensor, spans: list[tuple[int, int]]) -> Tensor:
+    """The rows of t in the given (start, stop) spans, in order."""
+    if spans == [(0, t.data.shape[-2])]:
+        return t
+    parts = [slice_rows(t, start, stop) for start, stop in spans]
+    return parts[0] if len(parts) == 1 else concat_rows(parts)
+
+
 def _block_forward(
     tokens: Tensor,
     kv: Tensor,
     block: FusionBlockParams,
     n_heads: int,
     bias: Tensor | None,
+    rows: Tensor | None = None,
 ) -> Tensor:
-    attn = _attention(tokens, tokens, block.self_attn, n_heads)
-    tokens = layer_norm_rows(add(tokens, attn), block.ln_self.gain, block.ln_self.shift)
-    cross = _attention(tokens, kv, block.cross_attn, n_heads, bias)
-    tokens = layer_norm_rows(add(tokens, cross), block.ln_cross.gain, block.ln_cross.shift)
-    ff = _ffn(tokens, block)
-    return layer_norm_rows(add(tokens, ff), block.ln_ffn.gain, block.ln_ffn.shift)
+    """One block computing rows, some of the tokens (default all of them);
+    every token is a key and value of the self-attention."""
+    rows = tokens if rows is None else rows
+    attn = _attention(rows, tokens, block.self_attn, n_heads)
+    rows = layer_norm_rows(add(rows, attn), block.ln_self.gain, block.ln_self.shift)
+    cross = _attention(rows, kv, block.cross_attn, n_heads, bias)
+    rows = layer_norm_rows(add(rows, cross), block.ln_cross.gain, block.ln_cross.shift)
+    ff = _ffn(rows, block)
+    return layer_norm_rows(add(rows, ff), block.ln_ffn.gain, block.ln_ffn.shift)
 
 
 def multimodal_encode(
@@ -308,6 +328,7 @@ def multimodal_encode(
     cls_token: Tensor | None = None,
     extra_tokens: Tensor | None = None,
     key_mask: np.ndarray | None = None,
+    read: Sequence[str] | None = None,
 ) -> EncodeResult:
     """Run the fusion encoder over [cls?, queries, extras?, text?] x patches.
 
@@ -316,7 +337,11 @@ def multimodal_encode(
     mask rows (an all-zero row leaves its sample unmodulated), and key_mask
     is the additive padding mask from `stack_patches`. Without a mask, beta
     must be exactly 0 (target branch and the modulation predictor's own pass
-    both run unmodulated)."""
+    both run unmodulated).
+
+    read names the groups the caller uses, among "cls", "fused" and "extra"
+    (default: every group passed). The last block computes only their rows;
+    the others come back as None."""
     kv = patches if isinstance(patches, Tensor) else constant(np.asarray(patches, dtype=np.float64))
     n_keys = kv.data.shape[-2]
     if kv.data.shape[-1] != fusion.d_model:
@@ -341,30 +366,32 @@ def multimodal_encode(
                 f"mask covers {mask_values.shape[-1]} patches but image has {n_keys}"
             )
 
-    parts: list[Tensor] = []
-    if cls_token is not None:
-        parts.append(cls_token)
-    fq_start = sum(p.data.shape[0] for p in parts)
-    parts.append(fusion.queries)
-    fq_stop = fq_start + fusion.m_queries
-    extra_start = fq_stop
-    if extra_tokens is not None:
-        parts.append(extra_tokens)
-    extra_stop = extra_start + (extra_tokens.data.shape[0] if extra_tokens is not None else 0)
+    groups = {g: t for g, t in (("cls", cls_token), ("fused", fusion.queries),
+                                 ("extra", extra_tokens)) if t is not None}
+    read = list(groups) if read is None else list(read)
+    if not read or any(g not in groups for g in read):
+        raise ContractError(f"read must name groups passed, {list(groups)}, got {read}")
+    spans, at = {}, 0
+    for g, t in groups.items():
+        spans[g], at = (at, at + t.data.shape[0]), at + t.data.shape[0]
+    parts = list(groups.values())
     if text is not None:
         parts.append(constant(text.tokens if isinstance(text, TextEmbedding) else text))
     tokens = concat_rows(parts) if len(parts) > 1 else parts[0]
 
-    bias = _logit_bias(mask_values, beta, tokens.data.shape[-2], (fq_start, fq_stop), key_mask)
-    for block in fusion.blocks:
+    bias = _logit_bias(mask_values, beta, tokens.data.shape[-2], spans["fused"], key_mask)
+    for block in fusion.blocks[:-1]:
         tokens = _block_forward(tokens, kv, block, fusion.n_heads, bias)
-
-    fused = slice_rows(tokens, fq_start, fq_stop)
-    cls_out = slice_rows(tokens, 0, 1) if cls_token is not None else None
-    extra_out = (
-        slice_rows(tokens, extra_start, extra_stop) if extra_tokens is not None else None
-    )
-    return EncodeResult(fused=fused, cls_out=cls_out, extra_out=extra_out)
+    kept = [span for g, span in spans.items() if g in read]  # token order
+    if bias is not None and bias.data.shape[-2] > 1:
+        bias = _take_rows(bias, kept)
+    rows = _block_forward(tokens, kv, fusion.blocks[-1], fusion.n_heads, bias,
+                          _take_rows(tokens, kept))
+    out, at = {}, 0
+    for g, (start, stop) in spans.items():
+        if g in read:
+            out[g], at = _take_rows(rows, [(at, at + stop - start)]), at + stop - start
+    return EncodeResult(out.get("fused"), out.get("cls"), out.get("extra"), rows)
 
 
 def encode_target(

@@ -342,7 +342,7 @@ def query_representation(
             ]
     enc = multimodal_encode(
         patches, text, params.fusion, mask=mask_rows, beta=beta, key_mask=key_mask,
-        cls_token=params.rep_cls,
+        cls_token=params.rep_cls, read=("cls",),
     )
     # project per sample, then drop the row axis: one (B*1)-row GEMM would
     # round differently from the 1-row GEMM a single query gets

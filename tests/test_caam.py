@@ -12,8 +12,17 @@ from focalcir.caam import (
 from focalcir.encoders import ContextDescriptor, EncoderParams, embed_text
 from focalcir.errors import ContractError
 from focalcir import numerics as nm
-from focalcir.numerics.tensor import Tape, backward, constant, parameter
-from focalcir.fusion import init_fusion_params
+from focalcir.numerics.tensor import (
+    Tape,
+    add,
+    backward,
+    constant,
+    gelu,
+    layer_norm_rows,
+    linear,
+    parameter,
+)
+from focalcir.fusion import _attention, init_fusion_params
 
 D = 16
 
@@ -150,3 +159,62 @@ def test_frozen_probes_receive_no_grad():
     assert caam.probes.grad is None
     assert caam.cls.grad is not None
 
+
+
+def crm_full_rows(tokens, crm, n_heads):
+    """Row 0 of a CRM transformer that runs every layer on every row."""
+    t = constant(tokens)
+    for layer in crm.layers:
+        attn = _attention(t, t, layer.self_attn, n_heads)
+        t = layer_norm_rows(add(t, attn), layer.ln_attn.gain, layer.ln_attn.shift)
+        hidden = gelu(linear(t, layer.ffn_w1, layer.ffn_b1))
+        t = layer_norm_rows(add(t, linear(hidden, layer.ffn_w2, layer.ffn_b2)),
+                            layer.ln_ffn.gain, layer.ln_ffn.shift)
+    return t.data[..., :1, :]
+
+
+def _live_crm(rng, d, n_layers):
+    """A transformer CRM with non-zero biases, shifts and gain offsets."""
+    crm = init_crm_params(rng, "transformer", d, n_layers=n_layers, weight_init=0.5)
+    for t in crm_tensors(crm):
+        if t.data.shape[0] == 1:
+            t.data = t.data + rng.normal(0.0, 0.2, size=t.data.shape)
+    return crm
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+@pytest.mark.parametrize("n_heads", [1, 2])
+def test_crm_row_equals_a_full_pass(n_heads, n_layers):
+    # the last layer computes row 0 alone, with every row as a key and value;
+    # its 1-row products may round differently from a full pass's GEMMs
+    rng = np.random.default_rng(60 + 2 * n_heads + n_layers)
+    crm = _live_crm(rng, D, n_layers)
+    for tokens in (rng.normal(size=(5, D)), rng.normal(size=(3, 5, D))):
+        got = crm_forward(constant(tokens), crm, n_heads=n_heads).data
+        want = crm_full_rows(tokens, crm, n_heads)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n_heads", [1, 2])
+def test_crm_transformer_gradients_match_finite_differences(n_heads):
+    rng = np.random.default_rng(70 + n_heads)
+    d = 4
+    crm = _live_crm(rng, d, 2)
+    tokens = parameter(rng.normal(size=(2, 4, d)))
+    weights = constant(rng.normal(size=(2, 1, d)))
+
+    def build():
+        return nm.sum_all(nm.mul(crm_forward(tokens, crm, n_heads=n_heads), weights))
+
+    checked = [tokens] + [t for t in crm_tensors(crm) if t.requires_grad]
+    tape = Tape()
+    with tape:
+        loss = build()
+    backward(loss, tape)
+    analytic = [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in checked]
+    tape.clear()
+    assert np.abs(analytic[0][:, 1:]).max() > 1e-6  # the probe rows are read as keys
+    for i, (t, a) in enumerate(zip(checked, analytic)):
+        numeric = nm.finite_diff_grad(lambda _t: build().item(), t)
+        assert nm.max_rel_error(a, numeric) < 1e-5, i

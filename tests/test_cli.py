@@ -389,6 +389,27 @@ def test_ablate_roicrop_rejects_a_checkpoint_trained_on_other_subsets(tmp_path, 
                                    "train_subsets": ["car", "fashion"]}
 
 
+def test_ablate_beta_and_robustness_record_their_checkpoint(tmp_path, capsys):
+    # evaluating a checkpoint trained on fewer subsets is legitimate here
+    # (a leave-one-out model), so it is recorded, not rejected
+    cfg_path = tmp_path / "run.json"
+    out = tmp_path / "out"
+    data = run_dict(out, two_subsets=True)
+    data["train"]["epochs"] = 1
+    cfg_path.write_text(json.dumps(data))
+    ckpt = tmp_path / "fashion.bin"
+    assert main(["gen", "--config", str(cfg_path)]) == 0
+    assert main(["train", "--config", str(cfg_path), "--subsets", "fashion",
+                 "--checkpoint", str(ckpt)]) == 0
+    _, meta = load_checkpoint(ckpt)
+    for kind in ("beta", "robustness"):
+        assert main(["ablate", kind, "--config", str(cfg_path), "--checkpoint", str(ckpt)]) == 0
+        saved = json.loads((out / f"ablate_{kind}.json").read_text())
+        assert saved["checkpoint"] == {"config_hash": meta["config_hash"],
+                                       "train_subsets": ["fashion"]}, kind
+    capsys.readouterr()
+
+
 def test_ablate_kind_is_validated(run_dir, capsys):
     cfg_path, _ = run_dir
     assert main(["ablate", "nothing", "--config", str(cfg_path)]) == 1

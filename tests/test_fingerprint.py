@@ -154,6 +154,34 @@ def _close(got: list[float], want: list[float]) -> bool:
     return got.shape == want.shape and bool(np.all(np.abs(got - want) <= REL_TOL * np.abs(want)))
 
 
+def first_rank_move(got: dict, want: dict) -> str:
+    """Where two {subset: {"target"|"instance": ranks}} maps first differ:
+    the subset, the rank kind, the query index and the old -> new rank."""
+    for subset, kinds in want.items():
+        for kind, ranks in kinds.items():
+            new = got.get(subset, {}).get(kind)
+            if new is None:
+                return f"{subset} {kind} ranks missing"
+            for i, (old, now) in enumerate(zip(ranks, new)):
+                if old != now:
+                    return f"{subset} query {i} {kind} rank moved {old} -> {now}"
+            if len(new) != len(ranks):
+                return f"{subset} {kind}: {len(ranks)} queries -> {len(new)}"
+    return f"subsets {sorted(want)} -> {sorted(got)}"
+
+
+def test_first_rank_move_names_the_first_difference():
+    want = {"fashion": {"target": [1, 2, 3], "instance": [1, 1, 2]},
+            "car": {"target": [4, 5], "instance": [1, 2]}}
+    got = json.loads(json.dumps(want))
+    got["car"]["instance"][1] = 3
+    got["car"]["target"][0] = 7
+    assert first_rank_move(got, want) == "car query 0 target rank moved 4 -> 7"
+    got["fashion"]["instance"].pop()
+    assert first_rank_move(got, want) == "fashion instance: 3 queries -> 2"
+    assert first_rank_move({}, want) == "fashion target ranks missing"
+
+
 def test_untrained_model_matches_fingerprint():
     fixture = json.loads(FIXTURE.read_text())
     hosts = f"fixture made on {fixture['host']!r}; this host is {host_line()!r}"
@@ -161,7 +189,8 @@ def test_untrained_model_matches_fingerprint():
         got, want = model_fingerprint(seed), fixture["model"][str(seed)]
         assert sorted(got["ranks"]) == sorted(want["ranks"]), seed
         for setting, ranks in want["ranks"].items():
-            assert got["ranks"][setting] == ranks, f"seed {seed} {setting}: ranks moved; {hosts}"
+            assert got["ranks"][setting] == ranks, (
+                f"seed {seed} {setting}: {first_rank_move(got['ranks'][setting], ranks)}; {hosts}")
             assert got["reports"][setting] == want["reports"][setting], (seed, setting)
         for subset, betas in want["betas"].items():
             assert _close(got["betas"][subset], betas), f"seed {seed} {subset}: betas; {hosts}"

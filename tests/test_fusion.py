@@ -9,10 +9,12 @@ from focalcir import model
 from focalcir.encoders import ContextDescriptor, EncoderParams, embed_text
 from focalcir.errors import AlignmentError, ContractError, EmptyMaskError
 from focalcir import numerics as nm
-from focalcir.numerics.tensor import Tape, Tensor, backward, constant, parameter
+from focalcir.numerics.tensor import Tape, Tensor, backward, concat_rows, constant, parameter
 from focalcir.fusion import (
     AttentionParams,
     _attention,
+    _block_forward,
+    _logit_bias,
     encode_target,
     init_fusion_params,
     modulated_cross_attention,
@@ -249,7 +251,10 @@ def test_attention_equals_unmerged_oracle(kind, n_heads):
 def test_encode_gradients_match_finite_differences(beta_form, n_heads):
     # a batched fusion pass over a ragged pair of images, so a -inf key mask
     # rides on every cross-attention, plus a region bias from a scalar or
-    # vector beta
+    # vector beta. Three reads are checked: the fusion queries of a pass
+    # without cls or extras, and, where the last block computes only the
+    # rows that are read, cls_out under read=("cls",) and extra_out under
+    # read=("cls", "extra")
     rng = np.random.default_rng(30 + n_heads)
     d, m = 4, 2
     fusion = init_fusion_params(rng, d, m_queries=m, n_blocks=1, n_heads=n_heads,
@@ -266,30 +271,98 @@ def test_encode_gradients_match_finite_differences(beta_form, n_heads):
     beta = {"scalar": parameter(rng.uniform(0.5, 2.0, size=(2, 1, 1))),
             "vector": parameter(rng.uniform(0.5, 2.0, size=(2, 1, m))),
             "padding-only": 0.0}[beta_form]
-    weights = constant(rng.normal(size=(2, m, d)))
-    checked = [getattr(a, name) for a in attns
-               for name in ("wq", "bq", "wk", "wv", "bv", "wo", "bo")]
-    if isinstance(beta, Tensor):
-        checked.append(beta)
+    fused_weights = constant(rng.normal(size=(2, m, d)))
+    cls = parameter(rng.normal(0.0, 0.5, size=(1, d)))
+    extras = parameter(rng.normal(0.0, 0.5, size=(3, d)))
+    tokens = {"cls_token": cls, "extra_tokens": extras}
+    reads = [  # (encode keywords, the output reduced, its weights)
+        ({}, "fused", fused_weights),
+        ({**tokens, "read": ("cls",)}, "cls_out", constant(rng.normal(size=(2, 1, d)))),
+        ({**tokens, "read": ("cls", "extra")}, "extra_out", constant(rng.normal(size=(2, 3, d)))),
+    ]
+    for kwargs, field, weights in reads:
+        checked = [getattr(a, name) for a in attns
+                   for name in ("wq", "bq", "wk", "wv", "bv", "wo", "bo")]
+        checked += [beta] if isinstance(beta, Tensor) else []
+        checked += [cls, extras] if kwargs else []
+        for t in checked + [a.bk for a in attns]:
+            t.grad = None
 
-    def build():
-        res = multimodal_encode(patches, text, fusion,
-                                mask=None if beta_form == "padding-only" else region,
-                                beta=beta, key_mask=key_mask)
-        return nm.sum_all(nm.mul(res.fused, weights))
+        def build():
+            res = multimodal_encode(patches, text, fusion,
+                                    mask=None if beta_form == "padding-only" else region,
+                                    beta=beta, key_mask=key_mask, **kwargs)
+            return nm.sum_all(nm.mul(getattr(res, field), weights))
 
-    tape = Tape()
-    with tape:
-        loss = build()
-    backward(loss, tape)
-    analytic = [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in checked]
-    assert all(a.bk.grad is None for a in attns)  # b_K cancels in the softmax
-    tape.clear()
-    for i, (t, a) in enumerate(zip(checked, analytic)):
-        numeric = nm.finite_diff_grad(lambda _t: build().item(), t)
-        assert nm.max_rel_error(a, numeric) < 1e-5, i
-    for a in attns:
-        assert np.max(np.abs(nm.finite_diff_grad(lambda _t: build().item(), a.bk))) < 1e-9
+        tape = Tape()
+        with tape:
+            loss = build()
+        backward(loss, tape)
+        analytic = [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in checked]
+        assert all(a.bk.grad is None for a in attns), field  # b_K cancels in the softmax
+        tape.clear()
+        for i, (t, a) in enumerate(zip(checked, analytic)):
+            numeric = nm.finite_diff_grad(lambda _t: build().item(), t)
+            assert nm.max_rel_error(a, numeric) < 1e-5, (field, i)
+        for a in attns:
+            assert np.max(np.abs(nm.finite_diff_grad(lambda _t: build().item(), a.bk))) < 1e-9
+
+
+def full_pass_rows(patches, text, fusion, mask, beta, cls, extras, key_mask):
+    """cls, fusion-query and extra outputs of a pass that runs every block on
+    every row of [cls, queries, extras, text], from the encoder's own block
+    and bias ops: the rows a pruned last block must reproduce."""
+    m, k = fusion.m_queries, extras.data.shape[0]
+    tokens = concat_rows([cls, fusion.queries, extras, constant(text)])
+    bias = _logit_bias(mask, beta, tokens.data.shape[-2], (1, 1 + m), key_mask)
+    for block in fusion.blocks:
+        tokens = _block_forward(tokens, constant(patches), block, fusion.n_heads, bias)
+    out = tokens.data
+    return {"cls": out[:, :1], "fused": out[:, 1 : 1 + m], "extra": out[:, 1 + m : 1 + m + k]}
+
+
+@pytest.mark.parametrize("n_blocks", [1, 2])
+@pytest.mark.parametrize("n_heads", [1, 2])
+@pytest.mark.parametrize("beta_form", ["scalar", "vector", "padding-only"])
+def test_read_rows_equal_a_full_pass(beta_form, n_heads, n_blocks):
+    # the last block computes only the rows that are read, with every token
+    # as a self-attention key and value, so those rows are the full pass's:
+    # bit for bit when it keeps several rows; a single kept row goes through
+    # 1-row products, which BLAS may round differently
+    rng = np.random.default_rng(50 + 4 * n_heads + n_blocks)
+    d, m, k = 8, 3, 4
+    fusion = init_fusion_params(rng, d, m_queries=m, n_blocks=n_blocks, n_heads=n_heads,
+                                weight_init=0.5)
+    cls = parameter(rng.normal(0.0, 0.5, size=(1, d)))
+    extras = parameter(rng.normal(0.0, 0.5, size=(k, d)))
+    patches, key_mask = stack_patches([rng.normal(size=(n, d)) for n in (5, 3, 4)])
+    text = rng.normal(size=(3, 2, d))
+    mask = None if beta_form == "padding-only" else (rng.random((3, 1, 5)) < 0.5) * 1.0
+    beta = {"scalar": parameter(rng.uniform(0.5, 3.0, size=(3, 1, 1))),
+            "vector": parameter(rng.uniform(0.5, 3.0, size=(3, 1, m))),
+            "padding-only": 0.0}[beta_form]
+    want = full_pass_rows(patches, text, fusion, mask, beta, cls, extras, key_mask)
+    for read in (("cls",), ("cls", "extra"), ("fused",), None):
+        res = multimodal_encode(patches, text, fusion, mask=mask, beta=beta, cls_token=cls,
+                                extra_tokens=extras, key_mask=key_mask, read=read)
+        got = {"cls": res.cls_out, "fused": res.fused, "extra": res.extra_out}
+        names = list(got) if read is None else list(read)
+        assert [g for g, t in got.items() if t is not None] == names, read
+        assert np.array_equal(res.rows.data, np.concatenate([got[g].data for g in names], 1))
+        for g in names:
+            if res.rows.data.shape[1] > 1:
+                assert got[g].data.tobytes() == want[g].tobytes(), (read, g)
+            else:
+                err = np.max(np.abs(got[g].data - want[g]))
+                assert err <= 1e-13 * np.max(np.abs(want[g])), (read, g, err)
+
+
+def test_read_names_groups_that_were_passed():
+    enc, patches, text = make_world_inputs()
+    fusion = init_fusion_params(np.random.default_rng(1), 16, m_queries=4, n_blocks=1)
+    for read in ((), ("cls",), ("fused", "probes")):
+        with pytest.raises(ContractError, match="read must name"):
+            multimodal_encode(patches, text, fusion, read=read)
 
 
 def test_single_key_output_is_value_row():

@@ -621,3 +621,33 @@ def test_checkpoint_damage_fails_by_name(tmp_path, damage, message):
     path.write_bytes(damage(path.read_bytes()))
     with pytest.raises(CheckpointError, match=message):
         load_checkpoint(path)
+
+
+def test_last_layers_compute_only_the_rows_that_are_read(monkeypatch):
+    # the query pass reads the cls row, the probe pass [cls, probes] and the
+    # CRM its row 0, so each last layer normalizes only those rows; the
+    # target pass reads every fusion query
+    import focalcir.caam as caam
+    import focalcir.fusion as fusion
+
+    m, k, l_text = 2, 3, 2
+    _, enc, params = tiny_setup(seed=93, m_queries=m, k_probes=k, l_text=l_text,
+                                n_blocks=2, crm_layers=2)
+    params = ModelParams(params.config, enc, seed=93, zero_modulation_head=False)
+    seen = []
+    for module in (fusion, caam):
+        def spy(x, gain, shift, _real=module.layer_norm_rows, _name=module.__name__):
+            seen.append((_name.rsplit(".", 1)[1], x.data.shape[-2]))
+            return _real(x, gain, shift)
+
+        monkeypatch.setattr(module, "layer_norm_rows", spy)
+    samples = [random_sample(np.random.default_rng(93), enc) for _ in range(3)]
+    _, applied = query_representation(samples, params)
+    assert all(b != 0.0 for b in applied)  # the probe pass and CRM ran
+    probe_pass = [("fusion", 1 + m + k + l_text)] * 3 + [("fusion", 1 + k)] * 3
+    crm = [("caam", 1 + k)] * 2 + [("caam", 1)] * 2
+    query_pass = [("fusion", 1 + m + l_text)] * 3 + [("fusion", 1)] * 3
+    assert seen == probe_pass + crm + query_pass
+    seen.clear()
+    target_representation([s.patches for s in samples], params)
+    assert seen == [("fusion", m)] * 6
