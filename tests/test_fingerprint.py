@@ -16,6 +16,11 @@ so exact), the predicted betas, and the per-step losses of one training
 epoch. Summation order moves the last bits of the betas and the losses, so
 those two are compared to a relative 1e-12; the ranks are the primary check.
 
+Every CRM variant (`avg`, `mlp`, `transformer`) in each modulation form
+(`scalar`, `vector`) is pinned at seed 17 as well: the sha256 of an untrained
+live-head model's checkpoint (parameter names, order, shapes and random
+draws, exact) and the per-step losses of one training epoch.
+
 Regenerate the fixture only for a change that means to alter the artifacts
 or the computed numbers (and say which and why):
 
@@ -35,6 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from focalcir import model
+from focalcir.caam import CRM_VARIANTS, OUTPUT_FORMS
 from focalcir.benchgen import FilterThresholds, WorldConfig, build_benchmark
 from focalcir.benchgen.pipeline import Benchmark, save_benchmark
 from focalcir.evaluation import (
@@ -54,6 +60,7 @@ SUBSETS = (("fashion", (4, 4)), ("car", (3, 4)))
 MODEL = ModelConfig(d_model=16, d_embed=16, m_queries=2, k_probes=2, l_text=2,
                     n_blocks=2, crm_layers=2)
 MODEL_SEED = 5
+VARIANT_SEED = 17
 REL_TOL = 1e-12
 
 
@@ -106,9 +113,9 @@ def query_ranks(params: ModelParams, bench: Benchmark, beta_override: float | No
     return ranks, applied
 
 
-def one_epoch_losses(bench: Benchmark) -> list[float]:
+def one_epoch_losses(bench: Benchmark, config: ModelConfig = MODEL) -> list[float]:
     """The loss of every step of one training epoch, in step order."""
-    params = ModelParams(MODEL, bench.encoders, seed=MODEL_SEED, zero_modulation_head=False)
+    params = ModelParams(config, bench.encoders, seed=MODEL_SEED, zero_modulation_head=False)
     losses = []
     real = model.contrastive_loss
 
@@ -137,6 +144,23 @@ def model_fingerprint(seed: int) -> dict:
         reports[row.label] = dataclasses.asdict(row.metrics)
     return {"ranks": ranks, "reports": reports, "betas": betas,
             "losses": one_epoch_losses(bench)}
+
+
+def variant_fingerprint(bench: Benchmark, variant: str, modulation: str, tmp_dir: Path) -> dict:
+    """An untrained live-head checkpoint's sha256 and one epoch's losses for
+    one CRM variant and modulation form."""
+    config = dataclasses.replace(MODEL, crm_variant=variant, modulation=modulation)
+    path = tmp_dir / f"{variant}-{modulation}.bin"
+    model.save_checkpoint(path, ModelParams(config, bench.encoders, seed=MODEL_SEED,
+                                            zero_modulation_head=False))
+    return {"checkpoint_sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+            "losses": one_epoch_losses(bench, config)}
+
+
+def variants_fingerprint(tmp_dir: Path) -> dict:
+    bench = tiny_benchmark(VARIANT_SEED)
+    return {f"{v}/{m}": variant_fingerprint(bench, v, m, tmp_dir)
+            for v in CRM_VARIANTS for m in OUTPUT_FORMS}
 
 
 def test_artifacts_match_fingerprint(tmp_path):
@@ -197,11 +221,22 @@ def test_untrained_model_matches_fingerprint():
         assert _close(got["losses"], want["losses"]), f"seed {seed}: losses; {hosts}"
 
 
+def test_every_crm_variant_matches_fingerprint(tmp_path):
+    fixture = json.loads(FIXTURE.read_text())
+    hosts = f"fixture made on {fixture['host']!r}; this host is {host_line()!r}"
+    got, want = variants_fingerprint(tmp_path), fixture["variants"]
+    assert sorted(got) == sorted(want)
+    for key, pinned in want.items():
+        assert got[key]["checkpoint_sha256"] == pinned["checkpoint_sha256"], key
+        assert _close(got[key]["losses"], pinned["losses"]), f"{key}: losses; {hosts}"
+
+
 def write_fixture(tmp_dir: Path) -> None:
     payload = {"host": host_line(),
                "sha256": {str(seed): artifact_hashes(tmp_dir / str(seed), seed)
                           for seed in SEEDS},
-               "model": {str(seed): model_fingerprint(seed) for seed in SEEDS}}
+               "model": {str(seed): model_fingerprint(seed) for seed in SEEDS},
+               "variants": variants_fingerprint(tmp_dir)}
     FIXTURE.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
