@@ -18,47 +18,26 @@ import numpy as np
 from focalcir.errors import ContractError, DimensionError
 from focalcir.encoders import TextEmbedding
 from focalcir.fusion import (
-    AttentionParams,
+    FfnParams,
     FusionParams,
-    LayerNormParams,
-    _attention,
-    init_attention_params,
-    init_layer_norm,
+    LayerParams,
+    ffn,
+    init_ffn,
+    init_layer,
     multimodal_encode,
+    run_layers,
 )
-from focalcir.numerics.tensor import (
-    Tensor,
-    add,
-    gelu,
-    layer_norm_rows,
-    linear,
-    mean_over_rows,
-    slice_rows,
-)
+from focalcir.numerics.tensor import Tensor, linear, mean_over_rows
 
 CRM_VARIANTS = ("avg", "mlp", "transformer")
 OUTPUT_FORMS = ("scalar", "vector")
 
 
 @dataclass
-class CrmLayerParams:
-    self_attn: AttentionParams
-    ln_attn: LayerNormParams
-    ffn_w1: Tensor
-    ffn_b1: Tensor
-    ffn_w2: Tensor
-    ffn_b2: Tensor
-    ln_ffn: LayerNormParams
-
-
-@dataclass
 class CrmParams:
     variant: str
-    layers: list[CrmLayerParams] = field(default_factory=list)  # transformer form
-    mlp_w1: Tensor | None = None  # mlp form
-    mlp_b1: Tensor | None = None
-    mlp_w2: Tensor | None = None
-    mlp_b2: Tensor | None = None
+    layers: list[LayerParams] = field(default_factory=list)  # transformer form
+    mlp: FfnParams | None = None  # mlp form
 
     def __post_init__(self):
         if self.variant not in CRM_VARIANTS:
@@ -90,17 +69,8 @@ def crm_forward(tokens: Tensor, crm: CrmParams, n_heads: int = 1) -> Tensor:
     if crm.variant == "avg":
         return mean_over_rows(tokens)
     if crm.variant == "mlp":
-        pooled = mean_over_rows(tokens)
-        hidden = gelu(linear(pooled, crm.mlp_w1, crm.mlp_b1))
-        return linear(hidden, crm.mlp_w2, crm.mlp_b2)
-    for i, layer in enumerate(crm.layers):
-        rows = slice_rows(tokens, 0, 1) if i == len(crm.layers) - 1 else tokens
-        attn = _attention(rows, tokens, layer.self_attn, n_heads)
-        tokens = layer_norm_rows(add(rows, attn), layer.ln_attn.gain, layer.ln_attn.shift)
-        hidden = gelu(linear(tokens, layer.ffn_w1, layer.ffn_b1))
-        ff = linear(hidden, layer.ffn_w2, layer.ffn_b2)
-        tokens = layer_norm_rows(add(tokens, ff), layer.ln_ffn.gain, layer.ln_ffn.shift)
-    return tokens if crm.layers else slice_rows(tokens, 0, 1)
+        return ffn(mean_over_rows(tokens), crm.mlp)
+    return run_layers(tokens, crm.layers, n_heads, [(0, 1)])
 
 
 def predict_beta(
@@ -147,34 +117,12 @@ def init_crm_params(
     ffn_mult: int = 2,
     weight_init: float = 0.1,
 ) -> CrmParams:
-    if variant == "avg":
-        return CrmParams(variant="avg")
     if variant == "mlp":
-        hidden = d_model * ffn_mult
-        return CrmParams(
-            variant="mlp",
-            mlp_w1=Tensor(rng.normal(0.0, weight_init, size=(d_model, hidden)), requires_grad=True),
-            mlp_b1=Tensor(np.zeros((1, hidden)), requires_grad=True),
-            mlp_w2=Tensor(rng.normal(0.0, weight_init, size=(hidden, d_model)), requires_grad=True),
-            mlp_b2=Tensor(np.zeros((1, d_model)), requires_grad=True),
-        )
+        return CrmParams(variant, mlp=init_ffn(rng, d_model, ffn_mult, weight_init))
     if variant != "transformer":
-        raise ContractError(f"unknown CRM variant {variant!r}, expected {CRM_VARIANTS}")
-    layers = []
-    hidden = d_model * ffn_mult
-    for _ in range(n_layers):
-        layers.append(
-            CrmLayerParams(
-                self_attn=init_attention_params(rng, d_model, weight_init),
-                ln_attn=init_layer_norm(d_model),
-                ffn_w1=Tensor(rng.normal(0.0, weight_init, size=(d_model, hidden)), requires_grad=True),
-                ffn_b1=Tensor(np.zeros((1, hidden)), requires_grad=True),
-                ffn_w2=Tensor(rng.normal(0.0, weight_init, size=(hidden, d_model)), requires_grad=True),
-                ffn_b2=Tensor(np.zeros((1, d_model)), requires_grad=True),
-                ln_ffn=init_layer_norm(d_model),
-            )
-        )
-    return CrmParams(variant="transformer", layers=layers)
+        return CrmParams(variant)  # avg; an unknown variant raises here
+    layers = [init_layer(rng, d_model, ffn_mult, weight_init, cross=False) for _ in range(n_layers)]
+    return CrmParams(variant, layers=layers)
 
 
 def init_caam_params(

@@ -140,16 +140,21 @@ class LayerNormParams:
 
 
 @dataclass
-class FusionBlockParams:
+class FfnParams:
+    w1: Tensor
+    b1: Tensor
+    w2: Tensor
+    b2: Tensor
+
+
+@dataclass
+class LayerParams:
     self_attn: AttentionParams
-    cross_attn: AttentionParams
     ln_self: LayerNormParams
-    ln_cross: LayerNormParams
+    ffn: FfnParams
     ln_ffn: LayerNormParams
-    ffn_w1: Tensor
-    ffn_b1: Tensor
-    ffn_w2: Tensor
-    ffn_b2: Tensor
+    cross_attn: AttentionParams | None = None  # fusion blocks only
+    ln_cross: LayerNormParams | None = None
 
 
 @dataclass
@@ -157,7 +162,7 @@ class FusionParams:
     """The shared multimodal encoder: M fusion query tokens plus blocks."""
 
     queries: Tensor  # (m, d_model)
-    blocks: list[FusionBlockParams]
+    blocks: list[LayerParams]
     n_heads: int = 1
 
     @property
@@ -287,9 +292,8 @@ def modulated_cross_attention(
     return _attention(queries, kv, params, n_heads, bias)
 
 
-def _ffn(tokens: Tensor, block: FusionBlockParams) -> Tensor:
-    hidden = gelu(linear(tokens, block.ffn_w1, block.ffn_b1))
-    return linear(hidden, block.ffn_w2, block.ffn_b2)
+def ffn(tokens: Tensor, p: FfnParams) -> Tensor:
+    return linear(gelu(linear(tokens, p.w1, p.b1)), p.w2, p.b2)
 
 
 def _take_rows(t: Tensor, spans: list[tuple[int, int]]) -> Tensor:
@@ -300,23 +304,42 @@ def _take_rows(t: Tensor, spans: list[tuple[int, int]]) -> Tensor:
     return parts[0] if len(parts) == 1 else concat_rows(parts)
 
 
-def _block_forward(
+def _layer_forward(
     tokens: Tensor,
-    kv: Tensor,
-    block: FusionBlockParams,
+    layer: LayerParams,
     n_heads: int,
+    kv: Tensor | None,
     bias: Tensor | None,
     rows: Tensor | None = None,
 ) -> Tensor:
-    """One block computing rows, some of the tokens (default all of them);
+    """One layer computing rows, some of the tokens (default all of them);
     every token is a key and value of the self-attention."""
     rows = tokens if rows is None else rows
-    attn = _attention(rows, tokens, block.self_attn, n_heads)
-    rows = layer_norm_rows(add(rows, attn), block.ln_self.gain, block.ln_self.shift)
-    cross = _attention(rows, kv, block.cross_attn, n_heads, bias)
-    rows = layer_norm_rows(add(rows, cross), block.ln_cross.gain, block.ln_cross.shift)
-    ff = _ffn(rows, block)
-    return layer_norm_rows(add(rows, ff), block.ln_ffn.gain, block.ln_ffn.shift)
+    attn = _attention(rows, tokens, layer.self_attn, n_heads)
+    rows = layer_norm_rows(add(rows, attn), layer.ln_self.gain, layer.ln_self.shift)
+    if layer.cross_attn is not None:
+        cross = _attention(rows, kv, layer.cross_attn, n_heads, bias)
+        rows = layer_norm_rows(add(rows, cross), layer.ln_cross.gain, layer.ln_cross.shift)
+    ff = ffn(rows, layer.ffn)
+    return layer_norm_rows(add(rows, ff), layer.ln_ffn.gain, layer.ln_ffn.shift)
+
+
+def run_layers(
+    tokens: Tensor,
+    layers: Sequence[LayerParams],
+    n_heads: int,
+    kept: list[tuple[int, int]],
+    kv: Tensor | None = None,
+    bias: Tensor | None = None,
+) -> Tensor:
+    """Every layer but the last runs on all tokens; the last computes only
+    the rows in the kept (start, stop) spans, in order, and a per-row bias
+    is sliced to match."""
+    for layer in layers[:-1]:
+        tokens = _layer_forward(tokens, layer, n_heads, kv, bias)
+    if bias is not None and bias.data.shape[-2] > 1:
+        bias = _take_rows(bias, kept)
+    return _layer_forward(tokens, layers[-1], n_heads, kv, bias, _take_rows(tokens, kept))
 
 
 def multimodal_encode(
@@ -380,13 +403,8 @@ def multimodal_encode(
     tokens = concat_rows(parts) if len(parts) > 1 else parts[0]
 
     bias = _logit_bias(mask_values, beta, tokens.data.shape[-2], spans["fused"], key_mask)
-    for block in fusion.blocks[:-1]:
-        tokens = _block_forward(tokens, kv, block, fusion.n_heads, bias)
     kept = [span for g, span in spans.items() if g in read]  # token order
-    if bias is not None and bias.data.shape[-2] > 1:
-        bias = _take_rows(bias, kept)
-    rows = _block_forward(tokens, kv, fusion.blocks[-1], fusion.n_heads, bias,
-                          _take_rows(tokens, kept))
+    rows = run_layers(tokens, fusion.blocks, fusion.n_heads, kept, kv, bias)
     out, at = {}, 0
     for g, (start, stop) in spans.items():
         if g in read:
@@ -425,20 +443,26 @@ def init_layer_norm(d_model: int) -> LayerNormParams:
     )
 
 
-def init_fusion_block(
-    rng: np.random.Generator, d_model: int, ffn_mult: int, weight_init: float
-) -> FusionBlockParams:
+def init_ffn(rng: np.random.Generator, d_model: int, ffn_mult: int, weight_init: float) -> FfnParams:
     hidden = d_model * ffn_mult
-    return FusionBlockParams(
+    return FfnParams(
+        w1=Tensor(rng.normal(0.0, weight_init, size=(d_model, hidden)), requires_grad=True),
+        b1=Tensor(np.zeros((1, hidden)), requires_grad=True),
+        w2=Tensor(rng.normal(0.0, weight_init, size=(hidden, d_model)), requires_grad=True),
+        b2=Tensor(np.zeros((1, d_model)), requires_grad=True),
+    )
+
+
+def init_layer(
+    rng: np.random.Generator, d_model: int, ffn_mult: int, weight_init: float, cross: bool
+) -> LayerParams:
+    return LayerParams(  # draws in argument order: self-, cross-attention, FFN
         self_attn=init_attention_params(rng, d_model, weight_init),
-        cross_attn=init_attention_params(rng, d_model, weight_init),
+        cross_attn=init_attention_params(rng, d_model, weight_init) if cross else None,
         ln_self=init_layer_norm(d_model),
-        ln_cross=init_layer_norm(d_model),
+        ln_cross=init_layer_norm(d_model) if cross else None,
+        ffn=init_ffn(rng, d_model, ffn_mult, weight_init),
         ln_ffn=init_layer_norm(d_model),
-        ffn_w1=Tensor(rng.normal(0.0, weight_init, size=(d_model, hidden)), requires_grad=True),
-        ffn_b1=Tensor(np.zeros((1, hidden)), requires_grad=True),
-        ffn_w2=Tensor(rng.normal(0.0, weight_init, size=(hidden, d_model)), requires_grad=True),
-        ffn_b2=Tensor(np.zeros((1, d_model)), requires_grad=True),
     )
 
 
@@ -455,6 +479,7 @@ def init_fusion_params(
     """Fusion queries are frozen; the blocks train."""
     return FusionParams(
         queries=Tensor(rng.normal(0.0, token_init, size=(m_queries, d_model))),
-        blocks=[init_fusion_block(rng, d_model, ffn_mult, weight_init) for _ in range(n_blocks)],
+        blocks=[init_layer(rng, d_model, ffn_mult, weight_init, cross=True)
+                for _ in range(n_blocks)],
         n_heads=n_heads,
     )

@@ -217,19 +217,25 @@ class ModelParams:
             (f"{prefix}.wo", a.wo), (f"{prefix}.bo", a.bo),
         ]
 
+    @staticmethod
+    def _ln_named(prefix: str, ln) -> list[tuple[str, Tensor]]:
+        return [(f"{prefix}.gain", ln.gain), (f"{prefix}.shift", ln.shift)]
+
+    @staticmethod
+    def _ffn_named(prefix: str, f) -> list[tuple[str, Tensor]]:
+        return [(f"{prefix}.w1", f.w1), (f"{prefix}.b1", f.b1),
+                (f"{prefix}.w2", f.w2), (f"{prefix}.b2", f.b2)]
+
     def _fusion_named(self) -> list[tuple[str, Tensor]]:
         out = [("fusion.queries", self.fusion.queries)]
         for i, b in enumerate(self.fusion.blocks):
             p = f"fusion.block{i}"
             out += self._attention_named(f"{p}.self", b.self_attn)
             out += self._attention_named(f"{p}.cross", b.cross_attn)
-            out += [
-                (f"{p}.ln_self.gain", b.ln_self.gain), (f"{p}.ln_self.shift", b.ln_self.shift),
-                (f"{p}.ln_cross.gain", b.ln_cross.gain), (f"{p}.ln_cross.shift", b.ln_cross.shift),
-                (f"{p}.ln_ffn.gain", b.ln_ffn.gain), (f"{p}.ln_ffn.shift", b.ln_ffn.shift),
-                (f"{p}.ffn.w1", b.ffn_w1), (f"{p}.ffn.b1", b.ffn_b1),
-                (f"{p}.ffn.w2", b.ffn_w2), (f"{p}.ffn.b2", b.ffn_b2),
-            ]
+            out += self._ln_named(f"{p}.ln_self", b.ln_self)
+            out += self._ln_named(f"{p}.ln_cross", b.ln_cross)
+            out += self._ln_named(f"{p}.ln_ffn", b.ln_ffn)
+            out += self._ffn_named(f"{p}.ffn", b.ffn)
         return out
 
     def _caam_named(self) -> list[tuple[str, Tensor]]:
@@ -237,22 +243,13 @@ class ModelParams:
         out = [("caam.probes", c.probes), ("caam.cls", c.cls)]
         crm = c.crm
         if crm.variant == "mlp":
-            out += [
-                ("caam.crm.mlp.w1", crm.mlp_w1), ("caam.crm.mlp.b1", crm.mlp_b1),
-                ("caam.crm.mlp.w2", crm.mlp_w2), ("caam.crm.mlp.b2", crm.mlp_b2),
-            ]
-        elif crm.variant == "transformer":
-            for i, layer in enumerate(crm.layers):
-                p = f"caam.crm.layer{i}"
-                out += self._attention_named(f"{p}.self", layer.self_attn)
-                out += [
-                    (f"{p}.ln_attn.gain", layer.ln_attn.gain),
-                    (f"{p}.ln_attn.shift", layer.ln_attn.shift),
-                    (f"{p}.ffn.w1", layer.ffn_w1), (f"{p}.ffn.b1", layer.ffn_b1),
-                    (f"{p}.ffn.w2", layer.ffn_w2), (f"{p}.ffn.b2", layer.ffn_b2),
-                    (f"{p}.ln_ffn.gain", layer.ln_ffn.gain),
-                    (f"{p}.ln_ffn.shift", layer.ln_ffn.shift),
-                ]
+            out += self._ffn_named("caam.crm.mlp", crm.mlp)
+        for i, layer in enumerate(crm.layers):
+            p = f"caam.crm.layer{i}"
+            out += self._attention_named(f"{p}.self", layer.self_attn)
+            out += self._ln_named(f"{p}.ln_attn", layer.ln_self)  # the checkpoint's name
+            out += self._ffn_named(f"{p}.ffn", layer.ffn)
+            out += self._ln_named(f"{p}.ln_ffn", layer.ln_ffn)
         out += [("caam.wc", c.wc), ("caam.bc", c.bc)]
         return out
 

@@ -35,13 +35,13 @@ def crm_tensors(crm):
     if crm.variant == "avg":
         return []
     if crm.variant == "mlp":
-        return [crm.mlp_w1, crm.mlp_b1, crm.mlp_w2, crm.mlp_b2]
+        return [crm.mlp.w1, crm.mlp.b1, crm.mlp.w2, crm.mlp.b2]
     out = []
     for layer in crm.layers:
         a = layer.self_attn
         out += [a.wq, a.bq, a.wk, a.bk, a.wv, a.bv, a.wo, a.bo]
-        out += [layer.ln_attn.gain, layer.ln_attn.shift, layer.ln_ffn.gain, layer.ln_ffn.shift]
-        out += [layer.ffn_w1, layer.ffn_b1, layer.ffn_w2, layer.ffn_b2]
+        out += [layer.ln_self.gain, layer.ln_self.shift, layer.ln_ffn.gain, layer.ln_ffn.shift]
+        out += [layer.ffn.w1, layer.ffn.b1, layer.ffn.w2, layer.ffn.b2]
     return out
 
 
@@ -166,9 +166,9 @@ def crm_full_rows(tokens, crm, n_heads):
     t = constant(tokens)
     for layer in crm.layers:
         attn = _attention(t, t, layer.self_attn, n_heads)
-        t = layer_norm_rows(add(t, attn), layer.ln_attn.gain, layer.ln_attn.shift)
-        hidden = gelu(linear(t, layer.ffn_w1, layer.ffn_b1))
-        t = layer_norm_rows(add(t, linear(hidden, layer.ffn_w2, layer.ffn_b2)),
+        t = layer_norm_rows(add(t, attn), layer.ln_self.gain, layer.ln_self.shift)
+        hidden = gelu(linear(t, layer.ffn.w1, layer.ffn.b1))
+        t = layer_norm_rows(add(t, linear(hidden, layer.ffn.w2, layer.ffn.b2)),
                             layer.ln_ffn.gain, layer.ln_ffn.shift)
     return t.data[..., :1, :]
 

@@ -13,7 +13,7 @@ from focalcir.numerics.tensor import Tape, Tensor, backward, concat_rows, consta
 from focalcir.fusion import (
     AttentionParams,
     _attention,
-    _block_forward,
+    _layer_forward,
     _logit_bias,
     encode_target,
     init_fusion_params,
@@ -316,7 +316,7 @@ def full_pass_rows(patches, text, fusion, mask, beta, cls, extras, key_mask):
     tokens = concat_rows([cls, fusion.queries, extras, constant(text)])
     bias = _logit_bias(mask, beta, tokens.data.shape[-2], (1, 1 + m), key_mask)
     for block in fusion.blocks:
-        tokens = _block_forward(tokens, constant(patches), block, fusion.n_heads, bias)
+        tokens = _layer_forward(tokens, block, fusion.n_heads, constant(patches), bias)
     out = tokens.data
     return {"cls": out[:, :1], "fused": out[:, 1 : 1 + m], "extra": out[:, 1 + m : 1 + m + k]}
 

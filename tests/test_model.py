@@ -446,17 +446,18 @@ def test_no_linear_in_a_training_step_takes_the_patches(monkeypatch):
     _, enc, params = tiny_setup(seed=92)
     examples = _ragged_examples(enc, 92)
     patches, inputs = [], []
-    real_block, real_linear = fusion._block_forward, fusion.linear
+    real_layer, real_linear = fusion._layer_forward, fusion.linear
 
-    def block_spy(tokens, kv, *args):
-        patches.append(kv)
-        return real_block(tokens, kv, *args)
+    def layer_spy(tokens, layer, n_heads, kv, *args):
+        if kv is not None:  # a fusion block; CRM layers attend to no patches
+            patches.append(kv)
+        return real_layer(tokens, layer, n_heads, kv, *args)
 
     def linear_spy(x, w, b):
         inputs.append(x)
         return real_linear(x, w, b)
 
-    monkeypatch.setattr(fusion, "_block_forward", block_spy)
+    monkeypatch.setattr(fusion, "_layer_forward", layer_spy)
     monkeypatch.setattr(fusion, "linear", linear_spy)
     assert train(params, examples, TrainConfig(epochs=1, batch_size=4, seed=1)).steps == 1
     assert len(patches) == 3  # the query, probe and target passes of one block
@@ -626,8 +627,9 @@ def test_checkpoint_damage_fails_by_name(tmp_path, damage, message):
 def test_last_layers_compute_only_the_rows_that_are_read(monkeypatch):
     # the query pass reads the cls row, the probe pass [cls, probes] and the
     # CRM its row 0, so each last layer normalizes only those rows; the
-    # target pass reads every fusion query
-    import focalcir.caam as caam
+    # target pass reads every fusion query. Fusion blocks and CRM layers
+    # share one layer, so every layer norm is fusion's; a CRM layer has no
+    # cross-attention and normalizes twice
     import focalcir.fusion as fusion
 
     m, k, l_text = 2, 3, 2
@@ -635,19 +637,20 @@ def test_last_layers_compute_only_the_rows_that_are_read(monkeypatch):
                                 n_blocks=2, crm_layers=2)
     params = ModelParams(params.config, enc, seed=93, zero_modulation_head=False)
     seen = []
-    for module in (fusion, caam):
-        def spy(x, gain, shift, _real=module.layer_norm_rows, _name=module.__name__):
-            seen.append((_name.rsplit(".", 1)[1], x.data.shape[-2]))
-            return _real(x, gain, shift)
+    real = fusion.layer_norm_rows
 
-        monkeypatch.setattr(module, "layer_norm_rows", spy)
+    def spy(x, gain, shift):
+        seen.append(x.data.shape[-2])
+        return real(x, gain, shift)
+
+    monkeypatch.setattr(fusion, "layer_norm_rows", spy)
     samples = [random_sample(np.random.default_rng(93), enc) for _ in range(3)]
     _, applied = query_representation(samples, params)
     assert all(b != 0.0 for b in applied)  # the probe pass and CRM ran
-    probe_pass = [("fusion", 1 + m + k + l_text)] * 3 + [("fusion", 1 + k)] * 3
-    crm = [("caam", 1 + k)] * 2 + [("caam", 1)] * 2
-    query_pass = [("fusion", 1 + m + l_text)] * 3 + [("fusion", 1)] * 3
+    probe_pass = [1 + m + k + l_text] * 3 + [1 + k] * 3
+    crm = [1 + k] * 2 + [1] * 2
+    query_pass = [1 + m + l_text] * 3 + [1] * 3
     assert seen == probe_pass + crm + query_pass
     seen.clear()
     target_representation([s.patches for s in samples], params)
-    assert seen == [("fusion", m)] * 6
+    assert seen == [m] * 6
