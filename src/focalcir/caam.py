@@ -7,6 +7,11 @@ condenses [cls, probes] into a single context vector, and a linear head maps
 it to the modulation output: a scalar beta, or one beta per fusion query in
 the vector form. The head is zero-initialized so an untrained model starts
 exactly at the unmodulated baseline.
+
+The CRM averages the rows (`avg`), applies the fusion encoder's FFN to
+their mean (`mlp`), or runs fusion's post-norm layer without its
+cross-attention (`transformer`, through `fusion.run_layers`, whose last
+layer computes the cls row alone).
 """
 
 from __future__ import annotations
@@ -117,6 +122,8 @@ def init_crm_params(
     ffn_mult: int = 2,
     weight_init: float = 0.1,
 ) -> CrmParams:
+    if n_layers < 1:
+        raise ContractError(f"a CRM needs at least one layer, got {n_layers}")
     if variant == "mlp":
         return CrmParams(variant, mlp=init_ffn(rng, d_model, ffn_mult, weight_init))
     if variant != "transformer":

@@ -1,10 +1,10 @@
 """Multimodal fusion encoder with region-modulated cross-attention.
 
-Every block runs (1) self-attention over the token set [cls?, fusion
-queries, extra tokens?, text tokens], (2) cross-attention from that set to
-the patch embeddings, (3) a feed-forward layer, each with a post-norm
-residual. Text tokens are self-attention participants only; patches are the
-only cross-attention keys/values.
+One post-norm layer (Vaswani et al. 2017, arXiv:1706.03762) runs (1)
+self-attention over its tokens, (2) an optional cross-attention to the patch
+embeddings, (3) a feed-forward layer, each with a post-norm residual. Fusion
+blocks have (2), over [cls?, fusion queries, extra tokens?, text tokens], with
+text as self-attention participants only; the CAAM's CRM layers do not.
 
 The modulation: a binary region mask over patch columns is scaled by beta
 and added to the raw cross-attention logits BEFORE division by sqrt(d_k).
@@ -15,10 +15,10 @@ rows individually; with the vector form, cls/text/extra rows get no bias.
 There are no positional embeddings: tokens interact as a set, and spatial
 selection enters only through the mask.
 
-The last block computes only the rows its caller reads (`read`): they are
-its self-attention queries, and every token stays a key and value, so the
-read rows are exactly those of a full pass. The query branch reads the cls
-row alone, the modulation predictor [cls, probes].
+In `run_layers`, the last layer computes only the rows its caller reads:
+they are its self-attention queries, and every token stays a key and value,
+so the read rows are exactly those of a full pass. The query branch and
+the CRM read their cls row alone, the modulation predictor [cls, probes].
 
 Every attention runs in merged form, through the QK and OV circuits of
 Elhage et al. 2021: per head, logits = (X W_Q W_K^T + b_Q W_K^T) P^T and
@@ -262,6 +262,25 @@ def _attention(
     return out
 
 
+def _mask_rows(mask: np.ndarray | None, beta, n_keys: int) -> np.ndarray | None:
+    """The region mask as (1, n) or (B, 1, n) rows over n_keys keys, or None.
+
+    Without a mask, beta must be exactly a scalar 0; mask entries must be
+    exactly 0 or 1."""
+    if mask is None:
+        if not (isinstance(beta, (int, float)) and float(beta) == 0.0):
+            raise ContractError("a non-zero beta requires a region mask")
+        return None
+    values = np.asarray(mask, dtype=np.float64)
+    if values.ndim == 1:
+        values = values[None, :]
+    if not np.all((values == 0.0) | (values == 1.0)):
+        raise ContractError("region mask entries must be exactly 0 or 1")
+    if values.shape[-1] != n_keys:
+        raise AlignmentError(f"mask covers {values.shape[-1]} keys but there are {n_keys}")
+    return values
+
+
 def modulated_cross_attention(
     queries: Tensor,
     kv: Tensor,
@@ -277,18 +296,8 @@ def modulated_cross_attention(
     The mask covers key columns and is broadcast across every query row.
     Pass mask=None with beta=0 for plain cross-attention.
     """
-    if mask is None:
-        scalar_zero = isinstance(beta, (int, float)) and float(beta) == 0.0
-        if not scalar_zero:
-            raise ContractError("a non-zero beta requires a region mask")
-        return _attention(queries, kv, params, n_heads)
-    mask_values = np.asarray(mask, dtype=np.float64).reshape(1, -1)
-    if mask_values.shape[1] != kv.data.shape[-2]:
-        raise AlignmentError(
-            f"mask covers {mask_values.shape[1]} keys but kv has {kv.data.shape[-2]} rows"
-        )
     n_rows = queries.data.shape[-2]
-    bias = _logit_bias(mask_values, beta, n_rows, (0, n_rows), None)
+    bias = _logit_bias(_mask_rows(mask, beta, kv.data.shape[-2]), beta, n_rows, (0, n_rows), None)
     return _attention(queries, kv, params, n_heads, bias)
 
 
@@ -373,21 +382,7 @@ def multimodal_encode(
         )
     if key_mask is not None and key_mask.shape[-1] != n_keys:
         raise AlignmentError(f"key mask covers {key_mask.shape[-1]} keys but image has {n_keys}")
-    if mask is None:
-        scalar_zero = isinstance(beta, (int, float)) and float(beta) == 0.0
-        if not scalar_zero:
-            raise ContractError("multimodal_encode without a mask requires beta == 0")
-        mask_values = None
-    else:
-        mask_values = np.asarray(mask, dtype=np.float64)
-        if mask_values.ndim == 1:
-            mask_values = mask_values[None, :]
-        if not np.all((mask_values == 0.0) | (mask_values == 1.0)):
-            raise ContractError("region mask entries must be exactly 0 or 1")
-        if mask_values.shape[-1] != n_keys:
-            raise AlignmentError(
-                f"mask covers {mask_values.shape[-1]} patches but image has {n_keys}"
-            )
+    mask_values = _mask_rows(mask, beta, n_keys)
 
     groups = {g: t for g, t in (("cls", cls_token), ("fused", fusion.queries),
                                  ("extra", extra_tokens)) if t is not None}

@@ -87,7 +87,8 @@ class ModelConfig:
     def validate(self) -> None:
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
-        for name in ("d_model", "d_embed", "m_queries", "k_probes", "l_text", "n_blocks", "ffn_mult"):
+        for name in ("d_model", "d_embed", "m_queries", "k_probes", "l_text", "n_blocks",
+                     "ffn_mult", "crm_layers"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if self.crm_variant not in ("avg", "mlp", "transformer"):
@@ -412,7 +413,7 @@ def train(params: ModelParams, examples: list[TrainExample], cfg: TrainConfig) -
     }
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     result = TrainResult()
-    for _epoch in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
         order = rng.permutation(len(examples))
         epoch_losses: list[float] = []
         epoch_betas: list[float] = []
@@ -429,6 +430,9 @@ def train(params: ModelParams, examples: list[TrainExample], cfg: TrainConfig) -
                 )
                 f_t = target_representation([ex.target_patches for ex in batch], params)
                 loss = contrastive_loss(f_q, f_t, params.tau)
+            if not np.isfinite(loss.item()):  # stop before AdamW applies its gradients
+                raise ContractError(f"epoch {epoch + 1} step {len(epoch_losses) + 1}: "
+                                    f"loss is {loss.item()}")
             epoch_betas.extend(_beta_scalar(a) for a in applied)
             backward(loss, tape)
             if adaptive and groups["caam"]:

@@ -119,6 +119,9 @@ def test_crm_variants_have_expected_param_counts():
 def test_unknown_variant_rejected():
     with pytest.raises(ContractError):
         init_crm_params(np.random.default_rng(0), "pool", D)
+    for variant in ("avg", "mlp", "transformer"):
+        with pytest.raises(ContractError):
+            init_crm_params(np.random.default_rng(0), variant, D, n_layers=0)
     with pytest.raises(ContractError):
         init_caam_params(np.random.default_rng(0), D, 3, 4, output_form="matrix")
 

@@ -195,6 +195,9 @@ def test_mask_values_are_binary_and_nonempty():
     fusion = init_fusion_params(np.random.default_rng(1), 16, m_queries=4, n_blocks=1)
     with pytest.raises(ContractError):
         multimodal_encode(patches, text, fusion, mask=np.full(4, 0.5), beta=1.0)
+    with pytest.raises(ContractError):
+        modulated_cross_attention(constant(text.tokens), constant(patches),
+                                  fusion.blocks[0].cross_attn, np.full(4, 0.5), 1.0)
     with pytest.raises(EmptyMaskError):
         region_mask_from_bbox((0.9, 0.9, 0.95, 0.95), (2, 2))
     with pytest.raises(AlignmentError):

@@ -320,6 +320,9 @@ def test_config_rejects_bad_values():
         ModelConfig(d_model=9, n_heads=2).validate()
     with pytest.raises(ConfigError):
         ModelConfig(crm_variant="pool").validate()
+    for layers in (0, -1):
+        with pytest.raises(ConfigError, match="crm_layers"):
+            ModelConfig(crm_layers=layers).validate()
     with pytest.raises(ConfigError):
         TrainConfig(batch_size=1).validate()
     with pytest.raises(ConfigError):
@@ -406,6 +409,18 @@ def test_train_rejects_empty_dataset():
     _, _, params = tiny_setup()
     with pytest.raises(ContractError):
         train(params, [], TrainConfig())
+
+
+def test_non_finite_loss_stops_training_before_the_update():
+    # tau=1e-320 passes validation, but 1/tau overflows and the loss is NaN;
+    # AdamW must not apply the poisoned gradients
+    _, enc, params = tiny_setup(seed=52, tau=1e-320)
+    before = [t.data.copy() for _, t in params.named_params()]
+    examples = random_examples(np.random.default_rng(52), enc, 4)
+    with pytest.raises(ContractError, match="epoch 1 step 1: loss is nan"):
+        train(params, examples, TrainConfig(epochs=1, batch_size=4, seed=2))
+    for want, (name, t) in zip(before, params.named_params()):
+        assert np.array_equal(t.data, want), name
 
 
 def _ragged_examples(enc, seed):
