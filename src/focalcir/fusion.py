@@ -24,10 +24,13 @@ Every attention runs in merged form, through the QK and OV circuits of
 Elhage et al. 2021: per head, logits = (X W_Q W_K^T + b_Q W_K^T) P^T and
 output = (A P)(W_V W_O) + (b_V W_O + b_O), where P are the keys/values
 (patches, or the tokens themselves in self-attention). The d x d products
-are built on the tape once per call, so no attention projects P. b_V moves
-out because attention rows sum to 1; b_K cancels exactly (q . b_K is the
-same for every key of a row), so it gets no gradient and stays zero. It is
-kept only for the checkpoint layout and AttentionParams.
+of every head are built on the tape once per call (`head_products`), so no
+attention projects P, and one `attention` op runs all heads as an axis.
+b_V moves out because attention rows sum to 1; b_K cancels exactly (q . b_K
+is the same for every key of a row), so it gets no gradient and stays zero.
+It is kept only for the checkpoint layout and AttentionParams. A layer is a
+handful of tape ops: per attention W_K^T, the four merged products and the
+attention itself, then one `residual_norm` per sub-layer and one `feed_forward`.
 
 Batches: patches may be one image (n, d) or a batch (B, n, d), with one
 region-mask row (B, 1, n) and one beta (B, 1, 1) or (B, 1, M) per sample.
@@ -56,20 +59,17 @@ from focalcir.encoders import TextEmbedding
 from focalcir.geometry import BBox, patch_membership, validate_bbox
 from focalcir.numerics.tensor import (
     Tensor,
-    add,
     add_bias,
-    concat_cols,
+    attention,
     concat_rows,
     constant,
-    gelu,
-    layer_norm_rows,
+    feed_forward,
+    head_products,
     linear,
     matmul,
+    residual_norm,
     scalar_times_const,
-    scale,
-    slice_cols,
     slice_rows,
-    softmax_rows,
     transpose,
 )
 
@@ -232,34 +232,19 @@ def _attention(
     bias: Tensor | None = None,
 ) -> Tensor:
     d_model = params.wq.data.shape[1]
-    if d_model % n_heads != 0:
-        raise DimensionError(f"d_model {d_model} not divisible by {n_heads} heads")
-    d_head = d_model // n_heads
-    kv_t = transpose(kv)  # keys and values are kv itself: never projected
-    outs, w_vo = [], []
-    for h in range(n_heads):
-        lo, hi = h * d_head, (h + 1) * d_head
-        wq, bq, wk, wv = (slice_cols(t, lo, hi) if n_heads > 1 else t
-                          for t in (params.wq, params.bq, params.wk, params.wv))
-        wk_t = transpose(wk)
-        logits = matmul(linear(tokens, matmul(wq, wk_t), matmul(bq, wk_t)), kv_t)
-        if bias is not None:
-            # the bias lands on raw logits, before 1/sqrt(d_k) scaling,
-            # and the same bias is applied in every head
-            one_row = bias.data.shape[-2] == 1
-            logits = add_bias(logits, bias) if one_row else add(logits, bias)
-        mixed = matmul(softmax_rows(scale(logits, 1.0 / math.sqrt(d_head))), kv)
-        if params.wo is None:
-            bv = slice_cols(params.bv, lo, hi) if n_heads > 1 else params.bv
-            outs.append(linear(mixed, wv, bv))
-        else:
-            outs.append(mixed)
-            w_vo.append(matmul(wv, slice_rows(params.wo, lo, hi) if n_heads > 1 else params.wo))
-    out = outs[0] if n_heads == 1 else concat_cols(outs)
-    if params.wo is not None:
-        w = w_vo[0] if n_heads == 1 else concat_rows(w_vo)
-        out = linear(out, w, linear(params.bv, params.wo, params.bo))
-    return out
+    if n_heads < 1 or d_model % n_heads != 0:
+        raise DimensionError(f"d_model {d_model} does not split into {n_heads} heads")
+    wo, bo = params.wo, params.bo
+    if wo is None:  # the bare op: its output projection is the identity
+        wo, bo = constant(np.eye(d_model)), constant(np.zeros((1, d_model)))
+    wk_t = transpose(params.wk)  # keys and values are kv itself: never projected
+    # the bias lands on raw logits, before 1/sqrt(d_k) scaling, in every head
+    return attention(
+        tokens, kv,
+        head_products(params.wq, wk_t, n_heads), head_products(params.bq, wk_t, n_heads),
+        head_products(params.wv, wo, n_heads, stack_rows=True), linear(params.bv, wo, bo),
+        bias, 1.0 / math.sqrt(d_model // n_heads),
+    )
 
 
 def _mask_rows(mask: np.ndarray | None, beta, n_keys: int) -> np.ndarray | None:
@@ -302,7 +287,7 @@ def modulated_cross_attention(
 
 
 def ffn(tokens: Tensor, p: FfnParams) -> Tensor:
-    return linear(gelu(linear(tokens, p.w1, p.b1)), p.w2, p.b2)
+    return feed_forward(tokens, p.w1, p.b1, p.w2, p.b2)
 
 
 def _take_rows(t: Tensor, spans: list[tuple[int, int]]) -> Tensor:
@@ -325,12 +310,11 @@ def _layer_forward(
     every token is a key and value of the self-attention."""
     rows = tokens if rows is None else rows
     attn = _attention(rows, tokens, layer.self_attn, n_heads)
-    rows = layer_norm_rows(add(rows, attn), layer.ln_self.gain, layer.ln_self.shift)
+    rows = residual_norm(rows, attn, layer.ln_self.gain, layer.ln_self.shift)
     if layer.cross_attn is not None:
         cross = _attention(rows, kv, layer.cross_attn, n_heads, bias)
-        rows = layer_norm_rows(add(rows, cross), layer.ln_cross.gain, layer.ln_cross.shift)
-    ff = ffn(rows, layer.ffn)
-    return layer_norm_rows(add(rows, ff), layer.ln_ffn.gain, layer.ln_ffn.shift)
+        rows = residual_norm(rows, cross, layer.ln_cross.gain, layer.ln_cross.shift)
+    return residual_norm(rows, ffn(rows, layer.ffn), layer.ln_ffn.gain, layer.ln_ffn.shift)
 
 
 def run_layers(
@@ -472,6 +456,11 @@ def init_fusion_params(
     weight_init: float = 0.1,
 ) -> FusionParams:
     """Fusion queries are frozen; the blocks train."""
+    if min(n_blocks, m_queries, n_heads) < 1 or d_model % n_heads != 0:
+        raise ContractError(
+            f"a fusion encoder needs n_blocks, m_queries and n_heads >= 1 and d_model "
+            f"divisible by n_heads, got {n_blocks}, {m_queries}, {n_heads} and {d_model}"
+        )
     return FusionParams(
         queries=Tensor(rng.normal(0.0, token_init, size=(m_queries, d_model))),
         blocks=[init_layer(rng, d_model, ffn_mult, weight_init, cross=True)

@@ -15,6 +15,7 @@ setting's differential rates.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Any, Sequence
 
@@ -85,18 +86,23 @@ class ModelConfig:
     tau: float = 0.07  # fixed contrastive temperature
 
     def validate(self) -> None:
-        if self.d_model % self.n_heads != 0:
-            raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         for name in ("d_model", "d_embed", "m_queries", "k_probes", "l_text", "n_blocks",
-                     "ffn_mult", "crm_layers"):
+                     "n_heads", "ffn_mult", "crm_layers"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.d_model % self.n_heads != 0:
+            raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.crm_variant not in ("avg", "mlp", "transformer"):
             raise ConfigError(f"unknown crm_variant {self.crm_variant!r}")
         if self.modulation not in ("scalar", "vector"):
             raise ConfigError(f"unknown modulation form {self.modulation!r}")
-        if not (0.0 < self.tau):
-            raise ConfigError("tau must be positive")
+        for name in ("token_init", "weight_init"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+        # the loss scales similarities by 1/tau, so that must be finite too
+        if not (0.0 < self.tau and math.isfinite(self.tau) and math.isfinite(1.0 / self.tau)):
+            raise ConfigError(f"tau must be positive, with tau and 1/tau finite, got {self.tau}")
 
 
 @dataclass

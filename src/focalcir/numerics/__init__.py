@@ -7,11 +7,13 @@ from focalcir.numerics.tensor import (
     Tensor,
     add,
     add_bias,
+    attention,
     backward,
-    concat_cols,
     concat_rows,
     constant,
+    feed_forward,
     gelu,
+    head_products,
     layer_norm_rows,
     linear,
     log_softmax_diag,
@@ -20,9 +22,9 @@ from focalcir.numerics.tensor import (
     mean_over_rows,
     mul,
     parameter,
+    residual_norm,
     scale,
     scalar_times_const,
-    slice_cols,
     slice_rows,
     softmax_rows,
     squeeze_rows,

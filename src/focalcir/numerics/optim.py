@@ -13,8 +13,13 @@ from focalcir.numerics.tensor import Tensor
 
 @dataclass
 class AdamState:
-    """Per-group optimizer state. Moment buffers are allocated lazily on the
-    first step so the state can be constructed before parameters exist."""
+    """Per-group optimizer state.
+
+    On the first step the group's parameters move into one flat buffer:
+    each parameter's .data becomes a view of it, and the moments are two
+    more flat buffers, so a step is a few vector ops over the whole group
+    instead of a dozen per tensor. The state can be built before the
+    parameters exist."""
 
     lr: float
     beta1: float = 0.9
@@ -22,42 +27,68 @@ class AdamState:
     weight_decay: float = 0.05
     eps: float = 1e-8
     step_count: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
+    flat: np.ndarray | None = None  # every parameter of the group, end to end
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+    views: list[np.ndarray] = field(default_factory=list)  # each parameter's .data
 
     def _ensure(self, params: Sequence[Tensor]) -> None:
-        if not self.m:
-            self.m = [np.zeros_like(p.data) for p in params]
-            self.v = [np.zeros_like(p.data) for p in params]
-        if len(self.m) != len(params):
+        if self.flat is None:
+            self.flat = np.concatenate([p.data.reshape(-1) for p in params])
+            self.m, self.v = np.zeros_like(self.flat), np.zeros_like(self.flat)
+            at = 0
+            for p in params:
+                view = self.flat[at : at + p.data.size].reshape(p.data.shape)
+                at += p.data.size
+                p.data = view
+                self.views.append(view)
+        if len(self.views) != len(params):
             raise ContractError(
-                f"optimizer state tracks {len(self.m)} params, got {len(params)}"
+                f"optimizer state tracks {len(self.views)} params, got {len(params)}"
             )
+        for i, (p, view) in enumerate(zip(params, self.views)):
+            if p.data is not view:
+                raise ContractError(
+                    f"param {i} of shape {p.data.shape} is not the array this optimizer "
+                    f"state steps: its .data was rebound after the first step"
+                )
 
 
 def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray | None], state: AdamState) -> None:
     """One in-place update. grads[i] = None means a zero gradient; decoupled
-    weight decay still applies to that parameter."""
+    weight decay still applies to that parameter. The rule is elementwise,
+    so updating the flat buffer gives every tensor the bits a per-tensor
+    update would."""
     if len(params) != len(grads):
         raise ContractError(f"{len(params)} params but {len(grads)} grads")
+    if not params:
+        raise ContractError("an optimizer group needs at least one param")
+    for p, g in zip(params, grads):
+        if g is not None and g.shape != p.data.shape:
+            raise DimensionError(f"grad shape {g.shape} vs param shape {p.data.shape}")
     state._ensure(params)
+    # a zero grad decays the moments exactly as skipping the gradient terms
+    # would: the moments start at +0.0 and never reach -0.0
+    g = np.concatenate([np.zeros(p.data.size) if g is None else g.reshape(-1)
+                        for p, g in zip(params, grads)])
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t
     lr, b1, b2, wd, eps = state.lr, state.beta1, state.beta2, state.weight_decay, state.eps
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if g is not None and g.shape != p.data.shape:
-            raise DimensionError(f"grad shape {g.shape} vs param shape {p.data.shape}")
-        if wd != 0.0:
-            p.data -= lr * wd * p.data
-        if g is None:
-            # moments decay toward zero exactly as with an explicit zero grad
-            m *= b1
-            v *= b2
-        else:
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    flat, m, v = state.flat, state.m, state.v
+    if wd != 0.0:
+        flat -= lr * wd * flat
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    g2 = (1.0 - b2) * g
+    g2 *= g
+    v += g2
+    step = m / bc1
+    step *= lr
+    denom = v / bc2
+    np.sqrt(denom, out=denom)
+    denom += eps
+    step /= denom
+    flat -= step

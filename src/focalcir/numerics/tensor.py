@@ -9,7 +9,10 @@ last two axes, and the leading batch axis broadcasts: an unbatched operand
 (a weight, a frozen token set) meets every sample of a batched one. Within
 the last two axes the only implicit broadcast is `add_bias`, which adds a
 1 x c row to every row. One tape therefore records one op per layer for a
-whole batch, however many samples it holds.
+whole batch, however many samples it holds. The fused layer ops at the end
+(`head_products`, `attention`, `residual_norm`, `feed_forward`) each record
+one entry for what would take several composed ops; with one head, their
+forward passes round exactly as those ops do.
 
 Recording: operations append (inputs, output, backward) entries to the
 innermost active `Tape` whenever any input requires grad. `backward` walks
@@ -185,6 +188,36 @@ def _swap(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2)
 
 
+def _stacked(a: np.ndarray) -> np.ndarray:
+    """Every row of a 2-D or 3-D array, as one 2-D matrix."""
+    return a.reshape(-1, a.shape[-1])
+
+
+def _col_sums(a: np.ndarray) -> np.ndarray:
+    """The 1 x c sum of every row of a, as one GEMV with a ones vector: about
+    5x faster than .sum at layer sizes. It rounds differently, so backward
+    rules use it and forward passes keep .sum."""
+    rows = _stacked(a)
+    return (np.ones(rows.shape[0]) @ rows)[None, :]
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """The sum of each row of a, keeping the axis, as one GEMV (see _col_sums)."""
+    return (_stacked(a) @ np.ones(a.shape[-1])).reshape(a.shape[:-1] + (1,))
+
+
+def _input_grad(g: np.ndarray, w: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The gradient of x in x @ w, from one GEMM over all of g's stacked rows,
+    summed down to x's shape.
+
+    Weight gradients are one GEMM too, x_stacked^T @ g_stacked. No operand
+    of a linear-type product has more than a few dozen rows per sample (the
+    patches are never projected), and one GEMM over the batch beats B
+    per-sample ones, most of all in a 1-row last layer (about 5 against
+    100 us at B = 32, timeit)."""
+    return _unbroadcast((_stacked(g) @ w.T).reshape(g.shape[:-1] + (w.shape[0],)), shape)
+
+
 def _same_last_two(a: Tensor, b: Tensor, op: str) -> None:
     if a.data.shape[-2:] != b.data.shape[-2:]:
         raise DimensionError(f"{op} needs equal shapes, got {a.data.shape} and {b.data.shape}")
@@ -236,13 +269,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         need_x, need_w = x.requires_grad, w.requires_grad
 
         def bwd(g: np.ndarray):
-            # the weight gradient of a batch sums per-sample GEMMs: one GEMM
-            # over all B * n stacked rows is large enough for OpenBLAS to
-            # thread it, and it ran slower and stalled on a 2-core host
             return (
-                g @ wd.T if need_x else None,
-                _unbroadcast(_swap(xd) @ g, wd.shape) if need_w else None,
-                g.reshape(-1, m).sum(axis=0, keepdims=True),
+                _input_grad(g, wd, xd.shape) if need_x else None,
+                _stacked(xd).T @ _stacked(g) if need_w else None,
+                _col_sums(g),
             )
 
         tape._record((x, w, b), out, bwd)
@@ -371,22 +401,21 @@ def transpose(a: Tensor) -> Tensor:
     return out
 
 
-def _concat(parts: list[Tensor], axis: int, op: str) -> Tensor:
-    """Join along rows (axis -2) or cols (axis -1); unbatched parts are
-    repeated across the batch, and their gradients summed back over it."""
+def concat_rows(parts: Iterable[Tensor]) -> Tensor:
+    """Join along rows; unbatched parts are repeated across the batch, and
+    their gradients summed back over it."""
+    parts = list(parts)
     if not parts:
-        raise ContractError(f"{op} needs at least one tensor")
-    other = -1 if axis == -2 else -2
+        raise ContractError("concat_rows needs at least one tensor")
     first = parts[0].data.shape
     for p in parts[1:]:
-        if p.data.shape[other] != first[other]:
-            kind = "column" if axis == -2 else "row"
-            raise DimensionError(f"{op} {kind} mismatch: {first} vs {p.data.shape}")
+        if p.data.shape[-1] != first[-1]:
+            raise DimensionError(f"concat_rows column mismatch: {first} vs {p.data.shape}")
     arrays = [p.data for p in parts]
-    batch = _batch_size(op, *arrays)
+    batch = _batch_size("concat_rows", *arrays)
     if batch is not None:
         arrays = [a if a.ndim == 3 else np.broadcast_to(a, (batch,) + a.shape) for a in arrays]
-    out = Tensor(np.concatenate(arrays, axis=axis))
+    out = Tensor(np.concatenate(arrays, axis=-2))
     tape = _should_record(*parts)
     if tape is not None:
         shapes = [p.data.shape for p in parts]
@@ -395,22 +424,13 @@ def _concat(parts: list[Tensor], axis: int, op: str) -> Tensor:
             grads = []
             at = 0
             for s in shapes:
-                stop = at + s[axis]
-                piece = g[..., at:stop, :] if axis == -2 else g[..., at:stop]
-                grads.append(_unbroadcast(piece, s))
+                stop = at + s[-2]
+                grads.append(_unbroadcast(g[..., at:stop, :], s))
                 at = stop
             return grads
 
         tape._record(tuple(parts), out, bwd)
     return out
-
-
-def concat_rows(parts: Iterable[Tensor]) -> Tensor:
-    return _concat(list(parts), -2, "concat_rows")
-
-
-def concat_cols(parts: Iterable[Tensor]) -> Tensor:
-    return _concat(list(parts), -1, "concat_cols")
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
@@ -425,24 +445,6 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
         def bwd(g: np.ndarray):
             gx = np.zeros(shape)
             gx[..., start:stop, :] = g
-            return (gx,)
-
-        tape._record((a,), out, bwd)
-    return out
-
-
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    c = a.data.shape[-1]
-    if not (0 <= start < stop <= c):
-        raise DimensionError(f"slice_cols [{start}:{stop}] out of range for {a.data.shape}")
-    out = Tensor(a.data[..., start:stop].copy())
-    tape = _should_record(a)
-    if tape is not None:
-        shape = a.data.shape
-
-        def bwd(g: np.ndarray):
-            gx = np.zeros(shape)
-            gx[..., start:stop] = g
             return (gx,)
 
         tape._record((a,), out, bwd)
@@ -562,4 +564,240 @@ def l2_normalize_rows(x: Tensor) -> Tensor:
             return ((g - y * dot) / norms,)
 
         tape._record((x,), out, bwd)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# fused layer ops: one tape entry each, with a hand-written backward
+
+
+def head_products(a: Tensor, b: Tensor, n_heads: int, stack_rows: bool = False) -> Tensor:
+    """The per-head products a_h @ b_h as one op, where a_h are the n_heads
+    equal column blocks of a (r x H*p) and b_h the matching row blocks of b
+    (H*p x s). They are stacked as column blocks (r x H*s), or with
+    stack_rows as row blocks (H*r x s). One head gives a @ b."""
+    ad, bd = a.data, b.data
+    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
+        raise DimensionError(f"head_products inner dimensions disagree: {ad.shape} x {bd.shape}")
+    if n_heads < 1 or ad.shape[1] % n_heads:
+        raise DimensionError(f"{ad.shape[1]} columns do not split into {n_heads} heads")
+    r, hp = ad.shape
+    s = bd.shape[1]
+    a3 = ad.reshape(r, n_heads, hp // n_heads).swapaxes(0, 1)  # (H, r, p)
+    b3 = bd.reshape(n_heads, hp // n_heads, s)  # (H, p, s)
+    prod = a3 @ b3
+    out = Tensor(prod.reshape(-1, s) if stack_rows else prod.swapaxes(0, 1).reshape(r, -1))
+    tape = _should_record(a, b)
+    if tape is not None:
+        need_a, need_b = a.requires_grad, b.requires_grad
+
+        def bwd(g: np.ndarray):
+            g3 = g.reshape(n_heads, r, s) if stack_rows else g.reshape(r, n_heads, s).swapaxes(0, 1)
+            return (
+                (g3 @ _swap(b3)).swapaxes(0, 1).reshape(r, hp) if need_a else None,
+                (_swap(a3) @ g3).reshape(hp, s) if need_b else None,
+            )
+
+        tape._record((a, b), out, bwd)
+    return out
+
+
+def _split_heads(a: np.ndarray, n_heads: int) -> np.ndarray:
+    """(.., r, H*d) -> (.., H, r, d), a view."""
+    return a.reshape(a.shape[:-1] + (n_heads, -1)).swapaxes(-2, -3)
+
+
+def _join_heads(a: np.ndarray) -> np.ndarray:
+    """(.., H, r, d) -> (.., r, H*d)."""
+    a = a.swapaxes(-2, -3)
+    return a.reshape(a.shape[:-2] + (-1,))
+
+
+def attention(
+    x: Tensor,
+    kv: Tensor,
+    w_qk: Tensor,
+    b_qk: Tensor,
+    w_vo: Tensor,
+    b_vo: Tensor,
+    bias: Tensor | None,
+    c: float,
+) -> Tensor:
+    """Multi-head attention of the rows of x over the keys and values kv, in
+    merged form, as one op: per head h,
+
+        A_h = softmax_rows(c * ((x W_QK,h + b_QK,h) kv^T + bias)),
+
+    and the output is sum_h (A_h kv) W_VO,h + b_VO. kv is d wide; W_QK
+    (k x H*d) and b_QK (1 x H*d) hold the heads as column blocks, W_VO
+    (H*d x m) as row blocks, so H is read off their shapes. The additive
+    bias is one row or one row per query row, shared by every head; -inf on
+    a key gives it probability exactly 0. With one head the arithmetic is
+    the composed ops' (linear, matmul, add_bias, scale, softmax_rows,
+    matmul, linear), step for step. The backward runs from the saved
+    probabilities."""
+    xd, kd = x.data, kv.data
+    k, d = xd.shape[-1], kd.shape[-1]
+    hd, m = w_qk.data.shape[-1], w_vo.data.shape[-1]
+    if (w_qk.data.shape != (k, hd) or hd % d or b_qk.data.shape != (1, hd)
+            or w_vo.data.shape != (hd, m) or b_vo.data.shape != (1, m)):
+        raise DimensionError(
+            f"attention over {d}-wide keys got W_QK {w_qk.data.shape}, b_QK {b_qk.data.shape}, "
+            f"W_VO {w_vo.data.shape} and b_VO {b_vo.data.shape} for {k}-wide rows"
+        )
+    n_heads = hd // d
+    arrays = [xd, kd]
+    if bias is not None:
+        if bias.data.shape[-1] != kd.shape[-2] or bias.data.shape[-2] not in (1, xd.shape[-2]):
+            raise DimensionError(f"attention bias {bias.data.shape} fits neither 1 nor "
+                                 f"{xd.shape[-2]} rows over {kd.shape[-2]} keys")
+        arrays.append(bias.data)
+    _batch_size("attention", *arrays)
+    wqk, wvo = w_qk.data, w_vo.data
+    q = xd @ wqk
+    q += b_qk.data
+    qh = _split_heads(q, n_heads)  # (.., H, r, d)
+    kvh = kd[..., None, :, :]  # (.., 1, n, d): every head reads the same keys
+    # the transposed keys as a contiguous copy, as `transpose` makes it:
+    # BLAS rounds a transposed view differently
+    probs = qh @ np.ascontiguousarray(_swap(kd))[..., None, :, :]
+    if bias is not None:
+        probs = probs + bias.data[..., None, :, :]
+    probs *= c
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    mixed = _join_heads(probs @ kvh)  # (.., r, H*d)
+    y = mixed @ wvo
+    y += b_vo.data
+    out = Tensor(y)
+    inputs = (x, kv, w_qk, b_qk, w_vo, b_vo) + (() if bias is None else (bias,))
+    tape = _should_record(*inputs)
+    if tape is not None:
+        need_x, need_kv = x.requires_grad, kv.requires_grad
+        need_bias = bias is not None and bias.requires_grad
+
+        def bwd(g: np.ndarray):
+            gs = _stacked(g)
+            g_mixed = _split_heads((gs @ wvo.T).reshape(mixed.shape), n_heads)
+            g_logits = g_mixed @ _swap(kvh)
+            g_logits -= _row_sums(g_logits * probs)
+            g_logits *= probs
+            g_logits *= c
+            g_q = _join_heads(g_logits @ kvh)
+            x_rows = np.broadcast_to(xd, g_q.shape[:-1] + (k,))
+            grads = [
+                _input_grad(g_q, wqk, xd.shape) if need_x else None,
+                None,
+                _stacked(x_rows).T @ _stacked(g_q),
+                _col_sums(g_q),
+                _stacked(mixed).T @ gs,
+                _col_sums(gs),
+            ]
+            if need_kv:  # kv is both the keys and the values
+                g_kv = _swap(g_logits) @ qh + _swap(probs) @ g_mixed
+                grads[1] = _unbroadcast(g_kv.sum(axis=-3), kd.shape)
+            if need_bias:
+                g_bias = g_logits.sum(axis=-3)
+                if bias.data.shape[-2] == 1:
+                    g_bias = g_bias.sum(axis=-2, keepdims=True)
+                grads.append(_unbroadcast(g_bias, bias.data.shape))
+            return grads
+
+        tape._record(inputs, out, bwd)
+    return out
+
+
+def residual_norm(x: Tensor, y: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
+    """The post-norm residual layer_norm_rows(add(x, y)) as one op.
+
+    Its means are sums divided by the width, which is how numpy's mean
+    computes them, so the output is the composed ops' bit for bit."""
+    _same_last_two(x, y, "residual_norm")
+    c = x.data.shape[-1]
+    if gain.data.shape != (1, c) or shift.data.shape != (1, c):
+        raise DimensionError(
+            f"residual_norm needs 1 x {c} gain/shift, got {gain.data.shape} and {shift.data.shape}"
+        )
+    xhat = x.data + y.data
+    xhat -= xhat.sum(axis=-1, keepdims=True) / c
+    inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / c + eps)
+    xhat *= inv
+    out = xhat * gain.data
+    out += shift.data
+    out = Tensor(out)
+    tape = _should_record(x, y, gain, shift)
+    if tape is not None:
+        gd, xs, ys = gain.data, x.data.shape, y.data.shape
+
+        def bwd(g: np.ndarray):
+            gs = g * gd
+            m2 = _row_sums(gs * xhat) / c
+            gs -= _row_sums(gs) / c
+            gs -= xhat * m2
+            gs *= inv
+            gx, gy = _unbroadcast(gs, xs), _unbroadcast(gs, ys)
+            if gy is gx:  # x and y must not end up sharing one .grad array
+                gy = gx.copy()
+            return gx, gy, _col_sums(g * xhat), _col_sums(g)
+
+        tape._record((x, y, gain, shift), out, bwd)
+    return out
+
+
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """linear(gelu(linear(x, w1, b1)), w2, b2) as one op; the output is the
+    composed ops' bit for bit, and the backward reuses the saved tanh."""
+    k, hidden = w1.data.shape
+    m = w2.data.shape[-1]
+    if (x.data.shape[-1] != k or b1.data.shape != (1, hidden)
+            or w2.data.shape != (hidden, m) or b2.data.shape != (1, m)):
+        raise DimensionError(
+            f"feed_forward got x {x.data.shape}, w1 {w1.data.shape}, b1 {b1.data.shape}, "
+            f"w2 {w2.data.shape} and b2 {b2.data.shape}"
+        )
+    xd, wd1, wd2 = x.data, w1.data, w2.data
+    h = xd @ wd1
+    h += b1.data
+    t = h * h  # tanh(C (h + 0.044715 h^3)), in gelu's order of operations
+    t *= h
+    t *= 0.044715
+    t += h
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    a = 0.5 * h
+    a *= 1.0 + t
+    y = a @ wd2
+    y += b2.data
+    out = Tensor(y)
+    tape = _should_record(x, w1, b1, w2, b2)
+    if tape is not None:
+        need_x = x.requires_grad
+
+        def bwd(g: np.ndarray):
+            gs = _stacked(g)
+            # gelu'(h) = 0.5 (1 + t) + 0.5 h (1 - t^2) C (1 + 3 * 0.044715 h^2),
+            # built in place: the hidden layer is the widest array of a layer
+            slope = h * h
+            slope *= 3 * 0.044715
+            slope += 1.0
+            slope *= _GELU_C
+            sech2 = t * t
+            np.subtract(1.0, sech2, out=sech2)
+            slope *= sech2
+            slope *= h
+            np.add(t, 1.0, out=sech2)
+            slope += sech2
+            slope *= 0.5
+            gh = (gs @ wd2.T).reshape(h.shape)
+            gh *= slope
+            return (
+                _input_grad(gh, wd1, xd.shape) if need_x else None,
+                _stacked(xd).T @ _stacked(gh),
+                _col_sums(gh),
+                _stacked(a).T @ gs,
+                _col_sums(gs),
+            )
+
+        tape._record((x, w1, b1, w2, b2), out, bwd)
     return out

@@ -8,7 +8,7 @@ from focalcir import numerics as nm
 from focalcir.numerics.tensor import Tape, backward
 
 
-def fd_check(build, params, tol=1e-6, eps=1e-5):
+def fd_check(build, params, tol=1e-6, eps=1e-5, name=""):
     """build() -> scalar Tensor under an active tape; compares every param's
     analytic grad against finite differences of the same scalar."""
     tape = Tape()
@@ -23,7 +23,7 @@ def fd_check(build, params, tol=1e-6, eps=1e-5):
         numeric = nm.finite_diff_grad(lambda _t: build().item(), p, eps=eps)
         a = np.zeros_like(p.data) if a is None else a
         worst = max(worst, nm.max_rel_error(a, numeric))
-    assert worst < tol, f"max relative error {worst:.3e} >= {tol}"
+    assert worst < tol, f"{name}: max relative error {worst:.3e} >= {tol}"
     return worst
 
 
@@ -86,6 +86,79 @@ def test_no_recording_outside_tape():
     assert y.requires_grad is False
 
 
+def fused_op_cases(rng, batch):
+    """Gradcheck cases for the fused layer ops, on (*batch, r, c) operands:
+    attention over 1, 2 and 4 heads with no bias, a one-row bias, a per-row
+    bias and a -inf key mask, with x as its own keys and values, and with
+    unbatched rows meeting batched keys; the post-norm residual with an
+    unbatched x, with x is y, and with x also read by an earlier op; the
+    feed-forward layer; the per-head weight products."""
+    r, n, d, m = 3, 5, 4, 3
+
+    def par(*shape, s=0.7):
+        return nm.parameter(rng.normal(size=shape) * s)
+
+    weights_by_shape = {}
+
+    def weigh(t):  # a fixed random weighting of t's entries, per shape
+        shape = t.data.shape
+        if shape not in weights_by_shape:
+            weights_by_shape[shape] = nm.constant(rng.normal(size=shape))
+        return nm.sum_all(nm.mul(t, weights_by_shape[shape]))
+
+    x, kv = par(*batch, r, d), par(*batch, n, d)
+    x_shared = par(r, d)
+    row_bias, per_row_bias = par(*batch, 1, n), par(*batch, r, n)
+    key_mask = np.zeros(batch + (1, n))
+    key_mask[..., 0, n - 2:] = -np.inf
+    key_mask = nm.constant(key_mask)
+    cases = {}
+    for heads in (1, 2, 4):
+        w_qk, b_qk = par(d, heads * d), par(1, heads * d)
+        w_vo, b_vo = par(heads * d, m), par(1, m)
+        weights = [w_qk, b_qk, w_vo, b_vo]
+
+        def attn(rows, keys, bias, w=(w_qk, b_qk, w_vo, b_vo)):
+            return weigh(nm.attention(rows, keys, *w, bias, 0.5))
+
+        cases.update({
+            f"attention_h{heads}": (lambda a=attn: a(x, kv, None), [x, kv] + weights),
+            f"attention_h{heads}_self": (lambda a=attn: a(x, x, None), [x] + weights),
+            f"attention_h{heads}_row_bias": (
+                lambda a=attn: a(x, kv, row_bias), [x, kv, row_bias] + weights),
+            f"attention_h{heads}_per_row_bias": (
+                lambda a=attn: a(x, kv, per_row_bias), [x, kv, per_row_bias] + weights),
+            f"attention_h{heads}_key_mask": (
+                lambda a=attn: a(x, kv, nm.add_bias(per_row_bias, key_mask)),
+                [x, kv, per_row_bias] + weights),
+            f"attention_h{heads}_shared_rows": (
+                lambda a=attn: a(x_shared, kv, key_mask), [x_shared, kv] + weights),
+        })
+    y = par(*batch, r, m)
+    gain = nm.parameter(np.ones((1, m)) + 0.1 * rng.normal(size=(1, m)))
+    shift = par(1, m, s=0.3)
+    x_m, x_shared_m = par(*batch, r, m), par(r, m)
+
+    def residual_fanout():
+        early = nm.mul(x_m, x_m)  # x's earlier consumer runs last in backward
+        return nm.add(weigh(nm.residual_norm(x_m, y, gain, shift)), weigh(early))
+
+    w1, b1, w2, b2 = par(d, 6), par(1, 6), par(6, m), par(1, m)
+    a, b = par(2, 4), par(4, 3)
+    cases.update({
+        "residual_norm": (lambda: weigh(nm.residual_norm(x_m, y, gain, shift)),
+                          [x_m, y, gain, shift]),
+        "residual_norm_unbatched_x": (
+            lambda: weigh(nm.residual_norm(x_shared_m, y, gain, shift)), [x_shared_m, y]),
+        "residual_norm_x_is_y": (lambda: weigh(nm.residual_norm(y, y, gain, shift)), [y]),
+        "residual_norm_fanout": (residual_fanout, [x_m, y]),
+        "feed_forward": (lambda: weigh(nm.feed_forward(x, w1, b1, w2, b2)), [x, w1, b1, w2, b2]),
+        "head_products": (lambda: weigh(nm.head_products(a, b, 2)), [a, b]),
+        "head_products_rows": (lambda: weigh(nm.head_products(a, b, 2, stack_rows=True)), [a, b]),
+    })
+    return cases
+
+
 def test_per_op_gradients_match_finite_differences():
     rng = np.random.default_rng(7)
     a = nm.parameter(rng.normal(size=(3, 4)) * 0.7)
@@ -118,22 +191,20 @@ def test_per_op_gradients_match_finite_differences():
         "mean_over_rows": (lambda: nm.sum_all(nm.mul(nm.mean_over_rows(c), row)), [c, row]),
         "transpose": (lambda: nm.sum_all(nm.mul(nm.transpose(c), nm.transpose(c))), [c]),
         "log_softmax_diag": (
-            lambda: nm.sum_all(nm.mul(nm.log_softmax_diag(sq), nm.slice_cols(sq, 1, 2))),
+            lambda: nm.sum_all(
+                nm.mul(nm.log_softmax_diag(sq), nm.transpose(nm.slice_rows(sq, 1, 2)))
+            ),
             [sq],
         ),
         "concat_rows": (
             lambda: nm.sum_all(nm.mul(nm.concat_rows([c, c]), nm.concat_rows([c, c]))),
             [c],
         ),
-        "concat_cols": (
-            lambda: nm.sum_all(nm.mul(nm.concat_cols([c, c]), nm.concat_cols([c, c]))),
-            [c],
-        ),
         "slice_rows": (lambda: nm.sum_all(nm.mul(nm.slice_rows(c, 1, 3), nm.slice_rows(c, 0, 2))), [c]),
-        "slice_cols": (lambda: nm.sum_all(nm.mul(nm.slice_cols(c, 1, 4), nm.slice_cols(c, 2, 5))), [c]),
     }
+    cases.update(fused_op_cases(rng, batch=()))
     for name, (build, params) in cases.items():
-        err = fd_check(build, params, tol=5e-6)
+        err = fd_check(build, params, tol=5e-6, name=name)
         assert err < 5e-6, name
 
 
@@ -189,14 +260,14 @@ def test_batched_op_gradients_match_finite_differences():
         ),
         "softmax_gelu": (lambda: nm.sum_all(nm.mul(nm.softmax_rows(nm.gelu(xb)), xb)), [xb]),
         "mean_squeeze": (lambda: square(nm.squeeze_rows(nm.mean_over_rows(lin()))), [xb, w, row]),
-        "slice_cols_rows": (
-            lambda: nm.sum_all(nm.mul(nm.slice_cols(nm.slice_rows(xb, 1, 3), 0, 2),
-                                      nm.slice_cols(nm.slice_rows(xb, 0, 2), 2, 4))),
+        "slice_rows": (
+            lambda: nm.sum_all(nm.mul(nm.slice_rows(xb, 1, 3), nm.slice_rows(xb, 0, 2))),
             [xb],
         ),
     }
+    cases.update(fused_op_cases(rng, batch=(2,)))
     for name, (build, params) in cases.items():
-        err = fd_check(build, params, tol=5e-6)
+        err = fd_check(build, params, tol=5e-6, name=name)
         assert err < 5e-6, name
 
 

@@ -115,6 +115,21 @@ def test_wrongly_typed_config_value_exits_1_naming_it(tmp_path, capsys, mutate, 
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("n_heads", 0), ("n_heads", -1), ("weight_init", -0.1), ("token_init", -1.0),
+     ("tau", 1e-320)],
+)
+def test_bad_model_value_exits_1_naming_it(tmp_path, capsys, key, value):
+    data = run_dict(tmp_path / "o")
+    data["model"][key] = value
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(data))
+    assert main(["gen", "--config", str(p)]) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_flag_exits_1(capsys):
     assert main(["gen", "--wat"]) == 1
     capsys.readouterr()

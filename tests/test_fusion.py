@@ -593,3 +593,35 @@ def test_encode_target_deterministic_and_text_free():
     assert np.array_equal(t1, t2)
     other = encode_target(patches + 0.1, fusion).data
     assert not np.allclose(t1, other)
+
+
+@pytest.mark.parametrize("cross", [True, False])
+def test_a_layer_records_the_same_few_tape_entries_at_any_head_count(cross):
+    # per attention: transpose(W_K), the W_QK, b_QK and W_VO head products,
+    # the b_VO linear and the attention op; then one post-norm residual per
+    # sub-layer and one feed-forward op. Heads are an axis of those ops, so
+    # the count does not grow with n_heads
+    counts = []
+    for n_heads in (1, 2):
+        rng = np.random.default_rng(40)
+        fusion = init_fusion_params(rng, 8, m_queries=3, n_blocks=1, n_heads=n_heads)
+        layer = fusion.blocks[0]
+        if not cross:
+            layer.cross_attn = layer.ln_cross = None
+        patches, key_mask = stack_patches([rng.normal(size=(5, 8)), rng.normal(size=(4, 8))])
+        bias = constant(key_mask) if cross else None
+        tokens = parameter(rng.normal(size=(2, 6, 8)))
+        tape = Tape()
+        with tape:
+            _layer_forward(tokens, layer, n_heads, constant(patches) if cross else None, bias)
+        counts.append(len(tape))
+        tape.clear()
+    assert counts == ([16, 16] if cross else [9, 9])
+
+
+@pytest.mark.parametrize("kwargs", [{"n_blocks": 0}, {"m_queries": 0}, {"n_heads": 0},
+                                    {"n_heads": -2}, {"n_heads": 3}])
+def test_init_fusion_params_rejects_bad_sizes(kwargs):
+    sizes = {"d_model": 8, "m_queries": 2, "n_blocks": 1, **kwargs}
+    with pytest.raises(ContractError, match="fusion encoder needs"):
+        init_fusion_params(np.random.default_rng(0), **sizes)

@@ -323,6 +323,13 @@ def test_config_rejects_bad_values():
     for layers in (0, -1):
         with pytest.raises(ConfigError, match="crm_layers"):
             ModelConfig(crm_layers=layers).validate()
+    for key, value in [("n_heads", 0), ("n_heads", -1), ("token_init", -0.02),
+                       ("weight_init", float("nan")), ("weight_init", float("inf")),
+                       ("tau", 0.0), ("tau", float("inf")), ("tau", float("nan")),
+                       ("tau", 1e-320)]:
+        with pytest.raises(ConfigError, match=key):
+            ModelConfig(**{key: value}).validate()
+    ModelConfig(token_init=0.0, weight_init=0.0, tau=1e-300).validate()
     with pytest.raises(ConfigError):
         TrainConfig(batch_size=1).validate()
     with pytest.raises(ConfigError):
@@ -412,9 +419,10 @@ def test_train_rejects_empty_dataset():
 
 
 def test_non_finite_loss_stops_training_before_the_update():
-    # tau=1e-320 passes validation, but 1/tau overflows and the loss is NaN;
-    # AdamW must not apply the poisoned gradients
-    _, enc, params = tiny_setup(seed=52, tau=1e-320)
+    # a tau of 1e-320, set past config validation, overflows 1/tau and makes
+    # the loss NaN; AdamW must not apply the poisoned gradients
+    _, enc, params = tiny_setup(seed=52)
+    params.tau = 1e-320
     before = [t.data.copy() for _, t in params.named_params()]
     examples = random_examples(np.random.default_rng(52), enc, 4)
     with pytest.raises(ContractError, match="epoch 1 step 1: loss is nan"):
@@ -652,13 +660,13 @@ def test_last_layers_compute_only_the_rows_that_are_read(monkeypatch):
                                 n_blocks=2, crm_layers=2)
     params = ModelParams(params.config, enc, seed=93, zero_modulation_head=False)
     seen = []
-    real = fusion.layer_norm_rows
+    real = fusion.residual_norm
 
-    def spy(x, gain, shift):
+    def spy(x, y, gain, shift):
         seen.append(x.data.shape[-2])
-        return real(x, gain, shift)
+        return real(x, y, gain, shift)
 
-    monkeypatch.setattr(fusion, "layer_norm_rows", spy)
+    monkeypatch.setattr(fusion, "residual_norm", spy)
     samples = [random_sample(np.random.default_rng(93), enc) for _ in range(3)]
     _, applied = query_representation(samples, params)
     assert all(b != 0.0 for b in applied)  # the probe pass and CRM ran

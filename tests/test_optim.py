@@ -74,3 +74,43 @@ def test_two_groups_keep_independent_state():
     adam_step([p1], [g], fast)
     adam_step([p2], [g], slow)
     assert abs(1.0 - p1.data[0, 0]) > abs(1.0 - p2.data[0, 0]) * 50
+
+
+def per_tensor_adamw(params, grads, m, v, t, lr, b1, b2, wd, eps):
+    """The AdamW rule one tensor at a time, on plain arrays."""
+    bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+    for i, (p, g) in enumerate(zip(params, grads)):
+        p -= lr * wd * p
+        m[i] *= b1
+        v[i] *= b2
+        if g is not None:
+            m[i] += (1.0 - b1) * g
+            v[i] += (1.0 - b2) * g * g
+        p -= lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps)
+
+
+def test_flat_update_equals_the_per_tensor_rule_bit_for_bit():
+    rng = np.random.default_rng(9)
+    shapes = [(3, 4), (1, 4), (5, 1), (2, 2)]
+    params = [nm.parameter(rng.normal(size=s)) for s in shapes]
+    want = [p.data.copy() for p in params]
+    m = [np.zeros(s) for s in shapes]
+    v = [np.zeros(s) for s in shapes]
+    state = AdamState(lr=3e-3, beta1=0.9, beta2=0.98, weight_decay=0.05, eps=1e-8)
+    for t in range(1, 4):
+        grads = [rng.normal(size=s) for s in shapes]
+        grads[1 + t % 2] = None  # a zero gradient, on a different tensor each step
+        adam_step(params, grads, state)
+        per_tensor_adamw(want, grads, m, v, t, 3e-3, 0.9, 0.98, 0.05, 1e-8)
+        for p, w in zip(params, want):
+            assert p.data.tobytes() == w.tobytes(), t
+
+
+def test_a_rebound_param_is_caught_not_overwritten():
+    p, q = nm.parameter([[1.0, 2.0]]), nm.parameter([[3.0]])
+    state = AdamState(lr=0.01)
+    adam_step([p, q], [np.ones((1, 2)), np.ones((1, 1))], state)
+    q.data = np.array([[7.0]])  # e.g. loaded from elsewhere after the first step
+    with pytest.raises(ContractError, match="param 1 .* rebound"):
+        adam_step([p, q], [np.ones((1, 2)), np.ones((1, 1))], state)
+    assert q.data[0, 0] == 7.0

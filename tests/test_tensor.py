@@ -117,8 +117,6 @@ def test_concat_slice_roundtrip():
     cat = nm.concat_rows([a, b])
     assert np.array_equal(nm.slice_rows(cat, 0, 2).data, a.data)
     assert np.array_equal(nm.slice_rows(cat, 2, 5).data, b.data)
-    catc = nm.concat_cols([nm.transpose(a), nm.transpose(b)])
-    assert np.array_equal(nm.slice_cols(catc, 0, 2).data, a.data.T)
 
 
 def test_add_bias_broadcasts_rows():
@@ -198,3 +196,50 @@ def test_cosine_sim_matrix_matches_scalar_loop():
             assert abs(mat[i, j] - nm.cosine_sim(a[i], b[j])) < 1e-12
     assert np.all(mat <= 1.0) and np.all(mat >= -1.0)
 
+
+
+# --- fused layer ops against the ops they replace ---------------------------
+
+
+def test_fused_ops_equal_the_composed_ops_bit_for_bit():
+    # with one head, attention, residual_norm and feed_forward run the same
+    # arithmetic as the chains of ops they replace, at layer-sized shapes
+    rng = np.random.default_rng(5)
+    d, hidden, b, n = 32, 64, 4, 21
+
+    def w(*shape):
+        return nm.parameter(rng.normal(0.0, 0.3, size=shape))
+
+    w_qk, b_qk, w_vo, b_vo = w(d, d), w(1, d), w(d, d), w(1, d)
+    assert nm.head_products(w_qk, w_vo, 1).data.tobytes() == nm.matmul(w_qk, w_vo).data.tobytes()
+    assert (nm.head_products(b_qk, w_vo, 1, stack_rows=True).data.tobytes()
+            == nm.matmul(b_qk, w_vo).data.tobytes())
+    kv = nm.constant(rng.normal(size=(b, n, d)))
+    key_mask = np.zeros((b, 1, n))
+    key_mask[1, 0, n - 3:] = -np.inf
+    biases = (None, nm.constant(rng.normal(size=(b, 1, n))),
+              nm.constant(rng.normal(size=(b, 9, n)) + key_mask))
+    for rows in (9, 1):
+        for x in (nm.constant(rng.normal(size=(b, rows, d))), nm.constant(rng.normal(size=(rows, d)))):
+            for bias in biases:
+                if bias is not None and bias.data.shape[-2] not in (1, rows):
+                    continue
+                logits = nm.matmul(nm.linear(x, w_qk, b_qk), nm.transpose(kv))
+                if bias is not None:
+                    one_row = bias.data.shape[-2] == 1
+                    logits = nm.add_bias(logits, bias) if one_row else nm.add(logits, bias)
+                probs = nm.softmax_rows(nm.scale(logits, 1.0 / np.sqrt(d)))
+                want = nm.linear(nm.matmul(probs, kv), w_vo, b_vo)
+                got = nm.attention(x, kv, w_qk, b_qk, w_vo, b_vo, bias, 1.0 / np.sqrt(d))
+                assert got.data.tobytes() == want.data.tobytes(), (rows, x.data.ndim, bias)
+
+    gain, shift = w(1, d), w(1, d)
+    y = nm.constant(rng.normal(size=(b, n, d)))
+    for x in (nm.constant(rng.normal(size=(b, n, d))), nm.constant(rng.normal(size=(n, d))), y):
+        want = nm.layer_norm_rows(nm.add(x, y), gain, shift)
+        assert nm.residual_norm(x, y, gain, shift).data.tobytes() == want.data.tobytes()
+
+    w1, b1, w2, b2 = w(d, hidden), w(1, hidden), w(hidden, d), w(1, d)
+    for x in (nm.constant(rng.normal(size=(b, n, d))), nm.constant(rng.normal(size=(b, 1, d)))):
+        want = nm.linear(nm.gelu(nm.linear(x, w1, b1)), w2, b2)
+        assert nm.feed_forward(x, w1, b1, w2, b2).data.tobytes() == want.data.tobytes()
