@@ -14,7 +14,7 @@ count still clears tau_valid (rule 1 gates on the input set size each call).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,24 +22,19 @@ import numpy as np
 from focalcir.encoders import SyntheticImage
 from focalcir.errors import ConfigError
 from focalcir.numerics.similarity import cosine_sim_matrix
+from focalcir.records import ConfigSection
 
 
 @dataclass(frozen=True)
-class FilterThresholds:
-    tau_valid: int
-    tau_high: float
-    tau_centric: float
-    tau_count: int
+class FilterThresholds(ConfigSection):
+    tau_valid: int = field(metadata={"ge": 2})
+    tau_high: float = field(metadata={"gt": 0.0, "lt": 1.0})
+    tau_centric: float = field(metadata={"gt": 0.0, "lt": 1.0})
+    tau_count: int = field(metadata={"ge": 1})
 
-    def validate(self) -> None:
-        if not (0.0 < self.tau_centric <= self.tau_high < 1.0):
-            raise ConfigError(
-                f"need 0 < tau_centric <= tau_high < 1, got {self.tau_centric}, {self.tau_high}"
-            )
-        if self.tau_valid < 2:
-            raise ConfigError("tau_valid must be >= 2")
-        if self.tau_count < 1:
-            raise ConfigError("tau_count must be >= 1")
+    def rules(self) -> None:
+        if self.tau_centric > self.tau_high:
+            raise ConfigError(f"tau_centric {self.tau_centric} exceeds tau_high {self.tau_high}")
 
 
 # per-subset presets
@@ -56,8 +51,8 @@ def filter_pairs(
     thresholds: FilterThresholds,
     embed: Callable[[SyntheticImage], np.ndarray],
 ) -> list[tuple[str, str]]:
-    """Admissible ordered (ref_image_id, target_image_id) pairs of one set."""
-    thresholds.validate()
+    """Admissible ordered (ref_image_id, target_image_id) pairs of one set;
+    the caller validates `thresholds`."""
     if len(images) < thresholds.tau_valid:
         return []
     feats = np.stack([np.asarray(embed(im), dtype=np.float64).reshape(-1) for im in images])

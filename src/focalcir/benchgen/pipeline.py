@@ -136,6 +136,7 @@ def build_benchmark(
                     f"no filter thresholds for subset {cfg.subset!r}; pass them explicitly"
                 )
             thresholds[cfg.subset] = PRESETS[cfg.subset]
+        thresholds[cfg.subset].validate()
 
     world = generate_world(configs, seed)
     enc = EncoderParams(

@@ -17,46 +17,34 @@ import numpy as np
 from focalcir.encoders import ContextDescriptor, SyntheticImage
 from focalcir.errors import ConfigError
 from focalcir.geometry import patch_membership, validate_bbox
+from focalcir.records import ConfigSection
 
 
 @dataclass
-class WorldConfig:
+class WorldConfig(ConfigSection):
     """Per-subset generation knobs."""
 
     subset: str
-    n_categories: int = 5
-    instances_per_category: int = 12
-    images_per_instance: int = 9
-    n_contexts: int = 10
-    grid: tuple[int, int] = (8, 8)
-    d_latent: int = 16
-    noise_sigma: float = 0.1
-    bbox_size_range: tuple[float, float] = (0.25, 0.5)
-    identity_delta: float = 0.35  # spread of instances around their category prototype
-    reserve_instances_per_category: int = 12
-    reserve_images_per_instance: int = 8
+    n_categories: int = field(default=5, metadata={"ge": 1})
+    instances_per_category: int = field(default=12, metadata={"ge": 1})
+    images_per_instance: int = field(default=9, metadata={"ge": 2})  # distinct ref and target
+    n_contexts: int = field(default=10, metadata={"ge": 1})
+    grid: tuple[int, int] = field(default=(8, 8), metadata={"ge": 1})
+    d_latent: int = field(default=16, metadata={"ge": 2})
+    noise_sigma: float = field(default=0.1, metadata={"ge": 0.0})
+    bbox_size_range: tuple[float, float] = field(default=(0.25, 0.5), metadata={"gt": 0.0, "le": 1.0})
+    identity_delta: float = field(default=0.35, metadata={"ge": 0.0})  # spread around the prototype
+    reserve_instances_per_category: int = field(default=12, metadata={"ge": 0})
+    reserve_images_per_instance: int = field(default=8, metadata={"ge": 0})
 
-    def validate(self) -> None:
-        if self.images_per_instance < 2:
-            raise ConfigError("images_per_instance must be >= 2 (a quadruple needs distinct ref/target)")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise sigma must be >= 0")
-        for name in ("n_categories", "instances_per_category", "n_contexts"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+    def rules(self) -> None:
+        # the minimum side must exceed one patch spacing, so the planted
+        # region always covers at least one patch center
+        spacing = max(1.0 / self.grid[0], 1.0 / self.grid[1])
         lo, hi = self.bbox_size_range
-        if not (0.0 < lo <= hi <= 1.0):
-            raise ConfigError(f"bbox size range {self.bbox_size_range} must satisfy 0 < lo <= hi <= 1")
-        h, w = self.grid
-        if lo <= max(1.0 / h, 1.0 / w):
-            raise ConfigError(
-                "minimum bbox side must exceed one patch spacing so the planted region "
-                "always covers at least one patch center"
-            )
-        if self.d_latent < 2:
-            raise ConfigError("d_latent must be >= 2")
-        if self.reserve_instances_per_category < 0 or self.reserve_images_per_instance < 0:
-            raise ConfigError("reserve pool sizes must be >= 0")
+        if not spacing < lo <= hi:
+            raise ConfigError(f"bbox_size_range {self.bbox_size_range} must satisfy "
+                              f"{spacing:g} (one patch spacing) < lo <= hi")
 
 
 @dataclass

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from focalcir.benchgen.pipeline import build_benchmark, load_benchmark, save_benchmark
-from focalcir.config import RunConfig, load_run_config, write_resolved_config
+from focalcir.config import EvalSettings, RunConfig, load_run_config, write_resolved_config
 from focalcir.encoders import ContextDescriptor, EncoderParams, embed_text, encode_image
 from focalcir.errors import CheckpointError, ConfigError, DataError, FocalCirError
 from focalcir.evaluation import evaluate_model, train_examples
@@ -110,15 +110,14 @@ def _parse_subsets(arg: str | None) -> tuple[str, ...] | None:
     return names
 
 
-def _parse_betas(arg: str | None) -> tuple[float, ...] | None:
+def _parse_betas(arg: str | None, settings: EvalSettings) -> tuple[float, ...]:
     if arg is None:
-        return None
+        return settings.betas
     try:
         values = tuple(float(s) for s in arg.split(",") if s.strip())
     except ValueError as exc:
         raise ConfigError(f"--betas must be comma-separated numbers: {exc}") from exc
-    if not values:
-        raise ConfigError("--betas must name at least one value")
+    dataclasses.replace(settings, betas=values).validate()
     return values
 
 
@@ -230,8 +229,7 @@ def cmd_eval(cfg: RunConfig, subsets: tuple[str, ...] | None, ckpt: str | None) 
     return 0
 
 
-def cmd_ablate(cfg: RunConfig, kind: str, betas: tuple[float, ...] | None,
-               ckpt: str | None) -> int:
+def cmd_ablate(cfg: RunConfig, kind: str, betas: tuple[float, ...], ckpt: str | None) -> int:
     bench = load_benchmark(cfg.out)
     digest = write_resolved_config(cfg.out, cfg)
     _check_subsets(cfg.train.subsets, bench)
@@ -240,10 +238,9 @@ def cmd_ablate(cfg: RunConfig, kind: str, betas: tuple[float, ...] | None,
 
     if kind == "beta":
         params, meta = _load_ckpt(_ckpt_path(cfg, ckpt))
-        units = betas if betas is not None else tuple(cfg.eval.betas)
-        table = beta_sweep(params, bench, units=units, config_hash=digest, seed=cfg.seed)
+        table = beta_sweep(params, bench, units=betas, config_hash=digest, seed=cfg.seed)
         _write_ablation(out, kind, digest, cfg.seed, [dataclasses.asdict(r) for r in table.rows],
-                        table.to_text(), grid_units=list(units),
+                        table.to_text(), grid_units=list(betas),
                         checkpoint=_checkpoint_provenance(meta))
     elif kind == "caam":
         variants = expand_variant_grid(forms=("scalar", "vector"))
@@ -361,7 +358,7 @@ def main(argv=None) -> int:
         if args.command == "eval":
             return cmd_eval(cfg, _parse_subsets(args.subsets), args.checkpoint)
         if args.command == "ablate":
-            return cmd_ablate(cfg, args.kind, _parse_betas(args.betas), args.checkpoint)
+            return cmd_ablate(cfg, args.kind, _parse_betas(args.betas, cfg.eval), args.checkpoint)
         return cmd_gradcheck(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -2,9 +2,9 @@
 
 A RunConfig covers every knob a run can turn (world generation, model dims,
 training, thresholds, sweep grids) plus the single seed and the output
-directory. Loading is strict: unknown keys and wrongly typed values are
-rejected by dotted path, so a typoed override fails loudly instead of
-silently using a default.
+directory. Loading is strict: unknown keys, wrongly typed values and values
+out of their field's declared range are rejected by dotted path, so a
+typoed override fails loudly instead of silently using a default.
 """
 
 from __future__ import annotations
@@ -19,36 +19,31 @@ from focalcir.benchgen.world import WorldConfig
 from focalcir.errors import ConfigError
 from focalcir.harness import DEFAULT_SWEEP_UNITS
 from focalcir.model import ModelConfig, TrainConfig, config_digest
-from focalcir.records import from_record, parse_json, write_json
+from focalcir.records import ConfigSection, from_record, parse_json, write_json
 
 
 @dataclass
-class BenchSettings:
+class BenchSettings(ConfigSection):
     """Knobs for assembling quadruples and galleries from a generated world."""
 
-    train_cap: int = 8
-    eval_cap: int = 20
-    n_distractors: int = 320
-
-    def validate(self) -> None:
-        if self.train_cap < 1 or self.eval_cap < 1:
-            raise ConfigError("per-instance quadruple caps must be >= 1")
-        if self.n_distractors < 0:
-            raise ConfigError("n_distractors must be >= 0")
+    train_cap: int = field(default=8, metadata={"ge": 1})  # per-instance quadruple caps
+    eval_cap: int = field(default=20, metadata={"ge": 1})
+    n_distractors: int = field(default=320, metadata={"ge": 0})
 
 
 @dataclass
-class EvalSettings:
-    betas: tuple[float, ...] = DEFAULT_SWEEP_UNITS  # sweep grid, units of sqrt(d_k)
+class EvalSettings(ConfigSection):
+    # the sweep grid, in units of sqrt(d_k)
+    betas: tuple[float, ...] = field(default=DEFAULT_SWEEP_UNITS, metadata={"ge": 0.0})
 
-    def validate(self) -> None:
-        if not self.betas or any(b < 0 for b in self.betas):
-            raise ConfigError("beta sweep grid must be non-empty and non-negative")
+    def rules(self) -> None:
+        if not self.betas:
+            raise ConfigError("'betas' must hold at least one value")
 
 
 @dataclass
-class RunConfig:
-    seed: int = 0
+class RunConfig(ConfigSection):
+    seed: int = field(default=0, metadata={"ge": 0})
     out: str = "runs/default"
     world: tuple[WorldConfig, ...] = field(
         default_factory=lambda: tuple(default_world_configs())
@@ -59,14 +54,11 @@ class RunConfig:
     bench: BenchSettings = field(default_factory=BenchSettings)
     eval: EvalSettings = field(default_factory=EvalSettings)
 
-    def validate(self) -> None:
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
+    def rules(self) -> None:
         if not self.world:
             raise ConfigError("at least one world subset is required")
         seen = set()
         for cfg in self.world:
-            cfg.validate()
             if cfg.subset in seen:
                 raise ConfigError(f"duplicate world subset {cfg.subset!r}")
             seen.add(cfg.subset)
@@ -75,17 +67,15 @@ class RunConfig:
                     f"no threshold preset for subset {cfg.subset!r}; set thresholds"
                 )
         if self.thresholds is not None:
-            for subset, th in self.thresholds.items():
-                th.validate()
+            for subset in self.thresholds:
                 if subset not in seen:
                     raise ConfigError(f"thresholds given for unknown subset {subset!r}")
             missing = seen - set(self.thresholds)
             if missing:
                 raise ConfigError(f"missing thresholds for subset {sorted(missing)[0]!r}")
-        self.model.validate()
-        self.train.validate()
-        self.bench.validate()
-        self.eval.validate()
+        for section in (*self.world, *(self.thresholds or {}).values(),
+                        self.model, self.train, self.bench, self.eval):
+            section.rules()
         latents = {c.d_latent for c in self.world}
         if len(latents) != 1:
             raise ConfigError(f"subsets disagree on d_latent: {sorted(latents)}")
@@ -102,8 +92,8 @@ class RunConfig:
 
 
 def run_config_from_dict(data: dict) -> RunConfig:
-    """Strict load: unknown keys and wrongly typed values anywhere raise
-    ConfigError naming the dotted key."""
+    """Strict load: unknown keys, wrongly typed and out-of-range values
+    anywhere raise ConfigError naming the dotted key."""
     cfg = from_record(RunConfig, data, ConfigError)
     cfg.validate()
     return cfg
@@ -111,22 +101,18 @@ def run_config_from_dict(data: dict) -> RunConfig:
 
 def load_run_config(path: str | Path | None, seed: int | None = None,
                     out: str | None = None) -> RunConfig:
-    """Config file (or defaults) with CLI-level seed/out overrides applied."""
+    """Config file (or defaults) with CLI-level seed/out overrides, validated once."""
     if path is None:
         cfg = RunConfig()
-        cfg.validate()
     else:
         p = Path(path)
         if not p.is_file():
             raise ConfigError(f"config file not found: {p}")
-        cfg = run_config_from_dict(parse_json(p.read_bytes(), ConfigError, f"config file {p}"))
-    if seed is not None or out is not None:
-        cfg = dataclasses.replace(
-            cfg,
-            seed=cfg.seed if seed is None else seed,
-            out=cfg.out if out is None else out,
-        )
-        cfg.validate()
+        data = parse_json(p.read_bytes(), ConfigError, f"config file {p}")
+        cfg = from_record(RunConfig, data, ConfigError)
+    cfg = dataclasses.replace(cfg, seed=cfg.seed if seed is None else seed,
+                              out=cfg.out if out is None else out)
+    cfg.validate()
     return cfg
 
 

@@ -17,7 +17,7 @@ the same metrics off a full gallery order; the metric oracle uses them.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from focalcir.model import (
     query_representation,
     target_representation,
 )
+from focalcir.records import check_ranges
 
 _UNIT_TOL = 1e-6
 
@@ -125,16 +126,13 @@ def instance_recall_at_k(results: list[RankingResult], k: int) -> float:
 
 @dataclass
 class SubsetMetrics:
-    r_at_1: float
-    r_at_5: float
-    rid_at_1: float
+    r_at_1: float = field(metadata={"ge": 0.0, "le": 1.0})
+    r_at_5: float = field(metadata={"ge": 0.0, "le": 1.0})
+    rid_at_1: float = field(metadata={"ge": 0.0, "le": 1.0})
     n_queries: int
 
     def validate(self) -> None:
-        for name in ("r_at_1", "r_at_5", "rid_at_1"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ContractError(f"{name}={v} outside [0, 1]")
+        check_ranges(self, ContractError)
         if self.r_at_1 > self.r_at_5 + 1e-12:
             raise ContractError(f"r_at_1 {self.r_at_1} exceeds r_at_5 {self.r_at_5}")
         if self.r_at_1 > self.rid_at_1 + 1e-12:

@@ -21,7 +21,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from focalcir.caam import init_caam_params, predict_beta
+from focalcir.caam import CRM_VARIANTS, OUTPUT_FORMS, init_caam_params, predict_beta
 from focalcir.encoders import EncoderParams, TextEmbedding
 from focalcir.errors import (
     AlignmentError,
@@ -40,6 +40,7 @@ from focalcir.fusion import (
 from focalcir.geometry import BBox
 from focalcir.numerics.optim import AdamState, adam_step
 from focalcir.records import (
+    ConfigSection,
     canonical_json,
     from_record,
     open_file,
@@ -63,50 +64,39 @@ from focalcir.numerics.tensor import (
 )
 
 _UNIT_ROW_TOL = 1e-6
+_SIZE = {"ge": 1}  # the declared range of every model size
 
 
 @dataclass
-class ModelConfig:
+class ModelConfig(ConfigSection):
     """Architecture knobs; defaults are the desk-scale configuration."""
 
-    d_model: int = 32
-    d_embed: int = 32
-    m_queries: int = 8
-    k_probes: int = 8
-    l_text: int = 4
-    n_blocks: int = 2
-    n_heads: int = 1
-    ffn_mult: int = 2
-    crm_variant: str = "transformer"
-    crm_layers: int = 2
-    modulation: str = "scalar"  # "scalar" | "vector"
+    d_model: int = field(default=32, metadata=_SIZE)
+    d_embed: int = field(default=32, metadata=_SIZE)
+    m_queries: int = field(default=8, metadata=_SIZE)
+    k_probes: int = field(default=8, metadata=_SIZE)
+    l_text: int = field(default=4, metadata=_SIZE)
+    n_blocks: int = field(default=2, metadata=_SIZE)
+    n_heads: int = field(default=1, metadata=_SIZE)
+    ffn_mult: int = field(default=2, metadata=_SIZE)
+    crm_variant: str = field(default="transformer", metadata={"choices": CRM_VARIANTS})
+    crm_layers: int = field(default=2, metadata=_SIZE)
+    modulation: str = field(default="scalar", metadata={"choices": OUTPUT_FORMS})
     probes_learnable: bool = True
-    token_init: float = 0.02
-    weight_init: float = 0.1
-    tau: float = 0.07  # fixed contrastive temperature
+    token_init: float = field(default=0.02, metadata={"ge": 0.0})
+    weight_init: float = field(default=0.1, metadata={"ge": 0.0})
+    tau: float = field(default=0.07, metadata={"gt": 0.0})  # fixed contrastive temperature
 
-    def validate(self) -> None:
-        for name in ("d_model", "d_embed", "m_queries", "k_probes", "l_text", "n_blocks",
-                     "n_heads", "ffn_mult", "crm_layers"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+    def rules(self) -> None:
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
-        if self.crm_variant not in ("avg", "mlp", "transformer"):
-            raise ConfigError(f"unknown crm_variant {self.crm_variant!r}")
-        if self.modulation not in ("scalar", "vector"):
-            raise ConfigError(f"unknown modulation form {self.modulation!r}")
-        for name in ("token_init", "weight_init"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
         # the loss scales similarities by 1/tau, so that must be finite too
-        if not (0.0 < self.tau and math.isfinite(self.tau) and math.isfinite(1.0 / self.tau)):
-            raise ConfigError(f"tau must be positive, with tau and 1/tau finite, got {self.tau}")
+        if not math.isfinite(1.0 / self.tau):
+            raise ConfigError(f"1/tau must be finite, got tau={self.tau}")
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(ConfigSection):
     """Desk-scale training defaults.
 
     The learning rates keep the reference setting's 10:1 ratio between the
@@ -115,27 +105,18 @@ class TrainConfig:
     would use 1e-4 / 1e-5.
     """
 
-    epochs: int = 10
-    batch_size: int = 32
-    lr_caam: float = 2e-3
-    lr_encoder: float = 2e-4
-    weight_decay: float = 0.05
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.98
-    adam_eps: float = 1e-8
-    seed: int = 7
-    fixed_beta: float | None = None  # None trains the adaptive model
+    epochs: int = field(default=10, metadata={"ge": 1})
+    batch_size: int = field(default=32, metadata={"ge": 2})  # in-batch contrast needs two
+    lr_caam: float = field(default=2e-3, metadata={"gt": 0.0})
+    lr_encoder: float = field(default=2e-4, metadata={"gt": 0.0})
+    weight_decay: float = field(default=0.05, metadata={"ge": 0.0})
+    adam_beta1: float = field(default=0.9, metadata={"ge": 0.0, "lt": 1.0})  # Kingma & Ba 2014
+    adam_beta2: float = field(default=0.98, metadata={"ge": 0.0, "lt": 1.0})
+    adam_eps: float = field(default=1e-8, metadata={"gt": 0.0})
+    seed: int = field(default=7, metadata={"ge": 0})
+    fixed_beta: float | None = field(default=None, metadata={"ge": 0.0})  # None: adaptive
     subsets: tuple[str, ...] | None = None  # restrict training data, e.g. leave-one-out
     roi_crop: bool = False  # crop-to-box ablation branch
-
-    def validate(self) -> None:
-        if self.batch_size < 2:
-            raise ConfigError("batch_size must be >= 2 for in-batch contrast")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        for name in ("lr_caam", "lr_encoder"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
 
 
 @dataclass
@@ -509,7 +490,10 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
             CheckpointError, complete=True,
         )
         config = from_record(ModelConfig, header.model_config, CheckpointError, complete=True)
-        params = ModelParams(config, EncoderParams(**asdict(header.encoder)), seed=header.seed)
+        try:
+            params = ModelParams(config, EncoderParams(**asdict(header.encoder)), seed=header.seed)
+        except ConfigError as exc:  # an out-of-range model_config is damaged data
+            raise CheckpointError(f"model_config in {path}: {exc}") from None
         named = dict(params.named_params())
         if set(named) != {p.name for p in header.params}:
             raise CheckpointError("checkpoint parameter set does not match the rebuilt model")

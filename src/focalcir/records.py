@@ -9,6 +9,9 @@ tuples where a tuple is declared. Errors take the caller's class: ConfigError
 artifacts. `dataclasses.asdict` (or `vars` for a flat record) plus
 `canonical_json` or `write_json` write what this reads.
 
+`check_ranges` alone decides which values a config or report field accepts,
+from the range each field declares once in its dataclass field metadata.
+
 The binary files (world.bin, checkpoints) share one container: a magic line,
 a little-endian u64 header length, a canonical JSON header, then raw
 little-endian float64 blocks.
@@ -20,6 +23,7 @@ import dataclasses
 import functools
 import json
 import math
+import operator
 import struct
 import types
 import typing
@@ -27,6 +31,8 @@ from pathlib import Path
 from typing import Iterable
 
 import numpy as np
+
+from focalcir.errors import ConfigError
 
 _SCALARS = (int, float, str, bool)
 
@@ -157,6 +163,49 @@ def _record(cls, data, error, path: str, complete: bool):
         # a value of exactly the annotated scalar type needs no further check
         kwargs[k] = v if type(v) is tp else _convert(tp, v, error, _join(path, k), complete)
     return cls(**kwargs)
+
+
+# ---------------------------------------------------------------------------
+# declared ranges
+
+_RANGES = {"gt": (operator.gt, ">"), "ge": (operator.ge, ">="), "lt": (operator.lt, "<"),
+           "le": (operator.le, "<="), "choices": (lambda v, options: v in options, "one of")}
+
+
+def check_ranges(value, error: type[Exception], path: str = "",
+                 declared=types.MappingProxyType({})) -> None:
+    """Checks a dataclass instance against the ranges its fields declare in
+    their metadata: bounds such as {"ge": 1} or {"gt": 0.0, "lt": 1.0}, or
+    {"choices": (...)}. A tuple field's range holds for each element, None
+    passes, and every float must be finite. Nested records, tuples and dict
+    values are walked; a value out of range raises `error` naming its path."""
+    if dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            check_ranges(getattr(value, f.name), error, _join(path, f.name), f.metadata)
+    elif isinstance(value, (tuple, list)):
+        for i, v in enumerate(value):
+            check_ranges(v, error, f"{path}[{i}]", declared)
+    elif isinstance(value, dict):
+        for k, v in value.items():
+            check_ranges(v, error, _join(path, k), declared)
+    elif value is not None:
+        if isinstance(value, float) and not math.isfinite(value):
+            raise error(f"{path!r} must be finite, got {value!r}")
+        if not all(_RANGES[k][0](value, limit) for k, limit in declared.items()):
+            want = " and ".join(f"{_RANGES[k][1]} {limit!r}" for k, limit in declared.items())
+            raise error(f"{path!r} must be {want}, got {value!r}")
+
+
+class ConfigSection:
+    """A config record: `validate` checks the ranges its fields declare, then
+    the class's cross-field `rules`; either raises ConfigError."""
+
+    def validate(self) -> None:
+        check_ranges(self, ConfigError)
+        self.rules()
+
+    def rules(self) -> None:
+        """Cross-field rules; they only ever see values already in range."""
 
 
 # ---------------------------------------------------------------------------

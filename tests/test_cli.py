@@ -1,14 +1,25 @@
+import dataclasses
 import hashlib
 import json
+import math
 import struct
+import typing
 from pathlib import Path
 
 import pytest
 
+from focalcir.benchgen.filtering import FilterThresholds
+from focalcir.benchgen.world import WorldConfig
 from focalcir.cli import main
-from focalcir.config import run_config_from_dict
+from focalcir.config import BenchSettings, EvalSettings, RunConfig, run_config_from_dict
 from focalcir.evaluation import evaluate_model
-from focalcir.model import ModelConfig, ModelParams, load_checkpoint, save_checkpoint
+from focalcir.model import (
+    ModelConfig,
+    ModelParams,
+    TrainConfig,
+    load_checkpoint,
+    save_checkpoint,
+)
 from focalcir.benchgen import load_benchmark
 
 
@@ -128,6 +139,78 @@ def test_bad_model_value_exits_1_naming_it(tmp_path, capsys, key, value):
     assert main(["gen", "--config", str(p)]) == 1
     assert key in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+# each config class, where run_dict holds one instance of it, and its dotted key
+SECTIONS = [
+    (RunConfig, (), ""), (WorldConfig, ("world", 0), "world[0]."),
+    (FilterThresholds, ("thresholds", "fashion"), "thresholds.fashion."),
+    (ModelConfig, ("model",), "model."), (TrainConfig, ("train",), "train."),
+    (BenchSettings, ("bench",), "bench."), (EvalSettings, ("eval",), "eval."),
+]
+BOUNDS = ("gt", "ge", "lt", "le")
+
+
+def numeric_fields():
+    """(section, field, element type, is a tuple) for every int or float field
+    of every config class, tuple and optional fields included."""
+    out = []
+    for section in SECTIONS:
+        hints = typing.get_type_hints(section[0])
+        for f in dataclasses.fields(section[0]):
+            tp, args = hints[f.name], typing.get_args(hints[f.name])
+            is_tuple = typing.get_origin(tp) is tuple
+            if is_tuple or type(None) in args:  # tuple[X, X], tuple[X, ...] or X | None
+                tp = args[0]
+            if tp in (int, float):
+                out.append((section, f, tp, is_tuple))
+    return out
+
+
+def _outside(bound: str, limit, scalar):
+    """The value next to `limit` on the wrong side of `bound`."""
+    if bound in ("gt", "lt"):
+        return limit
+    step = -1 if bound == "ge" else 1
+    return limit + step if scalar is int else math.nextafter(limit, step * math.inf)
+
+
+def out_of_range_cases():
+    cases = []
+    for (_, at, prefix), f, scalar, is_tuple in numeric_fields():
+        key = prefix + f.name + ("[0]" if is_tuple else "")
+        bad = [_outside(b, f.metadata[b], scalar) for b in BOUNDS if b in f.metadata]
+        if scalar is float:
+            bad += [math.nan, math.inf, -math.inf]
+        cases += [pytest.param(at, f.name, is_tuple, v, key, id=f"{key}={v!r}") for v in bad]
+    return cases
+
+
+@pytest.mark.parametrize("at, name, is_tuple, value, key", out_of_range_cases())
+def test_every_out_of_range_value_exits_1_naming_it(tmp_path, capsys, at, name, is_tuple,
+                                                     value, key):
+    data = run_dict(tmp_path / "o")
+    section = data
+    for k in at:
+        section = section[k]
+    if is_tuple:
+        section[name] = [value] + list(section[name][1:])
+    else:
+        section[name] = value
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(data))  # NaN and Infinity are JSON that json.loads accepts
+    assert main(["train", "--config", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert repr(key) in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_every_numeric_config_field_declares_a_range():
+    fields = {f"{section[0].__name__}.{f.name}": f for section, f, _, _ in numeric_fields()}
+    # tuple, optional and plain fields are all found
+    assert {"WorldConfig.grid", "TrainConfig.fixed_beta", "RunConfig.seed"} <= fields.keys()
+    assert [k for k, f in fields.items() if not any(b in f.metadata for b in BOUNDS)] == []
 
 
 def test_unknown_flag_exits_1(capsys):
@@ -329,6 +412,13 @@ def test_ablate_beta_bad_grid_exits_1(run_dir, capsys):
     cfg_path, _ = run_dir
     assert main(["ablate", "beta", "--config", str(cfg_path), "--betas", "0,x"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("betas", ["-1", "nan", "inf", "0,-inf", " , "])
+def test_ablate_beta_out_of_range_grid_exits_1_naming_betas(run_dir, capsys, betas):
+    cfg_path, _ = run_dir
+    assert main(["ablate", "beta", "--config", str(cfg_path), "--betas", betas]) == 1
+    assert "betas" in capsys.readouterr().err
 
 
 def test_ablate_robustness_rows(run_dir, capsys):

@@ -605,6 +605,13 @@ def _drop_first_shape(header):
         (_drop_encoder, "missing keys ['encoder'] in CheckpointHeader"),
         (_seed_as_string, "'seed' must be int, got str"),
         (_drop_first_shape, "missing keys ['params[0].shape'] in ParamRecord"),
+        # in range for its type but not for the model: damaged data, not a config error
+        (lambda h: h["model_config"].update(n_heads=0),
+         "model_config in {path}: 'n_heads' must be >= 1, got 0"),
+        (lambda h: h["model_config"].update(tau=-1.0),
+         "model_config in {path}: 'tau' must be > 0.0, got -1.0"),
+        (lambda h: h["model_config"].update(crm_variant="pool"),
+         "model_config in {path}: 'crm_variant' must be one of ('avg', 'mlp', 'transformer')"),
     ],
 )
 def test_checkpoint_header_damage_names_the_key(tmp_path, edit, message):
@@ -614,7 +621,7 @@ def test_checkpoint_header_damage_names_the_key(tmp_path, edit, message):
     _rewrite_header(path, edit)
     with pytest.raises(CheckpointError) as info:
         load_checkpoint(path)
-    assert message in str(info.value)
+    assert message.format(path=path) in str(info.value)
 
 
 def _cut_header(raw):
