@@ -27,8 +27,7 @@ output = (A P)(W_V W_O) + (b_V W_O + b_O), where P are the keys/values
 of every head are built on the tape once per call (`head_products`), so no
 attention projects P, and one `attention` op runs all heads as an axis.
 b_V moves out because attention rows sum to 1; b_K cancels exactly (q . b_K
-is the same for every key of a row), so it gets no gradient and stays zero.
-It is kept only for the checkpoint layout and AttentionParams. A layer is a
+is the same for every key of a row), so no attention has one. A layer is a
 handful of tape ops: per attention W_K^T, the four merged products and the
 attention itself, then one `residual_norm` per sub-layer and one `feed_forward`.
 
@@ -121,16 +120,17 @@ def stack_patches(patch_sets: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndar
 
 @dataclass
 class AttentionParams:
-    """Projections for one attention instance; wo/bo absent on the bare op."""
+    """Projections for one attention instance; wo/bo absent on the bare op.
+    bk is accepted but never read: the key bias cancels in the softmax."""
 
     wq: Tensor
     bq: Tensor
     wk: Tensor
-    bk: Tensor
     wv: Tensor
     bv: Tensor
     wo: Tensor | None = None
     bo: Tensor | None = None
+    bk: Tensor | None = None
 
 
 @dataclass
@@ -412,7 +412,7 @@ def init_attention_params(
         return Tensor(np.zeros((1, d_model)), requires_grad=True)
 
     wo, bo = w(), b()  # drawn first: the rng order fixes every seeded model
-    return AttentionParams(wq=w(), bq=b(), wk=w(), bk=b(), wv=w(), bv=b(), wo=wo, bo=bo)
+    return AttentionParams(wq=w(), bq=b(), wk=w(), wv=w(), bv=b(), wo=wo, bo=bo)
 
 
 def init_layer_norm(d_model: int) -> LayerNormParams:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Sequence
 
 import numpy as np
@@ -135,6 +135,23 @@ class TrainExample:
     target_patches: np.ndarray
 
 
+def _record_named(prefix: str, record) -> list[tuple[str, Tensor]]:
+    """Each Tensor field of a parameter record, named by its field; a field
+    that holds None (an unread key bias, a bare op's output) is no parameter."""
+    return [(f"{prefix}.{f.name}", t) for f in fields(record)
+            if isinstance(t := getattr(record, f.name), Tensor)]
+
+
+def _layer_named(prefix: str, layer) -> list[tuple[str, Tensor]]:
+    """A fusion block's or a CRM layer's tensors, one name scheme for both,
+    with the sub-records in the order `fusion._layer_forward` runs them."""
+    out = []
+    for attr in ("self_attn", "ln_self", "cross_attn", "ln_cross", "ffn", "ln_ffn"):
+        if (part := getattr(layer, attr)) is not None:
+            out += _record_named(f"{prefix}.{attr.removesuffix('_attn')}", part)
+    return out
+
+
 class ModelParams:
     """All weights plus the frozen encoders, seeded and enumerable by name."""
 
@@ -196,61 +213,22 @@ class ModelParams:
 
     # -- enumeration ---------------------------------------------------------
 
-    @staticmethod
-    def _attention_named(prefix: str, a) -> list[tuple[str, Tensor]]:
-        return [
-            (f"{prefix}.wq", a.wq), (f"{prefix}.bq", a.bq),
-            (f"{prefix}.wk", a.wk), (f"{prefix}.bk", a.bk),
-            (f"{prefix}.wv", a.wv), (f"{prefix}.bv", a.bv),
-            (f"{prefix}.wo", a.wo), (f"{prefix}.bo", a.bo),
-        ]
-
-    @staticmethod
-    def _ln_named(prefix: str, ln) -> list[tuple[str, Tensor]]:
-        return [(f"{prefix}.gain", ln.gain), (f"{prefix}.shift", ln.shift)]
-
-    @staticmethod
-    def _ffn_named(prefix: str, f) -> list[tuple[str, Tensor]]:
-        return [(f"{prefix}.w1", f.w1), (f"{prefix}.b1", f.b1),
-                (f"{prefix}.w2", f.w2), (f"{prefix}.b2", f.b2)]
-
-    def _fusion_named(self) -> list[tuple[str, Tensor]]:
-        out = [("fusion.queries", self.fusion.queries)]
-        for i, b in enumerate(self.fusion.blocks):
-            p = f"fusion.block{i}"
-            out += self._attention_named(f"{p}.self", b.self_attn)
-            out += self._attention_named(f"{p}.cross", b.cross_attn)
-            out += self._ln_named(f"{p}.ln_self", b.ln_self)
-            out += self._ln_named(f"{p}.ln_cross", b.ln_cross)
-            out += self._ln_named(f"{p}.ln_ffn", b.ln_ffn)
-            out += self._ffn_named(f"{p}.ffn", b.ffn)
-        return out
-
-    def _caam_named(self) -> list[tuple[str, Tensor]]:
-        c = self.caam
-        out = [("caam.probes", c.probes), ("caam.cls", c.cls)]
-        crm = c.crm
-        if crm.variant == "mlp":
-            out += self._ffn_named("caam.crm.mlp", crm.mlp)
-        for i, layer in enumerate(crm.layers):
-            p = f"caam.crm.layer{i}"
-            out += self._attention_named(f"{p}.self", layer.self_attn)
-            out += self._ln_named(f"{p}.ln_attn", layer.ln_self)  # the checkpoint's name
-            out += self._ffn_named(f"{p}.ffn", layer.ffn)
-            out += self._ln_named(f"{p}.ln_ffn", layer.ln_ffn)
-        out += [("caam.wc", c.wc), ("caam.bc", c.bc)]
-        return out
-
     def named_params(self) -> list[tuple[str, Tensor]]:
         """Every weight tensor in a stable order (frozen ones included)."""
-        out = self._fusion_named()
-        out += self._caam_named()
-        out += [
-            ("rep_cls", self.rep_cls),
+        c = self.caam
+        out = [("fusion.queries", self.fusion.queries)]
+        for i, block in enumerate(self.fusion.blocks):
+            out += _layer_named(f"fusion.block{i}", block)
+        out += [("caam.probes", c.probes), ("caam.cls", c.cls)]
+        if c.crm.mlp is not None:
+            out += _record_named("caam.crm.mlp", c.crm.mlp)
+        for i, layer in enumerate(c.crm.layers):
+            out += _layer_named(f"caam.crm.layer{i}", layer)
+        return out + [
+            ("caam.wc", c.wc), ("caam.bc", c.bc), ("rep_cls", self.rep_cls),
             ("head.query.w", self.w_query), ("head.query.b", self.b_query),
             ("head.target.w", self.w_target), ("head.target.b", self.b_target),
         ]
-        return out
 
     def param_groups(self) -> dict[str, list[Tensor]]:
         """Trainable tensors split into the two optimizer groups."""
@@ -495,8 +473,12 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         except ConfigError as exc:  # an out-of-range model_config is damaged data
             raise CheckpointError(f"model_config in {path}: {exc}") from None
         named = dict(params.named_params())
-        if set(named) != {p.name for p in header.params}:
-            raise CheckpointError("checkpoint parameter set does not match the rebuilt model")
+        stored = {p.name for p in header.params}
+        if stored != set(named):
+            raise CheckpointError(
+                f"{path} holds another parameter layout than the rebuilt model: missing "
+                f"{sorted(set(named) - stored)}, unexpected {sorted(stored - set(named))}"
+            )
         for entry in header.params:
             want = named[entry.name]
             if want.data.shape != entry.shape:

@@ -101,6 +101,10 @@ def _set_first_image(key, value):
         (lambda h: h["images"][0].update(bbox=[0.1, 0.2]), "world.bin.images[0].bbox' must hold 4"),
         (_set_first_image("reserve", 1), "world.bin.images[0].reserve' must be bool, got int"),
         (lambda h: h["configs"]["fashion"].pop("grid"), "world.bin.configs.fashion.grid"),
+        (lambda h: h["configs"]["fashion"].update(noise_sigma=float("nan")),
+         "world.bin.configs.fashion.noise_sigma' must be finite, got nan"),
+        (lambda h: h["configs"]["fashion"].update(n_contexts=0),
+         "world.bin.configs.fashion.n_contexts' must be >= 1, got 0"),
         (lambda h: h.update(n_reserve=h["n_reserve"] + 1), "declares n_reserve 19 but marks 18"),
         (_set_first_image("reserve", True), "declares n_reserve 18 but marks 19"),
         (_set_first_image("grid_shape", [4, 4, 9]), "grid_shape [4, 4, 9], its subset [4, 4, 8]"),

@@ -39,7 +39,7 @@ def crm_tensors(crm):
     out = []
     for layer in crm.layers:
         a = layer.self_attn
-        out += [a.wq, a.bq, a.wk, a.bk, a.wv, a.bv, a.wo, a.bo]
+        out += [a.wq, a.bq, a.wk, a.wv, a.bv, a.wo, a.bo]
         out += [layer.ln_self.gain, layer.ln_self.shift, layer.ln_ffn.gain, layer.ln_ffn.shift]
         out += [layer.ffn.w1, layer.ffn.b1, layer.ffn.w2, layer.ffn.b2]
     return out
@@ -103,10 +103,10 @@ def test_crm_transformer_sensitive_to_probe_outputs():
 
 
 def test_crm_variants_have_expected_param_counts():
-    # closed forms: transformer layer = 4 (D^2 + D) attention + 2*2D norms
-    # + (D*H + H + H*D + D) ffn with H = 2D; mlp = D*H + H + H*D + D
+    # closed forms: transformer layer = 4 D^2 + 3D attention (no key bias)
+    # + 2*2D norms + (D*H + H + H*D + D) ffn with H = 2D; mlp = D*H + H + H*D + D
     h = 2 * D
-    per_layer = 4 * (D * D + D) + 4 * D + (D * h + h + h * D + D)
+    per_layer = 4 * D * D + 3 * D + 4 * D + (D * h + h + h * D + D)
     for n_layers in (1, 2):
         crm = init_crm_params(np.random.default_rng(7), "transformer", D, n_layers=n_layers)
         assert param_count(crm_tensors(crm)) == n_layers * per_layer

@@ -307,6 +307,8 @@ def _rewrite_world_header(path, edit):
         (lambda h: h.update(seed=str(h["seed"])), "world.bin.seed"),
         (lambda h: h.update(n_images=5), "world.bin.n_images"),
         (lambda h: h.update(n_reserve=h["n_reserve"] - 1), "n_reserve"),
+        (lambda h: h["configs"]["fashion"].update(noise_sigma=math.nan),
+         "world.bin.configs.fashion.noise_sigma' must be finite"),
     ],
 )
 def test_train_on_world_with_damaged_header_exits_2_naming_the_key(run_dir, tmp_path, capsys,
@@ -320,6 +322,27 @@ def test_train_on_world_with_damaged_header_exits_2_naming_the_key(run_dir, tmp_
     assert main(["train", "--config", str(cfg_path), "--out", str(copy)]) == 2
     err = capsys.readouterr().err
     assert "world.bin" in err and key in err
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (lambda d: d["thresholds"]["fashion"].update(tau_high=math.nan),
+         "stats.json.thresholds.fashion.tau_high' must be finite"),
+        (lambda d: d["settings"].update(n_distractors=-5),
+         "stats.json.settings.n_distractors' must be >= 0, got -5"),
+    ],
+)
+def test_eval_on_stats_with_out_of_range_value_exits_2_naming_the_key(run_dir, tmp_path,
+                                                                      capsys, edit, key):
+    cfg_path, out = run_dir
+    copy = tmp_path / "copy"
+    copy.mkdir()
+    for f in out.iterdir():
+        (copy / f.name).write_bytes(f.read_bytes())
+    _edit_json(copy / "stats.json", edit)
+    assert main(["eval", "--config", str(cfg_path), "--out", str(copy)]) == 2
+    assert key in capsys.readouterr().err
 
 
 def test_train_rerun_checkpoint_is_byte_identical(run_dir, capsys):

@@ -22,7 +22,8 @@ live-head model's checkpoint (parameter names, order, shapes and random
 draws, exact) and the per-step losses of one training epoch.
 
 Regenerate the fixture only for a change that means to alter the artifacts
-or the computed numbers (and say which and why):
+or the computed numbers (and say which and why); the command prints the key
+of every value that changed:
 
     PYTHONPATH=src python tests/test_fingerprint.py --write
 """
@@ -231,18 +232,44 @@ def test_every_crm_variant_matches_fingerprint(tmp_path):
         assert _close(got[key]["losses"], pinned["losses"]), f"{key}: losses; {hosts}"
 
 
-def write_fixture(tmp_dir: Path) -> None:
+def changed_keys(old, new, path: str = "") -> list[str]:
+    """The /-joined key of every value that differs between two fixtures;
+    dicts are compared key by key, anything else (a list of ranks) whole."""
+    if not (isinstance(old, dict) and isinstance(new, dict)):
+        return [] if old == new else [path]
+    return [changed for key in sorted(old.keys() | new.keys())
+            for changed in changed_keys(old.get(key), new.get(key), f"{path}/{key}".lstrip("/"))]
+
+
+def test_changed_keys_names_each_moved_value():
+    old = {"host": "a", "variants": {"avg/scalar": {"checkpoint_sha256": "x", "losses": [1.0]}}}
+    new = json.loads(json.dumps(old))
+    assert changed_keys(old, new) == []
+    new["variants"]["avg/scalar"]["checkpoint_sha256"] = "y"
+    new["variants"]["mlp/vector"] = {"losses": [2.0]}
+    del new["host"]
+    assert changed_keys(old, new) == ["host", "variants/avg/scalar/checkpoint_sha256",
+                                      "variants/mlp/vector"]
+
+
+def write_fixture(tmp_dir: Path) -> list[str]:
+    """Rewrites the fixture; returns the keys whose values changed."""
+    old = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
     payload = {"host": host_line(),
                "sha256": {str(seed): artifact_hashes(tmp_dir / str(seed), seed)
                           for seed in SEEDS},
                "model": {str(seed): model_fingerprint(seed) for seed in SEEDS},
                "variants": variants_fingerprint(tmp_dir)}
-    FIXTURE.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    FIXTURE.write_text(text, encoding="utf-8")
+    return changed_keys(old, json.loads(text))
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_fingerprint.py --write")
     with tempfile.TemporaryDirectory() as tmp:
-        write_fixture(Path(tmp))
-    print(f"wrote {FIXTURE}")
+        changed = write_fixture(Path(tmp))
+    print(f"wrote {FIXTURE}; {len(changed)} values changed")
+    for key in changed:
+        print(f"  {key}")

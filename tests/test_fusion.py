@@ -265,6 +265,7 @@ def test_encode_gradients_match_finite_differences(beta_form, n_heads):
     block = fusion.blocks[0]
     attns = (block.self_attn, block.cross_attn)
     for a in attns:
+        a.bk = parameter(np.zeros((1, d)))  # never read: the forward must not see it
         for b in (a.bq, a.bk, a.bv, a.bo):
             b.data = rng.normal(0.0, 0.2, size=b.data.shape)
     patches, key_mask = stack_patches([rng.normal(size=(4, d)), rng.normal(size=(3, d))])
@@ -291,11 +292,13 @@ def test_encode_gradients_match_finite_differences(beta_form, n_heads):
         for t in checked + [a.bk for a in attns]:
             t.grad = None
 
+        def encode():
+            return getattr(multimodal_encode(
+                patches, text, fusion, mask=None if beta_form == "padding-only" else region,
+                beta=beta, key_mask=key_mask, **kwargs), field)
+
         def build():
-            res = multimodal_encode(patches, text, fusion,
-                                    mask=None if beta_form == "padding-only" else region,
-                                    beta=beta, key_mask=key_mask, **kwargs)
-            return nm.sum_all(nm.mul(getattr(res, field), weights))
+            return nm.sum_all(nm.mul(encode(), weights))
 
         tape = Tape()
         with tape:
@@ -307,8 +310,14 @@ def test_encode_gradients_match_finite_differences(beta_form, n_heads):
         for i, (t, a) in enumerate(zip(checked, analytic)):
             numeric = nm.finite_diff_grad(lambda _t: build().item(), t)
             assert nm.max_rel_error(a, numeric) < 1e-5, (field, i)
+        # b_K cancels in the softmax, so a nonzero one leaves every bit in place
+        with_bk = encode().data
+        key_biases = [a.bk for a in attns]
         for a in attns:
-            assert np.max(np.abs(nm.finite_diff_grad(lambda _t: build().item(), a.bk))) < 1e-9
+            a.bk = None
+        assert np.array_equal(encode().data, with_bk), field
+        for a, bk in zip(attns, key_biases):
+            a.bk = bk
 
 
 def full_pass_rows(patches, text, fusion, mask, beta, cls, extras, key_mask):

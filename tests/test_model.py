@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import struct
@@ -5,8 +6,13 @@ import struct
 import numpy as np
 import pytest
 
+from focalcir.benchgen import FilterThresholds, WorldConfig, build_benchmark
+from focalcir.benchgen.pipeline import save_benchmark
+from focalcir.caam import CRM_VARIANTS, OUTPUT_FORMS
+from focalcir.cli import main
 from focalcir.encoders import ContextDescriptor, EncoderParams, embed_text, encode_image
 from focalcir.errors import CheckpointError, ConfigError, ContractError
+from focalcir.fusion import AttentionParams
 from focalcir.model import (
     ModelConfig,
     ModelParams,
@@ -22,6 +28,7 @@ from focalcir.model import (
 )
 from focalcir.numerics.gradcheck import finite_diff_grad, max_rel_error
 from focalcir.numerics.tensor import Tape, Tensor, add, backward, constant, mul, sum_all
+from focalcir.records import write_container
 
 
 def tiny_config(**overrides):
@@ -437,28 +444,42 @@ def _ragged_examples(enc, seed):
     return random_examples(rng, enc, 2) + random_examples(rng, enc, 2, grid=(3, 3))
 
 
-def test_key_biases_get_no_gradient_and_stay_exactly_zero():
-    # q.b_K is the same for every key of a row and cancels in the softmax, so
-    # attention never reads b_K: it gets no gradient and AdamW leaves it at 0
-    _, enc, params = tiny_setup(seed=91, crm_layers=2)
-    params = ModelParams(params.config, enc, seed=91, zero_modulation_head=False)
-    examples = _ragged_examples(enc, 91)
-    named = dict(params.named_params())
-    key_biases = {n: t for n, t in named.items() if n.endswith(".bk")}
-    assert len(key_biases) == 4  # self and cross of one block, two CRM layers
-    tape = Tape()
-    with tape:
-        f_q, _ = query_representation([ex.query for ex in examples], params)
-        f_t = target_representation([ex.target_patches for ex in examples], params)
-        loss = contrastive_loss(f_q, f_t, params.tau)
-    backward(loss, tape)
-    assert all(t.grad is None for t in key_biases.values())
-    assert all(named[n[: -len("bk")] + "bq"].grad is not None for n in key_biases)
-    tape.clear()
-    train(params, examples, TrainConfig(epochs=3, batch_size=2, seed=4))
-    for name, t in key_biases.items():
-        assert t.grad is None, name
-        assert np.all(t.data == 0.0), name
+def _reachable(value, tensors, attentions):
+    """Every Tensor and AttentionParams reachable from value through
+    dataclass fields, attributes, lists and tuples, found without named_params."""
+    if isinstance(value, Tensor):
+        tensors.append(value)
+        return
+    if isinstance(value, AttentionParams):
+        attentions.append(value)
+    if dataclasses.is_dataclass(value):
+        children = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    elif isinstance(value, (list, tuple)):
+        children = value
+    elif isinstance(value, ModelParams):
+        children = vars(value).values()
+    else:
+        return
+    for child in children:
+        _reachable(child, tensors, attentions)
+
+
+@pytest.mark.parametrize("modulation", OUTPUT_FORMS)
+@pytest.mark.parametrize("crm_variant", CRM_VARIANTS)
+def test_named_params_name_every_reachable_tensor_once(crm_variant, modulation):
+    # q.b_K is the same for every key of a row and cancels in the softmax,
+    # so no attention of a model holds a key bias
+    n_blocks, crm_layers = 2, 2
+    _, _, params = tiny_setup(seed=91, n_blocks=n_blocks, crm_variant=crm_variant,
+                              crm_layers=crm_layers, modulation=modulation)
+    tensors, attentions = [], []
+    _reachable(params, tensors, attentions)
+    named = params.named_params()
+    assert len({n for n, _ in named}) == len(named)  # no name twice
+    assert sorted(map(id, tensors)) == sorted(id(t) for _, t in named)  # each tensor once
+    assert len(attentions) == 2 * n_blocks + (crm_layers if crm_variant == "transformer" else 0)
+    assert all(a.bk is None for a in attentions)
+    assert not any(n.endswith(".bk") for n, _ in named)
 
 
 def test_no_linear_in_a_training_step_takes_the_patches(monkeypatch):
@@ -585,6 +606,48 @@ def test_checkpoint_with_mismatched_model_keys_names_them(tmp_path, edit, messag
     with pytest.raises(CheckpointError) as info:
         load_checkpoint(path)
     assert message in str(info.value)
+
+
+def _old_layout_checkpoint(path, params):
+    """Writes params in the layout of checkpoints made before the key bias
+    went: a zero `bk` block after every `wk`, and a CRM layer's first norm
+    named `ln_attn`."""
+    blocks = []
+    for name, t in params.named_params():
+        if name.startswith("caam.crm.layer"):
+            name = name.replace(".ln_self.", ".ln_attn.")
+        blocks.append((name, t.data))
+        if name.endswith(".wk"):
+            blocks.append((name[: -len("wk")] + "bk", np.zeros((1, t.data.shape[1]))))
+    enc = params.encoders
+    header = {
+        "version": 1, "meta": {}, "seed": params.seed,
+        "model_config": dataclasses.asdict(params.config),
+        "encoder": {"seed": enc.seed, "d_latent": enc.d_latent, "d_model": enc.d_model,
+                    "l_text": enc.l_text},
+        "params": [{"name": n, "shape": list(data.shape)} for n, data in blocks],
+    }
+    write_container(path, b"FCCKPT1\n", header, (data for _, data in blocks))
+
+
+def test_eval_on_a_checkpoint_of_another_layout_exits_2_naming_its_params(tmp_path, capsys):
+    world = WorldConfig(subset="fashion", n_categories=2, instances_per_category=3,
+                        images_per_instance=5, n_contexts=6, grid=(4, 4), d_latent=4,
+                        bbox_size_range=(0.3, 0.6), reserve_instances_per_category=3,
+                        reserve_images_per_instance=3)
+    bench = build_benchmark(configs=[world], seed=13, d_model=8, l_text=2, train_cap=3,
+                            eval_cap=4, n_distractors=4,
+                            thresholds={"fashion": FilterThresholds(4, 0.9, 0.85, 3)})
+    save_benchmark(tmp_path / "run", bench)
+    ckpt = tmp_path / "old.bin"
+    _old_layout_checkpoint(ckpt, ModelParams(tiny_config(), bench.encoders, seed=5))
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"out": str(tmp_path / "run")}))
+    assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "Traceback" not in err
+    assert "fusion.block0.self.bk" in err  # unexpected
+    assert "caam.crm.layer0.ln_self.gain" in err  # missing
 
 
 def _drop_encoder(header):
