@@ -20,7 +20,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from focalcir.encoders import SyntheticImage
-from focalcir.errors import ConfigError
 from focalcir.numerics.similarity import cosine_sim_matrix
 from focalcir.records import ConfigSection
 
@@ -32,9 +31,9 @@ class FilterThresholds(ConfigSection):
     tau_centric: float = field(metadata={"gt": 0.0, "lt": 1.0})
     tau_count: int = field(metadata={"ge": 1})
 
-    def rules(self) -> None:
+    def rules(self) -> str | None:
         if self.tau_centric > self.tau_high:
-            raise ConfigError(f"tau_centric {self.tau_centric} exceeds tau_high {self.tau_high}")
+            return f"tau_centric {self.tau_centric} exceeds tau_high {self.tau_high}"
 
 
 # per-subset presets

@@ -17,7 +17,6 @@ from focalcir.encoders import ContextDescriptor, SyntheticImage
 from focalcir.errors import DataError
 from focalcir.records import (
     canonical_json,
-    check_ranges,
     from_record,
     open_file,
     parse_json,
@@ -105,7 +104,6 @@ def load_world(path) -> tuple[SyntheticWorld, str]:
             WorldHeader, read_header(fh, _WORLD_MAGIC, DataError, path, "world file"),
             DataError, str(path), complete=True,
         )
-        check_ranges(header.configs, DataError, f"{path}.configs")  # not the ~5.8k images
         n_reserve = sum(rec.reserve for rec in header.images)
         if n_reserve != header.n_reserve:
             raise DataError(f"{path} declares n_reserve {header.n_reserve} "

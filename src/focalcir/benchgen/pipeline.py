@@ -27,7 +27,7 @@ from focalcir.encoders import (
     pooled_image_embedding,
 )
 from focalcir.errors import ConfigError, DataError
-from focalcir.records import check_ranges, from_record, open_file, parse_json, write_json
+from focalcir.records import from_record, open_file, parse_json, write_json
 
 
 def default_world_configs() -> list[WorldConfig]:
@@ -232,7 +232,6 @@ def load_benchmark(in_dir) -> Benchmark:
     with open_file(stats_path, DataError) as fh:
         raw = parse_json(fh.read(), DataError, stats_path)
     summary = from_record(_Summary, raw, DataError, str(stats_path), complete=True)
-    check_ranges(summary, DataError, str(stats_path))
     world, _ = load_world(src / "world.bin")
     enc = EncoderParams(
         seed=world.encoder_seed,

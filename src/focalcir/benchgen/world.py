@@ -37,14 +37,14 @@ class WorldConfig(ConfigSection):
     reserve_instances_per_category: int = field(default=12, metadata={"ge": 0})
     reserve_images_per_instance: int = field(default=8, metadata={"ge": 0})
 
-    def rules(self) -> None:
+    def rules(self) -> str | None:
         # the minimum side must exceed one patch spacing, so the planted
         # region always covers at least one patch center
         spacing = max(1.0 / self.grid[0], 1.0 / self.grid[1])
         lo, hi = self.bbox_size_range
         if not spacing < lo <= hi:
-            raise ConfigError(f"bbox_size_range {self.bbox_size_range} must satisfy "
-                              f"{spacing:g} (one patch spacing) < lo <= hi")
+            return (f"bbox_size_range {self.bbox_size_range} must satisfy "
+                    f"{spacing:g} (one patch spacing) < lo <= hi")
 
 
 @dataclass

@@ -185,13 +185,13 @@ def cmd_train(cfg: RunConfig, subsets: tuple[str, ...] | None, ckpt: str | None)
     digest = write_resolved_config(cfg.out, cfg)
     chosen = subsets if subsets is not None else cfg.train.subsets
     _check_subsets(chosen, bench)
+    ckpt_path = _ckpt_path(cfg, ckpt)
+    ckpt_path.parent.mkdir(parents=True, exist_ok=True)  # before training, to fail fast
     train_cfg = dataclasses.replace(cfg.train, seed=cfg.seed, subsets=chosen)
     examples = train_examples(bench, bench.train_quads_of(chosen))
     params = ModelParams(cfg.model, bench.encoders, seed=cfg.seed)
     result = train(params, examples, train_cfg)
 
-    ckpt_path = _ckpt_path(cfg, ckpt)
-    ckpt_path.parent.mkdir(parents=True, exist_ok=True)
     meta = {
         "config_hash": digest,
         "seed": cfg.seed,
@@ -360,7 +360,7 @@ def main(argv=None) -> int:
         if args.command == "ablate":
             return cmd_ablate(cfg, args.kind, _parse_betas(args.betas, cfg.eval), args.checkpoint)
         return cmd_gradcheck(cfg)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # OSError: an output path or the config file
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (DataError, CheckpointError) as exc:

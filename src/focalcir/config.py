@@ -36,9 +36,9 @@ class EvalSettings(ConfigSection):
     # the sweep grid, in units of sqrt(d_k)
     betas: tuple[float, ...] = field(default=DEFAULT_SWEEP_UNITS, metadata={"ge": 0.0})
 
-    def rules(self) -> None:
+    def rules(self) -> str | None:
         if not self.betas:
-            raise ConfigError("'betas' must hold at least one value")
+            return "'betas' must hold at least one value"
 
 
 @dataclass
@@ -54,31 +54,26 @@ class RunConfig(ConfigSection):
     bench: BenchSettings = field(default_factory=BenchSettings)
     eval: EvalSettings = field(default_factory=EvalSettings)
 
-    def rules(self) -> None:
+    def rules(self) -> str | None:
         if not self.world:
-            raise ConfigError("at least one world subset is required")
+            return "at least one world subset is required"
         seen = set()
         for cfg in self.world:
             if cfg.subset in seen:
-                raise ConfigError(f"duplicate world subset {cfg.subset!r}")
+                return f"duplicate world subset {cfg.subset!r}"
             seen.add(cfg.subset)
             if self.thresholds is None and cfg.subset not in PRESETS:
-                raise ConfigError(
-                    f"no threshold preset for subset {cfg.subset!r}; set thresholds"
-                )
+                return f"no threshold preset for subset {cfg.subset!r}; set thresholds"
         if self.thresholds is not None:
             for subset in self.thresholds:
                 if subset not in seen:
-                    raise ConfigError(f"thresholds given for unknown subset {subset!r}")
+                    return f"thresholds given for unknown subset {subset!r}"
             missing = seen - set(self.thresholds)
             if missing:
-                raise ConfigError(f"missing thresholds for subset {sorted(missing)[0]!r}")
-        for section in (*self.world, *(self.thresholds or {}).values(),
-                        self.model, self.train, self.bench, self.eval):
-            section.rules()
+                return f"missing thresholds for subset {sorted(missing)[0]!r}"
         latents = {c.d_latent for c in self.world}
         if len(latents) != 1:
-            raise ConfigError(f"subsets disagree on d_latent: {sorted(latents)}")
+            return f"subsets disagree on d_latent: {sorted(latents)}"
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -92,28 +87,23 @@ class RunConfig(ConfigSection):
 
 
 def run_config_from_dict(data: dict) -> RunConfig:
-    """Strict load: unknown keys, wrongly typed and out-of-range values
-    anywhere raise ConfigError naming the dotted key."""
-    cfg = from_record(RunConfig, data, ConfigError)
-    cfg.validate()
-    return cfg
+    """Strict load: unknown keys, wrongly typed and out-of-range values and
+    broken cross-field rules anywhere raise ConfigError naming the key."""
+    return from_record(RunConfig, data, ConfigError)
 
 
 def load_run_config(path: str | Path | None, seed: int | None = None,
                     out: str | None = None) -> RunConfig:
-    """Config file (or defaults) with CLI-level seed/out overrides, validated once."""
-    if path is None:
-        cfg = RunConfig()
-    else:
+    """Config file (or defaults) with CLI-level seed/out overrides, read once."""
+    data = {}
+    if path is not None:
         p = Path(path)
         if not p.is_file():
             raise ConfigError(f"config file not found: {p}")
         data = parse_json(p.read_bytes(), ConfigError, f"config file {p}")
-        cfg = from_record(RunConfig, data, ConfigError)
-    cfg = dataclasses.replace(cfg, seed=cfg.seed if seed is None else seed,
-                              out=cfg.out if out is None else out)
-    cfg.validate()
-    return cfg
+    if isinstance(data, dict):  # anything else is named by the reader
+        data |= {k: v for k, v in (("seed", seed), ("out", out)) if v is not None}
+    return run_config_from_dict(data)
 
 
 def write_resolved_config(out_dir: str | Path, cfg: RunConfig) -> str:

@@ -26,7 +26,6 @@ from focalcir.encoders import EncoderParams, TextEmbedding
 from focalcir.errors import (
     AlignmentError,
     CheckpointError,
-    ConfigError,
     ContractError,
     DimensionError,
 )
@@ -85,14 +84,15 @@ class ModelConfig(ConfigSection):
     probes_learnable: bool = True
     token_init: float = field(default=0.02, metadata={"ge": 0.0})
     weight_init: float = field(default=0.1, metadata={"ge": 0.0})
-    tau: float = field(default=0.07, metadata={"gt": 0.0})  # fixed contrastive temperature
+    # fixed contrastive temperature; logits are cosines / tau, so above 1 the softmax flattens
+    tau: float = field(default=0.07, metadata={"gt": 0.0, "le": 1.0})
 
-    def rules(self) -> None:
+    def rules(self) -> str | None:
         if self.d_model % self.n_heads != 0:
-            raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
+            return f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
         # the loss scales similarities by 1/tau, so that must be finite too
         if not math.isfinite(1.0 / self.tau):
-            raise ConfigError(f"1/tau must be finite, got tau={self.tau}")
+            return f"1/tau must be finite, got tau={self.tau}"
 
 
 @dataclass
@@ -107,8 +107,9 @@ class TrainConfig(ConfigSection):
 
     epochs: int = field(default=10, metadata={"ge": 1})
     batch_size: int = field(default=32, metadata={"ge": 2})  # in-batch contrast needs two
-    lr_caam: float = field(default=2e-3, metadata={"gt": 0.0})
-    lr_encoder: float = field(default=2e-4, metadata={"gt": 0.0})
+    # an AdamW step moves a weight by about lr, so above 1 it swamps weights of scale 0.1
+    lr_caam: float = field(default=2e-3, metadata={"gt": 0.0, "le": 1.0})
+    lr_encoder: float = field(default=2e-4, metadata={"gt": 0.0, "le": 1.0})
     weight_decay: float = field(default=0.05, metadata={"ge": 0.0})
     adam_beta1: float = field(default=0.9, metadata={"ge": 0.0, "lt": 1.0})  # Kingma & Ba 2014
     adam_beta2: float = field(default=0.98, metadata={"ge": 0.0, "lt": 1.0})
@@ -438,10 +439,10 @@ def save_checkpoint(path, params: ModelParams, meta: dict | None = None) -> None
 
 @dataclass
 class EncoderRecord:
-    seed: int
-    d_latent: int
-    d_model: int
-    l_text: int
+    seed: int = field(metadata={"ge": 0})
+    d_latent: int = field(metadata=_SIZE)
+    d_model: int = field(metadata=_SIZE)
+    l_text: int = field(metadata=_SIZE)
 
 
 @dataclass
@@ -455,7 +456,7 @@ class CheckpointHeader:
     version: int
     meta: dict[str, Any]
     seed: int
-    model_config: dict[str, Any]  # read as a ModelConfig below: errors name its own keys
+    model_config: dict[str, Any]  # read as a ModelConfig below: errors name the file
     encoder: EncoderRecord
     params: tuple[ParamRecord, ...]
 
@@ -467,11 +468,9 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
             read_header(fh, _CKPT_MAGIC, CheckpointError, path, "model checkpoint"),
             CheckpointError, complete=True,
         )
-        config = from_record(ModelConfig, header.model_config, CheckpointError, complete=True)
-        try:
-            params = ModelParams(config, EncoderParams(**asdict(header.encoder)), seed=header.seed)
-        except ConfigError as exc:  # an out-of-range model_config is damaged data
-            raise CheckpointError(f"model_config in {path}: {exc}") from None
+        config = from_record(ModelConfig, header.model_config, CheckpointError,
+                             f"{path}.model_config", complete=True)
+        params = ModelParams(config, EncoderParams(**asdict(header.encoder)), seed=header.seed)
         named = dict(params.named_params())
         stored = {p.name for p in header.params}
         if stored != set(named):

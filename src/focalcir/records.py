@@ -4,13 +4,15 @@
 entry, a checkpoint's model config, ...) from JSON using the class's own
 fields and annotations: unknown keys, missing keys (any, with complete=True)
 and wrongly typed values are rejected by dotted path, and lists become
-tuples where a tuple is declared. Errors take the caller's class: ConfigError
-(exit 1) for config files, DataError or CheckpointError (exit 2) for
-artifacts. `dataclasses.asdict` (or `vars` for a flat record) plus
-`canonical_json` or `write_json` write what this reads.
+tuples where a tuple is declared. A record whose class declares a range or
+rules then goes through `check_ranges`, so no loader checks it again. Errors
+take the caller's class: ConfigError (exit 1) for config files, DataError or
+CheckpointError (exit 2) for artifacts. `dataclasses.asdict` (or `vars` for a
+flat record) plus `canonical_json` or `write_json` write what this reads.
 
 `check_ranges` alone decides which values a config or report field accepts,
-from the range each field declares once in its dataclass field metadata.
+from the range each field declares once in its dataclass field metadata, and
+runs a ConfigSection's `rules`; `validate` runs it on a section built in code.
 
 The binary files (world.bin, checkpoints) share one container: a magic line,
 a little-endian u64 header length, a canonical JSON header, then raw
@@ -78,15 +80,16 @@ def from_record(cls, data, error: type[Exception], path: str = "", complete: boo
 
 
 @functools.cache
-def _fields(cls) -> tuple[dict[str, object], frozenset[str]]:
-    """(field name -> resolved annotation, names without a default)."""
+def _fields(cls) -> tuple[dict[str, object], frozenset[str], bool]:
+    """(field name -> annotation, names without a default, whether to check_ranges)."""
     hints = typing.get_type_hints(cls)
     fields = dataclasses.fields(cls)
     required = frozenset(
         f.name for f in fields
         if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
     )
-    return {f.name: hints[f.name] for f in fields}, required
+    checked = issubclass(cls, ConfigSection) or any(f.metadata for f in fields)
+    return {f.name: hints[f.name] for f in fields}, required, checked
 
 
 _RECORD = object()
@@ -148,7 +151,7 @@ def _record(cls, data, error, path: str, complete: bool):
     if not isinstance(data, dict):
         where = f" {path!r}" if path else ""
         raise error(f"{cls.__name__}{where} must be a JSON object, got {_show(data)}")
-    hints, required = _fields(cls)
+    hints, required, checked = _fields(cls)
     if data.keys() - hints.keys():
         unknown = sorted(_join(path, k) for k in data if k not in hints)
         raise error(f"unknown keys {unknown} in {cls.__name__}")
@@ -162,7 +165,10 @@ def _record(cls, data, error, path: str, complete: bool):
         tp = hints[k]
         # a value of exactly the annotated scalar type needs no further check
         kwargs[k] = v if type(v) is tp else _convert(tp, v, error, _join(path, k), complete)
-    return cls(**kwargs)
+    record = cls(**kwargs)
+    if checked:
+        check_ranges(record, error, path)
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -178,10 +184,13 @@ def check_ranges(value, error: type[Exception], path: str = "",
     their metadata: bounds such as {"ge": 1} or {"gt": 0.0, "lt": 1.0}, or
     {"choices": (...)}. A tuple field's range holds for each element, None
     passes, and every float must be finite. Nested records, tuples and dict
-    values are walked; a value out of range raises `error` naming its path."""
+    values are walked; a value out of range raises `error` naming its path,
+    and so does a rule a ConfigSection's `rules` reports broken."""
     if dataclasses.is_dataclass(value):
         for f in dataclasses.fields(value):
             check_ranges(getattr(value, f.name), error, _join(path, f.name), f.metadata)
+        if isinstance(value, ConfigSection) and (broken := value.rules()):
+            raise error(f"{path}: {broken}" if path else broken)
     elif isinstance(value, (tuple, list)):
         for i, v in enumerate(value):
             check_ranges(v, error, f"{path}[{i}]", declared)
@@ -202,10 +211,10 @@ class ConfigSection:
 
     def validate(self) -> None:
         check_ranges(self, ConfigError)
-        self.rules()
 
-    def rules(self) -> None:
-        """Cross-field rules; they only ever see values already in range."""
+    def rules(self) -> str | None:
+        """The message of the first cross-field rule the record breaks, or
+        None; rules only ever see values already in range."""
 
 
 # ---------------------------------------------------------------------------

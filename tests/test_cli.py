@@ -213,6 +213,22 @@ def test_every_numeric_config_field_declares_a_range():
     assert [k for k, f in fields.items() if not any(b in f.metadata for b in BOUNDS)] == []
 
 
+@pytest.mark.parametrize(
+    "command, flag, at",
+    [("gen", "--out", "file"), ("train", "--checkpoint", "file/ckpt.bin"),
+     ("train", "--checkpoint", "dir")],
+)
+def test_unwritable_output_path_exits_1_naming_it(run_dir, tmp_path, capsys, command, flag, at):
+    cfg_path, _ = run_dir
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    path = str(tmp_path / at)
+    assert main([command, "--config", str(cfg_path), flag, path]) == 1
+    err = capsys.readouterr().err
+    assert path.removesuffix("/ckpt.bin") in err
+    assert "Traceback" not in err
+
+
 def test_unknown_flag_exits_1(capsys):
     assert main(["gen", "--wat"]) == 1
     capsys.readouterr()
@@ -309,6 +325,8 @@ def _rewrite_world_header(path, edit):
         (lambda h: h.update(n_reserve=h["n_reserve"] - 1), "n_reserve"),
         (lambda h: h["configs"]["fashion"].update(noise_sigma=math.nan),
          "world.bin.configs.fashion.noise_sigma' must be finite"),
+        (lambda h: h["configs"]["fashion"].update(bbox_size_range=[0.6, 0.3]),
+         "world.bin.configs.fashion: bbox_size_range (0.6, 0.3) must satisfy"),
     ],
 )
 def test_train_on_world_with_damaged_header_exits_2_naming_the_key(run_dir, tmp_path, capsys,
@@ -331,6 +349,8 @@ def test_train_on_world_with_damaged_header_exits_2_naming_the_key(run_dir, tmp_
          "stats.json.thresholds.fashion.tau_high' must be finite"),
         (lambda d: d["settings"].update(n_distractors=-5),
          "stats.json.settings.n_distractors' must be >= 0, got -5"),
+        (lambda d: d["thresholds"]["fashion"].update(tau_centric=0.99),
+         "stats.json.thresholds.fashion: tau_centric 0.99 exceeds tau_high 0.95"),
     ],
 )
 def test_eval_on_stats_with_out_of_range_value_exits_2_naming_the_key(run_dir, tmp_path,

@@ -594,8 +594,8 @@ def _rewrite_header(path, edit):
     "edit, message",
     [
         (lambda h: h["model_config"].update(caam_shares_encoder=True),
-         "unknown keys ['caam_shares_encoder']"),
-        (lambda h: h["model_config"].pop("tau"), "missing keys ['tau']"),
+         "unknown keys ['{path}.model_config.caam_shares_encoder']"),
+        (lambda h: h["model_config"].pop("tau"), "missing keys ['{path}.model_config.tau']"),
     ],
 )
 def test_checkpoint_with_mismatched_model_keys_names_them(tmp_path, edit, message):
@@ -605,7 +605,7 @@ def test_checkpoint_with_mismatched_model_keys_names_them(tmp_path, edit, messag
     _rewrite_header(path, edit)
     with pytest.raises(CheckpointError) as info:
         load_checkpoint(path)
-    assert message in str(info.value)
+    assert message.format(path=path) in str(info.value)
 
 
 def _old_layout_checkpoint(path, params):
@@ -668,13 +668,14 @@ def _drop_first_shape(header):
         (_drop_encoder, "missing keys ['encoder'] in CheckpointHeader"),
         (_seed_as_string, "'seed' must be int, got str"),
         (_drop_first_shape, "missing keys ['params[0].shape'] in ParamRecord"),
+        (lambda h: h["encoder"].update(d_latent=-1), "'encoder.d_latent' must be >= 1, got -1"),
         # in range for its type but not for the model: damaged data, not a config error
         (lambda h: h["model_config"].update(n_heads=0),
-         "model_config in {path}: 'n_heads' must be >= 1, got 0"),
+         "'{path}.model_config.n_heads' must be >= 1, got 0"),
         (lambda h: h["model_config"].update(tau=-1.0),
-         "model_config in {path}: 'tau' must be > 0.0, got -1.0"),
+         "'{path}.model_config.tau' must be > 0.0 and <= 1.0, got -1.0"),
         (lambda h: h["model_config"].update(crm_variant="pool"),
-         "model_config in {path}: 'crm_variant' must be one of ('avg', 'mlp', 'transformer')"),
+         "'{path}.model_config.crm_variant' must be one of ('avg', 'mlp', 'transformer')"),
     ],
 )
 def test_checkpoint_header_damage_names_the_key(tmp_path, edit, message):

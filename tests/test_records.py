@@ -1,12 +1,18 @@
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
 import pytest
 
+from focalcir.benchgen.filtering import PRESETS, FilterThresholds
+from focalcir.benchgen.pipeline import BenchmarkSettings
+from focalcir.benchgen.world import WorldConfig
+from focalcir.config import BenchSettings, EvalSettings, RunConfig
 from focalcir.errors import ConfigError, DataError
-from focalcir.records import from_record
+from focalcir.model import EncoderRecord, ModelConfig, TrainConfig
+from focalcir.records import ConfigSection, from_record
 
 
 @dataclass
@@ -86,3 +92,47 @@ def test_any_takes_a_value_as_it_is():
     assert from_record(Outer, {"name": "a", "extra": raw}, DataError).extra == raw
     with pytest.raises(DataError, match="'extra' must be a JSON object, got list"):
         from_record(Outer, {"name": "a", "extra": [1]}, DataError)
+
+
+# one valid record of every class that declares a range or rules
+CHECKED = [
+    RunConfig(), WorldConfig(subset="fashion"), PRESETS["fashion"], ModelConfig(),
+    TrainConfig(), BenchSettings(), EvalSettings(),
+    BenchmarkSettings(seed=0, d_model=32, l_text=4, train_cap=8, eval_cap=20, n_distractors=320),
+    EncoderRecord(seed=0, d_latent=16, d_model=32, l_text=4),
+]
+
+
+def test_every_config_section_has_a_checked_record():
+    assert set(ConfigSection.__subclasses__()) <= {type(r) for r in CHECKED}
+
+
+@pytest.mark.parametrize("record", CHECKED, ids=lambda r: type(r).__name__)
+def test_from_record_checks_the_declared_ranges(record):
+    # the first field that declares a lower bound, set one below it
+    f = next(f for f in fields(record) if {"ge", "gt"} & f.metadata.keys())
+    bad = f.metadata.get("ge", f.metadata.get("gt")) - 1
+    data = asdict(record)
+    is_tuple = isinstance(data[f.name], tuple)
+    data[f.name] = [bad, *data[f.name][1:]] if is_tuple else bad
+    key = f"r.{f.name}" + ("[0]" if is_tuple else "")
+    with pytest.raises(DataError, match=re.escape(repr(key))):
+        from_record(type(record), data, DataError, "r")
+
+
+@pytest.mark.parametrize(
+    "cls, data, message",
+    [
+        (WorldConfig, {"subset": "x", "bbox_size_range": [0.6, 0.3]},
+         "r: bbox_size_range (0.6, 0.3) must satisfy"),
+        (FilterThresholds,
+         {"tau_valid": 4, "tau_high": 0.9, "tau_centric": 0.95, "tau_count": 2},
+         "r: tau_centric 0.95 exceeds tau_high 0.9"),
+        (ModelConfig, {"d_model": 9, "n_heads": 2}, "r: d_model 9 not divisible by n_heads 2"),
+        (EvalSettings, {"betas": []}, "r: 'betas' must hold at least one value"),
+        (RunConfig, {"world": []}, "r: at least one world subset is required"),
+    ],
+)
+def test_from_record_runs_the_rules_raising_the_callers_error(cls, data, message):
+    with pytest.raises(DataError, match=re.escape(message)):
+        from_record(cls, data, DataError, "r")
