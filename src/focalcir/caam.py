@@ -17,10 +17,11 @@ layer computes the cls row alone).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from focalcir.errors import ContractError, DimensionError
+from focalcir.errors import DimensionError
 from focalcir.encoders import TextEmbedding
 from focalcir.fusion import (
     FfnParams,
@@ -34,19 +35,18 @@ from focalcir.fusion import (
 )
 from focalcir.numerics.tensor import Tensor, linear, mean_over_rows
 
+if TYPE_CHECKING:  # model imports this module
+    from focalcir.model import ModelConfig
+
 CRM_VARIANTS = ("avg", "mlp", "transformer")
 OUTPUT_FORMS = ("scalar", "vector")
 
 
 @dataclass
 class CrmParams:
-    variant: str
+    variant: str  # one of CRM_VARIANTS, as ModelConfig checks
     layers: list[LayerParams] = field(default_factory=list)  # transformer form
     mlp: FfnParams | None = None  # mlp form
-
-    def __post_init__(self):
-        if self.variant not in CRM_VARIANTS:
-            raise ContractError(f"unknown CRM variant {self.variant!r}, expected {CRM_VARIANTS}")
 
 
 @dataclass
@@ -57,10 +57,6 @@ class CaamParams:
     wc: Tensor  # (d_model, 1) scalar form or (d_model, m) vector form
     bc: Tensor
     output_form: str = "scalar"
-
-    @property
-    def k_probes(self) -> int:
-        return self.probes.data.shape[0]
 
 
 def crm_forward(tokens: Tensor, crm: CrmParams, n_heads: int = 1) -> Tensor:
@@ -114,55 +110,33 @@ def predict_beta(
 # initialization
 
 
-def init_crm_params(
-    rng: np.random.Generator,
-    variant: str,
-    d_model: int,
-    n_layers: int = 2,
-    ffn_mult: int = 2,
-    weight_init: float = 0.1,
-) -> CrmParams:
-    if n_layers < 1:
-        raise ContractError(f"a CRM needs at least one layer, got {n_layers}")
+def init_crm_params(rng: np.random.Generator, config: ModelConfig) -> CrmParams:
+    variant = config.crm_variant
     if variant == "mlp":
-        return CrmParams(variant, mlp=init_ffn(rng, d_model, ffn_mult, weight_init))
-    if variant != "transformer":
-        return CrmParams(variant)  # avg; an unknown variant raises here
-    layers = [init_layer(rng, d_model, ffn_mult, weight_init, cross=False) for _ in range(n_layers)]
-    return CrmParams(variant, layers=layers)
+        return CrmParams(variant, mlp=init_ffn(rng, config))
+    if variant == "avg":
+        return CrmParams(variant)
+    return CrmParams(variant, layers=[init_layer(rng, config, cross=False)
+                                      for _ in range(config.crm_layers)])
 
 
-def init_caam_params(
-    rng: np.random.Generator,
-    d_model: int,
-    k_probes: int,
-    m_queries: int,
-    crm_variant: str = "transformer",
-    crm_layers: int = 2,
-    output_form: str = "scalar",
-    probes_learnable: bool = True,
-    token_init: float = 0.02,
-    weight_init: float = 0.1,
-    ffn_mult: int = 2,
-    zero_head: bool = True,
-) -> CaamParams:
-    if output_form not in OUTPUT_FORMS:
-        raise ContractError(f"unknown modulation form {output_form!r}, expected {OUTPUT_FORMS}")
-    out_dim = 1 if output_form == "scalar" else m_queries
+def init_caam_params(rng: np.random.Generator, config: ModelConfig, zero_head: bool) -> CaamParams:
+    d, scale = config.d_model, config.weight_init
+    out_dim = 1 if config.modulation == "scalar" else config.m_queries
     if zero_head:
-        wc = np.zeros((d_model, out_dim))
+        wc = np.zeros((d, out_dim))
         bc = np.zeros((1, out_dim))
     else:
-        wc = rng.normal(0.0, weight_init, size=(d_model, out_dim))
-        bc = rng.normal(0.0, weight_init, size=(1, out_dim))
+        wc = rng.normal(0.0, scale, size=(d, out_dim))
+        bc = rng.normal(0.0, scale, size=(1, out_dim))
     return CaamParams(
         probes=Tensor(
-            rng.normal(0.0, token_init, size=(k_probes, d_model)),
-            requires_grad=probes_learnable,
+            rng.normal(0.0, config.token_init, size=(config.k_probes, d)),
+            requires_grad=config.probes_learnable,
         ),
-        cls=Tensor(rng.normal(0.0, token_init, size=(1, d_model)), requires_grad=True),
-        crm=init_crm_params(rng, crm_variant, d_model, crm_layers, ffn_mult, weight_init),
+        cls=Tensor(rng.normal(0.0, config.token_init, size=(1, d)), requires_grad=True),
+        crm=init_crm_params(rng, config),
         wc=Tensor(wc, requires_grad=True),
         bc=Tensor(bc, requires_grad=True),
-        output_form=output_form,
+        output_form=config.modulation,
     )

@@ -31,6 +31,7 @@ from focalcir.harness import (
     roi_crop_baseline,
 )
 from focalcir.model import (
+    EncoderRecord,
     ModelConfig,
     ModelParams,
     QuerySample,
@@ -134,10 +135,18 @@ def _ckpt_path(cfg: RunConfig, arg: str | None) -> Path:
     return Path(arg) if arg is not None else Path(cfg.out) / "checkpoint.bin"
 
 
-def _load_ckpt(path: Path):
+def _load_ckpt(path: Path, bench):
+    """The checkpoint at path, whose frozen encoder must be the benchmark's:
+    its patches and texts are what the model is scored on."""
     if not path.is_file():
         raise DataError(f"checkpoint not found: {path}")
-    return load_checkpoint(path)
+    params, meta = load_checkpoint(path)
+    for f in dataclasses.fields(EncoderRecord):
+        ours, theirs = getattr(params.encoders, f.name), getattr(bench.encoders, f.name)
+        if ours != theirs:
+            raise DataError(f"{path}: encoder.{f.name} is {ours}, "
+                            f"the benchmark's encoder has {theirs}")
+    return params, meta
 
 
 def _checkpoint_provenance(meta: dict) -> dict:
@@ -216,7 +225,7 @@ def cmd_train(cfg: RunConfig, subsets: tuple[str, ...] | None, ckpt: str | None)
 def cmd_eval(cfg: RunConfig, subsets: tuple[str, ...] | None, ckpt: str | None) -> int:
     bench = load_benchmark(cfg.out)
     digest = write_resolved_config(cfg.out, cfg)
-    params, _meta = _load_ckpt(_ckpt_path(cfg, ckpt))
+    params, _meta = _load_ckpt(_ckpt_path(cfg, ckpt), bench)
     _check_subsets(subsets, bench)
     report = evaluate_model(
         params, bench, subsets=list(subsets) if subsets else None,
@@ -237,7 +246,7 @@ def cmd_ablate(cfg: RunConfig, kind: str, betas: tuple[float, ...], ckpt: str | 
     train_cfg = dataclasses.replace(cfg.train, seed=cfg.seed)
 
     if kind == "beta":
-        params, meta = _load_ckpt(_ckpt_path(cfg, ckpt))
+        params, meta = _load_ckpt(_ckpt_path(cfg, ckpt), bench)
         table = beta_sweep(params, bench, units=betas, config_hash=digest, seed=cfg.seed)
         _write_ablation(out, kind, digest, cfg.seed, [dataclasses.asdict(r) for r in table.rows],
                         table.to_text(), grid_units=list(betas),
@@ -249,7 +258,7 @@ def cmd_ablate(cfg: RunConfig, kind: str, betas: tuple[float, ...], ckpt: str | 
         _write_ablation(out, kind, digest, cfg.seed, [dataclasses.asdict(r) for r in rows],
                         ablation_table_text(rows))
     elif kind == "robustness":
-        params, meta = _load_ckpt(_ckpt_path(cfg, ckpt))
+        params, meta = _load_ckpt(_ckpt_path(cfg, ckpt), bench)
         rows = robustness_eval(params, bench, seed=cfg.seed, config_hash=digest)
         _write_ablation(out, kind, digest, cfg.seed, [dataclasses.asdict(r) for r in rows],
                         robustness_table_text(rows), checkpoint=_checkpoint_provenance(meta))
@@ -261,7 +270,7 @@ def cmd_ablate(cfg: RunConfig, kind: str, betas: tuple[float, ...], ckpt: str | 
         ckpt_path = _ckpt_path(cfg, ckpt)
         adaptive, provenance = None, None
         if ckpt_path.is_file():
-            adaptive, meta = load_checkpoint(ckpt_path)
+            adaptive, meta = _load_ckpt(ckpt_path, bench)
             provenance = _checkpoint_provenance(meta)
             subsets = sorted(train_cfg.subsets or bench.subsets)
             if provenance["train_subsets"] != subsets:

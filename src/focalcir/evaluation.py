@@ -11,13 +11,15 @@ counted from those similarities, not sorted: R@K and R_ID@K are the shares
 of ranks <= K. Every query is anchored on its own quadruple's box, so an
 evaluation setting is (beta_override, use_bbox, roi_crop) plus a benchmark
 view: perturbed boxes or a filtered query list are a dataclasses.replace of
-the Benchmark, not a callback. RankingResult and the recall functions read
-the same metrics off a full gallery order; the metric oracle uses them.
+the Benchmark, not a callback. use_bbox=False evaluates each query with its
+box dropped, and roi_crop each query's `cropped` view. RankingResult and the
+recall functions read the same metrics off a full gallery order; the metric
+oracle uses them.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -28,6 +30,7 @@ from focalcir.model import (
     ModelParams,
     QuerySample,
     TrainExample,
+    cropped,
     query_representation,
     target_representation,
 )
@@ -268,10 +271,11 @@ def evaluate_model(
         ranks = []
         for at in range(0, len(quads), EVAL_CHUNK):
             samples = [query_sample_of(bench, quad) for quad in quads[at : at + EVAL_CHUNK]]
-            f_q, _ = query_representation(
-                samples, params, beta_override=beta_override,
-                use_bbox=use_bbox, roi_crop=roi_crop,
-            )
+            if not use_bbox:
+                samples = [replace(s, bbox=None) for s in samples]
+            elif roi_crop:
+                samples = [cropped(s) for s in samples]
+            f_q, _ = query_representation(samples, params, beta_override=beta_override)
             ranks.append(rank_gallery(f_q.data, gal, positives[:, at : at + EVAL_CHUNK]))
         target_ranks, instance_ranks = np.concatenate(ranks, axis=1)
         per_subset[subset] = SubsetMetrics(

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -71,6 +71,9 @@ from focalcir.numerics.tensor import (
     slice_rows,
     transpose,
 )
+
+if TYPE_CHECKING:  # model imports this module
+    from focalcir.model import ModelConfig
 
 
 def region_mask_from_bbox(bbox: BBox | Sequence[BBox], grid: tuple[int, int]) -> np.ndarray:
@@ -231,9 +234,7 @@ def _attention(
     n_heads: int,
     bias: Tensor | None = None,
 ) -> Tensor:
-    d_model = params.wq.data.shape[1]
-    if n_heads < 1 or d_model % n_heads != 0:
-        raise DimensionError(f"d_model {d_model} does not split into {n_heads} heads")
+    d_model = params.wq.data.shape[1]  # the first head_products checks that n_heads splits it
     wo, bo = params.wo, params.bo
     if wo is None:  # the bare op: its output projection is the identity
         wo, bo = constant(np.eye(d_model)), constant(np.zeros((1, d_model)))
@@ -402,68 +403,51 @@ def encode_target(
 # initialization
 
 
-def init_attention_params(
-    rng: np.random.Generator, d_model: int, weight_init: float
-) -> AttentionParams:
+def init_attention_params(rng: np.random.Generator, config: ModelConfig) -> AttentionParams:
+    d = config.d_model
+
     def w() -> Tensor:
-        return Tensor(rng.normal(0.0, weight_init, size=(d_model, d_model)), requires_grad=True)
+        return Tensor(rng.normal(0.0, config.weight_init, size=(d, d)), requires_grad=True)
 
     def b() -> Tensor:
-        return Tensor(np.zeros((1, d_model)), requires_grad=True)
+        return Tensor(np.zeros((1, d)), requires_grad=True)
 
     wo, bo = w(), b()  # drawn first: the rng order fixes every seeded model
     return AttentionParams(wq=w(), bq=b(), wk=w(), wv=w(), bv=b(), wo=wo, bo=bo)
 
 
-def init_layer_norm(d_model: int) -> LayerNormParams:
+def init_layer_norm(config: ModelConfig) -> LayerNormParams:
     return LayerNormParams(
-        gain=Tensor(np.ones((1, d_model)), requires_grad=True),
-        shift=Tensor(np.zeros((1, d_model)), requires_grad=True),
+        gain=Tensor(np.ones((1, config.d_model)), requires_grad=True),
+        shift=Tensor(np.zeros((1, config.d_model)), requires_grad=True),
     )
 
 
-def init_ffn(rng: np.random.Generator, d_model: int, ffn_mult: int, weight_init: float) -> FfnParams:
-    hidden = d_model * ffn_mult
+def init_ffn(rng: np.random.Generator, config: ModelConfig) -> FfnParams:
+    d, hidden, scale = config.d_model, config.d_model * config.ffn_mult, config.weight_init
     return FfnParams(
-        w1=Tensor(rng.normal(0.0, weight_init, size=(d_model, hidden)), requires_grad=True),
+        w1=Tensor(rng.normal(0.0, scale, size=(d, hidden)), requires_grad=True),
         b1=Tensor(np.zeros((1, hidden)), requires_grad=True),
-        w2=Tensor(rng.normal(0.0, weight_init, size=(hidden, d_model)), requires_grad=True),
-        b2=Tensor(np.zeros((1, d_model)), requires_grad=True),
+        w2=Tensor(rng.normal(0.0, scale, size=(hidden, d)), requires_grad=True),
+        b2=Tensor(np.zeros((1, d)), requires_grad=True),
     )
 
 
-def init_layer(
-    rng: np.random.Generator, d_model: int, ffn_mult: int, weight_init: float, cross: bool
-) -> LayerParams:
+def init_layer(rng: np.random.Generator, config: ModelConfig, cross: bool) -> LayerParams:
     return LayerParams(  # draws in argument order: self-, cross-attention, FFN
-        self_attn=init_attention_params(rng, d_model, weight_init),
-        cross_attn=init_attention_params(rng, d_model, weight_init) if cross else None,
-        ln_self=init_layer_norm(d_model),
-        ln_cross=init_layer_norm(d_model) if cross else None,
-        ffn=init_ffn(rng, d_model, ffn_mult, weight_init),
-        ln_ffn=init_layer_norm(d_model),
+        self_attn=init_attention_params(rng, config),
+        cross_attn=init_attention_params(rng, config) if cross else None,
+        ln_self=init_layer_norm(config),
+        ln_cross=init_layer_norm(config) if cross else None,
+        ffn=init_ffn(rng, config),
+        ln_ffn=init_layer_norm(config),
     )
 
 
-def init_fusion_params(
-    rng: np.random.Generator,
-    d_model: int,
-    m_queries: int,
-    n_blocks: int,
-    n_heads: int = 1,
-    ffn_mult: int = 2,
-    token_init: float = 0.02,
-    weight_init: float = 0.1,
-) -> FusionParams:
+def init_fusion_params(rng: np.random.Generator, config: ModelConfig) -> FusionParams:
     """Fusion queries are frozen; the blocks train."""
-    if min(n_blocks, m_queries, n_heads) < 1 or d_model % n_heads != 0:
-        raise ContractError(
-            f"a fusion encoder needs n_blocks, m_queries and n_heads >= 1 and d_model "
-            f"divisible by n_heads, got {n_blocks}, {m_queries}, {n_heads} and {d_model}"
-        )
     return FusionParams(
-        queries=Tensor(rng.normal(0.0, token_init, size=(m_queries, d_model))),
-        blocks=[init_layer(rng, d_model, ffn_mult, weight_init, cross=True)
-                for _ in range(n_blocks)],
-        n_heads=n_heads,
+        queries=Tensor(rng.normal(0.0, config.token_init, size=(config.m_queries, config.d_model))),
+        blocks=[init_layer(rng, config, cross=True) for _ in range(config.n_blocks)],
+        n_heads=config.n_heads,
     )

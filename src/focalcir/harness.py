@@ -4,7 +4,8 @@ Every row is one plain evaluate_model call: a setting (beta_override,
 use_bbox, roi_crop) on a benchmark view. Perturbed boxes and the ROI-crop
 filter are views made with dataclasses.replace on eval_quads. The harnesses
 that train read their quadruples through Benchmark.train_quads_of, so
-train.subsets holds for every trained row. Each harness reuses one
+train.subsets holds for every trained row; the ROI-crop model trains on the
+`cropped` view of each query, at beta 0. Each harness reuses one
 gallery-embedding cache per trained model (target embeddings do not depend
 on the modulation applied to queries), and every table is written by
 metrics_table_text alongside the structured per-row metrics.
@@ -24,7 +25,7 @@ from focalcir.benchgen.quadruples import Quadruple
 from focalcir.errors import ConfigError
 from focalcir.evaluation import MetricsReport, evaluate_model, train_examples
 from focalcir.geometry import iou, patch_membership, perturb_bbox, validate_bbox
-from focalcir.model import ModelConfig, ModelParams, TrainConfig, train
+from focalcir.model import ModelConfig, ModelParams, TrainConfig, cropped, train
 
 DEFAULT_SWEEP_UNITS = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
 
@@ -264,7 +265,6 @@ def roi_crop_baseline(
     config_hash: str = "",
 ) -> tuple[ModelParams, MetricsReport]:
     """Trains and evaluates the crop-to-box variant (no mask, no modulation)."""
-    roi_train_cfg = replace(train_cfg, roi_crop=True, fixed_beta=0.0)
     params = ModelParams(config, bench.encoders, seed=model_seed)
 
     train_quads = bench.train_quads_of(train_cfg.subsets)
@@ -273,7 +273,8 @@ def roi_crop_baseline(
     dropped = (len(train_quads) - len(usable_train)) + (len(bench.eval_quads) - len(usable_eval))
     if dropped:
         warnings.warn(f"roi-crop: skipped {dropped} quadruples whose box covers no patch")
-    train(params, train_examples(bench, usable_train), roi_train_cfg)
+    examples = [replace(ex, query=cropped(ex.query)) for ex in train_examples(bench, usable_train)]
+    train(params, examples, replace(train_cfg, fixed_beta=0.0))
     report = evaluate_model(
         params, replace(bench, eval_quads=usable_eval), roi_crop=True,
         config_hash=config_hash, seed=train_cfg.seed,

@@ -10,13 +10,17 @@ Training minimizes a one-directional in-batch contrastive loss (query ->
 target) at fixed temperature, with two AdamW groups: the modulation
 predictor trains 10x faster than the encoder stack, mirroring the reference
 setting's differential rates.
+
+ModelParams validates one ModelConfig and builds every part from it; the
+init functions of fusion and caam read it and check nothing again.
+Crop-to-box is a view of a query (`cropped`), not a mode of the model.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Sequence
 
 import numpy as np
@@ -117,7 +121,6 @@ class TrainConfig(ConfigSection):
     seed: int = field(default=7, metadata={"ge": 0})
     fixed_beta: float | None = field(default=None, metadata={"ge": 0.0})  # None: adaptive
     subsets: tuple[str, ...] | None = None  # restrict training data, e.g. leave-one-out
-    roi_crop: bool = False  # crop-to-box ablation branch
 
 
 @dataclass
@@ -134,6 +137,35 @@ class QuerySample:
 class TrainExample:
     query: QuerySample
     target_patches: np.ndarray
+
+
+def _region_masks(batch: Sequence[QuerySample]) -> list[np.ndarray | None]:
+    """Each sample's region mask over its patches, None for a box-less one."""
+    masks: list[np.ndarray | None] = [None] * len(batch)
+    by_grid: dict[tuple[int, int], list[int]] = {}
+    for i, s in enumerate(batch):
+        if s.bbox is not None:
+            by_grid.setdefault(tuple(s.grid), []).append(i)
+    for grid, rows in by_grid.items():
+        # one vectorised call per distinct grid
+        for i, m in zip(rows, region_mask_from_bbox([batch[i].bbox for i in rows], grid)):
+            masks[i] = m
+    for s, m in zip(batch, masks):
+        if m is not None and m.shape[0] != s.patches.shape[0]:
+            raise AlignmentError(
+                f"mask covers {m.shape[0]} patches but image has {s.patches.shape[0]}"
+            )
+    return masks
+
+
+def cropped(sample: QuerySample) -> QuerySample:
+    """The crop-to-box view of a query: its in-box patches alone, and no box,
+    so it is encoded without a mask or a modulation. A box-less query is
+    its own view."""
+    if sample.bbox is None:
+        return sample
+    (inside,) = _region_masks([sample])
+    return replace(sample, patches=sample.patches[inside == 1.0], bbox=None)
 
 
 def _record_named(prefix: str, record) -> list[tuple[str, Tensor]]:
@@ -173,30 +205,8 @@ class ModelParams:
         self.encoders = encoders
         self.seed = int(seed)
         rng = np.random.default_rng(np.random.SeedSequence(self.seed))
-        self.fusion = init_fusion_params(
-            rng,
-            config.d_model,
-            config.m_queries,
-            config.n_blocks,
-            n_heads=config.n_heads,
-            ffn_mult=config.ffn_mult,
-            token_init=config.token_init,
-            weight_init=config.weight_init,
-        )
-        self.caam = init_caam_params(
-            rng,
-            config.d_model,
-            config.k_probes,
-            config.m_queries,
-            crm_variant=config.crm_variant,
-            crm_layers=config.crm_layers,
-            output_form=config.modulation,
-            probes_learnable=config.probes_learnable,
-            token_init=config.token_init,
-            weight_init=config.weight_init,
-            ffn_mult=config.ffn_mult,
-            zero_head=zero_modulation_head,
-        )
+        self.fusion = init_fusion_params(rng, config)
+        self.caam = init_caam_params(rng, config, zero_modulation_head)
         self.rep_cls = Tensor(
             rng.normal(0.0, config.token_init, size=(1, config.d_model)), requires_grad=True
         )
@@ -249,8 +259,6 @@ def query_representation(
     samples: QuerySample | Sequence[QuerySample],
     params: ModelParams,
     beta_override: float | None = None,
-    use_bbox: bool = True,
-    roi_crop: bool = False,
 ):
     """f_q plus the modulation actually applied, for one query or a batch.
 
@@ -258,39 +266,19 @@ def query_representation(
     float, or a 1 x M array in vector form). A sequence is encoded as one
     batch and gives B x d_embed rows and a list of per-sample applied values.
     beta_override bypasses the predictor entirely and applies the given
-    constant; use_bbox=False drops the box (and the mask) altogether. A
-    box-less sample gets a zero mask row, so its applied modulation is 0.
+    constant. A box-less sample gets a zero mask row, so its applied
+    modulation is 0; a batch without any box is encoded with no mask at all.
     """
     single = isinstance(samples, QuerySample)
     batch = [samples] if single else list(samples)
     if not batch:
         raise ContractError("no query samples")
-    masks: list[np.ndarray | None] = [None] * len(batch)
-    if use_bbox:
-        by_grid: dict[tuple[int, int], list[int]] = {}
-        for i, s in enumerate(batch):
-            if s.bbox is not None:
-                by_grid.setdefault(tuple(s.grid), []).append(i)
-        for grid, rows in by_grid.items():
-            # one vectorised call per distinct grid
-            for i, m in zip(rows, region_mask_from_bbox([batch[i].bbox for i in rows], grid)):
-                masks[i] = m
-    for s, m in zip(batch, masks):
-        if m is not None and m.shape[0] != s.patches.shape[0]:
-            raise AlignmentError(
-                f"mask covers {m.shape[0]} patches but image has {s.patches.shape[0]}"
-            )
+    masks = _region_masks(batch)
     text = np.stack([s.text.tokens for s in batch])
-    if roi_crop:
-        patch_sets = [
-            s.patches if m is None else s.patches[m == 1.0] for s, m in zip(batch, masks)
-        ]
-    else:
-        patch_sets = [s.patches for s in batch]
-    patches, key_mask = stack_patches(patch_sets)
+    patches, key_mask = stack_patches([s.patches for s in batch])
     applied: list = [0.0] * len(batch)
     mask_rows, beta = None, 0.0
-    if not roi_crop and any(m is not None for m in masks):
+    if any(m is not None for m in masks):
         mask_rows = np.zeros((len(batch), 1, patches.shape[1]))
         for i, m in enumerate(masks):
             if m is not None:
@@ -391,8 +379,7 @@ def train(params: ModelParams, examples: list[TrainExample], cfg: TrainConfig) -
             tape = Tape()
             with tape:
                 f_q, applied = query_representation(
-                    [ex.query for ex in batch], params,
-                    beta_override=cfg.fixed_beta, roi_crop=cfg.roi_crop,
+                    [ex.query for ex in batch], params, beta_override=cfg.fixed_beta
                 )
                 f_t = target_representation([ex.target_patches for ex in batch], params)
                 loss = contrastive_loss(f_q, f_t, params.tau)
@@ -418,6 +405,16 @@ def train(params: ModelParams, examples: list[TrainExample], cfg: TrainConfig) -
 _CKPT_MAGIC = b"FCCKPT1\n"
 
 
+@dataclass
+class EncoderRecord:
+    """The seed and dims that fully determine a frozen encoder."""
+
+    seed: int = field(metadata={"ge": 0})
+    d_latent: int = field(metadata=_SIZE)
+    d_model: int = field(metadata=_SIZE)
+    l_text: int = field(metadata=_SIZE)
+
+
 def save_checkpoint(path, params: ModelParams, meta: dict | None = None) -> None:
     """Versioned binary dump; bit-identical round trips, deterministic bytes."""
     named = params.named_params()
@@ -426,23 +423,10 @@ def save_checkpoint(path, params: ModelParams, meta: dict | None = None) -> None
         "meta": meta or {},
         "seed": params.seed,
         "model_config": asdict(params.config),
-        "encoder": {
-            "seed": params.encoders.seed,
-            "d_latent": params.encoders.d_latent,
-            "d_model": params.encoders.d_model,
-            "l_text": params.encoders.l_text,
-        },
+        "encoder": {f.name: getattr(params.encoders, f.name) for f in fields(EncoderRecord)},
         "params": [{"name": n, "shape": list(t.data.shape)} for n, t in named],
     }
     write_container(path, _CKPT_MAGIC, header, (t.data for _, t in named))
-
-
-@dataclass
-class EncoderRecord:
-    seed: int = field(metadata={"ge": 0})
-    d_latent: int = field(metadata=_SIZE)
-    d_model: int = field(metadata=_SIZE)
-    l_text: int = field(metadata=_SIZE)
 
 
 @dataclass
@@ -456,9 +440,19 @@ class CheckpointHeader:
     version: int
     meta: dict[str, Any]
     seed: int
-    model_config: dict[str, Any]  # read as a ModelConfig below: errors name the file
+    model_config: ModelConfig
     encoder: EncoderRecord
     params: tuple[ParamRecord, ...]
+
+    def rules(self) -> str | None:
+        enc, config = self.encoder, self.model_config
+        for key in ("d_model", "l_text"):
+            if getattr(enc, key) != getattr(config, key):
+                return (f"encoder.{key} {getattr(enc, key)} differs from "
+                        f"model_config.{key} {getattr(config, key)}")
+        # the image projection has d_latent orthonormal rows in d_model dimensions
+        if enc.d_latent > config.d_model:
+            return f"encoder.d_latent {enc.d_latent} exceeds model_config.d_model {config.d_model}"
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
@@ -466,11 +460,10 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         header = from_record(
             CheckpointHeader,
             read_header(fh, _CKPT_MAGIC, CheckpointError, path, "model checkpoint"),
-            CheckpointError, complete=True,
+            CheckpointError, str(path), complete=True,
         )
-        config = from_record(ModelConfig, header.model_config, CheckpointError,
-                             f"{path}.model_config", complete=True)
-        params = ModelParams(config, EncoderParams(**asdict(header.encoder)), seed=header.seed)
+        params = ModelParams(header.model_config, EncoderParams(**asdict(header.encoder)),
+                             seed=header.seed)
         named = dict(params.named_params())
         stored = {p.name for p in header.params}
         if stored != set(named):

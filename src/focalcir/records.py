@@ -5,14 +5,16 @@ entry, a checkpoint's model config, ...) from JSON using the class's own
 fields and annotations: unknown keys, missing keys (any, with complete=True)
 and wrongly typed values are rejected by dotted path, and lists become
 tuples where a tuple is declared. A record whose class declares a range or
-rules then goes through `check_ranges`, so no loader checks it again. Errors
-take the caller's class: ConfigError (exit 1) for config files, DataError or
-CheckpointError (exit 2) for artifacts. `dataclasses.asdict` (or `vars` for a
-flat record) plus `canonical_json` or `write_json` write what this reads.
+a `rules` method then goes through `check_ranges`, so no loader checks it
+again. Errors take the caller's class: ConfigError (exit 1) for config
+files, DataError or CheckpointError (exit 2) for artifacts.
+`dataclasses.asdict` (or `vars` for a flat record) plus `canonical_json` or
+`write_json` write what this reads.
 
 `check_ranges` alone decides which values a config or report field accepts,
 from the range each field declares once in its dataclass field metadata, and
-runs a ConfigSection's `rules`; `validate` runs it on a section built in code.
+runs a record's cross-field `rules`; `validate` runs it on a section built in
+code.
 
 The binary files (world.bin, checkpoints) share one container: a magic line,
 a little-endian u64 header length, a canonical JSON header, then raw
@@ -88,7 +90,7 @@ def _fields(cls) -> tuple[dict[str, object], frozenset[str], bool]:
         f.name for f in fields
         if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
     )
-    checked = issubclass(cls, ConfigSection) or any(f.metadata for f in fields)
+    checked = hasattr(cls, "rules") or any(f.metadata for f in fields)
     return {f.name: hints[f.name] for f in fields}, required, checked
 
 
@@ -185,11 +187,12 @@ def check_ranges(value, error: type[Exception], path: str = "",
     {"choices": (...)}. A tuple field's range holds for each element, None
     passes, and every float must be finite. Nested records, tuples and dict
     values are walked; a value out of range raises `error` naming its path,
-    and so does a rule a ConfigSection's `rules` reports broken."""
+    and so does a rule that a record's `rules` method, run once its fields
+    are in range, reports broken."""
     if dataclasses.is_dataclass(value):
         for f in dataclasses.fields(value):
             check_ranges(getattr(value, f.name), error, _join(path, f.name), f.metadata)
-        if isinstance(value, ConfigSection) and (broken := value.rules()):
+        if hasattr(value, "rules") and (broken := value.rules()):
             raise error(f"{path}: {broken}" if path else broken)
     elif isinstance(value, (tuple, list)):
         for i, v in enumerate(value):

@@ -10,8 +10,9 @@ from focalcir.caam import (
     predict_beta,
 )
 from focalcir.encoders import ContextDescriptor, EncoderParams, embed_text
-from focalcir.errors import ContractError
+from focalcir.errors import ConfigError
 from focalcir import numerics as nm
+from focalcir.model import ModelConfig, ModelParams
 from focalcir.numerics.tensor import (
     Tape,
     add,
@@ -25,6 +26,12 @@ from focalcir.numerics.tensor import (
 from focalcir.fusion import _attention, init_fusion_params
 
 D = 16
+
+
+def config(**overrides):
+    """A D-wide one-block model with 4 fusion queries and 3 probes."""
+    return ModelConfig(**{"d_model": D, "m_queries": 4, "n_blocks": 1, "k_probes": 3,
+                          **overrides})
 
 
 def param_count(tensors):
@@ -56,8 +63,8 @@ def make_inputs(seed=0):
 
 def test_zero_head_predicts_exactly_zero():
     rng = np.random.default_rng(1)
-    fusion = init_fusion_params(rng, D, m_queries=4, n_blocks=1)
-    caam = init_caam_params(rng, D, k_probes=3, m_queries=4)
+    fusion = init_fusion_params(rng, config())
+    caam = init_caam_params(rng, config(), zero_head=True)
     patches, text = make_inputs()
     beta = predict_beta(patches, text, fusion, caam)
     assert beta.data.shape == (1, 1)
@@ -66,8 +73,8 @@ def test_zero_head_predicts_exactly_zero():
 
 def test_prediction_deterministic():
     rng = np.random.default_rng(2)
-    fusion = init_fusion_params(rng, D, m_queries=4, n_blocks=1)
-    caam = init_caam_params(rng, D, k_probes=3, m_queries=4, zero_head=False)
+    fusion = init_fusion_params(rng, config())
+    caam = init_caam_params(rng, config(), zero_head=False)
     patches, text = make_inputs()
     b1 = predict_beta(patches, text, fusion, caam).data
     b2 = predict_beta(patches, text, fusion, caam).data
@@ -77,14 +84,14 @@ def test_prediction_deterministic():
 
 def test_vector_form_emits_one_beta_per_query():
     rng = np.random.default_rng(3)
-    fusion = init_fusion_params(rng, D, m_queries=5, n_blocks=1)
-    caam = init_caam_params(rng, D, k_probes=3, m_queries=5, output_form="vector", zero_head=False)
+    fusion = init_fusion_params(rng, config(m_queries=5))
+    caam = init_caam_params(rng, config(m_queries=5, modulation="vector"), zero_head=False)
     patches, text = make_inputs()
     assert predict_beta(patches, text, fusion, caam).data.shape == (1, 5)
 
 
 def test_crm_avg_on_equal_tokens_is_identity():
-    crm = init_crm_params(np.random.default_rng(4), "avg", D)
+    crm = init_crm_params(np.random.default_rng(4), config(crm_variant="avg"))
     row = np.random.default_rng(5).normal(size=(1, D))
     tokens = constant(np.tile(row, (4, 1)))
     out = crm_forward(tokens, crm)
@@ -93,7 +100,7 @@ def test_crm_avg_on_equal_tokens_is_identity():
 
 def test_crm_transformer_sensitive_to_probe_outputs():
     rng = np.random.default_rng(6)
-    crm = init_crm_params(rng, "transformer", D, n_layers=2)
+    crm = init_crm_params(rng, config(crm_layers=2))
     tokens = rng.normal(size=(5, D))
     base = crm_forward(constant(tokens), crm).data
     bumped = tokens.copy()
@@ -108,28 +115,31 @@ def test_crm_variants_have_expected_param_counts():
     h = 2 * D
     per_layer = 4 * D * D + 3 * D + 4 * D + (D * h + h + h * D + D)
     for n_layers in (1, 2):
-        crm = init_crm_params(np.random.default_rng(7), "transformer", D, n_layers=n_layers)
+        crm = init_crm_params(np.random.default_rng(7), config(crm_layers=n_layers))
         assert param_count(crm_tensors(crm)) == n_layers * per_layer
-    mlp = init_crm_params(np.random.default_rng(8), "mlp", D)
+    mlp = init_crm_params(np.random.default_rng(8), config(crm_variant="mlp"))
     assert param_count(crm_tensors(mlp)) == D * h + h + h * D + D
-    avg = init_crm_params(np.random.default_rng(9), "avg", D)
+    avg = init_crm_params(np.random.default_rng(9), config(crm_variant="avg"))
     assert param_count(crm_tensors(avg)) == 0
 
 
 def test_unknown_variant_rejected():
-    with pytest.raises(ContractError):
-        init_crm_params(np.random.default_rng(0), "pool", D)
+    # init_crm_params and init_caam_params trust their config; building the
+    # model validates it first, so no CAAM is built from these settings
+    enc = EncoderParams(seed=0, d_latent=4, d_model=D, l_text=config().l_text)
+    with pytest.raises(ConfigError, match="crm_variant"):
+        ModelParams(config(crm_variant="pool"), enc, seed=0)
     for variant in ("avg", "mlp", "transformer"):
-        with pytest.raises(ContractError):
-            init_crm_params(np.random.default_rng(0), variant, D, n_layers=0)
-    with pytest.raises(ContractError):
-        init_caam_params(np.random.default_rng(0), D, 3, 4, output_form="matrix")
+        with pytest.raises(ConfigError, match="crm_layers"):
+            ModelParams(config(crm_variant=variant, crm_layers=0), enc, seed=0)
+    with pytest.raises(ConfigError, match="modulation"):
+        ModelParams(config(modulation="matrix"), enc, seed=0)
 
 
 def test_probe_gradients_flow():
     rng = np.random.default_rng(10)
-    fusion = init_fusion_params(rng, D, m_queries=4, n_blocks=1)
-    caam = init_caam_params(rng, D, k_probes=3, m_queries=4, zero_head=False)
+    fusion = init_fusion_params(rng, config())
+    caam = init_caam_params(rng, config(), zero_head=False)
     patches, text = make_inputs()
 
     def build():
@@ -149,10 +159,8 @@ def test_probe_gradients_flow():
 
 def test_frozen_probes_receive_no_grad():
     rng = np.random.default_rng(11)
-    fusion = init_fusion_params(rng, D, m_queries=4, n_blocks=1)
-    caam = init_caam_params(
-        rng, D, k_probes=3, m_queries=4, probes_learnable=False, zero_head=False
-    )
+    fusion = init_fusion_params(rng, config())
+    caam = init_caam_params(rng, config(probes_learnable=False), zero_head=False)
     patches, text = make_inputs()
     tape = Tape()
     with tape:
@@ -178,7 +186,7 @@ def crm_full_rows(tokens, crm, n_heads):
 
 def _live_crm(rng, d, n_layers):
     """A transformer CRM with non-zero biases, shifts and gain offsets."""
-    crm = init_crm_params(rng, "transformer", d, n_layers=n_layers, weight_init=0.5)
+    crm = init_crm_params(rng, config(d_model=d, crm_layers=n_layers, weight_init=0.5))
     for t in crm_tensors(crm):
         if t.data.shape[0] == 1:
             t.data = t.data + rng.normal(0.0, 0.2, size=t.data.shape)

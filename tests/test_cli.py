@@ -306,7 +306,8 @@ def test_train_on_damaged_artifact_exits_2_naming_the_file(run_dir, tmp_path, ca
     assert name in capsys.readouterr().err
 
 
-def _rewrite_world_header(path, edit):
+def _rewrite_header(path, edit):
+    """Edits the JSON header of a binary container (world.bin or a checkpoint)."""
     raw = path.read_bytes()
     start = raw.index(b"\n") + 1  # after the magic line
     (hlen,) = struct.unpack("<Q", raw[start : start + 8])
@@ -336,7 +337,7 @@ def test_train_on_world_with_damaged_header_exits_2_naming_the_key(run_dir, tmp_
     copy.mkdir()
     for f in out.iterdir():
         (copy / f.name).write_bytes(f.read_bytes())
-    _rewrite_world_header(copy / "world.bin", edit)
+    _rewrite_header(copy / "world.bin", edit)
     assert main(["train", "--config", str(cfg_path), "--out", str(copy)]) == 2
     err = capsys.readouterr().err
     assert "world.bin" in err and key in err
@@ -426,6 +427,31 @@ def test_eval_checkpoint_with_removed_model_key_exits_2(tmp_path, run_dir, capsy
     old.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen :])
     assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(old)]) == 2
     assert "caam_shares_encoder" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("d_latent", 100), ("d_model", 8), ("l_text", 3)])
+def test_eval_checkpoint_whose_encoder_disagrees_with_its_model_exits_2(run_dir, tmp_path,
+                                                                        capsys, key, value):
+    cfg_path, out = run_dir
+    ckpt = tmp_path / "ckpt.bin"
+    ckpt.write_bytes((out / "checkpoint.bin").read_bytes())
+    _rewrite_header(ckpt, lambda h: h["encoder"].update({key: value}))
+    assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert f"{ckpt}: encoder.{key} {value}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["eval"], ["ablate", "beta"], ["ablate", "robustness"],
+                                     ["ablate", "roicrop"]], ids=" ".join)
+def test_checkpoint_from_another_encoder_exits_2(run_dir, tmp_path, capsys, command):
+    # the model would be scored on patches and texts of an encoder it never saw
+    cfg_path, out = run_dir
+    ckpt = tmp_path / "ckpt.bin"
+    ckpt.write_bytes((out / "checkpoint.bin").read_bytes())
+    _rewrite_header(ckpt, lambda h: h["encoder"].update(seed=999))
+    assert main([*command, "--config", str(cfg_path), "--checkpoint", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert f"{ckpt}: encoder.seed is 999" in err and "Traceback" not in err
 
 
 def test_eval_unknown_subset_exits_1(run_dir, capsys):

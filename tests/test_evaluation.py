@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from pathlib import Path
 
@@ -20,8 +19,16 @@ from focalcir.evaluation import (
     recall_at_k,
     train_examples,
 )
+from focalcir import evaluation
 from focalcir.harness import beta_sweep
-from focalcir.model import ModelConfig, ModelParams, TrainConfig, query_representation, train
+from focalcir.model import (
+    ModelConfig,
+    ModelParams,
+    TrainConfig,
+    cropped,
+    query_representation,
+    train,
+)
 from focalcir.records import from_record
 
 FIXTURE = Path(__file__).parent / "fixtures" / "metric_fixture.json"
@@ -338,14 +345,24 @@ def test_beta_override_zero_equals_zero_head_adaptive(tiny_bench):
     assert adaptive.to_dict() == forced.to_dict()
 
 
-def test_no_bbox_matches_none_transform(tiny_bench, tiny_model):
-    # use_bbox=False encodes a query exactly as a sample whose box is None
-    samples = [query_sample_of(tiny_bench, q) for q in tiny_bench.eval_quads[:8]]
-    without, applied = query_representation(samples, tiny_model, use_bbox=False)
-    box_less = [dataclasses.replace(s, bbox=None) for s in samples]
-    dropped, dropped_applied = query_representation(box_less, tiny_model)
-    assert np.array_equal(without.data, dropped.data)
-    assert applied == dropped_applied == [0.0] * len(samples)
+def test_no_bbox_matches_none_transform(tiny_bench, tiny_model, monkeypatch):
+    # use_bbox=False encodes each query as its sample with the box dropped,
+    # and roi_crop as its cropped view
+    seen = []
+
+    def spy(samples, params, beta_override=None):
+        seen.extend(samples)
+        return query_representation(samples, params, beta_override)
+
+    monkeypatch.setattr(evaluation, "query_representation", spy)
+    samples = [query_sample_of(tiny_bench, q) for q in tiny_bench.eval_quads_of("fashion")]
+    for setting, want in (({"use_bbox": False}, samples),
+                          ({"roi_crop": True}, [cropped(s) for s in samples])):
+        seen.clear()
+        evaluate_model(tiny_model, tiny_bench, **setting)
+        assert len(seen) == len(want) and all(s.bbox is None for s in seen), setting
+        for got, w in zip(seen, want):
+            assert np.array_equal(got.patches, w.patches), setting
 
 
 def test_roi_crop_path_runs(tiny_bench, tiny_model):

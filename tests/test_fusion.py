@@ -7,7 +7,7 @@ import pytest
 
 from focalcir import model
 from focalcir.encoders import ContextDescriptor, EncoderParams, embed_text
-from focalcir.errors import AlignmentError, ContractError, EmptyMaskError
+from focalcir.errors import AlignmentError, ConfigError, ContractError, EmptyMaskError
 from focalcir import numerics as nm
 from focalcir.numerics.tensor import Tape, Tensor, backward, concat_rows, constant, parameter
 from focalcir.fusion import (
@@ -22,6 +22,11 @@ from focalcir.fusion import (
     region_mask_from_bbox,
     stack_patches,
 )
+
+
+def fusion_of(rng, d_model, **sizes):
+    """The fusion encoder of a model with these sizes."""
+    return init_fusion_params(rng, model.ModelConfig(d_model=d_model, **sizes))
 
 
 def plain_attention_oracle(queries, kv, p, n_heads=1, bias=None):
@@ -192,7 +197,7 @@ def test_bad_box_inside_a_batch_is_named():
 
 def test_mask_values_are_binary_and_nonempty():
     enc, patches, text = make_world_inputs(grid=(2, 2))
-    fusion = init_fusion_params(np.random.default_rng(1), 16, m_queries=4, n_blocks=1)
+    fusion = fusion_of(np.random.default_rng(1), 16, m_queries=4, n_blocks=1)
     with pytest.raises(ContractError):
         multimodal_encode(patches, text, fusion, mask=np.full(4, 0.5), beta=1.0)
     with pytest.raises(ContractError):
@@ -260,8 +265,8 @@ def test_encode_gradients_match_finite_differences(beta_form, n_heads):
     # read=("cls", "extra")
     rng = np.random.default_rng(30 + n_heads)
     d, m = 4, 2
-    fusion = init_fusion_params(rng, d, m_queries=m, n_blocks=1, n_heads=n_heads,
-                                weight_init=0.5)
+    fusion = fusion_of(rng, d, m_queries=m, n_blocks=1, n_heads=n_heads,
+                       weight_init=0.5)
     block = fusion.blocks[0]
     attns = (block.self_attn, block.cross_attn)
     for a in attns:
@@ -343,8 +348,8 @@ def test_read_rows_equal_a_full_pass(beta_form, n_heads, n_blocks):
     # 1-row products, which BLAS may round differently
     rng = np.random.default_rng(50 + 4 * n_heads + n_blocks)
     d, m, k = 8, 3, 4
-    fusion = init_fusion_params(rng, d, m_queries=m, n_blocks=n_blocks, n_heads=n_heads,
-                                weight_init=0.5)
+    fusion = fusion_of(rng, d, m_queries=m, n_blocks=n_blocks, n_heads=n_heads,
+                       weight_init=0.5)
     cls = parameter(rng.normal(0.0, 0.5, size=(1, d)))
     extras = parameter(rng.normal(0.0, 0.5, size=(k, d)))
     patches, key_mask = stack_patches([rng.normal(size=(n, d)) for n in (5, 3, 4)])
@@ -371,7 +376,7 @@ def test_read_rows_equal_a_full_pass(beta_form, n_heads, n_blocks):
 
 def test_read_names_groups_that_were_passed():
     enc, patches, text = make_world_inputs()
-    fusion = init_fusion_params(np.random.default_rng(1), 16, m_queries=4, n_blocks=1)
+    fusion = fusion_of(np.random.default_rng(1), 16, m_queries=4, n_blocks=1)
     for read in ((), ("cls",), ("fused", "probes")):
         with pytest.raises(ContractError, match="read must name"):
             multimodal_encode(patches, text, fusion, read=read)
@@ -510,7 +515,7 @@ def test_beta_gradient_flows_through_bias():
 def test_vector_beta_biases_each_query_row():
     rng = np.random.default_rng(9)
     d = 4
-    fusion = init_fusion_params(np.random.default_rng(10), d, m_queries=3, n_blocks=1)
+    fusion = fusion_of(np.random.default_rng(10), d, m_queries=3, n_blocks=1)
     enc = EncoderParams(seed=1, d_latent=4, d_model=d, l_text=2)
     patches = rng.normal(size=(2, 2, 4)).reshape(4, 4) @ enc.image_proj
     mask = region_mask_from_bbox((0.0, 0.0, 0.6, 0.6), (2, 2))
@@ -538,7 +543,7 @@ def make_world_inputs(seed=0, d_model=16, grid=(4, 4)):
 
 def test_multimodal_encode_shapes_and_roles():
     enc, patches, text = make_world_inputs()
-    fusion = init_fusion_params(np.random.default_rng(1), 16, m_queries=4, n_blocks=2)
+    fusion = fusion_of(np.random.default_rng(1), 16, m_queries=4, n_blocks=2)
     cls = parameter(np.random.default_rng(2).normal(0, 0.02, size=(1, 16)))
     extras = parameter(np.random.default_rng(3).normal(0, 0.02, size=(5, 16)))
     mask = region_mask_from_bbox((0.25, 0.25, 0.80, 0.80), (4, 4))
@@ -552,14 +557,14 @@ def test_multimodal_encode_shapes_and_roles():
 
 def test_encode_without_mask_needs_zero_beta():
     enc, patches, text = make_world_inputs()
-    fusion = init_fusion_params(np.random.default_rng(1), 16, m_queries=4, n_blocks=1)
+    fusion = fusion_of(np.random.default_rng(1), 16, m_queries=4, n_blocks=1)
     with pytest.raises(ContractError):
         multimodal_encode(patches, text, fusion, mask=None, beta=1.0)
 
 
 def test_mask_grid_mismatch_raises():
     enc, patches, text = make_world_inputs()
-    fusion = init_fusion_params(np.random.default_rng(1), 16, m_queries=4, n_blocks=1)
+    fusion = fusion_of(np.random.default_rng(1), 16, m_queries=4, n_blocks=1)
     mask = region_mask_from_bbox((0.0, 0.0, 1.0, 1.0), (2, 2))
     with pytest.raises(AlignmentError):
         multimodal_encode(patches, text, fusion, mask=mask, beta=1.0)
@@ -567,7 +572,7 @@ def test_mask_grid_mismatch_raises():
 
 def test_beta_zero_encode_equals_no_mask_encode():
     enc, patches, text = make_world_inputs()
-    fusion = init_fusion_params(np.random.default_rng(1), 16, m_queries=4, n_blocks=2)
+    fusion = fusion_of(np.random.default_rng(1), 16, m_queries=4, n_blocks=2)
     mask = region_mask_from_bbox((0.0, 0.0, 0.5, 0.5), (4, 4))
     with_mask = multimodal_encode(patches, text, fusion, mask=mask, beta=0.0)
     without = multimodal_encode(patches, text, fusion, mask=None, beta=0.0)
@@ -576,7 +581,7 @@ def test_beta_zero_encode_equals_no_mask_encode():
 
 def test_beta_changes_fused_output():
     enc, patches, text = make_world_inputs()
-    fusion = init_fusion_params(np.random.default_rng(1), 16, m_queries=4, n_blocks=2)
+    fusion = fusion_of(np.random.default_rng(1), 16, m_queries=4, n_blocks=2)
     mask = region_mask_from_bbox((0.0, 0.0, 0.5, 0.5), (4, 4))
     a = multimodal_encode(patches, text, fusion, mask=mask, beta=0.0).fused.data
     b = multimodal_encode(patches, text, fusion, mask=mask, beta=4.0).fused.data
@@ -585,8 +590,8 @@ def test_beta_changes_fused_output():
 
 def test_multi_head_runs_and_differs_from_single_head():
     enc, patches, text = make_world_inputs()
-    fusion1 = init_fusion_params(np.random.default_rng(1), 16, m_queries=4, n_blocks=1, n_heads=1)
-    fusion2 = init_fusion_params(np.random.default_rng(1), 16, m_queries=4, n_blocks=1, n_heads=2)
+    fusion1 = fusion_of(np.random.default_rng(1), 16, m_queries=4, n_blocks=1, n_heads=1)
+    fusion2 = fusion_of(np.random.default_rng(1), 16, m_queries=4, n_blocks=1, n_heads=2)
     mask = region_mask_from_bbox((0.0, 0.0, 0.5, 0.5), (4, 4))
     a = multimodal_encode(patches, text, fusion1, mask=mask, beta=2.0).fused.data
     b = multimodal_encode(patches, text, fusion2, mask=mask, beta=2.0).fused.data
@@ -596,7 +601,7 @@ def test_multi_head_runs_and_differs_from_single_head():
 
 def test_encode_target_deterministic_and_text_free():
     enc, patches, _ = make_world_inputs()
-    fusion = init_fusion_params(np.random.default_rng(1), 16, m_queries=4, n_blocks=2)
+    fusion = fusion_of(np.random.default_rng(1), 16, m_queries=4, n_blocks=2)
     t1 = encode_target(patches, fusion).data
     t2 = encode_target(patches, fusion).data
     assert np.array_equal(t1, t2)
@@ -613,7 +618,7 @@ def test_a_layer_records_the_same_few_tape_entries_at_any_head_count(cross):
     counts = []
     for n_heads in (1, 2):
         rng = np.random.default_rng(40)
-        fusion = init_fusion_params(rng, 8, m_queries=3, n_blocks=1, n_heads=n_heads)
+        fusion = fusion_of(rng, 8, m_queries=3, n_blocks=1, n_heads=n_heads)
         layer = fusion.blocks[0]
         if not cross:
             layer.cross_attn = layer.ln_cross = None
@@ -631,6 +636,9 @@ def test_a_layer_records_the_same_few_tape_entries_at_any_head_count(cross):
 @pytest.mark.parametrize("kwargs", [{"n_blocks": 0}, {"m_queries": 0}, {"n_heads": 0},
                                     {"n_heads": -2}, {"n_heads": 3}])
 def test_init_fusion_params_rejects_bad_sizes(kwargs):
-    sizes = {"d_model": 8, "m_queries": 2, "n_blocks": 1, **kwargs}
-    with pytest.raises(ContractError, match="fusion encoder needs"):
-        init_fusion_params(np.random.default_rng(0), **sizes)
+    # init_fusion_params trusts its config; building the model validates it
+    # first, so no fusion encoder is built from these sizes
+    config = model.ModelConfig(**{"d_model": 8, "m_queries": 2, "n_blocks": 1, **kwargs})
+    enc = EncoderParams(seed=0, d_latent=4, d_model=8, l_text=config.l_text)
+    with pytest.raises(ConfigError, match=next(iter(kwargs))):
+        model.ModelParams(config, enc, seed=0)

@@ -20,6 +20,7 @@ from focalcir.model import (
     TrainConfig,
     TrainExample,
     contrastive_loss,
+    cropped,
     load_checkpoint,
     query_representation,
     save_checkpoint,
@@ -149,7 +150,7 @@ def test_query_zero_head_matches_no_bbox_path():
     _, enc, params = tiny_setup()
     sample = random_sample(np.random.default_rng(2), enc)
     with_box, _ = query_representation(sample, params)
-    without, _ = query_representation(sample, params, use_bbox=False)
+    without, _ = query_representation(dataclasses.replace(sample, bbox=None), params)
     assert np.array_equal(with_box.data, without.data)
 
 
@@ -177,17 +178,20 @@ def test_roi_crop_uses_only_region_patches():
     _, enc, params = tiny_setup(seed=5)
     rng = np.random.default_rng(5)
     sample = random_sample(rng, enc, bbox=(0.0, 0.0, 0.5, 0.5))  # one patch on 2x2
-    cropped, applied = query_representation(sample, params, roi_crop=True)
+    view = cropped(sample)
+    assert view.bbox is None and np.array_equal(view.patches, sample.patches[:1])
+    assert cropped(view) is view  # a box-less query is its own view
+    one, applied = query_representation(view, params)
     assert applied == 0.0
     # scrambling patches outside the box must not affect the cropped branch
     noisy = QuerySample(
         patches=sample.patches.copy(), grid=sample.grid, bbox=sample.bbox, text=sample.text
     )
     noisy.patches[1:] = rng.normal(size=noisy.patches[1:].shape)
-    cropped2, _ = query_representation(noisy, params, roi_crop=True)
-    assert np.array_equal(cropped.data, cropped2.data)
+    two, _ = query_representation(cropped(noisy), params)
+    assert np.array_equal(one.data, two.data)
     full, _ = query_representation(noisy, params)
-    assert not np.allclose(cropped2.data, full.data)
+    assert not np.allclose(two.data, full.data)
 
 
 def test_target_representation_unit_and_deterministic():
@@ -224,21 +228,23 @@ def mixed_batch(enc, seed):
 
 
 @pytest.mark.parametrize(
-    "overrides, kwargs",
+    "overrides, kwargs, view",
     [
-        ({}, {}),
-        ({}, {"beta_override": 2.5}),
-        ({}, {"use_bbox": False}),
-        ({}, {"roi_crop": True}),
-        ({"modulation": "vector"}, {}),
-        ({"n_heads": 2}, {}),
+        ({}, {}, None),
+        ({}, {"beta_override": 2.5}, None),
+        ({}, {}, lambda s: dataclasses.replace(s, bbox=None)),
+        ({}, {}, cropped),
+        ({"modulation": "vector"}, {}, None),
+        ({"n_heads": 2}, {}, None),
     ],
     ids=["adaptive", "fixed-beta", "no-bbox", "roi-crop", "vector", "two-heads"],
 )
-def test_batched_query_rows_equal_per_sample(overrides, kwargs):
+def test_batched_query_rows_equal_per_sample(overrides, kwargs, view):
     _, enc, params = tiny_setup(seed=81, **overrides)
     params = ModelParams(params.config, enc, seed=81, zero_modulation_head=False)
     samples = mixed_batch(enc, 81)
+    if view is not None:
+        samples = [view(s) for s in samples]
     batched, applied = query_representation(samples, params, **kwargs)
     assert batched.data.shape == (len(samples), params.config.d_embed)
     assert len(applied) == len(samples)
@@ -323,14 +329,18 @@ def test_step_tape_length_does_not_grow_with_batch():
 
 
 def test_config_rejects_bad_values():
-    with pytest.raises(ConfigError):
-        ModelConfig(d_model=9, n_heads=2).validate()
-    with pytest.raises(ConfigError):
-        ModelConfig(crm_variant="pool").validate()
+    # the init functions build from a validated config and check nothing again
+    for sizes in ({"d_model": 9, "n_heads": 2}, {"d_model": 8, "n_heads": 3}):
+        with pytest.raises(ConfigError, match="not divisible by n_heads"):
+            ModelConfig(**sizes).validate()
+    for key, value in [("crm_variant", "pool"), ("modulation", "matrix")]:
+        with pytest.raises(ConfigError, match=f"'{key}' must be one of"):
+            ModelConfig(**{key: value}).validate()
     for layers in (0, -1):
         with pytest.raises(ConfigError, match="crm_layers"):
             ModelConfig(crm_layers=layers).validate()
-    for key, value in [("n_heads", 0), ("n_heads", -1), ("token_init", -0.02),
+    for key, value in [("n_blocks", 0), ("m_queries", 0), ("n_heads", 0), ("n_heads", -1),
+                       ("n_heads", -2), ("token_init", -0.02),
                        ("weight_init", float("nan")), ("weight_init", float("inf")),
                        ("tau", 0.0), ("tau", float("inf")), ("tau", float("nan")),
                        ("tau", 1e-320)]:
@@ -341,6 +351,37 @@ def test_config_rejects_bad_values():
         TrainConfig(batch_size=1).validate()
     with pytest.raises(ConfigError):
         TrainConfig(lr_caam=0.0).validate()
+
+
+def built_model(config):
+    """What a config builds: every tensor's name, shape, values and
+    requires_grad, the fusion encoder's head count, tau, and the shape of the
+    frozen text encoder the model takes (l_text tokens, no parameter of its
+    own: text tokens join the fusion pass as a set)."""
+    enc = EncoderParams(seed=1, d_latent=4, d_model=config.d_model, l_text=config.l_text)
+    params = ModelParams(config, enc, seed=0)
+    tensors = [(name, t.data.shape, t.data.tobytes(), t.requires_grad)
+               for name, t in params.named_params()]
+    return tensors, params.fusion.n_heads, params.tau, params.encoders.text_proj.shape
+
+
+def test_every_model_config_field_changes_the_built_model():
+    # no knob without an effect: each field moved off its value, alone,
+    # changes what ModelParams builds
+    base = tiny_config()
+    want = built_model(base)
+    for f in dataclasses.fields(ModelConfig):
+        value = getattr(base, f.name)
+        if isinstance(value, bool):
+            others = [not value]
+        elif isinstance(value, str):
+            others = [c for c in f.metadata["choices"] if c != value]
+        else:
+            others = [value + 1 if isinstance(value, int) else value / 2]
+        for other in others:
+            config = dataclasses.replace(base, **{f.name: other})
+            config.validate()
+            assert built_model(config) != want, (f.name, other)
 
 
 def test_param_groups_split_and_respect_flags():
@@ -665,10 +706,16 @@ def _drop_first_shape(header):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (_drop_encoder, "missing keys ['encoder'] in CheckpointHeader"),
-        (_seed_as_string, "'seed' must be int, got str"),
-        (_drop_first_shape, "missing keys ['params[0].shape'] in ParamRecord"),
-        (lambda h: h["encoder"].update(d_latent=-1), "'encoder.d_latent' must be >= 1, got -1"),
+        # every key is named under the file's path; the ids name the key alone
+        pytest.param(_drop_encoder, "missing keys ['{path}.encoder'] in CheckpointHeader",
+                     id="_drop_encoder-missing keys ['encoder'] in CheckpointHeader"),
+        pytest.param(_seed_as_string, "'{path}.seed' must be int, got str",
+                     id="_seed_as_string-'seed' must be int, got str"),
+        pytest.param(_drop_first_shape, "missing keys ['{path}.params[0].shape'] in ParamRecord",
+                     id="_drop_first_shape-missing keys ['params[0].shape'] in ParamRecord"),
+        pytest.param(lambda h: h["encoder"].update(d_latent=-1),
+                     "'{path}.encoder.d_latent' must be >= 1, got -1",
+                     id="<lambda>-'encoder.d_latent' must be >= 1, got -1"),
         # in range for its type but not for the model: damaged data, not a config error
         (lambda h: h["model_config"].update(n_heads=0),
          "'{path}.model_config.n_heads' must be >= 1, got 0"),
