@@ -245,13 +245,21 @@ def load_benchmark(in_dir) -> Benchmark:
         return header, [from_record(cls, r, DataError, f"{where}[{i}]", complete=True)
                         for i, r in enumerate(recs)]
 
+    def quadruples(name: str) -> list[Quadruple]:
+        quads = records(name, "quadruples", Quadruple)[1]
+        for i, q in enumerate(quads):
+            if q.subset not in world.configs:
+                raise DataError(f"{src / name}[{i}].subset: {q.subset!r} is not a subset "
+                                f"of the world {sorted(world.configs)}")
+        return quads
+
     galleries = {}
     for subset in sorted(world.configs):
         header, entries = records(f"gallery_{subset}.jsonl", "gallery", GalleryEntry)
         galleries[subset] = GalleryManifest(subset=subset, seed=header.seed, entries=entries)
     return Benchmark(
         world=world, encoders=enc, thresholds=summary.thresholds,
-        train_quads=records("quadruples_train.jsonl", "quadruples", Quadruple)[1],
-        eval_quads=records("quadruples_eval.jsonl", "quadruples", Quadruple)[1],
+        train_quads=quadruples("quadruples_train.jsonl"),
+        eval_quads=quadruples("quadruples_eval.jsonl"),
         galleries=galleries, settings=summary.settings, stats=summary.stats,
     )

@@ -65,9 +65,6 @@ class SyntheticWorld:
         # training, and evaluation all share one projection
         return self.seed
 
-    def images_of_instance(self, instance_id: str) -> list[SyntheticImage]:
-        return [im for im in self.images if im.instance_id == instance_id]
-
 
 def _unit(rng: np.random.Generator, d: int) -> np.ndarray:
     v = rng.normal(size=d)

@@ -56,7 +56,6 @@ class CaamParams:
     crm: CrmParams
     wc: Tensor  # (d_model, 1) scalar form or (d_model, m) vector form
     bc: Tensor
-    output_form: str = "scalar"
 
 
 def crm_forward(tokens: Tensor, crm: CrmParams, n_heads: int = 1) -> Tensor:
@@ -100,10 +99,7 @@ def predict_beta(
         read=("cls", "extra"),
     )
     context = crm_forward(enc.rows, caam.crm, n_heads=fusion.n_heads)  # [cls, probes]
-    out = linear(context, caam.wc, caam.bc)
-    if caam.output_form == "scalar" and out.data.shape[-2:] != (1, 1):
-        raise DimensionError(f"scalar modulation head produced shape {out.data.shape}")
-    return out
+    return linear(context, caam.wc, caam.bc)
 
 
 # ---------------------------------------------------------------------------
@@ -138,5 +134,4 @@ def init_caam_params(rng: np.random.Generator, config: ModelConfig, zero_head: b
         crm=init_crm_params(rng, config),
         wc=Tensor(wc, requires_grad=True),
         bc=Tensor(bc, requires_grad=True),
-        output_form=config.modulation,
     )

@@ -252,8 +252,7 @@ def cmd_ablate(cfg: RunConfig, kind: str, betas: tuple[float, ...], ckpt: str | 
                         table.to_text(), grid_units=list(betas),
                         checkpoint=_checkpoint_provenance(meta))
     elif kind == "caam":
-        variants = expand_variant_grid(forms=("scalar", "vector"))
-        rows = caam_ablation(bench, cfg.model, train_cfg, variants,
+        rows = caam_ablation(bench, cfg.model, train_cfg, expand_variant_grid(),
                              model_seed=cfg.seed, config_hash=digest)
         _write_ablation(out, kind, digest, cfg.seed, [dataclasses.asdict(r) for r in rows],
                         ablation_table_text(rows))

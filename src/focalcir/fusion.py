@@ -169,10 +169,6 @@ class FusionParams:
     n_heads: int = 1
 
     @property
-    def m_queries(self) -> int:
-        return self.queries.data.shape[0]
-
-    @property
     def d_model(self) -> int:
         return self.queries.data.shape[1]
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from focalcir.benchgen.pipeline import Benchmark
 from focalcir.benchgen.quadruples import Quadruple
+from focalcir.caam import CRM_VARIANTS, OUTPUT_FORMS
 from focalcir.errors import ConfigError
 from focalcir.evaluation import MetricsReport, evaluate_model, train_examples
 from focalcir.geometry import iou, patch_membership, perturb_bbox, validate_bbox
@@ -97,37 +98,21 @@ def beta_sweep(
 # CAAM architecture ablation
 
 
-def expand_variant_grid(
-    crm_variants=("avg", "mlp", "transformer"),
-    probe_modes=(True,),
-    layer_counts=(2,),
-    probe_counts=(8,),
-    forms=("scalar",),
-) -> list[dict]:
-    """Cross product of the requested axes, in deterministic order."""
-    out = []
-    for crm in crm_variants:
-        for learnable in probe_modes:
-            for layers in layer_counts:
-                for k in probe_counts:
-                    for form in forms:
-                        out.append(
-                            {
-                                "crm_variant": crm,
-                                "probes_learnable": bool(learnable),
-                                "crm_layers": int(layers),
-                                "k_probes": int(k),
-                                "modulation": form,
-                            }
-                        )
-    return out
+# the CAAM fields an ablation row records, in the order ablate_caam.json lists them
+_VARIANT_KEYS = ("crm_variant", "probes_learnable", "crm_layers", "k_probes", "modulation")
 
 
-def variant_label(v: dict) -> str:
-    probes = "learnable" if v["probes_learnable"] else "frozen"
+def expand_variant_grid(crm_variants=CRM_VARIANTS, forms=OUTPUT_FORMS) -> list[dict]:
+    """CRM variants crossed with modulation forms, in deterministic order; the
+    other CAAM sizes come from the run's model config."""
+    return [{"crm_variant": crm, "modulation": form} for crm in crm_variants for form in forms]
+
+
+def variant_label(config: ModelConfig) -> str:
+    probes = "learnable" if config.probes_learnable else "frozen"
     return (
-        f"crm={v['crm_variant']} probes={probes} layers={v['crm_layers']} "
-        f"K={v['k_probes']} form={v['modulation']}"
+        f"crm={config.crm_variant} probes={probes} layers={config.crm_layers} "
+        f"K={config.k_probes} form={config.modulation}"
     )
 
 
@@ -151,18 +136,21 @@ def caam_ablation(
     model_seed: int = 0,
     config_hash: str = "",
 ) -> list[AblationRow]:
-    """Trains each variant from the same seed and evaluates it."""
+    """Trains each variant, base_config with the variant's fields replaced,
+    from the same seed and evaluates it."""
     if not variants:
         raise ConfigError("no ablation variants requested")
     examples = train_examples(bench, bench.train_quads_of(train_cfg.subsets))
     rows = []
     for v in variants:
-        params = ModelParams(replace(base_config, **v), bench.encoders, seed=model_seed)
+        config = replace(base_config, **v)
+        params = ModelParams(config, bench.encoders, seed=model_seed)
         train(params, examples, train_cfg)
         report = evaluate_model(params, bench, config_hash=config_hash, seed=train_cfg.seed)
         rows.append(
             AblationRow(
-                label=variant_label(v), variant=dict(v),
+                label=variant_label(config),
+                variant={key: getattr(config, key) for key in _VARIANT_KEYS},
                 caam_param_count=caam_param_count(params), metrics=report,
             )
         )

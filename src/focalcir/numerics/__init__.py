@@ -12,9 +12,7 @@ from focalcir.numerics.tensor import (
     concat_rows,
     constant,
     feed_forward,
-    gelu,
     head_products,
-    layer_norm_rows,
     linear,
     log_softmax_diag,
     l2_normalize_rows,
@@ -26,7 +24,6 @@ from focalcir.numerics.tensor import (
     scale,
     scalar_times_const,
     slice_rows,
-    softmax_rows,
     squeeze_rows,
     sum_all,
     transpose,

@@ -11,8 +11,9 @@ the last two axes the only implicit broadcast is `add_bias`, which adds a
 1 x c row to every row. One tape therefore records one op per layer for a
 whole batch, however many samples it holds. The fused layer ops at the end
 (`head_products`, `attention`, `residual_norm`, `feed_forward`) each record
-one entry for what would take several composed ops; with one head, their
-forward passes round exactly as those ops do.
+one entry for a whole layer step; with one head, their forward passes round
+exactly as the plain-numpy softmax, GELU and layer norm of
+`tests/reference.py` do.
 
 Recording: operations append (inputs, output, backward) entries to the
 innermost active `Tape` whenever any input requires grad. `backward` walks
@@ -33,6 +34,7 @@ import numpy as np
 from focalcir.errors import ContractError, DegenerateInputError, DimensionError
 
 _NORM_EPS = 1e-12
+_GELU_C = math.sqrt(2.0 / math.pi)
 
 
 class Tensor:
@@ -455,26 +457,6 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
 # nonlinearities
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax with max subtraction; rows sum to 1.
-
-    A -inf entry (a padded key) gets probability exactly 0, provided every
-    row keeps at least one finite entry."""
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(y)
-    tape = _should_record(x)
-    if tape is not None:
-
-        def bwd(g: np.ndarray):
-            dot = (g * y).sum(axis=-1, keepdims=True)
-            return (y * (g - dot),)
-
-        tape._record((x,), out, bwd)
-    return out
-
-
 def log_softmax_diag(x: Tensor) -> Tensor:
     """log softmax_j(x)_ii of a square matrix as a b x 1 column, computed as
     x_ii - max_i - log sum_j exp(x_ij - max_i), so it stays finite however
@@ -494,58 +476,6 @@ def log_softmax_diag(x: Tensor) -> Tensor:
             return (gx,)
 
         tape._record((x,), out, bwd)
-    return out
-
-
-_GELU_C = math.sqrt(2.0 / math.pi)
-
-
-def gelu(x: Tensor) -> Tensor:
-    """Smooth GELU (tanh form); smoothness keeps finite differences honest."""
-    xd = x.data
-    # the product, not xd**3: numpy's float power is ~100x slower here
-    inner = _GELU_C * (xd + 0.044715 * (xd * xd * xd))
-    t = np.tanh(inner)
-    out = Tensor(0.5 * xd * (1.0 + t))
-    tape = _should_record(x)
-    if tape is not None:
-
-        def bwd(g: np.ndarray):
-            sech2 = 1.0 - t * t
-            d_inner = _GELU_C * (1.0 + 3 * 0.044715 * xd * xd)
-            return (g * (0.5 * (1.0 + t) + 0.5 * xd * sech2 * d_inner),)
-
-        tape._record((x,), out, bwd)
-    return out
-
-
-def layer_norm_rows(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
-    """Row-wise layer norm with learned 1 x c gain and shift."""
-    c = x.data.shape[-1]
-    if gain.data.shape != (1, c) or shift.data.shape != (1, c):
-        raise DimensionError(
-            f"layer_norm_rows needs 1 x {c} gain/shift, got {gain.data.shape} and {shift.data.shape}"
-        )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = Tensor(xhat * gain.data + shift.data)
-    tape = _should_record(x, gain, shift)
-    if tape is not None:
-        gd = gain.data
-
-        def bwd(g: np.ndarray):
-            gy = g * gd
-            m1 = gy.mean(axis=-1, keepdims=True)
-            m2 = (gy * xhat).mean(axis=-1, keepdims=True)
-            gx = (gy - m1 - xhat * m2) * inv
-            ggain = (g * xhat).reshape(-1, c).sum(axis=0, keepdims=True)
-            gshift = g.reshape(-1, c).sum(axis=0, keepdims=True)
-            return (gx, ggain, gshift)
-
-        tape._record((x, gain, shift), out, bwd)
     return out
 
 
@@ -626,16 +556,16 @@ def attention(
     """Multi-head attention of the rows of x over the keys and values kv, in
     merged form, as one op: per head h,
 
-        A_h = softmax_rows(c * ((x W_QK,h + b_QK,h) kv^T + bias)),
+        A_h = softmax(c * ((x W_QK,h + b_QK,h) kv^T + bias)), row by row,
 
     and the output is sum_h (A_h kv) W_VO,h + b_VO. kv is d wide; W_QK
     (k x H*d) and b_QK (1 x H*d) hold the heads as column blocks, W_VO
     (H*d x m) as row blocks, so H is read off their shapes. The additive
     bias is one row or one row per query row, shared by every head; -inf on
     a key gives it probability exactly 0. With one head the arithmetic is
-    the composed ops' (linear, matmul, add_bias, scale, softmax_rows,
-    matmul, linear), step for step. The backward runs from the saved
-    probabilities."""
+    that of linear, matmul, add_bias, scale, the max-subtracted softmax of
+    `tests/reference.py`, matmul and linear, step for step. The backward
+    runs from the saved probabilities."""
     xd, kd = x.data, kv.data
     k, d = xd.shape[-1], kd.shape[-1]
     hd, m = w_qk.data.shape[-1], w_vo.data.shape[-1]
@@ -709,10 +639,12 @@ def attention(
 
 
 def residual_norm(x: Tensor, y: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
-    """The post-norm residual layer_norm_rows(add(x, y)) as one op.
+    """The post-norm residual: the layer norm of x + y, with a learned
+    1 x c gain and shift, as one op.
 
     Its means are sums divided by the width, which is how numpy's mean
-    computes them, so the output is the composed ops' bit for bit."""
+    computes them, so the output is the layer norm of `tests/reference.py`
+    bit for bit."""
     _same_last_two(x, y, "residual_norm")
     c = x.data.shape[-1]
     if gain.data.shape != (1, c) or shift.data.shape != (1, c):
@@ -746,8 +678,9 @@ def residual_norm(x: Tensor, y: Tensor, gain: Tensor, shift: Tensor, eps: float 
 
 
 def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """linear(gelu(linear(x, w1, b1)), w2, b2) as one op; the output is the
-    composed ops' bit for bit, and the backward reuses the saved tanh."""
+    """linear(GELU(linear(x, w1, b1)), w2, b2) as one op, with the smooth
+    tanh-form GELU; the output is that of linear and the GELU of
+    `tests/reference.py` bit for bit, and the backward reuses the saved tanh."""
     k, hidden = w1.data.shape
     m = w2.data.shape[-1]
     if (x.data.shape[-1] != k or b1.data.shape != (1, hidden)
@@ -759,7 +692,7 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     xd, wd1, wd2 = x.data, w1.data, w2.data
     h = xd @ wd1
     h += b1.data
-    t = h * h  # tanh(C (h + 0.044715 h^3)), in gelu's order of operations
+    t = h * h  # tanh(C (h + 0.044715 h^3)), in the reference GELU's order
     t *= h
     t *= 0.044715
     t += h

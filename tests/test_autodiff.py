@@ -179,14 +179,6 @@ def test_per_op_gradients_match_finite_differences():
             lambda: nm.sum_all(nm.mul(nm.add_bias(c, nm.scalar_times_const(s, const)), c)),
             [s, c],
         ),
-        "softmax": (lambda: nm.sum_all(nm.mul(nm.softmax_rows(c), c)), [c]),
-        "gelu": (lambda: nm.sum_all(nm.mul(nm.gelu(c), c)), [c]),
-        "layer_norm": (
-            lambda: nm.sum_all(
-                nm.mul(nm.layer_norm_rows(c, nm.parameter(np.ones((1, 5))), row), c)
-            ),
-            [c, row],
-        ),
         "l2_normalize_rows": (lambda: nm.sum_all(nm.mul(nm.l2_normalize_rows(c), c)), [c]),
         "mean_over_rows": (lambda: nm.sum_all(nm.mul(nm.mean_over_rows(c), row)), [c, row]),
         "transpose": (lambda: nm.sum_all(nm.mul(nm.transpose(c), nm.transpose(c))), [c]),
@@ -254,11 +246,12 @@ def test_batched_op_gradients_match_finite_differences():
         ),
         "scalar_times_const_shared": (lambda: square(nm.scalar_times_const(s, mask)), [s]),
         "concat_rows_broadcast": (lambda: square(nm.concat_rows([tok, xb])), [tok, xb]),
-        "layer_norm": (
-            lambda: nm.sum_all(nm.mul(nm.layer_norm_rows(xb, gain, shift), xb)),
+        "residual_norm_l2_normalize": (
+            lambda: nm.sum_all(
+                nm.mul(nm.l2_normalize_rows(nm.residual_norm(xb, xb, gain, shift)), xb)
+            ),
             [xb, gain, shift],
         ),
-        "softmax_gelu": (lambda: nm.sum_all(nm.mul(nm.softmax_rows(nm.gelu(xb)), xb)), [xb]),
         "mean_squeeze": (lambda: square(nm.squeeze_rows(nm.mean_over_rows(lin()))), [xb, w, row]),
         "slice_rows": (
             lambda: nm.sum_all(nm.mul(nm.slice_rows(xb, 1, 3), nm.slice_rows(xb, 0, 2))),
@@ -274,17 +267,18 @@ def test_batched_op_gradients_match_finite_differences():
 def test_random_five_op_graphs_match_finite_differences():
     # several compositions of 5 taped ops, checked at < 1e-6 relative error
     rng = np.random.default_rng(11)
+    ones, zeros = nm.constant(np.ones((1, 3))), nm.constant(np.zeros((1, 3)))
     for trial in range(6):
         x = nm.parameter(rng.normal(size=(3, 3)) * 0.8)
         y = nm.parameter(rng.normal(size=(3, 3)) * 0.8)
 
         def build(x=x, y=y, trial=trial):
             if trial % 3 == 0:
-                h = nm.matmul(x, y)          # 1
-                h = nm.softmax_rows(h)       # 2
-                h = nm.mul(h, x)             # 3
-                h = nm.gelu(h)               # 4
-                return nm.sum_all(h)         # 5
+                h = nm.matmul(x, y)                         # 1
+                h = nm.residual_norm(h, x, ones, zeros)     # 2
+                h = nm.mul(h, y)                            # 3
+                h = nm.feed_forward(h, x, zeros, y, zeros)  # 4
+                return nm.sum_all(h)                        # 5
             if trial % 3 == 1:
                 h = nm.add(x, y)             # 1
                 h = nm.l2_normalize_rows(h)  # 2
@@ -303,16 +297,18 @@ def test_random_five_op_graphs_match_finite_differences():
 def test_gradients_flow_through_long_chain():
     rng = np.random.default_rng(13)
     w1 = nm.parameter(rng.normal(size=(4, 6)) * 0.4)
-    w2 = nm.parameter(rng.normal(size=(6, 2)) * 0.4)
+    w2 = nm.parameter(rng.normal(size=(6, 3)) * 0.4)
+    w3 = nm.parameter(rng.normal(size=(3, 3)) * 0.4)
+    b1, b2 = nm.constant(np.zeros((1, 6))), nm.constant(np.zeros((1, 3)))
     x = nm.constant(rng.normal(size=(3, 4)))
 
     def build():
-        h = nm.gelu(nm.matmul(x, w1))
-        h = nm.matmul(h, w2)
-        h = nm.softmax_rows(h)
+        h = nm.feed_forward(x, w1, b1, w2, b2)  # GELU between the two products
+        h = nm.l2_normalize_rows(h)
+        h = nm.log_softmax_diag(nm.matmul(h, w3))
         return nm.sum_all(nm.mul(h, h))
 
-    fd_check(build, [w1, w2], tol=1e-6)
+    fd_check(build, [w1, w2, w3], tol=1e-6)
 
 
 def test_constants_receive_no_grad():

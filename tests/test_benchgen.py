@@ -317,7 +317,7 @@ def test_filtering_on_generated_world_matches_oracle(small_world):
     enc = EncoderParams(seed=small_world.encoder_seed, d_latent=8, d_model=16, l_text=2)
     thr = FilterThresholds(tau_valid=4, tau_high=0.9, tau_centric=0.85, tau_count=2)
     instance = small_world.images[0].instance_id
-    images = small_world.images_of_instance(instance)
+    images = [im for im in small_world.images if im.instance_id == instance]
     feats = np.stack([pooled_image_embedding(im, enc) for im in images])
     got = filter_pairs(images, thr, lambda im: pooled_image_embedding(im, enc))
     want = [(images[i].image_id, images[j].image_id) for i, j in filter_oracle(feats, thr)]

@@ -13,17 +13,9 @@ from focalcir.encoders import ContextDescriptor, EncoderParams, embed_text
 from focalcir.errors import ConfigError
 from focalcir import numerics as nm
 from focalcir.model import ModelConfig, ModelParams
-from focalcir.numerics.tensor import (
-    Tape,
-    add,
-    backward,
-    constant,
-    gelu,
-    layer_norm_rows,
-    linear,
-    parameter,
-)
+from focalcir.numerics.tensor import Tape, backward, constant, parameter
 from focalcir.fusion import _attention, init_fusion_params
+from reference import gelu, layer_norm
 
 D = 16
 
@@ -174,14 +166,14 @@ def test_frozen_probes_receive_no_grad():
 
 def crm_full_rows(tokens, crm, n_heads):
     """Row 0 of a CRM transformer that runs every layer on every row."""
-    t = constant(tokens)
+    t = tokens
     for layer in crm.layers:
-        attn = _attention(t, t, layer.self_attn, n_heads)
-        t = layer_norm_rows(add(t, attn), layer.ln_self.gain, layer.ln_self.shift)
-        hidden = gelu(linear(t, layer.ffn.w1, layer.ffn.b1))
-        t = layer_norm_rows(add(t, linear(hidden, layer.ffn.w2, layer.ffn.b2)),
-                            layer.ln_ffn.gain, layer.ln_ffn.shift)
-    return t.data[..., :1, :]
+        attn = _attention(constant(t), constant(t), layer.self_attn, n_heads).data
+        t = layer_norm(t + attn, layer.ln_self.gain.data, layer.ln_self.shift.data)
+        ffn = layer.ffn
+        hidden = gelu(t @ ffn.w1.data + ffn.b1.data) @ ffn.w2.data + ffn.b2.data
+        t = layer_norm(t + hidden, layer.ln_ffn.gain.data, layer.ln_ffn.shift.data)
+    return t[..., :1, :]
 
 
 def _live_crm(rng, d, n_layers):

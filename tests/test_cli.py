@@ -306,6 +306,20 @@ def test_train_on_damaged_artifact_exits_2_naming_the_file(run_dir, tmp_path, ca
     assert name in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["quadruples_train.jsonl", "quadruples_eval.jsonl"])
+def test_quadruple_of_an_unknown_subset_exits_2_naming_it(run_dir, tmp_path, capsys, name):
+    # such a quadruple would drop out of every per-subset loop unnoticed
+    cfg_path, out = run_dir
+    copy = tmp_path / "copy"
+    copy.mkdir()
+    for f in out.iterdir():
+        (copy / f.name).write_bytes(f.read_bytes())
+    _edit_first_record(copy / name, lambda r: r.update(subset="boat"))
+    assert main(["eval", "--config", str(cfg_path), "--out", str(copy)]) == 2
+    err = capsys.readouterr().err
+    assert f"{name}[0].subset: 'boat'" in err and "Traceback" not in err
+
+
 def _rewrite_header(path, edit):
     """Edits the JSON header of a binary container (world.bin or a checkpoint)."""
     raw = path.read_bytes()
@@ -499,6 +513,22 @@ def test_ablate_robustness_rows(run_dir, capsys):
     assert labels == ["iou=1 scale", "iou=0.8 scale", "iou=0.5 scale_shift", "no-bbox"]
     assert saved["rows"][0]["achieved_mean_iou"] == 1.0
     assert saved["rows"][-1]["achieved_mean_iou"] is None
+
+
+def test_ablate_caam_follows_the_run_config_and_reruns_byte_identically(run_dir, capsys):
+    cfg_path, out = run_dir
+    assert main(["ablate", "caam", "--config", str(cfg_path)]) == 0
+    first = file_hashes(out)
+    saved = json.loads((out / "ablate_caam.json").read_text())
+    # the run's model section sets k_probes 2 and crm_layers 1
+    assert [r["label"] for r in saved["rows"]] == [
+        f"crm={crm} probes=learnable layers=1 K=2 form={form}"
+        for crm in ("avg", "mlp", "transformer") for form in ("scalar", "vector")]
+    assert main(["ablate", "caam", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    again = file_hashes(out)
+    for name in ("ablate_caam.json", "ablate_caam.txt"):
+        assert again[name] == first[name], name
 
 
 def test_ablate_roicrop_comparison_rows(tmp_path, capsys):

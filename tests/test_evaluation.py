@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -391,6 +392,33 @@ def test_resolution_helpers(tiny_bench):
 def test_unknown_subset_rejected(tiny_bench, tiny_model):
     with pytest.raises(ContractError):
         evaluate_model(tiny_model, tiny_bench, subsets=["car"])
+
+
+def _with_fashion_gallery(bench, pick):
+    """bench with its fashion gallery's entries replaced by pick(entries)."""
+    manifest = bench.galleries["fashion"]
+    return dataclasses.replace(bench, galleries={
+        "fashion": dataclasses.replace(manifest, entries=pick(manifest.entries))})
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda b, p: evaluate_model(p, dataclasses.replace(b, eval_quads=[])),
+     "subset fashion has no eval quadruples"),
+    (lambda b, p: evaluate_model(p, _with_fashion_gallery(b, lambda es: es[:4])),
+     "R@5 needs 5 gallery images, subset fashion has 4"),
+    (lambda b, p: evaluate_model(p, _with_fashion_gallery(
+        b, lambda es: [e for e in es if e.image_id != b.eval_quads[0].target_image_id])),
+     "are not in the fashion gallery"),
+    (lambda b, p: rank_gallery(np.eye(4)[0], np.eye(3)), "query dim 4 vs gallery dim 3"),
+    (lambda b, p: rank_gallery(np.eye(3)[:2], np.eye(3), np.ones((2, 4), dtype=bool)),
+     "positives of shape (2, 4) for (2, 3) similarities"),
+    (lambda b, p: rank_gallery(np.eye(3)[:2], np.eye(3)), "a full order needs one query, got 2"),
+], ids=["no-eval-quadruples", "small-gallery", "target-not-in-gallery", "query-dim",
+        "positives-shape", "full-order-of-two"])
+def test_bad_evaluation_inputs_raise_naming_them(tiny_bench, tiny_model, call, named):
+    with pytest.raises(ContractError) as info:
+        call(tiny_bench, tiny_model)
+    assert named in str(info.value)
 
 
 def reference_report(params, bench, beta_override):

@@ -7,7 +7,13 @@ import pytest
 
 from focalcir import model
 from focalcir.encoders import ContextDescriptor, EncoderParams, embed_text
-from focalcir.errors import AlignmentError, ConfigError, ContractError, EmptyMaskError
+from focalcir.errors import (
+    AlignmentError,
+    ConfigError,
+    ContractError,
+    DimensionError,
+    EmptyMaskError,
+)
 from focalcir import numerics as nm
 from focalcir.numerics.tensor import Tape, Tensor, backward, concat_rows, constant, parameter
 from focalcir.fusion import (
@@ -325,11 +331,23 @@ def test_encode_gradients_match_finite_differences(beta_form, n_heads):
             a.bk = bk
 
 
+@pytest.mark.parametrize("beta, error, named", [
+    ("0.5", ContractError, "beta must be a float or Tensor, got str"),
+    (constant(np.ones((2, 3))), DimensionError, "vector beta must be 1 x m, got (2, 3)"),
+    (constant(np.ones((1, 3))), DimensionError, "vector beta has 3 entries for 2 fusion queries"),
+], ids=["not-a-float-or-tensor", "not-one-row", "wrong-length"])
+def test_logit_bias_rejects_a_bad_beta_naming_it(beta, error, named):
+    # rows [cls, 2 fusion queries, text] over 5 patch keys
+    with pytest.raises(error) as info:
+        _logit_bias(np.ones((1, 5)), beta, 4, (1, 3), None)
+    assert named in str(info.value)
+
+
 def full_pass_rows(patches, text, fusion, mask, beta, cls, extras, key_mask):
     """cls, fusion-query and extra outputs of a pass that runs every block on
     every row of [cls, queries, extras, text], from the encoder's own block
     and bias ops: the rows a pruned last block must reproduce."""
-    m, k = fusion.m_queries, extras.data.shape[0]
+    m, k = fusion.queries.data.shape[0], extras.data.shape[0]
     tokens = concat_rows([cls, fusion.queries, extras, constant(text)])
     bias = _logit_bias(mask, beta, tokens.data.shape[-2], (1, 1 + m), key_mask)
     for block in fusion.blocks:

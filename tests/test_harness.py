@@ -89,28 +89,29 @@ def test_sweep_table_text(tiny_bench, tiny_model):
 
 
 def test_variant_grid_is_exact_cross_product():
-    grid = expand_variant_grid(
-        crm_variants=("avg", "mlp"), probe_modes=(True, False),
-        layer_counts=(1,), probe_counts=(2, 4), forms=("scalar",),
-    )
-    assert len(grid) == 8
-    assert grid[0] == {"crm_variant": "avg", "probes_learnable": True,
-                       "crm_layers": 1, "k_probes": 2, "modulation": "scalar"}
-    labels = {variant_label(v) for v in grid}
-    assert len(labels) == 8
+    grid = expand_variant_grid(crm_variants=("avg", "mlp", "transformer"),
+                               forms=("scalar", "vector"))
+    assert len(grid) == 6
+    assert grid[0] == {"crm_variant": "avg", "modulation": "scalar"}
+    assert grid[-1] == {"crm_variant": "transformer", "modulation": "vector"}
+    base = ModelConfig(k_probes=4, crm_layers=1, probes_learnable=False)
+    labels = {variant_label(dataclasses.replace(base, **v)) for v in grid}
+    assert len(labels) == 6
     assert "crm=mlp probes=frozen layers=1 K=4 form=scalar" in labels
 
 
 def test_ablation_rows_and_param_counts(tiny_bench):
     base = ModelConfig(d_model=16, d_embed=16, m_queries=2, k_probes=2, l_text=2,
                        n_blocks=1, crm_layers=1)
-    variants = expand_variant_grid(
-        crm_variants=("avg", "mlp"), probe_modes=(True,),
-        layer_counts=(1,), probe_counts=(2,), forms=("scalar", "vector"),
-    )
+    variants = expand_variant_grid(crm_variants=("avg", "mlp"), forms=("scalar", "vector"))
     cfg = TrainConfig(epochs=1, batch_size=8, seed=3)
     rows = caam_ablation(tiny_bench, base, cfg, variants, model_seed=5)
-    assert [r.label for r in rows] == [variant_label(v) for v in variants]
+    # the CAAM sizes the grid does not vary are the base config's
+    assert [r.label for r in rows] == [
+        f"crm={crm} probes=learnable layers=1 K=2 form={form}"
+        for crm in ("avg", "mlp") for form in ("scalar", "vector")]
+    assert rows[3].variant == {"crm_variant": "mlp", "probes_learnable": True,
+                               "crm_layers": 1, "k_probes": 2, "modulation": "vector"}
 
     d = 16
     # avg: probes KD + cls D + head (D+1 outputs per unit)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from focalcir.errors import ContractError, DegenerateInputError, DimensionError
 from focalcir import numerics as nm
+from reference import gelu, layer_norm, softmax
 
 
 def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -83,16 +84,32 @@ def test_vectors_become_rows():
     assert t.shape == (1, 3)
 
 
+def attention_softmax(logits, bias=None):
+    """softmax(logits + bias) row by row, from `attention` with identity
+    weights, keys and values and zero biases: x @ I and probs @ I are exact."""
+    n = logits.shape[-1]
+    eye, zero = nm.constant(np.eye(n)), nm.constant(np.zeros((1, n)))
+    bias = None if bias is None else nm.constant(bias)
+    return nm.attention(nm.constant(logits), eye, eye, zero, eye, zero, bias, 1.0).data
+
+
 def test_softmax_uniform_row():
-    got = nm.softmax_rows(nm.constant([[3.0, 3.0, 3.0, 3.0]])).data
+    got = attention_softmax(np.array([[3.0, 3.0, 3.0, 3.0]]))
     assert np.allclose(got, 0.25, atol=1e-15)
 
 
 def test_softmax_huge_logit_stable():
-    got = nm.softmax_rows(nm.constant([[100.0, 0.0, 0.0]])).data
+    got = attention_softmax(np.array([[100.0, 0.0, 0.0]]))
     assert got[0, 0] >= 1.0 - 1e-40
     assert np.all(got > 0.0) and np.all(got <= 1.0)
     assert np.isfinite(got).all()
+
+
+def test_softmax_masked_key_gets_exactly_zero():
+    got = attention_softmax(np.array([[1.0, 2.0, 3.0], [4.0, 0.0, -1.0]]),
+                            np.array([[0.0, -np.inf, 0.0]]))
+    assert np.all(got[:, 1] == 0.0)
+    assert np.max(np.abs(got.sum(axis=1) - 1.0)) < 1e-15
 
 
 @settings(max_examples=50, deadline=None)
@@ -105,7 +122,8 @@ def test_softmax_huge_logit_stable():
 def test_softmax_rows_sum_to_one(r, c, scale, seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(r, c)) * scale
-    y = nm.softmax_rows(nm.constant(x)).data
+    y = attention_softmax(x)
+    assert y.tobytes() == softmax(x).tobytes()
     assert np.max(np.abs(y.sum(axis=1) - 1.0)) < 1e-9
     assert np.all(y > 0.0)
 
@@ -126,12 +144,12 @@ def test_add_bias_broadcasts_rows():
     assert np.array_equal(got, np.tile([[1.0, -2.0]], (3, 1)))
 
 
-def test_layer_norm_rows_zero_mean_unit_var():
+def test_residual_norm_zero_mean_unit_var():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(4, 8)) * 3 + 1
     ones = nm.constant(np.ones((1, 8)))
     zeros = nm.constant(np.zeros((1, 8)))
-    y = nm.layer_norm_rows(nm.constant(x), ones, zeros).data
+    y = nm.residual_norm(nm.constant(x), nm.constant(np.zeros((4, 8))), ones, zeros).data
     assert np.max(np.abs(y.mean(axis=1))) < 1e-12
     assert np.max(np.abs(y.var(axis=1) - 1.0)) < 1e-4  # eps shifts variance slightly
 
@@ -156,10 +174,11 @@ def test_item_requires_scalar():
 def test_ops_stay_finite_on_finite_inputs():
     rng = np.random.default_rng(4)
     x = nm.constant(rng.normal(size=(3, 5)) * 10)
+    eye, zero_row = nm.constant(np.eye(5)), nm.constant(np.zeros((1, 5)))
     for val in (
-        nm.softmax_rows(x),
-        nm.gelu(x),
-        nm.layer_norm_rows(x, nm.constant(np.ones((1, 5))), nm.constant(np.zeros((1, 5)))),
+        nm.attention(x, x, eye, zero_row, eye, zero_row, None, 1.0),
+        nm.feed_forward(x, eye, zero_row, eye, zero_row),
+        nm.residual_norm(x, x, nm.constant(np.ones((1, 5))), zero_row),
         nm.l2_normalize_rows(x),
         nm.mean_over_rows(x),
         nm.sum_all(x),
@@ -198,12 +217,13 @@ def test_cosine_sim_matrix_matches_scalar_loop():
 
 
 
-# --- fused layer ops against the ops they replace ---------------------------
+# --- fused layer ops against the numpy references ---------------------------
 
 
 def test_fused_ops_equal_the_composed_ops_bit_for_bit():
     # with one head, attention, residual_norm and feed_forward run the same
-    # arithmetic as the chains of ops they replace, at layer-sized shapes
+    # arithmetic as chains of tape ops and the numpy references in
+    # tests/reference.py, at layer-sized shapes
     rng = np.random.default_rng(5)
     d, hidden, b, n = 32, 64, 4, 21
 
@@ -228,7 +248,7 @@ def test_fused_ops_equal_the_composed_ops_bit_for_bit():
                 if bias is not None:
                     one_row = bias.data.shape[-2] == 1
                     logits = nm.add_bias(logits, bias) if one_row else nm.add(logits, bias)
-                probs = nm.softmax_rows(nm.scale(logits, 1.0 / np.sqrt(d)))
+                probs = nm.constant(softmax(nm.scale(logits, 1.0 / np.sqrt(d)).data))
                 want = nm.linear(nm.matmul(probs, kv), w_vo, b_vo)
                 got = nm.attention(x, kv, w_qk, b_qk, w_vo, b_vo, bias, 1.0 / np.sqrt(d))
                 assert got.data.tobytes() == want.data.tobytes(), (rows, x.data.ndim, bias)
@@ -236,10 +256,10 @@ def test_fused_ops_equal_the_composed_ops_bit_for_bit():
     gain, shift = w(1, d), w(1, d)
     y = nm.constant(rng.normal(size=(b, n, d)))
     for x in (nm.constant(rng.normal(size=(b, n, d))), nm.constant(rng.normal(size=(n, d))), y):
-        want = nm.layer_norm_rows(nm.add(x, y), gain, shift)
-        assert nm.residual_norm(x, y, gain, shift).data.tobytes() == want.data.tobytes()
+        want = layer_norm(x.data + y.data, gain.data, shift.data)
+        assert nm.residual_norm(x, y, gain, shift).data.tobytes() == want.tobytes()
 
     w1, b1, w2, b2 = w(d, hidden), w(1, hidden), w(hidden, d), w(1, d)
     for x in (nm.constant(rng.normal(size=(b, n, d))), nm.constant(rng.normal(size=(b, 1, d)))):
-        want = nm.linear(nm.gelu(nm.linear(x, w1, b1)), w2, b2)
+        want = nm.linear(nm.constant(gelu(nm.linear(x, w1, b1).data)), w2, b2)
         assert nm.feed_forward(x, w1, b1, w2, b2).data.tobytes() == want.data.tobytes()
