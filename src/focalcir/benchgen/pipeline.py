@@ -245,21 +245,51 @@ def load_benchmark(in_dir) -> Benchmark:
         return header, [from_record(cls, r, DataError, f"{where}[{i}]", complete=True)
                         for i, r in enumerate(recs)]
 
-    def quadruples(name: str) -> list[Quadruple]:
-        quads = records(name, "quadruples", Quadruple)[1]
-        for i, q in enumerate(quads):
-            if q.subset not in world.configs:
-                raise DataError(f"{src / name}[{i}].subset: {q.subset!r} is not a subset "
-                                f"of the world {sorted(world.configs)}")
-        return quads
-
     galleries = {}
     for subset in sorted(world.configs):
         header, entries = records(f"gallery_{subset}.jsonl", "gallery", GalleryEntry)
         galleries[subset] = GalleryManifest(subset=subset, seed=header.seed, entries=entries)
-    return Benchmark(
+    bench = Benchmark(
         world=world, encoders=enc, thresholds=summary.thresholds,
-        train_quads=quadruples("quadruples_train.jsonl"),
-        eval_quads=quadruples("quadruples_eval.jsonl"),
+        train_quads=records("quadruples_train.jsonl", "quadruples", Quadruple)[1],
+        eval_quads=records("quadruples_eval.jsonl", "quadruples", Quadruple)[1],
         galleries=galleries, settings=summary.settings, stats=summary.stats,
     )
+    _check_references(src, bench)
+    return bench
+
+
+def _check_references(src: Path, bench: Benchmark) -> None:
+    """Each quadruple names a context and images that show its instance,
+    category and subset, each gallery entry an image of its subset that shows
+    its instance and category; every box has 0 <= x0 < x1 <= 1, likewise y."""
+    shows = {i: (im.instance_id, im.category_id, im.subset) for i, im in bench._by_id.items()}
+
+    def fault(at: str, record, via: tuple[str, ...], want: tuple[str, str, str]):
+        """Raise naming the first broken reference of a record the fast test flagged."""
+        for key in via:
+            if (image_id := getattr(record, key)) not in shows:
+                raise DataError(f"{at}.{key}: {image_id!r} is not an image of the world")
+            for k, got, its in zip(("instance_id", "category_id", "subset"), want, shows[image_id]):
+                if got != its:  # a gallery entry's subset is its file's
+                    raise DataError(f"{at}.{k if hasattr(record, k) else key}: {got!r} is not "
+                                    f"the {k} {its!r} of its {key} {image_id!r}")
+        raise DataError(f"{at}.text_context_id: {record.text_context_id!r} is not a context")
+
+    for name, quads in (("quadruples_train.jsonl", bench.train_quads),
+                        ("quadruples_eval.jsonl", bench.eval_quads)):
+        for i, q in enumerate(quads):
+            want = (q.instance_id, q.category_id, q.subset)
+            if (shows.get(q.ref_image_id) != want or shows.get(q.target_image_id) != want
+                    or q.text_context_id not in bench.world.contexts):
+                fault(f"{src / name}[{i}]", q, ("ref_image_id", "target_image_id"), want)
+        x0, y0, x1, y1 = np.array([q.bbox for q in quads], dtype=np.float64).reshape(-1, 4).T
+        bad = np.flatnonzero(~((0.0 <= x0) & (x0 < x1) & (x1 <= 1.0)
+                               & (0.0 <= y0) & (y0 < y1) & (y1 <= 1.0)))
+        if bad.size:
+            raise DataError(f"{src / name}[{bad[0]}].bbox: {list(quads[bad[0]].bbox)} must "
+                            f"satisfy 0 <= x0 < x1 <= 1 and likewise for y")
+    for subset, manifest in bench.galleries.items():
+        for i, e in enumerate(manifest.entries):
+            if shows.get(e.image_id) != (want := (e.instance_id, e.category_id, subset)):
+                fault(f"{src / f'gallery_{subset}.jsonl'}[{i}]", e, ("image_id",), want)

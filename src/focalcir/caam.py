@@ -87,7 +87,7 @@ def predict_beta(
     The probe pass itself runs with no mask and beta = 0; the box location is
     deliberately invisible here, only image content and text are. key_mask
     is the padding mask of `fusion.stack_patches`."""
-    enc = multimodal_encode(
+    rows = multimodal_encode(  # [cls, probes]
         patches,
         text,
         fusion,
@@ -98,7 +98,7 @@ def predict_beta(
         key_mask=key_mask,
         read=("cls", "extra"),
     )
-    context = crm_forward(enc.rows, caam.crm, n_heads=fusion.n_heads)  # [cls, probes]
+    context = crm_forward(rows, caam.crm, n_heads=fusion.n_heads)
     return linear(context, caam.wc, caam.bc)
 
 

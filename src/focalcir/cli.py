@@ -24,7 +24,6 @@ from focalcir.harness import (
     ablation_table_text,
     beta_sweep,
     caam_ablation,
-    expand_variant_grid,
     metrics_table_text,
     robustness_eval,
     robustness_table_text,
@@ -252,8 +251,8 @@ def cmd_ablate(cfg: RunConfig, kind: str, betas: tuple[float, ...], ckpt: str | 
                         table.to_text(), grid_units=list(betas),
                         checkpoint=_checkpoint_provenance(meta))
     elif kind == "caam":
-        rows = caam_ablation(bench, cfg.model, train_cfg, expand_variant_grid(),
-                             model_seed=cfg.seed, config_hash=digest)
+        rows = caam_ablation(bench, cfg.model, train_cfg, model_seed=cfg.seed,
+                             config_hash=digest)
         _write_ablation(out, kind, digest, cfg.seed, [dataclasses.asdict(r) for r in rows],
                         ablation_table_text(rows))
     elif kind == "robustness":

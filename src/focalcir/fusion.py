@@ -17,8 +17,10 @@ selection enters only through the mask.
 
 In `run_layers`, the last layer computes only the rows its caller reads:
 they are its self-attention queries, and every token stays a key and value,
-so the read rows are exactly those of a full pass. The query branch and
-the CRM read their cls row alone, the modulation predictor [cls, probes].
+so the read rows are exactly those of a full pass; `multimodal_encode`
+returns them as one tensor, in token order. The query branch and the CRM
+read their cls row alone, the target branch its fusion queries and the
+modulation predictor [cls, probes].
 
 Every attention runs in merged form, through the QK and OV circuits of
 Elhage et al. 2021: per head, logits = (X W_Q W_K^T + b_Q W_K^T) P^T and
@@ -76,15 +78,11 @@ if TYPE_CHECKING:  # model imports this module
     from focalcir.model import ModelConfig
 
 
-def region_mask_from_bbox(bbox: BBox | Sequence[BBox], grid: tuple[int, int]) -> np.ndarray:
-    """Binary membership of each patch (raster order) in a box: 1.0 iff the
-    patch center lies inside it (half-open).
-
-    One box gives an (n,) row; a sequence of B boxes on the same grid gives
-    a (B, n) array from one vectorised test. Every box is validated, and the
-    first box that covers no patch center raises EmptyMaskError naming it."""
-    single = np.ndim(bbox) == 1
-    boxes = [bbox] if single else list(bbox)
+def region_mask_from_bbox(boxes: Sequence[BBox], grid: tuple[int, int]) -> np.ndarray:
+    """(B, n) binary membership of each patch (raster order) in each of B
+    boxes on one grid: 1.0 iff the patch center lies inside it (half-open),
+    from one vectorised test. Every box is validated, and the first box that
+    covers no patch center raises EmptyMaskError naming it."""
     for b in boxes:
         validate_bbox(b)
     values = patch_membership(boxes, grid).astype(np.float64)
@@ -94,7 +92,7 @@ def region_mask_from_bbox(bbox: BBox | Sequence[BBox], grid: tuple[int, int]) ->
         raise EmptyMaskError(
             f"bbox {boxes[empty[0]]} covers no patch center on a {h}x{w} grid"
         )
-    return values[0] if single else values
+    return values
 
 
 def stack_patches(patch_sets: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray | None]:
@@ -171,16 +169,6 @@ class FusionParams:
     @property
     def d_model(self) -> int:
         return self.queries.data.shape[1]
-
-
-@dataclass
-class EncodeResult:
-    """The read groups of the last block; a group that is not read is None."""
-
-    fused: Tensor | None  # (m, d) fusion-query outputs, (B, m, d) for a batch
-    cls_out: Tensor | None
-    extra_out: Tensor | None
-    rows: Tensor  # every read row, in token order [cls?, fused?, extras?]
 
 
 def _logit_bias(
@@ -333,7 +321,7 @@ def run_layers(
 
 
 def multimodal_encode(
-    patches: np.ndarray | Tensor,
+    patches: np.ndarray,
     text: TextEmbedding | np.ndarray | None,
     fusion: FusionParams,
     mask: np.ndarray | None = None,
@@ -342,7 +330,7 @@ def multimodal_encode(
     extra_tokens: Tensor | None = None,
     key_mask: np.ndarray | None = None,
     read: Sequence[str] | None = None,
-) -> EncodeResult:
+) -> Tensor:
     """Run the fusion encoder over [cls?, queries, extras?, text?] x patches.
 
     For one image, mask is an (n,) row. For a batch, patches are (B, n, d),
@@ -353,9 +341,9 @@ def multimodal_encode(
     both run unmodulated).
 
     read names the groups the caller uses, among "cls", "fused" and "extra"
-    (default: every group passed). The last block computes only their rows;
-    the others come back as None."""
-    kv = patches if isinstance(patches, Tensor) else constant(np.asarray(patches, dtype=np.float64))
+    (default: every group passed). The last block computes only their rows,
+    and those rows come back as one tensor, in token order."""
+    kv = constant(np.asarray(patches, dtype=np.float64))
     n_keys = kv.data.shape[-2]
     if kv.data.shape[-1] != fusion.d_model:
         raise DimensionError(
@@ -380,19 +368,14 @@ def multimodal_encode(
 
     bias = _logit_bias(mask_values, beta, tokens.data.shape[-2], spans["fused"], key_mask)
     kept = [span for g, span in spans.items() if g in read]  # token order
-    rows = run_layers(tokens, fusion.blocks, fusion.n_heads, kept, kv, bias)
-    out, at = {}, 0
-    for g, (start, stop) in spans.items():
-        if g in read:
-            out[g], at = _take_rows(rows, [(at, at + stop - start)]), at + stop - start
-    return EncodeResult(out.get("fused"), out.get("cls"), out.get("extra"), rows)
+    return run_layers(tokens, fusion.blocks, fusion.n_heads, kept, kv, bias)
 
 
 def encode_target(
-    patches: np.ndarray | Tensor, fusion: FusionParams, key_mask: np.ndarray | None = None
+    patches: np.ndarray, fusion: FusionParams, key_mask: np.ndarray | None = None
 ) -> Tensor:
-    """Target-branch pass: fusion queries attend to patches, no text, no mask."""
-    return multimodal_encode(patches, text=None, fusion=fusion, key_mask=key_mask).fused
+    """Target-branch pass: the fusion queries' outputs, no text, no mask."""
+    return multimodal_encode(patches, text=None, fusion=fusion, key_mask=key_mask)
 
 
 # ---------------------------------------------------------------------------

@@ -88,17 +88,15 @@ def _scale_to_iou(bbox: BBox, target_iou: float, rng: np.random.Generator) -> BB
     return shrink
 
 
-def perturb_bbox(bbox: BBox, mode: str, target_iou: float, rng: np.random.Generator | int) -> BBox:
+def perturb_bbox(bbox: BBox, mode: str, target_iou: float, rng: np.random.Generator) -> BBox:
     """Perturbed copy of bbox with IoU(original, result) ~= target_iou.
 
     mode "scale" rescales about the center (exact IoU); mode "scale_shift"
     also offsets the center along a random direction, landing within +-0.02
-    of the target. Raises PerturbationError when no in-bounds box can meet
-    the target.
+    of the target, drawing from the caller's generator rng. Raises
+    PerturbationError when no in-bounds box can meet the target.
     """
     validate_bbox(bbox)
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
     if not (0.0 < target_iou <= 1.0):
         raise PerturbationError(f"target IoU must be in (0, 1], got {target_iou}")
     if mode == "scale":

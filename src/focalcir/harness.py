@@ -13,6 +13,7 @@ metrics_table_text alongside the structured per-row metrics.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 import zlib
@@ -23,7 +24,6 @@ import numpy as np
 from focalcir.benchgen.pipeline import Benchmark
 from focalcir.benchgen.quadruples import Quadruple
 from focalcir.caam import CRM_VARIANTS, OUTPUT_FORMS
-from focalcir.errors import ConfigError
 from focalcir.evaluation import MetricsReport, evaluate_model, train_examples
 from focalcir.geometry import iou, patch_membership, perturb_bbox, validate_bbox
 from focalcir.model import ModelConfig, ModelParams, TrainConfig, cropped, train
@@ -68,7 +68,6 @@ def beta_sweep(
     params: ModelParams,
     bench: Benchmark,
     units: tuple[float, ...] = DEFAULT_SWEEP_UNITS,
-    subsets: list[str] | None = None,
     config_hash: str = "",
     seed: int = 0,
 ) -> SweepTable:
@@ -78,7 +77,7 @@ def beta_sweep(
     table = SweepTable()
     for u in units:
         report = evaluate_model(
-            params, bench, subsets=subsets, beta_override=u * scale,
+            params, bench, beta_override=u * scale,
             config_hash=config_hash, seed=seed, gallery_cache=cache,
         )
         table.rows.append(
@@ -86,7 +85,7 @@ def beta_sweep(
                      metrics=report)
         )
     adaptive = evaluate_model(
-        params, bench, subsets=subsets, beta_override=None,
+        params, bench, beta_override=None,
         config_hash=config_hash, seed=seed, gallery_cache=cache,
     )
     table.rows.append(SweepRow(label="adaptive", beta_units=None, beta_value=None,
@@ -100,12 +99,6 @@ def beta_sweep(
 
 # the CAAM fields an ablation row records, in the order ablate_caam.json lists them
 _VARIANT_KEYS = ("crm_variant", "probes_learnable", "crm_layers", "k_probes", "modulation")
-
-
-def expand_variant_grid(crm_variants=CRM_VARIANTS, forms=OUTPUT_FORMS) -> list[dict]:
-    """CRM variants crossed with modulation forms, in deterministic order; the
-    other CAAM sizes come from the run's model config."""
-    return [{"crm_variant": crm, "modulation": form} for crm in crm_variants for form in forms]
 
 
 def variant_label(config: ModelConfig) -> str:
@@ -132,18 +125,15 @@ def caam_ablation(
     bench: Benchmark,
     base_config: ModelConfig,
     train_cfg: TrainConfig,
-    variants: list[dict],
     model_seed: int = 0,
     config_hash: str = "",
 ) -> list[AblationRow]:
-    """Trains each variant, base_config with the variant's fields replaced,
-    from the same seed and evaluates it."""
-    if not variants:
-        raise ConfigError("no ablation variants requested")
+    """Trains each CRM variant in each modulation form (variant major) from
+    base_config and the same seed, and evaluates it."""
     examples = train_examples(bench, bench.train_quads_of(train_cfg.subsets))
     rows = []
-    for v in variants:
-        config = replace(base_config, **v)
+    for crm, form in itertools.product(CRM_VARIANTS, OUTPUT_FORMS):
+        config = replace(base_config, crm_variant=crm, modulation=form)
         params = ModelParams(config, bench.encoders, seed=model_seed)
         train(params, examples, train_cfg)
         report = evaluate_model(params, bench, config_hash=config_hash, seed=train_cfg.seed)
@@ -175,6 +165,10 @@ class RobustnessRow:
     metrics: MetricsReport
 
 
+# (target IoU, mode) of each perturbed robustness row, in row order
+PERTURBATIONS = ((1.0, "scale"), (0.8, "scale"), (0.5, "scale_shift"))
+
+
 def _query_rng(seed: int, quad: Quadruple) -> np.random.Generator:
     key = zlib.crc32(f"{quad.ref_image_id}|{quad.target_image_id}".encode())
     return np.random.default_rng(np.random.SeedSequence([seed, 303, key]))
@@ -183,12 +177,10 @@ def _query_rng(seed: int, quad: Quadruple) -> np.random.Generator:
 def robustness_eval(
     params: ModelParams,
     bench: Benchmark,
-    perturbations: tuple[tuple[float, str], ...] = ((1.0, "scale"), (0.8, "scale"), (0.5, "scale_shift")),
-    include_no_bbox: bool = True,
     seed: int = 0,
     config_hash: str = "",
 ) -> list[RobustnessRow]:
-    """Evaluates under box perturbations of decreasing fidelity.
+    """Evaluates under PERTURBATIONS of decreasing fidelity, then box-less.
 
     Each row evaluates a view whose eval quadruples carry perturbed boxes;
     the achieved IoU is averaged in evaluation order (subsets sorted, then
@@ -196,7 +188,7 @@ def robustness_eval(
     cache: dict[str, np.ndarray] = {}
     quads = sorted(bench.eval_quads, key=lambda q: q.subset)
     rows = []
-    for target, mode in perturbations:
+    for target, mode in PERTURBATIONS:
         moved = [replace(q, bbox=perturb_bbox(q.bbox, mode, target, _query_rng(seed, q)))
                  for q in quads]
         report = evaluate_model(
@@ -204,21 +196,13 @@ def robustness_eval(
             config_hash=config_hash, seed=seed, gallery_cache=cache,
         )
         mean_iou = float(np.mean([iou(q.bbox, m.bbox) for q, m in zip(quads, moved)]))
-        rows.append(
-            RobustnessRow(
-                label=f"iou={target:g} {mode}", target_iou=target, mode=mode,
-                achieved_mean_iou=mean_iou, metrics=report,
-            )
-        )
-    if include_no_bbox:
-        report = evaluate_model(
-            params, bench, use_bbox=False,
-            config_hash=config_hash, seed=seed, gallery_cache=cache,
-        )
-        rows.append(
-            RobustnessRow(label="no-bbox", target_iou=None, mode=None,
-                          achieved_mean_iou=None, metrics=report)
-        )
+        rows.append(RobustnessRow(label=f"iou={target:g} {mode}", target_iou=target, mode=mode,
+                                  achieved_mean_iou=mean_iou, metrics=report))
+    report = evaluate_model(
+        params, bench, use_bbox=False, config_hash=config_hash, seed=seed, gallery_cache=cache,
+    )
+    rows.append(RobustnessRow(label="no-bbox", target_iou=None, mode=None,
+                              achieved_mean_iou=None, metrics=report))
     return rows
 
 

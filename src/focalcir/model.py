@@ -292,13 +292,13 @@ def query_representation(
                 0.0 if m is None else (float(b[0, 0]) if b.shape == (1, 1) else b.copy())
                 for m, b in zip(masks, beta.data)
             ]
-    enc = multimodal_encode(
+    cls_out = multimodal_encode(
         patches, text, params.fusion, mask=mask_rows, beta=beta, key_mask=key_mask,
         cls_token=params.rep_cls, read=("cls",),
     )
     # project per sample, then drop the row axis: one (B*1)-row GEMM would
     # round differently from the 1-row GEMM a single query gets
-    f_q = l2_normalize_rows(squeeze_rows(linear(enc.cls_out, params.w_query, params.b_query)))
+    f_q = l2_normalize_rows(squeeze_rows(linear(cls_out, params.w_query, params.b_query)))
     return (f_q, applied[0]) if single else (f_q, applied)
 
 
@@ -351,8 +351,8 @@ def _beta_scalar(applied) -> float:
 def train(params: ModelParams, examples: list[TrainExample], cfg: TrainConfig) -> TrainResult:
     """In-place training; deterministic for a fixed (params, examples, cfg)."""
     cfg.validate()
-    if not examples:
-        raise ContractError("no training examples")
+    if len(examples) < 2:  # every batch of one is skipped: nothing would train
+        raise ContractError(f"training needs at least 2 examples, got {len(examples)}")
     groups = params.param_groups()
     adaptive = cfg.fixed_beta is None
     states = {

@@ -8,6 +8,8 @@ import numpy as np
 
 from focalcir.numerics.tensor import Tensor
 
+_REL_FLOOR = 1e-6
+
 
 def finite_diff_grad(f: Callable[[Tensor], float], x: Tensor, eps: float = 1e-5) -> np.ndarray:
     """d f / d x by central differences, perturbing one coordinate at a time.
@@ -29,11 +31,11 @@ def finite_diff_grad(f: Callable[[Tensor], float], x: Tensor, eps: float = 1e-5)
     return grad
 
 
-def max_rel_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-6) -> float:
-    """max |a - n| / max(|a|, |n|, floor).
+def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    """max |a - n| / max(|a|, |n|, 1e-6).
 
     The floor keeps near-zero coordinates from inflating the ratio; below it
     the comparison is effectively absolute at floor resolution.
     """
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), _REL_FLOOR)
     return float(np.max(np.abs(analytic - numeric) / denom))

@@ -34,6 +34,7 @@ import numpy as np
 from focalcir.errors import ContractError, DegenerateInputError, DimensionError
 
 _NORM_EPS = 1e-12
+_LN_EPS = 1e-5  # the layer norm's variance floor
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
@@ -638,7 +639,7 @@ def attention(
     return out
 
 
-def residual_norm(x: Tensor, y: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
+def residual_norm(x: Tensor, y: Tensor, gain: Tensor, shift: Tensor) -> Tensor:
     """The post-norm residual: the layer norm of x + y, with a learned
     1 x c gain and shift, as one op.
 
@@ -653,7 +654,7 @@ def residual_norm(x: Tensor, y: Tensor, gain: Tensor, shift: Tensor, eps: float 
         )
     xhat = x.data + y.data
     xhat -= xhat.sum(axis=-1, keepdims=True) / c
-    inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / c + eps)
+    inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / c + _LN_EPS)
     xhat *= inv
     out = xhat * gain.data
     out += shift.data

@@ -66,7 +66,7 @@ def test_planted_signal_dominates_inside_bbox(small_world):
         identity = small_world.identities[im.instance_id]
         context = small_world.contexts[im.context_id].latent
         h, w, _ = im.grid.shape
-        mask = region_mask_from_bbox(im.bbox, (h, w))
+        (mask,) = region_mask_from_bbox([im.bbox], (h, w))
         in_id, in_ctx, out_id, out_ctx = [], [], [], []
         for idx, flag in enumerate(mask):
             patch = im.grid[idx // w, idx % w]
@@ -87,7 +87,7 @@ def test_planted_signal_dominates_inside_bbox(small_world):
 
 def test_every_bbox_covers_at_least_one_patch(small_world):
     for im in small_world.images:
-        mask = region_mask_from_bbox(im.bbox, im.grid.shape[:2])
+        (mask,) = region_mask_from_bbox([im.bbox], im.grid.shape[:2])
         assert mask.sum() >= 1
 
 

@@ -320,6 +320,52 @@ def test_quadruple_of_an_unknown_subset_exits_2_naming_it(run_dir, tmp_path, cap
     assert f"{name}[0].subset: 'boat'" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("name, key, value", [
+    ("quadruples_eval.jsonl", "instance_id", "fashion/nope"),
+    ("quadruples_eval.jsonl", "category_id", "fashion/nope"),
+    ("quadruples_eval.jsonl", "target_image_id", "nope"),
+    ("quadruples_eval.jsonl", "ref_image_id", "nope"),
+    ("quadruples_eval.jsonl", "text_context_id", "nope"),
+    ("quadruples_eval.jsonl", "bbox", [0.6, 0.1, 0.2, 0.5]),
+    ("quadruples_eval.jsonl", "bbox", [0.1, 0.1, float("nan"), 0.5]),
+    ("quadruples_eval.jsonl", "bbox", [0.1, 0.1, 0.5, float("inf")]),
+    ("quadruples_train.jsonl", "ref_image_id", "nope"),
+    ("gallery_fashion.jsonl", "image_id", "nope"),
+    ("gallery_fashion.jsonl", "instance_id", "fashion/nope"),
+    ("gallery_fashion.jsonl", "category_id", "fashion/nope"),
+])
+def test_record_that_disagrees_with_the_world_exits_2_naming_it(run_dir, tmp_path, capsys,
+                                                               name, key, value):
+    # every file is checked on load, so eval also refuses a damaged train file,
+    # and a gallery entry of the wrong instance cannot miscount R_ID silently
+    cfg_path, out = run_dir
+    copy = tmp_path / "copy"
+    copy.mkdir()
+    for f in out.iterdir():
+        (copy / f.name).write_bytes(f.read_bytes())
+    _edit_first_record(copy / name, lambda r: r.update({key: value}))
+    assert main(["eval", "--config", str(cfg_path), "--out", str(copy)]) == 2
+    err = capsys.readouterr().err
+    assert f"{name}[0].{key}: " in err and "Traceback" not in err
+
+
+def test_train_on_a_single_example_exits_3(run_dir, tmp_path, capsys):
+    # a batch of one is skipped, so the run would write an untrained model
+    # with a NaN loss
+    cfg_path, out = run_dir
+    copy = tmp_path / "copy"
+    copy.mkdir()
+    for name in ("world.bin", "quadruples_train.jsonl", "quadruples_eval.jsonl",
+                 "gallery_fashion.jsonl", "stats.json"):
+        (copy / name).write_bytes((out / name).read_bytes())
+    train_file = copy / "quadruples_train.jsonl"
+    train_file.write_text("\n".join(train_file.read_text().splitlines()[:2]) + "\n")
+    assert main(["train", "--config", str(cfg_path), "--out", str(copy)]) == 3
+    err = capsys.readouterr().err
+    assert "training needs at least 2 examples, got 1" in err and "Traceback" not in err
+    assert not (copy / "checkpoint.bin").exists()
+
+
 def _rewrite_header(path, edit):
     """Edits the JSON header of a binary container (world.bin or a checkpoint)."""
     raw = path.read_bytes()

@@ -76,15 +76,14 @@ def make_attn_params(rng, d, with_output=False):
 
 
 def test_full_cover_bbox_masks_everything():
-    m = region_mask_from_bbox((0.0, 0.0, 1.0, 1.0), (4, 4))
-    assert m.sum() == 16
-    assert np.array_equal(m, np.ones(16))
+    m = region_mask_from_bbox([(0.0, 0.0, 1.0, 1.0)], (4, 4))
+    assert np.array_equal(m, np.ones((1, 16)))
 
 
 def test_half_box_on_4x4_grid():
     # centers at 0.125/0.375/0.625/0.875; only 0.125 and 0.375 are < 0.5,
     # so the top-left 2x2 block is selected: raster indices 0, 1, 4, 5
-    m = region_mask_from_bbox((0.0, 0.0, 0.5, 0.5), (4, 4))
+    (m,) = region_mask_from_bbox([(0.0, 0.0, 0.5, 0.5)], (4, 4))
     expected = np.zeros(16)
     expected[[0, 1, 4, 5]] = 1.0
     assert np.array_equal(m, expected)
@@ -93,7 +92,7 @@ def test_half_box_on_4x4_grid():
 def test_tiny_corner_bbox_is_empty():
     # (0.9, 0.9, 0.95, 0.95) on a 2x2 grid: centers at 0.25/0.75, none inside
     with pytest.raises(EmptyMaskError):
-        region_mask_from_bbox((0.9, 0.9, 0.95, 0.95), (2, 2))
+        region_mask_from_bbox([(0.9, 0.9, 0.95, 0.95)], (2, 2))
 
 
 def mask_loop_oracle(bbox, grid):
@@ -126,9 +125,9 @@ def test_mask_matches_loop_oracle_on_random_boxes():
         if not want.any():
             empty += 1
             with pytest.raises(EmptyMaskError):
-                region_mask_from_bbox(bbox, grid)
+                region_mask_from_bbox([bbox], grid)
             continue
-        got = region_mask_from_bbox(bbox, grid)
+        (got,) = region_mask_from_bbox([bbox], grid)
         assert got.tobytes() == want.tobytes(), (bbox, grid)
         by_grid.setdefault(grid, []).append((bbox, want))
     assert empty > 0  # the empty-mask path was exercised
@@ -210,7 +209,7 @@ def test_mask_values_are_binary_and_nonempty():
         modulated_cross_attention(constant(text.tokens), constant(patches),
                                   fusion.blocks[0].cross_attn, np.full(4, 0.5), 1.0)
     with pytest.raises(EmptyMaskError):
-        region_mask_from_bbox((0.9, 0.9, 0.95, 0.95), (2, 2))
+        region_mask_from_bbox([(0.9, 0.9, 0.95, 0.95)], (2, 2))
     with pytest.raises(AlignmentError):
         multimodal_encode(patches, text, fusion, mask=np.ones(5), beta=1.0)
 
@@ -267,8 +266,8 @@ def test_encode_gradients_match_finite_differences(beta_form, n_heads):
     # rides on every cross-attention, plus a region bias from a scalar or
     # vector beta. Three reads are checked: the fusion queries of a pass
     # without cls or extras, and, where the last block computes only the
-    # rows that are read, cls_out under read=("cls",) and extra_out under
-    # read=("cls", "extra")
+    # rows that are read, the cls row under read=("cls",) and the
+    # [cls, extras] rows under read=("cls", "extra")
     rng = np.random.default_rng(30 + n_heads)
     d, m = 4, 2
     fusion = fusion_of(rng, d, m_queries=m, n_blocks=1, n_heads=n_heads,
@@ -290,10 +289,10 @@ def test_encode_gradients_match_finite_differences(beta_form, n_heads):
     cls = parameter(rng.normal(0.0, 0.5, size=(1, d)))
     extras = parameter(rng.normal(0.0, 0.5, size=(3, d)))
     tokens = {"cls_token": cls, "extra_tokens": extras}
-    reads = [  # (encode keywords, the output reduced, its weights)
+    reads = [  # (encode keywords, the rows read, their weights)
         ({}, "fused", fused_weights),
-        ({**tokens, "read": ("cls",)}, "cls_out", constant(rng.normal(size=(2, 1, d)))),
-        ({**tokens, "read": ("cls", "extra")}, "extra_out", constant(rng.normal(size=(2, 3, d)))),
+        ({**tokens, "read": ("cls",)}, "cls", constant(rng.normal(size=(2, 1, d)))),
+        ({**tokens, "read": ("cls", "extra")}, "cls+extra", constant(rng.normal(size=(2, 4, d)))),
     ]
     for kwargs, field, weights in reads:
         checked = [getattr(a, name) for a in attns
@@ -304,9 +303,9 @@ def test_encode_gradients_match_finite_differences(beta_form, n_heads):
             t.grad = None
 
         def encode():
-            return getattr(multimodal_encode(
+            return multimodal_encode(
                 patches, text, fusion, mask=None if beta_form == "padding-only" else region,
-                beta=beta, key_mask=key_mask, **kwargs), field)
+                beta=beta, key_mask=key_mask, **kwargs)
 
         def build():
             return nm.sum_all(nm.mul(encode(), weights))
@@ -378,18 +377,15 @@ def test_read_rows_equal_a_full_pass(beta_form, n_heads, n_blocks):
             "padding-only": 0.0}[beta_form]
     want = full_pass_rows(patches, text, fusion, mask, beta, cls, extras, key_mask)
     for read in (("cls",), ("cls", "extra"), ("fused",), None):
-        res = multimodal_encode(patches, text, fusion, mask=mask, beta=beta, cls_token=cls,
-                                extra_tokens=extras, key_mask=key_mask, read=read)
-        got = {"cls": res.cls_out, "fused": res.fused, "extra": res.extra_out}
-        names = list(got) if read is None else list(read)
-        assert [g for g, t in got.items() if t is not None] == names, read
-        assert np.array_equal(res.rows.data, np.concatenate([got[g].data for g in names], 1))
-        for g in names:
-            if res.rows.data.shape[1] > 1:
-                assert got[g].data.tobytes() == want[g].tobytes(), (read, g)
-            else:
-                err = np.max(np.abs(got[g].data - want[g]))
-                assert err <= 1e-13 * np.max(np.abs(want[g])), (read, g, err)
+        got = multimodal_encode(patches, text, fusion, mask=mask, beta=beta, cls_token=cls,
+                                extra_tokens=extras, key_mask=key_mask, read=read).data
+        rows = np.concatenate([want[g] for g in (want if read is None else read)], 1)
+        assert got.shape == rows.shape, read
+        if got.shape[1] > 1:
+            assert got.tobytes() == rows.tobytes(), read
+        else:
+            err = np.max(np.abs(got - rows))
+            assert err <= 1e-13 * np.max(np.abs(rows)), (read, err)
 
 
 def test_read_names_groups_that_were_passed():
@@ -536,14 +532,14 @@ def test_vector_beta_biases_each_query_row():
     fusion = fusion_of(np.random.default_rng(10), d, m_queries=3, n_blocks=1)
     enc = EncoderParams(seed=1, d_latent=4, d_model=d, l_text=2)
     patches = rng.normal(size=(2, 2, 4)).reshape(4, 4) @ enc.image_proj
-    mask = region_mask_from_bbox((0.0, 0.0, 0.6, 0.6), (2, 2))
+    (mask,) = region_mask_from_bbox([(0.0, 0.0, 0.6, 0.6)], (2, 2))
     text = embed_text(ContextDescriptor("c", np.array([1.0, 0, 0, 0])), enc)
     betas = parameter([[0.0, 3.0, -1.0]])
     out = multimodal_encode(patches, text, fusion, mask=mask, beta=betas)
     flat = parameter([[1.5]])
     out_flat = multimodal_encode(patches, text, fusion, mask=mask, beta=flat)
-    assert out.fused.data.shape == (3, d)
-    assert not np.allclose(out.fused.data, out_flat.fused.data)
+    assert out.data.shape == (3, d)
+    assert not np.allclose(out.data, out_flat.data)
 
 
 # --- full encoder ------------------------------------------------------------
@@ -564,13 +560,13 @@ def test_multimodal_encode_shapes_and_roles():
     fusion = fusion_of(np.random.default_rng(1), 16, m_queries=4, n_blocks=2)
     cls = parameter(np.random.default_rng(2).normal(0, 0.02, size=(1, 16)))
     extras = parameter(np.random.default_rng(3).normal(0, 0.02, size=(5, 16)))
-    mask = region_mask_from_bbox((0.25, 0.25, 0.80, 0.80), (4, 4))
-    res = multimodal_encode(
-        patches, text, fusion, mask=mask, beta=1.0, cls_token=cls, extra_tokens=extras
-    )
-    assert res.fused.data.shape == (4, 16)
-    assert res.cls_out.data.shape == (1, 16)
-    assert res.extra_out.data.shape == (5, 16)
+    (mask,) = region_mask_from_bbox([(0.25, 0.25, 0.80, 0.80)], (4, 4))
+    tokens = dict(mask=mask, beta=1.0, cls_token=cls, extra_tokens=extras)
+    # every group by default, in token order [cls, fusion queries, extras]
+    assert multimodal_encode(patches, text, fusion, **tokens).data.shape == (1 + 4 + 5, 16)
+    for read, rows in ((("cls",), 1), (("fused",), 4), (("extra",), 5)):
+        res = multimodal_encode(patches, text, fusion, read=read, **tokens)
+        assert res.data.shape == (rows, 16), read
 
 
 def test_encode_without_mask_needs_zero_beta():
@@ -583,7 +579,7 @@ def test_encode_without_mask_needs_zero_beta():
 def test_mask_grid_mismatch_raises():
     enc, patches, text = make_world_inputs()
     fusion = fusion_of(np.random.default_rng(1), 16, m_queries=4, n_blocks=1)
-    mask = region_mask_from_bbox((0.0, 0.0, 1.0, 1.0), (2, 2))
+    (mask,) = region_mask_from_bbox([(0.0, 0.0, 1.0, 1.0)], (2, 2))
     with pytest.raises(AlignmentError):
         multimodal_encode(patches, text, fusion, mask=mask, beta=1.0)
 
@@ -591,18 +587,18 @@ def test_mask_grid_mismatch_raises():
 def test_beta_zero_encode_equals_no_mask_encode():
     enc, patches, text = make_world_inputs()
     fusion = fusion_of(np.random.default_rng(1), 16, m_queries=4, n_blocks=2)
-    mask = region_mask_from_bbox((0.0, 0.0, 0.5, 0.5), (4, 4))
+    (mask,) = region_mask_from_bbox([(0.0, 0.0, 0.5, 0.5)], (4, 4))
     with_mask = multimodal_encode(patches, text, fusion, mask=mask, beta=0.0)
     without = multimodal_encode(patches, text, fusion, mask=None, beta=0.0)
-    assert np.array_equal(with_mask.fused.data, without.fused.data)
+    assert np.array_equal(with_mask.data, without.data)
 
 
 def test_beta_changes_fused_output():
     enc, patches, text = make_world_inputs()
     fusion = fusion_of(np.random.default_rng(1), 16, m_queries=4, n_blocks=2)
-    mask = region_mask_from_bbox((0.0, 0.0, 0.5, 0.5), (4, 4))
-    a = multimodal_encode(patches, text, fusion, mask=mask, beta=0.0).fused.data
-    b = multimodal_encode(patches, text, fusion, mask=mask, beta=4.0).fused.data
+    (mask,) = region_mask_from_bbox([(0.0, 0.0, 0.5, 0.5)], (4, 4))
+    a = multimodal_encode(patches, text, fusion, mask=mask, beta=0.0).data
+    b = multimodal_encode(patches, text, fusion, mask=mask, beta=4.0).data
     assert np.max(np.abs(a - b)) > 1e-6
 
 
@@ -610,9 +606,9 @@ def test_multi_head_runs_and_differs_from_single_head():
     enc, patches, text = make_world_inputs()
     fusion1 = fusion_of(np.random.default_rng(1), 16, m_queries=4, n_blocks=1, n_heads=1)
     fusion2 = fusion_of(np.random.default_rng(1), 16, m_queries=4, n_blocks=1, n_heads=2)
-    mask = region_mask_from_bbox((0.0, 0.0, 0.5, 0.5), (4, 4))
-    a = multimodal_encode(patches, text, fusion1, mask=mask, beta=2.0).fused.data
-    b = multimodal_encode(patches, text, fusion2, mask=mask, beta=2.0).fused.data
+    (mask,) = region_mask_from_bbox([(0.0, 0.0, 0.5, 0.5)], (4, 4))
+    a = multimodal_encode(patches, text, fusion1, mask=mask, beta=2.0).data
+    b = multimodal_encode(patches, text, fusion2, mask=mask, beta=2.0).data
     assert a.shape == b.shape == (4, 16)
     assert not np.allclose(a, b)
 

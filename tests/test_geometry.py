@@ -48,7 +48,7 @@ def test_iou_matches_oracle_on_random_boxes():
 def test_scale_hits_target_exactly():
     box = (0.25, 0.25, 0.75, 0.75)
     for seed in range(20):
-        got = perturb_bbox(box, "scale", 0.8, seed)
+        got = perturb_bbox(box, "scale", 0.8, np.random.default_rng(seed))
         assert iou(box, got) == pytest.approx(0.8, abs=1e-9)
         # center preserved
         assert (got[0] + got[2]) / 2 == pytest.approx(0.5, abs=1e-12)
@@ -61,14 +61,14 @@ def test_scale_shift_within_tolerance_over_many_seeds():
         x0, y0 = rng.uniform(0.05, 0.45, size=2)
         box = (x0, y0, x0 + rng.uniform(0.2, 0.4), y0 + rng.uniform(0.2, 0.4))
         for mode, t in (("scale", 0.8), ("scale_shift", 0.5), ("scale_shift", 0.8)):
-            got = perturb_bbox(box, mode, t, seed)
+            got = perturb_bbox(box, mode, t, np.random.default_rng(seed))
             assert abs(iou(box, got) - t) <= 0.02, (mode, t, box)
             validate_bbox(got)  # stays in bounds
 
 
 def test_scale_shift_moves_center():
     box = (0.3, 0.3, 0.6, 0.6)
-    got = perturb_bbox(box, "scale_shift", 0.5, 3)
+    got = perturb_bbox(box, "scale_shift", 0.5, np.random.default_rng(3))
     c_old = ((box[0] + box[2]) / 2, (box[1] + box[3]) / 2)
     c_new = ((got[0] + got[2]) / 2, (got[1] + got[3]) / 2)
     assert abs(c_old[0] - c_new[0]) + abs(c_old[1] - c_new[1]) > 1e-3
@@ -78,19 +78,19 @@ def test_infeasible_shift_raises():
     # the full-frame box contains every in-bounds box, so IoU under
     # scale_shift is pinned by the scale stage and no shift can reach 0.2
     with pytest.raises(PerturbationError):
-        perturb_bbox((0.0, 0.0, 1.0, 1.0), "scale_shift", 0.2, 0)
+        perturb_bbox((0.0, 0.0, 1.0, 1.0), "scale_shift", 0.2, np.random.default_rng(0))
 
 
 def test_bad_target_iou_raises():
     with pytest.raises(PerturbationError):
-        perturb_bbox((0.2, 0.2, 0.5, 0.5), "scale", 0.0, 0)
+        perturb_bbox((0.2, 0.2, 0.5, 0.5), "scale", 0.0, np.random.default_rng(0))
     with pytest.raises(PerturbationError):
-        perturb_bbox((0.2, 0.2, 0.5, 0.5), "scale", 1.5, 0)
+        perturb_bbox((0.2, 0.2, 0.5, 0.5), "scale", 1.5, np.random.default_rng(0))
 
 
 def test_unknown_mode_raises():
     with pytest.raises(ContractError):
-        perturb_bbox((0.2, 0.2, 0.5, 0.5), "rotate", 0.5, 0)
+        perturb_bbox((0.2, 0.2, 0.5, 0.5), "rotate", 0.5, np.random.default_rng(0))
 
 
 def test_invalid_bbox_raises():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from focalcir.benchgen import FilterThresholds, WorldConfig, build_benchmark
-from focalcir.errors import ConfigError, ContractError, EmptyMaskError
+from focalcir.errors import ContractError, EmptyMaskError
 from focalcir.evaluation import evaluate_model
 from focalcir.fusion import region_mask_from_bbox
 from focalcir.geometry import iou, perturb_bbox
@@ -17,13 +17,11 @@ from focalcir.harness import (
     beta_sweep,
     caam_ablation,
     caam_param_count,
-    expand_variant_grid,
     metrics_table_text,
     robustness_eval,
     robustness_table_text,
     roi_crop_baseline,
     sqrt_dk,
-    variant_label,
 )
 from focalcir.model import ModelConfig, ModelParams, TrainConfig
 
@@ -88,29 +86,17 @@ def test_sweep_table_text(tiny_bench, tiny_model):
 # -- CAAM ablation ----------------------------------------------------------------
 
 
-def test_variant_grid_is_exact_cross_product():
-    grid = expand_variant_grid(crm_variants=("avg", "mlp", "transformer"),
-                               forms=("scalar", "vector"))
-    assert len(grid) == 6
-    assert grid[0] == {"crm_variant": "avg", "modulation": "scalar"}
-    assert grid[-1] == {"crm_variant": "transformer", "modulation": "vector"}
-    base = ModelConfig(k_probes=4, crm_layers=1, probes_learnable=False)
-    labels = {variant_label(dataclasses.replace(base, **v)) for v in grid}
-    assert len(labels) == 6
-    assert "crm=mlp probes=frozen layers=1 K=4 form=scalar" in labels
-
-
 def test_ablation_rows_and_param_counts(tiny_bench):
     base = ModelConfig(d_model=16, d_embed=16, m_queries=2, k_probes=2, l_text=2,
-                       n_blocks=1, crm_layers=1)
-    variants = expand_variant_grid(crm_variants=("avg", "mlp"), forms=("scalar", "vector"))
+                       n_blocks=1, crm_layers=1, probes_learnable=False)
     cfg = TrainConfig(epochs=1, batch_size=8, seed=3)
-    rows = caam_ablation(tiny_bench, base, cfg, variants, model_seed=5)
-    # the CAAM sizes the grid does not vary are the base config's
+    rows = caam_ablation(tiny_bench, base, cfg, model_seed=5)
+    # every CRM variant in each form, variant major; the CAAM sizes the grid
+    # does not vary are the base config's
     assert [r.label for r in rows] == [
-        f"crm={crm} probes=learnable layers=1 K=2 form={form}"
-        for crm in ("avg", "mlp") for form in ("scalar", "vector")]
-    assert rows[3].variant == {"crm_variant": "mlp", "probes_learnable": True,
+        f"crm={crm} probes=frozen layers=1 K=2 form={form}"
+        for crm in ("avg", "mlp", "transformer") for form in ("scalar", "vector")]
+    assert rows[3].variant == {"crm_variant": "mlp", "probes_learnable": False,
                                "crm_layers": 1, "k_probes": 2, "modulation": "vector"}
 
     d = 16
@@ -135,62 +121,56 @@ def test_ablation_param_count_matches_named_params(tiny_bench, tiny_model):
     assert caam_param_count(tiny_model) == manual
 
 
-def test_ablation_rejects_empty_grid(tiny_bench):
-    base = ModelConfig(d_model=16, d_embed=16, m_queries=2, k_probes=2, l_text=2,
-                       n_blocks=1, crm_layers=1)
-    with pytest.raises(ConfigError):
-        caam_ablation(tiny_bench, base, TrainConfig(epochs=1), [], model_seed=5)
-
-
 # -- robustness ---------------------------------------------------------------------
 
 
-def test_robustness_identity_row_equals_unperturbed(tiny_bench, tiny_model):
-    rows = robustness_eval(tiny_model, tiny_bench,
-                           perturbations=((1.0, "scale"),), include_no_bbox=False)
-    assert len(rows) == 1
-    assert rows[0].achieved_mean_iou == 1.0
-    plain = evaluate_model(tiny_model, tiny_bench)
-    assert rows[0].metrics.to_dict() == plain.to_dict()
+@pytest.fixture(scope="module")
+def robustness_rows(tiny_bench, tiny_model):
+    return robustness_eval(tiny_model, tiny_bench, seed=6)
 
 
-def test_robustness_rows_record_achieved_iou(tiny_bench, tiny_model):
-    rows = robustness_eval(
-        tiny_model, tiny_bench,
-        perturbations=((0.8, "scale"), (0.5, "scale_shift")), seed=9,
-    )
-    assert [r.label for r in rows] == ["iou=0.8 scale", "iou=0.5 scale_shift", "no-bbox"]
-    assert abs(rows[0].achieved_mean_iou - 0.8) < 1e-9  # scale mode is exact
-    assert abs(rows[1].achieved_mean_iou - 0.5) < 0.02
+def test_robustness_identity_row_equals_unperturbed(tiny_bench, tiny_model, robustness_rows):
+    identity = robustness_rows[0]
+    assert identity.label == "iou=1 scale"
+    assert identity.achieved_mean_iou == 1.0
+    plain = evaluate_model(tiny_model, tiny_bench, seed=6)
+    assert identity.metrics.to_dict() == plain.to_dict()
+
+
+def test_robustness_rows_record_achieved_iou(tiny_bench, tiny_model, robustness_rows):
+    rows = robustness_rows
+    assert [r.label for r in rows] == [
+        "iou=1 scale", "iou=0.8 scale", "iou=0.5 scale_shift", "no-bbox"]
+    assert abs(rows[1].achieved_mean_iou - 0.8) < 1e-9  # scale mode is exact
+    assert abs(rows[2].achieved_mean_iou - 0.5) < 0.02
     assert rows[-1].achieved_mean_iou is None
 
-    no_bbox = evaluate_model(tiny_model, tiny_bench, use_bbox=False, seed=9)
+    no_bbox = evaluate_model(tiny_model, tiny_bench, use_bbox=False, seed=6)
     assert rows[-1].metrics.to_dict() == no_bbox.to_dict()
     text = robustness_table_text(rows)
     assert text.count("\n") == len(rows) + 1
     assert "no-bbox\t-" in text
 
 
-def test_robustness_deterministic(tiny_bench, tiny_model):
-    kwargs = dict(perturbations=((0.5, "scale_shift"),), include_no_bbox=False, seed=4)
-    a = robustness_eval(tiny_model, tiny_bench, **kwargs)
-    b = robustness_eval(tiny_model, tiny_bench, **kwargs)
-    assert a[0].achieved_mean_iou == b[0].achieved_mean_iou
-    assert a[0].metrics.to_dict() == b[0].metrics.to_dict()
+def test_robustness_deterministic(tiny_bench, tiny_model, robustness_rows):
+    again = robustness_eval(tiny_model, tiny_bench, seed=6)
+    assert [r.achieved_mean_iou for r in again] == [r.achieved_mean_iou for r in robustness_rows]
+    assert [r.metrics.to_dict() for r in again] == [
+        r.metrics.to_dict() for r in robustness_rows]
 
 
-def test_robustness_perturbation_preserves_target(tiny_bench, tiny_model):
+def test_robustness_perturbation_preserves_target(tiny_bench, tiny_model, robustness_rows):
     # each query gets its own perturbed box, and the row's report is exactly a
     # plain evaluation of a benchmark whose quadruples carry those boxes
-    rows = robustness_eval(tiny_model, tiny_bench, perturbations=((0.5, "scale_shift"),),
-                           include_no_bbox=False, seed=6)
+    row = robustness_rows[2]
+    assert row.label == "iou=0.5 scale_shift"
     moved = [dataclasses.replace(q, bbox=perturb_bbox(q.bbox, "scale_shift", 0.5, _query_rng(6, q)))
              for q in tiny_bench.eval_quads]
     assert len({m.bbox for m in moved}) == len(moved)
     view = dataclasses.replace(tiny_bench, eval_quads=moved)
-    assert rows[0].metrics.to_dict() == evaluate_model(tiny_model, view, seed=6).to_dict()
+    assert row.metrics.to_dict() == evaluate_model(tiny_model, view, seed=6).to_dict()
     ious = [iou(q.bbox, m.bbox) for q, m in zip(tiny_bench.eval_quads, moved)]
-    assert rows[0].achieved_mean_iou == float(np.mean(ious))
+    assert row.achieved_mean_iou == float(np.mean(ious))
 
 
 # -- roi crop -----------------------------------------------------------------------
@@ -249,7 +229,7 @@ def test_roi_viability_matches_per_quadruple_mask_oracle():
 
     def viable(q):
         try:
-            region_mask_from_bbox(q.bbox, bench.world.configs[q.subset].grid)
+            region_mask_from_bbox([q.bbox], bench.world.configs[q.subset].grid)
         except EmptyMaskError:
             return False
         return True

@@ -325,6 +325,44 @@ def test_step_tape_length_does_not_grow_with_batch():
     assert entries(examples[:2]) == entries(examples)
 
 
+def step_tape(params, examples):
+    """The tape of one training step on examples, after its backward."""
+    tape = Tape()
+    with tape:
+        f_q, _ = query_representation([ex.query for ex in examples], params)
+        f_t = target_representation([ex.target_patches for ex in examples], params)
+        loss = contrastive_loss(f_q, f_t, params.tau)
+    backward(loss, tape)
+    return tape
+
+
+def unreached(tape):
+    """The tape entries whose output backward gave no gradient: forward work
+    that nothing downstream reads."""
+    return [i for i, (_, out, _) in enumerate(tape._entries) if out.grad is None]
+
+
+@pytest.mark.parametrize("modulation", OUTPUT_FORMS)
+@pytest.mark.parametrize("crm_variant", CRM_VARIANTS)
+def test_backward_reaches_every_tape_entry_of_a_step(crm_variant, modulation):
+    _, enc, params = tiny_setup(seed=86, crm_variant=crm_variant, modulation=modulation)
+    tape = step_tape(params, random_examples(np.random.default_rng(86), enc, 3))
+    assert len(tape) > 0 and unreached(tape) == []
+    tape.clear()
+
+
+@pytest.mark.parametrize("modulation, entries", [("scalar", 136), ("vector", 139)])
+def test_default_config_step_records_a_known_tape(modulation, entries):
+    # the count moves only when a change adds or removes forward work;
+    # batches share one tape, so it does not depend on the batch size
+    config = ModelConfig(modulation=modulation)
+    enc = EncoderParams(seed=87, d_latent=8, d_model=config.d_model, l_text=config.l_text)
+    params = ModelParams(config, enc, seed=87)
+    tape = step_tape(params, random_examples(np.random.default_rng(87), enc, 2, grid=(4, 4)))
+    assert (len(tape), unreached(tape)) == (entries, [])
+    tape.clear()
+
+
 # -- config validation -------------------------------------------------------
 
 
@@ -464,6 +502,15 @@ def test_train_rejects_empty_dataset():
     _, _, params = tiny_setup()
     with pytest.raises(ContractError):
         train(params, [], TrainConfig())
+
+
+def test_train_rejects_a_single_example():
+    # a batch of one has no in-batch negative and is skipped, so one example
+    # would leave the model untrained with a NaN mean loss
+    _, enc, params = tiny_setup(seed=53)
+    examples = random_examples(np.random.default_rng(53), enc, 1)
+    with pytest.raises(ContractError, match="at least 2 examples, got 1"):
+        train(params, examples, TrainConfig(epochs=1))
 
 
 def test_non_finite_loss_stops_training_before_the_update():

@@ -1,10 +1,13 @@
 """Every top-level function, class and method of the package has a reader
-in src/: code that only tests call leaves the package."""
+in src/, and every defaulted parameter has a caller that passes it: code
+and knobs that only tests use leave the package."""
 
 import ast
+import math
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "focalcir"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "focalcir"
 
 # the definitions no package code reads, and why each stays
 NO_READER_IN_SRC = {
@@ -13,11 +16,25 @@ NO_READER_IN_SRC = {
     "evaluation.instance_recall_at_k": "imported by the fixed tests/test_acceptance.py",
     "fusion.modulated_cross_attention": "imported by the fixed tests/test_acceptance.py",
     "numerics.similarity.cosine_sim": "the one-pair reference for cosine_sim_matrix",
+    "numerics.tensor.add": "the gradchecks sum two reductions into one root with it (the "
+                           "fan-in of a shared input); no model op adds two same-shape tensors",
     "numerics.tensor.mul": "the gradchecks' two-input elementwise op (random linear "
                            "functionals, the product rule, fan-out); no model op has two "
                            "same-shape inputs",
     "numerics.tensor.parameter": "builds the trainable leaves of the tests",
 }
+
+# the code whose calls count as passing a parameter: the package, the
+# benchmark and the fixed acceptance tests
+CALLERS = [*sorted(SRC.rglob("*.py")), *sorted((ROOT / "perfbench").glob("*.py")),
+           ROOT / "tests" / "test_acceptance.py"]
+
+# the defaulted parameters no caller passes, and why each stays
+UNPASSED_DEFAULTS: dict[str, str] = {}
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
 
 
 def definitions(tree):
@@ -29,26 +46,98 @@ def definitions(tree):
             if isinstance(node, ast.ClassDef):
                 for sub in node.body:
                     if (isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
-                            and not (sub.name.startswith("__") and sub.name.endswith("__"))):
+                            and not _is_dunder(sub.name)):
                         yield f"{node.name}.{sub.name}", sub.name
 
 
 def reads(tree):
-    """Every name the code loads, bare or as an attribute. An import, such as
-    an __init__ re-export, is not a read."""
+    """The names the code loads, as (bare names, attribute names). An
+    import, such as an __init__ re-export, is not a read."""
+    bare, attrs = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            yield node.id
+            bare.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            yield node.attr
+            attrs.add(node.attr)
+    return bare, attrs
+
+
+def module_of(path):
+    return ".".join(path.relative_to(SRC).with_suffix("").parts)
 
 
 def test_every_definition_in_src_has_a_reader():
     trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))}
-    read = {name for tree in trees.values() for name in reads(tree)}
+    bare, attrs = set(), set()
+    for tree in trees.values():
+        b, a = reads(tree)
+        bare |= b
+        attrs |= a
     unread = set()
     for path, tree in trees.items():
-        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
-        unread |= {f"{module}.{qual}" for qual, name in definitions(tree) if name not in read}
+        for qual, name in definitions(tree):
+            # src/ never reads a package function or class through a module
+            # alias, so only a bare name reads one (`seen.add` is no read of
+            # `add`); a method is read as an attribute
+            if name not in (bare | attrs if "." in qual else bare):
+                unread.add(f"{module_of(path)}.{qual}")
     # an entry that gains a reader leaves the list too
     assert unread == set(NO_READER_IN_SRC)
+
+
+def defaulted(tree):
+    """(qualified name, called name, {parameter: call position or None}) of
+    the defaulted parameters of each top-level function and method. A class
+    is called by its own name for its __init__; a method's position does
+    not count self. A keyword-only parameter has no position."""
+    def params(fn, offset):
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        first = len(positional) - len(a.defaults)
+        out = {p.arg: i - offset for i, p in enumerate(positional) if i >= first}
+        out.update({p.arg: None for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None})
+        return out
+
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node.name, params(node, 0)
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if not isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if sub.name == "__init__":
+                    yield f"{node.name}.__init__", node.name, params(sub, 1)
+                elif not _is_dunder(sub.name):
+                    yield f"{node.name}.{sub.name}", sub.name, params(sub, 1)
+
+
+def passed(trees):
+    """What the calls of each name pass, bare or as an attribute: name ->
+    keywords (None for a `**` spread, which may pass any), and name -> the
+    most positions one call passes (every one, for a `*` spread)."""
+    keywords, positions = {}, {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            positions[name] = max(positions.get(name, 0), math.inf if starred else len(node.args))
+    return keywords, positions
+
+
+def test_every_defaulted_parameter_has_a_caller_that_passes_it():
+    keywords, positions = passed(ast.parse(path.read_text()) for path in CALLERS)
+    unpassed = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for qual, name, params in defaulted(ast.parse(path.read_text())):
+            kw = keywords.get(name, set())
+            for param, position in params.items():
+                if not (None in kw or param in kw
+                        or (position is not None and position < positions.get(name, 0))):
+                    unpassed.add(f"{module_of(path)}.{qual}.{param}")
+    # a default no caller overrides is a knob without a caller: make it a
+    # constant, or list it here with the reason it stays
+    assert unpassed == set(UNPASSED_DEFAULTS)
