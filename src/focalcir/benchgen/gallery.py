@@ -28,8 +28,6 @@ class GalleryEntry:
 
 @dataclass
 class GalleryManifest:
-    subset: str
-    seed: int
     entries: list[GalleryEntry] = field(default_factory=list)
 
     @property
@@ -75,7 +73,7 @@ def build_gallery(
     if len(subsets) != 1:
         raise GalleryError(f"eval quadruples span multiple subsets: {sorted(subsets)}")
     subset = subsets.pop()
-    manifest = GalleryManifest(subset=subset, seed=int(seed))
+    manifest = GalleryManifest()
 
     seen: set[str] = set()
     by_image = {}

@@ -15,7 +15,7 @@ import numpy as np
 
 from focalcir.benchgen.filtering import PRESETS, FilterThresholds, filter_pairs
 from focalcir.benchgen.gallery import GalleryManifest, GalleryEntry, build_gallery
-from focalcir.benchgen.io import JsonlHeader, load_world, read_jsonl, save_world, write_jsonl
+from focalcir.benchgen.io import load_world, read_jsonl, save_world, write_jsonl
 from focalcir.benchgen.quadruples import Quadruple, make_quadruples
 from focalcir.benchgen.world import SyntheticWorld, WorldConfig, generate_world
 from focalcir.encoders import (
@@ -26,7 +26,8 @@ from focalcir.encoders import (
     encode_image,
     pooled_image_embedding,
 )
-from focalcir.errors import ConfigError, DataError
+from focalcir.errors import ConfigError, DataError, GalleryError
+from focalcir.geometry import in_bounds, patch_membership
 from focalcir.records import from_record, open_file, parse_json, write_json
 
 
@@ -239,20 +240,20 @@ def load_benchmark(in_dir) -> Benchmark:
         d_model=summary.settings.d_model, l_text=summary.settings.l_text,
     )
 
-    def records(name: str, kind: str, cls) -> tuple[JsonlHeader, list]:
+    def records(name: str, kind: str, cls) -> list:
         where = str(src / name)
-        header, recs = read_jsonl(where, expect_kind=kind)
-        return header, [from_record(cls, r, DataError, f"{where}[{i}]", complete=True)
-                        for i, r in enumerate(recs)]
+        _, recs = read_jsonl(where, expect_kind=kind)
+        return [from_record(cls, r, DataError, f"{where}[{i}]", complete=True)
+                for i, r in enumerate(recs)]
 
-    galleries = {}
-    for subset in sorted(world.configs):
-        header, entries = records(f"gallery_{subset}.jsonl", "gallery", GalleryEntry)
-        galleries[subset] = GalleryManifest(subset=subset, seed=header.seed, entries=entries)
+    galleries = {
+        subset: GalleryManifest(records(f"gallery_{subset}.jsonl", "gallery", GalleryEntry))
+        for subset in sorted(world.configs)
+    }
     bench = Benchmark(
         world=world, encoders=enc, thresholds=summary.thresholds,
-        train_quads=records("quadruples_train.jsonl", "quadruples", Quadruple)[1],
-        eval_quads=records("quadruples_eval.jsonl", "quadruples", Quadruple)[1],
+        train_quads=records("quadruples_train.jsonl", "quadruples", Quadruple),
+        eval_quads=records("quadruples_eval.jsonl", "quadruples", Quadruple),
         galleries=galleries, settings=summary.settings, stats=summary.stats,
     )
     _check_references(src, bench)
@@ -261,9 +262,12 @@ def load_benchmark(in_dir) -> Benchmark:
 
 def _check_references(src: Path, bench: Benchmark) -> None:
     """Each quadruple names a context and images that show its instance,
-    category and subset, each gallery entry an image of its subset that shows
-    its instance and category; every box has 0 <= x0 < x1 <= 1, likewise y."""
+    category and subset, and a box in bounds that covers a patch center of
+    its subset's grid; each gallery entry names an image of its subset that
+    shows its instance and category, and each gallery keeps the rules
+    `GalleryManifest.validate` states against its subset's eval quadruples."""
     shows = {i: (im.instance_id, im.category_id, im.subset) for i, im in bench._by_id.items()}
+    grids = {subset: tuple(c.grid) for subset, c in bench.world.configs.items()}
 
     def fault(at: str, record, via: tuple[str, ...], want: tuple[str, str, str]):
         """Raise naming the first broken reference of a record the fast test flagged."""
@@ -278,18 +282,30 @@ def _check_references(src: Path, bench: Benchmark) -> None:
 
     for name, quads in (("quadruples_train.jsonl", bench.train_quads),
                         ("quadruples_eval.jsonl", bench.eval_quads)):
+        by_grid: dict[tuple[int, int], list[int]] = {}
         for i, q in enumerate(quads):
             want = (q.instance_id, q.category_id, q.subset)
             if (shows.get(q.ref_image_id) != want or shows.get(q.target_image_id) != want
                     or q.text_context_id not in bench.world.contexts):
                 fault(f"{src / name}[{i}]", q, ("ref_image_id", "target_image_id"), want)
-        x0, y0, x1, y1 = np.array([q.bbox for q in quads], dtype=np.float64).reshape(-1, 4).T
-        bad = np.flatnonzero(~((0.0 <= x0) & (x0 < x1) & (x1 <= 1.0)
-                               & (0.0 <= y0) & (y0 < y1) & (y1 <= 1.0)))
-        if bad.size:
-            raise DataError(f"{src / name}[{bad[0]}].bbox: {list(quads[bad[0]].bbox)} must "
-                            f"satisfy 0 <= x0 < x1 <= 1 and likewise for y")
+            if not in_bounds(q.bbox):
+                raise DataError(f"{src / name}[{i}].bbox: {list(q.bbox)} must "
+                                f"satisfy 0 <= x0 < x1 <= 1 and likewise for y")
+            by_grid.setdefault(grids[q.subset], []).append(i)
+        covered = np.ones(len(quads), dtype=bool)
+        for grid, rows in by_grid.items():
+            covered[rows] = patch_membership([quads[i].bbox for i in rows], grid).any(axis=1)
+        if (missed := np.flatnonzero(~covered)).size:
+            q = quads[i := int(missed[0])]
+            h, w = grids[q.subset]
+            raise DataError(f"{src / name}[{i}].bbox: {list(q.bbox)} covers no patch center "
+                            f"of the {h}x{w} grid of subset {q.subset!r}")
     for subset, manifest in bench.galleries.items():
+        where = src / f"gallery_{subset}.jsonl"
         for i, e in enumerate(manifest.entries):
             if shows.get(e.image_id) != (want := (e.instance_id, e.category_id, subset)):
-                fault(f"{src / f'gallery_{subset}.jsonl'}[{i}]", e, ("image_id",), want)
+                fault(f"{where}[{i}]", e, ("image_id",), want)
+        try:
+            manifest.validate(bench.eval_quads_of(subset))
+        except GalleryError as exc:
+            raise DataError(f"{where}: {exc}") from None

@@ -5,9 +5,10 @@ x0 < x1 and y0 < y1. A patch "belongs" to a box iff its center lies inside
 under the half-open rule x0 <= cx < x1, y0 <= cy < y1. `patch_membership`
 is the one place that rule is applied to a patch grid. Its three callers are
 the synthetic generator (`benchgen.world._render_grid`), mask construction
-(`fusion.region_mask_from_bbox`) and the ROI-crop filter
-(`harness._roi_viable`), so a planted region, its mask and the crop can
-never disagree.
+(`fusion.region_mask_from_bbox`) and the loader's check that every box covers
+a patch center (`benchgen.pipeline._check_references`), so a planted region,
+its mask and the boxes a benchmark may hold can never disagree. `in_bounds`
+is the one statement of the bounds rule.
 """
 
 from __future__ import annotations
@@ -21,9 +22,14 @@ from focalcir.errors import ContractError, PerturbationError
 BBox = tuple[float, float, float, float]
 
 
-def validate_bbox(bbox: BBox) -> None:
+def in_bounds(bbox: BBox) -> bool:
+    """0 <= x0 < x1 <= 1 and likewise for y; NaN and infinities fail it."""
     x0, y0, x1, y1 = bbox
-    if not (0.0 <= x0 < x1 <= 1.0 and 0.0 <= y0 < y1 <= 1.0):
+    return 0.0 <= x0 < x1 <= 1.0 and 0.0 <= y0 < y1 <= 1.0
+
+
+def validate_bbox(bbox: BBox) -> None:
+    if not in_bounds(bbox):
         raise ContractError(f"bbox must satisfy 0 <= x0 < x1 <= 1 and likewise for y, got {bbox}")
 
 
@@ -73,17 +79,12 @@ def _scaled_about_center(bbox: BBox, s: float) -> BBox:
     return (cx - hw, cy - hh, cx + hw, cy + hh)
 
 
-def _in_bounds(bbox: BBox) -> bool:
-    x0, y0, x1, y1 = bbox
-    return 0.0 <= x0 < x1 <= 1.0 and 0.0 <= y0 < y1 <= 1.0
-
-
 def _scale_to_iou(bbox: BBox, target_iou: float, rng: np.random.Generator) -> BBox:
     # shrinking by sqrt(t) gives IoU exactly t (new box inside old);
     # growing by 1/sqrt(t) does the same when it stays in bounds
     shrink = _scaled_about_center(bbox, math.sqrt(target_iou))
     grow = _scaled_about_center(bbox, 1.0 / math.sqrt(target_iou))
-    if _in_bounds(grow) and rng.random() < 0.5:
+    if in_bounds(grow) and rng.random() < 0.5:
         return grow
     return shrink
 
@@ -140,7 +141,7 @@ def perturb_bbox(bbox: BBox, mode: str, target_iou: float, rng: np.random.Genera
             else:
                 hi = d
         cand = shifted((lo + hi) / 2.0)
-        if abs(iou(bbox, cand) - target_iou) <= 0.02 and _in_bounds(cand):
+        if abs(iou(bbox, cand) - target_iou) <= 0.02 and in_bounds(cand):
             return cand
     raise PerturbationError(
         f"no in-bounds perturbation of {bbox} reaches IoU {target_iou} in mode {mode}"

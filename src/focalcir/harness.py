@@ -1,11 +1,12 @@
 """Experiment harnesses: β sweep, CAAM ablation, bbox robustness, ROI crop.
 
 Every row is one plain evaluate_model call: a setting (beta_override,
-use_bbox, roi_crop) on a benchmark view. Perturbed boxes and the ROI-crop
-filter are views made with dataclasses.replace on eval_quads. The harnesses
-that train read their quadruples through Benchmark.train_quads_of, so
-train.subsets holds for every trained row; the ROI-crop model trains on the
-`cropped` view of each query, at beta 0. Each harness reuses one
+use_bbox, roi_crop) on a benchmark or a view of it. Perturbed boxes are a
+view made with dataclasses.replace on eval_quads. The harnesses that train
+read their quadruples through Benchmark.train_quads_of, so train.subsets
+holds for every trained row; the ROI-crop model trains on the `cropped` view
+of each query, at beta 0, and drops no query, since every box a benchmark
+holds covers a patch center (the loader checks it). Each harness reuses one
 gallery-embedding cache per trained model (target embeddings do not depend
 on the modulation applied to queries), and every table is written by
 metrics_table_text alongside the structured per-row metrics.
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 import zlib
 from dataclasses import dataclass, field, replace
 
@@ -25,7 +25,7 @@ from focalcir.benchgen.pipeline import Benchmark
 from focalcir.benchgen.quadruples import Quadruple
 from focalcir.caam import CRM_VARIANTS, OUTPUT_FORMS
 from focalcir.evaluation import MetricsReport, evaluate_model, train_examples
-from focalcir.geometry import iou, patch_membership, perturb_bbox, validate_bbox
+from focalcir.geometry import iou, perturb_bbox
 from focalcir.model import ModelConfig, ModelParams, TrainConfig, cropped, train
 
 DEFAULT_SWEEP_UNITS = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
@@ -216,19 +216,6 @@ def robustness_table_text(rows: list[RobustnessRow]) -> str:
 # ROI-crop baseline
 
 
-def _roi_viable(bench: Benchmark, quads: list[Quadruple]) -> list[Quadruple]:
-    """The quadruples whose box covers at least one patch center of their
-    subset's grid, in order: one membership test per grid over all boxes."""
-    by_grid: dict[tuple[int, int], list[int]] = {}
-    for i, q in enumerate(quads):
-        validate_bbox(q.bbox)
-        by_grid.setdefault(tuple(bench.world.configs[q.subset].grid), []).append(i)
-    viable = np.zeros(len(quads), dtype=bool)
-    for grid, rows in by_grid.items():
-        viable[rows] = patch_membership([quads[i].bbox for i in rows], grid).any(axis=1)
-    return [q for q, ok in zip(quads, viable) if ok]
-
-
 def roi_crop_baseline(
     bench: Benchmark,
     config: ModelConfig,
@@ -236,19 +223,13 @@ def roi_crop_baseline(
     model_seed: int = 0,
     config_hash: str = "",
 ) -> tuple[ModelParams, MetricsReport]:
-    """Trains and evaluates the crop-to-box variant (no mask, no modulation)."""
+    """Trains the crop-to-box variant (no mask, no modulation) on the cropped
+    train quadruples of train.subsets and evaluates it on every eval
+    quadruple; the loader has checked that each box covers a patch."""
     params = ModelParams(config, bench.encoders, seed=model_seed)
-
-    train_quads = bench.train_quads_of(train_cfg.subsets)
-    usable_train = _roi_viable(bench, train_quads)
-    usable_eval = _roi_viable(bench, bench.eval_quads)
-    dropped = (len(train_quads) - len(usable_train)) + (len(bench.eval_quads) - len(usable_eval))
-    if dropped:
-        warnings.warn(f"roi-crop: skipped {dropped} quadruples whose box covers no patch")
-    examples = [replace(ex, query=cropped(ex.query)) for ex in train_examples(bench, usable_train)]
+    examples = [replace(ex, query=cropped(ex.query))
+                for ex in train_examples(bench, bench.train_quads_of(train_cfg.subsets))]
     train(params, examples, replace(train_cfg, fixed_beta=0.0))
-    report = evaluate_model(
-        params, replace(bench, eval_quads=usable_eval), roi_crop=True,
-        config_hash=config_hash, seed=train_cfg.seed,
-    )
+    report = evaluate_model(params, bench, roi_crop=True,
+                            config_hash=config_hash, seed=train_cfg.seed)
     return params, report

@@ -388,7 +388,7 @@ def train(params: ModelParams, examples: list[TrainExample], cfg: TrainConfig) -
                                     f"loss is {loss.item()}")
             epoch_betas.extend(_beta_scalar(a) for a in applied)
             backward(loss, tape)
-            if adaptive and groups["caam"]:
+            if adaptive:
                 adam_step(groups["caam"], [p.grad for p in groups["caam"]], states["caam"])
             adam_step(groups["encoder"], [p.grad for p in groups["encoder"]], states["encoder"])
             epoch_losses.append(loss.item())

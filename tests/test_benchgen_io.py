@@ -17,7 +17,8 @@ from focalcir.benchgen import (
     write_jsonl,
 )
 from focalcir.benchgen.pipeline import load_benchmark, save_benchmark
-from focalcir.errors import DataError
+from focalcir.errors import DataError, EmptyMaskError
+from focalcir.fusion import region_mask_from_bbox
 
 
 def small_configs():
@@ -173,3 +174,44 @@ def test_benchmark_files_deterministic(tmp_path):
 def test_load_benchmark_missing_dir(tmp_path):
     with pytest.raises(DataError):
         load_benchmark(tmp_path / "nope")
+
+
+def test_loader_rejects_a_box_that_covers_no_patch_center_of_its_grid(tmp_path):
+    # two grids that share their column centers but not their row centers
+    subsets = (("fashion", (4, 4)), ("car", (3, 4)))
+    bench = build_benchmark(
+        configs=[WorldConfig(subset=s, n_categories=2, instances_per_category=4,
+                             images_per_instance=6, n_contexts=6, grid=grid, d_latent=8,
+                             bbox_size_range=(0.4, 0.7), reserve_instances_per_category=3,
+                             reserve_images_per_instance=3) for s, grid in subsets],
+        seed=17, d_model=16, l_text=2, train_cap=3, eval_cap=5, n_distractors=6,
+        thresholds={s: FilterThresholds(4, 0.95, 0.9, 3) for s, _ in subsets},
+    )
+    save_benchmark(tmp_path, bench)
+    path = tmp_path / "quadruples_train.jsonl"
+    head, *lines = path.read_text().splitlines()
+
+    def covers(subset, box):
+        try:
+            region_mask_from_bbox([box], bench.world.configs[subset].grid)
+        except EmptyMaskError:
+            return False
+        return True
+
+    # (0.3, 0.3, 0.45, 0.45) holds the 4x4 center (0.375, 0.375) but no 3x4
+    # center; (0.0, 0.0, 0.1, 0.1) lies between centers on both grids
+    cases = [("car", (0.3, 0.3, 0.45, 0.45)), ("fashion", (0.3, 0.3, 0.45, 0.45)),
+             ("fashion", (0.0, 0.0, 0.1, 0.1)), ("car", (0.0, 0.0, 0.1, 0.1))]
+    assert [covers(s, box) for s, box in cases] == [False, True, False, False]
+    for subset, box in cases:
+        i = next(i for i, q in enumerate(bench.train_quads) if q.subset == subset)
+        rec = json.loads(lines[i])
+        rec["bbox"] = list(box)
+        path.write_text("\n".join([head, *lines[:i], json.dumps(rec), *lines[i + 1:]]) + "\n")
+        if covers(subset, box):
+            assert load_benchmark(tmp_path).train_quads[i].bbox == box
+        else:
+            h, w = bench.world.configs[subset].grid
+            with pytest.raises(DataError, match=rf"quadruples_train.jsonl\[{i}\].bbox: .* "
+                                                rf"covers no patch center of the {h}x{w} grid"):
+                load_benchmark(tmp_path)

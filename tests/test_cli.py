@@ -333,6 +333,10 @@ def test_quadruple_of_an_unknown_subset_exits_2_naming_it(run_dir, tmp_path, cap
     ("gallery_fashion.jsonl", "image_id", "nope"),
     ("gallery_fashion.jsonl", "instance_id", "fashion/nope"),
     ("gallery_fashion.jsonl", "category_id", "fashion/nope"),
+    # a box between the centers of the 4x4 grid (odd multiples of 1/8)
+    ("quadruples_train.jsonl", "bbox", [0.9, 0.9, 0.95, 0.95]),
+    ("quadruples_eval.jsonl", "bbox", [0.9, 0.9, 0.95, 0.95]),
+    ("gallery_fashion.jsonl", "is_target", False),
 ])
 def test_record_that_disagrees_with_the_world_exits_2_naming_it(run_dir, tmp_path, capsys,
                                                                name, key, value):
@@ -346,7 +350,9 @@ def test_record_that_disagrees_with_the_world_exits_2_naming_it(run_dir, tmp_pat
     _edit_first_record(copy / name, lambda r: r.update({key: value}))
     assert main(["eval", "--config", str(cfg_path), "--out", str(copy)]) == 2
     err = capsys.readouterr().err
-    assert f"{name}[0].{key}: " in err and "Traceback" not in err
+    # the gallery rules hold for a file as a whole, not for one entry
+    where = f"{name}: " if key == "is_target" else f"{name}[0].{key}: "
+    assert where in err and "Traceback" not in err
 
 
 def test_train_on_a_single_example_exits_3(run_dir, tmp_path, capsys):

@@ -5,14 +5,11 @@ import numpy as np
 import pytest
 
 from focalcir.benchgen import FilterThresholds, WorldConfig, build_benchmark
-from focalcir.errors import ContractError, EmptyMaskError
 from focalcir.evaluation import evaluate_model
-from focalcir.fusion import region_mask_from_bbox
 from focalcir.geometry import iou, perturb_bbox
 from focalcir.harness import (
     DEFAULT_SWEEP_UNITS,
     _query_rng,
-    _roi_viable,
     ablation_table_text,
     beta_sweep,
     caam_ablation,
@@ -187,61 +184,6 @@ def test_roi_crop_baseline_trains_and_reports(tiny_bench):
     # roi training leaves the modulation head at its zero init
     named = dict(params.named_params())
     assert not named["caam.wc"].data.any()
-
-
-def test_roi_crop_skips_empty_box_queries_with_warning(tiny_bench):
-    # a box between patch centers (grid 4x4 has centers at odd multiples of 1/8)
-    bad = dataclasses.replace(tiny_bench.eval_quads[0], bbox=(0.9, 0.9, 0.95, 0.95))
-    patched = dataclasses.replace(
-        tiny_bench, eval_quads=[bad] + tiny_bench.eval_quads[1:]
-    )
-    cfg = ModelConfig(d_model=16, d_embed=16, m_queries=2, k_probes=2, l_text=2,
-                      n_blocks=1, crm_layers=1)
-    with pytest.warns(UserWarning, match="skipped 1"):
-        _, report = roi_crop_baseline(
-            patched, cfg, TrainConfig(epochs=1, batch_size=8, seed=3), model_seed=5
-        )
-    assert report.per_subset["fashion"].n_queries == len(tiny_bench.eval_quads) - 1
-
-
-def test_roi_viability_matches_per_quadruple_mask_oracle():
-    # two grids that share their column centers but not their row centers
-    subsets = (("fashion", (4, 4)), ("car", (3, 4)))
-    bench = build_benchmark(
-        configs=[WorldConfig(subset=s, n_categories=2, instances_per_category=4,
-                             images_per_instance=6, n_contexts=6, grid=grid, d_latent=8,
-                             bbox_size_range=(0.4, 0.7), reserve_instances_per_category=3,
-                             reserve_images_per_instance=3) for s, grid in subsets],
-        seed=17, d_model=16, l_text=2, train_cap=3, eval_cap=5, n_distractors=6,
-        thresholds={s: FilterThresholds(4, 0.95, 0.9, 3) for s, _ in subsets},
-    )
-    fashion = [q for q in bench.train_quads if q.subset == "fashion"]
-    car = [q for q in bench.train_quads if q.subset == "car"]
-    # (0.3, 0.3, 0.45, 0.45) holds the 4x4 center (0.375, 0.375) but no 3x4
-    # center; (0.0, 0.0, 0.1, 0.1) lies between centers on both grids
-    quads = [
-        dataclasses.replace(car[0], bbox=(0.3, 0.3, 0.45, 0.45)),
-        dataclasses.replace(fashion[0], bbox=(0.3, 0.3, 0.45, 0.45)),
-        dataclasses.replace(fashion[1], bbox=(0.0, 0.0, 0.1, 0.1)),
-        *car[1:4], *fashion[2:5],
-        dataclasses.replace(car[4], bbox=(0.0, 0.0, 0.1, 0.1)),
-    ]
-
-    def viable(q):
-        try:
-            region_mask_from_bbox([q.bbox], bench.world.configs[q.subset].grid)
-        except EmptyMaskError:
-            return False
-        return True
-
-    want = [q for q in quads if viable(q)]
-    assert len(want) == len(quads) - 3
-    assert _roi_viable(bench, quads) == want
-    assert _roi_viable(bench, []) == []
-    # every box is still validated, wherever it sits
-    reversed_box = dataclasses.replace(car[5], bbox=(0.6, 0.2, 0.4, 0.8))
-    with pytest.raises(ContractError):
-        _roi_viable(bench, quads + [reversed_box])
 
 
 def test_comparison_table_text(tiny_bench, tiny_model):

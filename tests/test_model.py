@@ -513,6 +513,7 @@ def test_train_rejects_a_single_example():
         train(params, examples, TrainConfig(epochs=1))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_loss_stops_training_before_the_update():
     # a tau of 1e-320, set past config validation, overflows 1/tau and makes
     # the loss NaN; AdamW must not apply the poisoned gradients
