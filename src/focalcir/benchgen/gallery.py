@@ -76,9 +76,7 @@ def build_gallery(
     manifest = GalleryManifest()
 
     seen: set[str] = set()
-    by_image = {}
     for q in eval_quads:
-        by_image[q.target_image_id] = q
         if q.target_image_id not in seen:
             seen.add(q.target_image_id)
             manifest.entries.append(

@@ -9,8 +9,11 @@ container layout and the record reader live in focalcir.records.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import asdict, dataclass
 from typing import Iterable
+
+import numpy as np
 
 from focalcir.benchgen.world import SyntheticWorld, WorldConfig
 from focalcir.encoders import ContextDescriptor, SyntheticImage
@@ -123,12 +126,23 @@ def load_world(path) -> tuple[SyntheticWorld, str]:
             world.identities[iid] = read_block(fh, (config_of(iid).d_latent,), DataError, path)
         for cat in header.category_ids:
             world.categories[cat] = read_block(fh, (config_of(cat).d_latent,), DataError, path)
-        for rec in header.images:
+        sizes, seen = [], {}
+        for i, rec in enumerate(header.images):
+            if (first := seen.setdefault(rec.image_id, i)) != i:
+                raise DataError(f"{path}.images[{i}].image_id: {rec.image_id!r} "
+                                f"repeats images[{first}]")
             cfg = config_of(rec.subset)
             shape = (*cfg.grid, cfg.d_latent)
             if rec.grid_shape != shape:
                 raise DataError(f"{path}: image {rec.image_id!r} has grid_shape "
                                 f"{list(rec.grid_shape)}, its subset {list(shape)}")
+            sizes.append(math.prod(shape))
+        # one read fills one buffer, and each grid is a view of its stretch;
+        # not a memmap, since a file may be rewritten while its world lives
+        grids = np.empty(sum(sizes), dtype="<f8")
+        if fh.readinto(grids) != grids.nbytes:
+            raise DataError(f"{path} is truncated")
+        for rec, end, size in zip(header.images, itertools.accumulate(sizes), sizes):
             image = SyntheticImage(
                 image_id=rec.image_id,
                 instance_id=rec.instance_id,
@@ -136,7 +150,7 @@ def load_world(path) -> tuple[SyntheticWorld, str]:
                 context_id=rec.context_id,
                 subset=rec.subset,
                 bbox=rec.bbox,
-                grid=read_block(fh, rec.grid_shape, DataError, path),
+                grid=grids[end - size:end].reshape(rec.grid_shape),
             )
             (world.reserve_images if rec.reserve else world.images).append(image)
     return world, header.config_hash

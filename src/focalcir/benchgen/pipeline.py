@@ -24,7 +24,7 @@ from focalcir.encoders import (
     TextEmbedding,
     embed_text,
     encode_image,
-    pooled_image_embedding,
+    pooled_image_embeddings,
 )
 from focalcir.errors import ConfigError, DataError, GalleryError
 from focalcir.geometry import in_bounds, patch_membership
@@ -151,9 +151,10 @@ def build_benchmark(
     pair_counts: dict[str, int] = {}
     for iid in sorted(by_instance):
         subset = iid.split("/")[0]
-        pairs = filter_pairs(
-            by_instance[iid], thresholds[subset], lambda im: pooled_image_embedding(im, enc)
-        )
+        images = by_instance[iid]
+        # one batched call gives every image of the instance its feature row
+        row = dict(zip([im.image_id for im in images], pooled_image_embeddings(images, enc)))
+        pairs = filter_pairs(images, thresholds[subset], lambda im: row[im.image_id])
         pair_counts[subset] = pair_counts.get(subset, 0) + len(pairs)
         if pairs:
             pairs_by_instance[iid] = pairs

@@ -89,20 +89,21 @@ def _sample_bbox(rng: np.random.Generator, cfg: WorldConfig):
     return bbox
 
 
-def _render_grid(
-    rng: np.random.Generator,
-    cfg: WorldConfig,
-    identity: np.ndarray,
-    context: np.ndarray,
-    bbox,
-) -> np.ndarray:
+def _render_pool(noise: np.ndarray, planted: list, cfg: WorldConfig) -> None:
+    """Turns a pool's (N, h, w, d_latent) block of standard-normal noise into
+    its N grids in place: patches whose centers fall inside an image's box
+    carry its identity, the rest its context. Each element is sigma * z plus
+    its base, the operands of base + sigma * z, so the grids are bit-identical
+    to rendering each image alone. `planted` holds one (identity, context,
+    bbox) per image, in block order."""
+    if not planted:
+        return
+    identities, contexts, boxes = zip(*planted)
     h, w = cfg.grid
-    inside = patch_membership([bbox], cfg.grid).reshape(h, w, 1)
-    # a Generator fills an (h, w, d) request from the same stream as h*w
-    # requests of size d in raster order, and each element is still
-    # base + sigma * z, so the grid is bit-identical to a per-patch loop
-    noise = rng.normal(size=(h, w, cfg.d_latent))
-    return np.where(inside, identity, context) + cfg.noise_sigma * noise
+    inside = patch_membership(boxes, cfg.grid).reshape(-1, h, w, 1)
+    noise *= cfg.noise_sigma
+    noise += np.where(inside, np.stack(identities)[:, None, None],
+                      np.stack(contexts)[:, None, None])
 
 
 def _context_schedule(rng: np.random.Generator, n_images: int, n_contexts: int) -> list[int]:
@@ -120,15 +121,20 @@ def _generate_subset(world: SyntheticWorld, cfg: WorldConfig, ss: np.random.Seed
     context_ids = [f"{s}/ctx{i:02d}" for i in range(cfg.n_contexts)]
     for cid in context_ids:
         world.contexts[cid] = ContextDescriptor(context_id=cid, latent=_unit(rng, cfg.d_latent))
+    pools = (
+        ("inst", cfg.instances_per_category, cfg.images_per_instance, world.images),
+        ("res", cfg.reserve_instances_per_category, cfg.reserve_images_per_instance, world.reserve_images),
+    )
+    # each pool's noise fills one block in stream order, and each image's
+    # grid is a view of its row; the block is rendered once the pool is drawn
+    blocks = [np.empty((cfg.n_categories * n_instances * n_images, *cfg.grid, cfg.d_latent))
+              for _, n_instances, n_images, _ in pools]
+    planted: list[list] = [[] for _ in pools]
     for cat in range(cfg.n_categories):
         category_id = f"{s}/cat{cat}"
         proto = _unit(rng, cfg.d_latent)
         world.categories[category_id] = proto
-        pools = (
-            ("inst", cfg.instances_per_category, cfg.images_per_instance, world.images),
-            ("res", cfg.reserve_instances_per_category, cfg.reserve_images_per_instance, world.reserve_images),
-        )
-        for tag, n_instances, n_images, sink in pools:
+        for (tag, n_instances, n_images, sink), block, drawn in zip(pools, blocks, planted):
             for k in range(n_instances):
                 instance_id = f"{category_id}/{tag}{k:02d}"
                 world.identities[instance_id] = _instance_latent(rng, proto, cfg.identity_delta)
@@ -136,10 +142,14 @@ def _generate_subset(world: SyntheticWorld, cfg: WorldConfig, ss: np.random.Seed
                 for i, ctx_idx in enumerate(schedule):
                     ctx_id = context_ids[ctx_idx]
                     bbox = _sample_bbox(rng, cfg)
-                    grid = _render_grid(
-                        rng, cfg, world.identities[instance_id],
-                        world.contexts[ctx_id].latent, bbox,
-                    )
+                    grid = block[len(drawn)]
+                    # the z that rng.normal(size=grid.shape) returns as
+                    # 0.0 + 1.0 * z, equal but for the sign of a zero, which
+                    # adding the base erases; an (h, w, d) request takes the
+                    # same stream as h*w requests of size d in raster order
+                    rng.standard_normal(out=grid)
+                    drawn.append(
+                        (world.identities[instance_id], world.contexts[ctx_id].latent, bbox))
                     sink.append(
                         SyntheticImage(
                             image_id=f"{instance_id}/img{i:02d}",
@@ -151,6 +161,8 @@ def _generate_subset(world: SyntheticWorld, cfg: WorldConfig, ss: np.random.Seed
                             grid=grid,
                         )
                     )
+    for block, drawn in zip(blocks, planted):
+        _render_pool(block, drawn, cfg)
 
 
 def generate_world(configs: list[WorldConfig], seed: int) -> SyntheticWorld:

@@ -79,9 +79,14 @@ def encode_image(image: SyntheticImage | np.ndarray, enc: EncoderParams) -> np.n
     return grid.reshape(h * w, d) @ enc.image_proj
 
 
-def pooled_image_embedding(image: SyntheticImage | np.ndarray, enc: EncoderParams) -> np.ndarray:
-    """Mean of the patch embeddings; the feature used by benchmark filtering."""
-    return encode_image(image, enc).mean(axis=0)
+def pooled_image_embeddings(images: list[SyntheticImage], enc: EncoderParams) -> np.ndarray:
+    """(N, d_model): each image's mean patch embedding, the feature used by
+    benchmark filtering. The images share one grid shape; one projection
+    covers all their patches, and each row equals
+    encode_image(image, enc).mean(axis=0)."""
+    grids = np.stack([im.grid for im in images])
+    n, h, w, d = grids.shape
+    return (grids.reshape(n * h * w, d) @ enc.image_proj).reshape(n, h * w, -1).mean(axis=1)
 
 
 def embed_text(descriptor: ContextDescriptor, enc: EncoderParams) -> TextEmbedding:

@@ -4,7 +4,7 @@ Boxes are (x0, y0, x1, y1) in normalized [0, 1] image coordinates with
 x0 < x1 and y0 < y1. A patch "belongs" to a box iff its center lies inside
 under the half-open rule x0 <= cx < x1, y0 <= cy < y1. `patch_membership`
 is the one place that rule is applied to a patch grid. Its three callers are
-the synthetic generator (`benchgen.world._render_grid`), mask construction
+the synthetic generator (`benchgen.world._render_pool`), mask construction
 (`fusion.region_mask_from_bbox`) and the loader's check that every box covers
 a patch center (`benchgen.pipeline._check_references`), so a planted region,
 its mask and the boxes a benchmark may hold can never disagree. `in_bounds`

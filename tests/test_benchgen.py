@@ -12,11 +12,16 @@ from focalcir.benchgen import (
     make_quadruples,
 )
 from focalcir.benchgen.quadruples import largest_remainder
-from focalcir.benchgen.world import _render_grid
-from focalcir.encoders import EncoderParams, SyntheticImage, pooled_image_embedding
+from focalcir.benchgen.world import _render_pool
+from focalcir.encoders import (
+    EncoderParams,
+    SyntheticImage,
+    encode_image,
+    pooled_image_embeddings,
+)
 from focalcir.errors import ConfigError, ContractError, GalleryError
 from focalcir.fusion import region_mask_from_bbox
-from focalcir.geometry import center_inside, patch_center
+from reference import generate_world_per_image, render_loop
 
 
 def small_configs(**overrides):
@@ -91,18 +96,6 @@ def test_every_bbox_covers_at_least_one_patch(small_world):
         assert mask.sum() >= 1
 
 
-def render_loop(rng, cfg, identity, context, bbox):
-    """The per-patch render the vectorised one replaced, kept as its reference."""
-    h, w = cfg.grid
-    grid = np.empty((h, w, cfg.d_latent))
-    for r in range(h):
-        for c in range(w):
-            cx, cy = patch_center(r, c, cfg.grid)
-            base = identity if center_inside(bbox, cx, cy) else context
-            grid[r, c] = base + cfg.noise_sigma * rng.normal(size=cfg.d_latent)
-    return grid
-
-
 @pytest.mark.parametrize(
     "grid, bbox",
     [
@@ -114,20 +107,52 @@ def render_loop(rng, cfg, identity, context, bbox):
     ],
 )
 def test_render_equals_per_patch_loop(grid, bbox):
+    # one pool renders the case's box between two others
+    boxes = [(0.0, 0.5, 0.5, 1.0), bbox, (0.5, 0.0, 1.0, 0.5)]
     for sigma in (0.1, 0.0):
         cfg = WorldConfig(subset="x", grid=grid, d_latent=6, noise_sigma=sigma)
-        latents = np.random.default_rng(1).normal(size=(2, cfg.d_latent))
+        latents = np.random.default_rng(1).normal(size=(len(boxes), 2, cfg.d_latent))
+        planted = [(ident, ctx, box) for (ident, ctx), box in zip(latents, boxes)]
         fast, slow = np.random.default_rng(9), np.random.default_rng(9)
-        got = _render_grid(fast, cfg, latents[0], latents[1], bbox)
-        want = render_loop(slow, cfg, latents[0], latents[1], bbox)
-        assert got.shape == want.shape and np.array_equal(got, want)
+        # the block is filled as generate_world fills it, one row per image
+        got = np.empty((len(boxes), *grid, cfg.d_latent))
+        for row in got:
+            fast.standard_normal(out=row)
+        _render_pool(got, planted, cfg)
+        want = np.stack([render_loop(slow, cfg, *p) for p in planted])
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
         # both consumed the same stretch of the stream
         assert fast.normal() == slow.normal()
     # without noise the planted patches are the identity itself
-    inside = np.all(got == latents[0], axis=-1)
-    assert inside.any() and inside.sum() + np.all(got == latents[1], axis=-1).sum() == inside.size
+    for (ident, ctx, box), rendered in zip(planted, got):
+        inside = np.all(rendered == ident, axis=-1)
+        assert inside.any() and inside.sum() + np.all(rendered == ctx, axis=-1).sum() == inside.size
     if bbox == (0.375, 0.375, 0.625, 0.625):
-        assert np.flatnonzero(inside).tolist() == [5]
+        assert np.flatnonzero(np.all(got[1] == latents[1][0], axis=-1)).tolist() == [5]
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_world_equals_per_image_reference(seed):
+    # two subsets with different grids; the second has an empty reserve pool
+    configs = small_configs() + [WorldConfig(
+        subset="car", n_categories=3, instances_per_category=2, images_per_instance=4,
+        n_contexts=5, grid=(3, 5), d_latent=8, bbox_size_range=(0.4, 0.7),
+        reserve_instances_per_category=2, reserve_images_per_instance=0)]
+    got = generate_world(configs, seed)
+    want = generate_world_per_image(configs, seed)
+    for pool in ("images", "reserve_images"):
+        a, b = getattr(got, pool), getattr(want, pool)
+        assert [im.image_id for im in a] == [im.image_id for im in b]
+        for x, y in zip(a, b):
+            assert (x.instance_id, x.category_id, x.context_id, x.subset, x.bbox) == (
+                y.instance_id, y.category_id, y.context_id, y.subset, y.bbox)
+            assert x.grid.shape == y.grid.shape and x.grid.tobytes() == y.grid.tobytes()
+    for name in ("identities", "categories"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.keys() == b.keys() and all(a[k].tobytes() == b[k].tobytes() for k in a)
+    assert got.contexts.keys() == want.contexts.keys()
+    assert all(got.contexts[k].latent.tobytes() == want.contexts[k].latent.tobytes()
+               for k in got.contexts)
 
 
 def test_identities_are_unit_and_clustered_by_category(small_world):
@@ -214,6 +239,13 @@ def filter_oracle(features, thr):
             if i != j and cos[i][j] <= thr.tau_high:
                 pairs.append((i, j))
     return pairs
+
+
+def pooled_embed(images, enc):
+    """The embed build_benchmark gives filter_pairs: each image's row of
+    one pooled_image_embeddings call over the set."""
+    table = dict(zip([im.image_id for im in images], pooled_image_embeddings(images, enc)))
+    return lambda im: table[im.image_id]
 
 
 def near_orthogonal_features(rng, n, d=64):
@@ -318,8 +350,9 @@ def test_filtering_on_generated_world_matches_oracle(small_world):
     thr = FilterThresholds(tau_valid=4, tau_high=0.9, tau_centric=0.85, tau_count=2)
     instance = small_world.images[0].instance_id
     images = [im for im in small_world.images if im.instance_id == instance]
-    feats = np.stack([pooled_image_embedding(im, enc) for im in images])
-    got = filter_pairs(images, thr, lambda im: pooled_image_embedding(im, enc))
+    feats = np.stack([encode_image(im, enc).mean(axis=0) for im in images])
+    assert pooled_image_embeddings(images, enc).tobytes() == feats.tobytes()
+    got = filter_pairs(images, thr, pooled_embed(images, enc))
     want = [(images[i].image_id, images[j].image_id) for i, j in filter_oracle(feats, thr)]
     assert got == want
 
@@ -383,7 +416,7 @@ def test_make_quadruples_deterministic(small_world):
     for im in small_world.images:
         by_instance.setdefault(im.instance_id, []).append(im)
     pairs = {
-        iid: filter_pairs(ims, thr, lambda im: pooled_image_embedding(im, enc))
+        iid: filter_pairs(ims, thr, pooled_embed(ims, enc))
         for iid, ims in by_instance.items()
     }
     pairs = {k: v for k, v in pairs.items() if v}
@@ -412,7 +445,7 @@ def test_gallery_histogram_proportional_for_divisible_sizes(small_world):
     for im in small_world.images:
         by_instance.setdefault(im.instance_id, []).append(im)
     pairs = {
-        iid: filter_pairs(ims, thr, lambda im: pooled_image_embedding(im, enc))
+        iid: filter_pairs(ims, thr, pooled_embed(ims, enc))
         for iid, ims in by_instance.items()
     }
     _, eval_quads = make_quadruples({k: v for k, v in pairs.items() if v}, small_world, seed=5)

@@ -45,11 +45,12 @@ def test_world_round_trip(tmp_path):
     assert loaded.seed == world.seed
     assert loaded.configs == world.configs
     assert [im.image_id for im in loaded.images] == [im.image_id for im in world.images]
-    assert len(loaded.reserve_images) == len(world.reserve_images)
-    for a, b in zip(world.images, loaded.images):
+    assert ([im.image_id for im in loaded.reserve_images]
+            == [im.image_id for im in world.reserve_images])
+    for a, b in zip(world.images + world.reserve_images, loaded.images + loaded.reserve_images):
         assert a.bbox == b.bbox
         assert a.context_id == b.context_id
-        assert np.array_equal(a.grid, b.grid)
+        assert a.grid.shape == b.grid.shape and a.grid.tobytes() == b.grid.tobytes()
     for cid, ctx in world.contexts.items():
         assert np.array_equal(ctx.latent, loaded.contexts[cid].latent)
     for iid, latent in world.identities.items():
@@ -67,15 +68,21 @@ def test_world_bytes_deterministic(tmp_path):
 def test_world_rejects_foreign_and_truncated_files(tmp_path):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"something else entirely")
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="is not a world file"):
         load_world(bad)
     world = generate_world(small_configs(), seed=5)
     path = tmp_path / "world.bin"
     save_world(path, world)
+    raw = path.read_bytes()
+    grid_bytes = world.images[0].grid.nbytes  # every grid of the one subset
+    first_grid = len(raw) - grid_bytes * (len(world.images) + len(world.reserve_images))
     clipped = tmp_path / "clipped.bin"
-    clipped.write_bytes(path.read_bytes()[:-16])
-    with pytest.raises(DataError):
-        load_world(clipped)
+    # the last 16 bytes, mid first grid, the last grid, every grid
+    for keep in (len(raw) - 16, first_grid + grid_bytes // 2, len(raw) - grid_bytes, first_grid):
+        clipped.write_bytes(raw[:keep])
+        with pytest.raises(DataError) as info:
+            load_world(clipped)
+        assert str(info.value) == f"{clipped} is truncated"
 
 
 def rewrite_world_header(path, edit):
@@ -111,6 +118,8 @@ def _set_first_image(key, value):
         (_set_first_image("grid_shape", [4, 4, 9]), "grid_shape [4, 4, 9], its subset [4, 4, 8]"),
         (_set_first_image("subset", "boat"), "'boat' belongs to no subset"),
         (lambda h: h["context_ids"].__setitem__(0, "boat/ctx00"), "'boat/ctx00' belongs to no"),
+        (lambda h: h["images"][47].update(image_id=h["images"][46]["image_id"]),
+         "world.bin.images[47].image_id: 'fashion/cat1/res02/img01' repeats images[46]"),
     ],
 )
 def test_world_header_damage_names_the_key(tmp_path, edit, message):

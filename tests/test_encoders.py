@@ -6,9 +6,10 @@ import pytest
 from focalcir.encoders import (
     ContextDescriptor,
     EncoderParams,
+    SyntheticImage,
     embed_text,
     encode_image,
-    pooled_image_embedding,
+    pooled_image_embeddings,
 )
 from focalcir.errors import DimensionError
 from focalcir.numerics import cosine_sim
@@ -59,8 +60,13 @@ def test_encode_image_wrong_latent_dim_raises():
 def test_pooled_embedding_is_patch_mean():
     enc = make_enc()
     rng = np.random.default_rng(2)
-    grid = rng.normal(size=(4, 4, 16))
-    assert np.allclose(pooled_image_embedding(grid, enc), encode_image(grid, enc).mean(axis=0))
+    for n, grid in ((1, (4, 4)), (9, (8, 8)), (21, (3, 5))):
+        images = [SyntheticImage(f"s/cat0/inst00/img{i:02d}", "s/cat0/inst00", "s/cat0",
+                                 "s/ctx00", "s", (0.2, 0.2, 0.7, 0.7), rng.normal(size=(*grid, 16)))
+                  for i in range(n)]
+        want = np.stack([encode_image(im, enc).mean(axis=0) for im in images])
+        got = pooled_image_embeddings(images, enc)
+        assert got.shape == (n, 32) and got.tobytes() == want.tobytes()
 
 
 def test_embed_text_shape_and_determinism():
