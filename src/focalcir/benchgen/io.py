@@ -142,6 +142,8 @@ def load_world(path) -> tuple[SyntheticWorld, str]:
         grids = np.empty(sum(sizes), dtype="<f8")
         if fh.readinto(grids) != grids.nbytes:
             raise DataError(f"{path} is truncated")
+        if fh.read(1):  # a file spliced from two worlds, or a doubled tail
+            raise DataError(f"{path} has bytes after its last grid")
         for rec, end, size in zip(header.images, itertools.accumulate(sizes), sizes):
             image = SyntheticImage(
                 image_id=rec.image_id,

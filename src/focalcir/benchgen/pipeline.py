@@ -28,7 +28,7 @@ from focalcir.encoders import (
 )
 from focalcir.errors import ConfigError, DataError, GalleryError
 from focalcir.geometry import in_bounds, patch_membership
-from focalcir.records import from_record, open_file, parse_json, write_json
+from focalcir.records import check_ranges, from_record, open_file, parse_json, write_json
 
 
 def default_world_configs() -> list[WorldConfig]:
@@ -125,6 +125,12 @@ def build_benchmark(
     n_distractors: int = 320,
     thresholds: dict[str, FilterThresholds] | None = None,
 ) -> Benchmark:
+    # the ranges load_benchmark holds the saved settings to
+    settings = BenchmarkSettings(
+        seed=int(seed), d_model=d_model, l_text=l_text,
+        train_cap=train_cap, eval_cap=eval_cap, n_distractors=n_distractors,
+    )
+    check_ranges(settings, ConfigError)
     configs = default_world_configs() if configs is None else configs
     d_latents = {c.d_latent for c in configs}
     if len(d_latents) != 1:
@@ -170,10 +176,6 @@ def build_benchmark(
         for cfg in configs
     }
 
-    settings = BenchmarkSettings(
-        seed=int(seed), d_model=d_model, l_text=l_text,
-        train_cap=train_cap, eval_cap=eval_cap, n_distractors=n_distractors,
-    )
     stats = {}
     for cfg in configs:
         s = cfg.subset

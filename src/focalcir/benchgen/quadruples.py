@@ -60,21 +60,18 @@ def _split_instances(
     for inst in sorted(instances):
         by_cat.setdefault(category_of[inst], []).append(inst)
     quotas = largest_remainder(n_train, {c: float(len(v)) for c, v in by_cat.items()})
+    # each quota is at most its category's size, since n_train <= n and only
+    # a fractional share is rounded up, and the quotas sum to n_train
     train: set[str] = set()
     for cat in sorted(by_cat):
         members = by_cat[cat]
-        take = min(quotas[cat], len(members))
         order = rng.permutation(len(members))
-        train.update(members[i] for i in order[:take])
-    # remainder rounding can ask for more than a category holds; top up elsewhere
-    while len(train) < n_train:
-        leftovers = [i for i in sorted(instances) if i not in train]
-        train.add(leftovers[int(rng.integers(len(leftovers)))])
+        train.update(members[i] for i in order[: quotas[cat]])
     return train, set(instances) - train
 
 
 def _capped(pairs: list[tuple[str, str]], cap: int, rng: np.random.Generator) -> list[tuple[str, str]]:
-    if cap <= 0 or len(pairs) <= cap:
+    if len(pairs) <= cap:
         return list(pairs)
     chosen = sorted(rng.permutation(len(pairs))[:cap])
     return [pairs[i] for i in chosen]

@@ -31,9 +31,7 @@ class WorldConfig(ConfigSection):
     n_contexts: int = field(default=10, metadata={"ge": 1})
     grid: tuple[int, int] = field(default=(8, 8), metadata={"ge": 1})
     d_latent: int = field(default=16, metadata={"ge": 2})
-    noise_sigma: float = field(default=0.1, metadata={"ge": 0.0})
     bbox_size_range: tuple[float, float] = field(default=(0.25, 0.5), metadata={"gt": 0.0, "le": 1.0})
-    identity_delta: float = field(default=0.35, metadata={"ge": 0.0})  # spread around the prototype
     reserve_instances_per_category: int = field(default=12, metadata={"ge": 0})
     reserve_images_per_instance: int = field(default=8, metadata={"ge": 0})
 
@@ -71,10 +69,13 @@ def _unit(rng: np.random.Generator, d: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _instance_latent(rng: np.random.Generator, proto: np.ndarray, delta: float) -> np.ndarray:
-    # delta scales a unit direction, so the cluster radius (and the
+IDENTITY_DELTA = 0.35  # the spread of instance identities around their prototype
+
+
+def _instance_latent(rng: np.random.Generator, proto: np.ndarray) -> np.ndarray:
+    # the spread scales a unit direction, so the cluster radius (and the
     # within-category cosine ~ 1/(1+delta^2)) is dimension-independent
-    v = proto + delta * _unit(rng, proto.shape[0])
+    v = proto + IDENTITY_DELTA * _unit(rng, proto.shape[0])
     return v / np.linalg.norm(v)
 
 
@@ -89,6 +90,9 @@ def _sample_bbox(rng: np.random.Generator, cfg: WorldConfig):
     return bbox
 
 
+NOISE_SIGMA = 0.1  # the std of the noise on every patch latent
+
+
 def _render_pool(noise: np.ndarray, planted: list, cfg: WorldConfig) -> None:
     """Turns a pool's (N, h, w, d_latent) block of standard-normal noise into
     its N grids in place: patches whose centers fall inside an image's box
@@ -101,7 +105,7 @@ def _render_pool(noise: np.ndarray, planted: list, cfg: WorldConfig) -> None:
     identities, contexts, boxes = zip(*planted)
     h, w = cfg.grid
     inside = patch_membership(boxes, cfg.grid).reshape(-1, h, w, 1)
-    noise *= cfg.noise_sigma
+    noise *= NOISE_SIGMA
     noise += np.where(inside, np.stack(identities)[:, None, None],
                       np.stack(contexts)[:, None, None])
 
@@ -137,7 +141,7 @@ def _generate_subset(world: SyntheticWorld, cfg: WorldConfig, ss: np.random.Seed
         for (tag, n_instances, n_images, sink), block, drawn in zip(pools, blocks, planted):
             for k in range(n_instances):
                 instance_id = f"{category_id}/{tag}{k:02d}"
-                world.identities[instance_id] = _instance_latent(rng, proto, cfg.identity_delta)
+                world.identities[instance_id] = _instance_latent(rng, proto)
                 schedule = _context_schedule(rng, n_images, cfg.n_contexts)
                 for i, ctx_idx in enumerate(schedule):
                     ctx_id = context_ids[ctx_idx]

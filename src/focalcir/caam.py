@@ -24,6 +24,8 @@ import numpy as np
 from focalcir.errors import DimensionError
 from focalcir.encoders import TextEmbedding
 from focalcir.fusion import (
+    TOKEN_INIT,
+    WEIGHT_INIT,
     FfnParams,
     FusionParams,
     LayerParams,
@@ -117,20 +119,19 @@ def init_crm_params(rng: np.random.Generator, config: ModelConfig) -> CrmParams:
 
 
 def init_caam_params(rng: np.random.Generator, config: ModelConfig, zero_head: bool) -> CaamParams:
-    d, scale = config.d_model, config.weight_init
+    d = config.d_model
     out_dim = 1 if config.modulation == "scalar" else config.m_queries
     if zero_head:
         wc = np.zeros((d, out_dim))
         bc = np.zeros((1, out_dim))
     else:
-        wc = rng.normal(0.0, scale, size=(d, out_dim))
-        bc = rng.normal(0.0, scale, size=(1, out_dim))
+        wc = rng.normal(0.0, WEIGHT_INIT, size=(d, out_dim))
+        bc = rng.normal(0.0, WEIGHT_INIT, size=(1, out_dim))
     return CaamParams(
         probes=Tensor(
-            rng.normal(0.0, config.token_init, size=(config.k_probes, d)),
-            requires_grad=config.probes_learnable,
+            rng.normal(0.0, TOKEN_INIT, size=(config.k_probes, d)), requires_grad=True
         ),
-        cls=Tensor(rng.normal(0.0, config.token_init, size=(1, d)), requires_grad=True),
+        cls=Tensor(rng.normal(0.0, TOKEN_INIT, size=(1, d)), requires_grad=True),
         crm=init_crm_params(rng, config),
         wc=Tensor(wc, requires_grad=True),
         bc=Tensor(bc, requires_grad=True),

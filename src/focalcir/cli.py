@@ -39,6 +39,7 @@ from focalcir.model import (
     load_checkpoint,
     query_representation,
     save_checkpoint,
+    subset_list_rule,
     target_representation,
     train,
 )
@@ -105,8 +106,8 @@ def _parse_subsets(arg: str | None) -> tuple[str, ...] | None:
     if arg is None:
         return None
     names = tuple(s.strip() for s in arg.split(",") if s.strip())
-    if not names:
-        raise ConfigError("--subsets must name at least one subset")
+    if broken := subset_list_rule("--subsets", names):
+        raise ConfigError(broken)
     return names
 
 

@@ -381,12 +381,18 @@ def encode_target(
 # ---------------------------------------------------------------------------
 # initialization
 
+# weight matrices are drawn from N(0, WEIGHT_INIT^2) and token rows (fusion
+# queries, probes, cls tokens) from N(0, TOKEN_INIT^2)
+WEIGHT_INIT = 0.1
+TOKEN_INIT = 0.02
+FFN_MULT = 2  # the feed-forward hidden width, in multiples of d_model
+
 
 def init_attention_params(rng: np.random.Generator, config: ModelConfig) -> AttentionParams:
     d = config.d_model
 
     def w() -> Tensor:
-        return Tensor(rng.normal(0.0, config.weight_init, size=(d, d)), requires_grad=True)
+        return Tensor(rng.normal(0.0, WEIGHT_INIT, size=(d, d)), requires_grad=True)
 
     def b() -> Tensor:
         return Tensor(np.zeros((1, d)), requires_grad=True)
@@ -403,11 +409,11 @@ def init_layer_norm(config: ModelConfig) -> LayerNormParams:
 
 
 def init_ffn(rng: np.random.Generator, config: ModelConfig) -> FfnParams:
-    d, hidden, scale = config.d_model, config.d_model * config.ffn_mult, config.weight_init
+    d, hidden = config.d_model, config.d_model * FFN_MULT
     return FfnParams(
-        w1=Tensor(rng.normal(0.0, scale, size=(d, hidden)), requires_grad=True),
+        w1=Tensor(rng.normal(0.0, WEIGHT_INIT, size=(d, hidden)), requires_grad=True),
         b1=Tensor(np.zeros((1, hidden)), requires_grad=True),
-        w2=Tensor(rng.normal(0.0, scale, size=(hidden, d)), requires_grad=True),
+        w2=Tensor(rng.normal(0.0, WEIGHT_INIT, size=(hidden, d)), requires_grad=True),
         b2=Tensor(np.zeros((1, d)), requires_grad=True),
     )
 
@@ -426,7 +432,7 @@ def init_layer(rng: np.random.Generator, config: ModelConfig, cross: bool) -> La
 def init_fusion_params(rng: np.random.Generator, config: ModelConfig) -> FusionParams:
     """Fusion queries are frozen; the blocks train."""
     return FusionParams(
-        queries=Tensor(rng.normal(0.0, config.token_init, size=(config.m_queries, config.d_model))),
+        queries=Tensor(rng.normal(0.0, TOKEN_INIT, size=(config.m_queries, config.d_model))),
         blocks=[init_layer(rng, config, cross=True) for _ in range(config.n_blocks)],
         n_heads=config.n_heads,
     )

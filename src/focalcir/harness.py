@@ -98,13 +98,12 @@ def beta_sweep(
 
 
 # the CAAM fields an ablation row records, in the order ablate_caam.json lists them
-_VARIANT_KEYS = ("crm_variant", "probes_learnable", "crm_layers", "k_probes", "modulation")
+_VARIANT_KEYS = ("crm_variant", "crm_layers", "k_probes", "modulation")
 
 
 def variant_label(config: ModelConfig) -> str:
-    probes = "learnable" if config.probes_learnable else "frozen"
     return (
-        f"crm={config.crm_variant} probes={probes} layers={config.crm_layers} "
+        f"crm={config.crm_variant} layers={config.crm_layers} "
         f"K={config.k_probes} form={config.modulation}"
     )
 

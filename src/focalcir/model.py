@@ -19,7 +19,6 @@ Crop-to-box is a view of a query (`cropped`), not a mode of the model.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Sequence
 
@@ -34,6 +33,8 @@ from focalcir.errors import (
     DimensionError,
 )
 from focalcir.fusion import (
+    TOKEN_INIT,
+    WEIGHT_INIT,
     encode_target,
     init_fusion_params,
     multimodal_encode,
@@ -67,6 +68,8 @@ from focalcir.numerics.tensor import (
 )
 
 _UNIT_ROW_TOL = 1e-6
+# the fixed contrastive temperature: logits are cosines / TAU
+TAU = 0.07
 _SIZE = {"ge": 1}  # the declared range of every model size
 
 
@@ -81,46 +84,38 @@ class ModelConfig(ConfigSection):
     l_text: int = field(default=4, metadata=_SIZE)
     n_blocks: int = field(default=2, metadata=_SIZE)
     n_heads: int = field(default=1, metadata=_SIZE)
-    ffn_mult: int = field(default=2, metadata=_SIZE)
     crm_variant: str = field(default="transformer", metadata={"choices": CRM_VARIANTS})
     crm_layers: int = field(default=2, metadata=_SIZE)
     modulation: str = field(default="scalar", metadata={"choices": OUTPUT_FORMS})
-    probes_learnable: bool = True
-    token_init: float = field(default=0.02, metadata={"ge": 0.0})
-    weight_init: float = field(default=0.1, metadata={"ge": 0.0})
-    # fixed contrastive temperature; logits are cosines / tau, so above 1 the softmax flattens
-    tau: float = field(default=0.07, metadata={"gt": 0.0, "le": 1.0})
 
     def rules(self) -> str | None:
         if self.d_model % self.n_heads != 0:
             return f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
-        # the loss scales similarities by 1/tau, so that must be finite too
-        if not math.isfinite(1.0 / self.tau):
-            return f"1/tau must be finite, got tau={self.tau}"
+
+
+def subset_list_rule(key: str, names: tuple[str, ...]) -> str | None:
+    """How a list of subset names breaks being a non-empty set, or None."""
+    if not names:
+        return f"{key} must name at least one subset"
+    if len(set(names)) != len(names):
+        repeated = next(n for i, n in enumerate(names) if n in names[:i])
+        return f"{key} names {repeated!r} twice"
 
 
 @dataclass
 class TrainConfig(ConfigSection):
-    """Desk-scale training defaults.
-
-    The learning rates keep the reference setting's 10:1 ratio between the
-    modulation predictor and the encoder stack, but are raised for training
-    from random initialization; a fine-tuning run on pretrained weights
-    would use 1e-4 / 1e-5.
-    """
+    """Desk-scale training defaults."""
 
     epochs: int = field(default=10, metadata={"ge": 1})
     batch_size: int = field(default=32, metadata={"ge": 2})  # in-batch contrast needs two
-    # an AdamW step moves a weight by about lr, so above 1 it swamps weights of scale 0.1
-    lr_caam: float = field(default=2e-3, metadata={"gt": 0.0, "le": 1.0})
-    lr_encoder: float = field(default=2e-4, metadata={"gt": 0.0, "le": 1.0})
-    weight_decay: float = field(default=0.05, metadata={"ge": 0.0})
-    adam_beta1: float = field(default=0.9, metadata={"ge": 0.0, "lt": 1.0})  # Kingma & Ba 2014
-    adam_beta2: float = field(default=0.98, metadata={"ge": 0.0, "lt": 1.0})
-    adam_eps: float = field(default=1e-8, metadata={"gt": 0.0})
     seed: int = field(default=7, metadata={"ge": 0})
     fixed_beta: float | None = field(default=None, metadata={"ge": 0.0})  # None: adaptive
     subsets: tuple[str, ...] | None = None  # restrict training data, e.g. leave-one-out
+
+    def rules(self) -> str | None:
+        # a set of subsets: a checkpoint records it sorted, and runs compare it
+        if self.subsets is not None:
+            return subset_list_rule("'subsets'", self.subsets)
 
 
 @dataclass
@@ -208,19 +203,19 @@ class ModelParams:
         self.fusion = init_fusion_params(rng, config)
         self.caam = init_caam_params(rng, config, zero_modulation_head)
         self.rep_cls = Tensor(
-            rng.normal(0.0, config.token_init, size=(1, config.d_model)), requires_grad=True
+            rng.normal(0.0, TOKEN_INIT, size=(1, config.d_model)), requires_grad=True
         )
         self.w_query = Tensor(
-            rng.normal(0.0, config.weight_init, size=(config.d_model, config.d_embed)),
+            rng.normal(0.0, WEIGHT_INIT, size=(config.d_model, config.d_embed)),
             requires_grad=True,
         )
         self.b_query = Tensor(np.zeros((1, config.d_embed)), requires_grad=True)
         self.w_target = Tensor(
-            rng.normal(0.0, config.weight_init, size=(config.d_model, config.d_embed)),
+            rng.normal(0.0, WEIGHT_INIT, size=(config.d_model, config.d_embed)),
             requires_grad=True,
         )
         self.b_target = Tensor(np.zeros((1, config.d_embed)), requires_grad=True)
-        self.tau = config.tau
+        self.tau = TAU
 
     # -- enumeration ---------------------------------------------------------
 
@@ -335,6 +330,14 @@ def contrastive_loss(f_q: Tensor, f_t: Tensor, tau: float) -> Tensor:
 # training
 
 
+# AdamW learning rates of the two groups. They keep the reference setting's
+# 10:1 ratio between the modulation predictor and the encoder stack, but are
+# raised for training from random initialization; a fine-tuning run on
+# pretrained weights would use 1e-4 / 1e-5.
+LR_CAAM = 2e-3
+LR_ENCODER = 2e-4
+
+
 @dataclass
 class TrainResult:
     epoch_losses: list[float] = field(default_factory=list)
@@ -355,16 +358,7 @@ def train(params: ModelParams, examples: list[TrainExample], cfg: TrainConfig) -
         raise ContractError(f"training needs at least 2 examples, got {len(examples)}")
     groups = params.param_groups()
     adaptive = cfg.fixed_beta is None
-    states = {
-        "caam": AdamState(
-            lr=cfg.lr_caam, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
-            weight_decay=cfg.weight_decay, eps=cfg.adam_eps,
-        ),
-        "encoder": AdamState(
-            lr=cfg.lr_encoder, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
-            weight_decay=cfg.weight_decay, eps=cfg.adam_eps,
-        ),
-    }
+    states = {"caam": AdamState(lr=LR_CAAM), "encoder": AdamState(lr=LR_ENCODER)}
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     result = TrainResult()
     for epoch in range(cfg.epochs):

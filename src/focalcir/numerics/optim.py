@@ -22,7 +22,7 @@ class AdamState:
     parameters exist."""
 
     lr: float
-    beta1: float = 0.9
+    beta1: float = 0.9  # Kingma & Ba 2014
     beta2: float = 0.98
     weight_decay: float = 0.05
     eps: float = 1e-8

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 
+from focalcir.benchgen import world as world_module
 from focalcir.benchgen.world import (
     SyntheticWorld,
     _context_schedule,
@@ -42,14 +43,16 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray, eps: float = 
 
 def render_loop(rng, cfg, identity, context, bbox):
     """One image's grid, patch by patch in raster order: the identity where
-    the patch center lies in the box, else the context, plus sigma * noise."""
+    the patch center lies in the box, else the context, plus sigma * noise,
+    with the generator's sigma as it is when called."""
+    sigma = world_module.NOISE_SIGMA
     h, w = cfg.grid
     grid = np.empty((h, w, cfg.d_latent))
     for r in range(h):
         for c in range(w):
             cx, cy = patch_center(r, c, cfg.grid)
             base = identity if center_inside(bbox, cx, cy) else context
-            grid[r, c] = base + cfg.noise_sigma * rng.normal(size=cfg.d_latent)
+            grid[r, c] = base + sigma * rng.normal(size=cfg.d_latent)
     return grid
 
 
@@ -72,7 +75,7 @@ def generate_world_per_image(configs, seed: int) -> SyntheticWorld:
             for tag, n_instances, n_images, sink in pools:
                 for k in range(n_instances):
                     instance_id = f"{category_id}/{tag}{k:02d}"
-                    identity = _instance_latent(rng, proto, cfg.identity_delta)
+                    identity = _instance_latent(rng, proto)
                     world.identities[instance_id] = identity
                     for i, ctx in enumerate(_context_schedule(rng, n_images, cfg.n_contexts)):
                         context = world.contexts[context_ids[ctx]]

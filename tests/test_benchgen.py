@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from focalcir.benchgen import (
     PRESETS,
@@ -12,6 +14,7 @@ from focalcir.benchgen import (
     make_quadruples,
 )
 from focalcir.benchgen.quadruples import largest_remainder
+from focalcir.benchgen import world
 from focalcir.benchgen.world import _render_pool
 from focalcir.encoders import (
     EncoderParams,
@@ -46,7 +49,7 @@ def test_world_config_validation():
     with pytest.raises(ConfigError):
         WorldConfig(subset="x", images_per_instance=1).validate()
     with pytest.raises(ConfigError):
-        WorldConfig(subset="x", noise_sigma=-0.1).validate()
+        WorldConfig(subset="x", d_latent=1).validate()
     with pytest.raises(ConfigError):
         WorldConfig(subset="x", bbox_size_range=(0.0, 0.5)).validate()
     with pytest.raises(ConfigError):
@@ -106,11 +109,12 @@ def test_every_bbox_covers_at_least_one_patch(small_world):
         ((8, 8), (0.3, 0.1, 0.55, 0.6)),
     ],
 )
-def test_render_equals_per_patch_loop(grid, bbox):
+def test_render_equals_per_patch_loop(grid, bbox, monkeypatch):
     # one pool renders the case's box between two others
     boxes = [(0.0, 0.5, 0.5, 1.0), bbox, (0.5, 0.0, 1.0, 0.5)]
-    for sigma in (0.1, 0.0):
-        cfg = WorldConfig(subset="x", grid=grid, d_latent=6, noise_sigma=sigma)
+    cfg = WorldConfig(subset="x", grid=grid, d_latent=6)
+    for sigma in (world.NOISE_SIGMA, 0.0):
+        monkeypatch.setattr(world, "NOISE_SIGMA", sigma)
         latents = np.random.default_rng(1).normal(size=(len(boxes), 2, cfg.d_latent))
         planted = [(ident, ctx, box) for (ident, ctx), box in zip(latents, boxes)]
         fast, slow = np.random.default_rng(9), np.random.default_rng(9)
@@ -372,6 +376,19 @@ def test_largest_remainder_properties():
         largest_remainder(5, {"a": 0.0})
 
 
+@settings(max_examples=300, deadline=None)
+@given(sizes=st.lists(st.integers(1, 60), min_size=1, max_size=12), data=st.data())
+def test_quotas_of_integer_weights_sum_to_the_total_and_fit_each_weight(sizes, data):
+    # the instance split hands each category its quota of instances and
+    # relies on both: the train split takes round(0.8 n) of n, at most n
+    n = sum(sizes)
+    total = data.draw(st.one_of(st.just(int(round(0.8 * n))), st.integers(0, n)))
+    weights = {f"cat{i}": float(size) for i, size in enumerate(sizes)}
+    quotas = largest_remainder(total, weights)
+    assert sum(quotas.values()) == total
+    assert all(0 <= quotas[k] <= size for k, size in zip(weights, sizes))
+
+
 @pytest.fixture(scope="module")
 def small_bench():
     return build_benchmark(
@@ -379,6 +396,17 @@ def small_bench():
         seed=7, d_model=16, l_text=2, train_cap=4, eval_cap=6, n_distractors=8,
         thresholds={"fashion": FilterThresholds(4, 0.9, 0.85, 3)},
     )
+
+
+@pytest.mark.parametrize("key, value", [("train_cap", 0), ("eval_cap", 0),
+                                        ("n_distractors", -1), ("seed", -1)])
+def test_build_rejects_the_settings_its_loader_rejects(key, value):
+    # load_benchmark checks a saved benchmark's settings against these ranges
+    kwargs = dict(configs=small_configs(images_per_instance=6), seed=7, d_model=16, l_text=2,
+                  train_cap=4, eval_cap=6, n_distractors=8,
+                  thresholds={"fashion": FilterThresholds(4, 0.9, 0.85, 3)})
+    with pytest.raises(ConfigError, match=f"'{key}' must be >= "):
+        build_benchmark(**kwargs | {key: value})
 
 
 def test_split_instances_are_disjoint_and_ratio_holds(small_bench):

@@ -83,6 +83,13 @@ def test_world_rejects_foreign_and_truncated_files(tmp_path):
         with pytest.raises(DataError) as info:
             load_world(clipped)
         assert str(info.value) == f"{clipped} is truncated"
+    # one byte, a zero block, and every grid twice (a doubled tail)
+    padded = tmp_path / "padded.bin"
+    for tail in (b"\x00", bytes(16), raw[first_grid:]):
+        padded.write_bytes(raw + tail)
+        with pytest.raises(DataError) as info:
+            load_world(padded)
+        assert str(info.value) == f"{padded} has bytes after its last grid"
 
 
 def rewrite_world_header(path, edit):
@@ -109,8 +116,8 @@ def _set_first_image(key, value):
         (lambda h: h["images"][0].update(bbox=[0.1, 0.2]), "world.bin.images[0].bbox' must hold 4"),
         (_set_first_image("reserve", 1), "world.bin.images[0].reserve' must be bool, got int"),
         (lambda h: h["configs"]["fashion"].pop("grid"), "world.bin.configs.fashion.grid"),
-        (lambda h: h["configs"]["fashion"].update(noise_sigma=float("nan")),
-         "world.bin.configs.fashion.noise_sigma' must be finite, got nan"),
+        (lambda h: h["configs"]["fashion"].update(bbox_size_range=[float("nan"), 0.6]),
+         "world.bin.configs.fashion.bbox_size_range[0]' must be finite, got nan"),
         (lambda h: h["configs"]["fashion"].update(n_contexts=0),
          "world.bin.configs.fashion.n_contexts' must be >= 1, got 0"),
         (lambda h: h.update(n_reserve=h["n_reserve"] + 1), "declares n_reserve 19 but marks 18"),

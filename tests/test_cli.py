@@ -128,8 +128,8 @@ def test_wrongly_typed_config_value_exits_1_naming_it(tmp_path, capsys, mutate, 
 
 @pytest.mark.parametrize(
     "key, value",
-    [("n_heads", 0), ("n_heads", -1), ("weight_init", -0.1), ("token_init", -1.0),
-     ("tau", 1e-320)],
+    [("n_heads", 0), ("n_heads", -1), ("n_heads", 3), ("crm_variant", "gru"),
+     ("modulation", "matrix")],
 )
 def test_bad_model_value_exits_1_naming_it(tmp_path, capsys, key, value):
     data = run_dict(tmp_path / "o")
@@ -262,6 +262,33 @@ def test_train_subsets_filter_recorded_in_manifest(tmp_path, capsys):
     assert "boat" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "subsets, flag, message",
+    [
+        (None, "fashion,fashion", "--subsets names 'fashion' twice"),
+        (["fashion", "fashion"], None, "train: 'subsets' names 'fashion' twice"),
+        ([], None, "train: 'subsets' must name at least one subset"),
+    ],
+)
+def test_repeated_or_empty_subset_list_exits_1_naming_it(run_dir, tmp_path, capsys,
+                                                         subsets, flag, message):
+    # subsets are a set: a checkpoint records them sorted, and ablate roicrop
+    # compares that record with the run's
+    cfg_path, _ = run_dir
+    data = json.loads(cfg_path.read_text())
+    data["out"] = str(tmp_path / "o")
+    if subsets is not None:
+        data["train"]["subsets"] = subsets
+    p = tmp_path / "run.json"
+    p.write_text(json.dumps(data))
+    for command in (["train"], ["ablate", "roicrop"]) if flag is None else (["train"],):
+        argv = [*command, "--config", str(p)] + (["--subsets", flag] if flag else [])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def _edit_json(path, edit):
     data = json.loads(path.read_text())
     edit(data)
@@ -279,6 +306,10 @@ def _truncate(path, size):
     path.write_bytes(path.read_bytes()[:size])
 
 
+def _append_zeros(path):
+    path.write_bytes(path.read_bytes() + bytes(16))
+
+
 @pytest.mark.parametrize(
     "name, damage",
     [
@@ -292,6 +323,7 @@ def _truncate(path, size):
         ("gallery_fashion.jsonl", lambda p: _edit_first_record(p, lambda r: r.pop("is_target"))),
         ("gallery_fashion.jsonl", lambda p: p.unlink()),
         ("world.bin", lambda p: _truncate(p, 40)),
+        ("world.bin", _append_zeros),
     ],
 )
 def test_train_on_damaged_artifact_exits_2_naming_the_file(run_dir, tmp_path, capsys,
@@ -390,8 +422,8 @@ def _rewrite_header(path, edit):
         (lambda h: h.update(seed=str(h["seed"])), "world.bin.seed"),
         (lambda h: h.update(n_images=5), "world.bin.n_images"),
         (lambda h: h.update(n_reserve=h["n_reserve"] - 1), "n_reserve"),
-        (lambda h: h["configs"]["fashion"].update(noise_sigma=math.nan),
-         "world.bin.configs.fashion.noise_sigma' must be finite"),
+        (lambda h: h["configs"]["fashion"].update(bbox_size_range=[math.nan, 0.6]),
+         "world.bin.configs.fashion.bbox_size_range[0]' must be finite"),
         (lambda h: h["configs"]["fashion"].update(bbox_size_range=[0.6, 0.3]),
          "world.bin.configs.fashion: bbox_size_range (0.6, 0.3) must satisfy"),
     ],
@@ -574,7 +606,7 @@ def test_ablate_caam_follows_the_run_config_and_reruns_byte_identically(run_dir,
     saved = json.loads((out / "ablate_caam.json").read_text())
     # the run's model section sets k_probes 2 and crm_layers 1
     assert [r["label"] for r in saved["rows"]] == [
-        f"crm={crm} probes=learnable layers=1 K=2 form={form}"
+        f"crm={crm} layers=1 K=2 form={form}"
         for crm in ("avg", "mlp", "transformer") for form in ("scalar", "vector")]
     assert main(["ablate", "caam", "--config", str(cfg_path)]) == 0
     capsys.readouterr()

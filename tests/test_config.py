@@ -48,7 +48,7 @@ def test_defaults_validate_and_cover_presets():
 def test_default_digest_is_pinned():
     # every artifact embeds this hash, so a change to the defaults or to
     # the serialized form of the config shows up here first
-    assert RunConfig().digest() == "211cc5d8589ad7b3"
+    assert RunConfig().digest() == "cd2bc76f4902e3ba"
 
 
 def test_from_dict_round_trip_preserves_digest():

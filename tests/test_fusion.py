@@ -17,6 +17,7 @@ from focalcir.errors import (
 from focalcir import numerics as nm
 from focalcir.numerics.tensor import Tape, Tensor, backward, concat_rows, constant, parameter
 from focalcir.fusion import (
+    WEIGHT_INIT,
     AttentionParams,
     _attention,
     _layer_forward,
@@ -33,6 +34,17 @@ from focalcir.fusion import (
 def fusion_of(rng, d_model, **sizes):
     """The fusion encoder of a model with these sizes."""
     return init_fusion_params(rng, model.ModelConfig(d_model=d_model, **sizes))
+
+
+def live_fusion_of(rng, d_model, **sizes):
+    """`fusion_of` with every weight matrix scaled to a std of 0.5, so the
+    softmaxes are far from uniform."""
+    fusion = fusion_of(rng, d_model, **sizes)
+    for block in fusion.blocks:
+        for _, t in model._layer_named("block", block):
+            if t.data.shape[0] > 1:  # a matrix, not a bias, gain or shift
+                t.data = t.data * (0.5 / WEIGHT_INIT)
+    return fusion
 
 
 def plain_attention_oracle(queries, kv, p, n_heads=1, bias=None):
@@ -270,8 +282,7 @@ def test_encode_gradients_match_finite_differences(beta_form, n_heads):
     # [cls, extras] rows under read=("cls", "extra")
     rng = np.random.default_rng(30 + n_heads)
     d, m = 4, 2
-    fusion = fusion_of(rng, d, m_queries=m, n_blocks=1, n_heads=n_heads,
-                       weight_init=0.5)
+    fusion = live_fusion_of(rng, d, m_queries=m, n_blocks=1, n_heads=n_heads)
     block = fusion.blocks[0]
     attns = (block.self_attn, block.cross_attn)
     for a in attns:
@@ -365,8 +376,7 @@ def test_read_rows_equal_a_full_pass(beta_form, n_heads, n_blocks):
     # 1-row products, which BLAS may round differently
     rng = np.random.default_rng(50 + 4 * n_heads + n_blocks)
     d, m, k = 8, 3, 4
-    fusion = fusion_of(rng, d, m_queries=m, n_blocks=n_blocks, n_heads=n_heads,
-                       weight_init=0.5)
+    fusion = live_fusion_of(rng, d, m_queries=m, n_blocks=n_blocks, n_heads=n_heads)
     cls = parameter(rng.normal(0.0, 0.5, size=(1, d)))
     extras = parameter(rng.normal(0.0, 0.5, size=(k, d)))
     patches, key_mask = stack_patches([rng.normal(size=(n, d)) for n in (5, 3, 4)])

@@ -6,6 +6,7 @@ import pytest
 
 from focalcir.benchgen import FilterThresholds, WorldConfig, build_benchmark
 from focalcir.evaluation import evaluate_model
+from focalcir.fusion import FFN_MULT
 from focalcir.geometry import iou, perturb_bbox
 from focalcir.harness import (
     DEFAULT_SWEEP_UNITS,
@@ -85,16 +86,16 @@ def test_sweep_table_text(tiny_bench, tiny_model):
 
 def test_ablation_rows_and_param_counts(tiny_bench):
     base = ModelConfig(d_model=16, d_embed=16, m_queries=2, k_probes=2, l_text=2,
-                       n_blocks=1, crm_layers=1, probes_learnable=False)
+                       n_blocks=1, crm_layers=1)
     cfg = TrainConfig(epochs=1, batch_size=8, seed=3)
     rows = caam_ablation(tiny_bench, base, cfg, model_seed=5)
     # every CRM variant in each form, variant major; the CAAM sizes the grid
     # does not vary are the base config's
     assert [r.label for r in rows] == [
-        f"crm={crm} probes=frozen layers=1 K=2 form={form}"
+        f"crm={crm} layers=1 K=2 form={form}"
         for crm in ("avg", "mlp", "transformer") for form in ("scalar", "vector")]
-    assert rows[3].variant == {"crm_variant": "mlp", "probes_learnable": False,
-                               "crm_layers": 1, "k_probes": 2, "modulation": "vector"}
+    assert rows[3].variant == {"crm_variant": "mlp", "crm_layers": 1, "k_probes": 2,
+                               "modulation": "vector"}
 
     d = 16
     # avg: probes KD + cls D + head (D+1 outputs per unit)
@@ -102,8 +103,8 @@ def test_ablation_rows_and_param_counts(tiny_bench):
     assert rows[0].caam_param_count == avg_scalar
     # vector head emits M=2 values
     assert rows[1].caam_param_count == 2 * d + d + 2 * (d + 1)
-    # mlp CRM adds w1,b1,w2,b2 with hidden width ffn_mult*d on top
-    hidden = 2 * d
+    # mlp CRM adds w1,b1,w2,b2 with hidden width FFN_MULT*d on top
+    hidden = FFN_MULT * d
     mlp_extra = d * hidden + hidden + hidden * d + d
     assert rows[2].caam_param_count == avg_scalar + mlp_extra
     for r in rows:

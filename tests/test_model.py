@@ -378,17 +378,13 @@ def test_config_rejects_bad_values():
         with pytest.raises(ConfigError, match="crm_layers"):
             ModelConfig(crm_layers=layers).validate()
     for key, value in [("n_blocks", 0), ("m_queries", 0), ("n_heads", 0), ("n_heads", -1),
-                       ("n_heads", -2), ("token_init", -0.02),
-                       ("weight_init", float("nan")), ("weight_init", float("inf")),
-                       ("tau", 0.0), ("tau", float("inf")), ("tau", float("nan")),
-                       ("tau", 1e-320)]:
+                       ("n_heads", -2)]:
         with pytest.raises(ConfigError, match=key):
             ModelConfig(**{key: value}).validate()
-    ModelConfig(token_init=0.0, weight_init=0.0, tau=1e-300).validate()
     with pytest.raises(ConfigError):
         TrainConfig(batch_size=1).validate()
     with pytest.raises(ConfigError):
-        TrainConfig(lr_caam=0.0).validate()
+        TrainConfig(epochs=0).validate()
 
 
 def built_model(config):
@@ -684,7 +680,8 @@ def _rewrite_header(path, edit):
     [
         (lambda h: h["model_config"].update(caam_shares_encoder=True),
          "unknown keys ['{path}.model_config.caam_shares_encoder']"),
-        (lambda h: h["model_config"].pop("tau"), "missing keys ['{path}.model_config.tau']"),
+        (lambda h: h["model_config"].pop("k_probes"),
+         "missing keys ['{path}.model_config.k_probes']"),
     ],
 )
 def test_checkpoint_with_mismatched_model_keys_names_them(tmp_path, edit, message):
@@ -767,8 +764,8 @@ def _drop_first_shape(header):
         # in range for its type but not for the model: damaged data, not a config error
         (lambda h: h["model_config"].update(n_heads=0),
          "'{path}.model_config.n_heads' must be >= 1, got 0"),
-        (lambda h: h["model_config"].update(tau=-1.0),
-         "'{path}.model_config.tau' must be > 0.0 and <= 1.0, got -1.0"),
+        (lambda h: h["model_config"].update(crm_layers=0),
+         "'{path}.model_config.crm_layers' must be >= 1, got 0"),
         (lambda h: h["model_config"].update(crm_variant="pool"),
          "'{path}.model_config.crm_variant' must be one of ('avg', 'mlp', 'transformer')"),
     ],

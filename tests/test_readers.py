@@ -1,6 +1,7 @@
 """Every top-level function, class and method of the package has a reader
-in src/, and every defaulted parameter has a caller that passes it: code
-and knobs that only tests use leave the package."""
+in src/, every defaulted parameter has a caller that passes it, and every
+config field has a caller that sets it: code and knobs that only tests use
+leave the package."""
 
 import ast
 import math
@@ -31,6 +32,12 @@ CALLERS = [*sorted(SRC.rglob("*.py")), *sorted((ROOT / "perfbench").glob("*.py")
 
 # the defaulted parameters no caller passes, and why each stays
 UNPASSED_DEFAULTS: dict[str, str] = {}
+
+# the config fields no caller sets, and why each stays
+UNSET_CONFIG_FIELDS = {
+    "ModelConfig.n_heads": "tests exercise the multi-head path, and acceptance criterion 1b "
+                           "exercises it through modulated_cross_attention",
+}
 
 
 def _is_dunder(name):
@@ -141,3 +148,44 @@ def test_every_defaulted_parameter_has_a_caller_that_passes_it():
     # a default no caller overrides is a knob without a caller: make it a
     # constant, or list it here with the reason it stays
     assert unpassed == set(UNPASSED_DEFAULTS)
+
+
+def config_fields(tree):
+    """(class name, field name) of each annotated field of each ConfigSection
+    subclass."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(b, ast.Name) and b.id == "ConfigSection" for b in node.bases):
+            for sub in node.body:
+                if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name):
+                    yield node.name, sub.target.id
+
+
+def set_fields(trees):
+    """What the callers set: class name -> the keywords of its calls ("replace"
+    for dataclasses.replace, which may set a field of any class), and the
+    string keys of every dict literal, which a config file or header read
+    turns into fields."""
+    keywords, keys = {}, set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
+            elif isinstance(node, ast.Dict):
+                keys.update(k.value for k in node.keys
+                            if isinstance(k, ast.Constant) and isinstance(k.value, str))
+    return keywords, keys
+
+
+def test_every_config_field_has_a_caller_that_sets_it():
+    keywords, keys = set_fields(ast.parse(path.read_text()) for path in CALLERS)
+    unset = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for cls, name in config_fields(ast.parse(path.read_text())):
+            if name not in keywords.get(cls, set()) | keywords.get("replace", set()) | keys:
+                unset.add(f"{cls}.{name}")
+    # a field no caller sets is a knob without a caller: make it a constant
+    # beside the code that reads it, or list it here with the reason it stays
+    assert unset == set(UNSET_CONFIG_FIELDS)
