@@ -15,7 +15,7 @@ import numpy as np
 
 from focalcir.benchgen.quadruples import Quadruple, largest_remainder
 from focalcir.encoders import SyntheticImage
-from focalcir.errors import GalleryError
+from focalcir.errors import ContractError
 
 
 @dataclass(frozen=True)
@@ -42,22 +42,22 @@ class GalleryManifest:
         targets = {e.image_id for e in self.entries if e.is_target}
         wanted = {q.target_image_id for q in eval_quads}
         if targets != wanted:
-            raise GalleryError(
+            raise ContractError(
                 f"gallery targets do not match eval targets: missing {sorted(wanted - targets)[:3]}, "
                 f"extra {sorted(targets - wanted)[:3]}"
             )
         ids = [e.image_id for e in self.entries]
         if len(ids) != len(set(ids)):
-            raise GalleryError("gallery contains duplicate image ids")
+            raise ContractError("gallery contains duplicate image ids")
         target_instances = {q.instance_id for q in eval_quads}
         query_categories = {q.category_id for q in eval_quads}
         for e in self.entries:
             if e.is_target:
                 continue
             if e.instance_id in target_instances:
-                raise GalleryError(f"distractor {e.image_id} shares instance {e.instance_id} with a target")
+                raise ContractError(f"distractor {e.image_id} shares instance {e.instance_id} with a target")
             if e.category_id not in query_categories:
-                raise GalleryError(f"distractor {e.image_id} has category {e.category_id} absent from queries")
+                raise ContractError(f"distractor {e.image_id} has category {e.category_id} absent from queries")
 
 
 def build_gallery(
@@ -68,10 +68,10 @@ def build_gallery(
 ) -> GalleryManifest:
     """Targets (first appearance order) + proportionally sampled distractors."""
     if not eval_quads:
-        raise GalleryError("cannot build a gallery without eval quadruples")
+        raise ContractError("cannot build a gallery without eval quadruples")
     subsets = {q.subset for q in eval_quads}
     if len(subsets) != 1:
-        raise GalleryError(f"eval quadruples span multiple subsets: {sorted(subsets)}")
+        raise ContractError(f"eval quadruples span multiple subsets: {sorted(subsets)}")
     subset = subsets.pop()
     manifest = GalleryManifest()
 
@@ -101,7 +101,7 @@ def build_gallery(
             continue
         have = sorted(pool.get(cat, []), key=lambda im: im.image_id)
         if len(have) < need:
-            raise GalleryError(
+            raise ContractError(
                 f"reserve pool lacks category {cat}: need {need} distractors, have {len(have)}"
             )
         chosen = sorted(rng.permutation(len(have))[:need])

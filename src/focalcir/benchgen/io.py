@@ -172,6 +172,8 @@ def read_jsonl(path, expect_kind: str | None = None) -> tuple[JsonlHeader, list[
         raise DataError(f"{path} is empty")
     header = from_record(JsonlHeader, parse_json(lines[0], DataError, f"{path} line 1"),
                          DataError, f"{path}:header", complete=True)
+    if header.version != 1:
+        raise DataError(f"unsupported JSONL version {header.version!r} in {path}")
     if expect_kind is not None and header.kind != expect_kind:
         raise DataError(f"{path} holds {header.kind!r} records, expected {expect_kind!r}")
     return header, [parse_json(ln, DataError, f"{path} line {n}")

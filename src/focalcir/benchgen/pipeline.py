@@ -26,7 +26,7 @@ from focalcir.encoders import (
     encode_image,
     pooled_image_embeddings,
 )
-from focalcir.errors import ConfigError, DataError, GalleryError
+from focalcir.errors import ConfigError, ContractError, DataError
 from focalcir.geometry import in_bounds, patch_membership
 from focalcir.records import check_ranges, from_record, open_file, parse_json, write_json
 
@@ -236,7 +236,17 @@ def load_benchmark(in_dir) -> Benchmark:
     with open_file(stats_path, DataError) as fh:
         raw = parse_json(fh.read(), DataError, stats_path)
     summary = from_record(_Summary, raw, DataError, str(stats_path), complete=True)
-    world, _ = load_world(src / "world.bin")
+
+    def same_run(where, seed: int, config_hash: str) -> None:
+        """A file of this benchmark carries the seed and config hash of stats.json."""
+        for key, got, want in (("seed", seed, summary.settings.seed),
+                               ("config_hash", config_hash, summary.config_hash)):
+            if got != want:
+                raise DataError(f"{where}: {key} {got!r} is not the {key} {want!r} "
+                                f"of {stats_path}; its files come from two runs")
+
+    world, world_hash = load_world(src / "world.bin")
+    same_run(src / "world.bin", world.seed, world_hash)
     enc = EncoderParams(
         seed=world.encoder_seed,
         d_latent=next(iter(world.configs.values())).d_latent,
@@ -245,7 +255,8 @@ def load_benchmark(in_dir) -> Benchmark:
 
     def records(name: str, kind: str, cls) -> list:
         where = str(src / name)
-        _, recs = read_jsonl(where, expect_kind=kind)
+        header, recs = read_jsonl(where, expect_kind=kind)
+        same_run(where, header.seed, header.config_hash)
         return [from_record(cls, r, DataError, f"{where}[{i}]", complete=True)
                 for i, r in enumerate(recs)]
 
@@ -310,5 +321,5 @@ def _check_references(src: Path, bench: Benchmark) -> None:
                 fault(f"{where}[{i}]", e, ("image_id",), want)
         try:
             manifest.validate(bench.eval_quads_of(subset))
-        except GalleryError as exc:
+        except ContractError as exc:
             raise DataError(f"{where}: {exc}") from None

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from focalcir.errors import DimensionError
+from focalcir.errors import ContractError
 from focalcir.encoders import TextEmbedding
 from focalcir.fusion import (
     TOKEN_INIT,
@@ -67,7 +67,7 @@ def crm_forward(tokens: Tensor, crm: CrmParams, n_heads: int = 1) -> Tensor:
     The transformer's last layer computes row 0 alone, the only row that is
     read; every row stays a key and value of its self-attention."""
     if tokens.data.shape[-2] < 2:
-        raise DimensionError(f"CRM needs cls plus at least one probe, got {tokens.data.shape}")
+        raise ContractError(f"CRM needs cls plus at least one probe, got {tokens.data.shape}")
     if crm.variant == "avg":
         return mean_over_rows(tokens)
     if crm.variant == "mlp":

@@ -18,7 +18,7 @@ import numpy as np
 from focalcir.benchgen.pipeline import build_benchmark, load_benchmark, save_benchmark
 from focalcir.config import EvalSettings, RunConfig, load_run_config, write_resolved_config
 from focalcir.encoders import ContextDescriptor, EncoderParams, embed_text, encode_image
-from focalcir.errors import CheckpointError, ConfigError, DataError, FocalCirError
+from focalcir.errors import ConfigError, DataError, FocalCirError
 from focalcir.evaluation import evaluate_model, train_examples
 from focalcir.harness import (
     ablation_table_text,
@@ -252,8 +252,7 @@ def cmd_ablate(cfg: RunConfig, kind: str, betas: tuple[float, ...], ckpt: str | 
                         table.to_text(), grid_units=list(betas),
                         checkpoint=_checkpoint_provenance(meta))
     elif kind == "caam":
-        rows = caam_ablation(bench, cfg.model, train_cfg, model_seed=cfg.seed,
-                             config_hash=digest)
+        rows = caam_ablation(bench, cfg.model, train_cfg, config_hash=digest)
         _write_ablation(out, kind, digest, cfg.seed, [dataclasses.asdict(r) for r in rows],
                         ablation_table_text(rows))
     elif kind == "robustness":
@@ -277,8 +276,7 @@ def cmd_ablate(cfg: RunConfig, kind: str, betas: tuple[float, ...], ckpt: str | 
                                 f"{provenance['train_subsets']}, this run trains on {subsets}")
         baseline = ModelParams(cfg.model, bench.encoders, seed=cfg.seed)
         train(baseline, examples, dataclasses.replace(train_cfg, fixed_beta=0.0))
-        _, roi_report = roi_crop_baseline(bench, cfg.model, train_cfg,
-                                          model_seed=cfg.seed, config_hash=digest)
+        _, roi_report = roi_crop_baseline(bench, cfg.model, train_cfg, config_hash=digest)
         if adaptive is None:
             adaptive = ModelParams(cfg.model, bench.encoders, seed=cfg.seed)
             train(adaptive, examples, train_cfg)
@@ -371,7 +369,7 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:  # OSError: an output path or the config file
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, CheckpointError) as exc:
+    except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except FocalCirError as exc:

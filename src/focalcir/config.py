@@ -76,7 +76,10 @@ class RunConfig(ConfigSection):
             return f"subsets disagree on d_latent: {sorted(latents)}"
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        # the top-level seed drives training, so train.seed is no setting
+        payload = dataclasses.asdict(self)
+        del payload["train"]["seed"]
+        return payload
 
     def digest(self) -> str:
         # the output directory is where a run lands, not what it computes,
@@ -89,6 +92,9 @@ class RunConfig(ConfigSection):
 def run_config_from_dict(data: dict) -> RunConfig:
     """Strict load: unknown keys, wrongly typed and out-of-range values and
     broken cross-field rules anywhere raise ConfigError naming the key."""
+    train = data.get("train") if isinstance(data, dict) else None
+    if isinstance(train, dict) and "seed" in train:
+        raise ConfigError("'train.seed' is not a setting: the top-level 'seed' drives training")
     return from_record(RunConfig, data, ConfigError)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from focalcir.errors import DimensionError
+from focalcir.errors import ContractError
 from focalcir.geometry import BBox
 
 
@@ -46,7 +46,7 @@ class TextEmbedding:
 
 def _orthonormal_rows(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     if rows > cols:
-        raise DimensionError(f"cannot build {rows} orthonormal rows in dimension {cols}")
+        raise ContractError(f"cannot build {rows} orthonormal rows in dimension {cols}")
     q, r = np.linalg.qr(rng.normal(size=(cols, rows)))
     # fix the QR sign ambiguity so the map depends only on the rng stream
     q = q * np.sign(np.diag(r))
@@ -72,7 +72,7 @@ def encode_image(image: SyntheticImage | np.ndarray, enc: EncoderParams) -> np.n
     """Patch embeddings, raster order: (h*w, d_model)."""
     grid = image.grid if isinstance(image, SyntheticImage) else np.asarray(image)
     if grid.ndim != 3 or grid.shape[2] != enc.d_latent:
-        raise DimensionError(
+        raise ContractError(
             f"expected (h, w, {enc.d_latent}) latent grid, got shape {grid.shape}"
         )
     h, w, d = grid.shape
@@ -92,6 +92,6 @@ def pooled_image_embeddings(images: list[SyntheticImage], enc: EncoderParams) ->
 def embed_text(descriptor: ContextDescriptor, enc: EncoderParams) -> TextEmbedding:
     latent = np.asarray(descriptor.latent, dtype=np.float64).reshape(-1)
     if latent.shape[0] != enc.d_latent:
-        raise DimensionError(f"context latent has dim {latent.shape[0]}, expected {enc.d_latent}")
+        raise ContractError(f"context latent has dim {latent.shape[0]}, expected {enc.d_latent}")
     tokens = np.stack([latent @ enc.text_proj[i] for i in range(enc.l_text)])
     return TextEmbedding(context_id=descriptor.context_id, tokens=tokens)

@@ -1,8 +1,8 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package: one class per CLI exit code.
 
-Every public operation raises one of these (or a subclass) instead of a bare
-ValueError, so callers and the CLI can map failures to exit codes without
-string matching.
+Every public operation raises one of these instead of a bare ValueError, so
+the CLI maps each failure to its exit code without string matching:
+ConfigError exits 1, DataError 2 and ContractError 3.
 """
 
 
@@ -11,41 +11,16 @@ class FocalCirError(Exception):
 
 
 class ConfigError(FocalCirError):
-    """Malformed, unknown, or out-of-range configuration."""
+    """Malformed, unknown, or out-of-range configuration (exit 1)."""
 
 
 class DataError(FocalCirError):
-    """Missing or inconsistent benchmark data on disk."""
-
-
-class DimensionError(FocalCirError):
-    """Shape mismatch; the message names both offending shapes."""
+    """Missing, unreadable or inconsistent data on disk: a benchmark file or a
+    checkpoint (exit 2)."""
 
 
 class ContractError(FocalCirError):
-    """A call-site precondition was violated (non-scalar backward root,
-    non-unit rows fed to the contrastive loss, bad k, ...)."""
-
-
-class DegenerateInputError(FocalCirError):
-    """Numerically degenerate input, e.g. normalizing a zero vector."""
-
-
-class EmptyMaskError(FocalCirError):
-    """A bounding box that covers no patch center."""
-
-
-class AlignmentError(FocalCirError):
-    """Region mask grid does not match the patch grid it is applied to."""
-
-
-class GalleryError(FocalCirError):
-    """Gallery construction could not satisfy its invariants."""
-
-
-class PerturbationError(FocalCirError):
-    """Requested bounding-box perturbation is infeasible."""
-
-
-class CheckpointError(FocalCirError):
-    """Unreadable or incompatible checkpoint file."""
+    """A precondition of a call was violated: mismatched shapes, a zero-norm
+    row, a box that covers no patch center, a gallery or perturbation that
+    cannot meet its invariants, non-unit rows fed to the contrastive loss, a
+    bad k, ... (exit 3)."""

@@ -50,12 +50,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from focalcir.errors import (
-    AlignmentError,
-    ContractError,
-    DimensionError,
-    EmptyMaskError,
-)
+from focalcir.errors import ContractError
 from focalcir.encoders import TextEmbedding
 from focalcir.geometry import BBox, patch_membership, validate_bbox
 from focalcir.numerics.tensor import (
@@ -82,14 +77,14 @@ def region_mask_from_bbox(boxes: Sequence[BBox], grid: tuple[int, int]) -> np.nd
     """(B, n) binary membership of each patch (raster order) in each of B
     boxes on one grid: 1.0 iff the patch center lies inside it (half-open),
     from one vectorised test. Every box is validated, and the first box that
-    covers no patch center raises EmptyMaskError naming it."""
+    covers no patch center raises ContractError naming it."""
     for b in boxes:
         validate_bbox(b)
     values = patch_membership(boxes, grid).astype(np.float64)
     empty = np.flatnonzero(~values.any(axis=1))
     if empty.size:
         h, w = grid
-        raise EmptyMaskError(
+        raise ContractError(
             f"bbox {boxes[empty[0]]} covers no patch center on a {h}x{w} grid"
         )
     return values
@@ -106,7 +101,7 @@ def stack_patches(patch_sets: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndar
     d = patch_sets[0].shape[-1]
     for p in patch_sets:
         if p.ndim != 2 or p.shape[1] != d or p.shape[0] == 0:
-            raise DimensionError(f"patch sets must be non-empty (n, {d}) arrays, got {p.shape}")
+            raise ContractError(f"patch sets must be non-empty (n, {d}) arrays, got {p.shape}")
     lengths = [p.shape[0] for p in patch_sets]
     n = max(lengths)
     if min(lengths) == n:
@@ -194,10 +189,10 @@ def _logit_bias(
         bias = scalar_times_const(beta, mask_values)
     else:
         if beta.data.shape[-2] != 1:
-            raise DimensionError(f"vector beta must be 1 x m, got {beta.data.shape}")
+            raise ContractError(f"vector beta must be 1 x m, got {beta.data.shape}")
         start, stop = fq_span
         if beta.data.shape[-1] != stop - start:
-            raise DimensionError(
+            raise ContractError(
                 f"vector beta has {beta.data.shape[-1]} entries for {stop - start} fusion queries"
             )
         n = mask_values.shape[-1]
@@ -247,7 +242,7 @@ def _mask_rows(mask: np.ndarray | None, beta, n_keys: int) -> np.ndarray | None:
     if not np.all((values == 0.0) | (values == 1.0)):
         raise ContractError("region mask entries must be exactly 0 or 1")
     if values.shape[-1] != n_keys:
-        raise AlignmentError(f"mask covers {values.shape[-1]} keys but there are {n_keys}")
+        raise ContractError(f"mask covers {values.shape[-1]} keys but there are {n_keys}")
     return values
 
 
@@ -346,11 +341,11 @@ def multimodal_encode(
     kv = constant(np.asarray(patches, dtype=np.float64))
     n_keys = kv.data.shape[-2]
     if kv.data.shape[-1] != fusion.d_model:
-        raise DimensionError(
+        raise ContractError(
             f"patches have dim {kv.data.shape[-1]}, fusion expects {fusion.d_model}"
         )
     if key_mask is not None and key_mask.shape[-1] != n_keys:
-        raise AlignmentError(f"key mask covers {key_mask.shape[-1]} keys but image has {n_keys}")
+        raise ContractError(f"key mask covers {key_mask.shape[-1]} keys but image has {n_keys}")
     mask_values = _mask_rows(mask, beta, n_keys)
 
     groups = {g: t for g, t in (("cls", cls_token), ("fused", fusion.queries),

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from focalcir.errors import ContractError, PerturbationError
+from focalcir.errors import ContractError
 
 BBox = tuple[float, float, float, float]
 
@@ -95,11 +95,11 @@ def perturb_bbox(bbox: BBox, mode: str, target_iou: float, rng: np.random.Genera
     mode "scale" rescales about the center (exact IoU); mode "scale_shift"
     also offsets the center along a random direction, landing within +-0.02
     of the target, drawing from the caller's generator rng. Raises
-    PerturbationError when no in-bounds box can meet the target.
+    ContractError when no in-bounds box can meet the target.
     """
     validate_bbox(bbox)
     if not (0.0 < target_iou <= 1.0):
-        raise PerturbationError(f"target IoU must be in (0, 1], got {target_iou}")
+        raise ContractError(f"target IoU must be in (0, 1], got {target_iou}")
     if mode == "scale":
         return _scale_to_iou(bbox, target_iou, rng)
     if mode != "scale_shift":
@@ -143,6 +143,6 @@ def perturb_bbox(bbox: BBox, mode: str, target_iou: float, rng: np.random.Genera
         cand = shifted((lo + hi) / 2.0)
         if abs(iou(bbox, cand) - target_iou) <= 0.02 and in_bounds(cand):
             return cand
-    raise PerturbationError(
+    raise ContractError(
         f"no in-bounds perturbation of {bbox} reaches IoU {target_iou} in mode {mode}"
     )

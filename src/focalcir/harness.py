@@ -124,16 +124,15 @@ def caam_ablation(
     bench: Benchmark,
     base_config: ModelConfig,
     train_cfg: TrainConfig,
-    model_seed: int = 0,
     config_hash: str = "",
 ) -> list[AblationRow]:
     """Trains each CRM variant in each modulation form (variant major) from
-    base_config and the same seed, and evaluates it."""
+    base_config and train_cfg's seed, and evaluates it."""
     examples = train_examples(bench, bench.train_quads_of(train_cfg.subsets))
     rows = []
     for crm, form in itertools.product(CRM_VARIANTS, OUTPUT_FORMS):
         config = replace(base_config, crm_variant=crm, modulation=form)
-        params = ModelParams(config, bench.encoders, seed=model_seed)
+        params = ModelParams(config, bench.encoders, seed=train_cfg.seed)
         train(params, examples, train_cfg)
         report = evaluate_model(params, bench, config_hash=config_hash, seed=train_cfg.seed)
         rows.append(
@@ -219,13 +218,12 @@ def roi_crop_baseline(
     bench: Benchmark,
     config: ModelConfig,
     train_cfg: TrainConfig,
-    model_seed: int = 0,
     config_hash: str = "",
 ) -> tuple[ModelParams, MetricsReport]:
     """Trains the crop-to-box variant (no mask, no modulation) on the cropped
     train quadruples of train.subsets and evaluates it on every eval
     quadruple; the loader has checked that each box covers a patch."""
-    params = ModelParams(config, bench.encoders, seed=model_seed)
+    params = ModelParams(config, bench.encoders, seed=train_cfg.seed)
     examples = [replace(ex, query=cropped(ex.query))
                 for ex in train_examples(bench, bench.train_quads_of(train_cfg.subsets))]
     train(params, examples, replace(train_cfg, fixed_beta=0.0))

@@ -26,12 +26,7 @@ import numpy as np
 
 from focalcir.caam import CRM_VARIANTS, OUTPUT_FORMS, init_caam_params, predict_beta
 from focalcir.encoders import EncoderParams, TextEmbedding
-from focalcir.errors import (
-    AlignmentError,
-    CheckpointError,
-    ContractError,
-    DimensionError,
-)
+from focalcir.errors import ContractError, DataError
 from focalcir.fusion import (
     TOKEN_INIT,
     WEIGHT_INIT,
@@ -147,7 +142,7 @@ def _region_masks(batch: Sequence[QuerySample]) -> list[np.ndarray | None]:
             masks[i] = m
     for s, m in zip(batch, masks):
         if m is not None and m.shape[0] != s.patches.shape[0]:
-            raise AlignmentError(
+            raise ContractError(
                 f"mask covers {m.shape[0]} patches but image has {s.patches.shape[0]}"
             )
     return masks
@@ -192,7 +187,7 @@ class ModelParams:
     ):
         config.validate()
         if encoders.d_model != config.d_model or encoders.l_text != config.l_text:
-            raise DimensionError(
+            raise ContractError(
                 f"encoder dims ({encoders.d_model}, l_text={encoders.l_text}) do not match "
                 f"model config ({config.d_model}, l_text={config.l_text})"
             )
@@ -314,7 +309,7 @@ def contrastive_loss(f_q: Tensor, f_t: Tensor, tau: float) -> Tensor:
     """One-directional InfoNCE: -(1/B) sum_i log softmax_j(sim(q_i, t_j)/tau)_ii,
     taken as one log-sum-exp per row, so a small tau cannot underflow it."""
     if f_q.data.ndim != 2 or f_q.data.shape != f_t.data.shape:
-        raise DimensionError(f"query/target batches disagree: {f_q.data.shape} vs {f_t.data.shape}")
+        raise ContractError(f"query/target batches disagree: {f_q.data.shape} vs {f_t.data.shape}")
     for name, t in (("query", f_q), ("target", f_t)):
         gap = np.abs(np.linalg.norm(t.data, axis=1) - 1.0)
         # written so that a NaN norm fails too
@@ -450,32 +445,32 @@ class CheckpointHeader:
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
-    with open_file(path, CheckpointError) as fh:
+    with open_file(path, DataError) as fh:
         header = from_record(
             CheckpointHeader,
-            read_header(fh, _CKPT_MAGIC, CheckpointError, path, "model checkpoint"),
-            CheckpointError, str(path), complete=True,
+            read_header(fh, _CKPT_MAGIC, DataError, path, "model checkpoint"),
+            DataError, str(path), complete=True,
         )
         params = ModelParams(header.model_config, EncoderParams(**asdict(header.encoder)),
                              seed=header.seed)
         named = dict(params.named_params())
         stored = {p.name for p in header.params}
         if stored != set(named):
-            raise CheckpointError(
+            raise DataError(
                 f"{path} holds another parameter layout than the rebuilt model: missing "
                 f"{sorted(set(named) - stored)}, unexpected {sorted(stored - set(named))}"
             )
         for entry in header.params:
             want = named[entry.name]
             if want.data.shape != entry.shape:
-                raise CheckpointError(
+                raise DataError(
                     f"parameter {entry.name} has shape {want.data.shape}, file says {entry.shape}"
                 )
             want.data = read_block(
-                fh, entry.shape, CheckpointError, f"parameter {entry.name} in {path}"
+                fh, entry.shape, DataError, f"parameter {entry.name} in {path}"
             )
             if not np.all(np.isfinite(want.data)):
-                raise CheckpointError(f"parameter {entry.name} in {path} has non-finite values")
+                raise DataError(f"parameter {entry.name} in {path} has non-finite values")
     return params, header.meta
 
 

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from focalcir.errors import ContractError, DimensionError
+from focalcir.errors import ContractError
 from focalcir.numerics.tensor import Tensor
 
 
@@ -65,7 +65,7 @@ def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray | None], stat
         raise ContractError("an optimizer group needs at least one param")
     for p, g in zip(params, grads):
         if g is not None and g.shape != p.data.shape:
-            raise DimensionError(f"grad shape {g.shape} vs param shape {p.data.shape}")
+            raise ContractError(f"grad shape {g.shape} vs param shape {p.data.shape}")
     state._ensure(params)
     # a zero grad decays the moments exactly as skipping the gradient terms
     # would: the moments start at +0.0 and never reach -0.0

@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from focalcir.errors import ContractError, DegenerateInputError, DimensionError
+from focalcir.errors import ContractError
 
 _NORM_EPS = 1e-12
 _LN_EPS = 1e-5  # the layer norm's variance floor
@@ -51,7 +51,7 @@ class Tensor:
         elif arr.ndim == 1:
             arr = arr.reshape(1, -1)
         elif arr.ndim > 3:
-            raise DimensionError(
+            raise ContractError(
                 f"tensors are 2-D or 3-D (batch, rows, cols), got array of shape {arr.shape}"
             )
         self.data = np.ascontiguousarray(arr)
@@ -169,7 +169,7 @@ def _batch_size(op: str, *arrays: np.ndarray) -> int | None:
     for arr in arrays:
         if arr.ndim == 3:
             if size is not None and arr.shape[0] != size:
-                raise DimensionError(
+                raise ContractError(
                     f"{op} batch sizes disagree: {[a.shape for a in arrays]}"
                 )
             size = arr.shape[0]
@@ -223,7 +223,7 @@ def _input_grad(g: np.ndarray, w: np.ndarray, shape: tuple[int, ...]) -> np.ndar
 
 def _same_last_two(a: Tensor, b: Tensor, op: str) -> None:
     if a.data.shape[-2:] != b.data.shape[-2:]:
-        raise DimensionError(f"{op} needs equal shapes, got {a.data.shape} and {b.data.shape}")
+        raise ContractError(f"{op} needs equal shapes, got {a.data.shape} and {b.data.shape}")
     _batch_size(op, a.data, b.data)
 
 
@@ -233,7 +233,7 @@ def _same_last_two(a: Tensor, b: Tensor, op: str) -> None:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[-1] != b.data.shape[-2]:
-        raise DimensionError(
+        raise ContractError(
             f"matmul inner dimensions disagree: {a.data.shape} x {b.data.shape}"
         )
     _batch_size("matmul", a.data, b.data)
@@ -259,10 +259,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     One op instead of matmul then add_bias saves an output array and a
     gradient copy per projection: about 15% of a batched training step."""
     if w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[0]:
-        raise DimensionError(f"linear inner dimensions disagree: {x.data.shape} x {w.data.shape}")
+        raise ContractError(f"linear inner dimensions disagree: {x.data.shape} x {w.data.shape}")
     m = w.data.shape[1]
     if b.data.shape != (1, m):
-        raise DimensionError(f"linear needs a 1 x {m} bias, got {b.data.shape}")
+        raise ContractError(f"linear needs a 1 x {m} bias, got {b.data.shape}")
     y = x.data @ w.data
     y += b.data
     out = Tensor(y)
@@ -321,7 +321,7 @@ def add_bias(x: Tensor, bias: Tensor) -> Tensor:
     The bias is one row shared by the batch, or one row per sample."""
     c = x.data.shape[-1]
     if bias.data.shape[-2:] != (1, c):
-        raise DimensionError(
+        raise ContractError(
             f"add_bias needs a 1 x {c} bias, got {bias.data.shape} on {x.data.shape}"
         )
     _batch_size("add_bias", x.data, bias.data)
@@ -344,7 +344,7 @@ def scalar_times_const(s: Tensor, const: np.ndarray) -> Tensor:
     sum(g * const) over each sample's last two axes.
     """
     if s.data.shape[-2:] != (1, 1):
-        raise DimensionError(f"scalar_times_const needs a 1 x 1 tensor, got {s.data.shape}")
+        raise ContractError(f"scalar_times_const needs a 1 x 1 tensor, got {s.data.shape}")
     c = np.asarray(const, dtype=np.float64)
     if c.ndim == 1:
         c = c.reshape(1, -1)
@@ -386,7 +386,7 @@ def mean_over_rows(a: Tensor) -> Tensor:
 def squeeze_rows(a: Tensor) -> Tensor:
     """(batch, 1, c) -> (batch, c): one row per sample, for the 2-D heads."""
     if a.data.ndim != 3 or a.data.shape[1] != 1:
-        raise DimensionError(f"squeeze_rows needs a (batch, 1, c) tensor, got {a.data.shape}")
+        raise ContractError(f"squeeze_rows needs a (batch, 1, c) tensor, got {a.data.shape}")
     shape = a.data.shape
     out = Tensor(a.data.reshape(shape[0], shape[2]))
     tape = _should_record(a)
@@ -413,7 +413,7 @@ def concat_rows(parts: Iterable[Tensor]) -> Tensor:
     first = parts[0].data.shape
     for p in parts[1:]:
         if p.data.shape[-1] != first[-1]:
-            raise DimensionError(f"concat_rows column mismatch: {first} vs {p.data.shape}")
+            raise ContractError(f"concat_rows column mismatch: {first} vs {p.data.shape}")
     arrays = [p.data for p in parts]
     batch = _batch_size("concat_rows", *arrays)
     if batch is not None:
@@ -439,7 +439,7 @@ def concat_rows(parts: Iterable[Tensor]) -> Tensor:
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     r = a.data.shape[-2]
     if not (0 <= start < stop <= r):
-        raise DimensionError(f"slice_rows [{start}:{stop}] out of range for {a.data.shape}")
+        raise ContractError(f"slice_rows [{start}:{stop}] out of range for {a.data.shape}")
     out = Tensor(a.data[..., start:stop, :].copy())
     tape = _should_record(a)
     if tape is not None:
@@ -463,7 +463,7 @@ def log_softmax_diag(x: Tensor) -> Tensor:
     x_ii - max_i - log sum_j exp(x_ij - max_i), so it stays finite however
     peaked a row is; the backward is g_i (delta_ij - p_ij)."""
     if x.data.ndim != 2 or x.data.shape[0] != x.data.shape[1]:
-        raise DimensionError(f"log_softmax_diag needs a square matrix, got {x.data.shape}")
+        raise ContractError(f"log_softmax_diag needs a square matrix, got {x.data.shape}")
     z = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
     total = e.sum(axis=-1, keepdims=True)
@@ -484,7 +484,7 @@ def l2_normalize_rows(x: Tensor) -> Tensor:
     """Scale every row to unit Euclidean norm; zero rows are degenerate."""
     norms = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True))
     if np.any(norms < _NORM_EPS):
-        raise DegenerateInputError("cannot l2-normalize a zero-norm row")
+        raise ContractError("cannot l2-normalize a zero-norm row")
     y = x.data / norms
     out = Tensor(y)
     tape = _should_record(x)
@@ -509,9 +509,9 @@ def head_products(a: Tensor, b: Tensor, n_heads: int, stack_rows: bool = False) 
     stack_rows as row blocks (H*r x s). One head gives a @ b."""
     ad, bd = a.data, b.data
     if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
-        raise DimensionError(f"head_products inner dimensions disagree: {ad.shape} x {bd.shape}")
+        raise ContractError(f"head_products inner dimensions disagree: {ad.shape} x {bd.shape}")
     if n_heads < 1 or ad.shape[1] % n_heads:
-        raise DimensionError(f"{ad.shape[1]} columns do not split into {n_heads} heads")
+        raise ContractError(f"{ad.shape[1]} columns do not split into {n_heads} heads")
     r, hp = ad.shape
     s = bd.shape[1]
     a3 = ad.reshape(r, n_heads, hp // n_heads).swapaxes(0, 1)  # (H, r, p)
@@ -572,7 +572,7 @@ def attention(
     hd, m = w_qk.data.shape[-1], w_vo.data.shape[-1]
     if (w_qk.data.shape != (k, hd) or hd % d or b_qk.data.shape != (1, hd)
             or w_vo.data.shape != (hd, m) or b_vo.data.shape != (1, m)):
-        raise DimensionError(
+        raise ContractError(
             f"attention over {d}-wide keys got W_QK {w_qk.data.shape}, b_QK {b_qk.data.shape}, "
             f"W_VO {w_vo.data.shape} and b_VO {b_vo.data.shape} for {k}-wide rows"
         )
@@ -580,8 +580,8 @@ def attention(
     arrays = [xd, kd]
     if bias is not None:
         if bias.data.shape[-1] != kd.shape[-2] or bias.data.shape[-2] not in (1, xd.shape[-2]):
-            raise DimensionError(f"attention bias {bias.data.shape} fits neither 1 nor "
-                                 f"{xd.shape[-2]} rows over {kd.shape[-2]} keys")
+            raise ContractError(f"attention bias {bias.data.shape} fits neither 1 nor "
+                                f"{xd.shape[-2]} rows over {kd.shape[-2]} keys")
         arrays.append(bias.data)
     _batch_size("attention", *arrays)
     wqk, wvo = w_qk.data, w_vo.data
@@ -649,7 +649,7 @@ def residual_norm(x: Tensor, y: Tensor, gain: Tensor, shift: Tensor) -> Tensor:
     _same_last_two(x, y, "residual_norm")
     c = x.data.shape[-1]
     if gain.data.shape != (1, c) or shift.data.shape != (1, c):
-        raise DimensionError(
+        raise ContractError(
             f"residual_norm needs 1 x {c} gain/shift, got {gain.data.shape} and {shift.data.shape}"
         )
     xhat = x.data + y.data
@@ -686,7 +686,7 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     m = w2.data.shape[-1]
     if (x.data.shape[-1] != k or b1.data.shape != (1, hidden)
             or w2.data.shape != (hidden, m) or b2.data.shape != (1, m)):
-        raise DimensionError(
+        raise ContractError(
             f"feed_forward got x {x.data.shape}, w1 {w1.data.shape}, b1 {b1.data.shape}, "
             f"w2 {w2.data.shape} and b2 {b2.data.shape}"
         )

@@ -7,7 +7,7 @@ and wrongly typed values are rejected by dotted path, and lists become
 tuples where a tuple is declared. A record whose class declares a range or
 a `rules` method then goes through `check_ranges`, so no loader checks it
 again. Errors take the caller's class: ConfigError (exit 1) for config
-files, DataError or CheckpointError (exit 2) for artifacts.
+files, DataError (exit 2) for artifacts.
 `dataclasses.asdict` (or `vars` for a flat record) plus `canonical_json` or
 `write_json` write what this reads.
 

@@ -17,7 +17,7 @@ from focalcir.benchgen import (
     write_jsonl,
 )
 from focalcir.benchgen.pipeline import load_benchmark, save_benchmark
-from focalcir.errors import DataError, EmptyMaskError
+from focalcir.errors import ContractError, DataError
 from focalcir.fusion import region_mask_from_bbox
 
 
@@ -210,7 +210,7 @@ def test_loader_rejects_a_box_that_covers_no_patch_center_of_its_grid(tmp_path):
     def covers(subset, box):
         try:
             region_mask_from_bbox([box], bench.world.configs[subset].grid)
-        except EmptyMaskError:
+        except ContractError:
             return False
         return True
 

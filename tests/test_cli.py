@@ -10,6 +10,7 @@ import pytest
 
 from focalcir.benchgen.filtering import FilterThresholds
 from focalcir.benchgen.world import WorldConfig
+from focalcir import cli, errors
 from focalcir.cli import main
 from focalcir.config import BenchSettings, EvalSettings, RunConfig, run_config_from_dict
 from focalcir.evaluation import evaluate_model
@@ -338,6 +339,57 @@ def test_train_on_damaged_artifact_exits_2_naming_the_file(run_dir, tmp_path, ca
     assert name in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["world.bin", "quadruples_train.jsonl",
+                                  "quadruples_eval.jsonl", "gallery_fashion.jsonl"])
+def test_file_from_another_run_exits_2_naming_the_key_and_both_values(run_dir, tmp_path,
+                                                                      capsys, name):
+    # a file of a seed-18 run in the seed-17 run: each file's header holds
+    # the seed and config hash that stats.json records
+    cfg_path, out = run_dir
+    other = tmp_path / "other"
+    other_cfg = tmp_path / "other.json"
+    other_cfg.write_text(json.dumps(run_dict(other) | {"seed": 18}))
+    assert main(["gen", "--config", str(other_cfg)]) == 0
+    copy = tmp_path / "copy"
+    copy.mkdir()
+    for f in out.iterdir():
+        (copy / f.name).write_bytes(f.read_bytes())
+    (copy / name).write_bytes((other / name).read_bytes())
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg_path), "--out", str(copy)]) == 2
+    err = capsys.readouterr().err
+    assert f"{copy / name}: seed 18 is not the seed 17 of {copy / 'stats.json'}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, key, value, message", [
+    ("quadruples_eval.jsonl", "version", 99, "unsupported JSONL version 99 in {path}"),
+    ("gallery_fashion.jsonl", "version", 99, "unsupported JSONL version 99 in {path}"),
+    ("quadruples_eval.jsonl", "config_hash", "beef",
+     "{path}: config_hash 'beef' is not the config_hash {digest!r} of {stats}"),
+    ("world.bin", "config_hash", "beef",
+     "{path}: config_hash 'beef' is not the config_hash {digest!r} of {stats}"),
+])
+def test_file_header_of_another_version_or_config_exits_2_naming_it(run_dir, tmp_path, capsys,
+                                                                    name, key, value, message):
+    cfg_path, out = run_dir
+    copy = tmp_path / "copy"
+    copy.mkdir()
+    for f in out.iterdir():
+        (copy / f.name).write_bytes(f.read_bytes())
+    path = copy / name
+    if name == "world.bin":
+        _rewrite_header(path, lambda h: h.update({key: value}))
+    else:
+        head, *rest = path.read_text().splitlines()
+        path.write_text("\n".join([json.dumps(json.loads(head) | {key: value}), *rest]) + "\n")
+    assert main(["eval", "--config", str(cfg_path), "--out", str(copy)]) == 2
+    digest = json.loads((out / "stats.json").read_text())["config_hash"]
+    err = capsys.readouterr().err
+    assert message.format(path=path, digest=digest, stats=copy / "stats.json") in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("name", ["quadruples_train.jsonl", "quadruples_eval.jsonl"])
 def test_quadruple_of_an_unknown_subset_exits_2_naming_it(run_dir, tmp_path, capsys, name):
     # such a quadruple would drop out of every per-subset loop unnoticed
@@ -462,6 +514,34 @@ def test_eval_on_stats_with_out_of_range_value_exits_2_naming_the_key(run_dir, t
     _edit_json(copy / "stats.json", edit)
     assert main(["eval", "--config", str(cfg_path), "--out", str(copy)]) == 2
     assert key in capsys.readouterr().err
+
+
+# the exit-code contract: one class per code, and the base class as a check failure
+EXIT_CODES = {
+    "ConfigError": (1, "config error: "),
+    "DataError": (2, "data error: "),
+    "ContractError": (3, "check failure: "),
+    "FocalCirError": (3, "check failure: "),
+}
+
+
+def test_errors_defines_one_class_per_exit_code():
+    defined = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, Exception)}
+    assert defined == set(EXIT_CODES)
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_CODES))
+def test_each_error_class_exits_with_its_code(monkeypatch, capsys, name):
+    code, prefix = EXIT_CODES[name]
+
+    def fail(cfg):
+        raise getattr(errors, name)("the message")
+
+    monkeypatch.setattr(cli, "cmd_gen", fail)
+    assert main(["gen"]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix + "the message") and "Traceback" not in err
 
 
 def test_train_rerun_checkpoint_is_byte_identical(run_dir, capsys):

@@ -48,7 +48,7 @@ def test_defaults_validate_and_cover_presets():
 def test_default_digest_is_pinned():
     # every artifact embeds this hash, so a change to the defaults or to
     # the serialized form of the config shows up here first
-    assert RunConfig().digest() == "cd2bc76f4902e3ba"
+    assert RunConfig().digest() == "306f7165a22d1082"
 
 
 def test_from_dict_round_trip_preserves_digest():
@@ -64,6 +64,16 @@ def test_digest_ignores_out_but_not_seed():
     c = run_config_from_dict(tiny_run_dict(seed=18))
     assert a.digest() == b.digest()
     assert a.digest() != c.digest()
+
+
+def test_train_seed_is_rejected_and_left_out_of_the_digest():
+    # cmd_train and cmd_ablate train from the top-level seed, so a train.seed
+    # would change the config hash and nothing else
+    data = tiny_run_dict(train={"epochs": 2, "batch_size": 8, "seed": 7})
+    with pytest.raises(ConfigError, match="'train.seed' is not a setting: the top-level "
+                                          "'seed' drives training"):
+        run_config_from_dict(data)
+    assert "seed" not in run_config_from_dict(tiny_run_dict()).to_dict()["train"]
 
 
 def test_tuple_fields_coerced_from_lists():

@@ -1,5 +1,7 @@
 """Frozen encoder stand-ins: determinism, norm preservation, text spread."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from focalcir.encoders import (
     encode_image,
     pooled_image_embeddings,
 )
-from focalcir.errors import DimensionError
+from focalcir.errors import ContractError
 from focalcir.numerics import cosine_sim
 
 
@@ -53,7 +55,8 @@ def test_patch_order_is_raster():
 
 def test_encode_image_wrong_latent_dim_raises():
     enc = make_enc()
-    with pytest.raises(DimensionError):
+    named = "expected (h, w, 16) latent grid, got shape (2, 2, 8)"
+    with pytest.raises(ContractError, match=re.escape(named)):
         encode_image(np.zeros((2, 2, 8)), enc)
 
 

@@ -7,13 +7,7 @@ import pytest
 
 from focalcir import model
 from focalcir.encoders import ContextDescriptor, EncoderParams, embed_text
-from focalcir.errors import (
-    AlignmentError,
-    ConfigError,
-    ContractError,
-    DimensionError,
-    EmptyMaskError,
-)
+from focalcir.errors import ConfigError, ContractError
 from focalcir import numerics as nm
 from focalcir.numerics.tensor import Tape, Tensor, backward, concat_rows, constant, parameter
 from focalcir.fusion import (
@@ -101,9 +95,12 @@ def test_half_box_on_4x4_grid():
     assert np.array_equal(m, expected)
 
 
+_EMPTY_2X2 = re.escape("bbox (0.9, 0.9, 0.95, 0.95) covers no patch center on a 2x2 grid")
+
+
 def test_tiny_corner_bbox_is_empty():
     # (0.9, 0.9, 0.95, 0.95) on a 2x2 grid: centers at 0.25/0.75, none inside
-    with pytest.raises(EmptyMaskError):
+    with pytest.raises(ContractError, match=_EMPTY_2X2):
         region_mask_from_bbox([(0.9, 0.9, 0.95, 0.95)], (2, 2))
 
 
@@ -136,7 +133,8 @@ def test_mask_matches_loop_oracle_on_random_boxes():
         want = mask_loop_oracle(bbox, grid)
         if not want.any():
             empty += 1
-            with pytest.raises(EmptyMaskError):
+            named = f"bbox {bbox} covers no patch center on a {grid[0]}x{grid[1]} grid"
+            with pytest.raises(ContractError, match=re.escape(named)):
                 region_mask_from_bbox([bbox], grid)
             continue
         (got,) = region_mask_from_bbox([bbox], grid)
@@ -198,7 +196,7 @@ def test_query_batch_masks_match_loop_oracle_across_grids(monkeypatch):
 def test_bad_box_inside_a_batch_is_named():
     empty_box = (0.9, 0.9, 0.95, 0.95)  # no patch center on a 2x2 grid
     boxes = [(0.0, 0.0, 1.0, 1.0), empty_box, (0.1, 0.1, 0.6, 0.6)]
-    with pytest.raises(EmptyMaskError, match=re.escape(str(empty_box))):
+    with pytest.raises(ContractError, match=re.escape(f"bbox {empty_box} covers no patch center")):
         region_mask_from_bbox(boxes, (2, 2))
     outside = (-0.2, 0.0, 0.6, 0.6)  # covers patch centers, but is not a valid box
     with pytest.raises(ContractError, match=re.escape(str(outside))):
@@ -208,7 +206,7 @@ def test_bad_box_inside_a_batch_is_named():
         model.ModelConfig(d_model=16, d_embed=16, m_queries=2, k_probes=2, l_text=2,
                           n_blocks=1, crm_layers=1), enc, seed=4)
     batch = _query_batch(np.random.default_rng(6), enc, [((2, 2), b) for b in boxes])
-    with pytest.raises(EmptyMaskError, match=re.escape(str(empty_box))):
+    with pytest.raises(ContractError, match=re.escape(f"bbox {empty_box} covers no patch center")):
         model.query_representation(batch, params)
 
 
@@ -220,9 +218,9 @@ def test_mask_values_are_binary_and_nonempty():
     with pytest.raises(ContractError):
         modulated_cross_attention(constant(text.tokens), constant(patches),
                                   fusion.blocks[0].cross_attn, np.full(4, 0.5), 1.0)
-    with pytest.raises(EmptyMaskError):
+    with pytest.raises(ContractError, match=_EMPTY_2X2):
         region_mask_from_bbox([(0.9, 0.9, 0.95, 0.95)], (2, 2))
-    with pytest.raises(AlignmentError):
+    with pytest.raises(ContractError, match="mask covers 5 keys but there are 4"):
         multimodal_encode(patches, text, fusion, mask=np.ones(5), beta=1.0)
 
 
@@ -343,8 +341,8 @@ def test_encode_gradients_match_finite_differences(beta_form, n_heads):
 
 @pytest.mark.parametrize("beta, error, named", [
     ("0.5", ContractError, "beta must be a float or Tensor, got str"),
-    (constant(np.ones((2, 3))), DimensionError, "vector beta must be 1 x m, got (2, 3)"),
-    (constant(np.ones((1, 3))), DimensionError, "vector beta has 3 entries for 2 fusion queries"),
+    (constant(np.ones((2, 3))), ContractError, "vector beta must be 1 x m, got (2, 3)"),
+    (constant(np.ones((1, 3))), ContractError, "vector beta has 3 entries for 2 fusion queries"),
 ], ids=["not-a-float-or-tensor", "not-one-row", "wrong-length"])
 def test_logit_bias_rejects_a_bad_beta_naming_it(beta, error, named):
     # rows [cls, 2 fusion queries, text] over 5 patch keys
@@ -501,7 +499,7 @@ def test_nonzero_beta_without_mask_rejected():
 def test_mask_length_mismatch_raises():
     rng = np.random.default_rng(7)
     p = make_attn_params(rng, 4)
-    with pytest.raises(AlignmentError):
+    with pytest.raises(ContractError, match="mask covers 5 keys but there are 3"):
         modulated_cross_attention(
             constant(rng.normal(size=(2, 4))),
             constant(rng.normal(size=(3, 4))),
@@ -590,7 +588,7 @@ def test_mask_grid_mismatch_raises():
     enc, patches, text = make_world_inputs()
     fusion = fusion_of(np.random.default_rng(1), 16, m_queries=4, n_blocks=1)
     (mask,) = region_mask_from_bbox([(0.0, 0.0, 1.0, 1.0)], (2, 2))
-    with pytest.raises(AlignmentError):
+    with pytest.raises(ContractError, match="mask covers 4 keys but there are 16"):
         multimodal_encode(patches, text, fusion, mask=mask, beta=1.0)
 
 

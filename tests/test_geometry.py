@@ -1,9 +1,11 @@
 """Box geometry against an independent rectangle-overlap oracle."""
 
+import re
+
 import numpy as np
 import pytest
 
-from focalcir.errors import ContractError, PerturbationError
+from focalcir.errors import ContractError
 from focalcir.geometry import (
     center_inside,
     iou,
@@ -77,14 +79,15 @@ def test_scale_shift_moves_center():
 def test_infeasible_shift_raises():
     # the full-frame box contains every in-bounds box, so IoU under
     # scale_shift is pinned by the scale stage and no shift can reach 0.2
-    with pytest.raises(PerturbationError):
+    named = "no in-bounds perturbation of (0.0, 0.0, 1.0, 1.0) reaches IoU 0.2 in mode scale_shift"
+    with pytest.raises(ContractError, match=re.escape(named)):
         perturb_bbox((0.0, 0.0, 1.0, 1.0), "scale_shift", 0.2, np.random.default_rng(0))
 
 
 def test_bad_target_iou_raises():
-    with pytest.raises(PerturbationError):
+    with pytest.raises(ContractError, match=re.escape("target IoU must be in (0, 1], got 0.0")):
         perturb_bbox((0.2, 0.2, 0.5, 0.5), "scale", 0.0, np.random.default_rng(0))
-    with pytest.raises(PerturbationError):
+    with pytest.raises(ContractError, match=re.escape("target IoU must be in (0, 1], got 1.5")):
         perturb_bbox((0.2, 0.2, 0.5, 0.5), "scale", 1.5, np.random.default_rng(0))
 
 

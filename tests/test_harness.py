@@ -87,8 +87,8 @@ def test_sweep_table_text(tiny_bench, tiny_model):
 def test_ablation_rows_and_param_counts(tiny_bench):
     base = ModelConfig(d_model=16, d_embed=16, m_queries=2, k_probes=2, l_text=2,
                        n_blocks=1, crm_layers=1)
-    cfg = TrainConfig(epochs=1, batch_size=8, seed=3)
-    rows = caam_ablation(tiny_bench, base, cfg, model_seed=5)
+    cfg = TrainConfig(epochs=1, batch_size=8, seed=5)
+    rows = caam_ablation(tiny_bench, base, cfg)
     # every CRM variant in each form, variant major; the CAAM sizes the grid
     # does not vary are the base config's
     assert [r.label for r in rows] == [
@@ -178,7 +178,7 @@ def test_roi_crop_baseline_trains_and_reports(tiny_bench):
     cfg = ModelConfig(d_model=16, d_embed=16, m_queries=2, k_probes=2, l_text=2,
                       n_blocks=1, crm_layers=1)
     params, report = roi_crop_baseline(
-        tiny_bench, cfg, TrainConfig(epochs=1, batch_size=8, seed=3), model_seed=5
+        tiny_bench, cfg, TrainConfig(epochs=1, batch_size=8, seed=5)
     )
     report.validate()
     assert report.per_subset["fashion"].n_queries == len(tiny_bench.eval_quads)

@@ -1,9 +1,11 @@
 """AdamW semantics: decoupled decay, bias correction, convergence."""
 
+import re
+
 import numpy as np
 import pytest
 
-from focalcir.errors import ContractError, DimensionError
+from focalcir.errors import ContractError
 from focalcir import numerics as nm
 from focalcir.numerics.optim import AdamState, adam_step
 
@@ -54,7 +56,7 @@ def test_none_grad_means_zero_but_decay_applies():
 def test_grad_shape_mismatch_raises():
     p = nm.parameter([[1.0, 2.0]])
     state = AdamState(lr=0.01)
-    with pytest.raises(DimensionError):
+    with pytest.raises(ContractError, match=re.escape("grad shape (2, 2) vs param shape (1, 2)")):
         adam_step([p], [np.zeros((2, 2))], state)
 
 
