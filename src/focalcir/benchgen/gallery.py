@@ -64,7 +64,7 @@ def build_gallery(
     eval_quads: list[Quadruple],
     reserve_images: list[SyntheticImage],
     seed: int,
-    n_distractors: int = 320,
+    n_distractors: int,
 ) -> GalleryManifest:
     """Targets (first appearance order) + proportionally sampled distractors."""
     if not eval_quads:

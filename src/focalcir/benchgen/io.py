@@ -165,7 +165,7 @@ def write_jsonl(path, kind: str, records: Iterable[dict], seed: int, config_hash
             fh.write(canonical_json(rec) + b"\n")
 
 
-def read_jsonl(path, expect_kind: str | None = None) -> tuple[JsonlHeader, list[dict]]:
+def read_jsonl(path, expect_kind: str) -> tuple[JsonlHeader, list[dict]]:
     with open_file(path, DataError) as fh:
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     if not lines:
@@ -174,7 +174,7 @@ def read_jsonl(path, expect_kind: str | None = None) -> tuple[JsonlHeader, list[
                          DataError, f"{path}:header", complete=True)
     if header.version != 1:
         raise DataError(f"unsupported JSONL version {header.version!r} in {path}")
-    if expect_kind is not None and header.kind != expect_kind:
+    if header.kind != expect_kind:
         raise DataError(f"{path} holds {header.kind!r} records, expected {expect_kind!r}")
     return header, [parse_json(ln, DataError, f"{path} line {n}")
                     for n, ln in enumerate(lines[1:], 2)]

@@ -81,8 +81,8 @@ def make_quadruples(
     pairs_by_instance: dict[str, list[tuple[str, str]]],
     world: SyntheticWorld,
     seed: int,
-    train_cap: int = 8,
-    eval_cap: int = 20,
+    train_cap: int,
+    eval_cap: int,
 ) -> tuple[list[Quadruple], list[Quadruple]]:
     """Filtered pairs -> (train, eval) quadruples, split 8:2 by instance."""
     by_id = {im.image_id: im for im in world.images}

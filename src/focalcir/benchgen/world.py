@@ -51,11 +51,11 @@ class SyntheticWorld:
 
     seed: int
     configs: dict[str, WorldConfig]
-    images: list[SyntheticImage] = field(default_factory=list)
-    reserve_images: list[SyntheticImage] = field(default_factory=list)
-    contexts: dict[str, ContextDescriptor] = field(default_factory=dict)
-    identities: dict[str, np.ndarray] = field(default_factory=dict)
-    categories: dict[str, np.ndarray] = field(default_factory=dict)
+    images: list[SyntheticImage] = field(default_factory=list, init=False)
+    reserve_images: list[SyntheticImage] = field(default_factory=list, init=False)
+    contexts: dict[str, ContextDescriptor] = field(default_factory=dict, init=False)
+    identities: dict[str, np.ndarray] = field(default_factory=dict, init=False)
+    categories: dict[str, np.ndarray] = field(default_factory=dict, init=False)
 
     @property
     def encoder_seed(self) -> int:

@@ -2,8 +2,10 @@
 
 One seed in the run config drives every stage; each command writes its
 resolved configuration hash into all of its outputs, so artifacts from the
-same run share one provenance chain. Exit codes: 0 success, 1 configuration
-error, 2 data error, 3 check failure.
+same run share one provenance chain. Only gen writes resolved_config.json,
+and the other commands refuse a benchmark made under other data settings
+than their config's. Exit codes: 0 success, 1 configuration error, 2 data
+error, 3 check failure.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from focalcir.benchgen.filtering import PRESETS
 from focalcir.benchgen.pipeline import build_benchmark, load_benchmark, save_benchmark
 from focalcir.config import EvalSettings, RunConfig, load_run_config, write_resolved_config
 from focalcir.encoders import ContextDescriptor, EncoderParams, embed_text, encode_image
@@ -131,6 +134,40 @@ def _check_subsets(names: tuple[str, ...] | None, bench) -> None:
                           f"benchmark has {sorted(bench.world.configs)}")
 
 
+def _settings_made_under(cfg: RunConfig, bench):
+    """(key, the run config's value, the benchmark's value) of each setting
+    that decides what `gen` makes, in the order of the run config."""
+    made = bench.settings
+    yield "seed", cfg.seed, made.seed
+    for key, value in dataclasses.asdict(cfg.bench).items():
+        yield f"bench.{key}", value, getattr(made, key)
+    for key in ("d_model", "l_text"):
+        yield f"model.{key}", getattr(cfg.model, key), getattr(made, key)
+    yield "world", sorted(w.subset for w in cfg.world), sorted(bench.world.configs)
+    for i, world in enumerate(cfg.world):
+        theirs = dataclasses.asdict(bench.world.configs[world.subset])
+        for key, value in dataclasses.asdict(world).items():
+            yield f"world[{i}].{key}", value, theirs[key]
+    thresholds = cfg.thresholds
+    if thresholds is None:
+        thresholds = {w.subset: PRESETS[w.subset] for w in cfg.world}
+    for subset, ours in thresholds.items():
+        theirs = dataclasses.asdict(bench.thresholds[subset])
+        for key, value in dataclasses.asdict(ours).items():
+            yield f"thresholds.{subset}.{key}", value, theirs[key]
+
+
+def _load_bench(cfg: RunConfig):
+    """The benchmark in the run directory, which must have been made under
+    the data settings of this run config."""
+    bench = load_benchmark(cfg.out)
+    for key, ours, theirs in _settings_made_under(cfg, bench):
+        if ours != theirs:
+            raise DataError(f"the run config's {key} is {ours!r}, but the benchmark in "
+                            f"{cfg.out} was made with {theirs!r}; run gen again")
+    return bench
+
+
 def _ckpt_path(cfg: RunConfig, arg: str | None) -> Path:
     return Path(arg) if arg is not None else Path(cfg.out) / "checkpoint.bin"
 
@@ -190,8 +227,8 @@ def cmd_gen(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig, subsets: tuple[str, ...] | None, ckpt: str | None) -> int:
-    bench = load_benchmark(cfg.out)
-    digest = write_resolved_config(cfg.out, cfg)
+    bench = _load_bench(cfg)
+    digest = cfg.digest()
     chosen = subsets if subsets is not None else cfg.train.subsets
     _check_subsets(chosen, bench)
     ckpt_path = _ckpt_path(cfg, ckpt)
@@ -223,8 +260,8 @@ def cmd_train(cfg: RunConfig, subsets: tuple[str, ...] | None, ckpt: str | None)
 
 
 def cmd_eval(cfg: RunConfig, subsets: tuple[str, ...] | None, ckpt: str | None) -> int:
-    bench = load_benchmark(cfg.out)
-    digest = write_resolved_config(cfg.out, cfg)
+    bench = _load_bench(cfg)
+    digest = cfg.digest()
     params, _meta = _load_ckpt(_ckpt_path(cfg, ckpt), bench)
     _check_subsets(subsets, bench)
     report = evaluate_model(
@@ -239,8 +276,8 @@ def cmd_eval(cfg: RunConfig, subsets: tuple[str, ...] | None, ckpt: str | None) 
 
 
 def cmd_ablate(cfg: RunConfig, kind: str, betas: tuple[float, ...], ckpt: str | None) -> int:
-    bench = load_benchmark(cfg.out)
-    digest = write_resolved_config(cfg.out, cfg)
+    bench = _load_bench(cfg)
+    digest = cfg.digest()
     _check_subsets(cfg.train.subsets, bench)
     out = Path(cfg.out)
     train_cfg = dataclasses.replace(cfg.train, seed=cfg.seed)

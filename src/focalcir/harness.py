@@ -56,7 +56,7 @@ class SweepRow:
 
 @dataclass
 class SweepTable:
-    rows: list[SweepRow] = field(default_factory=list)
+    rows: list[SweepRow] = field(default_factory=list, init=False)
 
     def to_text(self) -> str:
         return metrics_table_text(("label", "beta"), [

@@ -335,9 +335,9 @@ LR_ENCODER = 2e-4
 
 @dataclass
 class TrainResult:
-    epoch_losses: list[float] = field(default_factory=list)
-    epoch_mean_betas: list[float] = field(default_factory=list)
-    steps: int = 0
+    epoch_losses: list[float] = field(default_factory=list, init=False)
+    epoch_mean_betas: list[float] = field(default_factory=list, init=False)
+    steps: int = field(default=0, init=False)
 
 
 def _beta_scalar(applied) -> float:

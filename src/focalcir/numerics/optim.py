@@ -22,15 +22,12 @@ class AdamState:
     parameters exist."""
 
     lr: float
-    beta1: float = 0.9  # Kingma & Ba 2014
-    beta2: float = 0.98
-    weight_decay: float = 0.05
-    eps: float = 1e-8
-    step_count: int = 0
-    flat: np.ndarray | None = None  # every parameter of the group, end to end
-    m: np.ndarray | None = None
-    v: np.ndarray | None = None
-    views: list[np.ndarray] = field(default_factory=list)  # each parameter's .data
+    step_count: int = field(default=0, init=False)
+    # every parameter of the group, end to end
+    flat: np.ndarray | None = field(default=None, init=False)
+    m: np.ndarray | None = field(default=None, init=False)
+    v: np.ndarray | None = field(default=None, init=False)
+    views: list[np.ndarray] = field(default_factory=list, init=False)  # each parameter's .data
 
     def _ensure(self, params: Sequence[Tensor]) -> None:
         if self.flat is None:
@@ -54,6 +51,13 @@ class AdamState:
                 )
 
 
+# the one AdamW setting every group trains with; only the rate differs
+BETA1 = 0.9  # Kingma & Ba 2014
+BETA2 = 0.98
+WEIGHT_DECAY = 0.05
+EPS = 1e-8
+
+
 def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray | None], state: AdamState) -> None:
     """One in-place update. grads[i] = None means a zero gradient; decoupled
     weight decay still applies to that parameter. The rule is elementwise,
@@ -73,22 +77,20 @@ def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray | None], stat
                         for p, g in zip(params, grads)])
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
-    lr, b1, b2, wd, eps = state.lr, state.beta1, state.beta2, state.weight_decay, state.eps
-    flat, m, v = state.flat, state.m, state.v
-    if wd != 0.0:
-        flat -= lr * wd * flat
-    m *= b1
-    m += (1.0 - b1) * g
-    v *= b2
-    g2 = (1.0 - b2) * g
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
+    lr, flat, m, v = state.lr, state.flat, state.m, state.v
+    flat -= lr * WEIGHT_DECAY * flat
+    m *= BETA1
+    m += (1.0 - BETA1) * g
+    v *= BETA2
+    g2 = (1.0 - BETA2) * g
     g2 *= g
     v += g2
     step = m / bc1
     step *= lr
     denom = v / bc2
     np.sqrt(denom, out=denom)
-    denom += eps
+    denom += EPS
     step /= denom
     flat -= step

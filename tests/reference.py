@@ -1,8 +1,9 @@
-"""Plain-numpy references the package must reproduce bit for bit: the
-forwards of softmax, GELU and layer norm, which the fused tape ops
-`attention`, `feed_forward` and `residual_norm` compute, and a world drawn
-and rendered one image at a time, patch by patch, which the pooled renderer
-of `generate_world` computes."""
+"""Plain-numpy references the package must reproduce: the forwards of
+softmax, GELU and layer norm, which the fused tape ops `attention`,
+`feed_forward` and `residual_norm` compute bit for bit; the one-pair cosine,
+which `cosine_sim_matrix` computes for all pairs; and a world drawn and
+rendered one image at a time, patch by patch, which the pooled renderer of
+`generate_world` computes bit for bit."""
 
 import math
 
@@ -39,6 +40,12 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray, eps: float = 
     xc = x - x.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
     return xc * inv * gain + shift
+
+
+def cosine_sim(a, b) -> float:
+    """Cosine similarity of two vectors."""
+    a, b = np.ravel(a), np.ravel(b)
+    return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
 
 
 def render_loop(rng, cfg, identity, context, bbox):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from focalcir.errors import ContractError
-from focalcir import numerics as nm
+from focalcir.numerics import tensor as nm
+from focalcir.numerics.gradcheck import finite_diff_grad, max_rel_error
 from focalcir.numerics.tensor import Tape, backward
 
 
@@ -20,9 +21,9 @@ def fd_check(build, params, tol=1e-6, eps=1e-5, name=""):
 
     worst = 0.0
     for p, a in zip(params, analytic):
-        numeric = nm.finite_diff_grad(lambda _t: build().item(), p, eps=eps)
+        numeric = finite_diff_grad(lambda _t: build().item(), p, eps=eps)
         a = np.zeros_like(p.data) if a is None else a
-        worst = max(worst, nm.max_rel_error(a, numeric))
+        worst = max(worst, max_rel_error(a, numeric))
     assert worst < tol, f"{name}: max relative error {worst:.3e} >= {tol}"
     return worst
 

@@ -448,10 +448,10 @@ def test_make_quadruples_deterministic(small_world):
         for iid, ims in by_instance.items()
     }
     pairs = {k: v for k, v in pairs.items() if v}
-    a = make_quadruples(pairs, small_world, seed=5)
-    b = make_quadruples(pairs, small_world, seed=5)
+    a = make_quadruples(pairs, small_world, seed=5, train_cap=8, eval_cap=20)
+    b = make_quadruples(pairs, small_world, seed=5, train_cap=8, eval_cap=20)
     assert a == b
-    c = make_quadruples(pairs, small_world, seed=6)
+    c = make_quadruples(pairs, small_world, seed=6, train_cap=8, eval_cap=20)
     assert a != c  # different split/caps under a different seed
 
 
@@ -476,7 +476,8 @@ def test_gallery_histogram_proportional_for_divisible_sizes(small_world):
         iid: filter_pairs(ims, thr, pooled_embed(ims, enc))
         for iid, ims in by_instance.items()
     }
-    _, eval_quads = make_quadruples({k: v for k, v in pairs.items() if v}, small_world, seed=5)
+    _, eval_quads = make_quadruples({k: v for k, v in pairs.items() if v}, small_world,
+                                    seed=5, train_cap=8, eval_cap=20)
     manifest = build_gallery(eval_quads, small_world.reserve_images, seed=5, n_distractors=6)
     hist: dict[str, int] = {}
     for q in eval_quads:
@@ -510,4 +511,4 @@ def test_gallery_deterministic(small_bench):
 
 def test_gallery_rejects_empty_or_mixed_input(small_bench):
     with pytest.raises(ContractError, match="cannot build a gallery without eval quadruples"):
-        build_gallery([], small_bench.world.reserve_images, seed=0)
+        build_gallery([], small_bench.world.reserve_images, seed=0, n_distractors=10)

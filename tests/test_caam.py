@@ -11,9 +11,9 @@ from focalcir.caam import (
 )
 from focalcir.encoders import ContextDescriptor, EncoderParams, embed_text
 from focalcir.errors import ConfigError
-from focalcir import numerics as nm
+from focalcir.numerics.gradcheck import finite_diff_grad, max_rel_error
 from focalcir.model import ModelConfig, ModelParams
-from focalcir.numerics.tensor import Tape, backward, constant, parameter
+from focalcir.numerics.tensor import Tape, backward, constant, mul, parameter, sum_all
 from focalcir.fusion import WEIGHT_INIT, _attention, init_fusion_params
 from reference import gelu, layer_norm
 
@@ -136,7 +136,7 @@ def test_probe_gradients_flow():
 
     def build():
         b = predict_beta(patches, text, fusion, caam)
-        return nm.sum_all(nm.mul(b, b))
+        return sum_all(mul(b, b))
 
     tape = Tape()
     with tape:
@@ -144,8 +144,8 @@ def test_probe_gradients_flow():
     backward(loss, tape)
     analytic = caam.probes.grad.copy()
     tape.clear()
-    numeric = nm.finite_diff_grad(lambda _t: build().item(), caam.probes)
-    assert nm.max_rel_error(analytic, numeric) < 1e-4
+    numeric = finite_diff_grad(lambda _t: build().item(), caam.probes)
+    assert max_rel_error(analytic, numeric) < 1e-4
     assert np.abs(analytic).max() > 1e-10
 
 
@@ -197,7 +197,7 @@ def test_crm_transformer_gradients_match_finite_differences(n_heads):
     weights = constant(rng.normal(size=(2, 1, d)))
 
     def build():
-        return nm.sum_all(nm.mul(crm_forward(tokens, crm, n_heads=n_heads), weights))
+        return sum_all(mul(crm_forward(tokens, crm, n_heads=n_heads), weights))
 
     checked = [tokens] + [t for t in crm_tensors(crm) if t.requires_grad]
     tape = Tape()
@@ -208,5 +208,5 @@ def test_crm_transformer_gradients_match_finite_differences(n_heads):
     tape.clear()
     assert np.abs(analytic[0][:, 1:]).max() > 1e-6  # the probe rows are read as keys
     for i, (t, a) in enumerate(zip(checked, analytic)):
-        numeric = nm.finite_diff_grad(lambda _t: build().item(), t)
-        assert nm.max_rel_error(a, numeric) < 1e-5, i
+        numeric = finite_diff_grad(lambda _t: build().item(), t)
+        assert max_rel_error(a, numeric) < 1e-5, i

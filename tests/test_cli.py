@@ -552,6 +552,75 @@ def test_train_rerun_checkpoint_is_byte_identical(run_dir, capsys):
     assert (out / "checkpoint.bin").read_bytes() == before
 
 
+def _gen_files_copy(out, copy):
+    """A fresh run directory holding the files gen wrote to out."""
+    copy.mkdir()
+    for name in ("world.bin", "quadruples_train.jsonl", "quadruples_eval.jsonl",
+                 "gallery_fashion.jsonl", "stats.json", "resolved_config.json"):
+        (copy / name).write_bytes((out / name).read_bytes())
+    return copy
+
+
+def _two_subsets_renamed(d):
+    d["world"][0]["subset"] = "car"
+    d["thresholds"] = {"car": d["thresholds"]["fashion"]}
+
+
+def _n_contexts_7(d):
+    d["world"][0]["n_contexts"] = 7
+
+
+@pytest.mark.parametrize("command, edit, key, ours, theirs", [
+    (["train"], _n_contexts_7, "world[0].n_contexts", "7", "6"),
+    (["eval"], _n_contexts_7, "world[0].n_contexts", "7", "6"),
+    (["ablate", "beta"], _n_contexts_7, "world[0].n_contexts", "7", "6"),
+    (["ablate", "caam"], _n_contexts_7, "world[0].n_contexts", "7", "6"),
+    (["train"], lambda d: d.update(seed=18), "seed", "18", "17"),
+    (["train"], lambda d: d["bench"].update(n_distractors=7), "bench.n_distractors", "7", "6"),
+    (["train"], lambda d: d["model"].update(d_model=8, d_embed=8), "model.d_model", "8", "16"),
+    (["train"], lambda d: d["thresholds"]["fashion"].update(tau_high=0.9),
+     "thresholds.fashion.tau_high", "0.9", "0.95"),
+    (["train"], _two_subsets_renamed, "world", "['car']", "['fashion']"),
+])
+def test_a_config_other_than_gens_exits_2_naming_the_key(run_dir, tmp_path, capsys,
+                                                         command, edit, key, ours, theirs):
+    cfg_path, out = run_dir
+    copy = _gen_files_copy(out, tmp_path / "copy")
+    trained = (out / "checkpoint.bin").read_bytes()
+    (copy / "checkpoint.bin").write_bytes(trained)
+    data = json.loads(cfg_path.read_text())
+    data["out"] = str(copy)
+    edit(data)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(data))
+    assert main([*command, "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert f"the run config's {key} is {ours}, but the benchmark in {copy} was made with {theirs}" \
+        in err and "Traceback" not in err
+    assert (copy / "checkpoint.bin").read_bytes() == trained
+    assert not any(copy.glob("metrics.*")) and not any(copy.glob("ablate_*"))
+
+
+def test_only_gen_writes_the_resolved_config(run_dir, tmp_path, capsys):
+    cfg_path, out = run_dir
+    copy = _gen_files_copy(out, tmp_path / "copy")
+    before = (copy / "resolved_config.json").read_bytes()
+    data = json.loads(cfg_path.read_text())
+    data["out"] = str(copy)
+    data["train"]["epochs"] = 1
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(data))
+    assert main(["train", "--config", str(p)]) == 0
+    assert main(["eval", "--config", str(p)]) == 0
+    capsys.readouterr()
+    assert (copy / "resolved_config.json").read_bytes() == before
+    # the outputs still carry the digest of the config that made them
+    digest = run_config_from_dict(data).digest()
+    assert digest != json.loads(before)["config_hash"]
+    assert load_checkpoint(copy / "checkpoint.bin")[1]["config_hash"] == digest
+    assert json.loads((copy / "metrics.json").read_text())["config_hash"] == digest
+
+
 # -- eval -----------------------------------------------------------------------
 
 

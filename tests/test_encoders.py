@@ -14,7 +14,7 @@ from focalcir.encoders import (
     pooled_image_embeddings,
 )
 from focalcir.errors import ContractError
-from focalcir.numerics import cosine_sim
+from reference import cosine_sim
 
 
 def make_enc(seed=11, d_latent=16, d_model=32, l_text=4):

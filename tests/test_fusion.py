@@ -8,8 +8,10 @@ import pytest
 from focalcir import model
 from focalcir.encoders import ContextDescriptor, EncoderParams, embed_text
 from focalcir.errors import ConfigError, ContractError
-from focalcir import numerics as nm
-from focalcir.numerics.tensor import Tape, Tensor, backward, concat_rows, constant, parameter
+from focalcir.numerics.gradcheck import finite_diff_grad, max_rel_error
+from focalcir.numerics.tensor import (
+    Tape, Tensor, backward, concat_rows, constant, mul, parameter, sum_all,
+)
 from focalcir.fusion import (
     WEIGHT_INIT,
     AttentionParams,
@@ -317,7 +319,7 @@ def test_encode_gradients_match_finite_differences(beta_form, n_heads):
                 beta=beta, key_mask=key_mask, **kwargs)
 
         def build():
-            return nm.sum_all(nm.mul(encode(), weights))
+            return sum_all(mul(encode(), weights))
 
         tape = Tape()
         with tape:
@@ -327,8 +329,8 @@ def test_encode_gradients_match_finite_differences(beta_form, n_heads):
         assert all(a.bk.grad is None for a in attns), field  # b_K cancels in the softmax
         tape.clear()
         for i, (t, a) in enumerate(zip(checked, analytic)):
-            numeric = nm.finite_diff_grad(lambda _t: build().item(), t)
-            assert nm.max_rel_error(a, numeric) < 1e-5, (field, i)
+            numeric = finite_diff_grad(lambda _t: build().item(), t)
+            assert max_rel_error(a, numeric) < 1e-5, (field, i)
         # b_K cancels in the softmax, so a nonzero one leaves every bit in place
         with_bk = encode().data
         key_biases = [a.bk for a in attns]
@@ -521,7 +523,7 @@ def test_beta_gradient_flows_through_bias():
 
     def build(_b=None):
         out = modulated_cross_attention(queries, kv, p, mask, beta)
-        return nm.sum_all(nm.mul(out, out))
+        return sum_all(mul(out, out))
 
     tape = Tape()
     with tape:
@@ -529,8 +531,8 @@ def test_beta_gradient_flows_through_bias():
     backward(loss, tape)
     analytic = beta.grad.copy()
     tape.clear()
-    numeric = nm.finite_diff_grad(lambda _t: build().item(), beta)
-    assert nm.max_rel_error(analytic, numeric) < 1e-6
+    numeric = finite_diff_grad(lambda _t: build().item(), beta)
+    assert max_rel_error(analytic, numeric) < 1e-6
     assert abs(analytic[0, 0]) > 1e-8  # the bias genuinely participates
 
 

@@ -11,6 +11,7 @@ from focalcir.benchgen import FilterThresholds, WorldConfig, build_benchmark
 from focalcir.benchgen.pipeline import save_benchmark
 from focalcir.caam import CRM_VARIANTS, OUTPUT_FORMS
 from focalcir.cli import main
+from focalcir.config import BenchSettings, RunConfig
 from focalcir.encoders import ContextDescriptor, EncoderParams, embed_text, encode_image
 from focalcir.errors import ConfigError, ContractError, DataError
 from focalcir.fusion import AttentionParams
@@ -721,14 +722,17 @@ def test_eval_on_a_checkpoint_of_another_layout_exits_2_naming_its_params(tmp_pa
                         images_per_instance=5, n_contexts=6, grid=(4, 4), d_latent=4,
                         bbox_size_range=(0.3, 0.6), reserve_instances_per_category=3,
                         reserve_images_per_instance=3)
+    thresholds = {"fashion": FilterThresholds(4, 0.9, 0.85, 3)}
     bench = build_benchmark(configs=[world], seed=13, d_model=8, l_text=2, train_cap=3,
-                            eval_cap=4, n_distractors=4,
-                            thresholds={"fashion": FilterThresholds(4, 0.9, 0.85, 3)})
+                            eval_cap=4, n_distractors=4, thresholds=thresholds)
     save_benchmark(tmp_path / "run", bench)
     ckpt = tmp_path / "old.bin"
     _old_layout_checkpoint(ckpt, ModelParams(tiny_config(), bench.encoders, seed=5))
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"out": str(tmp_path / "run")}))
+    # the run config the benchmark was made under
+    run = RunConfig(seed=13, out=str(tmp_path / "run"), world=(world,), thresholds=thresholds,
+                    model=tiny_config(), bench=BenchSettings(train_cap=3, eval_cap=4, n_distractors=4))
+    cfg.write_text(json.dumps(run.to_dict()))
     assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt)]) == 2
     err = capsys.readouterr().err
     assert str(ckpt) in err and "Traceback" not in err

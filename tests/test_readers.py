@@ -1,7 +1,8 @@
 """Every top-level function, class and method of the package has a reader
-in src/, every defaulted parameter has a caller that passes it, and every
-config field has a caller that sets it: code and knobs that only tests use
-leave the package."""
+in src/, every defaulted parameter has a caller that passes it, every
+config field has a caller that sets it, and so does every defaulted
+constructor field of every other dataclass: code and knobs that only tests
+use leave the package."""
 
 import ast
 import math
@@ -16,7 +17,6 @@ NO_READER_IN_SRC = {
     "evaluation.recall_at_k": "imported by the fixed tests/test_acceptance.py",
     "evaluation.instance_recall_at_k": "imported by the fixed tests/test_acceptance.py",
     "fusion.modulated_cross_attention": "imported by the fixed tests/test_acceptance.py",
-    "numerics.similarity.cosine_sim": "the one-pair reference for cosine_sim_matrix",
     "numerics.tensor.add": "the gradchecks sum two reductions into one root with it (the "
                            "fan-in of a shared input); no model op adds two same-shape tensors",
     "numerics.tensor.mul": "the gradchecks' two-input elementwise op (random linear "
@@ -37,6 +37,14 @@ UNPASSED_DEFAULTS: dict[str, str] = {}
 UNSET_CONFIG_FIELDS = {
     "ModelConfig.n_heads": "tests exercise the multi-head path, and acceptance criterion 1b "
                            "exercises it through modulated_cross_attention",
+}
+
+# the defaulted constructor fields of the other dataclasses that no caller
+# sets, and why each stays
+UNSET_DATACLASS_FIELDS = {
+    f"Benchmark.{cache}": "dataclasses.replace(bench, eval_quads=...) carries the cache into "
+                          "each robustness view, which init=False would drop"
+    for cache in ("_by_id", "_patches", "_texts")
 }
 
 
@@ -189,3 +197,48 @@ def test_every_config_field_has_a_caller_that_sets_it():
     # a field no caller sets is a knob without a caller: make it a constant
     # beside the code that reads it, or list it here with the reason it stays
     assert unset == set(UNSET_CONFIG_FIELDS)
+
+
+def _named(node, name):
+    return getattr(node, "id", None) == name
+
+
+def constructor_fields(tree):
+    """(class name, field name, position, whether it has a default) of each
+    constructor field of each top-level @dataclass that is no ConfigSection
+    (the rule above checks those, whose fields a config file sets through
+    its keys). A field(init=False) is no constructor field."""
+    for node in tree.body:
+        if not (isinstance(node, ast.ClassDef)
+                and any(_named(d.func if isinstance(d, ast.Call) else d, "dataclass")
+                        for d in node.decorator_list)
+                and not any(_named(b, "ConfigSection") for b in node.bases)):
+            continue
+        position = 0
+        for sub in node.body:
+            if not (isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name)):
+                continue
+            value = sub.value
+            if isinstance(value, ast.Call) and _named(value.func, "field"):
+                keywords = {k.arg: k.value for k in value.keywords}
+                init = keywords.get("init")
+                if isinstance(init, ast.Constant) and init.value is False:
+                    continue
+                value = keywords.get("default", keywords.get("default_factory"))
+            yield node.name, sub.target.id, position, value is not None
+            position += 1
+
+
+def test_every_defaulted_dataclass_field_has_a_caller_that_sets_it():
+    keywords, positions = passed(ast.parse(path.read_text()) for path in CALLERS)
+    unset = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for cls, name, position, has_default in constructor_fields(ast.parse(path.read_text())):
+            kw = keywords.get(cls, set()) | keywords.get("replace", set())
+            if has_default and not (None in kw or name in kw
+                                    or position < positions.get(cls, 0)):
+                unset.add(f"{cls}.{name}")
+    # a default no caller overrides is a knob without a caller, and state the
+    # class sets up itself is field(init=False): make the one a constant and
+    # the other no constructor field, or list it here with the reason it stays
+    assert unset == set(UNSET_DATACLASS_FIELDS)
