@@ -1,11 +1,14 @@
 """Command-line entry point: gen, train, eval, ablate, gradcheck.
 
-One seed in the run config drives every stage; each command writes its
-resolved configuration hash into all of its outputs, so artifacts from the
-same run share one provenance chain. Only gen writes resolved_config.json,
-and the other commands refuse a benchmark made under other data settings
-than their config's. Exit codes: 0 success, 1 configuration error, 2 data
-error, 3 check failure.
+The run config is the one place a run's settings are stated: no flag
+overrides a key of its hash, and --out, which the hash leaves out, is the
+only override. One seed in the config drives every stage; each command
+writes the config hash into all of its outputs, so artifacts from the same
+run share one provenance chain. A leave-one-out run is a config whose
+train.subsets names its training subsets, so it has a hash of its own. Only
+gen writes resolved_config.json, and the other commands refuse a benchmark
+made under other data settings than their config's. Exit codes: 0 success,
+1 configuration error, 2 data error, 3 check failure.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from focalcir.benchgen.filtering import PRESETS
 from focalcir.benchgen.pipeline import build_benchmark, load_benchmark, save_benchmark
-from focalcir.config import EvalSettings, RunConfig, load_run_config, write_resolved_config
+from focalcir.config import RunConfig, load_run_config, unknown_subset_rule, write_resolved_config
 from focalcir.encoders import ContextDescriptor, EncoderParams, embed_text, encode_image
 from focalcir.errors import ConfigError, DataError, FocalCirError
 from focalcir.evaluation import evaluate_model, train_examples
@@ -61,8 +64,6 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(p: _Parser) -> None:
     p.add_argument("--config", metavar="PATH", default=None,
                    help="JSON run config; defaults apply when omitted")
-    p.add_argument("--seed", metavar="N", type=int, default=None,
-                   help="override the config seed")
     p.add_argument("--out", metavar="DIR", default=None,
                    help="override the run output directory")
 
@@ -76,8 +77,6 @@ def build_parser() -> _Parser:
 
     tr = sub.add_parser("train", help="train a model on a generated benchmark")
     _add_common(tr)
-    tr.add_argument("--subsets", metavar="LIST", default=None,
-                    help="comma-separated subsets to train on (leave-one-out)")
     tr.add_argument("--checkpoint", metavar="PATH", default=None,
                     help="checkpoint output path (default OUT/checkpoint.bin)")
 
@@ -91,13 +90,12 @@ def build_parser() -> _Parser:
     ab = sub.add_parser("ablate", help="run an ablation study")
     ab.add_argument("kind", choices=["beta", "caam", "robustness", "roicrop"])
     _add_common(ab)
-    ab.add_argument("--betas", metavar="LIST", default=None,
-                    help="comma-separated sweep grid in units of sqrt(d_k)")
     ab.add_argument("--checkpoint", metavar="PATH", default=None,
                     help="trained checkpoint (default OUT/checkpoint.bin)")
 
     gc = sub.add_parser("gradcheck", help="finite-difference gradient audit")
-    _add_common(gc)
+    gc.add_argument("--config", metavar="PATH", default=None,
+                    help="JSON run config; only its seed is read")
     return parser
 
 
@@ -105,33 +103,16 @@ def build_parser() -> _Parser:
 # helpers
 
 
-def _parse_subsets(arg: str | None) -> tuple[str, ...] | None:
+def _parse_subsets(arg: str | None, cfg: RunConfig) -> tuple[str, ...] | None:
+    """eval --subsets: a set of the config's world subsets, which _load_bench
+    then holds equal to the benchmark's."""
     if arg is None:
         return None
     names = tuple(s.strip() for s in arg.split(",") if s.strip())
-    if broken := subset_list_rule("--subsets", names):
+    if broken := (subset_list_rule("--subsets", names)
+                  or unknown_subset_rule("--subsets", names, cfg.world)):
         raise ConfigError(broken)
     return names
-
-
-def _parse_betas(arg: str | None, settings: EvalSettings) -> tuple[float, ...]:
-    if arg is None:
-        return settings.betas
-    try:
-        values = tuple(float(s) for s in arg.split(",") if s.strip())
-    except ValueError as exc:
-        raise ConfigError(f"--betas must be comma-separated numbers: {exc}") from exc
-    dataclasses.replace(settings, betas=values).validate()
-    return values
-
-
-def _check_subsets(names: tuple[str, ...] | None, bench) -> None:
-    if names is None:
-        return
-    unknown = [n for n in names if n not in bench.world.configs]
-    if unknown:
-        raise ConfigError(f"unknown subset {unknown[0]!r}; "
-                          f"benchmark has {sorted(bench.world.configs)}")
 
 
 def _settings_made_under(cfg: RunConfig, bench):
@@ -226,22 +207,20 @@ def cmd_gen(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_train(cfg: RunConfig, subsets: tuple[str, ...] | None, ckpt: str | None) -> int:
+def cmd_train(cfg: RunConfig, ckpt: str | None) -> int:
     bench = _load_bench(cfg)
     digest = cfg.digest()
-    chosen = subsets if subsets is not None else cfg.train.subsets
-    _check_subsets(chosen, bench)
     ckpt_path = _ckpt_path(cfg, ckpt)
     ckpt_path.parent.mkdir(parents=True, exist_ok=True)  # before training, to fail fast
-    train_cfg = dataclasses.replace(cfg.train, seed=cfg.seed, subsets=chosen)
-    examples = train_examples(bench, bench.train_quads_of(chosen))
+    train_cfg = dataclasses.replace(cfg.train, seed=cfg.seed)
+    examples = train_examples(bench, bench.train_quads_of(train_cfg.subsets))
     params = ModelParams(cfg.model, bench.encoders, seed=cfg.seed)
     result = train(params, examples, train_cfg)
 
     meta = {
         "config_hash": digest,
         "seed": cfg.seed,
-        "train_subsets": sorted(chosen) if chosen is not None else sorted(bench.subsets),
+        "train_subsets": sorted(train_cfg.subsets or bench.subsets),
         "fixed_beta": train_cfg.fixed_beta,
         "final_loss": result.epoch_losses[-1],
     }
@@ -262,28 +241,28 @@ def cmd_train(cfg: RunConfig, subsets: tuple[str, ...] | None, ckpt: str | None)
 def cmd_eval(cfg: RunConfig, subsets: tuple[str, ...] | None, ckpt: str | None) -> int:
     bench = _load_bench(cfg)
     digest = cfg.digest()
-    params, _meta = _load_ckpt(_ckpt_path(cfg, ckpt), bench)
-    _check_subsets(subsets, bench)
+    params, meta = _load_ckpt(_ckpt_path(cfg, ckpt), bench)
     report = evaluate_model(
         params, bench, subsets=list(subsets) if subsets else None,
         config_hash=digest, seed=cfg.seed,
     )
     out = Path(cfg.out)
-    write_json(out / "metrics.json", report.to_dict())
+    write_json(out / "metrics.json",
+               {**report.to_dict(), "checkpoint": _checkpoint_provenance(meta)})
     (out / "metrics.txt").write_text(report.to_text(), encoding="utf-8")
     print(report.to_text(), end="")
     return 0
 
 
-def cmd_ablate(cfg: RunConfig, kind: str, betas: tuple[float, ...], ckpt: str | None) -> int:
+def cmd_ablate(cfg: RunConfig, kind: str, ckpt: str | None) -> int:
     bench = _load_bench(cfg)
     digest = cfg.digest()
-    _check_subsets(cfg.train.subsets, bench)
     out = Path(cfg.out)
     train_cfg = dataclasses.replace(cfg.train, seed=cfg.seed)
 
     if kind == "beta":
         params, meta = _load_ckpt(_ckpt_path(cfg, ckpt), bench)
+        betas = cfg.eval.betas
         table = beta_sweep(params, bench, units=betas, config_hash=digest, seed=cfg.seed)
         _write_ablation(out, kind, digest, cfg.seed, [dataclasses.asdict(r) for r in table.rows],
                         table.to_text(), grid_units=list(betas),
@@ -393,16 +372,16 @@ def cmd_gradcheck(cfg: RunConfig) -> int:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        cfg = load_run_config(args.config, seed=args.seed, out=args.out)
+        if args.command == "gradcheck":
+            return cmd_gradcheck(load_run_config(args.config))
+        cfg = load_run_config(args.config, out=args.out)
         if args.command == "gen":
             return cmd_gen(cfg)
         if args.command == "train":
-            return cmd_train(cfg, _parse_subsets(args.subsets), args.checkpoint)
+            return cmd_train(cfg, args.checkpoint)
         if args.command == "eval":
-            return cmd_eval(cfg, _parse_subsets(args.subsets), args.checkpoint)
-        if args.command == "ablate":
-            return cmd_ablate(cfg, args.kind, _parse_betas(args.betas, cfg.eval), args.checkpoint)
-        return cmd_gradcheck(cfg)
+            return cmd_eval(cfg, _parse_subsets(args.subsets, cfg), args.checkpoint)
+        return cmd_ablate(cfg, args.kind, args.checkpoint)
     except (ConfigError, OSError) as exc:  # OSError: an output path or the config file
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -74,6 +74,7 @@ class RunConfig(ConfigSection):
         latents = {c.d_latent for c in self.world}
         if len(latents) != 1:
             return f"subsets disagree on d_latent: {sorted(latents)}"
+        return unknown_subset_rule("train.subsets", self.train.subsets or (), self.world)
 
     def to_dict(self) -> dict:
         # the top-level seed drives training, so train.seed is no setting
@@ -89,6 +90,14 @@ class RunConfig(ConfigSection):
         return config_digest(payload)
 
 
+def unknown_subset_rule(key: str, names: tuple[str, ...], world) -> str | None:
+    """How a list of subset names names one that is no world subset, or None."""
+    known = sorted(w.subset for w in world)
+    unknown = [n for n in names if n not in known]
+    if unknown:
+        return f"{key} names unknown subset {unknown[0]!r}; the world has {known}"
+
+
 def run_config_from_dict(data: dict) -> RunConfig:
     """Strict load: unknown keys, wrongly typed and out-of-range values and
     broken cross-field rules anywhere raise ConfigError naming the key."""
@@ -98,17 +107,16 @@ def run_config_from_dict(data: dict) -> RunConfig:
     return from_record(RunConfig, data, ConfigError)
 
 
-def load_run_config(path: str | Path | None, seed: int | None = None,
-                    out: str | None = None) -> RunConfig:
-    """Config file (or defaults) with CLI-level seed/out overrides, read once."""
+def load_run_config(path: str | Path | None, out: str | None = None) -> RunConfig:
+    """Config file (or defaults) with the CLI's output directory override, read once."""
     data = {}
     if path is not None:
         p = Path(path)
         if not p.is_file():
             raise ConfigError(f"config file not found: {p}")
         data = parse_json(p.read_bytes(), ConfigError, f"config file {p}")
-    if isinstance(data, dict):  # anything else is named by the reader
-        data |= {k: v for k, v in (("seed", seed), ("out", out)) if v is not None}
+    if out is not None and isinstance(data, dict):  # anything else is named by the reader
+        data["out"] = out
     return run_config_from_dict(data)
 
 

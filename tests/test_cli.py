@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -11,7 +12,7 @@ import pytest
 from focalcir.benchgen.filtering import FilterThresholds
 from focalcir.benchgen.world import WorldConfig
 from focalcir import cli, errors
-from focalcir.cli import main
+from focalcir.cli import build_parser, main
 from focalcir.config import BenchSettings, EvalSettings, RunConfig, run_config_from_dict
 from focalcir.evaluation import evaluate_model
 from focalcir.model import (
@@ -235,6 +236,38 @@ def test_unknown_flag_exits_1(capsys):
     capsys.readouterr()
 
 
+def test_cli_surface_is_pinned():
+    # the run config states a run: a flag that overrode a hashed key would
+    # let two runs that computed different things stamp one config hash
+    (commands,) = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    surface = {name: {a.dest for a in p._actions if a.dest != "help"}
+               for name, p in commands.choices.items()}
+    assert surface == {
+        "gen": {"config", "out"},
+        "train": {"config", "out", "checkpoint"},
+        "eval": {"config", "out", "subsets", "checkpoint"},
+        "ablate": {"kind", "config", "out", "checkpoint"},
+        "gradcheck": {"config"},
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    *([*command, "--seed", "5"] for command in
+      (["gen"], ["train"], ["eval"], ["ablate", "beta"], ["gradcheck"])),
+    ["train", "--subsets", "car"],
+    ["ablate", "beta", "--betas", "0,1,4"],
+    ["gradcheck", "--out", "x"],
+], ids=" ".join)
+def test_flag_that_shadowed_a_config_key_exits_1_as_unrecognized(tmp_path, monkeypatch, capsys,
+                                                                  argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 # -- train ----------------------------------------------------------------------
 
 
@@ -252,15 +285,57 @@ def test_train_writes_checkpoint_and_loss_log(run_dir):
 def test_train_subsets_filter_recorded_in_manifest(tmp_path, capsys):
     cfg_path = tmp_path / "run.json"
     out = tmp_path / "out"
-    cfg_path.write_text(json.dumps(run_dict(out, two_subsets=True)))
+    data = run_dict(out, two_subsets=True)
+    cfg_path.write_text(json.dumps(data))
     assert main(["gen", "--config", str(cfg_path)]) == 0
-    assert main(["train", "--config", str(cfg_path), "--subsets", "car"]) == 0
+    data["train"]["subsets"] = ["car"]
+    cfg_path.write_text(json.dumps(data))
+    assert main(["train", "--config", str(cfg_path)]) == 0
     capsys.readouterr()
     _, meta = load_checkpoint(out / "checkpoint.bin")
     assert meta["train_subsets"] == ["car"]
 
-    assert main(["train", "--config", str(cfg_path), "--subsets", "boat"]) == 1
+    data["train"]["subsets"] = ["boat"]
+    cfg_path.write_text(json.dumps(data))
+    assert main(["train", "--config", str(cfg_path)]) == 1
     assert "boat" in capsys.readouterr().err
+
+
+def test_configs_that_differ_only_in_train_subsets_stamp_different_hashes(tmp_path, capsys):
+    # a leave-one-out run is a config of its own, so its artifacts say which
+    # subsets it trained on
+    cfg_path = tmp_path / "run.json"
+    data = run_dict(tmp_path / "out", two_subsets=True)
+    data["train"]["epochs"] = 1
+    cfg_path.write_text(json.dumps(data))
+    assert main(["gen", "--config", str(cfg_path)]) == 0
+    stamps = []
+    for subsets in (None, ["car"]):
+        data["train"]["subsets"] = subsets
+        cfg_path.write_text(json.dumps(data))
+        ckpt = tmp_path / f"{subsets}.bin"
+        assert main(["train", "--config", str(cfg_path), "--checkpoint", str(ckpt)]) == 0
+        digest = run_config_from_dict(data).digest()
+        header = ckpt.with_name(ckpt.stem + "_loss_log.tsv").read_text().split("\n")[0]
+        assert load_checkpoint(ckpt)[1]["config_hash"] == digest
+        assert header == f"# config_hash={digest} seed=17"
+        stamps.append(digest)
+    capsys.readouterr()
+    assert stamps[0] != stamps[1]
+
+
+@pytest.mark.parametrize("command", [["gen"], ["train"], ["eval"], ["ablate", "beta"],
+                                     ["ablate", "caam"], ["ablate", "robustness"],
+                                     ["ablate", "roicrop"]], ids=" ".join)
+def test_train_subsets_outside_the_world_exit_1_at_every_command(tmp_path, capsys, command):
+    data = run_dict(tmp_path / "o")
+    data["train"]["subsets"] = ["fashion", "boat"]
+    p = tmp_path / "run.json"
+    p.write_text(json.dumps(data))
+    assert main([*command, "--config", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert "train.subsets names unknown subset 'boat'" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(
@@ -282,7 +357,7 @@ def test_repeated_or_empty_subset_list_exits_1_naming_it(run_dir, tmp_path, caps
         data["train"]["subsets"] = subsets
     p = tmp_path / "run.json"
     p.write_text(json.dumps(data))
-    for command in (["train"], ["ablate", "roicrop"]) if flag is None else (["train"],):
+    for command in (["gen"], ["train"], ["ablate", "roicrop"]) if flag is None else (["eval"],):
         argv = [*command, "--config", str(p)] + (["--subsets", flag] if flag else [])
         assert main(argv) == 1
         err = capsys.readouterr().err
@@ -707,13 +782,44 @@ def test_eval_unknown_subset_exits_1(run_dir, capsys):
     assert "boat" in capsys.readouterr().err
 
 
+def test_eval_records_the_checkpoint_it_scored(tmp_path, capsys):
+    # a leave-one-out checkpoint scored under the full run's config: the
+    # metrics carry the run's hash and name the checkpoint's own
+    cfg_path = tmp_path / "run.json"
+    out = tmp_path / "out"
+    data = run_dict(out, two_subsets=True)
+    data["train"]["epochs"] = 1
+    cfg_path.write_text(json.dumps(data))
+    ckpt = tmp_path / "fashion.bin"
+    assert main(["gen", "--config", str(cfg_path)]) == 0
+    assert main(["train", "--config", str(_fashion_only(data, tmp_path)),
+                 "--checkpoint", str(ckpt)]) == 0
+    assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt)]) == 0
+    capsys.readouterr()
+    saved = json.loads((out / "metrics.json").read_text())
+    meta = load_checkpoint(ckpt)[1]
+    assert saved["config_hash"] == run_config_from_dict(data).digest() != meta["config_hash"]
+    assert saved["checkpoint"] == {"config_hash": meta["config_hash"],
+                                   "train_subsets": ["fashion"]}
+
+
 # -- ablate ----------------------------------------------------------------------
 
 
-def test_ablate_beta_rows_match_grid(run_dir, capsys):
-    cfg_path, out = run_dir
-    assert main(["ablate", "beta", "--config", str(cfg_path),
-                 "--betas", "0,1,4"]) == 0
+def _with_betas(run_dir, tmp_path, betas):
+    """A copy of the run's config whose eval.betas grid is betas."""
+    cfg_path, _ = run_dir
+    data = json.loads(cfg_path.read_text())
+    data["eval"]["betas"] = betas
+    p = tmp_path / "run.json"
+    p.write_text(json.dumps(data))
+    return p
+
+
+def test_ablate_beta_rows_match_grid(run_dir, tmp_path, capsys):
+    _, out = run_dir
+    cfg_path = _with_betas(run_dir, tmp_path, [0, 1, 4])
+    assert main(["ablate", "beta", "--config", str(cfg_path)]) == 0
     capsys.readouterr()
     saved = json.loads((out / "ablate_beta.json").read_text())
     labels = [r["label"] for r in saved["rows"]]
@@ -724,16 +830,17 @@ def test_ablate_beta_rows_match_grid(run_dir, capsys):
     assert text.count("\n") == 1 + 1 + 4  # provenance + header + rows
 
 
-def test_ablate_beta_bad_grid_exits_1(run_dir, capsys):
-    cfg_path, _ = run_dir
-    assert main(["ablate", "beta", "--config", str(cfg_path), "--betas", "0,x"]) == 1
-    capsys.readouterr()
+def test_ablate_beta_bad_grid_exits_1(run_dir, tmp_path, capsys):
+    cfg_path = _with_betas(run_dir, tmp_path, [0, "x"])
+    assert main(["ablate", "beta", "--config", str(cfg_path)]) == 1
+    assert "'eval.betas[1]'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("betas", ["-1", "nan", "inf", "0,-inf", " , "])
-def test_ablate_beta_out_of_range_grid_exits_1_naming_betas(run_dir, capsys, betas):
-    cfg_path, _ = run_dir
-    assert main(["ablate", "beta", "--config", str(cfg_path), "--betas", betas]) == 1
+def test_ablate_beta_out_of_range_grid_exits_1_naming_betas(run_dir, tmp_path, capsys, betas):
+    grid = [float(s) for s in betas.split(",") if s.strip()]  # NaN and Infinity are JSON too
+    cfg_path = _with_betas(run_dir, tmp_path, grid)
+    assert main(["ablate", "beta", "--config", str(cfg_path)]) == 1
     assert "betas" in capsys.readouterr().err
 
 
@@ -803,6 +910,13 @@ def test_ablate_roicrop_trains_every_row_on_train_subsets(tmp_path, capsys, monk
     assert grids == [{(4, 4)}] * 3  # baseline-beta0, roi-crop, adaptive
 
 
+def _fashion_only(data, tmp_path):
+    """A copy of a two-subset run config that trains on fashion alone."""
+    p = tmp_path / "fashion.json"
+    p.write_text(json.dumps({**data, "train": {**data["train"], "subsets": ["fashion"]}}))
+    return p
+
+
 def test_ablate_roicrop_rejects_a_checkpoint_trained_on_other_subsets(tmp_path, capsys):
     cfg_path = tmp_path / "run.json"
     out = tmp_path / "out"
@@ -810,7 +924,7 @@ def test_ablate_roicrop_rejects_a_checkpoint_trained_on_other_subsets(tmp_path, 
     data["train"]["epochs"] = 1
     cfg_path.write_text(json.dumps(data))
     assert main(["gen", "--config", str(cfg_path)]) == 0
-    assert main(["train", "--config", str(cfg_path), "--subsets", "fashion"]) == 0
+    assert main(["train", "--config", str(_fashion_only(data, tmp_path))]) == 0
     capsys.readouterr()
     assert main(["ablate", "roicrop", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
@@ -836,7 +950,7 @@ def test_ablate_beta_and_robustness_record_their_checkpoint(tmp_path, capsys):
     cfg_path.write_text(json.dumps(data))
     ckpt = tmp_path / "fashion.bin"
     assert main(["gen", "--config", str(cfg_path)]) == 0
-    assert main(["train", "--config", str(cfg_path), "--subsets", "fashion",
+    assert main(["train", "--config", str(_fashion_only(data, tmp_path)),
                  "--checkpoint", str(ckpt)]) == 0
     _, meta = load_checkpoint(ckpt)
     for kind in ("beta", "robustness"):

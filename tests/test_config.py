@@ -145,9 +145,9 @@ def test_settings_validation():
 def test_load_run_config_overrides_and_errors(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(tiny_run_dict()))
-    cfg = load_run_config(path, seed=99, out=str(tmp_path / "o"))
-    assert cfg.seed == 99
+    cfg = load_run_config(path, out=str(tmp_path / "o"))
     assert cfg.out == str(tmp_path / "o")
+    assert cfg.digest() == run_config_from_dict(tiny_run_dict()).digest()
 
     with pytest.raises(ConfigError, match="not found"):
         load_run_config(tmp_path / "missing.json")

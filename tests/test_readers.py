@@ -37,6 +37,8 @@ UNPASSED_DEFAULTS: dict[str, str] = {}
 UNSET_CONFIG_FIELDS = {
     "ModelConfig.n_heads": "tests exercise the multi-head path, and acceptance criterion 1b "
                            "exercises it through modulated_cross_attention",
+    "TrainConfig.subsets": "a leave-one-out run sets it in its config file, so that the config "
+                           "hash names the training subsets; no code may set it behind the hash",
 }
 
 # the defaulted constructor fields of the other dataclasses that no caller
