@@ -56,13 +56,12 @@ def filter_pairs(
         return []
     feats = np.stack([np.asarray(embed(im), dtype=np.float64).reshape(-1) for im in images])
     sims = cosine_sim_matrix(feats, feats)
-    n = len(images)
     close = sims > thresholds.tau_centric
     np.fill_diagonal(close, False)
-    kept = [i for i in range(n) if int(close[i].sum()) < thresholds.tau_count]
-    pairs: list[tuple[str, str]] = []
-    for i in kept:
-        for j in kept:
-            if i != j and sims[i, j] <= thresholds.tau_high:
-                pairs.append((images[i].image_id, images[j].image_id))
-    return pairs
+    kept = np.flatnonzero(close.sum(axis=1) < thresholds.tau_count)
+    admissible = sims[np.ix_(kept, kept)] <= thresholds.tau_high
+    np.fill_diagonal(admissible, False)
+    ids = [images[i].image_id for i in kept.tolist()]
+    # np.nonzero walks the kept x kept block in row-major order: ref, then target
+    refs, targets = np.nonzero(admissible)
+    return [(ids[i], ids[j]) for i, j in zip(refs.tolist(), targets.tolist())]

@@ -4,10 +4,16 @@ Every file opens with provenance (format version, generator seed, config
 hash) and every byte is determined by its inputs: JSON is emitted with
 sorted keys and repr floats, arrays as raw little-endian float64. The
 container layout and the record reader live in focalcir.records.
+
+Work is paid per pool and per file, not per image or per record: the grids
+of a world pool sit back to back in one array and go out in one write, a
+JSONL file is one write, and a loaded world's grids are views of one buffer
+filled by one read.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import asdict, dataclass
@@ -126,25 +132,31 @@ def load_world(path) -> tuple[SyntheticWorld, str]:
             world.identities[iid] = read_block(fh, (config_of(iid).d_latent,), DataError, path)
         for cat in header.category_ids:
             world.categories[cat] = read_block(fh, (config_of(cat).d_latent,), DataError, path)
-        sizes, seen = [], {}
+
+        @functools.cache
+        def grid_of(subset: str) -> tuple[tuple[int, int, int], int]:
+            cfg = config_of(subset)
+            shape = (*cfg.grid, cfg.d_latent)
+            return shape, math.prod(shape)
+
+        offsets, seen = [0], {}  # where each grid starts in the grid blocks
         for i, rec in enumerate(header.images):
             if (first := seen.setdefault(rec.image_id, i)) != i:
                 raise DataError(f"{path}.images[{i}].image_id: {rec.image_id!r} "
                                 f"repeats images[{first}]")
-            cfg = config_of(rec.subset)
-            shape = (*cfg.grid, cfg.d_latent)
+            shape, size = grid_of(rec.subset)
             if rec.grid_shape != shape:
                 raise DataError(f"{path}: image {rec.image_id!r} has grid_shape "
                                 f"{list(rec.grid_shape)}, its subset {list(shape)}")
-            sizes.append(math.prod(shape))
+            offsets.append(offsets[-1] + size)
         # one read fills one buffer, and each grid is a view of its stretch;
         # not a memmap, since a file may be rewritten while its world lives
-        grids = np.empty(sum(sizes), dtype="<f8")
+        grids = np.empty(offsets[-1], dtype="<f8")
         if fh.readinto(grids) != grids.nbytes:
             raise DataError(f"{path} is truncated")
         if fh.read(1):  # a file spliced from two worlds, or a doubled tail
             raise DataError(f"{path} has bytes after its last grid")
-        for rec, end, size in zip(header.images, itertools.accumulate(sizes), sizes):
+        for rec, start, stop in zip(header.images, offsets, offsets[1:]):
             image = SyntheticImage(
                 image_id=rec.image_id,
                 instance_id=rec.instance_id,
@@ -152,17 +164,17 @@ def load_world(path) -> tuple[SyntheticWorld, str]:
                 context_id=rec.context_id,
                 subset=rec.subset,
                 bbox=rec.bbox,
-                grid=grids[end - size:end].reshape(rec.grid_shape),
+                grid=grids[start:stop].reshape(rec.grid_shape),
             )
             (world.reserve_images if rec.reserve else world.images).append(image)
     return world, header.config_hash
 
 
 def write_jsonl(path, kind: str, records: Iterable[dict], seed: int, config_hash: str = "") -> None:
+    lines = [canonical_json(asdict(JsonlHeader(kind, 1, int(seed), config_hash)))]
+    lines.extend(map(canonical_json, records))
     with open(path, "wb") as fh:
-        fh.write(canonical_json(asdict(JsonlHeader(kind, 1, int(seed), config_hash))) + b"\n")
-        for rec in records:
-            fh.write(canonical_json(rec) + b"\n")
+        fh.write(b"\n".join(lines) + b"\n")
 
 
 def read_jsonl(path, expect_kind: str) -> tuple[JsonlHeader, list[dict]]:

@@ -179,16 +179,16 @@ def build_benchmark(
     stats = {}
     for cfg in configs:
         s = cfg.subset
-        stats[s] = {
-            "images": sum(1 for im in world.images if im.subset == s),
-            "reserve_images": sum(1 for im in world.reserve_images if im.subset == s),
-            "instances_with_pairs": sum(1 for i in pairs_by_instance if i.split("/")[0] == s),
-            "admissible_pairs": pair_counts.get(s, 0),
-            "train_quadruples": sum(1 for q in train_quads if q.subset == s),
-            "eval_quadruples": sum(1 for q in eval_quads if q.subset == s),
-            "gallery_size": len(galleries[s].entries),
-            "gallery_targets": galleries[s].n_targets,
-        }
+        stats[s] = vars(SubsetStats(
+            images=sum(1 for im in world.images if im.subset == s),
+            reserve_images=sum(1 for im in world.reserve_images if im.subset == s),
+            instances_with_pairs=sum(1 for i in pairs_by_instance if i.split("/")[0] == s),
+            admissible_pairs=pair_counts.get(s, 0),
+            train_quadruples=sum(1 for q in train_quads if q.subset == s),
+            eval_quadruples=sum(1 for q in eval_quads if q.subset == s),
+            gallery_size=len(galleries[s].entries),
+            gallery_targets=galleries[s].n_targets,
+        ))
     return Benchmark(
         world=world, encoders=enc, thresholds=thresholds,
         train_quads=train_quads, eval_quads=eval_quads, galleries=galleries,
@@ -201,13 +201,27 @@ def build_benchmark(
 
 
 @dataclass
+class SubsetStats:
+    """One subset's counts in stats.json; a Benchmark holds them as a dict."""
+
+    images: int
+    reserve_images: int
+    instances_with_pairs: int
+    admissible_pairs: int
+    train_quadruples: int
+    eval_quadruples: int
+    gallery_size: int
+    gallery_targets: int
+
+
+@dataclass
 class _Summary:
     """stats.json: provenance, build settings, thresholds and per-subset counts."""
 
     config_hash: str
     settings: BenchmarkSettings
     thresholds: dict[str, FilterThresholds]
-    stats: dict[str, dict[str, int]]
+    stats: dict[str, SubsetStats]
 
 
 def save_benchmark(out_dir, bench: Benchmark, config_hash: str = "") -> None:
@@ -224,7 +238,8 @@ def save_benchmark(out_dir, bench: Benchmark, config_hash: str = "") -> None:
     for subset, manifest in sorted(bench.galleries.items()):
         write_jsonl(out / f"gallery_{subset}.jsonl", "gallery",
                     map(vars, manifest.entries), seed, config_hash)
-    summary = _Summary(config_hash, bench.settings, bench.thresholds, bench.stats)
+    summary = _Summary(config_hash, bench.settings, bench.thresholds,
+                       {s: SubsetStats(**counts) for s, counts in bench.stats.items()})
     write_json(out / "stats.json", asdict(summary))
 
 
@@ -268,7 +283,8 @@ def load_benchmark(in_dir) -> Benchmark:
         world=world, encoders=enc, thresholds=summary.thresholds,
         train_quads=records("quadruples_train.jsonl", "quadruples", Quadruple),
         eval_quads=records("quadruples_eval.jsonl", "quadruples", Quadruple),
-        galleries=galleries, settings=summary.settings, stats=summary.stats,
+        galleries=galleries, settings=summary.settings,
+        stats={s: vars(counts) for s, counts in summary.stats.items()},
     )
     _check_references(src, bench)
     return bench
@@ -277,9 +293,10 @@ def load_benchmark(in_dir) -> Benchmark:
 def _check_references(src: Path, bench: Benchmark) -> None:
     """Each quadruple names a context and images that show its instance,
     category and subset, and a box in bounds that covers a patch center of
-    its subset's grid; each gallery entry names an image of its subset that
-    shows its instance and category, and each gallery keeps the rules
-    `GalleryManifest.validate` states against its subset's eval quadruples."""
+    its subset's grid and is its ref image's box; each gallery entry names an
+    image of its subset that shows its instance and category, and each
+    gallery keeps the rules `GalleryManifest.validate` states against its
+    subset's eval quadruples."""
     shows = {i: (im.instance_id, im.category_id, im.subset) for i, im in bench._by_id.items()}
     grids = {subset: tuple(c.grid) for subset, c in bench.world.configs.items()}
 
@@ -314,6 +331,10 @@ def _check_references(src: Path, bench: Benchmark) -> None:
             h, w = grids[q.subset]
             raise DataError(f"{src / name}[{i}].bbox: {list(q.bbox)} covers no patch center "
                             f"of the {h}x{w} grid of subset {q.subset!r}")
+        for i, q in enumerate(quads):
+            if q.bbox != (box := bench._by_id[q.ref_image_id].bbox):
+                raise DataError(f"{src / name}[{i}].bbox: {list(q.bbox)} is not the bbox "
+                                f"{list(box)} of its ref_image_id {q.ref_image_id!r}")
     for subset, manifest in bench.galleries.items():
         where = src / f"gallery_{subset}.jsonl"
         for i, e in enumerate(manifest.entries):

@@ -80,11 +80,15 @@ def _instance_latent(rng: np.random.Generator, proto: np.ndarray) -> np.ndarray:
 
 
 def _sample_bbox(rng: np.random.Generator, cfg: WorldConfig):
+    # one draw of four doubles, each mapped as low + (high - low) * u: what
+    # four scalar rng.uniform(low, high) calls compute from the same doubles
+    # (a low of 0.0 adds nothing to the non-negative product)
     lo, hi = cfg.bbox_size_range
-    w = rng.uniform(lo, hi)
-    h = rng.uniform(lo, hi)
-    x0 = rng.uniform(0.0, 1.0 - w)
-    y0 = rng.uniform(0.0, 1.0 - h)
+    uw, uh, ux, uy = rng.random(4).tolist()
+    w = lo + (hi - lo) * uw
+    h = lo + (hi - lo) * uh
+    x0 = (1.0 - w) * ux
+    y0 = (1.0 - h) * uy
     bbox = (x0, y0, x0 + w, y0 + h)
     validate_bbox(bbox)
     return bbox

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import sys
 from pathlib import Path
 
@@ -172,16 +173,24 @@ def _checkpoint_provenance(meta: dict) -> dict:
     return {k: meta.get(k) for k in ("config_hash", "train_subsets")}
 
 
-def _provenance_line(digest: str, seed: int) -> str:
-    return f"# config_hash={digest} seed={seed}\n"
+def _checkpoint_text(provenance: dict) -> str:
+    """The text form of _checkpoint_provenance, for the .txt twins of its records."""
+    return " ".join(f"checkpoint.{k}={json.dumps(v, separators=(',', ':'))}"
+                    for k, v in provenance.items())
+
+
+def _provenance_line(digest: str, seed: int, checkpoint: dict | None = None) -> str:
+    stamp = f"# config_hash={digest} seed={seed}"
+    return stamp + (f" {_checkpoint_text(checkpoint)}" if checkpoint else "") + "\n"
 
 
 def _write_ablation(out: Path, kind: str, digest: str, seed: int, rows: list[dict],
                     table: str, **extra) -> None:
-    """ablate_<kind>.json and .txt, each stamped with the config hash and seed."""
+    """ablate_<kind>.json and .txt, each stamped with the config hash and seed
+    and with the provenance of the checkpoint scored, if one was loaded."""
     write_json(out / f"ablate_{kind}.json",
                {"config_hash": digest, "seed": seed, "rows": rows, **extra})
-    text = _provenance_line(digest, seed) + table
+    text = _provenance_line(digest, seed, extra.get("checkpoint")) + table
     (out / f"ablate_{kind}.txt").write_text(text, encoding="utf-8")
     print(text, end="")
 
@@ -249,8 +258,9 @@ def cmd_eval(cfg: RunConfig, subsets: tuple[str, ...] | None, ckpt: str | None) 
     out = Path(cfg.out)
     write_json(out / "metrics.json",
                {**report.to_dict(), "checkpoint": _checkpoint_provenance(meta)})
-    (out / "metrics.txt").write_text(report.to_text(), encoding="utf-8")
-    print(report.to_text(), end="")
+    text = report.to_text() + _checkpoint_text(_checkpoint_provenance(meta)) + "\n"
+    (out / "metrics.txt").write_text(text, encoding="utf-8")
+    print(text, end="")
     return 0
 
 

@@ -4,7 +4,9 @@
 entry, a checkpoint's model config, ...) from JSON using the class's own
 fields and annotations: unknown keys, missing keys (any, with complete=True)
 and wrongly typed values are rejected by dotted path, and lists become
-tuples where a tuple is declared. A record whose class declares a range or
+tuples where a tuple is declared. The reader of each class and annotation
+is built once, so a record costs one loop over its fields' prebuilt
+readers, and a list of one scalar type one type test per item. A record whose class declares a range or
 a `rules` method then goes through `check_ranges`, so no loader checks it
 again. Errors take the caller's class: ConfigError (exit 1) for config
 files, DataError (exit 2) for artifacts.
@@ -18,13 +20,15 @@ code.
 
 The binary files (world.bin, checkpoints) share one container: a magic line,
 a little-endian u64 header length, a canonical JSON header, then raw
-little-endian float64 blocks.
+little-endian float64 blocks, written without a copy, and blocks that sit
+back to back in one array in one write.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import operator
@@ -41,9 +45,13 @@ from focalcir.errors import ConfigError
 _SCALARS = (int, float, str, bool)
 
 
+# built once: json.dumps with options builds a new encoder on every call
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(payload) -> bytes:
     """Sorted keys, no whitespace, repr floats: equal payloads, equal bytes."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    return _CANONICAL.encode(payload).encode()
 
 
 def write_json(path, payload) -> None:
@@ -78,7 +86,7 @@ def from_record(cls, data, error: type[Exception], path: str = "", complete: boo
     missing key is an error unless the field has a default and complete is
     False: artifacts are always written whole, config sections may leave
     fields at their defaults."""
-    return _convert(cls, data, error, path, complete)
+    return _reader(cls)(data, error, path, complete)
 
 
 @functools.cache
@@ -94,17 +102,6 @@ def _fields(cls) -> tuple[dict[str, object], frozenset[str], bool]:
     return {f.name: hints[f.name] for f in fields}, required, checked
 
 
-_RECORD = object()
-
-
-@functools.cache
-def _form(tp) -> tuple[object, tuple]:
-    """(origin, args) of an annotation, with origin _RECORD for a dataclass."""
-    if dataclasses.is_dataclass(tp):
-        return _RECORD, ()
-    return typing.get_origin(tp), typing.get_args(tp)
-
-
 def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
@@ -113,64 +110,98 @@ def _show(value) -> str:
     return f"{type(value).__name__} {value!r:.40}"
 
 
-def _convert(tp, value, error, path: str, complete: bool):
+@functools.cache
+def _reader(tp):
+    """The function (value, error, path, complete) that reads JSON data as the
+    annotation `tp`, built once per annotation from the readers of its parts,
+    so reading a value dispatches on no typing form."""
     if tp in _SCALARS:
-        if type(value) is tp:
-            return value
-        if tp is float and type(value) is int:
-            return float(value)
-        raise error(f"{path!r} must be {tp.__name__}, got {_show(value)}")
+        def read(value, error, path, complete):
+            if type(value) is tp:
+                return value
+            if tp is float and type(value) is int:
+                return float(value)
+            raise error(f"{path!r} must be {tp.__name__}, got {_show(value)}")
+        return read
     if tp is typing.Any:
-        return value
-    origin, args = _form(tp)
-    if origin is _RECORD:
-        return _record(tp, value, error, path, complete)
-    if origin is types.UnionType or origin is typing.Union:
-        if value is None and type(None) in args:
-            return None
-        (inner,) = [a for a in args if a is not type(None)]
-        return _convert(inner, value, error, path, complete)
+        return lambda value, error, path, complete: value
+    if dataclasses.is_dataclass(tp):
+        return _record_reader(tp)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    inner = [a for a in args if a is not type(None)]
+    if (origin is types.UnionType or origin is typing.Union) and len(inner) == 1:
+        read_inner = _reader(inner[0])
+        optional = len(args) > 1
+
+        def read(value, error, path, complete):
+            if value is None and optional:
+                return None
+            return read_inner(value, error, path, complete)
+        return read
     if origin is tuple or origin is list:
-        if not isinstance(value, (list, tuple)):
-            raise error(f"{path!r} must be a list, got {_show(value)}")
-        if origin is tuple and args[-1] is not Ellipsis:
-            if len(value) != len(args):
-                raise error(f"{path!r} must hold {len(args)} values, got {len(value)}")
-        else:
-            args = (args[0],) * len(value)
-        items = [v if type(v) is a else _convert(a, v, error, f"{path}[{i}]", complete)
-                 for i, (a, v) in enumerate(zip(args, value))]
-        return tuple(items) if origin is tuple else items
+        fixed = origin is tuple and args[-1] is not Ellipsis
+        parts = [(a, _reader(a)) for a in (args if fixed else args[:1])]
+        # a value whose items all have the one scalar type declared is read as it is
+        declared = set(args) - {Ellipsis}
+        scalar = args[0] if declared == {args[0]} and args[0] in _SCALARS else None
+
+        def read(value, error, path, complete):
+            if not isinstance(value, (list, tuple)):
+                raise error(f"{path!r} must be a list, got {_show(value)}")
+            if fixed and len(value) != len(parts):
+                raise error(f"{path!r} must hold {len(parts)} values, got {len(value)}")
+            if scalar is not None:
+                for v in value:
+                    if type(v) is not scalar:
+                        break
+                else:
+                    return tuple(value) if origin is tuple else list(value)
+            items = [v if type(v) is a else read_item(v, error, f"{path}[{i}]", complete)
+                     for i, ((a, read_item), v)
+                     in enumerate(zip(parts if fixed else itertools.repeat(parts[0]), value))]
+            return tuple(items) if origin is tuple else items
+        return read
     if origin is dict:
-        if not isinstance(value, dict):
-            raise error(f"{path!r} must be a JSON object, got {_show(value)}")
-        return {k: _convert(args[1], v, error, _join(path, k), complete)
-                for k, v in value.items()}
-    raise TypeError(f"from_record cannot read annotation {tp!r}")
+        read_value = _reader(args[1])
+
+        def read(value, error, path, complete):
+            if not isinstance(value, dict):
+                raise error(f"{path!r} must be a JSON object, got {_show(value)}")
+            return {k: read_value(v, error, _join(path, k), complete) for k, v in value.items()}
+        return read
+
+    def read(value, error, path, complete):
+        raise TypeError(f"from_record cannot read annotation {tp!r}")
+    return read
 
 
-def _record(cls, data, error, path: str, complete: bool):
-    if not isinstance(data, dict):
-        where = f" {path!r}" if path else ""
-        raise error(f"{cls.__name__}{where} must be a JSON object, got {_show(data)}")
+def _record_reader(cls):
+    """The reader of a dataclass: one loop over its fields' prebuilt readers."""
     hints, required, checked = _fields(cls)
-    if data.keys() - hints.keys():
-        unknown = sorted(_join(path, k) for k in data if k not in hints)
-        raise error(f"unknown keys {unknown} in {cls.__name__}")
-    if len(data) < len(hints):
-        missing = [_join(path, k) for k in hints
-                   if k not in data and (complete or k in required)]
-        if missing:
-            raise error(f"missing keys {missing} in {cls.__name__}")
-    kwargs = {}
-    for k, v in data.items():
-        tp = hints[k]
-        # a value of exactly the annotated scalar type needs no further check
-        kwargs[k] = v if type(v) is tp else _convert(tp, v, error, _join(path, k), complete)
-    record = cls(**kwargs)
-    if checked:
-        check_ranges(record, error, path)
-    return record
+    readers = {k: (tp, _reader(tp)) for k, tp in hints.items()}
+
+    def read(data, error, path, complete):
+        if not isinstance(data, dict):
+            where = f" {path!r}" if path else ""
+            raise error(f"{cls.__name__}{where} must be a JSON object, got {_show(data)}")
+        if data.keys() != hints.keys():
+            if data.keys() - hints.keys():
+                unknown = sorted(_join(path, k) for k in data if k not in hints)
+                raise error(f"unknown keys {unknown} in {cls.__name__}")
+            missing = [_join(path, k) for k in hints
+                       if k not in data and (complete or k in required)]
+            if missing:
+                raise error(f"missing keys {missing} in {cls.__name__}")
+        kwargs = {}
+        for k, v in data.items():
+            tp, read_value = readers[k]
+            # a value of exactly the annotated scalar type needs no further check
+            kwargs[k] = v if type(v) is tp else read_value(v, error, _join(path, k), complete)
+        record = cls(**kwargs)
+        if checked:
+            check_ranges(record, error, path)
+        return record
+    return read
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +261,43 @@ def write_container(path, magic: bytes, header: dict, blocks: Iterable[np.ndarra
         fh.write(magic)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        for block in blocks:
-            fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
+        for span in _spans(blocks):
+            fh.write(span)
+
+
+def _address(array: np.ndarray) -> int:
+    return array.__array_interface__["data"][0]
+
+
+def _spans(blocks: Iterable[np.ndarray]):
+    """The blocks as little-endian float64 arrays, in order, none of them
+    copied. Blocks that sit back to back in one C-contiguous float64 array,
+    such as the rows of a world pool or the grids loaded from one buffer, come
+    out joined as one view of that array, so each such stretch is one write."""
+    base, start, end = None, 0, 0  # the open run: base's bytes [start, end)
+    for block in blocks:
+        block = np.ascontiguousarray(block, dtype="<f8")
+        if base is not None and block.base is base and _address(block) == end:
+            end += block.nbytes
+            continue
+        if base is not None:
+            yield _stretch(base, start, end)
+        owner, base = block.base, None
+        if (isinstance(owner, np.ndarray) and owner.dtype == block.dtype
+                and owner.flags.c_contiguous
+                and (_address(block) - _address(owner)) % 8 == 0):
+            base, start = owner, _address(block)
+            end = start + block.nbytes
+        else:
+            yield block
+    if base is not None:
+        yield _stretch(base, start, end)
+
+
+def _stretch(base: np.ndarray, start: int, end: int) -> np.ndarray:
+    """The view of a C-contiguous base array from address start to end."""
+    at = _address(base)
+    return base.reshape(-1)[(start - at) // 8:(end - at) // 8]
 
 
 def read_header(fh, magic: bytes, error: type[Exception], path, kind: str) -> dict:

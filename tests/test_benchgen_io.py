@@ -225,9 +225,32 @@ def test_loader_rejects_a_box_that_covers_no_patch_center_of_its_grid(tmp_path):
         rec["bbox"] = list(box)
         path.write_text("\n".join([head, *lines[:i], json.dumps(rec), *lines[i + 1:]]) + "\n")
         if covers(subset, box):
-            assert load_benchmark(tmp_path).train_quads[i].bbox == box
+            # in bounds and covering, so only the ref image's own box stops it
+            with pytest.raises(DataError, match=rf"quadruples_train.jsonl\[{i}\].bbox: .* "
+                                                rf"is not the bbox .* of its ref_image_id"):
+                load_benchmark(tmp_path)
         else:
             h, w = bench.world.configs[subset].grid
             with pytest.raises(DataError, match=rf"quadruples_train.jsonl\[{i}\].bbox: .* "
                                                 rf"covers no patch center of the {h}x{w} grid"):
                 load_benchmark(tmp_path)
+
+
+def test_loader_rejects_a_quadruple_box_other_than_its_ref_images(tmp_path):
+    # the whole image is in bounds and covers every patch center, but eval
+    # would modulate it all instead of the planted instance
+    bench = build_benchmark(
+        configs=small_configs(), seed=3, d_model=16, l_text=2,
+        train_cap=3, eval_cap=4, n_distractors=4,
+        thresholds={"fashion": FilterThresholds(4, 0.9, 0.85, 3)},
+    )
+    save_benchmark(tmp_path, bench)
+    path = tmp_path / "quadruples_eval.jsonl"
+    head, first, *rest = path.read_text().splitlines()
+    path.write_text("\n".join([head, json.dumps(json.loads(first) | {"bbox": [0.0, 0.0, 1.0, 1.0]}),
+                               *rest]) + "\n")
+    q = bench.eval_quads[0]
+    with pytest.raises(DataError) as info:
+        load_benchmark(tmp_path)
+    assert str(info.value) == (f"{path}[0].bbox: [0.0, 0.0, 1.0, 1.0] is not the bbox "
+                               f"{list(q.bbox)} of its ref_image_id {q.ref_image_id!r}")

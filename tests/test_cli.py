@@ -4,10 +4,13 @@ import hashlib
 import json
 import math
 import struct
+import tempfile
 import typing
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from focalcir.benchgen.filtering import FilterThresholds
 from focalcir.benchgen.world import WorldConfig
@@ -591,6 +594,88 @@ def test_eval_on_stats_with_out_of_range_value_exits_2_naming_the_key(run_dir, t
     assert key in capsys.readouterr().err
 
 
+DATA_FILES = ("world.bin", "quadruples_train.jsonl", "quadruples_eval.jsonl",
+              "gallery_fashion.jsonl", "stats.json")
+# one value of each JSON type; a damage picks one the damaged key does not take
+JSON_VALUES = ("x", 7, 2.5, True, None, [1], {"k": 1})
+
+
+def _edit_records(path, edit):
+    """Calls edit on the records of one artifact, as (where, record) pairs in
+    which `where` prefixes a key of the record in the loader's messages, and
+    writes the records back: world.bin's images, a JSONL file's records, or
+    the sections of stats.json."""
+    if path.name == "world.bin":
+        _rewrite_header(path, lambda h: edit(
+            [(f"{path}.images[{i}]", r) for i, r in enumerate(h["images"])]))
+    elif path.name == "stats.json":
+        _edit_json(path, lambda d: edit(
+            [(f"{path}.settings", d["settings"])]
+            + [(f"{path}.{part}.{s}", d[part][s]) for part in ("thresholds", "stats")
+               for s in sorted(d[part])]))
+    else:
+        head, *lines = path.read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        edit([(f"{path}[{i}]", r) for i, r in enumerate(records)])
+        path.write_text("\n".join([head, *map(json.dumps, records)]) + "\n")
+
+
+def _damage(draw, records) -> str:
+    """Damages one key of one record: a value of another JSON type, NaN, a
+    list one item too long or too short, an unknown key, or a deleted key.
+    Returns the dotted path the loader must name."""
+    where, record = draw(st.sampled_from(records))
+    key = draw(st.sampled_from(sorted(record)))
+    value = record[key]
+    kinds = ["type", "nan", "unknown", "delete"] + (["length"] if isinstance(value, list) else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "type":  # a float takes an int too
+        record[key] = draw(st.sampled_from([
+            v for v in JSON_VALUES
+            if type(v) is not type(value) and not (type(value) is float and type(v) is int)]))
+    elif kind == "nan":
+        record[key] = math.nan
+    elif kind == "length":
+        record[key] = draw(st.sampled_from([value[:-1], value + value[:1]]))
+    elif kind == "unknown":
+        key = "extra"
+        record[key] = 1
+    else:
+        del record[key]
+    return f"{where}.{key}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_damaged_record_is_named_by_file_record_and_key(run_dir, data):
+    _, out = run_dir
+    name = data.draw(st.sampled_from(DATA_FILES))
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        for f in DATA_FILES:
+            (copy / f).write_bytes((out / f).read_bytes())
+        named = []
+        _edit_records(copy / name, lambda records: named.append(_damage(data.draw, records)))
+        with pytest.raises(errors.DataError) as info:
+            load_benchmark(copy)
+    assert named[0] in str(info.value)
+
+
+@pytest.mark.parametrize("name, damage, key", [
+    ("world.bin", lambda rs: rs[3][1].update(bbox=[0.1, 0.1, 0.5]), "world.bin.images[3].bbox"),
+    ("quadruples_eval.jsonl", lambda rs: rs[2][1].update(text_context_id=math.nan),
+     "quadruples_eval.jsonl[2].text_context_id"),
+])
+def test_a_damaged_record_exits_2_through_the_cli(run_dir, tmp_path, capsys, name, damage, key):
+    cfg_path, out = run_dir
+    for f in DATA_FILES:
+        (tmp_path / f).write_bytes((out / f).read_bytes())
+    _edit_records(tmp_path / name, damage)
+    assert main(["eval", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{tmp_path / key}" in err and "Traceback" not in err
+
+
 # the exit-code contract: one class per code, and the base class as a check failure
 EXIT_CODES = {
     "ConfigError": (1, "config error: "),
@@ -801,6 +886,41 @@ def test_eval_records_the_checkpoint_it_scored(tmp_path, capsys):
     assert saved["config_hash"] == run_config_from_dict(data).digest() != meta["config_hash"]
     assert saved["checkpoint"] == {"config_hash": meta["config_hash"],
                                    "train_subsets": ["fashion"]}
+
+
+def test_text_outputs_name_the_checkpoint_they_scored(tmp_path, capsys):
+    # the full run's checkpoint and a leave-one-out one, scored under the
+    # full run's config: the .txt twins tell them apart as the .json ones do
+    cfg_path = tmp_path / "run.json"
+    out = tmp_path / "out"
+    data = run_dict(out, two_subsets=True)
+    data["train"]["epochs"] = 1
+    cfg_path.write_text(json.dumps(data))
+    assert main(["gen", "--config", str(cfg_path)]) == 0
+    full, loo = tmp_path / "full.bin", tmp_path / "fashion.bin"
+    assert main(["train", "--config", str(cfg_path), "--checkpoint", str(full)]) == 0
+    assert main(["train", "--config", str(_fashion_only(data, tmp_path)),
+                 "--checkpoint", str(loo)]) == 0
+    texts = {}
+    for ckpt in (full, loo):
+        meta = load_checkpoint(ckpt)[1]
+        stamp = (f'checkpoint.config_hash="{meta["config_hash"]}" checkpoint.train_subsets='
+                 + json.dumps(meta["train_subsets"], separators=(",", ":")))
+        for command in (["eval"], ["ablate", "beta"], ["ablate", "robustness"]):
+            assert main([*command, "--config", str(cfg_path), "--checkpoint", str(ckpt)]) == 0
+        metrics = (out / "metrics.txt").read_text()
+        assert metrics.endswith(f"seed: 17\n{stamp}\n")
+        kinds = ["beta", "robustness"]
+        if ckpt == full:  # roicrop scores only a checkpoint of the run's own subsets
+            assert main(["ablate", "roicrop", "--config", str(cfg_path),
+                         "--checkpoint", str(ckpt)]) == 0
+            kinds.append("roicrop")
+        for kind in kinds:
+            first = (out / f"ablate_{kind}.txt").read_text().split("\n")[0]
+            assert first == f"# config_hash={run_config_from_dict(data).digest()} seed=17 {stamp}"
+        texts[ckpt] = metrics.split("config_hash: ")[1]
+    capsys.readouterr()
+    assert texts[full] != texts[loo]
 
 
 # -- ablate ----------------------------------------------------------------------

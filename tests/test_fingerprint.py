@@ -2,7 +2,8 @@
 untrained model computes on it.
 
 A tiny two-subset benchmark (grids 4x4 and 3x4) is built and saved at two
-seeds, and the sha256 of each file is compared with the committed fixture.
+seeds, and so is the default-config benchmark at seed 0, and the sha256 of
+each file is compared with the committed fixture.
 A refactor that moves one random draw, one box, one pair or one gallery
 entry changes a hash here. The pair filter runs a cosine GEMM, so a BLAS on
 another CPU could move a near-threshold pair; the fixture records the host
@@ -82,8 +83,8 @@ def tiny_benchmark(seed: int) -> Benchmark:
     )
 
 
-def artifact_hashes(out_dir: Path, seed: int) -> dict[str, str]:
-    save_benchmark(out_dir, tiny_benchmark(seed), config_hash="fingerprint")
+def artifact_hashes(out_dir: Path, bench: Benchmark) -> dict[str, str]:
+    save_benchmark(out_dir, bench, config_hash="fingerprint")
     return {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
             for f in sorted(out_dir.iterdir())}
 
@@ -167,11 +168,23 @@ def variants_fingerprint(tmp_dir: Path) -> dict:
 def test_artifacts_match_fingerprint(tmp_path):
     fixture = json.loads(FIXTURE.read_text())
     for seed in SEEDS:
-        got = artifact_hashes(tmp_path / str(seed), seed)
+        got = artifact_hashes(tmp_path / str(seed), tiny_benchmark(seed))
         assert got == fixture["sha256"][str(seed)], (
             f"seed {seed}: artifact bytes differ from the fixture made on "
             f"{fixture['host']!r}; this host is {host_line()!r}"
         )
+
+
+def test_default_benchmark_artifacts_match_fingerprint(tmp_path):
+    # the default-config world at seed 0, the one perfbench times: its pools
+    # are large enough that a change to how boxes are drawn or grids are
+    # written shows at the scale the tiny worlds above do not reach
+    fixture = json.loads(FIXTURE.read_text())
+    got = artifact_hashes(tmp_path, build_benchmark(seed=0))
+    assert got == fixture["sha256"]["default"], (
+        f"default benchmark: artifact bytes differ from the fixture made on "
+        f"{fixture['host']!r}; this host is {host_line()!r}"
+    )
 
 
 def _close(got: list[float], want: list[float]) -> bool:
@@ -256,8 +269,9 @@ def write_fixture(tmp_dir: Path) -> list[str]:
     """Rewrites the fixture; returns the keys whose values changed."""
     old = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
     payload = {"host": host_line(),
-               "sha256": {str(seed): artifact_hashes(tmp_dir / str(seed), seed)
-                          for seed in SEEDS},
+               "sha256": {str(seed): artifact_hashes(tmp_dir / str(seed), tiny_benchmark(seed))
+                          for seed in SEEDS}
+               | {"default": artifact_hashes(tmp_dir / "default", build_benchmark(seed=0))},
                "model": {str(seed): model_fingerprint(seed) for seed in SEEDS},
                "variants": variants_fingerprint(tmp_dir)}
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
