@@ -24,6 +24,7 @@ import numpy as np
 from focalcir.benchgen.world import SyntheticWorld, WorldConfig
 from focalcir.encoders import ContextDescriptor, SyntheticImage
 from focalcir.errors import DataError
+from focalcir.geometry import in_bounds
 from focalcir.records import (
     canonical_json,
     from_record,
@@ -113,6 +114,12 @@ def load_world(path) -> tuple[SyntheticWorld, str]:
             WorldHeader, read_header(fh, _WORLD_MAGIC, DataError, path, "world file"),
             DataError, str(path), complete=True,
         )
+        # every image's box in one pass, not only those of quadruple refs
+        boxes = np.array([rec.bbox for rec in header.images], dtype=np.float64).reshape(-1, 4)
+        if (outside := np.flatnonzero(~in_bounds(boxes.T))).size:
+            i = int(outside[0])
+            raise DataError(f"{path}.images[{i}].bbox: {list(header.images[i].bbox)} must "
+                            f"satisfy 0 <= x0 < x1 <= 1 and likewise for y")
         n_reserve = sum(rec.reserve for rec in header.images)
         if n_reserve != header.n_reserve:
             raise DataError(f"{path} declares n_reserve {header.n_reserve} "

@@ -26,6 +26,7 @@ import numpy as np
 from focalcir.benchgen.pipeline import Benchmark
 from focalcir.benchgen.quadruples import Quadruple
 from focalcir.errors import ContractError
+from focalcir.fusion import shared_merged_weights
 from focalcir.model import (
     ModelParams,
     QuerySample,
@@ -240,50 +241,55 @@ def evaluate_model(
     if unknown:
         raise ContractError(f"no gallery for subsets {unknown}")
     per_subset: dict[str, SubsetMetrics] = {}
-    for subset in chosen:
-        quads = bench.eval_quads_of(subset)
-        if not quads:
-            raise ContractError(f"subset {subset} has no eval quadruples")
-        manifest = bench.galleries[subset]
-        if gallery_cache is not None and subset in gallery_cache:
-            gal = gallery_cache[subset]
-        else:
-            gal = gallery_embeddings(params, bench, subset)
-            if gallery_cache is not None:
-                gallery_cache[subset] = gal
-        n_gallery = gal.shape[0]
-        if n_gallery < 5:
-            raise ContractError(f"R@5 needs 5 gallery images, subset {subset} has {n_gallery}")
-        index = {image_id: j for j, image_id in enumerate(manifest.image_ids)}
-        missing = [q.target_image_id for q in quads if q.target_image_id not in index]
-        if missing:
-            raise ContractError(f"targets {missing[:3]} are not in the {subset} gallery")
-        targets = np.array([index[q.target_image_id] for q in quads])
-        # instance ids as small ints: comparing Q x G strings cost 3 ms a subset
-        code: dict[str, int] = {}
-        instances = np.array([code.setdefault(e.instance_id, len(code)) for e in manifest.entries])
-        wanted = np.array([code.get(q.instance_id, -1) for q in quads])
-        # (2, Q, G): the exact target, then every candidate showing the instance
-        positives = np.stack([
-            targets[:, None] == np.arange(n_gallery),
-            wanted[:, None] == instances,
-        ])
-        ranks = []
-        for at in range(0, len(quads), EVAL_CHUNK):
-            samples = [query_sample_of(bench, quad) for quad in quads[at : at + EVAL_CHUNK]]
-            if not use_bbox:
-                samples = [replace(s, bbox=None) for s in samples]
-            elif roi_crop:
-                samples = [cropped(s) for s in samples]
-            f_q, _ = query_representation(samples, params, beta_override=beta_override)
-            ranks.append(rank_gallery(f_q.data, gal, positives[:, at : at + EVAL_CHUNK]))
-        target_ranks, instance_ranks = np.concatenate(ranks, axis=1)
-        per_subset[subset] = SubsetMetrics(
-            r_at_1=float(np.mean(target_ranks <= 1)),
-            r_at_5=float(np.mean(target_ranks <= 5)),
-            rid_at_1=float(np.mean(instance_ranks <= 1)),
-            n_queries=len(quads),
-        )
+    # one parameter state for the whole call: every chunk shares each
+    # attention's merged weights
+    with shared_merged_weights():
+        for subset in chosen:
+            quads = bench.eval_quads_of(subset)
+            if not quads:
+                raise ContractError(f"subset {subset} has no eval quadruples")
+            manifest = bench.galleries[subset]
+            if gallery_cache is not None and subset in gallery_cache:
+                gal = gallery_cache[subset]
+            else:
+                gal = gallery_embeddings(params, bench, subset)
+                if gallery_cache is not None:
+                    gallery_cache[subset] = gal
+            n_gallery = gal.shape[0]
+            if n_gallery < 5:
+                raise ContractError(
+                    f"R@5 needs 5 gallery images, subset {subset} has {n_gallery}")
+            index = {image_id: j for j, image_id in enumerate(manifest.image_ids)}
+            missing = [q.target_image_id for q in quads if q.target_image_id not in index]
+            if missing:
+                raise ContractError(f"targets {missing[:3]} are not in the {subset} gallery")
+            targets = np.array([index[q.target_image_id] for q in quads])
+            # instance ids as small ints: comparing Q x G strings cost 3 ms a subset
+            code: dict[str, int] = {}
+            instances = np.array([code.setdefault(e.instance_id, len(code))
+                                  for e in manifest.entries])
+            wanted = np.array([code.get(q.instance_id, -1) for q in quads])
+            # (2, Q, G): the exact target, then every candidate showing the instance
+            positives = np.stack([
+                targets[:, None] == np.arange(n_gallery),
+                wanted[:, None] == instances,
+            ])
+            ranks = []
+            for at in range(0, len(quads), EVAL_CHUNK):
+                samples = [query_sample_of(bench, quad) for quad in quads[at : at + EVAL_CHUNK]]
+                if not use_bbox:
+                    samples = [replace(s, bbox=None) for s in samples]
+                elif roi_crop:
+                    samples = [cropped(s) for s in samples]
+                f_q, _ = query_representation(samples, params, beta_override=beta_override)
+                ranks.append(rank_gallery(f_q.data, gal, positives[:, at : at + EVAL_CHUNK]))
+            target_ranks, instance_ranks = np.concatenate(ranks, axis=1)
+            per_subset[subset] = SubsetMetrics(
+                r_at_1=float(np.mean(target_ranks <= 1)),
+                r_at_5=float(np.mean(target_ranks <= 5)),
+                rid_at_1=float(np.mean(instance_ranks <= 1)),
+                n_queries=len(quads),
+            )
     report = MetricsReport(
         per_subset=per_subset, macro=_macro(per_subset),
         config_hash=config_hash, seed=seed,

@@ -25,13 +25,18 @@ modulation predictor [cls, probes].
 Every attention runs in merged form, through the QK and OV circuits of
 Elhage et al. 2021: per head, logits = (X W_Q W_K^T + b_Q W_K^T) P^T and
 output = (A P)(W_V W_O) + (b_V W_O + b_O), where P are the keys/values
-(patches, or the tokens themselves in self-attention). The d x d products
-of every head are built on the tape once per call (`head_products`), so no
-attention projects P, and one `attention` op runs all heads as an axis.
-b_V moves out because attention rows sum to 1; b_K cancels exactly (q . b_K
-is the same for every key of a row), so no attention has one. A layer is a
-handful of tape ops: per attention W_K^T, the four merged products and the
-attention itself, then one `residual_norm` per sub-layer and one `feed_forward`.
+(patches, or the tokens themselves in self-attention). No attention
+projects P, and one `attention` op runs all heads as an axis. b_V moves out
+because attention rows sum to 1; b_K cancels exactly (q . b_K is the same
+for every key of a row), so no attention has one. The four merged products
+(W_K^T and three `head_products`, then a `linear`) depend on the weights
+alone. Inside a `shared_merged_weights` scope they are built once per
+attention and reused by every pass: a training step opens one around its
+probe, query and target passes, so its tape holds each product once and
+backward sums every pass's gradient into it, and an evaluation opens one
+around all its chunks. Outside a scope each call builds its own. Once
+its products exist, a layer is a handful of tape ops: one `attention` per
+attention, one `residual_norm` per sub-layer and one `feed_forward`.
 
 Batches: patches may be one image (n, d) or a batch (B, n, d), with one
 region-mask row (B, 1, n) and one beta (B, 1, 1) or (B, 1, M) per sample.
@@ -45,8 +50,9 @@ mask are one additive-logit term, the masked attention of Vaswani et al.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -54,7 +60,9 @@ from focalcir.errors import ContractError
 from focalcir.encoders import TextEmbedding
 from focalcir.geometry import BBox, patch_membership, validate_bbox
 from focalcir.numerics.tensor import (
+    Tape,
     Tensor,
+    active_tape,
     add_bias,
     attention,
     concat_rows,
@@ -206,6 +214,36 @@ def _logit_bias(
     return bias if key_mask is None else add_bias(bias, constant(key_mask))
 
 
+def _merged_products(params: AttentionParams, n_heads: int) -> tuple[Tensor, ...]:
+    """W_Q W_K^T, b_Q W_K^T, W_V W_O and b_V W_O + b_O, heads as blocks."""
+    wo, bo = params.wo, params.bo
+    if wo is None:  # the bare op: its output projection is the identity
+        d_model = params.wq.data.shape[1]
+        wo, bo = constant(np.eye(d_model)), constant(np.zeros((1, d_model)))
+    wk_t = transpose(params.wk)  # keys and values are kv itself: never projected
+    return (head_products(params.wq, wk_t, n_heads), head_products(params.bq, wk_t, n_heads),
+            head_products(params.wv, wo, n_heads, stack_rows=True), linear(params.bv, wo, bo))
+
+
+# the open scopes of `shared_merged_weights`, innermost last: each holds the
+# tape it opened under and the products it built, by attention and head count
+_SCOPES: list[tuple[Tape | None, dict]] = []
+
+
+@contextmanager
+def shared_merged_weights() -> Iterator[None]:
+    """Within it, each attention's merged products are built on first use
+    and reused by every later pass, on the tape that was open when it
+    opened; outside it, every call builds its own. It holds one parameter
+    state: close it before the weights change (an optimizer step, a
+    checkpoint load, a gradcheck's perturbation)."""
+    _SCOPES.append((active_tape(), {}))
+    try:
+        yield
+    finally:
+        _SCOPES.pop()
+
+
 def _attention(
     tokens: Tensor,
     kv: Tensor,
@@ -213,18 +251,20 @@ def _attention(
     n_heads: int,
     bias: Tensor | None = None,
 ) -> Tensor:
-    d_model = params.wq.data.shape[1]  # the first head_products checks that n_heads splits it
-    wo, bo = params.wo, params.bo
-    if wo is None:  # the bare op: its output projection is the identity
-        wo, bo = constant(np.eye(d_model)), constant(np.zeros((1, d_model)))
-    wk_t = transpose(params.wk)  # keys and values are kv itself: never projected
+    if not _SCOPES:
+        products = _merged_products(params, n_heads)
+    else:
+        tape, built = _SCOPES[-1]
+        if active_tape() is not tape:  # products on another tape get no gradient
+            raise ContractError("merged attention weights were asked for under another tape "
+                                "than the one their scope opened under")
+        key = (id(params), n_heads)
+        if key not in built:  # params ride along, so their id is not reused
+            built[key] = (params, _merged_products(params, n_heads))
+        products = built[key][1]
+    d_model = params.wq.data.shape[1]  # head_products has checked that n_heads splits it
     # the bias lands on raw logits, before 1/sqrt(d_k) scaling, in every head
-    return attention(
-        tokens, kv,
-        head_products(params.wq, wk_t, n_heads), head_products(params.bq, wk_t, n_heads),
-        head_products(params.wv, wo, n_heads, stack_rows=True), linear(params.bv, wo, bo),
-        bias, 1.0 / math.sqrt(d_model // n_heads),
-    )
+    return attention(tokens, kv, *products, bias, 1.0 / math.sqrt(d_model // n_heads))
 
 
 def _mask_rows(mask: np.ndarray | None, beta, n_keys: int) -> np.ndarray | None:

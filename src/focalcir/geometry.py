@@ -22,10 +22,13 @@ from focalcir.errors import ContractError
 BBox = tuple[float, float, float, float]
 
 
-def in_bounds(bbox: BBox) -> bool:
-    """0 <= x0 < x1 <= 1 and likewise for y; NaN and infinities fail it."""
+def in_bounds(bbox: BBox):
+    """0 <= x0 < x1 <= 1 and likewise for y; NaN and infinities fail it.
+
+    Elementwise when the four corners are arrays, as for the (4, B)
+    transpose of B boxes."""
     x0, y0, x1, y1 = bbox
-    return 0.0 <= x0 < x1 <= 1.0 and 0.0 <= y0 < y1 <= 1.0
+    return (0.0 <= x0) & (x0 < x1) & (x1 <= 1.0) & (0.0 <= y0) & (y0 < y1) & (y1 <= 1.0)
 
 
 def validate_bbox(bbox: BBox) -> None:

@@ -34,6 +34,7 @@ from focalcir.fusion import (
     init_fusion_params,
     multimodal_encode,
     region_mask_from_bbox,
+    shared_merged_weights,
     stack_patches,
 )
 from focalcir.geometry import BBox
@@ -346,6 +347,21 @@ def _beta_scalar(applied) -> float:
     return float(applied)
 
 
+def step_loss(
+    params: ModelParams, batch: Sequence[TrainExample], fixed_beta: float | None
+) -> tuple[Tensor, list]:
+    """A training step's forward passes, on the open tape: the loss and each
+    sample's applied modulation. The probe, query and target passes share
+    each attention's merged weights, in a scope that closes with the
+    forward passes, before backward and the optimizer change the weights."""
+    with shared_merged_weights():
+        f_q, applied = query_representation(
+            [ex.query for ex in batch], params, beta_override=fixed_beta
+        )
+        f_t = target_representation([ex.target_patches for ex in batch], params)
+        return contrastive_loss(f_q, f_t, params.tau), applied
+
+
 def train(params: ModelParams, examples: list[TrainExample], cfg: TrainConfig) -> TrainResult:
     """In-place training; deterministic for a fixed (params, examples, cfg)."""
     cfg.validate()
@@ -364,14 +380,10 @@ def train(params: ModelParams, examples: list[TrainExample], cfg: TrainConfig) -
             idx = order[at : at + cfg.batch_size]
             if len(idx) < 2:
                 continue  # a singleton batch has no in-batch negatives
-            batch = [examples[int(i)] for i in idx]
             tape = Tape()
             with tape:
-                f_q, applied = query_representation(
-                    [ex.query for ex in batch], params, beta_override=cfg.fixed_beta
-                )
-                f_t = target_representation([ex.target_patches for ex in batch], params)
-                loss = contrastive_loss(f_q, f_t, params.tau)
+                loss, applied = step_loss(params, [examples[int(i)] for i in idx],
+                                          cfg.fixed_beta)
             if not np.isfinite(loss.item()):  # stop before AdamW applies its gradients
                 raise ContractError(f"epoch {epoch + 1} step {len(epoch_losses) + 1}: "
                                     f"loss is {loss.item()}")

@@ -125,7 +125,8 @@ class Tape:
 _STACK: list[Tape] = []
 
 
-def _active() -> Tape | None:
+def active_tape() -> Tape | None:
+    """The innermost open tape, or None."""
     return _STACK[-1] if _STACK else None
 
 
@@ -154,7 +155,7 @@ def backward(root: Tensor, tape: Tape) -> None:
 
 
 def _should_record(*tensors: Tensor) -> Tape | None:
-    tape = _active()
+    tape = active_tape()
     if tape is None:
         return None
     for t in tensors:

@@ -676,6 +676,30 @@ def test_a_damaged_record_exits_2_through_the_cli(run_dir, tmp_path, capsys, nam
     assert f"{tmp_path / key}" in err and "Traceback" not in err
 
 
+def test_a_bad_box_on_an_image_no_quadruple_refs_exits_2_naming_it(run_dir, tmp_path, capsys):
+    # every world.bin image box is range-checked, not only a quadruple ref's
+    cfg_path, out = run_dir
+    for f in DATA_FILES:
+        (tmp_path / f).write_bytes((out / f).read_bytes())
+    refs = {json.loads(line)["ref_image_id"]
+            for name in ("quadruples_train.jsonl", "quadruples_eval.jsonl")
+            for line in (out / name).read_text().splitlines()[1:]}
+    named = []
+
+    def damage(records):
+        where, record = next((w, r) for w, r in records if r["image_id"] not in refs)
+        record["bbox"] = [math.nan, 5.0, -1.0, 0.5]
+        named.append(f"{where}.bbox")
+
+    _edit_records(tmp_path / "world.bin", damage)
+    with pytest.raises(errors.DataError) as info:
+        load_benchmark(tmp_path)
+    assert named[0] in str(info.value)
+    assert main(["eval", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert named[0] in err and "Traceback" not in err
+
+
 # the exit-code contract: one class per code, and the base class as a check failure
 EXIT_CODES = {
     "ConfigError": (1, "config error: "),

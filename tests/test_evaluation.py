@@ -27,7 +27,9 @@ from focalcir.model import (
     ModelParams,
     TrainConfig,
     cropped,
+    load_checkpoint,
     query_representation,
+    save_checkpoint,
     train,
 )
 from focalcir.records import from_record
@@ -311,11 +313,15 @@ def tiny_bench():
     )
 
 
+def tiny_model_config():
+    return ModelConfig(d_model=16, d_embed=16, m_queries=2, k_probes=2, l_text=2,
+                       n_blocks=1, crm_layers=1)
+
+
 @pytest.fixture(scope="module")
 def tiny_model(tiny_bench):
-    cfg = ModelConfig(d_model=16, d_embed=16, m_queries=2, k_probes=2, l_text=2,
-                      n_blocks=1, crm_layers=1)
-    return ModelParams(cfg, tiny_bench.encoders, seed=5, zero_modulation_head=False)
+    return ModelParams(tiny_model_config(), tiny_bench.encoders, seed=5,
+                       zero_modulation_head=False)
 
 
 def test_evaluate_model_report_shape(tiny_bench, tiny_model):
@@ -364,6 +370,37 @@ def test_no_bbox_matches_none_transform(tiny_bench, tiny_model, monkeypatch):
         assert len(seen) == len(want) and all(s.bbox is None for s in seen), setting
         for got, w in zip(seen, want):
             assert np.array_equal(got.patches, w.patches), setting
+
+
+def ranked_rows(params, bench, monkeypatch):
+    """Every query-row and gallery matrix evaluate_model ranks, in order."""
+    seen = []
+
+    def spy(f_q, gallery, positives=None):
+        seen.append((f_q.copy(), gallery.copy()))
+        return rank_gallery(f_q, gallery, positives)
+
+    monkeypatch.setattr(evaluation, "rank_gallery", spy)
+    report = evaluate_model(params, bench)
+    monkeypatch.undo()
+    return report, seen
+
+
+def test_a_trained_model_evaluates_as_its_checkpoint_does(tiny_bench, tmp_path, monkeypatch):
+    # merged attention products built before an optimizer step must not
+    # reach an evaluation after it; a loaded checkpoint has fresh objects
+    params = ModelParams(tiny_model_config(), tiny_bench.encoders, seed=5,
+                         zero_modulation_head=False)
+    evaluate_model(params, tiny_bench)  # an evaluation before training, too
+    train(params, train_examples(tiny_bench, tiny_bench.train_quads),
+          TrainConfig(epochs=1, batch_size=8, seed=3))
+    save_checkpoint(tmp_path / "trained.bin", params)
+    loaded, _ = load_checkpoint(tmp_path / "trained.bin")
+    trained_report, trained = ranked_rows(params, tiny_bench, monkeypatch)
+    loaded_report, reloaded = ranked_rows(loaded, tiny_bench, monkeypatch)
+    assert trained_report == loaded_report and len(trained) == len(reloaded) > 0
+    for (q, gal), (q2, gal2) in zip(trained, reloaded):
+        assert np.array_equal(q, q2) and np.array_equal(gal, gal2)
 
 
 def test_roi_crop_path_runs(tiny_bench, tiny_model):

@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from focalcir import model
+from focalcir import evaluation, model
 from focalcir.caam import CRM_VARIANTS, OUTPUT_FORMS
 from focalcir.benchgen import FilterThresholds, WorldConfig, build_benchmark
 from focalcir.benchgen.pipeline import Benchmark, save_benchmark
@@ -233,6 +233,31 @@ def test_untrained_model_matches_fingerprint():
         for subset, betas in want["betas"].items():
             assert _close(got["betas"][subset], betas), f"seed {seed} {subset}: betas; {hosts}"
         assert _close(got["losses"], want["losses"]), f"seed {seed}: losses; {hosts}"
+
+
+def test_ranks_do_not_depend_on_the_eval_chunk(monkeypatch):
+    # a metamorphic relation: batching queries and gallery images into
+    # chunks of any size gives every eval query the same integer ranks
+    bench = tiny_benchmark(SEEDS[0])
+    params = ModelParams(MODEL, bench.encoders, seed=MODEL_SEED, zero_modulation_head=False)
+    whole = max([len(bench.eval_quads_of(s)) for s in bench.subsets]
+                + [len(m.image_ids) for m in bench.galleries.values()])
+    by_chunk = {}
+    for chunk in (1, 7, EVAL_CHUNK, whole):
+        calls = []
+
+        def recording(*args):
+            calls.append(rank_gallery(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(evaluation, "EVAL_CHUNK", chunk)
+        monkeypatch.setattr(evaluation, "rank_gallery", recording)
+        evaluate_model(params, bench)
+        expected_calls = sum(-(-len(bench.eval_quads_of(s)) // chunk) for s in bench.subsets)
+        assert len(calls) == expected_calls, chunk
+        by_chunk[chunk] = np.concatenate(calls, axis=1).tolist()  # (target, instance) x Q
+    for chunk, ranks in by_chunk.items():
+        assert ranks == by_chunk[EVAL_CHUNK], chunk
 
 
 def test_every_crm_variant_matches_fingerprint(tmp_path):

@@ -1,5 +1,6 @@
 """Region masks and modulated cross-attention against straight-line oracles."""
 
+import contextlib
 import re
 
 import numpy as np
@@ -23,6 +24,7 @@ from focalcir.fusion import (
     modulated_cross_attention,
     multimodal_encode,
     region_mask_from_bbox,
+    shared_merged_weights,
     stack_patches,
 )
 
@@ -655,6 +657,41 @@ def test_a_layer_records_the_same_few_tape_entries_at_any_head_count(cross):
         counts.append(len(tape))
         tape.clear()
     assert counts == ([16, 16] if cross else [9, 9])
+
+
+def test_a_scope_builds_each_attentions_products_once_and_computes_the_same():
+    # in a scope, a second pass over the same weights reuses the four merged
+    # products (and W_K^T) of each of its 2 blocks x 2 attentions
+    enc, patches, text = make_world_inputs()
+    fusion = fusion_of(np.random.default_rng(1), 16, m_queries=4, n_blocks=2, n_heads=2)
+    (mask,) = region_mask_from_bbox([(0.0, 0.0, 0.5, 0.5)], (4, 4))
+
+    def passes():
+        return [multimodal_encode(patches, text, fusion, mask=mask, beta=beta).data
+                for beta in (0.0, 2.0)]
+
+    counts, outputs = [], []
+    for scope in (contextlib.nullcontext, shared_merged_weights):
+        tape = Tape()
+        with tape, scope():
+            outputs.append(passes())
+        counts.append(len(tape))
+        tape.clear()
+    assert counts[0] - counts[1] == 2 * 2 * 5
+    for alone, shared in zip(*outputs):
+        assert np.array_equal(alone, shared)
+
+
+def test_products_asked_for_under_another_tape_raise():
+    # products built on one tape would get no gradient from another's backward
+    enc, patches, text = make_world_inputs()
+    fusion = fusion_of(np.random.default_rng(1), 16, m_queries=4, n_blocks=1)
+    with Tape(), shared_merged_weights(), Tape():
+        with pytest.raises(ContractError, match="under another tape"):
+            multimodal_encode(patches, text, fusion)
+    with shared_merged_weights(), Tape():  # a scope opened with no tape
+        with pytest.raises(ContractError, match="under another tape"):
+            multimodal_encode(patches, text, fusion)
 
 
 @pytest.mark.parametrize("kwargs", [{"n_blocks": 0}, {"m_queries": 0}, {"n_heads": 0},

@@ -26,6 +26,7 @@ from focalcir.model import (
     load_checkpoint,
     query_representation,
     save_checkpoint,
+    step_loss,
     target_representation,
     train,
 )
@@ -328,12 +329,11 @@ def test_step_tape_length_does_not_grow_with_batch():
 
 
 def step_tape(params, examples):
-    """The tape of one training step on examples, after its backward."""
+    """The tape of one adaptive training step on examples, recorded as
+    `train` records it, after its backward."""
     tape = Tape()
     with tape:
-        f_q, _ = query_representation([ex.query for ex in examples], params)
-        f_t = target_representation([ex.target_patches for ex in examples], params)
-        loss = contrastive_loss(f_q, f_t, params.tau)
+        loss, _ = step_loss(params, examples, None)
     backward(loss, tape)
     return tape
 
@@ -353,7 +353,7 @@ def test_backward_reaches_every_tape_entry_of_a_step(crm_variant, modulation):
     tape.clear()
 
 
-@pytest.mark.parametrize("modulation, entries", [("scalar", 136), ("vector", 139)])
+@pytest.mark.parametrize("modulation, entries", [("scalar", 96), ("vector", 99)])
 def test_default_config_step_records_a_known_tape(modulation, entries):
     # the count moves only when a change adds or removes forward work;
     # batches share one tape, so it does not depend on the batch size
@@ -363,6 +363,37 @@ def test_default_config_step_records_a_known_tape(modulation, entries):
     tape = step_tape(params, random_examples(np.random.default_rng(87), enc, 2, grid=(4, 4)))
     assert (len(tape), unreached(tape)) == (entries, [])
     tape.clear()
+
+
+@pytest.mark.parametrize("modulation", OUTPUT_FORMS)
+def test_a_steps_shared_products_give_the_per_pass_gradients(modulation):
+    # the step's probe, query and target passes share each attention's
+    # merged products, so backward sums their gradients in another order
+    _, enc, params = tiny_setup(seed=88, modulation=modulation, n_blocks=2, n_heads=2)
+    params = ModelParams(params.config, enc, seed=88, zero_modulation_head=False)
+    examples = random_examples(np.random.default_rng(88), enc, 4)
+    trainable = [(n, t) for n, t in params.named_params() if t.requires_grad]
+
+    def per_pass():
+        f_q, _ = query_representation([ex.query for ex in examples], params)
+        f_t = target_representation([ex.target_patches for ex in examples], params)
+        return contrastive_loss(f_q, f_t, params.tau)
+
+    def grads(forward):
+        tape = Tape()
+        with tape:
+            loss = forward()
+        backward(loss, tape)
+        out = {n: np.zeros_like(t.data) if t.grad is None else t.grad.copy() for n, t in trainable}
+        tape.clear()
+        return loss.item(), out
+
+    shared_loss, shared = grads(lambda: step_loss(params, examples, None)[0])
+    alone_loss, alone = grads(per_pass)
+    assert shared_loss == alone_loss  # the forward arithmetic is the same
+    for n, g in alone.items():
+        assert np.max(np.abs(shared[n] - g)) <= 1e-12 * np.max(np.abs(g)), n
+    assert np.any(alone["caam.wc"] != 0.0)  # the modulation path took part
 
 
 # -- config validation -------------------------------------------------------
