@@ -39,9 +39,11 @@ from focalcir.records import check_ranges
 
 _UNIT_TOL = 1e-6
 
-# Samples per batched forward pass. A whole subset per pass was no faster
-# and raised peak memory by about 38 MB on the default benchmark.
-EVAL_CHUNK = 32
+# Samples per batched forward pass. On a 2-core host the beta sweep ran 9%
+# faster at 64 than at 32 and 12% at 128, no faster at 256, and eval slowed
+# at 256. A fresh process page-faults each chunk's freed buffers back in
+# unless glibc keeps them, which cli.main asks it to.
+EVAL_CHUNK = 128
 
 
 @dataclass

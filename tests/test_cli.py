@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import platform
 import struct
 import tempfile
 import typing
@@ -237,6 +238,17 @@ def test_unwritable_output_path_exits_1_naming_it(run_dir, tmp_path, capsys, com
 def test_unknown_flag_exits_1(capsys):
     assert main(["gen", "--wat"]) == 1
     capsys.readouterr()
+
+
+def test_the_allocator_hook_is_glibc_only_and_repeatable(monkeypatch):
+    # main calls it once per command, and tests call main many times
+    glibc = platform.libc_ver()[0] == "glibc"
+    assert cli._keep_freed_heap() is glibc and cli._keep_freed_heap() is glibc
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())  # a libc without mallopt
+    assert cli._keep_freed_heap() is False
+    calls = []
+    monkeypatch.setattr(cli, "_keep_freed_heap", lambda: calls.append(1))
+    assert main(["gen", "--wat"]) == 1 and calls == [1]
 
 
 def test_cli_surface_is_pinned():

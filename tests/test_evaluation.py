@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 from pathlib import Path
 
 import numpy as np
@@ -372,18 +373,29 @@ def test_no_bbox_matches_none_transform(tiny_bench, tiny_model, monkeypatch):
             assert np.array_equal(got.patches, w.patches), setting
 
 
-def ranked_rows(params, bench, monkeypatch):
-    """Every query-row and gallery matrix evaluate_model ranks, in order."""
+def ranked_rows(params, bench, monkeypatch, **setting):
+    """Every query-row and gallery matrix evaluate_model ranks, in order, with
+    the (2, B) target and instance ranks it got for them."""
     seen = []
 
     def spy(f_q, gallery, positives=None):
-        seen.append((f_q.copy(), gallery.copy()))
-        return rank_gallery(f_q, gallery, positives)
+        ranks = rank_gallery(f_q, gallery, positives)
+        seen.append((f_q.copy(), gallery.copy(), ranks))
+        return ranks
 
-    monkeypatch.setattr(evaluation, "rank_gallery", spy)
-    report = evaluate_model(params, bench)
-    monkeypatch.undo()
+    with monkeypatch.context() as patch:
+        patch.setattr(evaluation, "rank_gallery", spy)
+        report = evaluate_model(params, bench, **setting)
     return report, seen
+
+
+def ranks_by_quadruple(params, bench, monkeypatch):
+    """Each eval quadruple's [target rank, instance rank]."""
+    _, seen = ranked_rows(params, bench, monkeypatch)
+    quads = [q for s in bench.subsets for q in bench.eval_quads_of(s)]
+    ranks = np.concatenate([r for _, _, r in seen], axis=1).T.tolist()
+    assert len(ranks) == len(quads)
+    return dict(zip(quads, ranks))
 
 
 def test_a_trained_model_evaluates_as_its_checkpoint_does(tiny_bench, tmp_path, monkeypatch):
@@ -399,8 +411,32 @@ def test_a_trained_model_evaluates_as_its_checkpoint_does(tiny_bench, tmp_path, 
     trained_report, trained = ranked_rows(params, tiny_bench, monkeypatch)
     loaded_report, reloaded = ranked_rows(loaded, tiny_bench, monkeypatch)
     assert trained_report == loaded_report and len(trained) == len(reloaded) > 0
-    for (q, gal), (q2, gal2) in zip(trained, reloaded):
+    for (q, gal, _), (q2, gal2, _) in zip(trained, reloaded):
         assert np.array_equal(q, q2) and np.array_equal(gal, gal2)
+
+
+@pytest.mark.parametrize("chunk", [2, EVAL_CHUNK])
+def test_ranks_do_not_depend_on_the_query_order(tiny_bench, tiny_model, monkeypatch, chunk):
+    # a metamorphic relation: shuffled eval quadruples, moved across chunk
+    # boundaries too, each keep their integer target and instance ranks
+    monkeypatch.setattr(evaluation, "EVAL_CHUNK", chunk)
+    shuffled = list(tiny_bench.eval_quads)
+    random.Random(0).shuffle(shuffled)
+    assert shuffled != tiny_bench.eval_quads
+    moved = dataclasses.replace(tiny_bench, eval_quads=shuffled)
+    assert (ranks_by_quadruple(tiny_model, moved, monkeypatch)
+            == ranks_by_quadruple(tiny_model, tiny_bench, monkeypatch))
+
+
+def test_a_boxless_query_ranks_as_a_beta_zero_query(tiny_bench, tiny_model, monkeypatch):
+    # a metamorphic relation: neither setting builds a logit bias, so they
+    # give equal reports and every query the same ranks
+    no_box, no_box_rows = ranked_rows(tiny_model, tiny_bench, monkeypatch, use_bbox=False)
+    zero, zero_rows = ranked_rows(tiny_model, tiny_bench, monkeypatch, beta_override=0.0)
+    assert no_box.to_dict() == zero.to_dict()
+    assert len(no_box_rows) == len(zero_rows) > 0
+    for (_, _, a), (_, _, b) in zip(no_box_rows, zero_rows):
+        assert np.array_equal(a, b)
 
 
 def test_roi_crop_path_runs(tiny_bench, tiny_model):

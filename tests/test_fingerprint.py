@@ -243,7 +243,7 @@ def test_ranks_do_not_depend_on_the_eval_chunk(monkeypatch):
     whole = max([len(bench.eval_quads_of(s)) for s in bench.subsets]
                 + [len(m.image_ids) for m in bench.galleries.values()])
     by_chunk = {}
-    for chunk in (1, 7, EVAL_CHUNK, whole):
+    for chunk in (1, 7, 32, EVAL_CHUNK, whole):
         calls = []
 
         def recording(*args):

@@ -55,9 +55,11 @@ def test_sweep_shape_and_zero_row(tiny_bench, tiny_model):
     assert table.rows[-1].label == "adaptive"
     assert table.rows[-1].beta_value is None
 
-    baseline = evaluate_model(tiny_model, tiny_bench, beta_override=0.0)
-    assert table.rows[0].beta_units == 0.0
-    assert table.rows[0].metrics.to_dict() == baseline.to_dict()
+    assert table.rows[0].beta_units == 0.0 and table.rows[0].beta_value == 0.0
+    # every fixed row is a plain evaluation at that row's beta
+    for row in table.rows[:-1]:
+        fixed = evaluate_model(tiny_model, tiny_bench, beta_override=row.beta_value)
+        assert row.metrics.to_dict() == fixed.to_dict(), row.label
 
 
 def test_sweep_betas_scale_with_head_dim(tiny_model):
