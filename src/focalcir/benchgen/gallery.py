@@ -15,7 +15,7 @@ import numpy as np
 
 from focalcir.benchgen.quadruples import Quadruple, largest_remainder
 from focalcir.encoders import SyntheticImage
-from focalcir.errors import ContractError
+from focalcir.errors import ConfigError, ContractError
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,10 @@ def build_gallery(
     seed: int,
     n_distractors: int,
 ) -> GalleryManifest:
-    """Targets (first appearance order) + proportionally sampled distractors."""
+    """Targets (first appearance order) + proportionally sampled distractors.
+
+    A category whose reserve pool is smaller than its share of n_distractors
+    is a setting the data cannot meet: ConfigError naming n_distractors."""
     if not eval_quads:
         raise ContractError("cannot build a gallery without eval quadruples")
     subsets = {q.subset for q in eval_quads}
@@ -101,9 +104,8 @@ def build_gallery(
             continue
         have = sorted(pool.get(cat, []), key=lambda im: im.image_id)
         if len(have) < need:
-            raise ContractError(
-                f"reserve pool lacks category {cat}: need {need} distractors, have {len(have)}"
-            )
+            raise ConfigError(f"n_distractors {n_distractors} needs {need} distractors of "
+                              f"category {cat}, but its reserve pool has {len(have)}")
         chosen = sorted(rng.permutation(len(have))[:need])
         for i in chosen:
             im = have[i]

@@ -2,11 +2,12 @@
 
 A bank of K probe tokens and a dedicated contextual cls token ride through
 the (unmodulated, unmasked) fusion encoder together with the reference
-patches and the modification text. A context reasoning module (CRM) then
-condenses [cls, probes] into a single context vector, and a linear head maps
-it to the modulation output: a scalar beta, or one beta per fusion query in
-the vector form. The head is zero-initialized so an untrained model starts
-exactly at the unmodulated baseline.
+patches and the modification text, as the tokens whose rows it returns. A
+context reasoning module (CRM) then condenses [cls, probes] into a single
+context vector, and a linear head maps it to the modulation output: a
+scalar beta, or one beta per fusion query in the vector form. The head is
+zero-initialized so an untrained model starts exactly at the unmodulated
+baseline.
 
 The CRM averages the rows (`avg`), applies the fusion encoder's FFN to
 their mean (`mlp`), or runs fusion's post-norm layer without its
@@ -60,7 +61,7 @@ class CaamParams:
     bc: Tensor
 
 
-def crm_forward(tokens: Tensor, crm: CrmParams, n_heads: int = 1) -> Tensor:
+def crm_forward(tokens: Tensor, crm: CrmParams) -> Tensor:
     """Condense a (k+1) x d token set (cls at row 0) into a 1 x d context,
     per sample when tokens are a (B, k+1, d) batch.
 
@@ -72,7 +73,7 @@ def crm_forward(tokens: Tensor, crm: CrmParams, n_heads: int = 1) -> Tensor:
         return mean_over_rows(tokens)
     if crm.variant == "mlp":
         return ffn(mean_over_rows(tokens), crm.mlp)
-    return run_layers(tokens, crm.layers, n_heads, [(0, 1)])
+    return run_layers(tokens, crm.layers, 1)
 
 
 def predict_beta(
@@ -89,19 +90,10 @@ def predict_beta(
     The probe pass itself runs with no mask and beta = 0; the box location is
     deliberately invisible here, only image content and text are. key_mask
     is the padding mask of `fusion.stack_patches`."""
-    rows = multimodal_encode(  # [cls, probes]
-        patches,
-        text,
-        fusion,
-        mask=None,
-        beta=0.0,
-        cls_token=caam.cls,
-        extra_tokens=caam.probes,
-        key_mask=key_mask,
-        read=("cls", "extra"),
+    rows = multimodal_encode(  # [cls, probes], unmodulated
+        patches, text, fusion, tokens=(caam.cls, caam.probes), key_mask=key_mask
     )
-    context = crm_forward(rows, caam.crm, n_heads=fusion.n_heads)
-    return linear(context, caam.wc, caam.bc)
+    return linear(crm_forward(rows, caam.crm), caam.wc, caam.bc)
 
 
 # ---------------------------------------------------------------------------

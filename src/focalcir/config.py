@@ -10,6 +10,7 @@ typoed override fails loudly instead of silently using a default.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from focalcir.benchgen.filtering import PRESETS, FilterThresholds
 from focalcir.benchgen.pipeline import default_world_configs
 from focalcir.benchgen.world import WorldConfig
 from focalcir.errors import ConfigError
-from focalcir.harness import DEFAULT_SWEEP_UNITS
+from focalcir.harness import DEFAULT_SWEEP_UNITS, sqrt_dk
 from focalcir.model import ModelConfig, TrainConfig, config_digest
 from focalcir.records import ConfigSection, from_record, parse_json, write_json
 
@@ -74,6 +75,11 @@ class RunConfig(ConfigSection):
         latents = {c.d_latent for c in self.world}
         if len(latents) != 1:
             return f"subsets disagree on d_latent: {sorted(latents)}"
+        # a sweep beta is units * sqrt(d_k); an infinite one times a mask's 0 is NaN
+        scale = sqrt_dk(self.model)
+        for i, units in enumerate(self.eval.betas):
+            if not math.isfinite(units * scale):
+                return f"'eval.betas[{i}]' {units!r} times sqrt(d_k) {scale!r} overflows"
         return unknown_subset_rule("train.subsets", self.train.subsets or (), self.world)
 
     def to_dict(self) -> dict:

@@ -9,17 +9,18 @@ matrix per subset. Each chunk of queries is ranked with one (B, d) @ (d, G)
 product, and the ranks of its targets and same-instance candidates are
 counted from those similarities, not sorted: R@K and R_ID@K are the shares
 of ranks <= K. Every query is anchored on its own quadruple's box, so an
-evaluation setting is (beta_override, use_bbox, roi_crop) plus a benchmark
-view: perturbed boxes or a filtered query list are a dataclasses.replace of
-the Benchmark, not a callback. use_bbox=False evaluates each query with its
-box dropped, and roi_crop each query's `cropped` view. RankingResult and the
-recall functions read the same metrics off a full gallery order; the metric
-oracle uses them.
+evaluation setting is (beta_override, roi_crop) plus a benchmark view:
+perturbed boxes or a filtered query list are a dataclasses.replace of the
+Benchmark, not a callback. roi_crop evaluates each query's `cropped` view.
+A box-less query is encoded exactly as a beta_override=0 query (neither
+builds a region bias), so the box-less setting is beta_override=0.0.
+RankingResult and the recall functions read the same metrics off a full
+gallery order; the metric oracle uses them.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -227,7 +228,6 @@ def evaluate_model(
     bench: Benchmark,
     subsets: list[str] | None = None,
     beta_override: float | None = None,
-    use_bbox: bool = True,
     roi_crop: bool = False,
     config_hash: str = "",
     seed: int = 0,
@@ -279,9 +279,7 @@ def evaluate_model(
             ranks = []
             for at in range(0, len(quads), EVAL_CHUNK):
                 samples = [query_sample_of(bench, quad) for quad in quads[at : at + EVAL_CHUNK]]
-                if not use_bbox:
-                    samples = [replace(s, bbox=None) for s in samples]
-                elif roi_crop:
+                if roi_crop:
                     samples = [cropped(s) for s in samples]
                 f_q, _ = query_representation(samples, params, beta_override=beta_override)
                 ranks.append(rank_gallery(f_q.data, gal, positives[:, at : at + EVAL_CHUNK]))

@@ -2,25 +2,28 @@
 
 One post-norm layer (Vaswani et al. 2017, arXiv:1706.03762) runs (1)
 self-attention over its tokens, (2) an optional cross-attention to the patch
-embeddings, (3) a feed-forward layer, each with a post-norm residual. Fusion
-blocks have (2), over [cls?, fusion queries, extra tokens?, text tokens], with
-text as self-attention participants only; the CAAM's CRM layers do not.
+embeddings, (3) a feed-forward layer, each with a post-norm residual. A layer
+carries its head count, fixed when its weights are built. Fusion blocks have
+(2), over [caller's tokens, fusion queries, text tokens], with text as
+self-attention participants only; the CAAM's CRM layers do not.
 
 The modulation: a binary region mask over patch columns is scaled by beta
 and added to the raw cross-attention logits BEFORE division by sqrt(d_k).
 With beta = 0 the bias vanishes bit-for-bit, so the unmodulated model is the
 exact beta=0 special case. Beta may be a plain float, a differentiable 1x1
 tensor (scalar form), or a 1xM tensor (vector form) that biases fusion-query
-rows individually; with the vector form, cls/text/extra rows get no bias.
+rows individually; with the vector form, the caller's and text rows get no
+bias.
 There are no positional embeddings: tokens interact as a set, and spatial
 selection enters only through the mask.
 
-In `run_layers`, the last layer computes only the rows its caller reads:
-they are its self-attention queries, and every token stays a key and value,
-so the read rows are exactly those of a full pass; `multimodal_encode`
-returns them as one tensor, in token order. The query branch and the CRM
-read their cls row alone, the target branch its fusion queries and the
-modulation predictor [cls, probes].
+A caller brings the tokens it reads: `multimodal_encode` puts them first
+and returns their output rows, or the fusion queries' when it brings none.
+So the rows read are always the first ones, and `run_layers` takes their
+count: its last layer computes only those rows as self-attention queries,
+while every token stays a key and value, so they are exactly the rows of a
+full pass. The query branch brings its cls token, the modulation predictor
+[cls, probes], and the target branch nothing; the CRM reads row 0, its cls.
 
 Every attention runs in merged form, through the QK and OV circuits of
 Elhage et al. 2021: per head, logits = (X W_Q W_K^T + b_Q W_K^T) P^T and
@@ -40,7 +43,7 @@ attention, one `residual_norm` per sub-layer and one `feed_forward`.
 
 Batches: patches may be one image (n, d) or a batch (B, n, d), with one
 region-mask row (B, 1, n) and one beta (B, 1, 1) or (B, 1, M) per sample.
-The fusion queries, cls token and extra tokens are shared by the batch.
+The fusion queries and the caller's tokens are shared by the batch.
 Images with fewer patches are zero-padded by `stack_patches`, whose additive
 key mask puts -inf on the padded keys' logits; the region bias and the key
 mask are one additive-logit term, the masked attention of Vaswani et al.
@@ -157,6 +160,7 @@ class LayerParams:
     ln_self: LayerNormParams
     ffn: FfnParams
     ln_ffn: LayerNormParams
+    n_heads: int  # every attention of the layer splits d_model into this many heads
     cross_attn: AttentionParams | None = None  # fusion blocks only
     ln_cross: LayerNormParams | None = None
 
@@ -167,7 +171,6 @@ class FusionParams:
 
     queries: Tensor  # (m, d_model)
     blocks: list[LayerParams]
-    n_heads: int = 1
 
     @property
     def d_model(self) -> int:
@@ -310,18 +313,9 @@ def ffn(tokens: Tensor, p: FfnParams) -> Tensor:
     return feed_forward(tokens, p.w1, p.b1, p.w2, p.b2)
 
 
-def _take_rows(t: Tensor, spans: list[tuple[int, int]]) -> Tensor:
-    """The rows of t in the given (start, stop) spans, in order."""
-    if spans == [(0, t.data.shape[-2])]:
-        return t
-    parts = [slice_rows(t, start, stop) for start, stop in spans]
-    return parts[0] if len(parts) == 1 else concat_rows(parts)
-
-
 def _layer_forward(
     tokens: Tensor,
     layer: LayerParams,
-    n_heads: int,
     kv: Tensor | None,
     bias: Tensor | None,
     rows: Tensor | None = None,
@@ -329,10 +323,10 @@ def _layer_forward(
     """One layer computing rows, some of the tokens (default all of them);
     every token is a key and value of the self-attention."""
     rows = tokens if rows is None else rows
-    attn = _attention(rows, tokens, layer.self_attn, n_heads)
+    attn = _attention(rows, tokens, layer.self_attn, layer.n_heads)
     rows = residual_norm(rows, attn, layer.ln_self.gain, layer.ln_self.shift)
     if layer.cross_attn is not None:
-        cross = _attention(rows, kv, layer.cross_attn, n_heads, bias)
+        cross = _attention(rows, kv, layer.cross_attn, layer.n_heads, bias)
         rows = residual_norm(rows, cross, layer.ln_cross.gain, layer.ln_cross.shift)
     return residual_norm(rows, ffn(rows, layer.ffn), layer.ln_ffn.gain, layer.ln_ffn.shift)
 
@@ -340,19 +334,20 @@ def _layer_forward(
 def run_layers(
     tokens: Tensor,
     layers: Sequence[LayerParams],
-    n_heads: int,
-    kept: list[tuple[int, int]],
+    n_read: int,
     kv: Tensor | None = None,
     bias: Tensor | None = None,
 ) -> Tensor:
     """Every layer but the last runs on all tokens; the last computes only
-    the rows in the kept (start, stop) spans, in order, and a per-row bias
-    is sliced to match."""
+    the first n_read rows, and a per-row bias is cut to match."""
     for layer in layers[:-1]:
-        tokens = _layer_forward(tokens, layer, n_heads, kv, bias)
-    if bias is not None and bias.data.shape[-2] > 1:
-        bias = _take_rows(bias, kept)
-    return _layer_forward(tokens, layers[-1], n_heads, kv, bias, _take_rows(tokens, kept))
+        tokens = _layer_forward(tokens, layer, kv, bias)
+    rows = tokens
+    if n_read < tokens.data.shape[-2]:
+        rows = slice_rows(tokens, 0, n_read)
+        if bias is not None and bias.data.shape[-2] > 1:
+            bias = slice_rows(bias, 0, n_read)
+    return _layer_forward(tokens, layers[-1], kv, bias, rows)
 
 
 def multimodal_encode(
@@ -361,12 +356,10 @@ def multimodal_encode(
     fusion: FusionParams,
     mask: np.ndarray | None = None,
     beta=0.0,
-    cls_token: Tensor | None = None,
-    extra_tokens: Tensor | None = None,
+    tokens: Sequence[Tensor] = (),
     key_mask: np.ndarray | None = None,
-    read: Sequence[str] | None = None,
 ) -> Tensor:
-    """Run the fusion encoder over [cls?, queries, extras?, text?] x patches.
+    """Run the fusion encoder over [tokens, fusion queries, text?] x patches.
 
     For one image, mask is an (n,) row. For a batch, patches are (B, n, d),
     text is a (B, l, d) token array, mask is a (B, 1, n) array of per-sample
@@ -375,9 +368,9 @@ def multimodal_encode(
     must be exactly 0 (target branch and the modulation predictor's own pass
     both run unmodulated).
 
-    read names the groups the caller uses, among "cls", "fused" and "extra"
-    (default: every group passed). The last block computes only their rows,
-    and those rows come back as one tensor, in token order."""
+    tokens are the caller's own token rows, shared by the batch. The
+    encoder returns their output rows, or the fusion queries' when there
+    are none; the last block computes only those rows."""
     kv = constant(np.asarray(patches, dtype=np.float64))
     n_keys = kv.data.shape[-2]
     if kv.data.shape[-1] != fusion.d_model:
@@ -388,22 +381,14 @@ def multimodal_encode(
         raise ContractError(f"key mask covers {key_mask.shape[-1]} keys but image has {n_keys}")
     mask_values = _mask_rows(mask, beta, n_keys)
 
-    groups = {g: t for g, t in (("cls", cls_token), ("fused", fusion.queries),
-                                 ("extra", extra_tokens)) if t is not None}
-    read = list(groups) if read is None else list(read)
-    if not read or any(g not in groups for g in read):
-        raise ContractError(f"read must name groups passed, {list(groups)}, got {read}")
-    spans, at = {}, 0
-    for g, t in groups.items():
-        spans[g], at = (at, at + t.data.shape[0]), at + t.data.shape[0]
-    parts = list(groups.values())
+    n_own, m = sum(t.data.shape[-2] for t in tokens), fusion.queries.data.shape[0]
+    parts = [*tokens, fusion.queries]
     if text is not None:
         parts.append(constant(text.tokens if isinstance(text, TextEmbedding) else text))
-    tokens = concat_rows(parts) if len(parts) > 1 else parts[0]
+    sequence = concat_rows(parts) if len(parts) > 1 else parts[0]
 
-    bias = _logit_bias(mask_values, beta, tokens.data.shape[-2], spans["fused"], key_mask)
-    kept = [span for g, span in spans.items() if g in read]  # token order
-    return run_layers(tokens, fusion.blocks, fusion.n_heads, kept, kv, bias)
+    bias = _logit_bias(mask_values, beta, sequence.data.shape[-2], (n_own, n_own + m), key_mask)
+    return run_layers(sequence, fusion.blocks, n_own or m, kv, bias)
 
 
 def encode_target(
@@ -461,6 +446,7 @@ def init_layer(rng: np.random.Generator, config: ModelConfig, cross: bool) -> La
         ln_cross=init_layer_norm(config) if cross else None,
         ffn=init_ffn(rng, config),
         ln_ffn=init_layer_norm(config),
+        n_heads=config.n_heads,
     )
 
 
@@ -469,5 +455,4 @@ def init_fusion_params(rng: np.random.Generator, config: ModelConfig) -> FusionP
     return FusionParams(
         queries=Tensor(rng.normal(0.0, TOKEN_INIT, size=(config.m_queries, config.d_model))),
         blocks=[init_layer(rng, config, cross=True) for _ in range(config.n_blocks)],
-        n_heads=config.n_heads,
     )

@@ -1,15 +1,17 @@
 """Experiment harnesses: β sweep, CAAM ablation, bbox robustness, ROI crop.
 
 Every row is one plain evaluate_model call: a setting (beta_override,
-use_bbox, roi_crop) on a benchmark or a view of it. Perturbed boxes are a
-view made with dataclasses.replace on eval_quads. The harnesses that train
-read their quadruples through Benchmark.train_quads_of, so train.subsets
-holds for every trained row; the ROI-crop model trains on the `cropped` view
-of each query, at beta 0, and drops no query, since every box a benchmark
-holds covers a patch center (the loader checks it). Each harness reuses one
-gallery-embedding cache per trained model (target embeddings do not depend
-on the modulation applied to queries), and every table is written by
-metrics_table_text alongside the structured per-row metrics.
+roi_crop) on a benchmark or a view of it. Perturbed boxes are a view made
+with dataclasses.replace on eval_quads, and the box-less robustness row is
+beta_override=0.0, which encodes each query exactly as without its box.
+The harnesses that train read their quadruples through
+Benchmark.train_quads_of, so train.subsets holds for every trained row; the
+ROI-crop model trains on the `cropped` view of each query, at beta 0, and
+drops no query, since every box a benchmark holds covers a patch center
+(the loader checks it). Each harness reuses one gallery-embedding cache per
+trained model (target embeddings do not depend on the modulation applied to
+queries), and every table is written by metrics_table_text alongside the
+structured per-row metrics.
 """
 
 from __future__ import annotations
@@ -197,7 +199,7 @@ def robustness_eval(
         rows.append(RobustnessRow(label=f"iou={target:g} {mode}", target_iou=target, mode=mode,
                                   achieved_mean_iou=mean_iou, metrics=report))
     report = evaluate_model(
-        params, bench, use_bbox=False, config_hash=config_hash, seed=seed, gallery_cache=cache,
+        params, bench, beta_override=0.0, config_hash=config_hash, seed=seed, gallery_cache=cache,
     )
     rows.append(RobustnessRow(label="no-bbox", target_iou=None, mode=None,
                               achieved_mean_iou=None, metrics=report))

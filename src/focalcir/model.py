@@ -130,23 +130,24 @@ class TrainExample:
     target_patches: np.ndarray
 
 
-def _region_masks(batch: Sequence[QuerySample]) -> list[np.ndarray | None]:
-    """Each sample's region mask over its patches, None for a box-less one."""
-    masks: list[np.ndarray | None] = [None] * len(batch)
+def _region_rows(batch: Sequence[QuerySample], n_keys: int) -> np.ndarray | None:
+    """The (B, 1, n_keys) region-mask rows of a batch, from one vectorised
+    call per distinct grid: 0 on a box-less sample's row and on padded keys.
+    None when no sample has a box."""
     by_grid: dict[tuple[int, int], list[int]] = {}
     for i, s in enumerate(batch):
         if s.bbox is not None:
             by_grid.setdefault(tuple(s.grid), []).append(i)
-    for grid, rows in by_grid.items():
-        # one vectorised call per distinct grid
-        for i, m in zip(rows, region_mask_from_bbox([batch[i].bbox for i in rows], grid)):
-            masks[i] = m
-    for s, m in zip(batch, masks):
-        if m is not None and m.shape[0] != s.patches.shape[0]:
-            raise ContractError(
-                f"mask covers {m.shape[0]} patches but image has {s.patches.shape[0]}"
-            )
-    return masks
+    if not by_grid:
+        return None
+    rows = np.zeros((len(batch), 1, n_keys))
+    for (h, w), idx in by_grid.items():
+        for i in idx:
+            if batch[i].patches.shape[0] != h * w:
+                raise ContractError(
+                    f"mask covers {h * w} patches but image has {batch[i].patches.shape[0]}")
+        rows[idx, 0, : h * w] = region_mask_from_bbox([batch[i].bbox for i in idx], (h, w))
+    return rows
 
 
 def cropped(sample: QuerySample) -> QuerySample:
@@ -155,8 +156,8 @@ def cropped(sample: QuerySample) -> QuerySample:
     its own view."""
     if sample.bbox is None:
         return sample
-    (inside,) = _region_masks([sample])
-    return replace(sample, patches=sample.patches[inside == 1.0], bbox=None)
+    inside = _region_rows([sample], sample.patches.shape[0])[0, 0] == 1.0
+    return replace(sample, patches=sample.patches[inside], bbox=None)
 
 
 def _record_named(prefix: str, record) -> list[tuple[str, Tensor]]:
@@ -264,28 +265,24 @@ def query_representation(
     batch = [samples] if single else list(samples)
     if not batch:
         raise ContractError("no query samples")
-    masks = _region_masks(batch)
     text = np.stack([s.text.tokens for s in batch])
     patches, key_mask = stack_patches([s.patches for s in batch])
+    mask_rows = _region_rows(batch, patches.shape[1])
     applied: list = [0.0] * len(batch)
-    mask_rows, beta = None, 0.0
-    if any(m is not None for m in masks):
-        mask_rows = np.zeros((len(batch), 1, patches.shape[1]))
-        for i, m in enumerate(masks):
-            if m is not None:
-                mask_rows[i, 0, : m.shape[0]] = m
+    beta = 0.0
+    if mask_rows is not None:
         if beta_override is not None:
             beta = float(beta_override)
-            applied = [0.0 if m is None else beta for m in masks]
+            applied = [0.0 if s.bbox is None else beta for s in batch]
         else:
             beta = predict_beta(patches, text, params.fusion, params.caam, key_mask=key_mask)
             applied = [
-                0.0 if m is None else (float(b[0, 0]) if b.shape == (1, 1) else b.copy())
-                for m, b in zip(masks, beta.data)
+                0.0 if s.bbox is None else (float(b[0, 0]) if b.shape == (1, 1) else b.copy())
+                for s, b in zip(batch, beta.data)
             ]
     cls_out = multimodal_encode(
-        patches, text, params.fusion, mask=mask_rows, beta=beta, key_mask=key_mask,
-        cls_token=params.rep_cls, read=("cls",),
+        patches, text, params.fusion, mask=mask_rows, beta=beta, tokens=(params.rep_cls,),
+        key_mask=key_mask,
     )
     # project per sample, then drop the row axis: one (B*1)-row GEMM would
     # round differently from the 1-row GEMM a single query gets

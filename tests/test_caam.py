@@ -150,11 +150,11 @@ def test_probe_gradients_flow():
 
 
 
-def crm_full_rows(tokens, crm, n_heads):
+def crm_full_rows(tokens, crm):
     """Row 0 of a CRM transformer that runs every layer on every row."""
     t = tokens
     for layer in crm.layers:
-        attn = _attention(constant(t), constant(t), layer.self_attn, n_heads).data
+        attn = _attention(constant(t), constant(t), layer.self_attn, layer.n_heads).data
         t = layer_norm(t + attn, layer.ln_self.gain.data, layer.ln_self.shift.data)
         ffn = layer.ffn
         hidden = gelu(t @ ffn.w1.data + ffn.b1.data) @ ffn.w2.data + ffn.b2.data
@@ -162,10 +162,10 @@ def crm_full_rows(tokens, crm, n_heads):
     return t[..., :1, :]
 
 
-def _live_crm(rng, d, n_layers):
-    """A transformer CRM with weight matrices of std 0.5 and non-zero biases,
-    shifts and gain offsets."""
-    crm = init_crm_params(rng, config(d_model=d, crm_layers=n_layers))
+def _live_crm(rng, d, n_layers, n_heads):
+    """A transformer CRM of n_heads-head layers with weight matrices of std
+    0.5 and non-zero biases, shifts and gain offsets."""
+    crm = init_crm_params(rng, config(d_model=d, crm_layers=n_layers, n_heads=n_heads))
     for t in crm_tensors(crm):
         if t.data.shape[0] == 1:
             t.data = t.data + rng.normal(0.0, 0.2, size=t.data.shape)
@@ -180,10 +180,11 @@ def test_crm_row_equals_a_full_pass(n_heads, n_layers):
     # the last layer computes row 0 alone, with every row as a key and value;
     # its 1-row products may round differently from a full pass's GEMMs
     rng = np.random.default_rng(60 + 2 * n_heads + n_layers)
-    crm = _live_crm(rng, D, n_layers)
+    crm = _live_crm(rng, D, n_layers, n_heads)
+    assert [layer.n_heads for layer in crm.layers] == [n_heads] * n_layers
     for tokens in (rng.normal(size=(5, D)), rng.normal(size=(3, 5, D))):
-        got = crm_forward(constant(tokens), crm, n_heads=n_heads).data
-        want = crm_full_rows(tokens, crm, n_heads)
+        got = crm_forward(constant(tokens), crm).data
+        want = crm_full_rows(tokens, crm)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -192,12 +193,12 @@ def test_crm_row_equals_a_full_pass(n_heads, n_layers):
 def test_crm_transformer_gradients_match_finite_differences(n_heads):
     rng = np.random.default_rng(70 + n_heads)
     d = 4
-    crm = _live_crm(rng, d, 2)
+    crm = _live_crm(rng, d, 2, n_heads)
     tokens = parameter(rng.normal(size=(2, 4, d)))
     weights = constant(rng.normal(size=(2, 1, d)))
 
     def build():
-        return sum_all(mul(crm_forward(tokens, crm, n_heads=n_heads), weights))
+        return sum_all(mul(crm_forward(tokens, crm), weights))
 
     checked = [tokens] + [t for t in crm_tensors(crm) if t.requires_grad]
     tape = Tape()

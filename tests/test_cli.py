@@ -353,6 +353,23 @@ def test_train_subsets_outside_the_world_exit_1_at_every_command(tmp_path, capsy
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, section, key, value, named", [
+    # 1e308 * sqrt(d_k) overflows to inf, and inf times a mask's 0 is NaN
+    (["ablate", "beta"], "eval", "betas", [0, 1e308], "'eval.betas[1]' 1e+308"),
+    # the one-subset world's reserve pool holds 9 images per category
+    (["gen"], "bench", "n_distractors", 1000, "n_distractors 1000 needs 500 distractors"),
+], ids=["beta-overflows", "distractors-exceed-the-reserve"])
+def test_a_config_the_run_cannot_meet_exits_1_naming_the_key(tmp_path, capsys, command,
+                                                             section, key, value, named):
+    data = run_dict(tmp_path / "o")
+    data[section][key] = value
+    p = tmp_path / "run.json"
+    p.write_text(json.dumps(data))
+    assert main([*command, "--config", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "subsets, flag, message",
     [

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from focalcir.benchgen import FilterThresholds, WorldConfig, build_benchmark
+from focalcir.benchgen.gallery import GalleryManifest
 from focalcir.errors import ContractError, DataError
 from focalcir.evaluation import (
     EVAL_CHUNK,
@@ -354,8 +355,8 @@ def test_beta_override_zero_equals_zero_head_adaptive(tiny_bench):
 
 
 def test_no_bbox_matches_none_transform(tiny_bench, tiny_model, monkeypatch):
-    # use_bbox=False encodes each query as its sample with the box dropped,
-    # and roi_crop as its cropped view
+    # roi_crop encodes each query as its cropped view: its in-box patches
+    # and no box
     seen = []
 
     def spy(samples, params, beta_override=None):
@@ -364,13 +365,12 @@ def test_no_bbox_matches_none_transform(tiny_bench, tiny_model, monkeypatch):
 
     monkeypatch.setattr(evaluation, "query_representation", spy)
     samples = [query_sample_of(tiny_bench, q) for q in tiny_bench.eval_quads_of("fashion")]
-    for setting, want in (({"use_bbox": False}, samples),
-                          ({"roi_crop": True}, [cropped(s) for s in samples])):
-        seen.clear()
-        evaluate_model(tiny_model, tiny_bench, **setting)
-        assert len(seen) == len(want) and all(s.bbox is None for s in seen), setting
-        for got, w in zip(seen, want):
-            assert np.array_equal(got.patches, w.patches), setting
+    want = [cropped(s) for s in samples]
+    evaluate_model(tiny_model, tiny_bench, roi_crop=True)
+    assert len(seen) == len(want) and all(s.bbox is None for s in seen)
+    for got, w in zip(seen, want):
+        assert np.array_equal(got.patches, w.patches)
+        assert 0 < len(got.patches) < len(samples[0].patches)
 
 
 def ranked_rows(params, bench, monkeypatch, **setting):
@@ -428,15 +428,56 @@ def test_ranks_do_not_depend_on_the_query_order(tiny_bench, tiny_model, monkeypa
             == ranks_by_quadruple(tiny_model, tiny_bench, monkeypatch))
 
 
-def test_a_boxless_query_ranks_as_a_beta_zero_query(tiny_bench, tiny_model, monkeypatch):
-    # a metamorphic relation: neither setting builds a logit bias, so they
-    # give equal reports and every query the same ranks
-    no_box, no_box_rows = ranked_rows(tiny_model, tiny_bench, monkeypatch, use_bbox=False)
-    zero, zero_rows = ranked_rows(tiny_model, tiny_bench, monkeypatch, beta_override=0.0)
-    assert no_box.to_dict() == zero.to_dict()
-    assert len(no_box_rows) == len(zero_rows) > 0
-    for (_, _, a), (_, _, b) in zip(no_box_rows, zero_rows):
-        assert np.array_equal(a, b)
+def test_a_permuted_gallery_moves_a_rank_only_at_an_exact_tie(tiny_bench, tiny_model,
+                                                              monkeypatch):
+    # a metamorphic relation: rank_gallery breaks exact ties by ascending
+    # gallery index, so a permuted gallery may move a query's target or
+    # instance rank only where its best positive ties exactly with a
+    # candidate that is no positive. The live model ties nowhere, so no rank
+    # may move; a model whose target head ignores its input ties every
+    # candidate, so the relation is exercised where it allows a move too
+    manifest = tiny_bench.galleries["fashion"]
+    order = np.random.default_rng(0).permutation(len(manifest.entries))
+    shuffled = dataclasses.replace(tiny_bench, galleries={
+        "fashion": GalleryManifest([manifest.entries[i] for i in order])})
+    quads = tiny_bench.eval_quads_of("fashion")
+    instances = np.array([e.instance_id for e in manifest.entries])
+    positives = np.stack([  # (2, Q, G): the exact target, then the instance
+        np.array([q.target_image_id for q in quads])[:, None] == np.array(manifest.image_ids),
+        np.array([q.instance_id for q in quads])[:, None] == instances,
+    ])
+    collapsed = ModelParams(tiny_model_config(), tiny_bench.encoders, seed=5,
+                            zero_modulation_head=False)
+    collapsed.w_target.data = np.zeros_like(collapsed.w_target.data)
+    collapsed.b_target.data = np.ones_like(collapsed.b_target.data)
+    counts = []
+    for params in (tiny_model, collapsed):
+        _, rows = ranked_rows(params, tiny_bench, monkeypatch)
+        _, moved_rows = ranked_rows(params, shuffled, monkeypatch)
+        sims = np.concatenate([f_q for f_q, _, _ in rows]) @ rows[0][1].T
+        ranks = np.concatenate([r for _, _, r in rows], axis=1)
+        moved = np.concatenate([r for _, _, r in moved_rows], axis=1)
+        best = np.where(positives, sims, -np.inf).max(axis=-1, keepdims=True)
+        tied = ((sims == best) & ~positives).any(axis=-1)  # (2, Q)
+        assert not np.any((ranks != moved) & ~tied)
+        counts.append((int(tied.sum()), int((ranks != moved).sum())))
+    assert counts[0] == (0, 0)
+    assert counts[1][0] == positives.shape[0] * len(quads) and counts[1][1] > 0, counts
+
+
+def test_a_boxless_query_ranks_as_a_beta_zero_query(tiny_bench, tiny_model):
+    # neither a box-less query nor a beta_override=0 query builds a region
+    # bias, and a box-less batch never asks the live head for a beta, so both
+    # encode every query to the same bits; so the box-less robustness row is
+    # the beta-0 setting
+    samples = [query_sample_of(tiny_bench, q) for q in tiny_bench.eval_quads]
+    no_box, given = query_representation(
+        [dataclasses.replace(s, bbox=None) for s in samples], tiny_model)
+    zero, zero_given = query_representation(samples, tiny_model, beta_override=0.0)
+    assert no_box.data.tobytes() == zero.data.tobytes()
+    assert given == zero_given == [0.0] * len(samples)
+    _, live_given = query_representation(samples, tiny_model)
+    assert all(b != 0.0 for b in live_given)  # the head is live, so beta 0 is a choice
 
 
 def test_roi_crop_path_runs(tiny_bench, tiny_model):

@@ -1,6 +1,7 @@
 """Region masks and modulated cross-attention against straight-line oracles."""
 
 import contextlib
+import dataclasses
 import re
 
 import numpy as np
@@ -214,6 +215,23 @@ def test_bad_box_inside_a_batch_is_named():
         model.query_representation(batch, params)
 
 
+def test_a_query_whose_patches_miss_its_grid_is_named():
+    # the mask rows of a batch come per grid, and each boxed sample's patch
+    # count must be its grid's; a box-less sample needs no grid
+    enc = EncoderParams(seed=3, d_latent=8, d_model=16, l_text=2)
+    params = model.ModelParams(
+        model.ModelConfig(d_model=16, d_embed=16, m_queries=2, k_probes=2, l_text=2,
+                          n_blocks=1, crm_layers=1), enc, seed=4)
+    batch = _query_batch(np.random.default_rng(7), enc,
+                         [((2, 2), (0.1, 0.1, 0.6, 0.6)), ((3, 3), None)])
+    model.query_representation([batch[0], dataclasses.replace(batch[1], grid=(2, 2))], params)
+    wrong = dataclasses.replace(batch[1], bbox=(0.1, 0.1, 0.6, 0.6), grid=(2, 2))
+    for call in (lambda: model.query_representation([batch[0], wrong], params),
+                 lambda: model.cropped(wrong)):
+        with pytest.raises(ContractError, match="mask covers 4 patches but image has 9"):
+            call()
+
+
 def test_mask_values_are_binary_and_nonempty():
     enc, patches, text = make_world_inputs(grid=(2, 2))
     fusion = fusion_of(np.random.default_rng(1), 16, m_queries=4, n_blocks=1)
@@ -279,9 +297,9 @@ def test_encode_gradients_match_finite_differences(beta_form, n_heads):
     # a batched fusion pass over a ragged pair of images, so a -inf key mask
     # rides on every cross-attention, plus a region bias from a scalar or
     # vector beta. Three reads are checked: the fusion queries of a pass
-    # without cls or extras, and, where the last block computes only the
-    # rows that are read, the cls row under read=("cls",) and the
-    # [cls, extras] rows under read=("cls", "extra")
+    # that brings no tokens, and, where the last block computes only the
+    # rows that are read, the cls row of a pass that brings (cls,) and the
+    # [cls, extras] rows of one that brings (cls, extras)
     rng = np.random.default_rng(30 + n_heads)
     d, m = 4, 2
     fusion = live_fusion_of(rng, d, m_queries=m, n_blocks=1, n_heads=n_heads)
@@ -301,24 +319,23 @@ def test_encode_gradients_match_finite_differences(beta_form, n_heads):
     fused_weights = constant(rng.normal(size=(2, m, d)))
     cls = parameter(rng.normal(0.0, 0.5, size=(1, d)))
     extras = parameter(rng.normal(0.0, 0.5, size=(3, d)))
-    tokens = {"cls_token": cls, "extra_tokens": extras}
-    reads = [  # (encode keywords, the rows read, their weights)
-        ({}, "fused", fused_weights),
-        ({**tokens, "read": ("cls",)}, "cls", constant(rng.normal(size=(2, 1, d)))),
-        ({**tokens, "read": ("cls", "extra")}, "cls+extra", constant(rng.normal(size=(2, 4, d)))),
+    reads = [  # (the tokens brought, the rows read, their weights)
+        ((), "fused", fused_weights),
+        ((cls,), "cls", constant(rng.normal(size=(2, 1, d)))),
+        ((cls, extras), "cls+extra", constant(rng.normal(size=(2, 4, d)))),
     ]
-    for kwargs, field, weights in reads:
+    for tokens, field, weights in reads:
         checked = [getattr(a, name) for a in attns
                    for name in ("wq", "bq", "wk", "wv", "bv", "wo", "bo")]
         checked += [beta] if isinstance(beta, Tensor) else []
-        checked += [cls, extras] if kwargs else []
+        checked += list(tokens)
         for t in checked + [a.bk for a in attns]:
             t.grad = None
 
         def encode():
             return multimodal_encode(
                 patches, text, fusion, mask=None if beta_form == "padding-only" else region,
-                beta=beta, key_mask=key_mask, **kwargs)
+                beta=beta, tokens=tokens, key_mask=key_mask)
 
         def build():
             return sum_all(mul(encode(), weights))
@@ -355,17 +372,17 @@ def test_logit_bias_rejects_a_bad_beta_naming_it(beta, error, named):
     assert named in str(info.value)
 
 
-def full_pass_rows(patches, text, fusion, mask, beta, cls, extras, key_mask):
-    """cls, fusion-query and extra outputs of a pass that runs every block on
-    every row of [cls, queries, extras, text], from the encoder's own block
-    and bias ops: the rows a pruned last block must reproduce."""
-    m, k = fusion.queries.data.shape[0], extras.data.shape[0]
-    tokens = concat_rows([cls, fusion.queries, extras, constant(text)])
-    bias = _logit_bias(mask, beta, tokens.data.shape[-2], (1, 1 + m), key_mask)
+def full_pass_rows(patches, text, fusion, mask, beta, tokens, key_mask):
+    """The outputs of the brought tokens (or of the fusion queries, when none
+    are brought) from a pass that runs every block on every row of
+    [tokens, queries, text], from the encoder's own block and bias ops: the
+    rows a pruned last block must reproduce."""
+    m, n_own = fusion.queries.data.shape[0], sum(t.data.shape[0] for t in tokens)
+    rows = concat_rows([*tokens, fusion.queries, constant(text)])
+    bias = _logit_bias(mask, beta, rows.data.shape[-2], (n_own, n_own + m), key_mask)
     for block in fusion.blocks:
-        tokens = _layer_forward(tokens, block, fusion.n_heads, constant(patches), bias)
-    out = tokens.data
-    return {"cls": out[:, :1], "fused": out[:, 1 : 1 + m], "extra": out[:, 1 + m : 1 + m + k]}
+        rows = _layer_forward(rows, block, constant(patches), bias)
+    return rows.data[:, : n_own or m]
 
 
 @pytest.mark.parametrize("n_blocks", [1, 2])
@@ -387,25 +404,17 @@ def test_read_rows_equal_a_full_pass(beta_form, n_heads, n_blocks):
     beta = {"scalar": parameter(rng.uniform(0.5, 3.0, size=(3, 1, 1))),
             "vector": parameter(rng.uniform(0.5, 3.0, size=(3, 1, m))),
             "padding-only": 0.0}[beta_form]
-    want = full_pass_rows(patches, text, fusion, mask, beta, cls, extras, key_mask)
-    for read in (("cls",), ("cls", "extra"), ("fused",), None):
-        got = multimodal_encode(patches, text, fusion, mask=mask, beta=beta, cls_token=cls,
-                                extra_tokens=extras, key_mask=key_mask, read=read).data
-        rows = np.concatenate([want[g] for g in (want if read is None else read)], 1)
-        assert got.shape == rows.shape, read
+    for tokens, read in (((cls,), "cls"), ((cls, extras), "cls+extra"), ((extras,), "extra"),
+                         ((), "fused")):
+        want = full_pass_rows(patches, text, fusion, mask, beta, tokens, key_mask)
+        got = multimodal_encode(patches, text, fusion, mask=mask, beta=beta, tokens=tokens,
+                                key_mask=key_mask).data
+        assert got.shape == want.shape, read
         if got.shape[1] > 1:
-            assert got.tobytes() == rows.tobytes(), read
+            assert got.tobytes() == want.tobytes(), read
         else:
-            err = np.max(np.abs(got - rows))
-            assert err <= 1e-13 * np.max(np.abs(rows)), (read, err)
-
-
-def test_read_names_groups_that_were_passed():
-    enc, patches, text = make_world_inputs()
-    fusion = fusion_of(np.random.default_rng(1), 16, m_queries=4, n_blocks=1)
-    for read in ((), ("cls",), ("fused", "probes")):
-        with pytest.raises(ContractError, match="read must name"):
-            multimodal_encode(patches, text, fusion, read=read)
+            err = np.max(np.abs(got - want))
+            assert err <= 1e-13 * np.max(np.abs(want)), (read, err)
 
 
 def test_single_key_output_is_value_row():
@@ -573,12 +582,10 @@ def test_multimodal_encode_shapes_and_roles():
     cls = parameter(np.random.default_rng(2).normal(0, 0.02, size=(1, 16)))
     extras = parameter(np.random.default_rng(3).normal(0, 0.02, size=(5, 16)))
     (mask,) = region_mask_from_bbox([(0.25, 0.25, 0.80, 0.80)], (4, 4))
-    tokens = dict(mask=mask, beta=1.0, cls_token=cls, extra_tokens=extras)
-    # every group by default, in token order [cls, fusion queries, extras]
-    assert multimodal_encode(patches, text, fusion, **tokens).data.shape == (1 + 4 + 5, 16)
-    for read, rows in ((("cls",), 1), (("fused",), 4), (("extra",), 5)):
-        res = multimodal_encode(patches, text, fusion, read=read, **tokens)
-        assert res.data.shape == (rows, 16), read
+    # the rows of the tokens a caller brings, or the 4 fusion queries' rows
+    for tokens, rows in (((), 4), ((cls,), 1), ((extras,), 5), ((cls, extras), 6)):
+        res = multimodal_encode(patches, text, fusion, mask=mask, beta=1.0, tokens=tokens)
+        assert res.data.shape == (rows, 16), rows
 
 
 def test_encode_without_mask_needs_zero_beta():
@@ -653,7 +660,7 @@ def test_a_layer_records_the_same_few_tape_entries_at_any_head_count(cross):
         tokens = parameter(rng.normal(size=(2, 6, 8)))
         tape = Tape()
         with tape:
-            _layer_forward(tokens, layer, n_heads, constant(patches) if cross else None, bias)
+            _layer_forward(tokens, layer, constant(patches) if cross else None, bias)
         counts.append(len(tape))
         tape.clear()
     assert counts == ([16, 16] if cross else [9, 9])

@@ -145,7 +145,7 @@ def test_robustness_rows_record_achieved_iou(tiny_bench, tiny_model, robustness_
     assert abs(rows[2].achieved_mean_iou - 0.5) < 0.02
     assert rows[-1].achieved_mean_iou is None
 
-    no_bbox = evaluate_model(tiny_model, tiny_bench, use_bbox=False, seed=6)
+    no_bbox = evaluate_model(tiny_model, tiny_bench, beta_override=0.0, seed=6)
     assert rows[-1].metrics.to_dict() == no_bbox.to_dict()
     text = robustness_table_text(rows)
     assert text.count("\n") == len(rows) + 1

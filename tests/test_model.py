@@ -353,7 +353,7 @@ def test_backward_reaches_every_tape_entry_of_a_step(crm_variant, modulation):
     tape.clear()
 
 
-@pytest.mark.parametrize("modulation, entries", [("scalar", 96), ("vector", 99)])
+@pytest.mark.parametrize("modulation, entries", [("scalar", 94), ("vector", 97)])
 def test_default_config_step_records_a_known_tape(modulation, entries):
     # the count moves only when a change adds or removes forward work;
     # batches share one tape, so it does not depend on the batch size
@@ -422,14 +422,15 @@ def test_config_rejects_bad_values():
 
 def built_model(config):
     """What a config builds: every tensor's name, shape, values and
-    requires_grad, the fusion encoder's head count, tau, and the shape of the
+    requires_grad, every layer's head count, tau, and the shape of the
     frozen text encoder the model takes (l_text tokens, no parameter of its
     own: text tokens join the fusion pass as a set)."""
     enc = EncoderParams(seed=1, d_latent=4, d_model=config.d_model, l_text=config.l_text)
     params = ModelParams(config, enc, seed=0)
     tensors = [(name, t.data.shape, t.data.tobytes(), t.requires_grad)
                for name, t in params.named_params()]
-    return tensors, params.fusion.n_heads, params.tau, params.encoders.text_proj.shape
+    heads = [layer.n_heads for layer in params.fusion.blocks + params.caam.crm.layers]
+    return tensors, heads, params.tau, params.encoders.text_proj.shape
 
 
 def test_every_model_config_field_changes_the_built_model():
@@ -610,10 +611,10 @@ def test_no_linear_in_a_training_step_takes_the_patches(monkeypatch):
     patches, inputs = [], []
     real_layer, real_linear = fusion._layer_forward, fusion.linear
 
-    def layer_spy(tokens, layer, n_heads, kv, *args):
+    def layer_spy(tokens, layer, kv, *args):
         if kv is not None:  # a fusion block; CRM layers attend to no patches
             patches.append(kv)
-        return real_layer(tokens, layer, n_heads, kv, *args)
+        return real_layer(tokens, layer, kv, *args)
 
     def linear_spy(x, w, b):
         inputs.append(x)

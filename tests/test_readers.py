@@ -2,7 +2,7 @@
 in src/, every defaulted parameter has a caller that passes it, every
 config field has a caller that sets it, and so does every defaulted
 constructor field of every other dataclass: code and knobs that only tests
-use leave the package."""
+use leave the package. Every name a module imports is read in it."""
 
 import ast
 import math
@@ -244,3 +244,35 @@ def test_every_defaulted_dataclass_field_has_a_caller_that_sets_it():
     # class sets up itself is field(init=False): make the one a constant and
     # the other no constructor field, or list it here with the reason it stays
     assert unset == set(UNSET_DATACLASS_FIELDS)
+
+
+def imported_names(tree):
+    """(bound name, line) of each name an import binds anywhere in a module;
+    `from __future__ import annotations` binds none."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:  # `import a.b` binds `a`
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_imported_names_binds_what_each_import_form_binds():
+    tree = ast.parse("from __future__ import annotations\nimport numpy as np\n"
+                     "import os.path\nfrom a.b import c, d as e\n"
+                     "def f():\n    from g import h\n")
+    assert list(imported_names(tree)) == [("np", 2), ("os", 3), ("c", 4), ("e", 4), ("h", 6)]
+
+
+def test_every_import_in_src_is_read():
+    # a package __init__ imports to re-export, so its imports need no reader
+    unread = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        bare, _ = reads(tree)
+        unread += [f"{module_of(path)}:{line} {name}"
+                   for name, line in imported_names(tree) if name not in bare]
+    assert unread == []
