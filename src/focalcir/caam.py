@@ -82,6 +82,7 @@ def predict_beta(
     fusion: FusionParams,
     caam: CaamParams,
     key_mask: np.ndarray | None = None,
+    keys_t: np.ndarray | None = None,
 ) -> Tensor:
     """Modulation output for one query: 1x1 (scalar) or 1xM (vector); for a
     batch of queries (patches (B, n, d), text (B, l, d)), (B, 1, 1) or
@@ -89,9 +90,10 @@ def predict_beta(
 
     The probe pass itself runs with no mask and beta = 0; the box location is
     deliberately invisible here, only image content and text are. key_mask
-    is the padding mask of `fusion.stack_patches`."""
+    is the padding mask of `fusion.stack_patches`, and keys_t the patches'
+    `numerics.tensor.transposed_keys`, when the caller holds them."""
     rows = multimodal_encode(  # [cls, probes], unmodulated
-        patches, text, fusion, tokens=(caam.cls, caam.probes), key_mask=key_mask
+        patches, text, fusion, tokens=(caam.cls, caam.probes), key_mask=key_mask, keys_t=keys_t
     )
     return linear(crm_forward(rows, caam.crm), caam.wc, caam.bc)
 

@@ -201,13 +201,13 @@ def _write_ablation(out: Path, kind: str, digest: str, seed: int, rows: list[dic
 
 
 def cmd_gen(cfg: RunConfig) -> int:
-    digest = write_resolved_config(cfg.out, cfg)
-    bench = build_benchmark(
+    bench = build_benchmark(  # first: a config it cannot meet leaves no run directory
         configs=list(cfg.world), seed=cfg.seed,
         d_model=cfg.model.d_model, l_text=cfg.model.l_text,
         train_cap=cfg.bench.train_cap, eval_cap=cfg.bench.eval_cap,
         n_distractors=cfg.bench.n_distractors, thresholds=cfg.thresholds,
     )
+    digest = write_resolved_config(cfg.out, cfg)
     save_benchmark(cfg.out, bench, config_hash=digest)
     print(f"benchmark written to {cfg.out} (config {digest})")
     for subset in bench.subsets:

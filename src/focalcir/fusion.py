@@ -44,6 +44,14 @@ attention, one `residual_norm` per sub-layer and one `feed_forward`.
 Batches: patches may be one image (n, d) or a batch (B, n, d), with one
 region-mask row (B, 1, n) and one beta (B, 1, 1) or (B, 1, M) per sample.
 The fusion queries and the caller's tokens are shared by the batch.
+Block 0's self-attention sub-layer reads [tokens, fusion queries, text]
+alone, so it runs once per distinct text of a batch (texts compared by
+their bytes), and one `gather` op expands its rows to the batch before the
+cross-attention; a batch of distinct texts skips the gather. Cross-
+attention reads the patches transposed, as one contiguous copy
+(`transposed_keys`) made once per pass, or once per patch batch by a caller
+that runs several passes over it, as the query branch does for its probe
+and query passes.
 Images with fewer patches are zero-padded by `stack_patches`, whose additive
 key mask puts -inf on the padded keys' logits; the region bias and the key
 mask are one additive-logit term, the masked attention of Vaswani et al.
@@ -71,6 +79,7 @@ from focalcir.numerics.tensor import (
     concat_rows,
     constant,
     feed_forward,
+    gather,
     head_products,
     linear,
     matmul,
@@ -78,6 +87,7 @@ from focalcir.numerics.tensor import (
     scalar_times_const,
     slice_rows,
     transpose,
+    transposed_keys,
 )
 
 if TYPE_CHECKING:  # model imports this module
@@ -253,6 +263,7 @@ def _attention(
     params: AttentionParams,
     n_heads: int,
     bias: Tensor | None = None,
+    keys_t: np.ndarray | None = None,
 ) -> Tensor:
     if not _SCOPES:
         products = _merged_products(params, n_heads)
@@ -267,7 +278,7 @@ def _attention(
         products = built[key][1]
     d_model = params.wq.data.shape[1]  # head_products has checked that n_heads splits it
     # the bias lands on raw logits, before 1/sqrt(d_k) scaling, in every head
-    return attention(tokens, kv, *products, bias, 1.0 / math.sqrt(d_model // n_heads))
+    return attention(tokens, kv, *products, bias, 1.0 / math.sqrt(d_model // n_heads), keys_t)
 
 
 def _mask_rows(mask: np.ndarray | None, beta, n_keys: int) -> np.ndarray | None:
@@ -318,15 +329,20 @@ def _layer_forward(
     layer: LayerParams,
     kv: Tensor | None,
     bias: Tensor | None,
+    keys_t: np.ndarray | None = None,
     rows: Tensor | None = None,
+    index: np.ndarray | None = None,
 ) -> Tensor:
     """One layer computing rows, some of the tokens (default all of them);
-    every token is a key and value of the self-attention."""
+    every token is a key and value of the self-attention. With index, the
+    self-attention's output rows are gathered to one sample per entry."""
     rows = tokens if rows is None else rows
     attn = _attention(rows, tokens, layer.self_attn, layer.n_heads)
     rows = residual_norm(rows, attn, layer.ln_self.gain, layer.ln_self.shift)
+    if index is not None:
+        rows = gather(rows, index)
     if layer.cross_attn is not None:
-        cross = _attention(rows, kv, layer.cross_attn, layer.n_heads, bias)
+        cross = _attention(rows, kv, layer.cross_attn, layer.n_heads, bias, keys_t)
         rows = residual_norm(rows, cross, layer.ln_cross.gain, layer.ln_cross.shift)
     return residual_norm(rows, ffn(rows, layer.ffn), layer.ln_ffn.gain, layer.ln_ffn.shift)
 
@@ -337,17 +353,36 @@ def run_layers(
     n_read: int,
     kv: Tensor | None = None,
     bias: Tensor | None = None,
+    keys_t: np.ndarray | None = None,
+    index: np.ndarray | None = None,
 ) -> Tensor:
     """Every layer but the last runs on all tokens; the last computes only
-    the first n_read rows, and a per-row bias is cut to match."""
+    the first n_read rows, and a per-row bias is cut to match. With index,
+    tokens hold one sample per distinct token set, the first layer's
+    self-attention runs on those alone, and its output is gathered to the
+    batch (sample i reads token set index[i]) before the cross-attention."""
     for layer in layers[:-1]:
-        tokens = _layer_forward(tokens, layer, kv, bias)
+        tokens = _layer_forward(tokens, layer, kv, bias, keys_t, index=index)
+        index = None
     rows = tokens
     if n_read < tokens.data.shape[-2]:
         rows = slice_rows(tokens, 0, n_read)
         if bias is not None and bias.data.shape[-2] > 1:
             bias = slice_rows(bias, 0, n_read)
-    return _layer_forward(tokens, layers[-1], kv, bias, rows)
+    return _layer_forward(tokens, layers[-1], kv, bias, keys_t, rows, index)
+
+
+def _distinct_texts(text: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """A (B, l, d) text batch as its distinct texts (by bytes, in first-seen
+    order) and each sample's position among them; the batch itself and None
+    when every text is distinct or text is one (l, d) sample."""
+    if text.ndim != 3:
+        return text, None
+    seen: dict[bytes, int] = {}
+    index = np.array([seen.setdefault(t.tobytes(), len(seen)) for t in text])
+    if len(seen) == len(text):
+        return text, None
+    return text[np.unique(index, return_index=True)[1]], index
 
 
 def multimodal_encode(
@@ -358,6 +393,7 @@ def multimodal_encode(
     beta=0.0,
     tokens: Sequence[Tensor] = (),
     key_mask: np.ndarray | None = None,
+    keys_t: np.ndarray | None = None,
 ) -> Tensor:
     """Run the fusion encoder over [tokens, fusion queries, text?] x patches.
 
@@ -370,7 +406,9 @@ def multimodal_encode(
 
     tokens are the caller's own token rows, shared by the batch. The
     encoder returns their output rows, or the fusion queries' when there
-    are none; the last block computes only those rows."""
+    are none; the last block computes only those rows. keys_t is
+    `transposed_keys(patches)`, made here when not given; a caller that
+    runs several passes over one patch batch makes it once for all."""
     kv = constant(np.asarray(patches, dtype=np.float64))
     n_keys = kv.data.shape[-2]
     if kv.data.shape[-1] != fusion.d_model:
@@ -382,19 +420,24 @@ def multimodal_encode(
     mask_values = _mask_rows(mask, beta, n_keys)
 
     n_own, m = sum(t.data.shape[-2] for t in tokens), fusion.queries.data.shape[0]
-    parts = [*tokens, fusion.queries]
+    parts, index = [*tokens, fusion.queries], None
     if text is not None:
-        parts.append(constant(text.tokens if isinstance(text, TextEmbedding) else text))
+        text = text.tokens if isinstance(text, TextEmbedding) else np.asarray(text, np.float64)
+        text, index = _distinct_texts(text)
+        parts.append(constant(text))
     sequence = concat_rows(parts) if len(parts) > 1 else parts[0]
 
     bias = _logit_bias(mask_values, beta, sequence.data.shape[-2], (n_own, n_own + m), key_mask)
-    return run_layers(sequence, fusion.blocks, n_own or m, kv, bias)
+    if keys_t is None:
+        keys_t = transposed_keys(kv.data)
+    return run_layers(sequence, fusion.blocks, n_own or m, kv, bias, keys_t, index)
 
 
 def encode_target(
     patches: np.ndarray, fusion: FusionParams, key_mask: np.ndarray | None = None
 ) -> Tensor:
-    """Target-branch pass: the fusion queries' outputs, no text, no mask."""
+    """Target-branch pass: the fusion queries' outputs, no text, no mask.
+    Its blocks share one transposed copy of the patches."""
     return multimodal_encode(patches, text=None, fusion=fusion, key_mask=key_mask)
 
 

@@ -61,6 +61,7 @@ from focalcir.numerics.tensor import (
     squeeze_rows,
     sum_all,
     transpose,
+    transposed_keys,
 )
 
 _UNIT_ROW_TOL = 1e-6
@@ -267,6 +268,7 @@ def query_representation(
         raise ContractError("no query samples")
     text = np.stack([s.text.tokens for s in batch])
     patches, key_mask = stack_patches([s.patches for s in batch])
+    keys_t = transposed_keys(patches)  # one copy for both passes, dropped on return
     mask_rows = _region_rows(batch, patches.shape[1])
     applied: list = [0.0] * len(batch)
     beta = 0.0
@@ -275,14 +277,15 @@ def query_representation(
             beta = float(beta_override)
             applied = [0.0 if s.bbox is None else beta for s in batch]
         else:
-            beta = predict_beta(patches, text, params.fusion, params.caam, key_mask=key_mask)
+            beta = predict_beta(patches, text, params.fusion, params.caam, key_mask=key_mask,
+                                keys_t=keys_t)
             applied = [
                 0.0 if s.bbox is None else (float(b[0, 0]) if b.shape == (1, 1) else b.copy())
                 for s, b in zip(batch, beta.data)
             ]
     cls_out = multimodal_encode(
         patches, text, params.fusion, mask=mask_rows, beta=beta, tokens=(params.rep_cls,),
-        key_mask=key_mask,
+        key_mask=key_mask, keys_t=keys_t,
     )
     # project per sample, then drop the row axis: one (B*1)-row GEMM would
     # round differently from the 1-row GEMM a single query gets

@@ -169,6 +169,8 @@ def test_per_op_gradients_match_finite_differences():
     sq = nm.parameter(rng.normal(size=(4, 4)) * 0.7)
     s = nm.parameter([[0.37]])
     const = rng.normal(size=(1, 5))
+    cb = nm.parameter(rng.normal(size=(2, 3, 5)) * 0.7)
+    picks = nm.constant(rng.normal(size=(4, 3, 5)))
 
     cases = {
         "matmul": (lambda: nm.sum_all(nm.mul(nm.matmul(a, b), nm.matmul(a, b))), [a, b]),
@@ -194,6 +196,8 @@ def test_per_op_gradients_match_finite_differences():
             [c],
         ),
         "slice_rows": (lambda: nm.sum_all(nm.mul(nm.slice_rows(c, 1, 3), nm.slice_rows(c, 0, 2))), [c]),
+        # sample 1 is taken twice, so its gradient is the sum of two copies'
+        "gather": (lambda: nm.sum_all(nm.mul(nm.gather(cb, [1, 0, 1, 1]), picks)), [cb]),
     }
     cases.update(fused_op_cases(rng, batch=()))
     for name, (build, params) in cases.items():
@@ -258,6 +262,9 @@ def test_batched_op_gradients_match_finite_differences():
             lambda: nm.sum_all(nm.mul(nm.slice_rows(xb, 1, 3), nm.slice_rows(xb, 0, 2))),
             [xb],
         ),
+        # a repeated sample meets shared weights: both sums run in backward
+        "gather_linear": (
+            lambda: square(nm.linear(nm.gather(xb, [0, 1, 1, 0, 1]), w, row)), [xb, w, row]),
     }
     cases.update(fused_op_cases(rng, batch=(2,)))
     for name, (build, params) in cases.items():

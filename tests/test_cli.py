@@ -368,6 +368,7 @@ def test_a_config_the_run_cannot_meet_exits_1_naming_the_key(tmp_path, capsys, c
     assert main([*command, "--config", str(p)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and named in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()  # gen builds before it writes anything
 
 
 @pytest.mark.parametrize(

@@ -219,15 +219,19 @@ def test_vector_modulation_form_runs():
 
 
 def mixed_batch(enc, seed):
-    """Queries with boxes of different sizes, one on a larger grid, one box-less."""
+    """Queries with boxes of different sizes, two on a larger grid, one
+    box-less. The box-less one, on a padded grid, has the text of a boxed
+    one on the larger grid, so the batch holds four distinct texts."""
     rng = np.random.default_rng(seed)
-    return [
+    samples = [
         random_sample(rng, enc, bbox=(0.1, 0.1, 0.6, 0.6)),
         random_sample(rng, enc, bbox=(0.0, 0.0, 1.0, 1.0)),
         random_sample(rng, enc, grid=(3, 3), bbox=(0.3, 0.0, 1.0, 0.7)),
         random_sample(rng, enc, bbox=None),
         random_sample(rng, enc, grid=(3, 3), bbox=(0.0, 0.4, 0.5, 1.0)),
     ]
+    samples[3] = dataclasses.replace(samples[3], text=samples[2].text)
+    return samples
 
 
 @pytest.mark.parametrize(
@@ -283,6 +287,8 @@ def test_batch_gradients_equal_sum_of_per_sample_gradients():
     _, enc, params = tiny_setup(seed=83)
     params = ModelParams(params.config, enc, seed=83, zero_modulation_head=False)
     examples = random_examples(np.random.default_rng(83), enc, 4)
+    # a repeated text: its block-0 self-attention gradient sums two samples'
+    examples[3].query.text = examples[1].query.text
     rng = np.random.default_rng(84)
     wq = rng.normal(size=(4, params.config.d_embed))
     wt = rng.normal(size=(4, params.config.d_embed))
@@ -362,6 +368,28 @@ def test_default_config_step_records_a_known_tape(modulation, entries):
     params = ModelParams(config, enc, seed=87)
     tape = step_tape(params, random_examples(np.random.default_rng(87), enc, 2, grid=(4, 4)))
     assert (len(tape), unreached(tape)) == (entries, [])
+    tape.clear()
+
+
+def test_a_step_runs_block_0_self_attention_once_per_distinct_text():
+    # block 0's self-attention reads [caller's tokens, fusion queries, text]
+    # alone, so a batch of five queries with two texts runs it on two
+    # samples in the probe and the query pass, and one gather per pass
+    # expands its output to the batch
+    config = ModelConfig()
+    enc = EncoderParams(seed=87, d_latent=8, d_model=config.d_model, l_text=config.l_text)
+    params = ModelParams(config, enc, seed=87)
+    examples = random_examples(np.random.default_rng(87), enc, 5, grid=(4, 4))
+    examples = [dataclasses.replace(ex, query=dataclasses.replace(
+        ex.query, text=examples[i % 2].query.text)) for i, ex in enumerate(examples)]
+    tape = step_tape(params, examples)
+    w_qk = next(out for ins, out, _ in tape._entries
+                if ins[0] is params.fusion.blocks[0].self_attn.wq)
+    rows = [ins[0].data.shape for ins, _, _ in tape._entries if len(ins) > 2 and ins[2] is w_qk]
+    k, m, l_text = config.k_probes, config.m_queries, config.l_text
+    d = config.d_model
+    assert rows == [(2, 1 + k + m + l_text, d), (2, 1 + m + l_text, d), (m, d)]  # probe, query, target
+    assert (len(tape), unreached(tape)) == (96, [])
     tape.clear()
 
 

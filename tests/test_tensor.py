@@ -85,6 +85,31 @@ def test_batch_axis_broadcasts_and_sizes_must_agree():
         nm.matmul(nm.constant(xb), nm.constant(rng.normal(size=(2, 4, 5))))
 
 
+def test_gather_takes_samples_and_rejects_what_it_cannot_take():
+    xb = np.arange(24.0).reshape(3, 2, 4)
+    assert np.array_equal(nm.gather(nm.constant(xb), [2, 0, 2]).data, xb[[2, 0, 2]])
+    for a, index, named in [
+        (xb[0], [0], "gather needs a (batch, r, c) tensor"),
+        (xb, [], "gather needs a (batch, r, c) tensor"),
+        (xb, [0, 3], "gather index out of range for 3 samples"),
+        (xb, [-1], "gather index out of range for 3 samples"),
+    ]:
+        with pytest.raises(ContractError, match=re.escape(named)):
+            nm.gather(nm.constant(a), index)
+
+
+def test_attention_reads_a_handed_transposed_copy_of_its_keys():
+    rng = np.random.default_rng(9)
+    x, kv = nm.constant(rng.normal(size=(3, 2, 4))), nm.constant(rng.normal(size=(3, 5, 4)))
+    w = [nm.constant(rng.normal(size=s)) for s in ((4, 4), (1, 4), (4, 4), (1, 4))]
+    own = nm.attention(x, kv, *w, None, 0.5).data
+    keys_t = nm.transposed_keys(kv.data)
+    assert np.array_equal(nm.attention(x, kv, *w, None, 0.5, keys_t).data, own)
+    for bad in (kv.data.swapaxes(-1, -2), keys_t[:2], keys_t.astype(np.float32)):
+        with pytest.raises(ContractError, match="are no contiguous copy of keys"):
+            nm.attention(x, kv, *w, None, 0.5, bad)
+
+
 def test_vectors_become_rows():
     t = nm.Tensor([1.0, 2.0, 3.0])
     assert t.shape == (1, 3)
