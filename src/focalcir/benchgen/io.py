@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -24,13 +24,14 @@ import numpy as np
 from focalcir.benchgen.world import SyntheticWorld, WorldConfig
 from focalcir.encoders import ContextDescriptor, SyntheticImage
 from focalcir.errors import DataError
-from focalcir.geometry import in_bounds
+from focalcir.geometry import BOX
 from focalcir.records import (
     canonical_json,
     from_record,
     open_file,
     parse_json,
     read_block,
+    read_end,
     read_header,
     write_container,
 )
@@ -60,7 +61,7 @@ class ImageRecord:
     category_id: str
     context_id: str
     subset: str
-    bbox: tuple[float, float, float, float]
+    bbox: tuple[float, float, float, float] = field(metadata=BOX)
     grid_shape: tuple[int, int, int]
     reserve: bool
 
@@ -114,12 +115,6 @@ def load_world(path) -> tuple[SyntheticWorld, str]:
             WorldHeader, read_header(fh, _WORLD_MAGIC, DataError, path, "world file"),
             DataError, str(path), complete=True,
         )
-        # every image's box in one pass, not only those of quadruple refs
-        boxes = np.array([rec.bbox for rec in header.images], dtype=np.float64).reshape(-1, 4)
-        if (outside := np.flatnonzero(~in_bounds(boxes.T))).size:
-            i = int(outside[0])
-            raise DataError(f"{path}.images[{i}].bbox: {list(header.images[i].bbox)} must "
-                            f"satisfy 0 <= x0 < x1 <= 1 and likewise for y")
         n_reserve = sum(rec.reserve for rec in header.images)
         if n_reserve != header.n_reserve:
             raise DataError(f"{path} declares n_reserve {header.n_reserve} "
@@ -161,8 +156,7 @@ def load_world(path) -> tuple[SyntheticWorld, str]:
         grids = np.empty(offsets[-1], dtype="<f8")
         if fh.readinto(grids) != grids.nbytes:
             raise DataError(f"{path} is truncated")
-        if fh.read(1):  # a file spliced from two worlds, or a doubled tail
-            raise DataError(f"{path} has bytes after its last grid")
+        read_end(fh, DataError, path, "grid")
         for rec, start, stop in zip(header.images, offsets, offsets[1:]):
             image = SyntheticImage(
                 image_id=rec.image_id,

@@ -8,6 +8,7 @@ save/load round-trip the same structure through the artifact files.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -27,8 +28,8 @@ from focalcir.encoders import (
     pooled_image_embeddings,
 )
 from focalcir.errors import ConfigError, ContractError, DataError
-from focalcir.geometry import in_bounds, patch_membership
-from focalcir.records import check_ranges, from_record, open_file, parse_json, write_json
+from focalcir.geometry import patch_membership
+from focalcir.records import from_record, open_file, parse_json, write_json
 
 
 def default_world_configs() -> list[WorldConfig]:
@@ -125,12 +126,11 @@ def build_benchmark(
     n_distractors: int = 320,
     thresholds: dict[str, FilterThresholds] | None = None,
 ) -> Benchmark:
-    # the ranges load_benchmark holds the saved settings to
-    settings = BenchmarkSettings(
-        seed=int(seed), d_model=d_model, l_text=l_text,
-        train_cap=train_cap, eval_cap=eval_cap, n_distractors=n_distractors,
-    )
-    check_ranges(settings, ConfigError)
+    # read as load_benchmark reads the saved settings, so both hold them to one range
+    settings = from_record(BenchmarkSettings, {
+        "seed": int(seed), "d_model": d_model, "l_text": l_text,
+        "train_cap": train_cap, "eval_cap": eval_cap, "n_distractors": n_distractors,
+    }, ConfigError)
     configs = default_world_configs() if configs is None else configs
     d_latents = {c.d_latent for c in configs}
     if len(d_latents) != 1:
@@ -176,24 +176,28 @@ def build_benchmark(
         for cfg in configs
     }
 
-    stats = {}
-    for cfg in configs:
-        s = cfg.subset
-        stats[s] = vars(SubsetStats(
-            images=sum(1 for im in world.images if im.subset == s),
-            reserve_images=sum(1 for im in world.reserve_images if im.subset == s),
-            instances_with_pairs=sum(1 for i in pairs_by_instance if i.split("/")[0] == s),
-            admissible_pairs=pair_counts.get(s, 0),
-            train_quadruples=sum(1 for q in train_quads if q.subset == s),
-            eval_quadruples=sum(1 for q in eval_quads if q.subset == s),
-            gallery_size=len(galleries[s].entries),
-            gallery_targets=galleries[s].n_targets,
-        ))
+    counts = file_counts(world, train_quads, eval_quads, galleries)
+    stats = {s: vars(SubsetStats(admissible_pairs=pair_counts.get(s, 0), **c))
+             for s, c in counts.items()}
     return Benchmark(
         world=world, encoders=enc, thresholds=thresholds,
         train_quads=train_quads, eval_quads=eval_quads, galleries=galleries,
         settings=settings, stats=stats,
     )
+
+
+def file_counts(world: SyntheticWorld, train_quads: list[Quadruple], eval_quads: list[Quadruple],
+                galleries: dict[str, GalleryManifest]) -> dict[str, dict[str, int]]:
+    """Each subset's SubsetStats counts but admissible_pairs: the ones its
+    files determine. Both caps are at least 1, so the instances with pairs
+    are the distinct instances of the quadruples."""
+    tallies = {key: Counter([item.subset for item in items]) for key, items in (
+        ("images", world.images), ("reserve_images", world.reserve_images),
+        ("instances_with_pairs", {q.instance_id: q for q in [*train_quads, *eval_quads]}.values()),
+        ("train_quadruples", train_quads), ("eval_quadruples", eval_quads))}
+    return {s: {key: tally[s] for key, tally in tallies.items()}
+            | {"gallery_size": len(g.entries), "gallery_targets": g.n_targets}
+            for s, g in galleries.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -287,16 +291,25 @@ def load_benchmark(in_dir) -> Benchmark:
         stats={s: vars(counts) for s, counts in summary.stats.items()},
     )
     _check_references(src, bench)
+    counts = file_counts(world, bench.train_quads, bench.eval_quads, galleries)
+    if bench.stats.keys() != counts.keys():
+        raise DataError(f"{stats_path}.stats: subsets {sorted(bench.stats)} are not "
+                        f"the world's {sorted(counts)}")
+    for s, files_hold in counts.items():
+        for key, n in files_hold.items():
+            if (got := bench.stats[s][key]) != n:
+                raise DataError(f"{stats_path}.stats.{s}.{key}: {got} is not the {n} "
+                                f"its files hold")
     return bench
 
 
 def _check_references(src: Path, bench: Benchmark) -> None:
     """Each quadruple names a context and images that show its instance,
-    category and subset, and a box in bounds that covers a patch center of
-    its subset's grid and is its ref image's box; each gallery entry names an
-    image of its subset that shows its instance and category, and each
-    gallery keeps the rules `GalleryManifest.validate` states against its
-    subset's eval quadruples."""
+    category and subset, and a box (in bounds, as its record declares) that
+    covers a patch center of its subset's grid and is its ref image's box;
+    each gallery entry names an image of its subset that shows its instance
+    and category, and each gallery keeps the rules `GalleryManifest.validate`
+    states against its subset's eval quadruples."""
     shows = {i: (im.instance_id, im.category_id, im.subset) for i, im in bench._by_id.items()}
     grids = {subset: tuple(c.grid) for subset, c in bench.world.configs.items()}
 
@@ -319,9 +332,6 @@ def _check_references(src: Path, bench: Benchmark) -> None:
             if (shows.get(q.ref_image_id) != want or shows.get(q.target_image_id) != want
                     or q.text_context_id not in bench.world.contexts):
                 fault(f"{src / name}[{i}]", q, ("ref_image_id", "target_image_id"), want)
-            if not in_bounds(q.bbox):
-                raise DataError(f"{src / name}[{i}].bbox: {list(q.bbox)} must "
-                                f"satisfy 0 <= x0 < x1 <= 1 and likewise for y")
             by_grid.setdefault(grids[q.subset], []).append(i)
         covered = np.ones(len(quads), dtype=bool)
         for grid, rows in by_grid.items():

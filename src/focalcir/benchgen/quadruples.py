@@ -10,13 +10,13 @@ category. Per-instance pair caps keep epoch cost flat as worlds grow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from focalcir.benchgen.world import SyntheticWorld
 from focalcir.errors import ContractError
-from focalcir.geometry import BBox
+from focalcir.geometry import BOX, BBox
 
 
 @dataclass(frozen=True)
@@ -24,7 +24,7 @@ class Quadruple:
     """One retrieval sample; the category doubles as the instance class label."""
 
     ref_image_id: str
-    bbox: BBox
+    bbox: BBox = field(metadata=BOX)
     text_context_id: str
     target_image_id: str
     instance_id: str

@@ -36,7 +36,7 @@ from focalcir.model import (
     query_representation,
     target_representation,
 )
-from focalcir.records import check_ranges
+from focalcir.records import from_record
 
 _UNIT_TOL = 1e-6
 
@@ -139,12 +139,14 @@ class SubsetMetrics:
     n_queries: int
 
     def validate(self) -> None:
-        check_ranges(self, ContractError)
+        from_record(SubsetMetrics, asdict(self), ContractError)
+
+    def rules(self) -> str | None:
         if self.r_at_1 > self.r_at_5 + 1e-12:
-            raise ContractError(f"r_at_1 {self.r_at_1} exceeds r_at_5 {self.r_at_5}")
+            return f"r_at_1 {self.r_at_1} exceeds r_at_5 {self.r_at_5}"
         if self.r_at_1 > self.rid_at_1 + 1e-12:
             # the target image contains the anchored instance by construction
-            raise ContractError(f"r_at_1 {self.r_at_1} exceeds rid_at_1 {self.rid_at_1}")
+            return f"r_at_1 {self.r_at_1} exceeds rid_at_1 {self.rid_at_1}"
 
 
 @dataclass
@@ -155,9 +157,7 @@ class MetricsReport:
     seed: int = 0
 
     def validate(self) -> None:
-        for m in self.per_subset.values():
-            m.validate()
-        self.macro.validate()
+        from_record(MetricsReport, asdict(self), ContractError)
 
     def to_dict(self) -> dict:
         return asdict(self)

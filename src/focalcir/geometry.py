@@ -7,8 +7,11 @@ is the one place that rule is applied to a patch grid. Its three callers are
 the synthetic generator (`benchgen.world._render_pool`), mask construction
 (`fusion.region_mask_from_bbox`) and the loader's check that every box covers
 a patch center (`benchgen.pipeline._check_references`), so a planted region,
-its mask and the boxes a benchmark may hold can never disagree. `in_bounds`
-is the one statement of the bounds rule.
+its mask and the boxes a benchmark may hold can never disagree.
+
+`in_bounds` is the one statement of the bounds rule. `BOX` declares it on a
+record's box field (`ImageRecord.bbox`, `Quadruple.bbox`), and
+`records.from_record` applies it to every box it loads.
 """
 
 from __future__ import annotations
@@ -22,18 +25,19 @@ from focalcir.errors import ContractError
 BBox = tuple[float, float, float, float]
 
 
-def in_bounds(bbox: BBox):
-    """0 <= x0 < x1 <= 1 and likewise for y; NaN and infinities fail it.
-
-    Elementwise when the four corners are arrays, as for the (4, B)
-    transpose of B boxes."""
+def in_bounds(bbox: BBox) -> bool:
+    """0 <= x0 < x1 <= 1 and likewise for y; NaN and infinities fail it."""
     x0, y0, x1, y1 = bbox
-    return (0.0 <= x0) & (x0 < x1) & (x1 <= 1.0) & (0.0 <= y0) & (y0 < y1) & (y1 <= 1.0)
+    return 0.0 <= x0 < x1 <= 1.0 and 0.0 <= y0 < y1 <= 1.0
+
+
+# the field metadata of a record's box: the rule and the words it is broken in
+BOX = {"rule": (in_bounds, "must satisfy 0 <= x0 < x1 <= 1 and likewise for y")}
 
 
 def validate_bbox(bbox: BBox) -> None:
     if not in_bounds(bbox):
-        raise ContractError(f"bbox must satisfy 0 <= x0 < x1 <= 1 and likewise for y, got {bbox}")
+        raise ContractError(f"bbox {BOX['rule'][1]}, got {bbox}")
 
 
 def patch_center(row, col, grid: tuple[int, int]):

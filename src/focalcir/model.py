@@ -45,6 +45,7 @@ from focalcir.records import (
     from_record,
     open_file,
     read_block,
+    read_end,
     read_header,
     write_container,
 )
@@ -454,6 +455,10 @@ class CheckpointHeader:
         # the image projection has d_latent orthonormal rows in d_model dimensions
         if enc.d_latent > config.d_model:
             return f"encoder.d_latent {enc.d_latent} exceeds model_config.d_model {config.d_model}"
+        seen = {}
+        for i, p in enumerate(self.params):
+            if (first := seen.setdefault(p.name, i)) != i:
+                return f"params[{i}].name {p.name!r} repeats params[{first}]"
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
@@ -483,6 +488,7 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
             )
             if not np.all(np.isfinite(want.data)):
                 raise DataError(f"parameter {entry.name} in {path} has non-finite values")
+        read_end(fh, DataError, path, "parameter")
     return params, header.meta
 
 

@@ -4,31 +4,27 @@
 entry, a checkpoint's model config, ...) from JSON using the class's own
 fields and annotations: unknown keys, missing keys (any, with complete=True)
 and wrongly typed values are rejected by dotted path, and lists become
-tuples where a tuple is declared. The reader of each class and annotation
-is built once, so a record costs one loop over its fields' prebuilt
-readers, and a list of one scalar type one type test per item. A record whose class declares a range or
-a `rules` method then goes through `check_ranges`, so no loader checks it
-again. Errors take the caller's class: ConfigError (exit 1) for config
-files, DataError (exit 2) for artifacts.
+tuples where a tuple is declared. In the same pass it enforces what each
+field declares once in its metadata, a range or a rule (such as
+`geometry.BOX`), and the class's cross-field `rules`: the reader of each
+class and annotation is built once with these checks in it, so a record
+costs one loop over its fields' prebuilt readers. A record built in code is
+checked by reading `dataclasses.asdict(record)` back, as
+`ConfigSection.validate` does. Errors take the caller's class: ConfigError
+(exit 1) for config files, DataError (exit 2) for artifacts.
 `dataclasses.asdict` (or `vars` for a flat record) plus `canonical_json` or
 `write_json` write what this reads.
-
-`check_ranges` alone decides which values a config or report field accepts,
-from the range each field declares once in its dataclass field metadata, and
-runs a record's cross-field `rules`; `validate` runs it on a section built in
-code.
 
 The binary files (world.bin, checkpoints) share one container: a magic line,
 a little-endian u64 header length, a canonical JSON header, then raw
 little-endian float64 blocks, written without a copy, and blocks that sit
-back to back in one array in one write.
+back to back in one array in one write. It ends with its last block.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import operator
@@ -80,26 +76,17 @@ def from_record(cls, data, error: type[Exception], path: str = "", complete: boo
     from JSON data; `path` is the data's dotted location for error messages.
 
     int, str and bool values must have exactly that JSON type (true is not an
-    int); a float field also takes an int and stores it as a float; `Any`
-    takes any JSON value as it is. `X | None`, tuples, `list[X]`,
-    `dict[str, X]` and nested dataclasses are checked element by element. A
-    missing key is an error unless the field has a default and complete is
-    False: artifacts are always written whole, config sections may leave
-    fields at their defaults."""
+    int); a float field also takes an int and stores it as a float, and every
+    float must be finite; `Any` takes any JSON value whose floats are finite.
+    `X | None`, tuples, `list[X]`, `dict[str, X]` and nested dataclasses are
+    checked element by element. A missing key is an error unless the field
+    has a default and complete is False: artifacts are always written whole,
+    config sections may leave fields at their defaults. A field's metadata
+    may declare bounds ({"ge": 1}, {"gt": 0.0, "lt": 1.0}, {"choices": ...})
+    for each scalar it holds, None passing, or a rule {"rule": (holds, words)}
+    on its whole value, tested in place of finiteness; a class's `rules()`
+    names the first cross-field rule that a record in range breaks, or None."""
     return _reader(cls)(data, error, path, complete)
-
-
-@functools.cache
-def _fields(cls) -> tuple[dict[str, object], frozenset[str], bool]:
-    """(field name -> annotation, names without a default, whether to check_ranges)."""
-    hints = typing.get_type_hints(cls)
-    fields = dataclasses.fields(cls)
-    required = frozenset(
-        f.name for f in fields
-        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
-    )
-    checked = hasattr(cls, "rules") or any(f.metadata for f in fields)
-    return {f.name: hints[f.name] for f in fields}, required, checked
 
 
 def _join(path: str, key: str) -> str:
@@ -110,145 +97,149 @@ def _show(value) -> str:
     return f"{type(value).__name__} {value!r:.40}"
 
 
+_RANGES = {"gt": (operator.gt, ">"), "ge": (operator.ge, ">="), "lt": (operator.lt, "<"),
+           "le": (operator.le, "<="), "choices": (lambda v, o: v in o, "one of")}
+
+
+def _check(scalar, declared: tuple, many: bool):
+    """The function (value, error, path) that checks a value read as the
+    scalar type `scalar` (a tuple or list of it when `many`) against its
+    field's declarations, or None if there is nothing to check."""
+    bounds = [(k, limit) for k, limit in declared if k != "rule"]
+    holds, words = dict(declared).get("rule", (None, ""))
+    finite = scalar is float and holds is None  # a rule fails non-finite values itself
+    if holds is None and not finite and not bounds:
+        return None
+
+    def check(value, error, path):
+        if holds is not None and not holds(value):
+            raise error(f"{path}: {list(value) if many else value!r} {words}")
+        if not finite and not bounds:  # a rule alone, as on a box
+            return
+        for i, v in enumerate(value if many else (value,)):
+            where = f"{path}[{i}]" if many else path
+            if finite and not math.isfinite(v):
+                raise error(f"{where!r} must be finite, got {v!r}")
+            if not all(_RANGES[k][0](v, limit) for k, limit in bounds):
+                want = " and ".join(f"{_RANGES[k][1]} {limit!r}" for k, limit in bounds)
+                raise error(f"{where!r} must be {want}, got {v!r}")
+    return check
+
+
+def _finite(value, error, path, complete):
+    """Any JSON value as it is, once each float in it is finite."""
+    if type(value) is float and not math.isfinite(value):
+        raise error(f"{path!r} must be finite, got {value!r}")
+    for k, v in value.items() if type(value) is dict else ():
+        _finite(v, error, _join(path, k), complete)
+    for i, v in enumerate(value) if type(value) is list else ():
+        _finite(v, error, f"{path}[{i}]", complete)
+    return value
+
+
 @functools.cache
-def _reader(tp):
+def _reader(tp, declared: tuple = ()):
     """The function (value, error, path, complete) that reads JSON data as the
-    annotation `tp`, built once per annotation from the readers of its parts,
-    so reading a value dispatches on no typing form."""
+    annotation `tp` of a field that declares `declared`, its metadata's
+    items; built once per pair from the readers of its parts, so reading a
+    value dispatches on no typing form."""
     if tp in _SCALARS:
+        check = _check(tp, declared, many=False)
+
         def read(value, error, path, complete):
-            if type(value) is tp:
-                return value
-            if tp is float and type(value) is int:
-                return float(value)
-            raise error(f"{path!r} must be {tp.__name__}, got {_show(value)}")
+            if type(value) is not tp:
+                if tp is not float or type(value) is not int:
+                    raise error(f"{path!r} must be {tp.__name__}, got {_show(value)}")
+                value = float(value)
+            if check is not None:
+                check(value, error, path)
+            return value
         return read
-    if tp is typing.Any:
-        return lambda value, error, path, complete: value
-    if dataclasses.is_dataclass(tp):
-        return _record_reader(tp)
+    if tp is typing.Any or dataclasses.is_dataclass(tp):
+        return _finite if tp is typing.Any else _record_reader(tp)
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     inner = [a for a in args if a is not type(None)]
     if (origin is types.UnionType or origin is typing.Union) and len(inner) == 1:
-        read_inner = _reader(inner[0])
-        optional = len(args) > 1
+        read_inner = _reader(inner[0], declared)  # X | None
 
         def read(value, error, path, complete):
-            if value is None and optional:
-                return None
-            return read_inner(value, error, path, complete)
+            return None if value is None else read_inner(value, error, path, complete)
         return read
-    if origin is tuple or origin is list:
-        fixed = origin is tuple and args[-1] is not Ellipsis
-        parts = [(a, _reader(a)) for a in (args if fixed else args[:1])]
-        # a value whose items all have the one scalar type declared is read as it is
-        declared = set(args) - {Ellipsis}
-        scalar = args[0] if declared == {args[0]} and args[0] in _SCALARS else None
+    if (origin is tuple or origin is list) and len(set(args) - {Ellipsis}) == 1:
+        item, read_item = args[0], _reader(args[0])
+        length = len(args) if origin is tuple and args[-1] is not Ellipsis else None
+        check = _check(item, declared, many=True)
+        scalar = item if item in _SCALARS else None
 
         def read(value, error, path, complete):
             if not isinstance(value, (list, tuple)):
                 raise error(f"{path!r} must be a list, got {_show(value)}")
-            if fixed and len(value) != len(parts):
-                raise error(f"{path!r} must hold {len(parts)} values, got {len(value)}")
-            if scalar is not None:
-                for v in value:
-                    if type(v) is not scalar:
-                        break
-                else:
-                    return tuple(value) if origin is tuple else list(value)
-            items = [v if type(v) is a else read_item(v, error, f"{path}[{i}]", complete)
-                     for i, ((a, read_item), v)
-                     in enumerate(zip(parts if fixed else itertools.repeat(parts[0]), value))]
-            return tuple(items) if origin is tuple else items
+            if length is not None and len(value) != length:
+                raise error(f"{path!r} must hold {length} values, got {len(value)}")
+            # a value whose items all have the scalar type declared is taken as it is
+            slow = scalar is None
+            for v in () if slow else value:
+                if type(v) is not scalar:
+                    slow = True
+                    break
+            items = [v if type(v) is item else read_item(v, error, f"{path}[{i}]", complete)
+                     for i, v in enumerate(value)] if slow else value
+            if check is not None:
+                check(items, error, path)
+            return tuple(items) if origin is tuple else list(items)
         return read
     if origin is dict:
-        read_value = _reader(args[1])
+        read_value = _reader(args[1], declared)
 
         def read(value, error, path, complete):
             if not isinstance(value, dict):
                 raise error(f"{path!r} must be a JSON object, got {_show(value)}")
             return {k: read_value(v, error, _join(path, k), complete) for k, v in value.items()}
         return read
-
-    def read(value, error, path, complete):
-        raise TypeError(f"from_record cannot read annotation {tp!r}")
-    return read
+    raise TypeError(f"from_record cannot read annotation {tp!r}")
 
 
 def _record_reader(cls):
-    """The reader of a dataclass: one loop over its fields' prebuilt readers."""
-    hints, required, checked = _fields(cls)
-    readers = {k: (tp, _reader(tp)) for k, tp in hints.items()}
+    """The reader of a dataclass: one loop over its fields' prebuilt readers,
+    then the class's `rules`."""
+    hints = typing.get_type_hints(cls)
+    fields = dataclasses.fields(cls)
+    required = {f.name for f in fields if f.default is f.default_factory is dataclasses.MISSING}
+    # (the scalar type a value needs no check at, the field's reader)
+    readers = {f.name: (hints[f.name] if hints[f.name] in (int, str, bool) and not f.metadata
+                        else None, _reader(hints[f.name], tuple(f.metadata.items())))
+               for f in fields}
+    rules = getattr(cls, "rules", None)
 
     def read(data, error, path, complete):
         if not isinstance(data, dict):
             where = f" {path!r}" if path else ""
             raise error(f"{cls.__name__}{where} must be a JSON object, got {_show(data)}")
-        if data.keys() != hints.keys():
-            if data.keys() - hints.keys():
-                unknown = sorted(_join(path, k) for k in data if k not in hints)
+        if data.keys() != readers.keys():
+            if data.keys() - readers.keys():
+                unknown = sorted(_join(path, k) for k in data if k not in readers)
                 raise error(f"unknown keys {unknown} in {cls.__name__}")
-            missing = [_join(path, k) for k in hints
+            missing = [_join(path, k) for k in readers
                        if k not in data and (complete or k in required)]
             if missing:
                 raise error(f"missing keys {missing} in {cls.__name__}")
-        kwargs = {}
+        kwargs, prefix = {}, f"{path}." if path else ""
         for k, v in data.items():
-            tp, read_value = readers[k]
-            # a value of exactly the annotated scalar type needs no further check
-            kwargs[k] = v if type(v) is tp else read_value(v, error, _join(path, k), complete)
+            plain, read_value = readers[k]
+            kwargs[k] = v if type(v) is plain else read_value(v, error, prefix + k, complete)
         record = cls(**kwargs)
-        if checked:
-            check_ranges(record, error, path)
+        if rules is not None and (broken := record.rules()):
+            raise error(f"{path}: {broken}" if path else broken)
         return record
     return read
 
 
-# ---------------------------------------------------------------------------
-# declared ranges
-
-_RANGES = {"gt": (operator.gt, ">"), "ge": (operator.ge, ">="), "lt": (operator.lt, "<"),
-           "le": (operator.le, "<="), "choices": (lambda v, options: v in options, "one of")}
-
-
-def check_ranges(value, error: type[Exception], path: str = "",
-                 declared=types.MappingProxyType({})) -> None:
-    """Checks a dataclass instance against the ranges its fields declare in
-    their metadata: bounds such as {"ge": 1} or {"gt": 0.0, "lt": 1.0}, or
-    {"choices": (...)}. A tuple field's range holds for each element, None
-    passes, and every float must be finite. Nested records, tuples and dict
-    values are walked; a value out of range raises `error` naming its path,
-    and so does a rule that a record's `rules` method, run once its fields
-    are in range, reports broken."""
-    if dataclasses.is_dataclass(value):
-        for f in dataclasses.fields(value):
-            check_ranges(getattr(value, f.name), error, _join(path, f.name), f.metadata)
-        if hasattr(value, "rules") and (broken := value.rules()):
-            raise error(f"{path}: {broken}" if path else broken)
-    elif isinstance(value, (tuple, list)):
-        for i, v in enumerate(value):
-            check_ranges(v, error, f"{path}[{i}]", declared)
-    elif isinstance(value, dict):
-        for k, v in value.items():
-            check_ranges(v, error, _join(path, k), declared)
-    elif value is not None:
-        if isinstance(value, float) and not math.isfinite(value):
-            raise error(f"{path!r} must be finite, got {value!r}")
-        if not all(_RANGES[k][0](value, limit) for k, limit in declared.items()):
-            want = " and ".join(f"{_RANGES[k][1]} {limit!r}" for k, limit in declared.items())
-            raise error(f"{path!r} must be {want}, got {value!r}")
-
-
 class ConfigSection:
-    """A config record: `validate` checks the ranges its fields declare, then
-    the class's cross-field `rules`; either raises ConfigError."""
+    """A config record: `validate` reads it back through `from_record`, so
+    its declared ranges and cross-field `rules` hold, or raises ConfigError."""
 
     def validate(self) -> None:
-        check_ranges(self, ConfigError)
-
-    def rules(self) -> str | None:
-        """The message of the first cross-field rule the record breaks, or
-        None; rules only ever see values already in range."""
+        from_record(type(self), dataclasses.asdict(self), ConfigError)
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +305,11 @@ def read_header(fh, magic: bytes, error: type[Exception], path, kind: str) -> di
     if header.get("version") != 1:
         raise error(f"unsupported {kind} version {header.get('version')!r} in {path}")
     return header
+
+
+def read_end(fh, error: type[Exception], path, last: str) -> None:
+    if fh.read(1):  # a file spliced from two, or a doubled tail
+        raise error(f"{path} has bytes after its last {last}")
 
 
 def read_block(fh, shape: tuple[int, ...], error: type[Exception], what) -> np.ndarray:

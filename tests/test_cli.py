@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import platform
+import re
 import struct
 import tempfile
 import typing
@@ -14,11 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from focalcir.benchgen.filtering import FilterThresholds
+from focalcir.benchgen.gallery import GalleryEntry
+from focalcir.benchgen.io import ImageRecord
+from focalcir.benchgen.pipeline import BenchmarkSettings, SubsetStats
+from focalcir.benchgen.quadruples import Quadruple
 from focalcir.benchgen.world import WorldConfig
 from focalcir import cli, errors
 from focalcir.cli import build_parser, main
 from focalcir.config import BenchSettings, EvalSettings, RunConfig, run_config_from_dict
 from focalcir.evaluation import evaluate_model
+from focalcir.geometry import BOX
 from focalcir.model import (
     ModelConfig,
     ModelParams,
@@ -558,6 +564,11 @@ def test_train_on_a_single_example_exits_3(run_dir, tmp_path, capsys):
         (copy / name).write_bytes((out / name).read_bytes())
     train_file = copy / "quadruples_train.jsonl"
     train_file.write_text("\n".join(train_file.read_text().splitlines()[:2]) + "\n")
+    # stats.json counts what its files hold
+    quads = [json.loads(line) for name in ("quadruples_train.jsonl", "quadruples_eval.jsonl")
+             for line in (copy / name).read_text().splitlines()[1:]]
+    _edit_json(copy / "stats.json", lambda d: d["stats"]["fashion"].update(
+        train_quadruples=1, instances_with_pairs=len({q["instance_id"] for q in quads})))
     assert main(["train", "--config", str(cfg_path), "--out", str(copy)]) == 3
     err = capsys.readouterr().err
     assert "training needs at least 2 examples, got 1" in err and "Traceback" not in err
@@ -631,34 +642,40 @@ JSON_VALUES = ("x", 7, 2.5, True, None, [1], {"k": 1})
 
 
 def _edit_records(path, edit):
-    """Calls edit on the records of one artifact, as (where, record) pairs in
-    which `where` prefixes a key of the record in the loader's messages, and
-    writes the records back: world.bin's images, a JSONL file's records, or
-    the sections of stats.json."""
+    """Calls edit on the records of one artifact, as (where, record, class)
+    triples in which `where` prefixes a key of the record in the loader's
+    messages and the record reads as the class, and writes the records back:
+    world.bin's images, a JSONL file's records, or the sections of
+    stats.json."""
     if path.name == "world.bin":
         _rewrite_header(path, lambda h: edit(
-            [(f"{path}.images[{i}]", r) for i, r in enumerate(h["images"])]))
+            [(f"{path}.images[{i}]", r, ImageRecord) for i, r in enumerate(h["images"])]))
     elif path.name == "stats.json":
         _edit_json(path, lambda d: edit(
-            [(f"{path}.settings", d["settings"])]
-            + [(f"{path}.{part}.{s}", d[part][s]) for part in ("thresholds", "stats")
+            [(f"{path}.settings", d["settings"], BenchmarkSettings)]
+            + [(f"{path}.{part}.{s}", d[part][s], cls)
+               for part, cls in (("thresholds", FilterThresholds), ("stats", SubsetStats))
                for s in sorted(d[part])]))
     else:
         head, *lines = path.read_text().splitlines()
         records = [json.loads(line) for line in lines]
-        edit([(f"{path}[{i}]", r) for i, r in enumerate(records)])
+        cls = GalleryEntry if path.name.startswith("gallery_") else Quadruple
+        edit([(f"{path}[{i}]", r, cls) for i, r in enumerate(records)])
         path.write_text("\n".join([head, *map(json.dumps, records)]) + "\n")
 
 
 def _damage(draw, records) -> str:
     """Damages one key of one record: a value of another JSON type, NaN, a
-    list one item too long or too short, an unknown key, or a deleted key.
-    Returns the dotted path the loader must name."""
-    where, record = draw(st.sampled_from(records))
+    list one item too long or too short, an unknown key, a deleted key, or,
+    where the record's class declares a range or the box rule for the key, a
+    value just outside it. Returns the dotted path the loader must name."""
+    where, record, cls = draw(st.sampled_from(records))
     key = draw(st.sampled_from(sorted(record)))
     value = record[key]
+    declared = {f.name: f.metadata for f in dataclasses.fields(cls)}[key]
     kinds = ["type", "nan", "unknown", "delete"] + (["length"] if isinstance(value, list) else [])
-    kind = draw(st.sampled_from(kinds))
+    # half the damages of a key that declares a range or rule break it
+    kind = "range" if declared and draw(st.booleans()) else draw(st.sampled_from(kinds))
     if kind == "type":  # a float takes an int too
         record[key] = draw(st.sampled_from([
             v for v in JSON_VALUES
@@ -667,6 +684,17 @@ def _damage(draw, records) -> str:
         record[key] = math.nan
     elif kind == "length":
         record[key] = draw(st.sampled_from([value[:-1], value + value[:1]]))
+    elif kind == "range" and declared.get("rule") == BOX["rule"]:
+        # a corner at -0.5 or 1.5, or x0 and x1 (or y0 and y1) swapped
+        i, how = draw(st.integers(0, 3)), draw(st.sampled_from(["-0.5", "1.5", "swap"]))
+        if how == "swap":
+            j = (i + 2) % 4
+            value[i], value[j] = value[j], value[i]
+        else:
+            value[i] = float(how)
+    elif kind == "range":
+        bound = draw(st.sampled_from([b for b in BOUNDS if b in declared]))
+        record[key] = _outside(bound, declared[bound], type(value))
     elif kind == "unknown":
         key = "extra"
         record[key] = 1
@@ -695,6 +723,8 @@ def test_a_damaged_record_is_named_by_file_record_and_key(run_dir, data):
     ("world.bin", lambda rs: rs[3][1].update(bbox=[0.1, 0.1, 0.5]), "world.bin.images[3].bbox"),
     ("quadruples_eval.jsonl", lambda rs: rs[2][1].update(text_context_id=math.nan),
      "quadruples_eval.jsonl[2].text_context_id"),
+    ("quadruples_train.jsonl", lambda rs: rs[1][1]["bbox"].__setitem__(2, 1.5),
+     "quadruples_train.jsonl[1].bbox"),
 ])
 def test_a_damaged_record_exits_2_through_the_cli(run_dir, tmp_path, capsys, name, damage, key):
     cfg_path, out = run_dir
@@ -704,6 +734,41 @@ def test_a_damaged_record_exits_2_through_the_cli(run_dir, tmp_path, capsys, nam
     assert main(["eval", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert f"{tmp_path / key}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value", [("eval_quadruples", 9999), ("gallery_size", 1),
+                                        ("instances_with_pairs", 0)])
+def test_stats_counts_that_disagree_with_the_files_exit_2(run_dir, tmp_path, capsys,
+                                                          key, value):
+    # gen's summary and the acceptance gate read these counts
+    cfg_path, out = run_dir
+    for f in DATA_FILES:
+        (tmp_path / f).write_bytes((out / f).read_bytes())
+    want = json.loads((out / "stats.json").read_text())["stats"]["fashion"][key]
+    _edit_json(tmp_path / "stats.json", lambda d: d["stats"]["fashion"].update({key: value}))
+    assert main(["eval", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{tmp_path}/stats.json.stats.fashion.{key}: {value} is not the {want}" in err
+    assert "Traceback" not in err
+
+
+def test_stats_of_another_subset_set_exit_2(run_dir, tmp_path):
+    _, out = run_dir
+    for f in DATA_FILES:
+        (tmp_path / f).write_bytes((out / f).read_bytes())
+    _edit_json(tmp_path / "stats.json", lambda d: d["stats"].update(car=d["stats"]["fashion"]))
+    with pytest.raises(errors.DataError, match=re.escape(
+            "stats.json.stats: subsets ['car', 'fashion'] are not the world's ['fashion']")):
+        load_benchmark(tmp_path)
+
+
+def test_a_checkpoint_that_runs_past_its_header_exits_2(run_dir, tmp_path, capsys):
+    cfg_path, out = run_dir
+    ckpt = tmp_path / "ckpt.bin"
+    ckpt.write_bytes((out / "checkpoint.bin").read_bytes() + bytes(64))
+    assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert f"{ckpt} has bytes after its last parameter" in err and "Traceback" not in err
 
 
 def test_a_bad_box_on_an_image_no_quadruple_refs_exits_2_naming_it(run_dir, tmp_path, capsys):
@@ -717,7 +782,7 @@ def test_a_bad_box_on_an_image_no_quadruple_refs_exits_2_naming_it(run_dir, tmp_
     named = []
 
     def damage(records):
-        where, record = next((w, r) for w, r in records if r["image_id"] not in refs)
+        where, record, _ = next(r for r in records if r[1]["image_id"] not in refs)
         record["bbox"] = [math.nan, 5.0, -1.0, 0.5]
         named.append(f"{where}.bbox")
 

@@ -832,6 +832,9 @@ def _drop_first_shape(header):
          "'{path}.model_config.crm_layers' must be >= 1, got 0"),
         (lambda h: h["model_config"].update(crm_variant="pool"),
          "'{path}.model_config.crm_variant' must be one of ('avg', 'mlp', 'transformer')"),
+        # the meta is any JSON, but a NaN in it is still named
+        (lambda h: h["meta"].update(final_loss=math.nan),
+         "'{path}.meta.final_loss' must be finite, got nan"),
     ],
 )
 def test_checkpoint_header_damage_names_the_key(tmp_path, edit, message):
@@ -870,6 +873,29 @@ def test_checkpoint_damage_fails_by_name(tmp_path, damage, message):
     save_checkpoint(path, params)
     path.write_bytes(damage(path.read_bytes()))
     with pytest.raises(DataError, match=message):
+        load_checkpoint(path)
+
+
+def _repeat_last_parameter(path):
+    """Lists the last parameter twice in the header and writes its block twice."""
+    last = {}
+    _rewrite_header(path, lambda h: (last.update(h["params"][-1]),
+                                     h["params"].append(h["params"][-1])))
+    raw = path.read_bytes()
+    path.write_bytes(raw + raw[-8 * math.prod(last["shape"]):])
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda p: p.write_bytes(p.read_bytes() + bytes(64)), "{path} has bytes after its last parameter"),
+    (_repeat_last_parameter, "{path}: params[{n}].name 'head.target.b' repeats params[{last}]"),
+], ids=["bytes appended", "last parameter repeated"])
+def test_checkpoint_ends_where_its_header_says(tmp_path, damage, message):
+    _, _, params = tiny_setup(seed=93)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params)
+    damage(path)
+    n = len(params.named_params())
+    with pytest.raises(DataError, match=re.escape(message.format(path=path, n=n, last=n - 1))):
         load_checkpoint(path)
 
 

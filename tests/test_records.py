@@ -1,18 +1,31 @@
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import re
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import Any
 
 import pytest
 
+import focalcir
 from focalcir.benchgen.filtering import PRESETS, FilterThresholds
+from focalcir.benchgen.io import ImageRecord
 from focalcir.benchgen.pipeline import BenchmarkSettings
+from focalcir.benchgen.quadruples import Quadruple
 from focalcir.benchgen.world import WorldConfig
 from focalcir.config import BenchSettings, EvalSettings, RunConfig
 from focalcir.errors import ConfigError, DataError
-from focalcir.model import EncoderRecord, ModelConfig, TrainConfig
-from focalcir.records import ConfigSection, from_record
+from focalcir.evaluation import SubsetMetrics
+from focalcir.geometry import in_bounds
+from focalcir.model import (
+    CheckpointHeader,
+    EncoderRecord,
+    ModelConfig,
+    ParamRecord,
+    TrainConfig,
+)
+from focalcir.records import from_record
 
 
 @dataclass
@@ -100,23 +113,66 @@ CHECKED = [
     TrainConfig(), BenchSettings(), EvalSettings(),
     BenchmarkSettings(seed=0, d_model=32, l_text=4, train_cap=8, eval_cap=20, n_distractors=320),
     EncoderRecord(seed=0, d_latent=16, d_model=32, l_text=4),
+    ImageRecord("fashion/c0/i0/im0", "fashion/c0/i0", "fashion/c0", "fashion/ctx0", "fashion",
+                (0.1, 0.2, 0.5, 0.6), (8, 8, 16), False),
+    Quadruple(ref_image_id="fashion/c0/i0/im0", bbox=(0.1, 0.2, 0.5, 0.6),
+              text_context_id="fashion/ctx1", target_image_id="fashion/c0/i0/im1",
+              instance_id="fashion/c0/i0", category_id="fashion/c0", subset="fashion"),
+    SubsetMetrics(r_at_1=0.3, r_at_5=0.6, rid_at_1=0.5, n_queries=10),
+    CheckpointHeader(version=1, meta={"final_loss": 0.5}, seed=0, model_config=ModelConfig(),
+                     encoder=EncoderRecord(seed=0, d_latent=16, d_model=32, l_text=4),
+                     params=(ParamRecord("w", (2, 2)),)),
 ]
+# a value that breaks each field rule, made from a value that keeps it
+BREAKS = {in_bounds: lambda box: (box[2], box[1], box[0], box[3])}  # swapped x corners
 
 
-def test_every_config_section_has_a_checked_record():
-    assert set(ConfigSection.__subclasses__()) <= {type(r) for r in CHECKED}
+def declaring_classes():
+    """Every dataclass of the package that declares a range, a field rule or
+    `rules`, found by walking its modules."""
+    found = set()
+    for info in pkgutil.walk_packages(focalcir.__path__, "focalcir."):
+        for obj in vars(importlib.import_module(info.name)).values():
+            if (isinstance(obj, type) and is_dataclass(obj) and obj.__module__ == info.name
+                    and (hasattr(obj, "rules") or any(f.metadata for f in fields(obj)))):
+                found.add(obj)
+    return found
+
+
+def test_every_declaring_class_has_a_checked_record():
+    assert {ImageRecord, Quadruple, SubsetMetrics, CheckpointHeader} <= declaring_classes()
+    assert declaring_classes() <= {type(r) for r in CHECKED}
+
+
+def broken(record, data, path):
+    """Breaks, in `data` (the record as a dict), the first field of the record
+    or of a record nested in it that declares a lower bound, setting it one
+    below; else the first field with a rule. Returns the dotted key named."""
+    for f in fields(record):
+        if {"ge", "gt"} & f.metadata.keys():
+            bad = f.metadata.get("ge", f.metadata.get("gt")) - 1
+            if isinstance(data[f.name], tuple):
+                data[f.name] = [bad, *data[f.name][1:]]
+                return f"{path}.{f.name}[0]"
+            data[f.name] = bad
+            return f"{path}.{f.name}"
+        value = getattr(record, f.name)
+        if is_dataclass(value) and (key := broken(value, data[f.name], f"{path}.{f.name}")):
+            return key
+    for f in fields(record):
+        if "rule" in f.metadata:
+            data[f.name] = BREAKS[f.metadata["rule"][0]](data[f.name])
+            return f"{path}.{f.name}"
+    return None
 
 
 @pytest.mark.parametrize("record", CHECKED, ids=lambda r: type(r).__name__)
 def test_from_record_checks_the_declared_ranges(record):
-    # the first field that declares a lower bound, set one below it
-    f = next(f for f in fields(record) if {"ge", "gt"} & f.metadata.keys())
-    bad = f.metadata.get("ge", f.metadata.get("gt")) - 1
     data = asdict(record)
-    is_tuple = isinstance(data[f.name], tuple)
-    data[f.name] = [bad, *data[f.name][1:]] if is_tuple else bad
-    key = f"r.{f.name}" + ("[0]" if is_tuple else "")
-    with pytest.raises(DataError, match=re.escape(repr(key))):
+    assert from_record(type(record), data, DataError, "r") == record
+    key = broken(record, data, "r")
+    assert key is not None, f"{type(record).__name__} declares nothing this test can break"
+    with pytest.raises(DataError, match=re.escape(repr(key)) + "|" + re.escape(f"{key}: ")):
         from_record(type(record), data, DataError, "r")
 
 
