@@ -16,13 +16,14 @@ import numpy as np
 from focalcir.benchgen.quadruples import Quadruple, largest_remainder
 from focalcir.encoders import SyntheticImage
 from focalcir.errors import ConfigError, ContractError
+from focalcir.records import ID
 
 
 @dataclass(frozen=True)
 class GalleryEntry:
-    image_id: str
-    instance_id: str
-    category_id: str
+    image_id: str = field(metadata=ID)
+    instance_id: str = field(metadata=ID)
+    category_id: str = field(metadata=ID)
     is_target: bool
 
 

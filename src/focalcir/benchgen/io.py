@@ -26,6 +26,7 @@ from focalcir.encoders import ContextDescriptor, SyntheticImage
 from focalcir.errors import DataError
 from focalcir.geometry import BOX
 from focalcir.records import (
+    ID,
     canonical_json,
     from_record,
     open_file,
@@ -56,10 +57,10 @@ class ImageRecord:
     Slots, because a loaded default world holds 5.8k of these next to its
     raw JSON: with a __dict__ each, peak RSS rose about 1 MB."""
 
-    image_id: str
-    instance_id: str
-    category_id: str
-    context_id: str
+    image_id: str = field(metadata=ID)
+    instance_id: str = field(metadata=ID)
+    category_id: str = field(metadata=ID)
+    context_id: str = field(metadata=ID)
     subset: str
     bbox: tuple[float, float, float, float] = field(metadata=BOX)
     grid_shape: tuple[int, int, int]
@@ -141,11 +142,20 @@ def load_world(path) -> tuple[SyntheticWorld, str]:
             shape = (*cfg.grid, cfg.d_latent)
             return shape, math.prod(shape)
 
+        # each image's ids name a context, an identity and a category of the header
+        listed = (("context_id", "context_ids", world.contexts),
+                  ("instance_id", "identity_ids", world.identities),
+                  ("category_id", "category_ids", world.categories))
         offsets, seen = [0], {}  # where each grid starts in the grid blocks
         for i, rec in enumerate(header.images):
             if (first := seen.setdefault(rec.image_id, i)) != i:
                 raise DataError(f"{path}.images[{i}].image_id: {rec.image_id!r} "
                                 f"repeats images[{first}]")
+            if (rec.context_id not in world.contexts or rec.instance_id not in world.identities
+                    or rec.category_id not in world.categories):
+                key, ids, known = next(n for n in listed if getattr(rec, n[0]) not in n[2])
+                raise DataError(f"{path}.images[{i}].{key}: {getattr(rec, key)!r} is not "
+                                f"in the header's {ids}")
             shape, size = grid_of(rec.subset)
             if rec.grid_shape != shape:
                 raise DataError(f"{path}: image {rec.image_id!r} has grid_shape "

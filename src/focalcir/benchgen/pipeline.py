@@ -61,7 +61,16 @@ class BenchmarkSettings:
 
 @dataclass
 class Benchmark:
-    """A fully assembled benchmark plus lazy feature caches."""
+    """A fully assembled benchmark plus lazy feature caches.
+
+    `_by_id`, `_patches` and `_texts` depend on the world alone, so a view
+    made with dataclasses.replace shares them with its parent. `_patches`
+    holds the patch embeddings of the images queries refer to (about 64 x
+    32 floats each on the default world); gallery images are encoded
+    without it. `eval_inputs` is evaluation's memo of a view's assembled
+    query inputs (see focalcir.evaluation), about 35 MB per roi_crop value on
+    the default world; it is not an init field, so a replace view starts
+    without it."""
 
     world: SyntheticWorld
     encoders: EncoderParams
@@ -74,6 +83,7 @@ class Benchmark:
     _by_id: dict[str, SyntheticImage] = field(default_factory=dict, repr=False)
     _patches: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
     _texts: dict[str, TextEmbedding] = field(default_factory=dict, repr=False)
+    eval_inputs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for im in list(self.world.images) + list(self.world.reserve_images):

@@ -17,18 +17,19 @@ import numpy as np
 from focalcir.benchgen.world import SyntheticWorld
 from focalcir.errors import ContractError
 from focalcir.geometry import BOX, BBox
+from focalcir.records import ID
 
 
 @dataclass(frozen=True)
 class Quadruple:
     """One retrieval sample; the category doubles as the instance class label."""
 
-    ref_image_id: str
+    ref_image_id: str = field(metadata=ID)
     bbox: BBox = field(metadata=BOX)
-    text_context_id: str
-    target_image_id: str
-    instance_id: str
-    category_id: str
+    text_context_id: str = field(metadata=ID)
+    target_image_id: str = field(metadata=ID)
+    instance_id: str = field(metadata=ID)
+    category_id: str = field(metadata=ID)
     subset: str
 
 

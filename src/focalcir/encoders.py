@@ -10,6 +10,7 @@ the target-context latent through one frozen matrix per token slot.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -79,14 +80,24 @@ def encode_image(image: SyntheticImage | np.ndarray, enc: EncoderParams) -> np.n
     return grid.reshape(h * w, d) @ enc.image_proj
 
 
-def pooled_image_embeddings(images: list[SyntheticImage], enc: EncoderParams) -> np.ndarray:
-    """(N, d_model): each image's mean patch embedding, the feature used by
-    benchmark filtering. The images share one grid shape; one projection
-    covers all their patches, and each row equals
-    encode_image(image, enc).mean(axis=0)."""
+def encode_images(images: Sequence[SyntheticImage], enc: EncoderParams) -> np.ndarray:
+    """(N, h*w, d_model): the patch embeddings of images that share one grid
+    shape, from one projection of their stacked grids. On the default world
+    each row equals encode_image(image, enc)."""
     grids = np.stack([im.grid for im in images])
+    if grids.ndim != 4 or grids.shape[3] != enc.d_latent:
+        raise ContractError(
+            f"expected (N, h, w, {enc.d_latent}) latent grids, got shape {grids.shape}"
+        )
     n, h, w, d = grids.shape
-    return (grids.reshape(n * h * w, d) @ enc.image_proj).reshape(n, h * w, -1).mean(axis=1)
+    return (grids.reshape(n * h * w, d) @ enc.image_proj).reshape(n, h * w, -1)
+
+
+def pooled_image_embeddings(images: Sequence[SyntheticImage], enc: EncoderParams) -> np.ndarray:
+    """(N, d_model): each image's mean patch embedding, the feature used by
+    benchmark filtering, for images that share one grid shape; each row
+    equals encode_image(image, enc).mean(axis=0)."""
+    return encode_images(images, enc).mean(axis=1)
 
 
 def embed_text(descriptor: ContextDescriptor, enc: EncoderParams) -> TextEmbedding:

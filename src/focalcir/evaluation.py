@@ -16,6 +16,19 @@ A box-less query is encoded exactly as a beta_override=0 query (neither
 builds a region bias), so the box-less setting is beta_override=0.0.
 RankingResult and the recall functions read the same metrics off a full
 gallery order; the metric oracle uses them.
+
+A view keeps what does not depend on the setting: evaluate_model stores, in
+the view's `eval_inputs`, each subset's (2, Q, G) positives and, per chunk
+of EVAL_CHUNK queries, the assembled `QueryBatch` (stacked patches and key
+mask, their transposed copy, the text stack, the region-mask rows), keyed
+by (subset, roi_crop, EVAL_CHUNK) and built chunk by chunk as a first call
+reaches them. Every later call on the same view, such as the beta sweep's
+rows, reads them back. A dataclasses.replace view starts with none, so a
+view with moved boxes, reordered queries or another gallery assembles its
+own. A view's kept inputs take about 35 MB per roi_crop value on the
+default world. Gallery chunks are encoded from their images' latent grids
+with one projection each, so the gallery's patches (29 MB there) are not
+kept.
 """
 
 from __future__ import annotations
@@ -26,12 +39,15 @@ import numpy as np
 
 from focalcir.benchgen.pipeline import Benchmark
 from focalcir.benchgen.quadruples import Quadruple
+from focalcir.encoders import encode_images
 from focalcir.errors import ContractError
 from focalcir.fusion import shared_merged_weights
 from focalcir.model import (
     ModelParams,
+    QueryBatch,
     QuerySample,
     TrainExample,
+    assemble_queries,
     cropped,
     query_representation,
     target_representation,
@@ -71,7 +87,8 @@ def rank_gallery(f_q: np.ndarray, gallery: np.ndarray, positives: np.ndarray | N
     correct candidates, or a (P, B, G) stack of such arrays; the result is the
     (B,) or (P, B) 1-based rank of each query's best-ranked positive. Ranks are
     counted, not sorted: candidate j with similarity s ranks
-    #{sims > s} + #{sims == s and index < j} + 1. Without positives, a single
+    #{sims > s} + #{sims == s and index < j} + 1, the tie term counted only
+    on rows where a candidate ties the best positive. Without positives, a single
     query gets its full order as a list of gallery indices, read off the
     counted rank of every candidate (O(G^2) work, for small galleries).
     """
@@ -95,9 +112,15 @@ def rank_gallery(f_q: np.ndarray, gallery: np.ndarray, positives: np.ndarray | N
         raise ContractError(f"positives of shape {positives.shape} for {sims.shape} similarities")
     if not np.all(positives.any(axis=-1)):
         raise ContractError("every query needs at least one positive candidate")
-    best = np.where(positives, sims, -np.inf).max(axis=-1, keepdims=True)
-    first = np.argmax(positives & (sims == best), axis=-1)[..., None]
-    ranks = (sims > best).sum(axis=-1) + ((sims == best) & (np.arange(n) < first)).sum(axis=-1) + 1
+    sims = np.broadcast_to(sims, positives.shape)
+    best = np.max(sims, axis=-1, where=positives, initial=-np.inf, keepdims=True)
+    ranks = np.count_nonzero(sims > best, axis=-1) + 1
+    ties = sims == best
+    if np.count_nonzero(ties) > best.size:  # a candidate ties a best positive exactly
+        tied = np.count_nonzero(ties, axis=-1) > 1
+        ties = ties[tied]
+        first = np.argmax(positives[tied] & ties, axis=-1)[:, None]
+        ranks[tied] += np.count_nonzero(ties & (np.arange(n) < first), axis=-1)
     if not full_order:
         return ranks
     order = np.empty(n, dtype=np.intp)
@@ -214,13 +237,49 @@ def train_examples(bench: Benchmark, quads: list[Quadruple]) -> list[TrainExampl
 
 
 def gallery_embeddings(params: ModelParams, bench: Benchmark, subset: str) -> np.ndarray:
-    """(G, d_embed) matrix in manifest order; beta-independent, so cacheable."""
+    """(G, d_embed) matrix in manifest order; beta-independent, so cacheable.
+    Each chunk is encoded from its images' stacked latent grids, so the
+    gallery's patches are not kept on the benchmark."""
     ids = bench.galleries[subset].image_ids
     chunks = [
-        target_representation([bench.patches(i) for i in ids[at : at + EVAL_CHUNK]], params).data
+        target_representation(
+            encode_images([bench.image(i) for i in ids[at : at + EVAL_CHUNK]], bench.encoders),
+            params,
+        ).data
         for at in range(0, len(ids), EVAL_CHUNK)
     ]
     return np.concatenate(chunks)
+
+
+def _subset_inputs(bench: Benchmark, subset: str, roi_crop: bool
+                   ) -> tuple[list[Quadruple], np.ndarray, list[QueryBatch]]:
+    """The view's memo entry for one subset: its eval quadruples, their
+    (2, Q, G) positives (the exact target, then every candidate showing the
+    instance) and the list of query chunks assembled so far, which
+    evaluate_model extends as it reaches them. Keyed by EVAL_CHUNK too, so
+    a changed chunk size re-chunks."""
+    key = (subset, roi_crop, EVAL_CHUNK)
+    if key in bench.eval_inputs:
+        return bench.eval_inputs[key]
+    quads = bench.eval_quads_of(subset)
+    if not quads:
+        raise ContractError(f"subset {subset} has no eval quadruples")
+    manifest = bench.galleries[subset]
+    index = {image_id: j for j, image_id in enumerate(manifest.image_ids)}
+    missing = [q.target_image_id for q in quads if q.target_image_id not in index]
+    if missing:
+        raise ContractError(f"targets {missing[:3]} are not in the {subset} gallery")
+    targets = np.array([index[q.target_image_id] for q in quads])
+    # instance ids as small ints: comparing Q x G strings cost 3 ms a subset
+    code: dict[str, int] = {}
+    instances = np.array([code.setdefault(e.instance_id, len(code)) for e in manifest.entries])
+    wanted = np.array([code.get(q.instance_id, -1) for q in quads])
+    positives = np.stack([
+        targets[:, None] == np.arange(len(manifest.entries)),
+        wanted[:, None] == instances,
+    ])
+    bench.eval_inputs[key] = (quads, positives, [])
+    return bench.eval_inputs[key]
 
 
 def evaluate_model(
@@ -236,7 +295,8 @@ def evaluate_model(
     """MetricsReport over the eval split.
 
     gallery_cache holds per-subset embedding matrices for THESE params and is
-    filled on miss.
+    filled on miss. The positives and assembled query chunks are kept on
+    `bench` (its eval_inputs) for every later call on the same view.
     """
     chosen = subsets if subsets is not None else bench.subsets
     unknown = [s for s in chosen if s not in bench.galleries]
@@ -247,10 +307,6 @@ def evaluate_model(
     # attention's merged weights
     with shared_merged_weights():
         for subset in chosen:
-            quads = bench.eval_quads_of(subset)
-            if not quads:
-                raise ContractError(f"subset {subset} has no eval quadruples")
-            manifest = bench.galleries[subset]
             if gallery_cache is not None and subset in gallery_cache:
                 gal = gallery_cache[subset]
             else:
@@ -261,27 +317,14 @@ def evaluate_model(
             if n_gallery < 5:
                 raise ContractError(
                     f"R@5 needs 5 gallery images, subset {subset} has {n_gallery}")
-            index = {image_id: j for j, image_id in enumerate(manifest.image_ids)}
-            missing = [q.target_image_id for q in quads if q.target_image_id not in index]
-            if missing:
-                raise ContractError(f"targets {missing[:3]} are not in the {subset} gallery")
-            targets = np.array([index[q.target_image_id] for q in quads])
-            # instance ids as small ints: comparing Q x G strings cost 3 ms a subset
-            code: dict[str, int] = {}
-            instances = np.array([code.setdefault(e.instance_id, len(code))
-                                  for e in manifest.entries])
-            wanted = np.array([code.get(q.instance_id, -1) for q in quads])
-            # (2, Q, G): the exact target, then every candidate showing the instance
-            positives = np.stack([
-                targets[:, None] == np.arange(n_gallery),
-                wanted[:, None] == instances,
-            ])
+            quads, positives, chunks = _subset_inputs(bench, subset, roi_crop)
             ranks = []
-            for at in range(0, len(quads), EVAL_CHUNK):
-                samples = [query_sample_of(bench, quad) for quad in quads[at : at + EVAL_CHUNK]]
-                if roi_crop:
-                    samples = [cropped(s) for s in samples]
-                f_q, _ = query_representation(samples, params, beta_override=beta_override)
+            for i, at in enumerate(range(0, len(quads), EVAL_CHUNK)):
+                if i == len(chunks):
+                    samples = [query_sample_of(bench, q) for q in quads[at : at + EVAL_CHUNK]]
+                    chunks.append(assemble_queries(
+                        [cropped(s) for s in samples] if roi_crop else samples))
+                f_q, _ = query_representation(chunks[i], params, beta_override=beta_override)
                 ranks.append(rank_gallery(f_q.data, gal, positives[:, at : at + EVAL_CHUNK]))
             target_ranks, instance_ranks = np.concatenate(ranks, axis=1)
             per_subset[subset] = SubsetMetrics(

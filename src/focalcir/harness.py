@@ -10,7 +10,9 @@ ROI-crop model trains on the `cropped` view of each query, at beta 0, and
 drops no query, since every box a benchmark holds covers a patch center
 (the loader checks it). Each harness reuses one gallery-embedding cache per
 trained model (target embeddings do not depend on the modulation applied to
-queries), and every table is written by metrics_table_text alongside the
+queries); rows on one view, as the sweep's are, also share the query inputs
+evaluate_model keeps on it, while each robustness view assembles its own.
+Every table is written by metrics_table_text alongside the
 structured per-row metrics.
 """
 

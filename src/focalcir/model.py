@@ -5,7 +5,11 @@ fusion encoder and reads the representation off a dedicated cls token; the
 target branch encodes target patches alone and mean-pools the fusion-query
 outputs. Both project into the shared embedding space and l2-normalize.
 Both branches take one sample or a batch and run a batch as one forward
-pass, so a training step records one tape over its whole batch.
+pass, so a training step records one tape over its whole batch. A query
+batch is first assembled into the arrays the encoder reads
+(`assemble_queries`, for training and evaluation alike); a caller that
+encodes one batch under several settings, as evaluation does, assembles it
+once and passes the `QueryBatch`.
 Training minimizes a one-directional in-batch contrastive loss (query ->
 target) at fixed temperature, with two AdamW groups: the modulation
 predictor trains 10x faster than the encoder stack, mirroring the reference
@@ -152,6 +156,34 @@ def _region_rows(batch: Sequence[QuerySample], n_keys: int) -> np.ndarray | None
     return rows
 
 
+@dataclass
+class QueryBatch:
+    """Query samples assembled into the arrays the fusion encoder reads.
+    They depend on the samples alone, so one batch serves every pass over
+    it and every modulation setting: evaluation keeps the batches of a
+    benchmark view and hands them to `query_representation` again."""
+
+    patches: np.ndarray  # (B, n, d) stacked reference patches, zero-padded
+    key_mask: np.ndarray | None  # (B, 1, n) -inf on padded keys; None when none is padded
+    keys_t: np.ndarray  # transposed_keys(patches), shared by the probe and query passes
+    text: np.ndarray  # (B, l_text, d) text tokens
+    mask_rows: np.ndarray | None  # (B, 1, n) region-mask rows; None when no sample has a box
+    boxed: list[bool]  # which samples have a box
+
+
+def assemble_queries(samples: Sequence[QuerySample]) -> QueryBatch:
+    """The QueryBatch of a sequence of samples, for training and evaluation alike."""
+    if not samples:
+        raise ContractError("no query samples")
+    patches, key_mask = stack_patches([s.patches for s in samples])
+    return QueryBatch(
+        patches=patches, key_mask=key_mask, keys_t=transposed_keys(patches),
+        text=np.stack([s.text.tokens for s in samples]),
+        mask_rows=_region_rows(samples, patches.shape[1]),
+        boxed=[s.bbox is not None for s in samples],
+    )
+
+
 def cropped(sample: QuerySample) -> QuerySample:
     """The crop-to-box view of a query: its in-box patches alone, and no box,
     so it is encoded without a mask or a modulation. A box-less query is
@@ -250,43 +282,41 @@ class ModelParams:
 
 
 def query_representation(
-    samples: QuerySample | Sequence[QuerySample],
+    samples: QuerySample | Sequence[QuerySample] | QueryBatch,
     params: ModelParams,
     beta_override: float | None = None,
 ):
     """f_q plus the modulation actually applied, for one query or a batch.
 
     One QuerySample gives a 1 x d_embed tensor and its applied modulation (a
-    float, or a 1 x M array in vector form). A sequence is encoded as one
-    batch and gives B x d_embed rows and a list of per-sample applied values.
-    beta_override bypasses the predictor entirely and applies the given
-    constant. A box-less sample gets a zero mask row, so its applied
-    modulation is 0; a batch without any box is encoded with no mask at all.
+    float, or a 1 x M array in vector form). A sequence, or a QueryBatch
+    assembled from one, is encoded as one batch and gives B x d_embed rows
+    and a list of per-sample applied values. beta_override bypasses the
+    predictor entirely and applies the given constant. A box-less sample
+    gets a zero mask row, so its applied modulation is 0; a batch without
+    any box is encoded with no mask at all.
     """
     single = isinstance(samples, QuerySample)
-    batch = [samples] if single else list(samples)
-    if not batch:
-        raise ContractError("no query samples")
-    text = np.stack([s.text.tokens for s in batch])
-    patches, key_mask = stack_patches([s.patches for s in batch])
-    keys_t = transposed_keys(patches)  # one copy for both passes, dropped on return
-    mask_rows = _region_rows(batch, patches.shape[1])
-    applied: list = [0.0] * len(batch)
+    if isinstance(samples, QueryBatch):
+        batch = samples
+    else:
+        batch = assemble_queries([samples] if single else list(samples))
+    applied: list = [0.0] * len(batch.boxed)
     beta = 0.0
-    if mask_rows is not None:
+    if batch.mask_rows is not None:
         if beta_override is not None:
             beta = float(beta_override)
-            applied = [0.0 if s.bbox is None else beta for s in batch]
+            applied = [beta if boxed else 0.0 for boxed in batch.boxed]
         else:
-            beta = predict_beta(patches, text, params.fusion, params.caam, key_mask=key_mask,
-                                keys_t=keys_t)
+            beta = predict_beta(batch.patches, batch.text, params.fusion, params.caam,
+                                key_mask=batch.key_mask, keys_t=batch.keys_t)
             applied = [
-                0.0 if s.bbox is None else (float(b[0, 0]) if b.shape == (1, 1) else b.copy())
-                for s, b in zip(batch, beta.data)
+                (float(b[0, 0]) if b.shape == (1, 1) else b.copy()) if boxed else 0.0
+                for boxed, b in zip(batch.boxed, beta.data)
             ]
     cls_out = multimodal_encode(
-        patches, text, params.fusion, mask=mask_rows, beta=beta, tokens=(params.rep_cls,),
-        key_mask=key_mask, keys_t=keys_t,
+        batch.patches, batch.text, params.fusion, mask=batch.mask_rows, beta=beta,
+        tokens=(params.rep_cls,), key_mask=batch.key_mask, keys_t=batch.keys_t,
     )
     # project per sample, then drop the row axis: one (B*1)-row GEMM would
     # round differently from the 1-row GEMM a single query gets
@@ -299,10 +329,14 @@ def target_representation(
 ) -> Tensor:
     """f_t: mean-pooled fusion-query outputs, projected and normalized.
 
-    One image's (n, d) patches give a 1 x d_embed tensor; a sequence of them
-    is encoded as one batch and gives B x d_embed rows."""
-    single = isinstance(patches, np.ndarray) and patches.ndim == 2
-    stacked, key_mask = stack_patches([patches] if single else list(patches))
+    One image's (n, d) patches give a 1 x d_embed tensor; a sequence of them,
+    or a (B, n, d) array of images that share n, is encoded as one batch and
+    gives B x d_embed rows."""
+    if isinstance(patches, np.ndarray) and patches.ndim == 3:
+        stacked, key_mask = patches, None
+    else:
+        single = isinstance(patches, np.ndarray)
+        stacked, key_mask = stack_patches([patches] if single else list(patches))
     pooled = mean_over_rows(encode_target(stacked, params.fusion, key_mask=key_mask))
     return l2_normalize_rows(squeeze_rows(linear(pooled, params.w_target, params.b_target)))
 

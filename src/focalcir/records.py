@@ -40,6 +40,9 @@ from focalcir.errors import ConfigError
 
 _SCALARS = (int, float, str, bool)
 
+# the field metadata of an id: the empty string names nothing
+ID = {"rule": (bool, "must be non-empty")}
+
 
 # built once: json.dumps with options builds a new encoder on every call
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
@@ -205,9 +208,12 @@ def _record_reader(cls):
     hints = typing.get_type_hints(cls)
     fields = dataclasses.fields(cls)
     required = {f.name for f in fields if f.default is f.default_factory is dataclasses.MISSING}
-    # (the scalar type a value needs no check at, the field's reader)
-    readers = {f.name: (hints[f.name] if hints[f.name] in (int, str, bool) and not f.metadata
-                        else None, _reader(hints[f.name], tuple(f.metadata.items())))
+    # (the scalar type a value needs no reader at, the rule it must keep there
+    # if the field declares one, the field's reader): an id costs one bool()
+    readers = {f.name: (hints[f.name] if hints[f.name] in (int, str, bool)
+                        and f.metadata.keys() <= {"rule"} else None,
+                        f.metadata.get("rule", (None,))[0],
+                        _reader(hints[f.name], tuple(f.metadata.items())))
                for f in fields}
     rules = getattr(cls, "rules", None)
 
@@ -225,8 +231,9 @@ def _record_reader(cls):
                 raise error(f"missing keys {missing} in {cls.__name__}")
         kwargs, prefix = {}, f"{path}." if path else ""
         for k, v in data.items():
-            plain, read_value = readers[k]
-            kwargs[k] = v if type(v) is plain else read_value(v, error, prefix + k, complete)
+            plain, holds, read_value = readers[k]
+            kwargs[k] = (v if type(v) is plain and (holds is None or holds(v))
+                         else read_value(v, error, prefix + k, complete))
         record = cls(**kwargs)
         if rules is not None and (broken := record.rules()):
             raise error(f"{path}: {broken}" if path else broken)

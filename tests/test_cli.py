@@ -25,6 +25,7 @@ from focalcir.cli import build_parser, main
 from focalcir.config import BenchSettings, EvalSettings, RunConfig, run_config_from_dict
 from focalcir.evaluation import evaluate_model
 from focalcir.geometry import BOX
+from focalcir.records import ID
 from focalcir.model import (
     ModelConfig,
     ModelParams,
@@ -668,7 +669,9 @@ def _damage(draw, records) -> str:
     """Damages one key of one record: a value of another JSON type, NaN, a
     list one item too long or too short, an unknown key, a deleted key, or,
     where the record's class declares a range or the box rule for the key, a
-    value just outside it. Returns the dotted path the loader must name."""
+    value just outside it, and where it declares an id, an empty id or, on a
+    key that refers to something (not an image's own image_id), a dangling
+    one. Returns the dotted path the loader must name."""
     where, record, cls = draw(st.sampled_from(records))
     key = draw(st.sampled_from(sorted(record)))
     value = record[key]
@@ -692,6 +695,9 @@ def _damage(draw, records) -> str:
             value[i], value[j] = value[j], value[i]
         else:
             value[i] = float(how)
+    elif kind == "range" and declared.get("rule") == ID["rule"]:
+        refers = not (cls is ImageRecord and key == "image_id")
+        record[key] = draw(st.sampled_from(["", "nope"] if refers else [""]))
     elif kind == "range":
         bound = draw(st.sampled_from([b for b in BOUNDS if b in declared]))
         record[key] = _outside(bound, declared[bound], type(value))
@@ -725,6 +731,9 @@ def test_a_damaged_record_is_named_by_file_record_and_key(run_dir, data):
      "quadruples_eval.jsonl[2].text_context_id"),
     ("quadruples_train.jsonl", lambda rs: rs[1][1]["bbox"].__setitem__(2, 1.5),
      "quadruples_train.jsonl[1].bbox"),
+    ("world.bin", lambda rs: rs[0][1].update(context_id=""), "world.bin.images[0].context_id"),
+    ("world.bin", lambda rs: rs[2][1].update(instance_id="nope"),
+     "world.bin.images[2].instance_id"),
 ])
 def test_a_damaged_record_exits_2_through_the_cli(run_dir, tmp_path, capsys, name, damage, key):
     cfg_path, out = run_dir
@@ -793,6 +802,31 @@ def test_a_bad_box_on_an_image_no_quadruple_refs_exits_2_naming_it(run_dir, tmp_
     assert main(["eval", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert named[0] in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("context_id", "nope", "'nope' is not in the header's context_ids"),
+    ("instance_id", "nope", "'nope' is not in the header's identity_ids"),
+    ("category_id", "nope", "'nope' is not in the header's category_ids"),
+    ("context_id", "", "'' must be non-empty"),
+    ("image_id", "", "'' must be non-empty"),
+])
+def test_an_image_id_that_names_nothing_exits_2_naming_it(run_dir, tmp_path, key, value,
+                                                          message):
+    # an image's ids resolve against the world header, and no id is empty
+    _, out = run_dir
+    for f in DATA_FILES:
+        (tmp_path / f).write_bytes((out / f).read_bytes())
+    named = []
+
+    def damage(records):
+        where, record, _ = records[-1]  # a reserve image, which no quadruple refers to
+        record[key] = value
+        named.append(f"{where}.{key}: {message}")
+
+    _edit_records(tmp_path / "world.bin", damage)
+    with pytest.raises(errors.DataError, match=re.escape(named[0])):
+        load_benchmark(tmp_path)
 
 
 # the exit-code contract: one class per code, and the base class as a check failure

@@ -11,6 +11,7 @@ from focalcir.encoders import (
     SyntheticImage,
     embed_text,
     encode_image,
+    encode_images,
     pooled_image_embeddings,
 )
 from focalcir.errors import ContractError
@@ -70,6 +71,22 @@ def test_pooled_embedding_is_patch_mean():
         want = np.stack([encode_image(im, enc).mean(axis=0) for im in images])
         got = pooled_image_embeddings(images, enc)
         assert got.shape == (n, 32) and got.tobytes() == want.tobytes()
+
+
+def test_encoded_images_are_each_images_own_patches():
+    # evaluation encodes a gallery chunk this way, at up to 128 images
+    rng = np.random.default_rng(4)
+    for seed, n, grid in ((0, 128, (8, 8)), (3, 128, (8, 8)), (3, 37, (3, 5))):
+        enc = make_enc(seed=seed)
+        images = [SyntheticImage(f"s/cat0/inst00/img{i:03d}", "s/cat0/inst00", "s/cat0",
+                                 "s/ctx00", "s", (0.2, 0.2, 0.7, 0.7), rng.normal(size=(*grid, 16)))
+                  for i in range(n)]
+        want = np.stack([encode_image(im, enc) for im in images])
+        got = encode_images(images, enc)
+        assert got.shape == (n, grid[0] * grid[1], 32) and got.tobytes() == want.tobytes()
+    with pytest.raises(ContractError, match=re.escape("latent grids, got shape (1, 2, 2, 8)")):
+        encode_images([SyntheticImage("i", "n", "c", "x", "s", (0.0, 0.0, 1.0, 1.0),
+                                      np.zeros((2, 2, 8)))], make_enc())
 
 
 def test_embed_text_shape_and_determinism():

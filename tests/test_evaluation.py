@@ -5,9 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from focalcir.benchgen import FilterThresholds, WorldConfig, build_benchmark
 from focalcir.benchgen.gallery import GalleryManifest
+from focalcir.benchgen.pipeline import Benchmark
 from focalcir.errors import ContractError, DataError
 from focalcir.evaluation import (
     EVAL_CHUNK,
@@ -28,6 +31,7 @@ from focalcir.model import (
     ModelConfig,
     ModelParams,
     TrainConfig,
+    assemble_queries,
     cropped,
     load_checkpoint,
     query_representation,
@@ -145,6 +149,30 @@ def test_counted_ranks_break_planted_ties_by_index():
     positives[:, [0, 5]] = True
     assert_ranks_match_oracle(queries, gallery, positives)
     assert rank_gallery(twin, gallery, positives[:1]).tolist() == [3]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_counted_ranks_match_the_oracle_on_galleries_with_exact_ties(data):
+    # duplicated gallery rows tie exactly for every query; each query has one
+    # exact target and several instance positives, ranked as one stack
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    d, n_distinct = data.draw(st.integers(2, 6)), data.draw(st.integers(1, 6))
+    distinct = exact_unit_rows(rng, n_distinct, d)
+    rows = data.draw(st.lists(st.integers(0, n_distinct - 1), min_size=1, max_size=20))
+    gallery, g = distinct[rows], len(rows)
+    b = data.draw(st.integers(1, 5))
+    # a query is a gallery row (so its best similarity is 1 and tied by its
+    # twins) or a fresh direction
+    queries = np.stack([gallery[data.draw(st.integers(0, g - 1))] if data.draw(st.booleans())
+                        else exact_unit_rows(rng, 1, d)[0] for _ in range(b)])
+    target = np.zeros((b, g), dtype=bool)
+    target[np.arange(b), [data.draw(st.integers(0, g - 1)) for _ in range(b)]] = True
+    instance = target | np.array([[data.draw(st.booleans()) for _ in range(g)]
+                                  for _ in range(b)])
+    got = rank_gallery(queries, gallery, np.stack([target, instance]))
+    assert got.tolist() == [[oracle_best_rank(gallery, q, pos) for q, pos in zip(queries, kind)]
+                            for kind in (target, instance)]
 
 
 def test_counted_rank_of_several_positives_is_the_best_one():
@@ -359,18 +387,18 @@ def test_no_bbox_matches_none_transform(tiny_bench, tiny_model, monkeypatch):
     # and no box
     seen = []
 
-    def spy(samples, params, beta_override=None):
-        seen.extend(samples)
-        return query_representation(samples, params, beta_override)
+    def spy(batch, params, beta_override=None):
+        seen.append(batch)
+        return query_representation(batch, params, beta_override)
 
     monkeypatch.setattr(evaluation, "query_representation", spy)
     samples = [query_sample_of(tiny_bench, q) for q in tiny_bench.eval_quads_of("fashion")]
-    want = [cropped(s) for s in samples]
+    want = assemble_queries([cropped(s) for s in samples])
     evaluate_model(tiny_model, tiny_bench, roi_crop=True)
-    assert len(seen) == len(want) and all(s.bbox is None for s in seen)
-    for got, w in zip(seen, want):
-        assert np.array_equal(got.patches, w.patches)
-        assert 0 < len(got.patches) < len(samples[0].patches)
+    assert len(seen) == 1 and seen[0].mask_rows is None and not any(seen[0].boxed)
+    assert np.array_equal(seen[0].patches, want.patches)
+    assert np.array_equal(seen[0].key_mask, want.key_mask)
+    assert 0 < want.patches.shape[1] < len(samples[0].patches)
 
 
 def ranked_rows(params, bench, monkeypatch, **setting):
@@ -413,6 +441,45 @@ def test_a_trained_model_evaluates_as_its_checkpoint_does(tiny_bench, tmp_path, 
     assert trained_report == loaded_report and len(trained) == len(reloaded) > 0
     for (q, gal, _), (q2, gal2, _) in zip(trained, reloaded):
         assert np.array_equal(q, q2) and np.array_equal(gal, gal2)
+
+
+def _fresh(view: Benchmark) -> Benchmark:
+    """A benchmark built anew from a view's records: no cache or memo of any kind."""
+    return Benchmark(**{f.name: getattr(view, f.name) for f in dataclasses.fields(Benchmark)
+                        if f.init and not f.name.startswith("_")})
+
+
+@pytest.mark.parametrize("chunk", [2, EVAL_CHUNK])
+def test_a_view_evaluated_after_its_parent_ranks_as_a_fresh_benchmark(tiny_bench, tiny_model,
+                                                                      monkeypatch, chunk):
+    # evaluate_model keeps a view's assembled inputs on it; a
+    # dataclasses.replace view must start without its parent's
+    monkeypatch.setattr(evaluation, "EVAL_CHUNK", chunk)
+    shuffled = list(tiny_bench.eval_quads)
+    random.Random(1).shuffle(shuffled)
+    targets = {q.target_image_id for q in tiny_bench.eval_quads}
+    entries = tiny_bench.galleries["fashion"].entries
+    views = {
+        "moved boxes": lambda b: dataclasses.replace(b, eval_quads=[
+            dataclasses.replace(q, bbox=(0.0, 0.0, 1.0, 1.0)) for q in b.eval_quads]),
+        "permuted queries": lambda b: dataclasses.replace(b, eval_quads=shuffled),
+        "filtered gallery": lambda b: dataclasses.replace(b, galleries={"fashion": GalleryManifest(
+            [e for i, e in enumerate(entries) if e.image_id in targets or i % 2])}),
+    }
+
+    def seen(rows):
+        """The ranked query rows and their ranks, as comparable values."""
+        return (np.concatenate([q for q, _, _ in rows]).tobytes(),
+                np.concatenate([r for _, _, r in rows], axis=1).tolist())
+
+    # the parent is evaluated first, so its inputs are kept before any view exists
+    _, parent = ranked_rows(tiny_model, tiny_bench, monkeypatch, beta_override=4.0)
+    for name, make in views.items():
+        view = make(tiny_bench)
+        report, rows = ranked_rows(tiny_model, view, monkeypatch, beta_override=4.0)
+        fresh_report, fresh = ranked_rows(tiny_model, _fresh(view), monkeypatch, beta_override=4.0)
+        assert report == fresh_report and seen(rows) == seen(fresh), name
+        assert seen(rows) != seen(parent), name  # the view does rank otherwise
 
 
 @pytest.mark.parametrize("chunk", [2, EVAL_CHUNK])

@@ -237,24 +237,32 @@ def test_untrained_model_matches_fingerprint():
 
 def test_ranks_do_not_depend_on_the_eval_chunk(monkeypatch):
     # a metamorphic relation: batching queries and gallery images into
-    # chunks of any size gives every eval query the same integer ranks
+    # chunks of any size gives every eval query the same integer ranks. One
+    # benchmark is evaluated at every size: its kept query chunks are kept
+    # per size, so each size re-chunks
     bench = tiny_benchmark(SEEDS[0])
     params = ModelParams(MODEL, bench.encoders, seed=MODEL_SEED, zero_modulation_head=False)
     whole = max([len(bench.eval_quads_of(s)) for s in bench.subsets]
                 + [len(m.image_ids) for m in bench.galleries.values()])
     by_chunk = {}
     for chunk in (1, 7, 32, EVAL_CHUNK, whole):
-        calls = []
+        calls, sizes = [], []
 
         def recording(*args):
             calls.append(rank_gallery(*args))
             return calls[-1]
 
+        def sized(batch, *args, **kwargs):
+            sizes.append(len(batch.boxed))
+            return query_representation(batch, *args, **kwargs)
+
         monkeypatch.setattr(evaluation, "EVAL_CHUNK", chunk)
         monkeypatch.setattr(evaluation, "rank_gallery", recording)
+        monkeypatch.setattr(evaluation, "query_representation", sized)
         evaluate_model(params, bench)
-        expected_calls = sum(-(-len(bench.eval_quads_of(s)) // chunk) for s in bench.subsets)
-        assert len(calls) == expected_calls, chunk
+        counts = [len(bench.eval_quads_of(s)) for s in bench.subsets]
+        assert sizes == [min(chunk, n - at) for n in counts for at in range(0, n, chunk)], chunk
+        assert len(calls) == len(sizes), chunk
         by_chunk[chunk] = np.concatenate(calls, axis=1).tolist()  # (target, instance) x Q
     for chunk, ranks in by_chunk.items():
         assert ranks == by_chunk[EVAL_CHUNK], chunk

@@ -21,6 +21,7 @@ from focalcir.model import (
     QuerySample,
     TrainConfig,
     TrainExample,
+    assemble_queries,
     contrastive_loss,
     cropped,
     load_checkpoint,
@@ -262,6 +263,12 @@ def test_batched_query_rows_equal_per_sample(overrides, kwargs, view):
         assert type(applied[i]) is type(one)
     boxless = 3
     assert applied[boxless] == 0.0
+    # an assembled batch, encoded twice, gives the sequence's rows exactly
+    batch = assemble_queries(samples)
+    for _ in range(2):
+        again, given = query_representation(batch, params, **kwargs)
+        assert again.data.tobytes() == batched.data.tobytes()
+        assert all(np.array_equal(a, b) for a, b in zip(given, applied))
 
 
 def test_batched_target_rows_equal_per_sample():

@@ -10,6 +10,7 @@ import pytest
 
 import focalcir
 from focalcir.benchgen.filtering import PRESETS, FilterThresholds
+from focalcir.benchgen.gallery import GalleryEntry
 from focalcir.benchgen.io import ImageRecord
 from focalcir.benchgen.pipeline import BenchmarkSettings
 from focalcir.benchgen.quadruples import Quadruple
@@ -25,7 +26,7 @@ from focalcir.model import (
     ParamRecord,
     TrainConfig,
 )
-from focalcir.records import from_record
+from focalcir.records import ID, from_record
 
 
 @dataclass
@@ -118,13 +119,15 @@ CHECKED = [
     Quadruple(ref_image_id="fashion/c0/i0/im0", bbox=(0.1, 0.2, 0.5, 0.6),
               text_context_id="fashion/ctx1", target_image_id="fashion/c0/i0/im1",
               instance_id="fashion/c0/i0", category_id="fashion/c0", subset="fashion"),
+    GalleryEntry("fashion/c0/i0/im1", "fashion/c0/i0", "fashion/c0", True),
     SubsetMetrics(r_at_1=0.3, r_at_5=0.6, rid_at_1=0.5, n_queries=10),
     CheckpointHeader(version=1, meta={"final_loss": 0.5}, seed=0, model_config=ModelConfig(),
                      encoder=EncoderRecord(seed=0, d_latent=16, d_model=32, l_text=4),
                      params=(ParamRecord("w", (2, 2)),)),
 ]
 # a value that breaks each field rule, made from a value that keeps it
-BREAKS = {in_bounds: lambda box: (box[2], box[1], box[0], box[3])}  # swapped x corners
+BREAKS = {in_bounds: lambda box: (box[2], box[1], box[0], box[3]),  # swapped x corners
+          ID["rule"][0]: lambda _: ""}
 
 
 def declaring_classes():
@@ -140,14 +143,16 @@ def declaring_classes():
 
 
 def test_every_declaring_class_has_a_checked_record():
-    assert {ImageRecord, Quadruple, SubsetMetrics, CheckpointHeader} <= declaring_classes()
+    assert {ImageRecord, Quadruple, GalleryEntry, SubsetMetrics,
+            CheckpointHeader} <= declaring_classes()
     assert declaring_classes() <= {type(r) for r in CHECKED}
 
 
 def broken(record, data, path):
     """Breaks, in `data` (the record as a dict), the first field of the record
     or of a record nested in it that declares a lower bound, setting it one
-    below; else the first field with a rule. Returns the dotted key named."""
+    below; else the last field with a rule (an ImageRecord's box, a
+    Quadruple's category_id). Returns the dotted key named."""
     for f in fields(record):
         if {"ge", "gt"} & f.metadata.keys():
             bad = f.metadata.get("ge", f.metadata.get("gt")) - 1
@@ -159,7 +164,7 @@ def broken(record, data, path):
         value = getattr(record, f.name)
         if is_dataclass(value) and (key := broken(value, data[f.name], f"{path}.{f.name}")):
             return key
-    for f in fields(record):
+    for f in reversed(fields(record)):
         if "rule" in f.metadata:
             data[f.name] = BREAKS[f.metadata["rule"][0]](data[f.name])
             return f"{path}.{f.name}"
