@@ -67,10 +67,8 @@ class Benchmark:
     made with dataclasses.replace shares them with its parent. `_patches`
     holds the patch embeddings of the images queries refer to (about 64 x
     32 floats each on the default world); gallery images are encoded
-    without it. `eval_inputs` is evaluation's memo of a view's assembled
-    query inputs (see focalcir.evaluation), about 35 MB per roi_crop value on
-    the default world; it is not an init field, so a replace view starts
-    without it."""
+    without it. What evaluation reuses across calls it keeps in its own
+    scope, with the view as owner (see focalcir.evaluation), not here."""
 
     world: SyntheticWorld
     encoders: EncoderParams
@@ -83,7 +81,6 @@ class Benchmark:
     _by_id: dict[str, SyntheticImage] = field(default_factory=dict, repr=False)
     _patches: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
     _texts: dict[str, TextEmbedding] = field(default_factory=dict, repr=False)
-    eval_inputs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for im in list(self.world.images) + list(self.world.reserve_images):

@@ -43,16 +43,14 @@ from focalcir.model import (
     ModelParams,
     QuerySample,
     TrainExample,
-    contrastive_loss,
     load_checkpoint,
-    query_representation,
     save_checkpoint,
+    step_loss,
     subset_list_rule,
-    target_representation,
     train,
 )
 from focalcir.numerics.gradcheck import finite_diff_grad, max_rel_error
-from focalcir.numerics.tensor import Tape, backward, concat_rows
+from focalcir.numerics.tensor import Tape, backward
 from focalcir.records import write_json
 
 
@@ -340,10 +338,8 @@ def _gradcheck_model(seed: int):
 def cmd_gradcheck(cfg: RunConfig) -> int:
     params, examples = _gradcheck_model(cfg.seed)
 
-    def forward():
-        fq = [query_representation(ex.query, params)[0] for ex in examples]
-        ft = [target_representation(ex.target_patches, params) for ex in examples]
-        return contrastive_loss(concat_rows(fq), concat_rows(ft), params.tau)
+    def forward():  # the batched forward a training step runs, adaptive
+        return step_loss(params, examples, None)[0]
 
     tape = Tape()
     with tape:

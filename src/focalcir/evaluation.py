@@ -17,18 +17,20 @@ builds a region bias), so the box-less setting is beta_override=0.0.
 RankingResult and the recall functions read the same metrics off a full
 gallery order; the metric oracle uses them.
 
-A view keeps what does not depend on the setting: evaluate_model stores, in
-the view's `eval_inputs`, each subset's (2, Q, G) positives and, per chunk
-of EVAL_CHUNK queries, the assembled `QueryBatch` (stacked patches and key
-mask, their transposed copy, the text stack, the region-mask rows), keyed
-by (subset, roi_crop, EVAL_CHUNK) and built chunk by chunk as a first call
-reaches them. Every later call on the same view, such as the beta sweep's
-rows, reads them back. A dataclasses.replace view starts with none, so a
-view with moved boxes, reordered queries or another gallery assembles its
-own. A view's kept inputs take about 35 MB per roi_crop value on the
-default world. Gallery chunks are encoded from their images' latent grids
-with one projection each, so the gallery's patches (29 MB there) are not
-kept.
+What does not depend on the setting is kept (`fusion.kept`) in the
+`one_parameter_state` scope that evaluate_model opens or joins: each
+subset's gallery embeddings, owned by (params, its manifest), and one dict,
+owned by the view, of each subset's (2, Q, G) positives and per-chunk
+`QueryBatch` (stacked patches and key mask, their transposed copy, the text
+stack, the region-mask rows), keyed by (subset, roi_crop, EVAL_CHUNK) and
+filled as a first call reaches each chunk. Later calls in one open scope,
+such as the beta sweep's rows, read them back; another view replaces the
+dict whole, so one view's inputs (about 35 MB per roi_crop value on the
+default world) are kept at a time, and a view with another manifest encodes
+its own gallery. A view replaces quadruples or galleries, never the world
+or encoders. A lone call frees everything when it returns. Gallery chunks
+are encoded from their images' latent grids with one projection each, so
+the gallery's patches (29 MB there) are not kept.
 """
 
 from __future__ import annotations
@@ -41,10 +43,9 @@ from focalcir.benchgen.pipeline import Benchmark
 from focalcir.benchgen.quadruples import Quadruple
 from focalcir.encoders import encode_images
 from focalcir.errors import ContractError
-from focalcir.fusion import shared_merged_weights
+from focalcir.fusion import kept, one_parameter_state
 from focalcir.model import (
     ModelParams,
-    QueryBatch,
     QuerySample,
     TrainExample,
     assemble_queries,
@@ -251,16 +252,9 @@ def gallery_embeddings(params: ModelParams, bench: Benchmark, subset: str) -> np
     return np.concatenate(chunks)
 
 
-def _subset_inputs(bench: Benchmark, subset: str, roi_crop: bool
-                   ) -> tuple[list[Quadruple], np.ndarray, list[QueryBatch]]:
-    """The view's memo entry for one subset: its eval quadruples, their
-    (2, Q, G) positives (the exact target, then every candidate showing the
-    instance) and the list of query chunks assembled so far, which
-    evaluate_model extends as it reaches them. Keyed by EVAL_CHUNK too, so
-    a changed chunk size re-chunks."""
-    key = (subset, roi_crop, EVAL_CHUNK)
-    if key in bench.eval_inputs:
-        return bench.eval_inputs[key]
+def _subset_inputs(bench: Benchmark, subset: str) -> tuple[list[Quadruple], np.ndarray]:
+    """One subset's eval quadruples and their (2, Q, G) positives: the exact
+    target, then every candidate showing the instance."""
     quads = bench.eval_quads_of(subset)
     if not quads:
         raise ContractError(f"subset {subset} has no eval quadruples")
@@ -274,12 +268,10 @@ def _subset_inputs(bench: Benchmark, subset: str, roi_crop: bool
     code: dict[str, int] = {}
     instances = np.array([code.setdefault(e.instance_id, len(code)) for e in manifest.entries])
     wanted = np.array([code.get(q.instance_id, -1) for q in quads])
-    positives = np.stack([
+    return quads, np.stack([
         targets[:, None] == np.arange(len(manifest.entries)),
         wanted[:, None] == instances,
     ])
-    bench.eval_inputs[key] = (quads, positives, [])
-    return bench.eval_inputs[key]
 
 
 def evaluate_model(
@@ -290,34 +282,29 @@ def evaluate_model(
     roi_crop: bool = False,
     config_hash: str = "",
     seed: int = 0,
-    gallery_cache: dict[str, np.ndarray] | None = None,
 ) -> MetricsReport:
-    """MetricsReport over the eval split.
-
-    gallery_cache holds per-subset embedding matrices for THESE params and is
-    filled on miss. The positives and assembled query chunks are kept on
-    `bench` (its eval_inputs) for every later call on the same view.
-    """
+    """MetricsReport over the eval split, in a `one_parameter_state` scope
+    that joins the caller's: the galleries, and this view's positives and
+    query chunks, are reused by every later call in an open scope."""
     chosen = subsets if subsets is not None else bench.subsets
     unknown = [s for s in chosen if s not in bench.galleries]
     if unknown:
         raise ContractError(f"no gallery for subsets {unknown}")
     per_subset: dict[str, SubsetMetrics] = {}
-    # one parameter state for the whole call: every chunk shares each
-    # attention's merged weights
-    with shared_merged_weights():
+    with one_parameter_state():
+        # another view replaces this dict whole, so one view's inputs are kept
+        view = kept("eval view", (bench,), dict)
         for subset in chosen:
-            if gallery_cache is not None and subset in gallery_cache:
-                gal = gallery_cache[subset]
-            else:
-                gal = gallery_embeddings(params, bench, subset)
-                if gallery_cache is not None:
-                    gallery_cache[subset] = gal
+            gal = kept(("gallery", subset), (params, bench.galleries[subset]),
+                       lambda: gallery_embeddings(params, bench, subset))
             n_gallery = gal.shape[0]
             if n_gallery < 5:
                 raise ContractError(
                     f"R@5 needs 5 gallery images, subset {subset} has {n_gallery}")
-            quads, positives, chunks = _subset_inputs(bench, subset, roi_crop)
+            key = (subset, roi_crop, EVAL_CHUNK)  # a changed chunk size re-chunks
+            if key not in view:
+                view[key] = (*_subset_inputs(bench, subset), [])
+            quads, positives, chunks = view[key]
             ranks = []
             for i, at in enumerate(range(0, len(quads), EVAL_CHUNK)):
                 if i == len(chunks):

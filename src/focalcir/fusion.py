@@ -33,13 +33,18 @@ projects P, and one `attention` op runs all heads as an axis. b_V moves out
 because attention rows sum to 1; b_K cancels exactly (q . b_K is the same
 for every key of a row), so no attention has one. The four merged products
 (W_K^T and three `head_products`, then a `linear`) depend on the weights
-alone. Inside a `shared_merged_weights` scope they are built once per
-attention and reused by every pass: a training step opens one around its
-probe, query and target passes, so its tape holds each product once and
-backward sums every pass's gradient into it, and an evaluation opens one
-around all its chunks. Outside a scope each call builds its own. Once
-its products exist, a layer is a handful of tape ops: one `attention` per
-attention, one `residual_norm` per sub-layer and one `feed_forward`.
+alone. Once its products exist, a layer is a handful of tape ops: one
+`attention` per attention, one `residual_norm` per sub-layer and one
+`feed_forward`.
+
+`one_parameter_state` is the one reuse scope: inside it, `kept` builds a
+value once and reuses it while the same owner objects ask for it, as each
+attention's merged products (owner: its weights) and evaluation's galleries
+and query chunks are. A scope opened inside one of the same tape joins it;
+one opened under another tape starts its own. A training step opens one on
+its tape around its probe, query and target passes, so the tape holds each
+product once and backward sums every pass's gradient into it. Outside a
+scope every call builds its own.
 
 Batches: patches may be one image (n, d) or a batch (B, n, d), with one
 region-mask row (B, 1, n) and one beta (B, 1, 1) or (B, 1, M) per sample.
@@ -61,9 +66,10 @@ mask are one additive-logit term, the masked attention of Vaswani et al.
 from __future__ import annotations
 
 import math
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -92,6 +98,8 @@ from focalcir.numerics.tensor import (
 
 if TYPE_CHECKING:  # model imports this module
     from focalcir.model import ModelConfig
+
+T = TypeVar("T")
 
 
 def region_mask_from_bbox(boxes: Sequence[BBox], grid: tuple[int, int]) -> np.ndarray:
@@ -238,23 +246,42 @@ def _merged_products(params: AttentionParams, n_heads: int) -> tuple[Tensor, ...
             head_products(params.wv, wo, n_heads, stack_rows=True), linear(params.bv, wo, bo))
 
 
-# the open scopes of `shared_merged_weights`, innermost last: each holds the
-# tape it opened under and the products it built, by attention and head count
+# the open scopes of `one_parameter_state`, innermost last: each holds the
+# tape it opened under and its kept values, by key, with their owners
 _SCOPES: list[tuple[Tape | None, dict]] = []
 
 
 @contextmanager
-def shared_merged_weights() -> Iterator[None]:
-    """Within it, each attention's merged products are built on first use
-    and reused by every later pass, on the tape that was open when it
-    opened; outside it, every call builds its own. It holds one parameter
-    state: close it before the weights change (an optimizer step, a
-    checkpoint load, a gradcheck's perturbation)."""
-    _SCOPES.append((active_tape(), {}))
+def one_parameter_state() -> Iterator[None]:
+    """Within it, `kept` builds each value once and reuses it; outside it,
+    every call builds its own. A scope opened inside one of the same tape
+    joins it, and one opened under another tape starts its own. It holds
+    one parameter state: close it before the weights change (an optimizer
+    step, a checkpoint load, a gradcheck's perturbation)."""
+    tape = active_tape()
+    joined = bool(_SCOPES) and _SCOPES[-1][0] is tape
+    _SCOPES.append((tape, _SCOPES[-1][1] if joined else {}))
     try:
         yield
     finally:
         _SCOPES.pop()
+
+
+def kept(key: Hashable, owners: tuple, build: Callable[[], T]) -> T:
+    """build(), kept under key in the open scope and reused while the same
+    owner objects ask for it; other owners replace it. The entry holds its
+    owners, so an id in a key stays theirs. Owners must not change in place
+    while the scope is open."""
+    if not _SCOPES:
+        return build()
+    tape, store = _SCOPES[-1]
+    if active_tape() is not tape:  # what it built there would get no gradient here
+        raise ContractError("a kept value was asked for under another tape "
+                            "than the one its scope opened under")
+    entry = store.get(key)
+    if entry is None or not all(map(operator.is_, entry[0], owners)):
+        store[key] = entry = (owners, build())
+    return entry[1]
 
 
 def _attention(
@@ -265,17 +292,8 @@ def _attention(
     bias: Tensor | None = None,
     keys_t: np.ndarray | None = None,
 ) -> Tensor:
-    if not _SCOPES:
-        products = _merged_products(params, n_heads)
-    else:
-        tape, built = _SCOPES[-1]
-        if active_tape() is not tape:  # products on another tape get no gradient
-            raise ContractError("merged attention weights were asked for under another tape "
-                                "than the one their scope opened under")
-        key = (id(params), n_heads)
-        if key not in built:  # params ride along, so their id is not reused
-            built[key] = (params, _merged_products(params, n_heads))
-        products = built[key][1]
+    products = kept(("merged products", id(params), n_heads), (params,),
+                    lambda: _merged_products(params, n_heads))
     d_model = params.wq.data.shape[1]  # head_products has checked that n_heads splits it
     # the bias lands on raw logits, before 1/sqrt(d_k) scaling, in every head
     return attention(tokens, kv, *products, bias, 1.0 / math.sqrt(d_model // n_heads), keys_t)

@@ -8,10 +8,12 @@ The harnesses that train read their quadruples through
 Benchmark.train_quads_of, so train.subsets holds for every trained row; the
 ROI-crop model trains on the `cropped` view of each query, at beta 0, and
 drops no query, since every box a benchmark holds covers a patch center
-(the loader checks it). Each harness reuses one gallery-embedding cache per
-trained model (target embeddings do not depend on the modulation applied to
-queries); rows on one view, as the sweep's are, also share the query inputs
-evaluate_model keeps on it, while each robustness view assembles its own.
+(the loader checks it). The sweep and the robustness rows run in one
+`one_parameter_state` scope, which each evaluate_model joins: the rows share
+each attention's merged weights and the gallery embeddings (target
+embeddings do not depend on the modulation applied to queries), rows on one
+view, as the sweep's are, also share its query inputs, and each robustness
+view assembles its own.
 Every table is written by metrics_table_text alongside the
 structured per-row metrics.
 """
@@ -29,6 +31,7 @@ from focalcir.benchgen.pipeline import Benchmark
 from focalcir.benchgen.quadruples import Quadruple
 from focalcir.caam import CRM_VARIANTS, OUTPUT_FORMS
 from focalcir.evaluation import MetricsReport, evaluate_model, train_examples
+from focalcir.fusion import one_parameter_state
 from focalcir.geometry import iou, perturb_bbox
 from focalcir.model import ModelConfig, ModelParams, TrainConfig, cropped, train
 
@@ -77,21 +80,16 @@ def beta_sweep(
 ) -> SweepTable:
     """Fixed-β rows over units·sqrt(d_k), then the adaptive row."""
     scale = sqrt_dk(params.config)
-    cache: dict[str, np.ndarray] = {}
     table = SweepTable()
-    for u in units:
-        report = evaluate_model(
-            params, bench, beta_override=u * scale,
-            config_hash=config_hash, seed=seed, gallery_cache=cache,
-        )
-        table.rows.append(
-            SweepRow(label=f"{u:g}*sqrt(dk)", beta_units=u, beta_value=u * scale,
-                     metrics=report)
-        )
-    adaptive = evaluate_model(
-        params, bench, beta_override=None,
-        config_hash=config_hash, seed=seed, gallery_cache=cache,
-    )
+    with one_parameter_state():
+        for u in units:
+            report = evaluate_model(params, bench, beta_override=u * scale,
+                                    config_hash=config_hash, seed=seed)
+            table.rows.append(
+                SweepRow(label=f"{u:g}*sqrt(dk)", beta_units=u, beta_value=u * scale,
+                         metrics=report)
+            )
+        adaptive = evaluate_model(params, bench, config_hash=config_hash, seed=seed)
     table.rows.append(SweepRow(label="adaptive", beta_units=None, beta_value=None,
                                metrics=adaptive))
     return table
@@ -187,22 +185,19 @@ def robustness_eval(
     Each row evaluates a view whose eval quadruples carry perturbed boxes;
     the achieved IoU is averaged in evaluation order (subsets sorted, then
     file order), which a stable sort on the subset gives."""
-    cache: dict[str, np.ndarray] = {}
     quads = sorted(bench.eval_quads, key=lambda q: q.subset)
     rows = []
-    for target, mode in PERTURBATIONS:
-        moved = [replace(q, bbox=perturb_bbox(q.bbox, mode, target, _query_rng(seed, q)))
-                 for q in quads]
-        report = evaluate_model(
-            params, replace(bench, eval_quads=moved),
-            config_hash=config_hash, seed=seed, gallery_cache=cache,
-        )
-        mean_iou = float(np.mean([iou(q.bbox, m.bbox) for q, m in zip(quads, moved)]))
-        rows.append(RobustnessRow(label=f"iou={target:g} {mode}", target_iou=target, mode=mode,
-                                  achieved_mean_iou=mean_iou, metrics=report))
-    report = evaluate_model(
-        params, bench, beta_override=0.0, config_hash=config_hash, seed=seed, gallery_cache=cache,
-    )
+    with one_parameter_state():
+        for target, mode in PERTURBATIONS:
+            moved = [replace(q, bbox=perturb_bbox(q.bbox, mode, target, _query_rng(seed, q)))
+                     for q in quads]
+            report = evaluate_model(params, replace(bench, eval_quads=moved),
+                                    config_hash=config_hash, seed=seed)
+            mean_iou = float(np.mean([iou(q.bbox, m.bbox) for q, m in zip(quads, moved)]))
+            rows.append(RobustnessRow(label=f"iou={target:g} {mode}", target_iou=target,
+                                      mode=mode, achieved_mean_iou=mean_iou, metrics=report))
+        report = evaluate_model(params, bench, beta_override=0.0,
+                                config_hash=config_hash, seed=seed)
     rows.append(RobustnessRow(label="no-bbox", target_iou=None, mode=None,
                               achieved_mean_iou=None, metrics=report))
     return rows

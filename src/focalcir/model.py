@@ -37,8 +37,8 @@ from focalcir.fusion import (
     encode_target,
     init_fusion_params,
     multimodal_encode,
+    one_parameter_state,
     region_mask_from_bbox,
-    shared_merged_weights,
     stack_patches,
 )
 from focalcir.geometry import BBox
@@ -389,7 +389,7 @@ def step_loss(
     sample's applied modulation. The probe, query and target passes share
     each attention's merged weights, in a scope that closes with the
     forward passes, before backward and the optimizer change the weights."""
-    with shared_merged_weights():
+    with one_parameter_state():
         f_q, applied = query_representation(
             [ex.query for ex in batch], params, beta_override=fixed_beta
         )

@@ -26,6 +26,7 @@ from focalcir.evaluation import (
     train_examples,
 )
 from focalcir import evaluation
+from focalcir.fusion import one_parameter_state
 from focalcir.harness import beta_sweep
 from focalcir.model import (
     ModelConfig,
@@ -363,14 +364,35 @@ def test_evaluate_model_report_shape(tiny_bench, tiny_model):
     assert report.macro.r_at_1 == m.r_at_1
 
 
-def test_gallery_cache_reuse(tiny_bench, tiny_model):
-    cache: dict[str, np.ndarray] = {}
-    first = evaluate_model(tiny_model, tiny_bench, gallery_cache=cache)
-    assert "fashion" in cache
-    second = evaluate_model(tiny_model, tiny_bench, gallery_cache=cache)
-    assert first.to_dict() == second.to_dict()
-    direct = gallery_embeddings(tiny_model, tiny_bench, "fashion")
-    assert np.array_equal(cache["fashion"], direct)
+def test_one_scope_builds_a_views_gallery_and_query_chunks_once(tiny_bench, tiny_model,
+                                                               monkeypatch):
+    calls = {"gallery_embeddings": 0, "assemble_queries": 0}
+    for name in calls:
+        def spy(*args, _real=getattr(evaluation, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(evaluation, name, spy)
+    monkeypatch.setattr(evaluation, "EVAL_CHUNK", 2)
+    n_chunks = -(-len(tiny_bench.eval_quads) // 2)
+    targets = {q.target_image_id for q in tiny_bench.eval_quads}
+    filtered = dataclasses.replace(tiny_bench, galleries={"fashion": GalleryManifest(
+        [e for i, e in enumerate(tiny_bench.galleries["fashion"].entries)
+         if e.image_id in targets or i % 2])})
+
+    def built_by(*args):
+        """The report of one call and the builds it made."""
+        before = dict(calls)
+        report = evaluate_model(tiny_model, *args)
+        return report, (calls["gallery_embeddings"] - before["gallery_embeddings"],
+                        calls["assemble_queries"] - before["assemble_queries"])
+
+    lone, _ = built_by(tiny_bench)
+    with one_parameter_state():
+        assert built_by(tiny_bench) == (lone, (1, n_chunks))
+        assert built_by(tiny_bench) == (lone, (0, 0))  # the same view: nothing built
+        assert built_by(filtered)[1] == (1, n_chunks)  # its own gallery and chunks
+    assert built_by(tiny_bench) == (lone, (1, n_chunks))  # a closed scope keeps nothing
 
 
 def test_beta_override_zero_equals_zero_head_adaptive(tiny_bench):
@@ -452,8 +474,9 @@ def _fresh(view: Benchmark) -> Benchmark:
 @pytest.mark.parametrize("chunk", [2, EVAL_CHUNK])
 def test_a_view_evaluated_after_its_parent_ranks_as_a_fresh_benchmark(tiny_bench, tiny_model,
                                                                       monkeypatch, chunk):
-    # evaluate_model keeps a view's assembled inputs on it; a
-    # dataclasses.replace view must start without its parent's
+    # in one open scope, evaluate_model keeps a view's assembled inputs
+    # with the view as owner; a dataclasses.replace view must not read its
+    # parent's, nor a fresh benchmark a view's
     monkeypatch.setattr(evaluation, "EVAL_CHUNK", chunk)
     shuffled = list(tiny_bench.eval_quads)
     random.Random(1).shuffle(shuffled)
@@ -472,14 +495,16 @@ def test_a_view_evaluated_after_its_parent_ranks_as_a_fresh_benchmark(tiny_bench
         return (np.concatenate([q for q, _, _ in rows]).tobytes(),
                 np.concatenate([r for _, _, r in rows], axis=1).tolist())
 
-    # the parent is evaluated first, so its inputs are kept before any view exists
-    _, parent = ranked_rows(tiny_model, tiny_bench, monkeypatch, beta_override=4.0)
-    for name, make in views.items():
-        view = make(tiny_bench)
-        report, rows = ranked_rows(tiny_model, view, monkeypatch, beta_override=4.0)
-        fresh_report, fresh = ranked_rows(tiny_model, _fresh(view), monkeypatch, beta_override=4.0)
-        assert report == fresh_report and seen(rows) == seen(fresh), name
-        assert seen(rows) != seen(parent), name  # the view does rank otherwise
+    with one_parameter_state():
+        # the parent is evaluated first, so its inputs are kept before any view exists
+        _, parent = ranked_rows(tiny_model, tiny_bench, monkeypatch, beta_override=4.0)
+        for name, make in views.items():
+            view = make(tiny_bench)
+            report, rows = ranked_rows(tiny_model, view, monkeypatch, beta_override=4.0)
+            fresh_report, fresh = ranked_rows(tiny_model, _fresh(view), monkeypatch,
+                                              beta_override=4.0)
+            assert report == fresh_report and seen(rows) == seen(fresh), name
+            assert seen(rows) != seen(parent), name  # the view does rank otherwise
 
 
 @pytest.mark.parametrize("chunk", [2, EVAL_CHUNK])

@@ -22,10 +22,11 @@ from focalcir.fusion import (
     _logit_bias,
     encode_target,
     init_fusion_params,
+    kept,
     modulated_cross_attention,
     multimodal_encode,
+    one_parameter_state,
     region_mask_from_bbox,
-    shared_merged_weights,
     stack_patches,
 )
 
@@ -678,7 +679,7 @@ def test_a_scope_builds_each_attentions_products_once_and_computes_the_same():
                 for beta in (0.0, 2.0)]
 
     counts, outputs = [], []
-    for scope in (contextlib.nullcontext, shared_merged_weights):
+    for scope in (contextlib.nullcontext, one_parameter_state):
         tape = Tape()
         with tape, scope():
             outputs.append(passes())
@@ -693,12 +694,73 @@ def test_products_asked_for_under_another_tape_raise():
     # products built on one tape would get no gradient from another's backward
     enc, patches, text = make_world_inputs()
     fusion = fusion_of(np.random.default_rng(1), 16, m_queries=4, n_blocks=1)
-    with Tape(), shared_merged_weights(), Tape():
+    with Tape(), one_parameter_state(), Tape():
         with pytest.raises(ContractError, match="under another tape"):
             multimodal_encode(patches, text, fusion)
-    with shared_merged_weights(), Tape():  # a scope opened with no tape
+    with one_parameter_state(), Tape():  # a scope opened with no tape
         with pytest.raises(ContractError, match="under another tape"):
             multimodal_encode(patches, text, fusion)
+
+
+def test_a_scope_inside_one_of_the_same_tape_joins_it_and_another_tape_starts_its_own():
+    owner, built = object(), []
+
+    def build():
+        built.append(len(built))
+        return built[-1]
+
+    with one_parameter_state():
+        assert kept("k", (owner,), build) == 0
+        with one_parameter_state():  # no tape, as the outer scope: joined
+            assert kept("k", (owner,), build) == 0
+            assert kept("k", (object(),), build) == 1  # another owner replaces it
+        assert kept("k", (owner,), build) == 2
+        with Tape(), one_parameter_state():  # its own scope
+            assert kept("k", (owner,), build) == 3
+        assert kept("k", (owner,), build) == 2
+    assert [kept("k", (owner,), build) for _ in range(2)] == [4, 5]  # no scope
+
+
+def test_a_training_step_inside_an_open_scope_computes_as_outside_any():
+    # step_loss opens its scope on the step's tape, so it never joins a
+    # tape-less one and never reads products built before the weights moved
+    rng = np.random.default_rng(9)
+    enc = EncoderParams(seed=9, d_latent=4, d_model=8, l_text=2)
+    config = model.ModelConfig(d_model=8, d_embed=8, m_queries=2, k_probes=2, l_text=2,
+                               n_blocks=2, crm_layers=1)
+    params = model.ModelParams(config, enc, seed=9, zero_modulation_head=False)
+    examples = [model.TrainExample(
+        query=model.QuerySample(
+            patches=rng.normal(size=(4, 8)), grid=(2, 2), bbox=(0.1, 0.1, 0.6, 0.6),
+            text=embed_text(ContextDescriptor("ctx", rng.normal(size=4)), enc)),
+        target_patches=rng.normal(size=(4, 8))) for _ in range(3)]
+    start = [t.data.copy() for _, t in params.named_params()]
+
+    def two_steps():
+        """Each step's loss and gradients, the weights moved between them."""
+        for (_, t), data in zip(params.named_params(), start):
+            t.data = data.copy()
+        out = []
+        for _ in range(2):
+            tape = Tape()
+            with tape:
+                loss, _ = model.step_loss(params, examples, None)
+            backward(loss, tape)
+            grads = [t.grad.copy() for _, t in params.named_params() if t.grad is not None]
+            out.append((loss.item(), grads))
+            for _, t in params.named_params():
+                if t.grad is not None:
+                    t.data = t.data - 0.5 * t.grad
+            tape.clear()
+        return out
+
+    outside = two_steps()
+    with one_parameter_state():
+        inside = two_steps()
+    assert outside[0][0] != outside[1][0]  # the weights did move
+    for (loss, grads), (loss_in, grads_in) in zip(outside, inside):
+        assert loss == loss_in and len(grads) == len(grads_in)
+        assert all(np.array_equal(g, g_in) for g, g_in in zip(grads, grads_in))
 
 
 @pytest.mark.parametrize("kwargs", [{"n_blocks": 0}, {"m_queries": 0}, {"n_heads": 0},
