@@ -162,9 +162,6 @@ class SubsetMetrics:
     rid_at_1: float = field(metadata={"ge": 0.0, "le": 1.0})
     n_queries: int
 
-    def validate(self) -> None:
-        from_record(SubsetMetrics, asdict(self), ContractError)
-
     def rules(self) -> str | None:
         if self.r_at_1 > self.r_at_5 + 1e-12:
             return f"r_at_1 {self.r_at_1} exceeds r_at_5 {self.r_at_5}"

@@ -13,7 +13,11 @@ With beta = 0 the bias vanishes bit-for-bit, so the unmodulated model is the
 exact beta=0 special case. Beta may be a plain float, a differentiable 1x1
 tensor (scalar form), or a 1xM tensor (vector form) that biases fusion-query
 rows individually; with the vector form, the caller's and text rows get no
-bias.
+bias. One rule, `_logit_bias`, checks the mask and builds the bias for every
+form: a column of per-row strengths (the float or 1x1 beta for every row,
+or the vector beta over the fusion-query rows between zeros) times the mask
+rows, in one matmul. Each of its products has one term, so the bias rounds
+as the elementwise beta * mask does.
 There are no positional embeddings: tokens interact as a set, and spatial
 selection enters only through the mask.
 
@@ -90,7 +94,6 @@ from focalcir.numerics.tensor import (
     linear,
     matmul,
     residual_norm,
-    scalar_times_const,
     slice_rows,
     transpose,
     transposed_keys,
@@ -196,26 +199,40 @@ class FusionParams:
 
 
 def _logit_bias(
-    mask_values: np.ndarray | None,
+    mask: np.ndarray | None,
     beta,
+    n_keys: int,
     n_rows: int,
     fq_span: tuple[int, int],
     key_mask: np.ndarray | None,
 ) -> Tensor | None:
     """The additive cross-attention logit term: beta * mask plus the key mask.
 
-    mask_values is (1, n) or (B, 1, n). Scalar beta biases every query row;
-    vector beta biases only the fusion-query rows (row m gets beta_m). None
-    means no bias at all, so beta = 0 without padding is plain attention."""
-    if mask_values is None or (isinstance(beta, (int, float)) and float(beta) == 0.0):
+    mask is an (n,) row or (B, 1, n) rows over n_keys keys, every entry
+    exactly 0 or 1; without one, beta must be exactly a scalar 0. A non-zero
+    beta is a column of per-row strengths times the mask rows, in one
+    matmul: a float or a 1x1 tensor is one strength for every query row; a
+    1xM tensor gives fusion-query row m beta_m and every other row 0. Each
+    product of that matmul has one term, so it rounds as beta * mask does.
+    None means no bias at all, so beta = 0 without padding is plain
+    attention."""
+    zero = isinstance(beta, (int, float)) and float(beta) == 0.0
+    if mask is not None:
+        region = constant(mask)  # an (n,) row becomes (1, n)
+        if not np.all((region.data == 0.0) | (region.data == 1.0)):
+            raise ContractError("region mask entries must be exactly 0 or 1")
+        if region.data.shape[-1] != n_keys:
+            raise ContractError(f"mask covers {region.data.shape[-1]} keys but there are {n_keys}")
+    elif not zero:
+        raise ContractError("a non-zero beta requires a region mask")
+    if zero:
         return None if key_mask is None else constant(key_mask)
     if isinstance(beta, (int, float)):
-        fixed = float(beta) * mask_values
-        return constant(fixed if key_mask is None else fixed + key_mask)
-    if not isinstance(beta, Tensor):
+        strengths = constant([[float(beta)]])
+    elif not isinstance(beta, Tensor):
         raise ContractError(f"beta must be a float or Tensor, got {type(beta).__name__}")
-    if beta.data.shape[-2:] == (1, 1):
-        bias = scalar_times_const(beta, mask_values)
+    elif beta.data.shape[-2:] == (1, 1):
+        strengths = beta
     else:
         if beta.data.shape[-2] != 1:
             raise ContractError(f"vector beta must be 1 x m, got {beta.data.shape}")
@@ -224,14 +241,9 @@ def _logit_bias(
             raise ContractError(
                 f"vector beta has {beta.data.shape[-1]} entries for {stop - start} fusion queries"
             )
-        n = mask_values.shape[-1]
-        bias = matmul(transpose(beta), constant(mask_values))  # (m, n) differentiable outer
-        parts = [bias]
-        if start > 0:
-            parts.insert(0, constant(np.zeros((start, n))))
-        if stop < n_rows:
-            parts.append(constant(np.zeros((n_rows - stop, n))))
-        bias = concat_rows(parts) if len(parts) > 1 else bias
+        strengths = concat_rows([constant(np.zeros((start, 1))), transpose(beta),
+                                 constant(np.zeros((n_rows - stop, 1)))])
+    bias = matmul(strengths, region)
     return bias if key_mask is None else add_bias(bias, constant(key_mask))
 
 
@@ -299,25 +311,6 @@ def _attention(
     return attention(tokens, kv, *products, bias, 1.0 / math.sqrt(d_model // n_heads), keys_t)
 
 
-def _mask_rows(mask: np.ndarray | None, beta, n_keys: int) -> np.ndarray | None:
-    """The region mask as (1, n) or (B, 1, n) rows over n_keys keys, or None.
-
-    Without a mask, beta must be exactly a scalar 0; mask entries must be
-    exactly 0 or 1."""
-    if mask is None:
-        if not (isinstance(beta, (int, float)) and float(beta) == 0.0):
-            raise ContractError("a non-zero beta requires a region mask")
-        return None
-    values = np.asarray(mask, dtype=np.float64)
-    if values.ndim == 1:
-        values = values[None, :]
-    if not np.all((values == 0.0) | (values == 1.0)):
-        raise ContractError("region mask entries must be exactly 0 or 1")
-    if values.shape[-1] != n_keys:
-        raise ContractError(f"mask covers {values.shape[-1]} keys but there are {n_keys}")
-    return values
-
-
 def modulated_cross_attention(
     queries: Tensor,
     kv: Tensor,
@@ -334,7 +327,7 @@ def modulated_cross_attention(
     Pass mask=None with beta=0 for plain cross-attention.
     """
     n_rows = queries.data.shape[-2]
-    bias = _logit_bias(_mask_rows(mask, beta, kv.data.shape[-2]), beta, n_rows, (0, n_rows), None)
+    bias = _logit_bias(mask, beta, kv.data.shape[-2], n_rows, (0, n_rows), None)
     return _attention(queries, kv, params, n_heads, bias)
 
 
@@ -435,7 +428,6 @@ def multimodal_encode(
         )
     if key_mask is not None and key_mask.shape[-1] != n_keys:
         raise ContractError(f"key mask covers {key_mask.shape[-1]} keys but image has {n_keys}")
-    mask_values = _mask_rows(mask, beta, n_keys)
 
     n_own, m = sum(t.data.shape[-2] for t in tokens), fusion.queries.data.shape[0]
     parts, index = [*tokens, fusion.queries], None
@@ -445,7 +437,7 @@ def multimodal_encode(
         parts.append(constant(text))
     sequence = concat_rows(parts) if len(parts) > 1 else parts[0]
 
-    bias = _logit_bias(mask_values, beta, sequence.data.shape[-2], (n_own, n_own + m), key_mask)
+    bias = _logit_bias(mask, beta, n_keys, sequence.data.shape[-2], (n_own, n_own + m), key_mask)
     if keys_t is None:
         keys_t = transposed_keys(kv.data)
     return run_layers(sequence, fusion.blocks, n_own or m, kv, bias, keys_t, index)

@@ -168,7 +168,7 @@ class QueryBatch:
     keys_t: np.ndarray  # transposed_keys(patches), shared by the probe and query passes
     text: np.ndarray  # (B, l_text, d) text tokens
     mask_rows: np.ndarray | None  # (B, 1, n) region-mask rows; None when no sample has a box
-    boxed: list[bool]  # which samples have a box
+    boxed: np.ndarray  # (B,) bool: which samples have a box
 
 
 def assemble_queries(samples: Sequence[QuerySample]) -> QueryBatch:
@@ -180,7 +180,7 @@ def assemble_queries(samples: Sequence[QuerySample]) -> QueryBatch:
         patches=patches, key_mask=key_mask, keys_t=transposed_keys(patches),
         text=np.stack([s.text.tokens for s in samples]),
         mask_rows=_region_rows(samples, patches.shape[1]),
-        boxed=[s.bbox is not None for s in samples],
+        boxed=np.array([s.bbox is not None for s in samples]),
     )
 
 
@@ -288,32 +288,26 @@ def query_representation(
 ):
     """f_q plus the modulation actually applied, for one query or a batch.
 
-    One QuerySample gives a 1 x d_embed tensor and its applied modulation (a
-    float, or a 1 x M array in vector form). A sequence, or a QueryBatch
-    assembled from one, is encoded as one batch and gives B x d_embed rows
-    and a list of per-sample applied values. beta_override bypasses the
-    predictor entirely and applies the given constant. A box-less sample
-    gets a zero mask row, so its applied modulation is 0; a batch without
-    any box is encoded with no mask at all.
+    A sequence, or a QueryBatch assembled from one, is encoded as one batch
+    and gives B x d_embed rows and the applied modulation as one (B, 1, k)
+    array: k = M for a predicted vector-form beta, else 1. One QuerySample
+    gives a 1 x d_embed tensor and a (1, k) array. beta_override bypasses
+    the predictor entirely and applies the given constant. A box-less
+    sample gets a zero mask row, so its applied modulation is 0; a batch
+    without any box is encoded with no mask at all.
     """
     single = isinstance(samples, QuerySample)
     if isinstance(samples, QueryBatch):
         batch = samples
     else:
         batch = assemble_queries([samples] if single else list(samples))
-    applied: list = [0.0] * len(batch.boxed)
     beta = 0.0
     if batch.mask_rows is not None:
-        if beta_override is not None:
-            beta = float(beta_override)
-            applied = [beta if boxed else 0.0 for boxed in batch.boxed]
-        else:
-            beta = predict_beta(batch.patches, batch.text, params.fusion, params.caam,
-                                key_mask=batch.key_mask, keys_t=batch.keys_t)
-            applied = [
-                (float(b[0, 0]) if b.shape == (1, 1) else b.copy()) if boxed else 0.0
-                for boxed, b in zip(batch.boxed, beta.data)
-            ]
+        beta = (float(beta_override) if beta_override is not None else
+                predict_beta(batch.patches, batch.text, params.fusion, params.caam,
+                             key_mask=batch.key_mask, keys_t=batch.keys_t))
+    strengths = beta.data if isinstance(beta, Tensor) else beta
+    applied = np.where(batch.boxed[:, None, None], strengths, 0.0)
     cls_out = multimodal_encode(
         batch.patches, batch.text, params.fusion, mask=batch.mask_rows, beta=beta,
         tokens=(params.rep_cls,), key_mask=batch.key_mask, keys_t=batch.keys_t,
@@ -376,17 +370,11 @@ class TrainResult:
     steps: int = field(default=0, init=False)
 
 
-def _beta_scalar(applied) -> float:
-    if isinstance(applied, np.ndarray):
-        return float(np.mean(applied))
-    return float(applied)
-
-
 def step_loss(
     params: ModelParams, batch: Sequence[TrainExample], fixed_beta: float | None
-) -> tuple[Tensor, list]:
-    """A training step's forward passes, on the open tape: the loss and each
-    sample's applied modulation. The probe, query and target passes share
+) -> tuple[Tensor, np.ndarray]:
+    """A training step's forward passes, on the open tape: the loss and the
+    (B, 1, k) applied modulation. The probe, query and target passes share
     each attention's merged weights, in a scope that closes with the
     forward passes, before backward and the optimizer change the weights."""
     with one_parameter_state():
@@ -422,7 +410,7 @@ def train(params: ModelParams, examples: list[TrainExample], cfg: TrainConfig) -
             if not np.isfinite(loss.item()):  # stop before AdamW applies its gradients
                 raise ContractError(f"epoch {epoch + 1} step {len(epoch_losses) + 1}: "
                                     f"loss is {loss.item()}")
-            epoch_betas.extend(_beta_scalar(a) for a in applied)
+            epoch_betas.extend(applied.mean(axis=(1, 2)))
             backward(loss, tape)
             if adaptive:
                 adam_step(groups["caam"], [p.grad for p in groups["caam"]], states["caam"])

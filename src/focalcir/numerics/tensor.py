@@ -178,14 +178,10 @@ def _batch_size(op: str, *arrays: np.ndarray) -> int | None:
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a gradient over the axes its input was broadcast along."""
-    if g.shape == shape:
-        return g
-    if g.ndim > len(shape):
-        g = g.sum(axis=0)
-    if g.ndim == 3 and shape[0] == 1:
-        g = g.sum(axis=0, keepdims=True)
-    return g
+    """Sum a gradient over the batch axis its unbatched input was broadcast
+    along. A batched input's gradient has its shape already: `_batch_size`
+    lets no batch of 1 meet a larger one."""
+    return g.sum(axis=0) if g.ndim > len(shape) else g
 
 
 def _swap(a: np.ndarray) -> np.ndarray:
@@ -340,30 +336,6 @@ def add_bias(x: Tensor, bias: Tensor) -> Tensor:
         tape._record(
             (x, bias), out,
             lambda g: (_unbroadcast(g, xs), _unbroadcast(g.sum(axis=-2, keepdims=True), bs)),
-        )
-    return out
-
-
-def scalar_times_const(s: Tensor, const: np.ndarray) -> Tensor:
-    """s[.., 1 x 1] * const, where const is a fixed float64 array.
-
-    Used to turn a differentiable scalar (the modulation output, one per
-    sample in a batch) into a bias row over constant mask values; d/ds is
-    sum(g * const) over each sample's last two axes.
-    """
-    if s.data.shape[-2:] != (1, 1):
-        raise ContractError(f"scalar_times_const needs a 1 x 1 tensor, got {s.data.shape}")
-    c = np.asarray(const, dtype=np.float64)
-    if c.ndim == 1:
-        c = c.reshape(1, -1)
-    _batch_size("scalar_times_const", s.data, c)
-    out = Tensor(s.data * c)
-    tape = _should_record(s)
-    if tape is not None:
-        shape = s.data.shape
-        tape._record(
-            (s,), out,
-            lambda g: (_unbroadcast((g * c).sum(axis=(-2, -1), keepdims=True), shape),),
         )
     return out
 

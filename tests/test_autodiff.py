@@ -167,8 +167,6 @@ def test_per_op_gradients_match_finite_differences():
     c = nm.parameter(rng.normal(size=(3, 5)) * 0.7)
     row = nm.parameter(rng.normal(size=(1, 5)) * 0.7)
     sq = nm.parameter(rng.normal(size=(4, 4)) * 0.7)
-    s = nm.parameter([[0.37]])
-    const = rng.normal(size=(1, 5))
     cb = nm.parameter(rng.normal(size=(2, 3, 5)) * 0.7)
     picks = nm.constant(rng.normal(size=(4, 3, 5)))
 
@@ -178,10 +176,6 @@ def test_per_op_gradients_match_finite_differences():
         "scale": (lambda: nm.sum_all(nm.mul(nm.scale(c, 2.5), c)), [c]),
         "add_bias": (lambda: nm.sum_all(nm.mul(nm.add_bias(c, row), c)), [c, row]),
         "linear": (lambda: nm.sum_all(nm.mul(nm.linear(a, b, row), c)), [a, b, row]),
-        "scalar_times_const": (
-            lambda: nm.sum_all(nm.mul(nm.add_bias(c, nm.scalar_times_const(s, const)), c)),
-            [s, c],
-        ),
         "l2_normalize_rows": (lambda: nm.sum_all(nm.mul(nm.l2_normalize_rows(c), c)), [c]),
         "mean_over_rows": (lambda: nm.sum_all(nm.mul(nm.mean_over_rows(c), row)), [c, row]),
         "transpose": (lambda: nm.sum_all(nm.mul(nm.transpose(c), nm.transpose(c))), [c]),
@@ -214,11 +208,8 @@ def test_batched_op_gradients_match_finite_differences():
     row = nm.parameter(rng.normal(size=(1, 5)) * 0.7)
     tok = nm.parameter(rng.normal(size=(2, 4)) * 0.7)
     per_sample_row = nm.parameter(rng.normal(size=(2, 1, 5)) * 0.7)
-    sb = nm.parameter(rng.normal(size=(2, 1, 1)))
-    s = nm.parameter([[0.37]])
     gain = nm.parameter(np.ones((1, 4)) + 0.1 * rng.normal(size=(1, 4)))
     shift = nm.parameter(rng.normal(size=(1, 4)) * 0.3)
-    mask = rng.normal(size=(2, 1, 3))
     weights = nm.constant(rng.normal(size=(2, 3, 5)))
 
     def lin():
@@ -245,11 +236,6 @@ def test_batched_op_gradients_match_finite_differences():
             lambda: nm.sum_all(nm.mul(nm.add_bias(lin(), per_sample_row), weights)),
             [xb, w, per_sample_row],
         ),
-        "scalar_times_const": (
-            lambda: square(nm.add_bias(gram(), nm.scalar_times_const(sb, mask))),
-            [sb, xb],
-        ),
-        "scalar_times_const_shared": (lambda: square(nm.scalar_times_const(s, mask)), [s]),
         "concat_rows_broadcast": (lambda: square(nm.concat_rows([tok, xb])), [tok, xb]),
         "residual_norm_l2_normalize": (
             lambda: nm.sum_all(

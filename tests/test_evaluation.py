@@ -300,14 +300,17 @@ def test_recall_rejects_oversized_k_and_empty_results():
 
 
 def test_metrics_report_validation():
-    good = SubsetMetrics(r_at_1=0.3, r_at_5=0.6, rid_at_1=0.5, n_queries=10)
-    good.validate()
-    with pytest.raises(ContractError):
-        SubsetMetrics(r_at_1=0.7, r_at_5=0.6, rid_at_1=0.8, n_queries=10).validate()
-    with pytest.raises(ContractError):
-        SubsetMetrics(r_at_1=0.7, r_at_5=0.8, rid_at_1=0.6, n_queries=10).validate()
-    with pytest.raises(ContractError):
-        SubsetMetrics(r_at_1=1.7, r_at_5=1.8, rid_at_1=1.9, n_queries=10).validate()
+    # a report's reader checks each entry by SubsetMetrics' ranges and rules
+    def check(m: SubsetMetrics) -> None:
+        from_record(SubsetMetrics, dataclasses.asdict(m), ContractError)
+
+    check(SubsetMetrics(r_at_1=0.3, r_at_5=0.6, rid_at_1=0.5, n_queries=10))
+    with pytest.raises(ContractError, match="r_at_1 0.7 exceeds r_at_5 0.6"):
+        check(SubsetMetrics(r_at_1=0.7, r_at_5=0.6, rid_at_1=0.8, n_queries=10))
+    with pytest.raises(ContractError, match="r_at_1 0.7 exceeds rid_at_1 0.6"):
+        check(SubsetMetrics(r_at_1=0.7, r_at_5=0.8, rid_at_1=0.6, n_queries=10))
+    with pytest.raises(ContractError, match="'r_at_1' must be >= 0.0 and <= 1.0, got 1.7"):
+        check(SubsetMetrics(r_at_1=1.7, r_at_5=1.8, rid_at_1=1.9, n_queries=10))
 
 
 def test_metrics_report_round_trip_and_text():
@@ -567,9 +570,10 @@ def test_a_boxless_query_ranks_as_a_beta_zero_query(tiny_bench, tiny_model):
         [dataclasses.replace(s, bbox=None) for s in samples], tiny_model)
     zero, zero_given = query_representation(samples, tiny_model, beta_override=0.0)
     assert no_box.data.tobytes() == zero.data.tobytes()
-    assert given == zero_given == [0.0] * len(samples)
+    assert given.shape == zero_given.shape == (len(samples), 1, 1)
+    assert not given.any() and not zero_given.any()
     _, live_given = query_representation(samples, tiny_model)
-    assert all(b != 0.0 for b in live_given)  # the head is live, so beta 0 is a choice
+    assert np.all(live_given != 0.0)  # the head is live, so beta 0 is a choice
 
 
 def test_roi_crop_path_runs(tiny_bench, tiny_model):

@@ -40,6 +40,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from focalcir import evaluation, model
 from focalcir.caam import CRM_VARIANTS, OUTPUT_FORMS
@@ -108,7 +109,7 @@ def query_ranks(params: ModelParams, bench: Benchmark, beta_override: float | No
             samples = [query_sample_of(bench, q) for q in quads[at : at + EVAL_CHUNK]]
             f_q, given = query_representation(samples, params, beta_override=beta_override)
             chunks.append(rank_gallery(f_q.data, gal, positives[:, at : at + EVAL_CHUNK]))
-            betas.extend(float(b) for b in given)
+            betas.extend(given[:, 0, 0].tolist())
         target, instance = np.concatenate(chunks, axis=1)
         ranks[subset] = {"target": target.tolist(), "instance": instance.tolist()}
         applied[subset] = betas
@@ -187,9 +188,18 @@ def test_default_benchmark_artifacts_match_fingerprint(tmp_path):
     )
 
 
-def _close(got: list[float], want: list[float]) -> bool:
+def _close(got: list[float], want: list[float], what: str) -> None:
+    """Every value within REL_TOL of its pinned one, relative to it; a
+    failure names the worst relative deviation, so a last-bit move shows
+    its margin."""
     got, want = np.asarray(got), np.asarray(want)
-    return got.shape == want.shape and bool(np.all(np.abs(got - want) <= REL_TOL * np.abs(want)))
+    assert got.shape == want.shape, f"{what}: {got.shape} values for {want.shape} pinned"
+    deviation = np.abs(got - want)
+    if not np.all(deviation <= REL_TOL * np.abs(want)):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            worst = np.max(np.where(deviation == 0.0, 0.0, deviation / np.abs(want)))
+        raise AssertionError(
+            f"{what}: worst relative deviation {worst:.2e} exceeds REL_TOL {REL_TOL:.0e}")
 
 
 def first_rank_move(got: dict, want: dict) -> str:
@@ -220,6 +230,17 @@ def test_first_rank_move_names_the_first_difference():
     assert first_rank_move({}, want) == "fashion target ranks missing"
 
 
+def test_close_names_the_worst_relative_deviation():
+    _close([1.0, -2.0, 0.0], [1.0, -2.0 * (1 + 5e-13), 0.0], "betas")
+    with pytest.raises(AssertionError, match=r"^betas: worst relative deviation 3\.00e-12 "
+                                              r"exceeds REL_TOL 1e-12$"):
+        _close([1.0 + 1e-12, 4.0 * (1 + 3e-12)], [1.0, 4.0], "betas")
+    with pytest.raises(AssertionError, match="worst relative deviation inf"):
+        _close([1e-300], [0.0], "losses")  # a pinned 0 allows no deviation
+    with pytest.raises(AssertionError, match=r"\(2,\) values for \(3,\) pinned"):
+        _close([1.0, 2.0], [1.0, 2.0, 3.0], "losses")
+
+
 def test_untrained_model_matches_fingerprint():
     fixture = json.loads(FIXTURE.read_text())
     hosts = f"fixture made on {fixture['host']!r}; this host is {host_line()!r}"
@@ -231,8 +252,8 @@ def test_untrained_model_matches_fingerprint():
                 f"seed {seed} {setting}: {first_rank_move(got['ranks'][setting], ranks)}; {hosts}")
             assert got["reports"][setting] == want["reports"][setting], (seed, setting)
         for subset, betas in want["betas"].items():
-            assert _close(got["betas"][subset], betas), f"seed {seed} {subset}: betas; {hosts}"
-        assert _close(got["losses"], want["losses"]), f"seed {seed}: losses; {hosts}"
+            _close(got["betas"][subset], betas, f"seed {seed} {subset}: betas; {hosts}")
+        _close(got["losses"], want["losses"], f"seed {seed}: losses; {hosts}")
 
 
 def test_ranks_do_not_depend_on_the_eval_chunk(monkeypatch):
@@ -275,7 +296,7 @@ def test_every_crm_variant_matches_fingerprint(tmp_path):
     assert sorted(got) == sorted(want)
     for key, pinned in want.items():
         assert got[key]["checkpoint_sha256"] == pinned["checkpoint_sha256"], key
-        assert _close(got[key]["losses"], pinned["losses"]), f"{key}: losses; {hosts}"
+        _close(got[key]["losses"], pinned["losses"], f"{key}: losses; {hosts}")
 
 
 def changed_keys(old, new, path: str = "") -> list[str]:

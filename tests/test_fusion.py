@@ -361,6 +361,47 @@ def test_encode_gradients_match_finite_differences(beta_form, n_heads):
             a.bk = bk
 
 
+@pytest.mark.parametrize("padded", [False, True], ids=["no-key-mask", "key-mask"])
+@pytest.mark.parametrize("form", ["float", "scalar", "vector"])
+def test_logit_bias_is_beta_times_the_mask(form, padded):
+    # every product of the bias's one matmul has a single term, so it is the
+    # elementwise beta * mask (+ key mask) entry for entry; only the sign of
+    # a zero may differ, and adding a zero of either sign to a logit leaves
+    # its bits alone. Rows [cls, 3 fusion queries, 2 text] over 5 keys.
+    rng = np.random.default_rng(61)
+    b, n, n_rows, (start, stop) = 3, 5, 6, (1, 4)
+    mask = (rng.random((b, 1, n)) < 0.5) * 1.0
+    key_mask = np.where(rng.random((b, 1, n)) < 0.3, -np.inf, 0.0) if padded else None
+    beta = {"float": -1.7,
+            "scalar": parameter(rng.uniform(-2.0, 3.0, size=(b, 1, 1))),
+            "vector": parameter(rng.uniform(-2.0, 3.0, size=(b, 1, stop - start)))}[form]
+    got = _logit_bias(mask, beta, n, n_rows, (start, stop), key_mask).data
+    if form == "vector":
+        want = np.zeros((b, n_rows, n))
+        want[:, start:stop] = np.swapaxes(beta.data, -1, -2) * mask
+    else:
+        want = (beta if form == "float" else beta.data) * mask
+    others = np.r_[0:start, stop:n_rows]
+    if padded:
+        want = want + key_mask
+        if form == "vector":  # rows outside the fusion queries get the key mask alone
+            assert np.array_equal(got[:, others], np.broadcast_to(key_mask, (b, 3, n)))
+    elif form == "vector":
+        assert not got[:, others].any()
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("mask, beta, named", [
+    (None, 0.5, "a non-zero beta requires a region mask"),
+    (np.full((1, 5), 0.5), 1.0, "region mask entries must be exactly 0 or 1"),
+    (np.full((1, 5), 0.5), 0.0, "region mask entries must be exactly 0 or 1"),
+    (np.ones(4), 1.0, "mask covers 4 keys but there are 5"),
+], ids=["beta-without-mask", "not-binary", "not-binary-at-beta-0", "wrong-width"])
+def test_logit_bias_rejects_a_bad_mask_naming_it(mask, beta, named):
+    with pytest.raises(ContractError, match=re.escape(named)):
+        _logit_bias(mask, beta, 5, 4, (1, 3), None)
+
+
 @pytest.mark.parametrize("beta, error, named", [
     ("0.5", ContractError, "beta must be a float or Tensor, got str"),
     (constant(np.ones((2, 3))), ContractError, "vector beta must be 1 x m, got (2, 3)"),
@@ -369,7 +410,7 @@ def test_encode_gradients_match_finite_differences(beta_form, n_heads):
 def test_logit_bias_rejects_a_bad_beta_naming_it(beta, error, named):
     # rows [cls, 2 fusion queries, text] over 5 patch keys
     with pytest.raises(error) as info:
-        _logit_bias(np.ones((1, 5)), beta, 4, (1, 3), None)
+        _logit_bias(np.ones((1, 5)), beta, 5, 4, (1, 3), None)
     assert named in str(info.value)
 
 
@@ -380,7 +421,8 @@ def full_pass_rows(patches, text, fusion, mask, beta, tokens, key_mask):
     rows a pruned last block must reproduce."""
     m, n_own = fusion.queries.data.shape[0], sum(t.data.shape[0] for t in tokens)
     rows = concat_rows([*tokens, fusion.queries, constant(text)])
-    bias = _logit_bias(mask, beta, rows.data.shape[-2], (n_own, n_own + m), key_mask)
+    bias = _logit_bias(mask, beta, patches.shape[-2], rows.data.shape[-2], (n_own, n_own + m),
+                       key_mask)
     for block in fusion.blocks:
         rows = _layer_forward(rows, block, constant(patches), bias)
     return rows.data[:, : n_own or m]
