@@ -73,14 +73,19 @@ class WorldHeader:
     identity_ids and category_ids, then one grid per image in list order."""
 
     version: int
-    seed: int
+    seed: int = field(metadata={"ge": 0})
     config_hash: str
     configs: dict[str, WorldConfig]
     context_ids: list[str]
     identity_ids: list[str]
     category_ids: list[str]
-    n_reserve: int
+    n_reserve: int = field(metadata={"ge": 0})
     images: list[ImageRecord]
+
+    def rules(self) -> str | None:
+        for key in ("context_ids", "identity_ids", "category_ids"):  # one latent block per id
+            if len(set(ids := getattr(self, key))) < len(ids):
+                return f"{key} lists {next(i for i in ids if ids.count(i) > 1)!r} twice"
 
 
 def save_world(path, world: SyntheticWorld, config_hash: str = "") -> None:

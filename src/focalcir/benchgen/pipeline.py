@@ -25,7 +25,7 @@ from focalcir.encoders import (
     TextEmbedding,
     embed_text,
     encode_image,
-    pooled_image_embeddings,
+    encode_images,
 )
 from focalcir.errors import ConfigError, ContractError, DataError
 from focalcir.geometry import patch_membership
@@ -165,8 +165,8 @@ def build_benchmark(
     for iid in sorted(by_instance):
         subset = iid.split("/")[0]
         images = by_instance[iid]
-        # one batched call gives every image of the instance its feature row
-        row = dict(zip([im.image_id for im in images], pooled_image_embeddings(images, enc)))
+        # one batched call gives each image of the instance its mean patch embedding
+        row = dict(zip([im.image_id for im in images], encode_images(images, enc).mean(axis=1)))
         pairs = filter_pairs(images, thresholds[subset], lambda im: row[im.image_id])
         pair_counts[subset] = pair_counts.get(subset, 0) + len(pairs)
         if pairs:

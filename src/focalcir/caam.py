@@ -83,17 +83,19 @@ def predict_beta(
     caam: CaamParams,
     key_mask: np.ndarray | None = None,
     keys_t: np.ndarray | None = None,
+    text_index: np.ndarray | None = None,
 ) -> Tensor:
     """Modulation output for one query: 1x1 (scalar) or 1xM (vector); for a
     batch of queries (patches (B, n, d), text (B, l, d)), (B, 1, 1) or
     (B, 1, M).
 
     The probe pass itself runs with no mask and beta = 0; the box location is
-    deliberately invisible here, only image content and text are. key_mask
-    is the padding mask of `fusion.stack_patches`, and keys_t the patches'
-    `numerics.tensor.transposed_keys`, when the caller holds them."""
+    deliberately invisible here, only image content and text are. key_mask,
+    keys_t and text_index are `fusion.multimodal_encode`'s, when the caller
+    holds them."""
     rows = multimodal_encode(  # [cls, probes], unmodulated
-        patches, text, fusion, tokens=(caam.cls, caam.probes), key_mask=key_mask, keys_t=keys_t
+        patches, text, fusion, tokens=(caam.cls, caam.probes), key_mask=key_mask,
+        keys_t=keys_t, text_index=text_index,
     )
     return linear(crm_forward(rows, caam.crm), caam.wc, caam.bc)
 

@@ -3,8 +3,9 @@
 The visual encoder is a fixed random linear projection from latent space to
 model space with orthonormal rows, so norms and inner products of latents
 survive projection exactly. Both retrieval branches must share one instance
-of it; nothing here ever receives gradients. Text is embedded by projecting
-the target-context latent through one frozen matrix per token slot.
+of it; nothing here ever receives gradients. One image and a set of images
+go through one validated projection of a stack of grids. Text is embedded
+by projecting the target-context latent through one frozen matrix per slot.
 """
 
 from __future__ import annotations
@@ -69,35 +70,25 @@ class EncoderParams:
         )  # (l_text, d_latent, d_model)
 
 
+def _project(grids: np.ndarray, enc: EncoderParams) -> np.ndarray:
+    """(N*h*w, d_model): the patch embeddings of N stacked (h, w, d_latent)
+    grids, raster order, image after image, as the product itself, not a
+    view of it: a cached image's patches are one array object."""
+    if grids.ndim != 4 or grids.shape[3] != enc.d_latent:
+        raise ContractError(f"expected (N, h, w, {enc.d_latent}) latent grids, got shape {grids.shape}")
+    return grids.reshape(-1, enc.d_latent) @ enc.image_proj
+
+
 def encode_image(image: SyntheticImage | np.ndarray, enc: EncoderParams) -> np.ndarray:
     """Patch embeddings, raster order: (h*w, d_model)."""
     grid = image.grid if isinstance(image, SyntheticImage) else np.asarray(image)
-    if grid.ndim != 3 or grid.shape[2] != enc.d_latent:
-        raise ContractError(
-            f"expected (h, w, {enc.d_latent}) latent grid, got shape {grid.shape}"
-        )
-    h, w, d = grid.shape
-    return grid.reshape(h * w, d) @ enc.image_proj
+    return _project(grid[None], enc)
 
 
 def encode_images(images: Sequence[SyntheticImage], enc: EncoderParams) -> np.ndarray:
-    """(N, h*w, d_model): the patch embeddings of images that share one grid
-    shape, from one projection of their stacked grids. On the default world
-    each row equals encode_image(image, enc)."""
-    grids = np.stack([im.grid for im in images])
-    if grids.ndim != 4 or grids.shape[3] != enc.d_latent:
-        raise ContractError(
-            f"expected (N, h, w, {enc.d_latent}) latent grids, got shape {grids.shape}"
-        )
-    n, h, w, d = grids.shape
-    return (grids.reshape(n * h * w, d) @ enc.image_proj).reshape(n, h * w, -1)
-
-
-def pooled_image_embeddings(images: Sequence[SyntheticImage], enc: EncoderParams) -> np.ndarray:
-    """(N, d_model): each image's mean patch embedding, the feature used by
-    benchmark filtering, for images that share one grid shape; each row
-    equals encode_image(image, enc).mean(axis=0)."""
-    return encode_images(images, enc).mean(axis=1)
+    """(N, h*w, d_model): N images that share one grid shape, from one
+    projection; on the default world row i equals encode_image(images[i])."""
+    return _project(np.stack([im.grid for im in images]), enc).reshape(len(images), -1, enc.d_model)
 
 
 def embed_text(descriptor: ContextDescriptor, enc: EncoderParams) -> TextEmbedding:

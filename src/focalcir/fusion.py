@@ -54,13 +54,13 @@ Batches: patches may be one image (n, d) or a batch (B, n, d), with one
 region-mask row (B, 1, n) and one beta (B, 1, 1) or (B, 1, M) per sample.
 The fusion queries and the caller's tokens are shared by the batch.
 Block 0's self-attention sub-layer reads [tokens, fusion queries, text]
-alone, so it runs once per distinct text of a batch (texts compared by
-their bytes), and one `gather` op expands its rows to the batch before the
-cross-attention; a batch of distinct texts skips the gather. Cross-
-attention reads the patches transposed, as one contiguous copy
-(`transposed_keys`) made once per pass, or once per patch batch by a caller
-that runs several passes over it, as the query branch does for its probe
-and query passes.
+alone, so a caller may bring a batch's distinct texts and each sample's
+index among them (`model.assemble_queries` groups them by their bytes): the
+sub-layer then runs once per distinct text, and one `gather` op expands its
+rows to the batch before the cross-attention. Cross-attention reads the
+patches transposed, as one contiguous copy (`transposed_keys`) made once
+per pass, or once per patch batch by a caller that runs several passes over
+it, as the query branch does for its probe and query passes.
 Images with fewer patches are zero-padded by `stack_patches`, whose additive
 key mask puts -inf on the padded keys' logits; the region bias and the key
 mask are one additive-logit term, the masked attention of Vaswani et al.
@@ -84,7 +84,7 @@ from focalcir.numerics.tensor import (
     Tape,
     Tensor,
     active_tape,
-    add_bias,
+    add,
     attention,
     concat_rows,
     constant,
@@ -244,7 +244,7 @@ def _logit_bias(
         strengths = concat_rows([constant(np.zeros((start, 1))), transpose(beta),
                                  constant(np.zeros((n_rows - stop, 1)))])
     bias = matmul(strengths, region)
-    return bias if key_mask is None else add_bias(bias, constant(key_mask))
+    return bias if key_mask is None else add(bias, constant(key_mask))
 
 
 def _merged_products(params: AttentionParams, n_heads: int) -> tuple[Tensor, ...]:
@@ -383,19 +383,6 @@ def run_layers(
     return _layer_forward(tokens, layers[-1], kv, bias, keys_t, rows, index)
 
 
-def _distinct_texts(text: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """A (B, l, d) text batch as its distinct texts (by bytes, in first-seen
-    order) and each sample's position among them; the batch itself and None
-    when every text is distinct or text is one (l, d) sample."""
-    if text.ndim != 3:
-        return text, None
-    seen: dict[bytes, int] = {}
-    index = np.array([seen.setdefault(t.tobytes(), len(seen)) for t in text])
-    if len(seen) == len(text):
-        return text, None
-    return text[np.unique(index, return_index=True)[1]], index
-
-
 def multimodal_encode(
     patches: np.ndarray,
     text: TextEmbedding | np.ndarray | None,
@@ -405,15 +392,17 @@ def multimodal_encode(
     tokens: Sequence[Tensor] = (),
     key_mask: np.ndarray | None = None,
     keys_t: np.ndarray | None = None,
+    text_index: np.ndarray | None = None,
 ) -> Tensor:
     """Run the fusion encoder over [tokens, fusion queries, text?] x patches.
 
     For one image, mask is an (n,) row. For a batch, patches are (B, n, d),
-    text is a (B, l, d) token array, mask is a (B, 1, n) array of per-sample
-    mask rows (an all-zero row leaves its sample unmodulated), and key_mask
-    is the additive padding mask from `stack_patches`. Without a mask, beta
-    must be exactly 0 (target branch and the modulation predictor's own pass
-    both run unmodulated).
+    text is a (B, l, d) token array (with text_index, the U distinct texts,
+    sample i reading text text_index[i]), mask is a (B, 1, n) array of
+    per-sample mask rows (an all-zero row leaves its sample unmodulated),
+    and key_mask is the additive padding mask from `stack_patches`. Without
+    a mask, beta must be exactly 0 (target branch and the modulation
+    predictor's own pass both run unmodulated).
 
     tokens are the caller's own token rows, shared by the batch. The
     encoder returns their output rows, or the fusion queries' when there
@@ -430,17 +419,15 @@ def multimodal_encode(
         raise ContractError(f"key mask covers {key_mask.shape[-1]} keys but image has {n_keys}")
 
     n_own, m = sum(t.data.shape[-2] for t in tokens), fusion.queries.data.shape[0]
-    parts, index = [*tokens, fusion.queries], None
+    parts = [*tokens, fusion.queries]
     if text is not None:
-        text = text.tokens if isinstance(text, TextEmbedding) else np.asarray(text, np.float64)
-        text, index = _distinct_texts(text)
-        parts.append(constant(text))
+        parts.append(constant(text.tokens if isinstance(text, TextEmbedding) else text))
     sequence = concat_rows(parts) if len(parts) > 1 else parts[0]
 
     bias = _logit_bias(mask, beta, n_keys, sequence.data.shape[-2], (n_own, n_own + m), key_mask)
     if keys_t is None:
         keys_t = transposed_keys(kv.data)
-    return run_layers(sequence, fusion.blocks, n_own or m, kv, bias, keys_t, index)
+    return run_layers(sequence, fusion.blocks, n_own or m, kv, bias, keys_t, text_index)
 
 
 def encode_target(

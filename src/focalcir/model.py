@@ -166,19 +166,26 @@ class QueryBatch:
     patches: np.ndarray  # (B, n, d) stacked reference patches, zero-padded
     key_mask: np.ndarray | None  # (B, 1, n) -inf on padded keys; None when none is padded
     keys_t: np.ndarray  # transposed_keys(patches), shared by the probe and query passes
-    text: np.ndarray  # (B, l_text, d) text tokens
+    text: np.ndarray  # (U, l_text, d) the batch's distinct text tokens, in first-seen order
+    text_index: np.ndarray | None  # (B,) each sample's row of text; None when U = B
     mask_rows: np.ndarray | None  # (B, 1, n) region-mask rows; None when no sample has a box
     boxed: np.ndarray  # (B,) bool: which samples have a box
 
 
 def assemble_queries(samples: Sequence[QuerySample]) -> QueryBatch:
-    """The QueryBatch of a sequence of samples, for training and evaluation alike."""
+    """The QueryBatch of a sequence of samples, for training and evaluation
+    alike; texts are grouped by their bytes, as two may share a context id."""
     if not samples:
         raise ContractError("no query samples")
     patches, key_mask = stack_patches([s.patches for s in samples])
+    text = np.stack([s.text.tokens for s in samples])
+    seen: dict[bytes, int] = {}
+    index = np.array([seen.setdefault(t.tobytes(), len(seen)) for t in text])
+    repeats = len(seen) < len(samples)
     return QueryBatch(
         patches=patches, key_mask=key_mask, keys_t=transposed_keys(patches),
-        text=np.stack([s.text.tokens for s in samples]),
+        text=text[np.unique(index, return_index=True)[1]] if repeats else text,
+        text_index=index if repeats else None,
         mask_rows=_region_rows(samples, patches.shape[1]),
         boxed=np.array([s.bbox is not None for s in samples]),
     )
@@ -290,11 +297,11 @@ def query_representation(
 
     A sequence, or a QueryBatch assembled from one, is encoded as one batch
     and gives B x d_embed rows and the applied modulation as one (B, 1, k)
-    array: k = M for a predicted vector-form beta, else 1. One QuerySample
-    gives a 1 x d_embed tensor and a (1, k) array. beta_override bypasses
-    the predictor entirely and applies the given constant. A box-less
-    sample gets a zero mask row, so its applied modulation is 0; a batch
-    without any box is encoded with no mask at all.
+    array, k the modulation head's width: M in vector form, else 1. One
+    QuerySample gives a 1 x d_embed tensor and a (1, k) array. beta_override
+    bypasses the predictor entirely and applies the given constant to all k
+    entries. A box-less sample gets a zero mask row, so its applied
+    modulation is 0; a batch without any box is encoded with no mask at all.
     """
     single = isinstance(samples, QuerySample)
     if isinstance(samples, QueryBatch):
@@ -305,12 +312,15 @@ def query_representation(
     if batch.mask_rows is not None:
         beta = (float(beta_override) if beta_override is not None else
                 predict_beta(batch.patches, batch.text, params.fusion, params.caam,
-                             key_mask=batch.key_mask, keys_t=batch.keys_t))
+                             key_mask=batch.key_mask, keys_t=batch.keys_t,
+                             text_index=batch.text_index))
     strengths = beta.data if isinstance(beta, Tensor) else beta
-    applied = np.where(batch.boxed[:, None, None], strengths, 0.0)
+    applied = np.where(batch.boxed[:, None, None], strengths,
+                       np.zeros((1, 1, params.caam.wc.data.shape[1])))
     cls_out = multimodal_encode(
         batch.patches, batch.text, params.fusion, mask=batch.mask_rows, beta=beta,
         tokens=(params.rep_cls,), key_mask=batch.key_mask, keys_t=batch.keys_t,
+        text_index=batch.text_index,
     )
     # project per sample, then drop the row axis: one (B*1)-row GEMM would
     # round differently from the 1-row GEMM a single query gets
@@ -463,7 +473,7 @@ class ParamRecord:
 class CheckpointHeader:
     version: int
     meta: dict[str, Any]
-    seed: int
+    seed: int = field(metadata={"ge": 0})  # a SeedSequence entropy: ModelParams seeds with it
     model_config: ModelConfig
     encoder: EncoderRecord
     params: tuple[ParamRecord, ...]
@@ -499,12 +509,11 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
                 f"{path} holds another parameter layout than the rebuilt model: missing "
                 f"{sorted(set(named) - stored)}, unexpected {sorted(stored - set(named))}"
             )
-        for entry in header.params:
+        for i, entry in enumerate(header.params):
             want = named[entry.name]
             if want.data.shape != entry.shape:
-                raise DataError(
-                    f"parameter {entry.name} has shape {want.data.shape}, file says {entry.shape}"
-                )
+                raise DataError(f"{path}.params[{i}].shape: parameter {entry.name} has shape "
+                                f"{want.data.shape}, file says {entry.shape}")
             want.data = read_block(
                 fh, entry.shape, DataError, f"parameter {entry.name} in {path}"
             )

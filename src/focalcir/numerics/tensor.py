@@ -7,13 +7,13 @@ is row-major float64. A tensor is a 2-D matrix (rows, cols) or a 3-D batch of
 matrices (batch, rows, cols); vectors are 1 x n rows. Every op acts on the
 last two axes, and the leading batch axis broadcasts: an unbatched operand
 (a weight, a frozen token set) meets every sample of a batched one. Within
-the last two axes the only implicit broadcast is `add_bias`, which adds a
-1 x c row to every row. One tape therefore records one op per layer for a
-whole batch, however many samples it holds. The fused layer ops at the end
-(`head_products`, `attention`, `residual_norm`, `feed_forward`) each record
-one entry for a whole layer step; with one head, their forward passes round
-exactly as the plain-numpy softmax, GELU and layer norm of
-`tests/reference.py` do.
+the last two axes the only implicit broadcast is `add`'s: its second
+operand may be one 1 x c row, added to every row. One tape therefore records
+one op per layer for a whole batch, however many samples it holds. The
+fused layer ops at the end (`head_products`, `attention`, `residual_norm`,
+`feed_forward`) each record one entry for a whole layer step; with one head,
+their forward passes round exactly as the plain-numpy softmax, GELU and
+layer norm of `tests/reference.py` do.
 
 Recording: operations append (inputs, output, backward) entries to the
 innermost active `Tape` whenever any input requires grad. `backward` walks
@@ -260,7 +260,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b for a weight w (k x m) and a 1 x m bias row, as one op.
 
-    One op instead of matmul then add_bias saves an output array and a
+    One op instead of matmul then add saves an output array and a
     gradient copy per projection: about 15% of a batched training step."""
     if w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[0]:
         raise ContractError(f"linear inner dimensions disagree: {x.data.shape} x {w.data.shape}")
@@ -287,12 +287,19 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _same_last_two(a, b, "add")
+    """a[.., r x c] + b, where b is r x c or one 1 x c row added to every row
+    of a. Either operand may be shared by the batch or given per sample."""
+    rows, c = a.data.shape[-2:]
+    if b.data.shape[-2:] not in ((rows, c), (1, c)):
+        raise ContractError(f"add needs equal shapes or a 1 x {c} row, "
+                            f"got {a.data.shape} and {b.data.shape}")
+    _batch_size("add", a.data, b.data)
     out = Tensor(a.data + b.data)
     tape = _should_record(a, b)
     if tape is not None:
-        sa, sb = a.data.shape, b.data.shape
-        tape._record((a, b), out, lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
+        sa, sb, row = a.data.shape, b.data.shape, b.data.shape[-2] < rows
+        tape._record((a, b), out, lambda g: (
+            _unbroadcast(g, sa), _unbroadcast(g.sum(axis=-2, keepdims=True) if row else g, sb)))
     return out
 
 
@@ -316,27 +323,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     tape = _should_record(a)
     if tape is not None:
         tape._record((a,), out, lambda g: (g * c,))
-    return out
-
-
-def add_bias(x: Tensor, bias: Tensor) -> Tensor:
-    """x[.., r x c] + bias[.., 1 x c], the bias row added to every row of x.
-
-    The bias is one row shared by the batch, or one row per sample."""
-    c = x.data.shape[-1]
-    if bias.data.shape[-2:] != (1, c):
-        raise ContractError(
-            f"add_bias needs a 1 x {c} bias, got {bias.data.shape} on {x.data.shape}"
-        )
-    _batch_size("add_bias", x.data, bias.data)
-    out = Tensor(x.data + bias.data)
-    tape = _should_record(x, bias)
-    if tape is not None:
-        xs, bs = x.data.shape, bias.data.shape
-        tape._record(
-            (x, bias), out,
-            lambda g: (_unbroadcast(g, xs), _unbroadcast(g.sum(axis=-2, keepdims=True), bs)),
-        )
     return out
 
 
@@ -571,7 +557,7 @@ def attention(
     (H*d x m) as row blocks, so H is read off their shapes. The additive
     bias is one row or one row per query row, shared by every head; -inf on
     a key gives it probability exactly 0. With one head the arithmetic is
-    that of linear, matmul, add_bias, scale, the max-subtracted softmax of
+    that of linear, matmul, add, scale, the max-subtracted softmax of
     `tests/reference.py`, matmul and linear, step for step. The backward
     runs from the saved probabilities.
 

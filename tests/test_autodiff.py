@@ -130,7 +130,7 @@ def fused_op_cases(rng, batch):
             f"attention_h{heads}_per_row_bias": (
                 lambda a=attn: a(x, kv, per_row_bias), [x, kv, per_row_bias] + weights),
             f"attention_h{heads}_key_mask": (
-                lambda a=attn: a(x, kv, nm.add_bias(per_row_bias, key_mask)),
+                lambda a=attn: a(x, kv, nm.add(per_row_bias, key_mask)),
                 [x, kv, per_row_bias] + weights),
             f"attention_h{heads}_shared_rows": (
                 lambda a=attn: a(x_shared, kv, key_mask), [x_shared, kv] + weights),
@@ -174,7 +174,7 @@ def test_per_op_gradients_match_finite_differences():
         "matmul": (lambda: nm.sum_all(nm.mul(nm.matmul(a, b), nm.matmul(a, b))), [a, b]),
         "add": (lambda: nm.sum_all(nm.mul(nm.add(nm.matmul(a, b), c), c)), [a, b, c]),
         "scale": (lambda: nm.sum_all(nm.mul(nm.scale(c, 2.5), c)), [c]),
-        "add_bias": (lambda: nm.sum_all(nm.mul(nm.add_bias(c, row), c)), [c, row]),
+        "add_row": (lambda: nm.sum_all(nm.mul(nm.add(c, row), c)), [c, row]),
         "linear": (lambda: nm.sum_all(nm.mul(nm.linear(a, b, row), c)), [a, b, row]),
         "l2_normalize_rows": (lambda: nm.sum_all(nm.mul(nm.l2_normalize_rows(c), c)), [c]),
         "mean_over_rows": (lambda: nm.sum_all(nm.mul(nm.mean_over_rows(c), row)), [c, row]),
@@ -232,8 +232,8 @@ def test_batched_op_gradients_match_finite_differences():
             lambda: nm.sum_all(nm.mul(nm.add(xb, nm.concat_rows([tok, nm.slice_rows(tok, 0, 1)])), xb)),
             [xb, tok],
         ),
-        "add_bias_per_sample": (
-            lambda: nm.sum_all(nm.mul(nm.add_bias(lin(), per_sample_row), weights)),
+        "add_row_per_sample": (
+            lambda: nm.sum_all(nm.mul(nm.add(lin(), per_sample_row), weights)),
             [xb, w, per_sample_row],
         ),
         "concat_rows_broadcast": (lambda: square(nm.concat_rows([tok, xb])), [tok, xb]),

@@ -20,7 +20,7 @@ from focalcir.encoders import (
     EncoderParams,
     SyntheticImage,
     encode_image,
-    pooled_image_embeddings,
+    encode_images,
 )
 from focalcir.errors import ConfigError, ContractError
 from focalcir.fusion import region_mask_from_bbox
@@ -247,8 +247,8 @@ def filter_oracle(features, thr):
 
 def pooled_embed(images, enc):
     """The embed build_benchmark gives filter_pairs: each image's row of
-    one pooled_image_embeddings call over the set."""
-    table = dict(zip([im.image_id for im in images], pooled_image_embeddings(images, enc)))
+    one encode_images call over the set, averaged over its patches."""
+    table = dict(zip([im.image_id for im in images], encode_images(images, enc).mean(axis=1)))
     return lambda im: table[im.image_id]
 
 
@@ -355,7 +355,7 @@ def test_filtering_on_generated_world_matches_oracle(small_world):
     instance = small_world.images[0].instance_id
     images = [im for im in small_world.images if im.instance_id == instance]
     feats = np.stack([encode_image(im, enc).mean(axis=0) for im in images])
-    assert pooled_image_embeddings(images, enc).tobytes() == feats.tobytes()
+    assert encode_images(images, enc).mean(axis=1).tobytes() == feats.tobytes()
     got = filter_pairs(images, thr, pooled_embed(images, enc))
     want = [(images[i].image_id, images[j].image_id) for i, j in filter_oracle(feats, thr)]
     assert got == want

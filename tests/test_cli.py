@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from focalcir.benchgen.filtering import FilterThresholds
 from focalcir.benchgen.gallery import GalleryEntry
-from focalcir.benchgen.io import ImageRecord
+from focalcir.benchgen.io import ImageRecord, WorldHeader
 from focalcir.benchgen.pipeline import BenchmarkSettings, SubsetStats
 from focalcir.benchgen.quadruples import Quadruple
 from focalcir.benchgen.world import WorldConfig
@@ -27,8 +27,11 @@ from focalcir.evaluation import evaluate_model
 from focalcir.geometry import BOX
 from focalcir.records import ID
 from focalcir.model import (
+    CheckpointHeader,
+    EncoderRecord,
     ModelConfig,
     ModelParams,
+    ParamRecord,
     TrainConfig,
     load_checkpoint,
     save_checkpoint,
@@ -665,15 +668,34 @@ def _edit_records(path, edit):
         path.write_text("\n".join([head, *map(json.dumps, records)]) + "\n")
 
 
+def _edit_headers(path, edit):
+    """Calls edit on the header keys of world.bin or a checkpoint that
+    `_edit_records` leaves out, as (where, record, class, keys) items whose
+    keys are the ones to damage, and writes the header back: world.bin's
+    id lists, n_reserve and subset configs, and a checkpoint's version,
+    seed, model config, encoder record and parameter records."""
+    def sections(h):
+        if path.name == "world.bin":
+            return ([(str(path), h, WorldHeader,
+                      ["category_ids", "context_ids", "identity_ids", "n_reserve"])]
+                    + [(f"{path}.configs.{s}", c, WorldConfig) for s, c in h["configs"].items()])
+        return ([(str(path), h, CheckpointHeader, ["seed", "version"]),
+                 (f"{path}.model_config", h["model_config"], ModelConfig),
+                 (f"{path}.encoder", h["encoder"], EncoderRecord)]
+                + [(f"{path}.params[{i}]", r, ParamRecord) for i, r in enumerate(h["params"])])
+    _rewrite_header(path, lambda h: edit(sections(h)))
+
+
 def _damage(draw, records) -> str:
     """Damages one key of one record: a value of another JSON type, NaN, a
     list one item too long or too short, an unknown key, a deleted key, or,
-    where the record's class declares a range or the box rule for the key, a
-    value just outside it, and where it declares an id, an empty id or, on a
-    key that refers to something (not an image's own image_id), a dangling
-    one. Returns the dotted path the loader must name."""
-    where, record, cls = draw(st.sampled_from(records))
-    key = draw(st.sampled_from(sorted(record)))
+    where the record's class declares a range, a choice or the box rule for
+    the key, a value just outside it, and where it declares an id, an empty
+    id or, on a key that refers to something (not an image's own image_id),
+    a dangling one. A record item may name the keys to damage as its fourth
+    entry. Returns the dotted path the loader must name."""
+    where, record, cls, *keys = draw(st.sampled_from(records))
+    key = draw(st.sampled_from(keys[0] if keys else sorted(record)))
     value = record[key]
     declared = {f.name: f.metadata for f in dataclasses.fields(cls)}[key]
     kinds = ["type", "nan", "unknown", "delete"] + (["length"] if isinstance(value, list) else [])
@@ -698,6 +720,8 @@ def _damage(draw, records) -> str:
     elif kind == "range" and declared.get("rule") == ID["rule"]:
         refers = not (cls is ImageRecord and key == "image_id")
         record[key] = draw(st.sampled_from(["", "nope"] if refers else [""]))
+    elif kind == "range" and "choices" in declared:
+        record[key] = "nope"
     elif kind == "range":
         bound = draw(st.sampled_from([b for b in BOUNDS if b in declared]))
         record[key] = _outside(bound, declared[bound], type(value))
@@ -725,6 +749,24 @@ def test_a_damaged_record_is_named_by_file_record_and_key(run_dir, data):
     assert named[0] in str(info.value)
 
 
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_a_damaged_header_key_is_named_by_file_and_key(run_dir, data):
+    _, out = run_dir
+    name = data.draw(st.sampled_from(["world.bin", "checkpoint.bin"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        for f in (*DATA_FILES, "checkpoint.bin"):
+            (copy / f).write_bytes((out / f).read_bytes())
+        named = []
+        _edit_headers(copy / name, lambda records: named.append(_damage(data.draw, records)))
+        with pytest.raises(errors.DataError) as info:
+            load_benchmark(copy) if name == "world.bin" else load_checkpoint(copy / name)
+    # the file, and the key's dotted path within it
+    assert str(copy / name) in str(info.value)
+    assert named[0].removeprefix(f"{copy / name}.") in str(info.value)
+
+
 @pytest.mark.parametrize("name, damage, key", [
     ("world.bin", lambda rs: rs[3][1].update(bbox=[0.1, 0.1, 0.5]), "world.bin.images[3].bbox"),
     ("quadruples_eval.jsonl", lambda rs: rs[2][1].update(text_context_id=math.nan),
@@ -740,6 +782,25 @@ def test_a_damaged_record_exits_2_through_the_cli(run_dir, tmp_path, capsys, nam
     for f in DATA_FILES:
         (tmp_path / f).write_bytes((out / f).read_bytes())
     _edit_records(tmp_path / name, damage)
+    assert main(["eval", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{tmp_path / key}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, damage, key", [
+    ("checkpoint.bin", lambda rs: rs[3][1]["shape"].pop(), "checkpoint.bin.params[0].shape"),
+    ("checkpoint.bin", lambda rs: rs[0][1].update(seed=-1), "checkpoint.bin.seed"),
+    ("checkpoint.bin", lambda rs: rs[1][1].update(modulation="nope"),
+     "checkpoint.bin.model_config.modulation"),
+    ("world.bin", lambda rs: rs[0][1]["context_ids"].append(rs[0][1]["context_ids"][0]),
+     "world.bin: context_ids"),
+    ("world.bin", lambda rs: rs[1][1].update(grid=[4, 0]), "world.bin.configs.fashion.grid"),
+])
+def test_a_damaged_header_exits_2_through_the_cli(run_dir, tmp_path, capsys, name, damage, key):
+    cfg_path, out = run_dir
+    for f in (*DATA_FILES, "checkpoint.bin"):
+        (tmp_path / f).write_bytes((out / f).read_bytes())
+    _edit_headers(tmp_path / name, damage)
     assert main(["eval", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert f"{tmp_path / key}" in err and "Traceback" not in err

@@ -12,7 +12,6 @@ from focalcir.encoders import (
     embed_text,
     encode_image,
     encode_images,
-    pooled_image_embeddings,
 )
 from focalcir.errors import ContractError
 from reference import cosine_sim
@@ -56,7 +55,7 @@ def test_patch_order_is_raster():
 
 def test_encode_image_wrong_latent_dim_raises():
     enc = make_enc()
-    named = "expected (h, w, 16) latent grid, got shape (2, 2, 8)"
+    named = "expected (N, h, w, 16) latent grids, got shape (1, 2, 2, 8)"
     with pytest.raises(ContractError, match=re.escape(named)):
         encode_image(np.zeros((2, 2, 8)), enc)
 
@@ -69,7 +68,7 @@ def test_pooled_embedding_is_patch_mean():
                                  "s/ctx00", "s", (0.2, 0.2, 0.7, 0.7), rng.normal(size=(*grid, 16)))
                   for i in range(n)]
         want = np.stack([encode_image(im, enc).mean(axis=0) for im in images])
-        got = pooled_image_embeddings(images, enc)
+        got = encode_images(images, enc).mean(axis=1)
         assert got.shape == (n, 32) and got.tobytes() == want.tobytes()
 
 

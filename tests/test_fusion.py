@@ -460,6 +460,26 @@ def test_read_rows_equal_a_full_pass(beta_form, n_heads, n_blocks):
             assert err <= 1e-13 * np.max(np.abs(want)), (read, err)
 
 
+def test_a_text_index_gives_the_rows_of_each_samples_own_text():
+    # with an index, block 0's self-attention runs on the distinct texts and
+    # its rows are gathered to the batch: the rows of a pass over the batch
+    # of each sample's own text, bit for bit, modulated or not, and read off
+    # a caller's token or off the fusion queries
+    rng = np.random.default_rng(61)
+    d, m = 8, 3
+    fusion = live_fusion_of(rng, d, m_queries=m, n_blocks=2)
+    cls = parameter(rng.normal(0.0, 0.5, size=(1, d)))
+    patches, key_mask = stack_patches([rng.normal(size=(n, d)) for n in (5, 3, 5, 4)])
+    texts, index = rng.normal(size=(2, 2, d)), np.array([1, 0, 1, 1])
+    region = (rng.random((4, 1, 5)) < 0.5) * 1.0
+    for tokens, mask, beta in (((cls,), region, 2.0), ((cls,), None, 0.0), ((), None, 0.0)):
+        want = multimodal_encode(patches, texts[index], fusion, mask=mask, beta=beta,
+                                 tokens=tokens, key_mask=key_mask).data
+        got = multimodal_encode(patches, texts, fusion, mask=mask, beta=beta, tokens=tokens,
+                                key_mask=key_mask, text_index=index).data
+        assert got.tobytes() == want.tobytes(), (len(tokens), beta)
+
+
 def test_single_key_output_is_value_row():
     rng = np.random.default_rng(1)
     d = 6

@@ -240,9 +240,11 @@ def mixed_batch(enc, seed):
         ({}, {}, lambda s: dataclasses.replace(s, bbox=None)),
         ({}, {}, cropped),
         ({"modulation": "vector"}, {}, None),
+        ({"modulation": "vector"}, {"beta_override": 2.5}, None),
         ({"n_heads": 2}, {}, None),
     ],
-    ids=["adaptive", "fixed-beta", "no-bbox", "roi-crop", "vector", "two-heads"],
+    ids=["adaptive", "fixed-beta", "no-bbox", "roi-crop", "vector", "vector-fixed-beta",
+         "two-heads"],
 )
 def test_batched_query_rows_equal_per_sample(overrides, kwargs, view):
     _, enc, params = tiny_setup(seed=81, **overrides)
@@ -252,12 +254,14 @@ def test_batched_query_rows_equal_per_sample(overrides, kwargs, view):
         samples = [view(s) for s in samples]
     batched, applied = query_representation(samples, params, **kwargs)
     assert batched.data.shape == (len(samples), params.config.d_embed)
-    assert applied.shape[:2] == (len(samples), 1)
+    # one entry per fusion query in vector form, for every batch
+    k = params.config.m_queries if params.config.modulation == "vector" else 1
+    assert applied.shape == (len(samples), 1, k)
     for i, sample in enumerate(samples):
         row, one = query_representation(sample, params, **kwargs)
         assert np.max(np.abs(batched.data[i] - row.data[0])) <= 1e-12, i
-        # a lone box-less query predicts no beta, so its (1, 1) zero broadcasts
-        assert np.max(np.abs(applied[i] - one)) <= 1e-12, i
+        # a lone box-less query predicts no beta, yet its zero row is k wide
+        assert one.shape == (1, k) and np.max(np.abs(applied[i] - one)) <= 1e-12, i
     boxless = 3
     assert not applied[boxless].any()
     # an assembled batch, encoded twice, gives the sequence's rows exactly

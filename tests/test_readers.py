@@ -17,8 +17,6 @@ NO_READER_IN_SRC = {
     "evaluation.recall_at_k": "imported by the fixed tests/test_acceptance.py",
     "evaluation.instance_recall_at_k": "imported by the fixed tests/test_acceptance.py",
     "fusion.modulated_cross_attention": "imported by the fixed tests/test_acceptance.py",
-    "numerics.tensor.add": "the gradchecks sum two reductions into one root with it (the "
-                           "fan-in of a shared input); no model op adds two same-shape tensors",
     "numerics.tensor.mul": "the gradchecks' two-input elementwise op (random linear "
                            "functionals, the product rule, fan-out); no model op has two "
                            "same-shape inputs",

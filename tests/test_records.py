@@ -11,7 +11,7 @@ import pytest
 import focalcir
 from focalcir.benchgen.filtering import PRESETS, FilterThresholds
 from focalcir.benchgen.gallery import GalleryEntry
-from focalcir.benchgen.io import ImageRecord
+from focalcir.benchgen.io import ImageRecord, WorldHeader
 from focalcir.benchgen.pipeline import BenchmarkSettings
 from focalcir.benchgen.quadruples import Quadruple
 from focalcir.benchgen.world import WorldConfig
@@ -124,6 +124,12 @@ CHECKED = [
     CheckpointHeader(version=1, meta={"final_loss": 0.5}, seed=0, model_config=ModelConfig(),
                      encoder=EncoderRecord(seed=0, d_latent=16, d_model=32, l_text=4),
                      params=(ParamRecord("w", (2, 2)),)),
+    WorldHeader(version=1, seed=0, config_hash="", configs={"fashion": WorldConfig("fashion")},
+                context_ids=["fashion/ctx0"], identity_ids=["fashion/c0/i0"],
+                category_ids=["fashion/c0"], n_reserve=0,
+                images=[ImageRecord("fashion/c0/i0/im0", "fashion/c0/i0", "fashion/c0",
+                                    "fashion/ctx0", "fashion", (0.1, 0.2, 0.5, 0.6), (8, 8, 16),
+                                    False)]),
 ]
 # a value that breaks each field rule, made from a value that keeps it
 BREAKS = {in_bounds: lambda box: (box[2], box[1], box[0], box[3]),  # swapped x corners
@@ -192,6 +198,8 @@ def test_from_record_checks_the_declared_ranges(record):
         (ModelConfig, {"d_model": 9, "n_heads": 2}, "r: d_model 9 not divisible by n_heads 2"),
         (EvalSettings, {"betas": []}, "r: 'betas' must hold at least one value"),
         (RunConfig, {"world": []}, "r: at least one world subset is required"),
+        (WorldHeader, {**asdict(CHECKED[-1]), "identity_ids": ["x", "y", "x"]},
+         "r: identity_ids lists 'x' twice"),
     ],
 )
 def test_from_record_runs_the_rules_raising_the_callers_error(cls, data, message):

@@ -168,11 +168,14 @@ def test_concat_slice_roundtrip():
     assert np.array_equal(nm.slice_rows(cat, 2, 5).data, b.data)
 
 
-def test_add_bias_broadcasts_rows():
+def test_add_broadcasts_one_row():
     x = nm.constant(np.zeros((3, 2)))
     b = nm.constant([[1.0, -2.0]])
-    got = nm.add_bias(x, b).data
+    got = nm.add(x, b).data
     assert np.array_equal(got, np.tile([[1.0, -2.0]], (3, 1)))
+    named = "add needs equal shapes or a 1 x 2 row, got (3, 2) and (2, 2)"
+    with pytest.raises(ContractError, match=re.escape(named)):
+        nm.add(x, nm.constant(np.zeros((2, 2))))
 
 
 def test_residual_norm_zero_mean_unit_var():
@@ -275,8 +278,7 @@ def test_fused_ops_equal_the_composed_ops_bit_for_bit():
                     continue
                 logits = nm.matmul(nm.linear(x, w_qk, b_qk), nm.transpose(kv))
                 if bias is not None:
-                    one_row = bias.data.shape[-2] == 1
-                    logits = nm.add_bias(logits, bias) if one_row else nm.add(logits, bias)
+                    logits = nm.add(logits, bias)
                 probs = nm.constant(softmax(nm.scale(logits, 1.0 / np.sqrt(d)).data))
                 want = nm.linear(nm.matmul(probs, kv), w_vo, b_vo)
                 got = nm.attention(x, kv, w_qk, b_qk, w_vo, b_vo, bias, 1.0 / np.sqrt(d))
