@@ -27,6 +27,7 @@ from focalcir.errors import DataError
 from focalcir.geometry import BOX
 from focalcir.records import (
     ID,
+    IDS,
     canonical_json,
     from_record,
     open_file,
@@ -76,9 +77,9 @@ class WorldHeader:
     seed: int = field(metadata={"ge": 0})
     config_hash: str
     configs: dict[str, WorldConfig]
-    context_ids: list[str]
-    identity_ids: list[str]
-    category_ids: list[str]
+    context_ids: list[str] = field(metadata=IDS)
+    identity_ids: list[str] = field(metadata=IDS)
+    category_ids: list[str] = field(metadata=IDS)
     n_reserve: int = field(metadata={"ge": 0})
     images: list[ImageRecord]
 

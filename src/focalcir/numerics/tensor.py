@@ -15,8 +15,10 @@ fused layer ops at the end (`head_products`, `attention`, `residual_norm`,
 their forward passes round exactly as the plain-numpy softmax, GELU and
 layer norm of `tests/reference.py` do.
 
-Recording: operations append (inputs, output, backward) entries to the
-innermost active `Tape` whenever any input requires grad. `backward` walks
+Recording: every op builds its output and its backward rule, then returns
+through `_recorded`, the one place that appends the (inputs, output,
+backward) entry to the innermost active `Tape` when any input requires grad
+and marks the output as requiring grad. `backward` walks
 the entries in reverse execution order, which is a valid reverse topological
 order because an op's inputs always exist before its output. Each backward
 rule sums its gradients back down to its inputs' shapes, so an unbatched
@@ -110,10 +112,6 @@ class Tape:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def _record(self, inputs: tuple[Tensor, ...], output: Tensor, bwd: BackwardFn) -> None:
-        output.requires_grad = True
-        self._entries.append((inputs, output, bwd))
-
     def clear(self) -> None:
         for inputs, output, _ in self._entries:
             output.grad = None
@@ -154,14 +152,16 @@ def backward(root: Tensor, tape: Tape) -> None:
                 t.grad += gi
 
 
-def _should_record(*tensors: Tensor) -> Tape | None:
-    tape = active_tape()
-    if tape is None:
-        return None
-    for t in tensors:
-        if t.requires_grad:
-            return tape
-    return None
+def _recorded(inputs: tuple[Tensor, ...], out: Tensor, bwd: BackwardFn) -> Tensor:
+    """out, recorded with its inputs and backward rule on the innermost open
+    tape, and marked as requiring grad, if any input requires grad."""
+    if _STACK:
+        for t in inputs:
+            if t.requires_grad:
+                out.requires_grad = True
+                _STACK[-1]._entries.append((inputs, out, bwd))
+                break
+    return out
 
 
 def _batch_size(op: str, *arrays: np.ndarray) -> int | None:
@@ -241,20 +241,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul inner dimensions disagree: {a.data.shape} x {b.data.shape}"
         )
     _batch_size("matmul", a.data, b.data)
-    out = Tensor(a.data @ b.data)
-    tape = _should_record(a, b)
-    if tape is not None:
-        ad, bd = a.data, b.data
-        need_a, need_b = a.requires_grad, b.requires_grad
+    ad, bd = a.data, b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
 
-        def bwd(g: np.ndarray):
-            return (
-                _unbroadcast(g @ _swap(bd), ad.shape) if need_a else None,
-                _unbroadcast(_swap(ad) @ g, bd.shape) if need_b else None,
-            )
+    def bwd(g: np.ndarray):
+        return (
+            _unbroadcast(g @ _swap(bd), ad.shape) if need_a else None,
+            _unbroadcast(_swap(ad) @ g, bd.shape) if need_b else None,
+        )
 
-        tape._record((a, b), out, bwd)
-    return out
+    return _recorded((a, b), Tensor(ad @ bd), bwd)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -267,23 +263,19 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     m = w.data.shape[1]
     if b.data.shape != (1, m):
         raise ContractError(f"linear needs a 1 x {m} bias, got {b.data.shape}")
-    y = x.data @ w.data
+    xd, wd = x.data, w.data
+    need_x, need_w = x.requires_grad, w.requires_grad
+    y = xd @ wd
     y += b.data
-    out = Tensor(y)
-    tape = _should_record(x, w, b)
-    if tape is not None:
-        xd, wd = x.data, w.data
-        need_x, need_w = x.requires_grad, w.requires_grad
 
-        def bwd(g: np.ndarray):
-            return (
-                _input_grad(g, wd, xd.shape) if need_x else None,
-                _stacked(xd).T @ _stacked(g) if need_w else None,
-                _col_sums(g),
-            )
+    def bwd(g: np.ndarray):
+        return (
+            _input_grad(g, wd, xd.shape) if need_x else None,
+            _stacked(xd).T @ _stacked(g) if need_w else None,
+            _col_sums(g),
+        )
 
-        tape._record((x, w, b), out, bwd)
-    return out
+    return _recorded((x, w, b), Tensor(y), bwd)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -294,36 +286,22 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ContractError(f"add needs equal shapes or a 1 x {c} row, "
                             f"got {a.data.shape} and {b.data.shape}")
     _batch_size("add", a.data, b.data)
-    out = Tensor(a.data + b.data)
-    tape = _should_record(a, b)
-    if tape is not None:
-        sa, sb, row = a.data.shape, b.data.shape, b.data.shape[-2] < rows
-        tape._record((a, b), out, lambda g: (
-            _unbroadcast(g, sa), _unbroadcast(g.sum(axis=-2, keepdims=True) if row else g, sb)))
-    return out
+    sa, sb, row = a.data.shape, b.data.shape, b.data.shape[-2] < rows
+    return _recorded((a, b), Tensor(a.data + b.data), lambda g: (
+        _unbroadcast(g, sa), _unbroadcast(g.sum(axis=-2, keepdims=True) if row else g, sb)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_last_two(a, b, "mul")
-    out = Tensor(a.data * b.data)
-    tape = _should_record(a, b)
-    if tape is not None:
-        ad, bd = a.data, b.data
-        tape._record(
-            (a, b), out,
-            lambda g: (_unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)),
-        )
-    return out
+    ad, bd = a.data, b.data
+    return _recorded((a, b), Tensor(ad * bd), lambda g: (
+        _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     """Multiply by a python float constant."""
     c = float(c)
-    out = Tensor(a.data * c)
-    tape = _should_record(a)
-    if tape is not None:
-        tape._record((a,), out, lambda g: (g * c,))
-    return out
+    return _recorded((a,), Tensor(a.data * c), lambda g: (g * c,))
 
 
 # ---------------------------------------------------------------------------
@@ -331,22 +309,16 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def sum_all(a: Tensor) -> Tensor:
-    out = Tensor(np.array([[a.data.sum()]]))
-    tape = _should_record(a)
-    if tape is not None:
-        shape = a.data.shape
-        tape._record((a,), out, lambda g: (np.full(shape, g[0, 0]),))
-    return out
+    shape = a.data.shape
+    return _recorded((a,), Tensor(np.array([[a.data.sum()]])),
+                     lambda g: (np.full(shape, g[0, 0]),))
 
 
 def mean_over_rows(a: Tensor) -> Tensor:
     """[.., r x c] -> [.., 1 x c] column means (used to pool token sets)."""
     r = a.data.shape[-2]
-    out = Tensor(a.data.mean(axis=-2, keepdims=True))
-    tape = _should_record(a)
-    if tape is not None:
-        tape._record((a,), out, lambda g: (np.repeat(g / r, r, axis=-2),))
-    return out
+    return _recorded((a,), Tensor(a.data.mean(axis=-2, keepdims=True)),
+                     lambda g: (np.repeat(g / r, r, axis=-2),))
 
 
 def squeeze_rows(a: Tensor) -> Tensor:
@@ -354,20 +326,13 @@ def squeeze_rows(a: Tensor) -> Tensor:
     if a.data.ndim != 3 or a.data.shape[1] != 1:
         raise ContractError(f"squeeze_rows needs a (batch, 1, c) tensor, got {a.data.shape}")
     shape = a.data.shape
-    out = Tensor(a.data.reshape(shape[0], shape[2]))
-    tape = _should_record(a)
-    if tape is not None:
-        tape._record((a,), out, lambda g: (g.reshape(shape),))
-    return out
+    return _recorded((a,), Tensor(a.data.reshape(shape[0], shape[2])),
+                     lambda g: (g.reshape(shape),))
 
 
 def transpose(a: Tensor) -> Tensor:
     """Swap the last two axes."""
-    out = Tensor(_swap(a.data))
-    tape = _should_record(a)
-    if tape is not None:
-        tape._record((a,), out, lambda g: (_swap(g),))
-    return out
+    return _recorded((a,), Tensor(_swap(a.data)), lambda g: (_swap(g),))
 
 
 def concat_rows(parts: Iterable[Tensor]) -> Tensor:
@@ -384,22 +349,18 @@ def concat_rows(parts: Iterable[Tensor]) -> Tensor:
     batch = _batch_size("concat_rows", *arrays)
     if batch is not None:
         arrays = [a if a.ndim == 3 else np.broadcast_to(a, (batch,) + a.shape) for a in arrays]
-    out = Tensor(np.concatenate(arrays, axis=-2))
-    tape = _should_record(*parts)
-    if tape is not None:
-        shapes = [p.data.shape for p in parts]
+    shapes = [p.data.shape for p in parts]
 
-        def bwd(g: np.ndarray):
-            grads = []
-            at = 0
-            for s in shapes:
-                stop = at + s[-2]
-                grads.append(_unbroadcast(g[..., at:stop, :], s))
-                at = stop
-            return grads
+    def bwd(g: np.ndarray):
+        grads = []
+        at = 0
+        for s in shapes:
+            stop = at + s[-2]
+            grads.append(_unbroadcast(g[..., at:stop, :], s))
+            at = stop
+        return grads
 
-        tape._record(tuple(parts), out, bwd)
-    return out
+    return _recorded(tuple(parts), Tensor(np.concatenate(arrays, axis=-2)), bwd)
 
 
 def gather(a: Tensor, index) -> Tensor:
@@ -414,36 +375,28 @@ def gather(a: Tensor, index) -> Tensor:
                             f"got {a.data.shape} and {index.shape}")
     if index.min() < 0 or index.max() >= a.data.shape[0]:
         raise ContractError(f"gather index out of range for {a.data.shape[0]} samples")
-    out = Tensor(a.data[index])
-    tape = _should_record(a)
-    if tape is not None:
-        shape = a.data.shape
+    shape = a.data.shape
+
+    def bwd(g: np.ndarray):
         picks = np.zeros((shape[0], index.size))
         picks[index, np.arange(index.size)] = 1.0
+        return ((picks @ g.reshape(index.size, -1)).reshape(shape),)
 
-        def bwd(g: np.ndarray):
-            return ((picks @ g.reshape(index.size, -1)).reshape(shape),)
-
-        tape._record((a,), out, bwd)
-    return out
+    return _recorded((a,), Tensor(a.data[index]), bwd)
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     r = a.data.shape[-2]
     if not (0 <= start < stop <= r):
         raise ContractError(f"slice_rows [{start}:{stop}] out of range for {a.data.shape}")
-    out = Tensor(a.data[..., start:stop, :].copy())
-    tape = _should_record(a)
-    if tape is not None:
-        shape = a.data.shape
+    shape = a.data.shape
 
-        def bwd(g: np.ndarray):
-            gx = np.zeros(shape)
-            gx[..., start:stop, :] = g
-            return (gx,)
+    def bwd(g: np.ndarray):
+        gx = np.zeros(shape)
+        gx[..., start:stop, :] = g
+        return (gx,)
 
-        tape._record((a,), out, bwd)
-    return out
+    return _recorded((a,), Tensor(a.data[..., start:stop, :].copy()), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -459,17 +412,13 @@ def log_softmax_diag(x: Tensor) -> Tensor:
     z = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
     total = e.sum(axis=-1, keepdims=True)
-    out = Tensor(np.diag(z).reshape(-1, 1) - np.log(total))
-    tape = _should_record(x)
-    if tape is not None:
 
-        def bwd(g: np.ndarray):
-            gx = -g * (e / total)
-            gx[np.diag_indices_from(gx)] += g[:, 0]
-            return (gx,)
+    def bwd(g: np.ndarray):
+        gx = -g * (e / total)
+        gx[np.diag_indices_from(gx)] += g[:, 0]
+        return (gx,)
 
-        tape._record((x,), out, bwd)
-    return out
+    return _recorded((x,), Tensor(np.diag(z).reshape(-1, 1) - np.log(total)), bwd)
 
 
 def l2_normalize_rows(x: Tensor) -> Tensor:
@@ -478,16 +427,12 @@ def l2_normalize_rows(x: Tensor) -> Tensor:
     if np.any(norms < _NORM_EPS):
         raise ContractError("cannot l2-normalize a zero-norm row")
     y = x.data / norms
-    out = Tensor(y)
-    tape = _should_record(x)
-    if tape is not None:
 
-        def bwd(g: np.ndarray):
-            dot = (g * y).sum(axis=-1, keepdims=True)
-            return ((g - y * dot) / norms,)
+    def bwd(g: np.ndarray):
+        dot = (g * y).sum(axis=-1, keepdims=True)
+        return ((g - y * dot) / norms,)
 
-        tape._record((x,), out, bwd)
-    return out
+    return _recorded((x,), Tensor(y), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -510,19 +455,16 @@ def head_products(a: Tensor, b: Tensor, n_heads: int, stack_rows: bool = False) 
     b3 = bd.reshape(n_heads, hp // n_heads, s)  # (H, p, s)
     prod = a3 @ b3
     out = Tensor(prod.reshape(-1, s) if stack_rows else prod.swapaxes(0, 1).reshape(r, -1))
-    tape = _should_record(a, b)
-    if tape is not None:
-        need_a, need_b = a.requires_grad, b.requires_grad
+    need_a, need_b = a.requires_grad, b.requires_grad
 
-        def bwd(g: np.ndarray):
-            g3 = g.reshape(n_heads, r, s) if stack_rows else g.reshape(r, n_heads, s).swapaxes(0, 1)
-            return (
-                (g3 @ _swap(b3)).swapaxes(0, 1).reshape(r, hp) if need_a else None,
-                (_swap(a3) @ g3).reshape(hp, s) if need_b else None,
-            )
+    def bwd(g: np.ndarray):
+        g3 = g.reshape(n_heads, r, s) if stack_rows else g.reshape(r, n_heads, s).swapaxes(0, 1)
+        return (
+            (g3 @ _swap(b3)).swapaxes(0, 1).reshape(r, hp) if need_a else None,
+            (_swap(a3) @ g3).reshape(hp, s) if need_b else None,
+        )
 
-        tape._record((a, b), out, bwd)
-    return out
+    return _recorded((a, b), out, bwd)
 
 
 def _split_heads(a: np.ndarray, n_heads: int) -> np.ndarray:
@@ -602,42 +544,38 @@ def attention(
     mixed = _join_heads(probs @ kvh)  # (.., r, H*d)
     y = mixed @ wvo
     y += b_vo.data
-    out = Tensor(y)
+    need_x, need_kv = x.requires_grad, kv.requires_grad
+    need_bias = bias is not None and bias.requires_grad
+
+    def bwd(g: np.ndarray):
+        gs = _stacked(g)
+        g_mixed = _split_heads((gs @ wvo.T).reshape(mixed.shape), n_heads)
+        g_logits = g_mixed @ _swap(kvh)
+        g_logits -= _row_sums(g_logits * probs)
+        g_logits *= probs
+        g_logits *= c
+        g_q = _join_heads(g_logits @ kvh)
+        x_rows = np.broadcast_to(xd, g_q.shape[:-1] + (k,))
+        grads = [
+            _input_grad(g_q, wqk, xd.shape) if need_x else None,
+            None,
+            _stacked(x_rows).T @ _stacked(g_q),
+            _col_sums(g_q),
+            _stacked(mixed).T @ gs,
+            _col_sums(gs),
+        ]
+        if need_kv:  # kv is both the keys and the values
+            g_kv = _swap(g_logits) @ qh + _swap(probs) @ g_mixed
+            grads[1] = _unbroadcast(g_kv.sum(axis=-3), kd.shape)
+        if need_bias:
+            g_bias = g_logits.sum(axis=-3)
+            if bias.data.shape[-2] == 1:
+                g_bias = g_bias.sum(axis=-2, keepdims=True)
+            grads.append(_unbroadcast(g_bias, bias.data.shape))
+        return grads
+
     inputs = (x, kv, w_qk, b_qk, w_vo, b_vo) + (() if bias is None else (bias,))
-    tape = _should_record(*inputs)
-    if tape is not None:
-        need_x, need_kv = x.requires_grad, kv.requires_grad
-        need_bias = bias is not None and bias.requires_grad
-
-        def bwd(g: np.ndarray):
-            gs = _stacked(g)
-            g_mixed = _split_heads((gs @ wvo.T).reshape(mixed.shape), n_heads)
-            g_logits = g_mixed @ _swap(kvh)
-            g_logits -= _row_sums(g_logits * probs)
-            g_logits *= probs
-            g_logits *= c
-            g_q = _join_heads(g_logits @ kvh)
-            x_rows = np.broadcast_to(xd, g_q.shape[:-1] + (k,))
-            grads = [
-                _input_grad(g_q, wqk, xd.shape) if need_x else None,
-                None,
-                _stacked(x_rows).T @ _stacked(g_q),
-                _col_sums(g_q),
-                _stacked(mixed).T @ gs,
-                _col_sums(gs),
-            ]
-            if need_kv:  # kv is both the keys and the values
-                g_kv = _swap(g_logits) @ qh + _swap(probs) @ g_mixed
-                grads[1] = _unbroadcast(g_kv.sum(axis=-3), kd.shape)
-            if need_bias:
-                g_bias = g_logits.sum(axis=-3)
-                if bias.data.shape[-2] == 1:
-                    g_bias = g_bias.sum(axis=-2, keepdims=True)
-                grads.append(_unbroadcast(g_bias, bias.data.shape))
-            return grads
-
-        tape._record(inputs, out, bwd)
-    return out
+    return _recorded(inputs, Tensor(y), bwd)
 
 
 def residual_norm(x: Tensor, y: Tensor, gain: Tensor, shift: Tensor) -> Tensor:
@@ -659,24 +597,20 @@ def residual_norm(x: Tensor, y: Tensor, gain: Tensor, shift: Tensor) -> Tensor:
     xhat *= inv
     out = xhat * gain.data
     out += shift.data
-    out = Tensor(out)
-    tape = _should_record(x, y, gain, shift)
-    if tape is not None:
-        gd, xs, ys = gain.data, x.data.shape, y.data.shape
+    gd, xs, ys = gain.data, x.data.shape, y.data.shape
 
-        def bwd(g: np.ndarray):
-            gs = g * gd
-            m2 = _row_sums(gs * xhat) / c
-            gs -= _row_sums(gs) / c
-            gs -= xhat * m2
-            gs *= inv
-            gx, gy = _unbroadcast(gs, xs), _unbroadcast(gs, ys)
-            if gy is gx:  # x and y must not end up sharing one .grad array
-                gy = gx.copy()
-            return gx, gy, _col_sums(g * xhat), _col_sums(g)
+    def bwd(g: np.ndarray):
+        gs = g * gd
+        m2 = _row_sums(gs * xhat) / c
+        gs -= _row_sums(gs) / c
+        gs -= xhat * m2
+        gs *= inv
+        gx, gy = _unbroadcast(gs, xs), _unbroadcast(gs, ys)
+        if gy is gx:  # x and y must not end up sharing one .grad array
+            gy = gx.copy()
+        return gx, gy, _col_sums(g * xhat), _col_sums(g)
 
-        tape._record((x, y, gain, shift), out, bwd)
-    return out
+    return _recorded((x, y, gain, shift), Tensor(out), bwd)
 
 
 def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
@@ -704,35 +638,31 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     a *= 1.0 + t
     y = a @ wd2
     y += b2.data
-    out = Tensor(y)
-    tape = _should_record(x, w1, b1, w2, b2)
-    if tape is not None:
-        need_x = x.requires_grad
+    need_x = x.requires_grad
 
-        def bwd(g: np.ndarray):
-            gs = _stacked(g)
-            # gelu'(h) = 0.5 (1 + t) + 0.5 h (1 - t^2) C (1 + 3 * 0.044715 h^2),
-            # built in place: the hidden layer is the widest array of a layer
-            slope = h * h
-            slope *= 3 * 0.044715
-            slope += 1.0
-            slope *= _GELU_C
-            sech2 = t * t
-            np.subtract(1.0, sech2, out=sech2)
-            slope *= sech2
-            slope *= h
-            np.add(t, 1.0, out=sech2)
-            slope += sech2
-            slope *= 0.5
-            gh = (gs @ wd2.T).reshape(h.shape)
-            gh *= slope
-            return (
-                _input_grad(gh, wd1, xd.shape) if need_x else None,
-                _stacked(xd).T @ _stacked(gh),
-                _col_sums(gh),
-                _stacked(a).T @ gs,
-                _col_sums(gs),
-            )
+    def bwd(g: np.ndarray):
+        gs = _stacked(g)
+        # gelu'(h) = 0.5 (1 + t) + 0.5 h (1 - t^2) C (1 + 3 * 0.044715 h^2),
+        # built in place: the hidden layer is the widest array of a layer
+        slope = h * h
+        slope *= 3 * 0.044715
+        slope += 1.0
+        slope *= _GELU_C
+        sech2 = t * t
+        np.subtract(1.0, sech2, out=sech2)
+        slope *= sech2
+        slope *= h
+        np.add(t, 1.0, out=sech2)
+        slope += sech2
+        slope *= 0.5
+        gh = (gs @ wd2.T).reshape(h.shape)
+        gh *= slope
+        return (
+            _input_grad(gh, wd1, xd.shape) if need_x else None,
+            _stacked(xd).T @ _stacked(gh),
+            _col_sums(gh),
+            _stacked(a).T @ gs,
+            _col_sums(gs),
+        )
 
-        tape._record((x, w1, b1, w2, b2), out, bwd)
-    return out
+    return _recorded((x, w1, b1, w2, b2), Tensor(y), bwd)

@@ -28,6 +28,7 @@ import functools
 import json
 import math
 import operator
+import reprlib
 import struct
 import types
 import typing
@@ -42,6 +43,8 @@ _SCALARS = (int, float, str, bool)
 
 # the field metadata of an id: the empty string names nothing
 ID = {"rule": (bool, "must be non-empty")}
+# the field metadata of a list of ids
+IDS = {"rule": (all, "must hold no empty id")}
 
 
 # built once: json.dumps with options builds a new encoder on every call
@@ -116,7 +119,8 @@ def _check(scalar, declared: tuple, many: bool):
 
     def check(value, error, path):
         if holds is not None and not holds(value):
-            raise error(f"{path}: {list(value) if many else value!r} {words}")
+            # a long list shows its first few items
+            raise error(f"{path}: {reprlib.repr(list(value)) if many else repr(value)} {words}")
         if not finite and not bounds:  # a rule alone, as on a box
             return
         for i, v in enumerate(value if many else (value,)):

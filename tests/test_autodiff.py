@@ -1,5 +1,8 @@
 """Backward rules against the central finite-difference oracle."""
 
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
@@ -81,10 +84,57 @@ def test_tape_clear_resets_grads():
     assert len(tape) == 0
 
 
-def test_no_recording_outside_tape():
-    x = nm.parameter([[1.0]])
-    y = nm.mul(x, x)
-    assert y.requires_grad is False
+# every recording op of numerics.tensor, as (a function of its tensor inputs,
+# their shapes)
+RECORDING_OPS = {
+    "matmul": (nm.matmul, [(3, 4), (4, 2)]),
+    "linear": (nm.linear, [(3, 4), (4, 5), (1, 5)]),
+    "add": (nm.add, [(3, 4), (1, 4)]),
+    "mul": (nm.mul, [(3, 4), (3, 4)]),
+    "scale": (lambda a: nm.scale(a, 2.5), [(3, 4)]),
+    "sum_all": (nm.sum_all, [(3, 4)]),
+    "mean_over_rows": (nm.mean_over_rows, [(3, 4)]),
+    "squeeze_rows": (nm.squeeze_rows, [(3, 1, 4)]),
+    "transpose": (nm.transpose, [(3, 4)]),
+    "concat_rows": (lambda *parts: nm.concat_rows(parts), [(2, 4), (2, 3, 4)]),
+    "gather": (lambda a: nm.gather(a, [1, 0, 1]), [(2, 3, 4)]),
+    "slice_rows": (lambda a: nm.slice_rows(a, 1, 3), [(4, 3)]),
+    "log_softmax_diag": (nm.log_softmax_diag, [(4, 4)]),
+    "l2_normalize_rows": (nm.l2_normalize_rows, [(3, 4)]),
+    "head_products": (lambda a, b: nm.head_products(a, b, 2), [(2, 4), (4, 3)]),
+    "attention": (lambda *ts: nm.attention(*ts, 0.5),
+                  [(3, 4), (5, 4), (4, 8), (1, 8), (8, 3), (1, 3), (1, 5)]),
+    "residual_norm": (nm.residual_norm, [(3, 4), (3, 4), (1, 4), (1, 4)]),
+    "feed_forward": (nm.feed_forward, [(3, 4), (4, 6), (1, 6), (6, 3), (1, 3)]),
+}
+
+
+def test_the_recording_cases_name_every_recording_op():
+    tree = ast.parse(inspect.getsource(nm))
+    assert set(RECORDING_OPS) == {
+        node.name for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name != "_recorded"
+        and any(isinstance(n, ast.Name) and n.id == "_recorded" for n in ast.walk(node))}
+
+
+@pytest.mark.parametrize("name", RECORDING_OPS)
+def test_no_recording_outside_tape(name):
+    # nor under a tape from constants; one input that requires grad records
+    # one entry holding the op's own inputs, and its output requires grad
+    op, shapes = RECORDING_OPS[name]
+    rng = np.random.default_rng(3)
+    data = [rng.normal(size=s) for s in shapes]
+    assert op(*map(nm.parameter, data)).requires_grad is False
+    with Tape() as tape:
+        out = op(*map(nm.constant, data))
+    assert len(tape) == 0 and out.requires_grad is False
+    for i in range(len(data)):
+        inputs = [nm.parameter(d) if j == i else nm.constant(d) for j, d in enumerate(data)]
+        with Tape() as tape:
+            out = op(*inputs)
+        [(recorded, output, _)] = tape._entries
+        assert output is out and out.requires_grad
+        assert len(recorded) == len(inputs) and all(r is t for r, t in zip(recorded, inputs))
 
 
 def fused_op_cases(rng, batch):

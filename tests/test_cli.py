@@ -25,7 +25,7 @@ from focalcir.cli import build_parser, main
 from focalcir.config import BenchSettings, EvalSettings, RunConfig, run_config_from_dict
 from focalcir.evaluation import evaluate_model
 from focalcir.geometry import BOX
-from focalcir.records import ID
+from focalcir.records import ID, IDS
 from focalcir.model import (
     CheckpointHeader,
     EncoderRecord,
@@ -690,10 +690,11 @@ def _damage(draw, records) -> str:
     """Damages one key of one record: a value of another JSON type, NaN, a
     list one item too long or too short, an unknown key, a deleted key, or,
     where the record's class declares a range, a choice or the box rule for
-    the key, a value just outside it, and where it declares an id, an empty
-    id or, on a key that refers to something (not an image's own image_id),
-    a dangling one. A record item may name the keys to damage as its fourth
-    entry. Returns the dotted path the loader must name."""
+    the key, a value just outside it, where it declares an id, an empty id
+    or, on a key that refers to something (not an image's own image_id), a
+    dangling one, and where it declares a list of ids, an empty id put in
+    place of one or inserted. A record item may name the keys to damage as
+    its fourth entry. Returns the dotted path the loader must name."""
     where, record, cls, *keys = draw(st.sampled_from(records))
     key = draw(st.sampled_from(keys[0] if keys else sorted(record)))
     value = record[key]
@@ -720,6 +721,11 @@ def _damage(draw, records) -> str:
     elif kind == "range" and declared.get("rule") == ID["rule"]:
         refers = not (cls is ImageRecord and key == "image_id")
         record[key] = draw(st.sampled_from(["", "nope"] if refers else [""]))
+    elif kind == "range" and declared.get("rule") == IDS["rule"]:
+        if draw(st.booleans()):
+            value[draw(st.integers(0, len(value) - 1))] = ""
+        else:
+            value.insert(draw(st.integers(0, len(value))), "")
     elif kind == "range" and "choices" in declared:
         record[key] = "nope"
     elif kind == "range":
@@ -794,6 +800,8 @@ def test_a_damaged_record_exits_2_through_the_cli(run_dir, tmp_path, capsys, nam
      "checkpoint.bin.model_config.modulation"),
     ("world.bin", lambda rs: rs[0][1]["context_ids"].append(rs[0][1]["context_ids"][0]),
      "world.bin: context_ids"),
+    ("world.bin", lambda rs: rs[0][1]["identity_ids"].__setitem__(0, ""),
+     "world.bin.identity_ids"),
     ("world.bin", lambda rs: rs[1][1].update(grid=[4, 0]), "world.bin.configs.fashion.grid"),
 ])
 def test_a_damaged_header_exits_2_through_the_cli(run_dir, tmp_path, capsys, name, damage, key):

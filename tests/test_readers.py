@@ -2,7 +2,8 @@
 in src/, every defaulted parameter has a caller that passes it, every
 config field has a caller that sets it, and so does every defaulted
 constructor field of every other dataclass: code and knobs that only tests
-use leave the package. Every name a module imports is read in it."""
+use leave the package. Every name a module imports is read in it. Only the
+tape, `_recorded` and `backward` touch the tape's entries."""
 
 import ast
 import math
@@ -274,3 +275,16 @@ def test_every_import_in_src_is_read():
         unread += [f"{module_of(path)}:{line} {name}"
                    for name, line in imported_names(tree) if name not in bare]
     assert unread == []
+
+
+def test_only_recorded_and_backward_touch_the_tape_entries_outside_the_tape():
+    # one function records an op, so whether and what an op records is
+    # written once; `backward` replays the entries
+    touching = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and node.name == "Tape":
+                continue
+            if any(isinstance(n, ast.Attribute) and n.attr == "_entries" for n in ast.walk(node)):
+                touching.add(f"{module_of(path)}.{getattr(node, 'name', node.lineno)}")
+    assert touching == {"numerics.tensor._recorded", "numerics.tensor.backward"}
