@@ -3,22 +3,24 @@
 rank_gallery orders candidates by descending cosine with a deterministic
 tie-break (ascending gallery index). R@K asks whether the exact target image
 landed in the top K; R_ID@K asks whether any top-K candidate shows the
-anchored instance. Evaluation encodes the gallery and the queries in
-batches of EVAL_CHUNK samples and shares one immutable gallery embedding
-matrix per subset. Each chunk of queries is ranked with one (B, d) @ (d, G)
-product, and the ranks of its targets and same-instance candidates are
-counted from those similarities, not sorted: R@K and R_ID@K are the shares
-of ranks <= K. Every query is anchored on its own quadruple's box, so an
-evaluation setting is (beta_override, roi_crop) plus a benchmark view:
-perturbed boxes or a filtered query list are a dataclasses.replace of the
-Benchmark, not a callback. roi_crop evaluates each query's `cropped` view.
+anchored instance. Evaluation returns outcomes first: evaluate_queries gives
+each eval query its target rank, same-instance rank and applied modulation,
+and evaluate_model reduces them to the report, R@K and R_ID@K being the
+shares of ranks <= K. Queries and gallery are encoded in batches of
+EVAL_CHUNK samples against one immutable gallery matrix per subset; each
+query chunk is ranked with one (B, d) @ (d, G) product, its ranks counted
+from those similarities, not sorted. Every query is anchored on its own
+quadruple's box, so an evaluation setting is (beta_override, roi_crop) plus
+a benchmark view: perturbed boxes or a filtered query list are a
+dataclasses.replace of the Benchmark, not a callback. roi_crop evaluates
+each query's `cropped` view.
 A box-less query is encoded exactly as a beta_override=0 query (neither
 builds a region bias), so the box-less setting is beta_override=0.0.
 RankingResult and the recall functions read the same metrics off a full
 gallery order; the metric oracle uses them.
 
 What does not depend on the setting is kept (`fusion.kept`) in the
-`one_parameter_state` scope that evaluate_model opens or joins: each
+`one_parameter_state` scope that evaluate_queries opens or joins: each
 subset's gallery embeddings, owned by (params, its manifest), and one dict,
 owned by the view, of each subset's (2, Q, G) positives and per-chunk
 `QueryBatch` (stacked patches and key mask, their transposed copy, the text
@@ -51,6 +53,7 @@ from focalcir.model import (
     assemble_queries,
     cropped,
     query_representation,
+    subset_list_rule,
     target_representation,
 )
 from focalcir.records import from_record
@@ -271,6 +274,56 @@ def _subset_inputs(bench: Benchmark, subset: str) -> tuple[list[Quadruple], np.n
     ])
 
 
+@dataclass
+class QueryOutcomes:
+    """One subset's eval queries, in `bench.eval_quads_of(subset)` order."""
+
+    target_ranks: np.ndarray  # (Q,) 1-based rank of the exact target image
+    instance_ranks: np.ndarray  # (Q,) 1-based rank of the best same-instance candidate
+    applied: np.ndarray  # (Q, 1, k) modulation each query was encoded with
+
+
+def evaluate_queries(
+    params: ModelParams,
+    bench: Benchmark,
+    subsets: list[str] | None = None,
+    beta_override: float | None = None,
+    roi_crop: bool = False,
+) -> dict[str, QueryOutcomes]:
+    """Each eval query's outcomes, per subset, in a `one_parameter_state`
+    scope that joins the caller's, so a later call in it reuses what is kept."""
+    chosen = subsets if subsets is not None else bench.subsets
+    if broken := subset_list_rule("subsets", tuple(chosen)):
+        raise ContractError(broken)
+    if unknown := [s for s in chosen if s not in bench.galleries]:
+        raise ContractError(f"no gallery for subsets {unknown}")
+    outcomes: dict[str, QueryOutcomes] = {}
+    with one_parameter_state():
+        # another view replaces this dict whole, so one view's inputs are kept
+        view = kept("eval view", (bench,), dict)
+        for subset in chosen:
+            gal = kept(("gallery", subset), (params, bench.galleries[subset]),
+                       lambda: gallery_embeddings(params, bench, subset))
+            if gal.shape[0] < 5:
+                raise ContractError(
+                    f"R@5 needs 5 gallery images, subset {subset} has {gal.shape[0]}")
+            key = (subset, roi_crop, EVAL_CHUNK)  # a changed chunk size re-chunks
+            if key not in view:
+                view[key] = (*_subset_inputs(bench, subset), [])
+            quads, positives, chunks = view[key]
+            ranks, applied = [], []
+            for i, at in enumerate(range(0, len(quads), EVAL_CHUNK)):
+                if i == len(chunks):
+                    samples = [query_sample_of(bench, q) for q in quads[at : at + EVAL_CHUNK]]
+                    chunks.append(assemble_queries(
+                        [cropped(s) for s in samples] if roi_crop else samples))
+                f_q, given = query_representation(chunks[i], params, beta_override=beta_override)
+                ranks.append(rank_gallery(f_q.data, gal, positives[:, at : at + EVAL_CHUNK]))
+                applied.append(given)
+            outcomes[subset] = QueryOutcomes(*np.hstack(ranks), np.concatenate(applied))
+    return outcomes
+
+
 def evaluate_model(
     params: ModelParams,
     bench: Benchmark,
@@ -280,46 +333,15 @@ def evaluate_model(
     config_hash: str = "",
     seed: int = 0,
 ) -> MetricsReport:
-    """MetricsReport over the eval split, in a `one_parameter_state` scope
-    that joins the caller's: the galleries, and this view's positives and
-    query chunks, are reused by every later call in an open scope."""
-    chosen = subsets if subsets is not None else bench.subsets
-    unknown = [s for s in chosen if s not in bench.galleries]
-    if unknown:
-        raise ContractError(f"no gallery for subsets {unknown}")
-    per_subset: dict[str, SubsetMetrics] = {}
-    with one_parameter_state():
-        # another view replaces this dict whole, so one view's inputs are kept
-        view = kept("eval view", (bench,), dict)
-        for subset in chosen:
-            gal = kept(("gallery", subset), (params, bench.galleries[subset]),
-                       lambda: gallery_embeddings(params, bench, subset))
-            n_gallery = gal.shape[0]
-            if n_gallery < 5:
-                raise ContractError(
-                    f"R@5 needs 5 gallery images, subset {subset} has {n_gallery}")
-            key = (subset, roi_crop, EVAL_CHUNK)  # a changed chunk size re-chunks
-            if key not in view:
-                view[key] = (*_subset_inputs(bench, subset), [])
-            quads, positives, chunks = view[key]
-            ranks = []
-            for i, at in enumerate(range(0, len(quads), EVAL_CHUNK)):
-                if i == len(chunks):
-                    samples = [query_sample_of(bench, q) for q in quads[at : at + EVAL_CHUNK]]
-                    chunks.append(assemble_queries(
-                        [cropped(s) for s in samples] if roi_crop else samples))
-                f_q, _ = query_representation(chunks[i], params, beta_override=beta_override)
-                ranks.append(rank_gallery(f_q.data, gal, positives[:, at : at + EVAL_CHUNK]))
-            target_ranks, instance_ranks = np.concatenate(ranks, axis=1)
-            per_subset[subset] = SubsetMetrics(
-                r_at_1=float(np.mean(target_ranks <= 1)),
-                r_at_5=float(np.mean(target_ranks <= 5)),
-                rid_at_1=float(np.mean(instance_ranks <= 1)),
-                n_queries=len(quads),
-            )
-    report = MetricsReport(
-        per_subset=per_subset, macro=_macro(per_subset),
-        config_hash=config_hash, seed=seed,
-    )
+    """MetricsReport of `evaluate_queries`' outcomes: each subset's recalls
+    are the shares of its ranks <= K, and the macro is their mean."""
+    outcomes = evaluate_queries(params, bench, subsets, beta_override, roi_crop)
+    per_subset = {s: SubsetMetrics(r_at_1=float(np.mean(o.target_ranks <= 1)),
+                                   r_at_5=float(np.mean(o.target_ranks <= 5)),
+                                   rid_at_1=float(np.mean(o.instance_ranks <= 1)),
+                                   n_queries=len(o.target_ranks))
+                  for s, o in outcomes.items()}
+    report = MetricsReport(per_subset=per_subset, macro=_macro(per_subset),
+                           config_hash=config_hash, seed=seed)
     report.validate()
     return report

@@ -299,10 +299,12 @@ def query_representation(
     and gives B x d_embed rows and the applied modulation as one (B, 1, k)
     array, k the modulation head's width: M in vector form, else 1. One
     QuerySample gives a 1 x d_embed tensor and a (1, k) array. beta_override
-    bypasses the predictor entirely and applies the given constant to all k
-    entries. A box-less sample gets a zero mask row, so its applied
+    bypasses the predictor entirely and applies the given finite constant to
+    all k entries. A box-less sample gets a zero mask row, so its applied
     modulation is 0; a batch without any box is encoded with no mask at all.
     """
+    if beta_override is not None and not np.isfinite(beta_override):
+        raise ContractError(f"beta_override must be finite, got {beta_override}")
     single = isinstance(samples, QuerySample)
     if isinstance(samples, QueryBatch):
         batch = samples

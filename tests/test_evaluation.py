@@ -18,6 +18,7 @@ from focalcir.evaluation import (
     RankingResult,
     SubsetMetrics,
     evaluate_model,
+    evaluate_queries,
     gallery_embeddings,
     instance_recall_at_k,
     query_sample_of,
@@ -442,13 +443,11 @@ def ranked_rows(params, bench, monkeypatch, **setting):
     return report, seen
 
 
-def ranks_by_quadruple(params, bench, monkeypatch):
-    """Each eval quadruple's [target rank, instance rank]."""
-    _, seen = ranked_rows(params, bench, monkeypatch)
-    quads = [q for s in bench.subsets for q in bench.eval_quads_of(s)]
-    ranks = np.concatenate([r for _, _, r in seen], axis=1).T.tolist()
-    assert len(ranks) == len(quads)
-    return dict(zip(quads, ranks))
+def ranks_by_quadruple(params, bench):
+    """Each eval quadruple's (target rank, instance rank)."""
+    return {q: (int(o.target_ranks[i]), int(o.instance_ranks[i]))
+            for s, o in evaluate_queries(params, bench).items()
+            for i, q in enumerate(bench.eval_quads_of(s))}
 
 
 def test_a_trained_model_evaluates_as_its_checkpoint_does(tiny_bench, tmp_path, monkeypatch):
@@ -519,8 +518,25 @@ def test_ranks_do_not_depend_on_the_query_order(tiny_bench, tiny_model, monkeypa
     random.Random(0).shuffle(shuffled)
     assert shuffled != tiny_bench.eval_quads
     moved = dataclasses.replace(tiny_bench, eval_quads=shuffled)
-    assert (ranks_by_quadruple(tiny_model, moved, monkeypatch)
-            == ranks_by_quadruple(tiny_model, tiny_bench, monkeypatch))
+    assert ranks_by_quadruple(tiny_model, moved) == ranks_by_quadruple(tiny_model, tiny_bench)
+
+
+def test_outcomes_hold_each_querys_ranks_and_applied_modulation(tiny_bench, tiny_model):
+    n = len(tiny_bench.eval_quads_of("fashion"))
+    live = evaluate_queries(tiny_model, tiny_bench)["fashion"]
+    assert live.target_ranks.shape == live.instance_ranks.shape == (n,)
+    # the target shows the anchored instance, so an instance ranks no lower
+    assert np.all(live.instance_ranks <= live.target_ranks)
+    assert live.applied.shape == (n, 1, 1) and np.all(live.applied != 0.0)
+    assert not evaluate_queries(tiny_model, tiny_bench, roi_crop=True)["fashion"].applied.any()
+    fixed = evaluate_queries(tiny_model, tiny_bench, beta_override=2.5)["fashion"].applied
+    assert fixed.shape == (n, 1, 1) and np.all(fixed == 2.5)
+    vector = ModelParams(dataclasses.replace(tiny_model_config(), modulation="vector"),
+                         tiny_bench.encoders, seed=5, zero_modulation_head=False)
+    m = vector.config.m_queries
+    assert evaluate_queries(vector, tiny_bench)["fashion"].applied.shape == (n, 1, m)
+    assert np.all(evaluate_queries(vector, tiny_bench, beta_override=2.5)["fashion"].applied
+                  == np.full((n, 1, m), 2.5))
 
 
 def test_a_permuted_gallery_moves_a_rank_only_at_an_exact_tie(tiny_bench, tiny_model,
@@ -619,12 +635,20 @@ def _with_fashion_gallery(bench, pick):
     (lambda b, p: evaluate_model(p, _with_fashion_gallery(
         b, lambda es: [e for e in es if e.image_id != b.eval_quads[0].target_image_id])),
      "are not in the fashion gallery"),
+    (lambda b, p: evaluate_model(p, b, subsets=[]), "subsets must name at least one subset"),
+    (lambda b, p: evaluate_model(p, b, subsets=["fashion", "fashion"]),
+     "subsets names 'fashion' twice"),
+    (lambda b, p: evaluate_model(p, b, beta_override=float("nan")),
+     "beta_override must be finite, got nan"),
+    (lambda b, p: evaluate_model(p, b, beta_override=float("inf"), roi_crop=True),
+     "beta_override must be finite, got inf"),
     (lambda b, p: rank_gallery(np.eye(4)[0], np.eye(3)), "query dim 4 vs gallery dim 3"),
     (lambda b, p: rank_gallery(np.eye(3)[:2], np.eye(3), np.ones((2, 4), dtype=bool)),
      "positives of shape (2, 4) for (2, 3) similarities"),
     (lambda b, p: rank_gallery(np.eye(3)[:2], np.eye(3)), "a full order needs one query, got 2"),
-], ids=["no-eval-quadruples", "small-gallery", "target-not-in-gallery", "query-dim",
-        "positives-shape", "full-order-of-two"])
+], ids=["no-eval-quadruples", "small-gallery", "target-not-in-gallery", "no-subsets",
+        "repeated-subset", "nan-beta", "inf-beta-box-less", "query-dim", "positives-shape",
+        "full-order-of-two"])
 def test_bad_evaluation_inputs_raise_naming_them(tiny_bench, tiny_model, call, named):
     with pytest.raises(ContractError) as info:
         call(tiny_bench, tiny_model)

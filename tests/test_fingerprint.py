@@ -11,7 +11,7 @@ it was made on, and a failure names both hosts.
 
 On the same benchmark, an untrained model with a live modulation head
 (`zero_modulation_head=False`) is pinned too: the integer target and
-same-instance rank of every eval query under `evaluate_model` and under
+same-instance rank of every eval query under `evaluate_queries` and under
 every `beta_sweep` row, the MetricsReport values (ratios of those counts,
 so exact), the predicted betas, and the per-step losses of one training
 epoch. Summation order moves the last bits of the betas and the losses, so
@@ -46,14 +46,7 @@ from focalcir import evaluation, model
 from focalcir.caam import CRM_VARIANTS, OUTPUT_FORMS
 from focalcir.benchgen import FilterThresholds, WorldConfig, build_benchmark
 from focalcir.benchgen.pipeline import Benchmark, save_benchmark
-from focalcir.evaluation import (
-    EVAL_CHUNK,
-    evaluate_model,
-    gallery_embeddings,
-    query_sample_of,
-    rank_gallery,
-    train_examples,
-)
+from focalcir.evaluation import EVAL_CHUNK, evaluate_model, evaluate_queries, train_examples
 from focalcir.harness import beta_sweep
 from focalcir.model import ModelConfig, ModelParams, TrainConfig, query_representation
 
@@ -91,29 +84,12 @@ def artifact_hashes(out_dir: Path, bench: Benchmark) -> dict[str, str]:
 
 
 def query_ranks(params: ModelParams, bench: Benchmark, beta_override: float | None):
-    """Per subset, each eval query's target and same-instance rank (as
-    evaluate_model counts them) and the modulation it was given."""
-    ranks, applied = {}, {}
-    for subset in bench.subsets:
-        quads = bench.eval_quads_of(subset)
-        gal = gallery_embeddings(params, bench, subset)
-        manifest = bench.galleries[subset]
-        ids = np.array(manifest.image_ids)
-        instances = np.array([e.instance_id for e in manifest.entries])
-        positives = np.stack([
-            np.array([q.target_image_id for q in quads])[:, None] == ids,
-            np.array([q.instance_id for q in quads])[:, None] == instances,
-        ])
-        chunks, betas = [], []
-        for at in range(0, len(quads), EVAL_CHUNK):
-            samples = [query_sample_of(bench, q) for q in quads[at : at + EVAL_CHUNK]]
-            f_q, given = query_representation(samples, params, beta_override=beta_override)
-            chunks.append(rank_gallery(f_q.data, gal, positives[:, at : at + EVAL_CHUNK]))
-            betas.extend(given[:, 0, 0].tolist())
-        target, instance = np.concatenate(chunks, axis=1)
-        ranks[subset] = {"target": target.tolist(), "instance": instance.tolist()}
-        applied[subset] = betas
-    return ranks, applied
+    """Per subset, each eval query's target and same-instance rank and the
+    modulation it was given, as evaluate_queries returns them."""
+    outcomes = evaluate_queries(params, bench, beta_override=beta_override)
+    ranks = {s: {"target": o.target_ranks.tolist(), "instance": o.instance_ranks.tolist()}
+             for s, o in outcomes.items()}
+    return ranks, {s: o.applied[:, 0, 0].tolist() for s, o in outcomes.items()}
 
 
 def one_epoch_losses(bench: Benchmark, config: ModelConfig = MODEL) -> list[float]:
@@ -267,24 +243,17 @@ def test_ranks_do_not_depend_on_the_eval_chunk(monkeypatch):
                 + [len(m.image_ids) for m in bench.galleries.values()])
     by_chunk = {}
     for chunk in (1, 7, 32, EVAL_CHUNK, whole):
-        calls, sizes = [], []
-
-        def recording(*args):
-            calls.append(rank_gallery(*args))
-            return calls[-1]
+        sizes = []
 
         def sized(batch, *args, **kwargs):
             sizes.append(len(batch.boxed))
             return query_representation(batch, *args, **kwargs)
 
         monkeypatch.setattr(evaluation, "EVAL_CHUNK", chunk)
-        monkeypatch.setattr(evaluation, "rank_gallery", recording)
         monkeypatch.setattr(evaluation, "query_representation", sized)
-        evaluate_model(params, bench)
+        by_chunk[chunk] = query_ranks(params, bench, None)[0]
         counts = [len(bench.eval_quads_of(s)) for s in bench.subsets]
         assert sizes == [min(chunk, n - at) for n in counts for at in range(0, n, chunk)], chunk
-        assert len(calls) == len(sizes), chunk
-        by_chunk[chunk] = np.concatenate(calls, axis=1).tolist()  # (target, instance) x Q
     for chunk, ranks in by_chunk.items():
         assert ranks == by_chunk[EVAL_CHUNK], chunk
 
