@@ -35,7 +35,8 @@ from focalcir.harness import (
     metrics_table_text,
     robustness_eval,
     robustness_table_text,
-    roi_crop_baseline,
+    roi_crop_ablation,
+    trained_model,
 )
 from focalcir.model import (
     EncoderRecord,
@@ -47,7 +48,6 @@ from focalcir.model import (
     save_checkpoint,
     step_loss,
     subset_list_rule,
-    train,
 )
 from focalcir.numerics.gradcheck import finite_diff_grad, max_rel_error
 from focalcir.numerics.tensor import Tape, backward
@@ -222,8 +222,7 @@ def cmd_train(cfg: RunConfig, ckpt: str | None) -> int:
     ckpt_path.parent.mkdir(parents=True, exist_ok=True)  # before training, to fail fast
     train_cfg = dataclasses.replace(cfg.train, seed=cfg.seed)
     examples = train_examples(bench, bench.train_quads_of(train_cfg.subsets))
-    params = ModelParams(cfg.model, bench.encoders, seed=cfg.seed)
-    result = train(params, examples, train_cfg)
+    params, result = trained_model(cfg.model, bench, examples, train_cfg)
 
     meta = {
         "config_hash": digest,
@@ -264,6 +263,9 @@ def cmd_eval(cfg: RunConfig, subsets: tuple[str, ...] | None, ckpt: str | None) 
 
 
 def cmd_ablate(cfg: RunConfig, kind: str, ckpt: str | None) -> int:
+    if kind in ("caam", "roicrop") and cfg.train.fixed_beta is not None:
+        raise ConfigError(f"train.fixed_beta is {cfg.train.fixed_beta}, but ablate {kind} "
+                          "trains adaptive models; leave it out of the run config")
     bench = _load_bench(cfg)
     digest = cfg.digest()
     out = Path(cfg.out)
@@ -286,34 +288,20 @@ def cmd_ablate(cfg: RunConfig, kind: str, ckpt: str | None) -> int:
         _write_ablation(out, kind, digest, cfg.seed, [dataclasses.asdict(r) for r in rows],
                         robustness_table_text(rows), checkpoint=_checkpoint_provenance(meta))
     else:
-        # roicrop: train the fixed-beta baseline and the crop variant, then compare
-        # against the adaptive checkpoint (trained here if none exists yet), all
-        # on the train.subsets quadruples
-        examples = train_examples(bench, bench.train_quads_of(train_cfg.subsets))
+        # roicrop: a checkpoint, if there is one, is the adaptive row, so it
+        # must be an adaptive model of the subsets the other rows train on
         ckpt_path = _ckpt_path(cfg, ckpt)
-        adaptive, provenance = None, None
-        if ckpt_path.is_file():
-            adaptive, meta = _load_ckpt(ckpt_path, bench)
-            provenance = _checkpoint_provenance(meta)
-            subsets = sorted(train_cfg.subsets or bench.subsets)
-            if provenance["train_subsets"] != subsets:
-                raise DataError(f"{ckpt_path} was trained on subsets "
-                                f"{provenance['train_subsets']}, this run trains on {subsets}")
-        baseline = ModelParams(cfg.model, bench.encoders, seed=cfg.seed)
-        train(baseline, examples, dataclasses.replace(train_cfg, fixed_beta=0.0))
-        _, roi_report = roi_crop_baseline(bench, cfg.model, train_cfg, config_hash=digest)
-        if adaptive is None:
-            adaptive = ModelParams(cfg.model, bench.encoders, seed=cfg.seed)
-            train(adaptive, examples, train_cfg)
-        named = [
-            ("baseline-beta0", evaluate_model(baseline, bench, config_hash=digest, seed=cfg.seed)),
-            ("roi-crop", roi_report),
-            ("adaptive", evaluate_model(adaptive, bench, config_hash=digest, seed=cfg.seed)),
-        ]
+        adaptive, meta = _load_ckpt(ckpt_path, bench) if ckpt_path.is_file() else (None, None)
+        for key, ours in (("train_subsets", sorted(train_cfg.subsets or bench.subsets)),
+                          ("fixed_beta", None)):
+            if meta is not None and meta.get(key) != ours:
+                raise DataError(f"{ckpt_path} records {key} {meta.get(key)!r}, "
+                                f"but this run's adaptive row needs {ours!r}")
+        named = roi_crop_ablation(bench, cfg.model, train_cfg, adaptive, config_hash=digest)
         _write_ablation(out, kind, digest, cfg.seed,
                         [{"label": label, "metrics": rep.to_dict()} for label, rep in named],
                         metrics_table_text(("model",), [((label,), rep) for label, rep in named]),
-                        checkpoint=provenance)
+                        checkpoint=None if meta is None else _checkpoint_provenance(meta))
     return 0
 
 
@@ -397,8 +385,30 @@ def _keep_freed_heap() -> bool:
     return all([mallopt(_M_MMAP_THRESHOLD, 16 << 20), mallopt(_M_TRIM_THRESHOLD, 64 << 20)])
 
 
+def _one_blas_thread() -> bool:
+    """Pins numpy's bundled OpenBLAS, found among the mapped files as
+    perfbench's blas_threads finds it, to one thread: a second one computes
+    the same bytes, and on a 2-core host it doubled a default `train`'s CPU
+    time without shortening its wall time. Returns False, changing nothing,
+    where no mapped library exports scipy_openblas_set_num_threads64_.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = {line.split()[-1] for line in fh if "blas" in line.lower() and ".so" in line}
+    except OSError:
+        return False
+    for path in sorted(libs):
+        pin = getattr(ctypes.CDLL(path), "scipy_openblas_set_num_threads64_", None)
+        if pin is not None:
+            pin.argtypes, pin.restype = [ctypes.c_int], None
+            pin(1)
+            return True
+    return False
+
+
 def main(argv=None) -> int:
     _keep_freed_heap()
+    _one_blas_thread()
     try:
         args = build_parser().parse_args(argv)
         if args.command == "gradcheck":

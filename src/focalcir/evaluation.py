@@ -93,8 +93,8 @@ def rank_gallery(f_q: np.ndarray, gallery: np.ndarray, positives: np.ndarray | N
     counted, not sorted: candidate j with similarity s ranks
     #{sims > s} + #{sims == s and index < j} + 1, the tie term counted only
     on rows where a candidate ties the best positive. Without positives, a single
-    query gets its full order as a list of gallery indices, read off the
-    counted rank of every candidate (O(G^2) work, for small galleries).
+    query gets its full order as a list of gallery indices: a stable sort on
+    the negated similarities, which keeps tied candidates in index order.
     """
     if gallery.size == 0 or gallery.shape[0] == 0:
         raise ContractError("cannot rank an empty gallery")
@@ -106,13 +106,11 @@ def rank_gallery(f_q: np.ndarray, gallery: np.ndarray, positives: np.ndarray | N
         if not np.all(np.abs(np.linalg.norm(arr, axis=1) - 1.0) <= _UNIT_TOL):
             raise ContractError(f"{name} embeddings must be unit-normalized and finite")
     sims = q @ gallery.T
-    n = gallery.shape[0]
-    full_order = positives is None
-    if full_order:
+    if positives is None:
         if q.shape[0] != 1:
             raise ContractError(f"a full order needs one query, got {q.shape[0]}")
-        positives = np.eye(n, dtype=bool)  # row j: candidate j alone
-    elif positives.shape[-2:] != sims.shape:
+        return np.argsort(-sims[0], kind="stable").tolist()
+    if positives.shape[-2:] != sims.shape:
         raise ContractError(f"positives of shape {positives.shape} for {sims.shape} similarities")
     if not np.all(positives.any(axis=-1)):
         raise ContractError("every query needs at least one positive candidate")
@@ -124,12 +122,8 @@ def rank_gallery(f_q: np.ndarray, gallery: np.ndarray, positives: np.ndarray | N
         tied = np.count_nonzero(ties, axis=-1) > 1
         ties = ties[tied]
         first = np.argmax(positives[tied] & ties, axis=-1)[:, None]
-        ranks[tied] += np.count_nonzero(ties & (np.arange(n) < first), axis=-1)
-    if not full_order:
-        return ranks
-    order = np.empty(n, dtype=np.intp)
-    order[ranks - 1] = np.arange(n)
-    return order.tolist()
+        ranks[tied] += np.count_nonzero(ties & (np.arange(sims.shape[-1]) < first), axis=-1)
+    return ranks
 
 
 def recall_at_k(results: list[RankingResult], k: int) -> float:

@@ -4,16 +4,16 @@ Every row is one plain evaluate_model call: a setting (beta_override,
 roi_crop) on a benchmark or a view of it. Perturbed boxes are a view made
 with dataclasses.replace on eval_quads, and the box-less robustness row is
 beta_override=0.0, which encodes each query exactly as without its box.
-The harnesses that train read their quadruples through
-Benchmark.train_quads_of, so train.subsets holds for every trained row; the
-ROI-crop model trains on the `cropped` view of each query, at beta 0, and
-drops no query, since every box a benchmark holds covers a patch center
-(the loader checks it). The sweep and the robustness rows run in one
-`one_parameter_state` scope, which each evaluate_model joins: the rows share
-each attention's merged weights and the gallery embeddings (target
-embeddings do not depend on the modulation applied to queries), rows on one
-view, as the sweep's are, also share its query inputs, and each robustness
-view assembles its own.
+Every model the harnesses and `train` train is a fresh one from
+trained_model, on examples each builds once from Benchmark.train_quads_of,
+so train.subsets holds for every trained row; the ROI-crop model trains on
+the `cropped` view of each example, at beta 0, and drops no query, since
+every box a benchmark holds covers a patch center (the loader checks it).
+The sweep and the robustness rows run in one `one_parameter_state` scope,
+which each evaluate_model joins: the rows share each attention's merged
+weights and the gallery embeddings (target embeddings do not depend on the
+modulation applied to queries), rows on one view, as the sweep's are, also
+share its query inputs, and each robustness view assembles its own.
 Every table is written by metrics_table_text alongside the
 structured per-row metrics.
 """
@@ -33,9 +33,18 @@ from focalcir.caam import CRM_VARIANTS, OUTPUT_FORMS
 from focalcir.evaluation import MetricsReport, evaluate_model, train_examples
 from focalcir.fusion import one_parameter_state
 from focalcir.geometry import iou, perturb_bbox
-from focalcir.model import ModelConfig, ModelParams, TrainConfig, cropped, train
+from focalcir.model import (ModelConfig, ModelParams, TrainConfig, TrainExample, TrainResult,
+                            cropped, train)
 
 DEFAULT_SWEEP_UNITS = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
+
+
+def trained_model(config: ModelConfig, bench: Benchmark, examples: list[TrainExample],
+                  train_cfg: TrainConfig) -> tuple[ModelParams, TrainResult]:
+    """A fresh model of config on the benchmark's encoder, seeded and trained
+    by train_cfg on examples."""
+    params = ModelParams(config, bench.encoders, seed=train_cfg.seed)
+    return params, train(params, examples, train_cfg)
 
 
 def sqrt_dk(config: ModelConfig) -> float:
@@ -99,15 +108,8 @@ def beta_sweep(
 # CAAM architecture ablation
 
 
-# the CAAM fields an ablation row records, in the order ablate_caam.json lists them
-_VARIANT_KEYS = ("crm_variant", "crm_layers", "k_probes", "modulation")
-
-
-def variant_label(config: ModelConfig) -> str:
-    return (
-        f"crm={config.crm_variant} layers={config.crm_layers} "
-        f"K={config.k_probes} form={config.modulation}"
-    )
+# the CAAM fields an ablation row records, each with its name in the row's label
+_LABELS = {"crm_variant": "crm", "crm_layers": "layers", "k_probes": "K", "modulation": "form"}
 
 
 @dataclass
@@ -122,28 +124,20 @@ def caam_param_count(params: ModelParams) -> int:
     return sum(t.data.size for name, t in params.named_params() if name.startswith("caam."))
 
 
-def caam_ablation(
-    bench: Benchmark,
-    base_config: ModelConfig,
-    train_cfg: TrainConfig,
-    config_hash: str = "",
-) -> list[AblationRow]:
+def caam_ablation(bench: Benchmark, base_config: ModelConfig, train_cfg: TrainConfig,
+                  config_hash: str = "") -> list[AblationRow]:
     """Trains each CRM variant in each modulation form (variant major) from
     base_config and train_cfg's seed, and evaluates it."""
     examples = train_examples(bench, bench.train_quads_of(train_cfg.subsets))
     rows = []
     for crm, form in itertools.product(CRM_VARIANTS, OUTPUT_FORMS):
         config = replace(base_config, crm_variant=crm, modulation=form)
-        params = ModelParams(config, bench.encoders, seed=train_cfg.seed)
-        train(params, examples, train_cfg)
-        report = evaluate_model(params, bench, config_hash=config_hash, seed=train_cfg.seed)
-        rows.append(
-            AblationRow(
-                label=variant_label(config),
-                variant={key: getattr(config, key) for key in _VARIANT_KEYS},
-                caam_param_count=caam_param_count(params), metrics=report,
-            )
-        )
+        params, _ = trained_model(config, bench, examples, train_cfg)
+        variant = {key: getattr(config, key) for key in _LABELS}
+        rows.append(AblationRow(
+            label=" ".join(f"{name}={variant[key]}" for key, name in _LABELS.items()),
+            variant=variant, caam_param_count=caam_param_count(params),
+            metrics=evaluate_model(params, bench, config_hash=config_hash, seed=train_cfg.seed)))
     return rows
 
 
@@ -210,22 +204,23 @@ def robustness_table_text(rows: list[RobustnessRow]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# ROI-crop baseline
+# ROI-crop comparison
 
 
-def roi_crop_baseline(
-    bench: Benchmark,
-    config: ModelConfig,
-    train_cfg: TrainConfig,
-    config_hash: str = "",
-) -> tuple[ModelParams, MetricsReport]:
-    """Trains the crop-to-box variant (no mask, no modulation) on the cropped
-    train quadruples of train.subsets and evaluates it on every eval
-    quadruple; the loader has checked that each box covers a patch."""
-    params = ModelParams(config, bench.encoders, seed=train_cfg.seed)
-    examples = [replace(ex, query=cropped(ex.query))
-                for ex in train_examples(bench, bench.train_quads_of(train_cfg.subsets))]
-    train(params, examples, replace(train_cfg, fixed_beta=0.0))
-    report = evaluate_model(params, bench, roi_crop=True,
-                            config_hash=config_hash, seed=train_cfg.seed)
-    return params, report
+def roi_crop_ablation(bench: Benchmark, config: ModelConfig, train_cfg: TrainConfig,
+                      adaptive: ModelParams | None = None,
+                      config_hash: str = "") -> list[tuple[str, MetricsReport]]:
+    """(label, report) of the beta-0 baseline, the crop-to-box model (no mask,
+    no modulation) and the adaptive model, trained here unless given."""
+    examples = train_examples(bench, bench.train_quads_of(train_cfg.subsets))
+    at_zero = replace(train_cfg, fixed_beta=0.0)
+    baseline, _ = trained_model(config, bench, examples, at_zero)
+    crop, _ = trained_model(config, bench, [replace(ex, query=cropped(ex.query))
+                                            for ex in examples], at_zero)
+    if adaptive is None:
+        adaptive, _ = trained_model(config, bench, examples, train_cfg)
+    return [(label, evaluate_model(params, bench, roi_crop=roi_crop,
+                                   config_hash=config_hash, seed=train_cfg.seed))
+            for label, params, roi_crop in (("baseline-beta0", baseline, False),
+                                            ("roi-crop", crop, True),
+                                            ("adaptive", adaptive, False))]

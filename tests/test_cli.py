@@ -10,6 +10,7 @@ import tempfile
 import typing
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -258,6 +259,32 @@ def test_the_allocator_hook_is_glibc_only_and_repeatable(monkeypatch):
     assert cli._keep_freed_heap() is False
     calls = []
     monkeypatch.setattr(cli, "_keep_freed_heap", lambda: calls.append(1))
+    assert main(["gen", "--wat"]) == 1 and calls == [1]
+
+
+def _blas_threads():
+    """The thread count the process's OpenBLAS reports, or None."""
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        libs = {line.split()[-1] for line in fh if "blas" in line.lower() and ".so" in line}
+    for path in sorted(libs):
+        get = getattr(cli.ctypes.CDLL(path), "scipy_openblas_get_num_threads64_", None)
+        if get is not None:
+            return get()
+    return None
+
+
+def test_the_blas_thread_hook_is_bundled_openblas_only_and_repeatable(monkeypatch):
+    # numpy's wheel bundles a 64-bit-integer OpenBLAS that exports the setter
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    bundled = (blas.get("name") == "scipy-openblas"
+               and "USE64BITINT" in blas.get("openblas configuration", ""))
+    assert cli._one_blas_thread() is bundled and cli._one_blas_thread() is bundled
+    if bundled:
+        assert _blas_threads() == 1
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())  # a BLAS without the setter
+    assert cli._one_blas_thread() is False
+    calls = []
+    monkeypatch.setattr(cli, "_one_blas_thread", lambda: calls.append(1))
     assert main(["gen", "--wat"]) == 1 and calls == [1]
 
 
@@ -1228,7 +1255,6 @@ def test_ablate_roicrop_comparison_rows(tmp_path, capsys):
 
 
 def test_ablate_roicrop_trains_every_row_on_train_subsets(tmp_path, capsys, monkeypatch):
-    import focalcir.cli as cli
     import focalcir.harness as harness
 
     cfg_path = tmp_path / "run.json"
@@ -1241,11 +1267,10 @@ def test_ablate_roicrop_trains_every_row_on_train_subsets(tmp_path, capsys, monk
     assert main(["gen", "--config", str(cfg_path)]) == 0
     grids = []
 
-    def spy(params, examples, cfg, _train=cli.train):
+    def spy(params, examples, cfg, _train=harness.train):
         grids.append({tuple(ex.query.grid) for ex in examples})
         return _train(params, examples, cfg)
 
-    monkeypatch.setattr(cli, "train", spy)
     monkeypatch.setattr(harness, "train", spy)
     assert main(["ablate", "roicrop", "--config", str(cfg_path)]) == 0
     capsys.readouterr()
@@ -1280,6 +1305,42 @@ def test_ablate_roicrop_rejects_a_checkpoint_trained_on_other_subsets(tmp_path, 
     _, meta = load_checkpoint(out / "checkpoint.bin")
     assert saved["checkpoint"] == {"config_hash": meta["config_hash"],
                                    "train_subsets": ["car", "fashion"]}
+
+
+def _at_fixed_beta(run_dir, tmp_path):
+    """A copy of the run's config that trains at beta 0."""
+    cfg_path, _ = run_dir
+    data = json.loads(cfg_path.read_text())
+    data["train"]["fixed_beta"] = 0.0
+    p = tmp_path / "fixed.json"
+    p.write_text(json.dumps(data))
+    return p
+
+
+@pytest.mark.parametrize("kind", ["caam", "roicrop"])
+def test_ablations_that_train_adaptive_models_refuse_a_fixed_beta_exits_1(run_dir, tmp_path,
+                                                                         capsys, kind):
+    # their CAAM rows and their adaptive row would be fixed-beta models
+    _, out = run_dir
+    before = file_hashes(out)
+    assert main(["ablate", kind, "--config", str(_at_fixed_beta(run_dir, tmp_path))]) == 1
+    err = capsys.readouterr().err
+    assert "train.fixed_beta is 0.0" in err and "Traceback" not in err
+    assert file_hashes(out) == before
+
+
+def test_ablate_roicrop_refuses_a_fixed_beta_checkpoint_as_the_adaptive_row(run_dir, tmp_path,
+                                                                            capsys):
+    cfg_path, out = run_dir
+    ckpt = tmp_path / "fixed.bin"
+    assert main(["train", "--config", str(_at_fixed_beta(run_dir, tmp_path)),
+                 "--checkpoint", str(ckpt)]) == 0
+    capsys.readouterr()
+    before = file_hashes(out)
+    assert main(["ablate", "roicrop", "--config", str(cfg_path), "--checkpoint", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert f"{ckpt} records fixed_beta 0.0" in err and "Traceback" not in err
+    assert file_hashes(out) == before
 
 
 def test_ablate_beta_and_robustness_record_their_checkpoint(tmp_path, capsys):

@@ -213,8 +213,30 @@ def test_counted_ranks_for_a_batch_of_one():
     # a 1-D query is a batch of one
     assert rank_gallery(q[0], gallery, positive).tolist() == rank_gallery(q, gallery, positive).tolist()
     # and its full order puts each candidate at its counted rank
-    order = rank_gallery(q[0], gallery)
-    assert order == np.argsort(-(gallery @ q[0]), kind="stable").tolist()
+    assert_order_is_counted_ranks(q[0], gallery)
+
+
+def assert_order_is_counted_ranks(q, gallery):
+    """The full order holds each candidate at the rank counted with that
+    candidate as the only positive."""
+    n = len(gallery)
+    counted = rank_gallery(q, gallery, np.eye(n, dtype=bool)[:, None])[:, 0]
+    order = rank_gallery(q, gallery)
+    assert [order.index(j) + 1 for j in range(n)] == counted.tolist()
+
+
+def test_full_order_breaks_exact_ties_by_index():
+    rng = np.random.default_rng(26)
+    rows = exact_unit_rows(rng, 3, 5)
+    q = rows[0]
+    # candidates 1, 3 and 6 tie exactly, as do 0 and 4; 2 and 5 are q itself
+    gallery = rows[[2, 1, 0, 1, 2, 0, 1]]
+    sims = gallery @ q
+    by_sim = sorted(set(sims.tolist()), reverse=True)
+    expected = [j for s in by_sim for j in range(7) if sims[j] == s]
+    assert expected[:2] == [2, 5]
+    assert rank_gallery(q, gallery) == expected
+    assert_order_is_counted_ranks(q, gallery)
 
 
 def test_rank_is_a_permutation():

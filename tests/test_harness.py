@@ -18,10 +18,12 @@ from focalcir.harness import (
     metrics_table_text,
     robustness_eval,
     robustness_table_text,
-    roi_crop_baseline,
+    roi_crop_ablation,
     sqrt_dk,
+    trained_model,
 )
-from focalcir.model import ModelConfig, ModelParams, TrainConfig
+from focalcir.evaluation import train_examples
+from focalcir.model import ModelConfig, ModelParams, TrainConfig, cropped
 
 
 @pytest.fixture(scope="module")
@@ -176,17 +178,45 @@ def test_robustness_perturbation_preserves_target(tiny_bench, tiny_model, robust
 # -- roi crop -----------------------------------------------------------------------
 
 
-def test_roi_crop_baseline_trains_and_reports(tiny_bench):
+def test_roi_crop_ablation_trains_and_scores_each_row(tiny_bench):
     cfg = ModelConfig(d_model=16, d_embed=16, m_queries=2, k_probes=2, l_text=2,
                       n_blocks=1, crm_layers=1)
-    params, report = roi_crop_baseline(
-        tiny_bench, cfg, TrainConfig(epochs=1, batch_size=8, seed=5)
-    )
-    report.validate()
-    assert report.per_subset["fashion"].n_queries == len(tiny_bench.eval_quads)
-    # roi training leaves the modulation head at its zero init
-    named = dict(params.named_params())
-    assert not named["caam.wc"].data.any()
+    train_cfg = TrainConfig(epochs=1, batch_size=8, seed=5)
+    rows = roi_crop_ablation(tiny_bench, cfg, train_cfg)
+    assert [label for label, _ in rows] == ["baseline-beta0", "roi-crop", "adaptive"]
+    # each row is a fresh model trained from the seed and scored plainly;
+    # the ROI-crop model trains on cropped queries at beta 0 and is scored cropped
+    examples = train_examples(tiny_bench, tiny_bench.train_quads)
+    at_zero = dataclasses.replace(train_cfg, fixed_beta=0.0)
+    crop_examples = [dataclasses.replace(ex, query=cropped(ex.query)) for ex in examples]
+    for (label, report), (train_on, trained_cfg, roi_crop) in zip(rows, [
+            (examples, at_zero, False), (crop_examples, at_zero, True),
+            (examples, train_cfg, False)]):
+        params, _ = trained_model(cfg, tiny_bench, train_on, trained_cfg)
+        report.validate()
+        assert report.per_subset["fashion"].n_queries == len(tiny_bench.eval_quads)
+        assert report.to_dict() == evaluate_model(params, tiny_bench, roi_crop=roi_crop,
+                                                  seed=5).to_dict(), label
+    # a given adaptive model is scored, not trained
+    given = ModelParams(cfg, tiny_bench.encoders, seed=9, zero_modulation_head=False)
+    before = [t.data.copy() for _, t in given.named_params()]
+    label, report = roi_crop_ablation(tiny_bench, cfg, train_cfg, given)[2]
+    assert label == "adaptive"
+    assert all(np.array_equal(a, t.data) for a, (_, t) in zip(before, given.named_params()))
+    assert report.to_dict() == evaluate_model(given, tiny_bench, seed=5).to_dict()
+
+
+def test_trained_model_is_seeded_by_the_train_config(tiny_bench):
+    cfg = ModelConfig(d_model=16, d_embed=16, m_queries=2, k_probes=2, l_text=2,
+                      n_blocks=1, crm_layers=1)
+    examples = train_examples(tiny_bench, tiny_bench.train_quads)
+    train_cfg = TrainConfig(epochs=1, batch_size=8, seed=5)
+    params, result = trained_model(cfg, tiny_bench, examples, train_cfg)
+    again, same = trained_model(cfg, tiny_bench, examples, train_cfg)
+    assert params.seed == 5 and result.steps > 0
+    assert result.epoch_losses == same.epoch_losses
+    assert all(np.array_equal(a.data, b.data)
+               for (_, a), (_, b) in zip(params.named_params(), again.named_params()))
 
 
 def test_comparison_table_text(tiny_bench, tiny_model):

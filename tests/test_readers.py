@@ -9,6 +9,8 @@ import ast
 import math
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "focalcir"
 
@@ -54,51 +56,115 @@ def _is_dunder(name):
 
 
 def definitions(tree):
-    """(qualified name, name) of each top-level def and class and each method.
+    """(qualified name, name, kind) of each top-level def and class (kind
+    "function") and each method ("method", or "property" for a property).
     Dunder methods are left out: the language calls them, not a reader."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name, node.name
+            yield node.name, node.name, "function"
             if isinstance(node, ast.ClassDef):
                 for sub in node.body:
                     if (isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
                             and not _is_dunder(sub.name)):
-                        yield f"{node.name}.{sub.name}", sub.name
+                        prop = any(_named(d, "property") for d in sub.decorator_list)
+                        yield f"{node.name}.{sub.name}", sub.name, "property" if prop else "method"
 
 
 def reads(tree):
-    """The names the code loads, as (bare names, attribute names). An
-    import, such as an __init__ re-export, is not a read."""
-    bare, attrs = set(), set()
+    """The names the code loads, as (bare names, attribute names, attribute
+    names that are called). An import, such as an __init__ re-export, is
+    not a read."""
+    bare, attrs, called = set(), set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             bare.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             attrs.add(node.attr)
-    return bare, attrs
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            called.add(node.func.attr)
+    return bare, attrs, called
+
+
+def field_names(tree):
+    """The names of the annotated fields and __slots__ entries of every class."""
+    names = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for sub in node.body:
+            if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name):
+                names.add(sub.target.id)
+            elif isinstance(sub, ast.Assign) and any(_named(t, "__slots__") for t in sub.targets):
+                names.update(c.value for c in ast.walk(sub.value)
+                             if isinstance(c, ast.Constant) and isinstance(c.value, str))
+    return names
 
 
 def module_of(path):
     return ".".join(path.relative_to(SRC).with_suffix("").parts)
 
 
-def test_every_definition_in_src_has_a_reader():
-    trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))}
-    bare, attrs = set(), set()
+def unread_definitions(trees):
+    """The module-qualified definitions of trees ({module: tree}) that no tree
+    reads. The package never reads a function or class through a module
+    alias, so only a bare name reads one (`seen.add` is no read of `add`).
+    A method is read by a call of its name or by a load of a name that no
+    class has as a field or slot (a bound method passed on): a load of
+    `x.rank` reads a field `rank` as well as a method `rank`, so it is no
+    read of the method. A property is read by any attribute load, as a
+    field is, so a same-named field can still hide an unread property."""
+    bare, attrs, called, fields = set(), set(), set(), set()
     for tree in trees.values():
-        b, a = reads(tree)
+        b, a, c = reads(tree)
         bare |= b
         attrs |= a
-    unread = set()
-    for path, tree in trees.items():
-        for qual, name in definitions(tree):
-            # src/ never reads a package function or class through a module
-            # alias, so only a bare name reads one (`seen.add` is no read of
-            # `add`); a method is read as an attribute
-            if name not in (bare | attrs if "." in qual else bare):
-                unread.add(f"{module_of(path)}.{qual}")
+        called |= c
+        fields |= field_names(tree)
+    read_as = {"function": bare, "method": bare | called | (attrs - fields),
+               "property": attrs}
+    return {f"{module}.{qual}" for module, tree in trees.items()
+            for qual, name, kind in definitions(tree) if name not in read_as[kind]}
+
+
+def test_every_definition_in_src_has_a_reader():
+    trees = {module_of(path): ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))}
     # an entry that gains a reader leaves the list too
-    assert unread == set(NO_READER_IN_SRC)
+    assert unread_definitions(trees) == set(NO_READER_IN_SRC)
+
+
+_FIELDS_AND_METHODS = """
+from dataclasses import dataclass
+
+@dataclass
+class Outcome:
+    rank: int
+
+class Slotted:
+    __slots__ = ("score",)
+
+class Result:
+    def rank(self): ...
+    def score(self): ...
+    def order(self): ...
+    def passed_on(self): ...
+    @property
+    def size(self): ...
+
+def read(o=Outcome(1), s=Slotted(), r=Result()):
+    return o.rank, s.score, r.order(), map(r.passed_on, ()), r.size, READ_RANK
+
+read()
+"""
+
+
+@pytest.mark.parametrize("read_rank, unread", [
+    ("None", {"m.Result.rank", "m.Result.score"}),
+    ("Result().rank()", {"m.Result.score"}),
+])
+def test_a_field_or_slot_load_is_no_read_of_a_method(read_rank, unread):
+    # loading a field's name does not read a method of that name; calling it does
+    tree = ast.parse(_FIELDS_AND_METHODS.replace("READ_RANK", read_rank))
+    assert unread_definitions({"m": tree}) == unread
 
 
 def defaulted(tree):
@@ -271,7 +337,7 @@ def test_every_import_in_src_is_read():
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())
-        bare, _ = reads(tree)
+        bare, _, _ = reads(tree)
         unread += [f"{module_of(path)}:{line} {name}"
                    for name, line in imported_names(tree) if name not in bare]
     assert unread == []
